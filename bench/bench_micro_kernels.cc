@@ -4,9 +4,10 @@
 // end-to-end DENSE construction.
 //
 // After the google-benchmark suites, a custom stage-3 section times every parallel
-// compute kernel (matmuls, neighbor aggregation, ranking loss, sharded Adagrad)
-// serially and on an 8-worker pool, verifies the results are BITWISE identical,
-// and prints per-kernel plus aggregate speedups. The exit code gates only on
+// compute kernel (matmuls, neighbor aggregation, the ranking loss of every decoder
+// at the benchmark's shapes, sharded Adagrad) serially and on an 8-worker pool,
+// verifies the results are BITWISE identical, and prints per-kernel plus aggregate
+// speedups. The exit code gates only on
 // determinism — speedup depends on host core count (CI boxes may have 2).
 #include <benchmark/benchmark.h>
 
@@ -175,28 +176,41 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                        return SegmentMeanBackward(*seg_grad, *offsets, ctx);
                      }});
 
-  // Ranking loss: 2048 positive edges vs 128 shared negatives at dim 64.
-  {
+  // Ranking loss and gradients of one decoder: `edges` positives against `negatives`
+  // shared negatives over 3000 rows. The result packs d_reprs, the relation
+  // gradient and the loss, so the bitwise check covers all three.
+  auto add_ranking_loss = [&kernels](const std::string& name, const std::string& decoder,
+                                     int64_t edges, int64_t negatives, int64_t ldim) {
     Rng drng(13);
-    auto reprs = std::make_shared<Tensor>(Tensor::Normal(3000, dim, 0.5f, drng));
-    auto src = std::make_shared<std::vector<int64_t>>(2048);
-    auto dst = std::make_shared<std::vector<int64_t>>(2048);
-    auto rels = std::make_shared<std::vector<int32_t>>(2048, 0);
-    auto negs = std::make_shared<std::vector<int64_t>>(128);
+    auto reprs = std::make_shared<Tensor>(Tensor::Normal(3000, ldim, 0.5f, drng));
+    auto src = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(edges));
+    auto dst = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(edges));
+    auto rels = std::make_shared<std::vector<int32_t>>(static_cast<size_t>(edges), 0);
+    auto negs = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(negatives));
     for (auto& v : *src) v = static_cast<int64_t>(drng.UniformInt(3000));
     for (auto& v : *dst) v = static_cast<int64_t>(drng.UniformInt(3000));
     for (auto& v : *negs) v = static_cast<int64_t>(drng.UniformInt(3000));
     kernels.push_back(
-        {"ranking_loss+grad", [reprs, src, dst, rels, negs](const ComputeContext* ctx) {
+        {name, [reprs, src, dst, rels, negs, decoder, ldim](const ComputeContext* ctx) {
            Rng wrng(17);
-           DistMultDecoder decoder(1, 64, wrng);
-           decoder.set_compute(ctx);
+           std::unique_ptr<Decoder> dec = MakeDecoder(decoder, 1, ldim, wrng);
+           dec->set_compute(ctx);
            Tensor d_reprs(reprs->rows(), reprs->cols());
-           const float loss =
-               decoder.LossAndGrad(*reprs, *src, *dst, *rels, *negs, &d_reprs);
-           d_reprs.data()[0] += loss;  // fold the scalar into the bitwise check
-           return d_reprs;
+           const float loss = dec->LossAndGrad(*reprs, *src, *dst, *rels, *negs, &d_reprs);
+           Tensor out(reprs->rows() + 2, ldim);
+           std::copy(d_reprs.data(), d_reprs.data() + d_reprs.size(), out.data());
+           const Tensor& rel_grad = dec->Parameters()[0]->grad;
+           std::copy(rel_grad.data(), rel_grad.data() + ldim, out.RowPtr(reprs->rows()));
+           out.RowPtr(reprs->rows() + 1)[0] = loss;
+           return out;
          }});
+  };
+  add_ranking_loss("ranking_loss+grad", "distmult", 2048, 128, dim);
+  // The benchmark's shapes: dim 128 with 16 negatives (kge_disk) and dim 32 with 50
+  // (lp_mem), for every decoder.
+  for (const char* decoder : {"distmult", "transe", "complex"}) {
+    add_ranking_loss(std::string("loss_") + decoder + "_d128_m16", decoder, 1024, 16, 128);
+    add_ranking_loss(std::string("loss_") + decoder + "_d32_m50", decoder, 1024, 50, 32);
   }
 
   // Sharded sparse Adagrad over 4096 distinct rows.
@@ -326,7 +340,7 @@ bool RunStage3Section(const std::string& json_path) {
   std::printf("\n=== stage-3 parallel kernels: serial vs %d-worker pool ===\n", kWorkers);
   std::printf("(speedup is host-dependent — this box has %u hardware threads)\n",
               std::thread::hardware_concurrency());
-  std::printf("%-20s %12s %12s %9s  %s\n", "kernel", "serial_ms", "parallel_ms",
+  std::printf("%-24s %12s %12s %9s  %s\n", "kernel", "serial_ms", "parallel_ms",
               "speedup", "bitwise");
 
   ThreadPool pool(kWorkers);
@@ -350,12 +364,12 @@ bool RunStage3Section(const std::string& json_path) {
     const double parallel_s = BestOfSeconds([&] { kernel.run(&ctx); }, kReps);
     serial_total += serial_s;
     parallel_total += parallel_s;
-    std::printf("%-20s %12.3f %12.3f %8.2fx  %s\n", kernel.name.c_str(), serial_s * 1e3,
+    std::printf("%-24s %12.3f %12.3f %8.2fx  %s\n", kernel.name.c_str(), serial_s * 1e3,
                 parallel_s * 1e3, serial_s / parallel_s,
                 identical ? "IDENTICAL" : "DIVERGED (BUG)");
     results.push_back({kernel.name, serial_s * 1e3, parallel_s * 1e3, identical});
   }
-  std::printf("%-20s %12.3f %12.3f %8.2fx  aggregate\n", "TOTAL", serial_total * 1e3,
+  std::printf("%-24s %12.3f %12.3f %8.2fx  aggregate\n", "TOTAL", serial_total * 1e3,
               parallel_total * 1e3, serial_total / parallel_total);
   if (!json_path.empty()) {
     const Stage3Result total{"TOTAL", serial_total * 1e3, parallel_total * 1e3,

@@ -30,6 +30,9 @@ struct LinkPredictionTrainer::PreparedBatch {
 
 LinkPredictionTrainer::LinkPredictionTrainer(const Graph* graph, TrainingConfig config)
     : TrainerBase(graph, std::move(config), TaskKind::kLinkPrediction) {
+  // Every positive is ranked against the shared negatives, and the count sizes the
+  // sampler's output vector directly.
+  MG_CHECK_MSG(config_.num_negatives >= 1, "num_negatives must be at least 1");
   const int64_t emb_dim = config_.dims.front();
 
   // Training-edge membership (disk policies iterate all buckets; only train edges

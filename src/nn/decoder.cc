@@ -3,11 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/tensor/ops.h"
 #include "src/util/check.h"
 #include "src/util/slot_remap.h"
 
 namespace mariusgnn {
+
+// One side's inputs, shared read-only by all of its chunks.
+struct RankingLossSide {
+  const Tensor* reprs;
+  const Tensor* rel_values;
+  const std::vector<int64_t>* src_rows;
+  const std::vector<int64_t>* dst_rows;
+  const std::vector<int32_t>* rels;
+  const std::vector<int64_t>* neg_rows;
+  // The negatives transposed, component c of negative j at neg_block[c * m_pad + j];
+  // the lanes j >= neg_rows->size() are zero padding.
+  const float* neg_block;
+  int64_t m_pad;
+  int64_t dim;
+  bool corrupt_src;
+  float inv_b;  // scale / batch: the gradient coefficient of one edge
+};
 
 namespace {
 
@@ -18,40 +34,228 @@ inline float* GradRow(Tensor* t, const int32_t* slot_of, int64_t row) {
 
 // Per-thread repr-row and relation remaps for the chunked loss kernel (see
 // slot_remap.h): bumping a generation replaces the O(num_rows) sentinel fill a
-// fresh remap would pay in every 128-edge chunk. SideLossChunk only dereferences
+// fresh remap would pay in every 128-edge chunk. The kernel only dereferences
 // rows the claim pass touched, so stale entries are never read.
 thread_local SlotRemap decoder_row_remap;
 thread_local SlotRemap decoder_rel_remap;
 
-}  // namespace
+// Negatives the forward pass scores side by side, one logit per lane.
+constexpr int64_t kLanes = 16;
+// Components per backward block: the edge's held gradient row and its relation
+// gradient row stay in local blocks of this width across all of its negatives.
+constexpr int64_t kBlock = 32;
+
+// Elementwise forms of the decoders. A score is the left-to-right fold of Term over
+// the steps k in [0, dim / kParts); step k reads components k, k + dim / kParts, ...
+// of each vector, so ComplEx pairs each real component with its imaginary one.
+// Grad gives coeff times the step's partial derivatives with respect to s, r and o.
+struct DistMultForm {
+  static constexpr int kParts = 1;
+  static float Term(float acc, const float* s, const float* r, const float* o) {
+    return acc + s[0] * r[0] * o[0];
+  }
+  static void Grad(float coeff, const float* s, const float* r, const float* o, float* gs,
+                   float* gr, float* go) {
+    gs[0] = coeff * r[0] * o[0];
+    gr[0] = coeff * s[0] * o[0];
+    go[0] = coeff * s[0] * r[0];
+  }
+};
+
+struct TransEForm {
+  static constexpr int kParts = 1;
+  static float Term(float acc, const float* s, const float* r, const float* o) {
+    const float diff = s[0] + r[0] - o[0];
+    return acc - diff * diff;
+  }
+  static void Grad(float coeff, const float* s, const float* r, const float* o, float* gs,
+                   float* gr, float* go) {
+    const float g = -2.0f * (s[0] + r[0] - o[0]) * coeff;
+    gs[0] = g;
+    gr[0] = g;
+    go[0] = -g;
+  }
+};
+
+struct ComplExForm {
+  static constexpr int kParts = 2;  // {real, imaginary}
+  static float Term(float acc, const float* s, const float* r, const float* o) {
+    return acc + ((s[0] * r[0] - s[1] * r[1]) * o[0] + (s[0] * r[1] + s[1] * r[0]) * o[1]);
+  }
+  static void Grad(float coeff, const float* s, const float* r, const float* o, float* gs,
+                   float* gr, float* go) {
+    gs[0] = coeff * (r[0] * o[0] + r[1] * o[1]);
+    gs[1] = coeff * (r[0] * o[1] - r[1] * o[0]);
+    gr[0] = coeff * (s[0] * o[0] + s[1] * o[1]);
+    gr[1] = coeff * (s[0] * o[1] - s[1] * o[0]);
+    go[0] = coeff * (s[0] * r[0] - s[1] * r[1]);
+    go[1] = coeff * (s[0] * r[1] + s[1] * r[0]);
+  }
+};
+
+// The kParts components of step k of a row with `steps` steps.
+template <int kParts>
+inline void LoadStep(const float* row, int64_t k, int64_t steps, float* out) {
+  for (int p = 0; p < kParts; ++p) {
+    out[p] = row[k + p * steps];
+  }
+}
+
+template <class Form>
+float ScoreRows(const float* s, const float* r, const float* o, int64_t steps) {
+  constexpr int P = Form::kParts;
+  float v = 0.0f;
+  for (int64_t k = 0; k < steps; ++k) {
+    float sp[P], rp[P], op[P];
+    LoadStep<P>(s, k, steps, sp);
+    LoadStep<P>(r, k, steps, rp);
+    LoadStep<P>(o, k, steps, op);
+    v = Form::Term(v, sp, rp, op);
+  }
+  return v;
+}
+
+// Logits of all negatives against one edge, into out[0, m_pad). `fixed` is s on
+// the destination side and o on the source side. Lanes run across negatives and
+// every lane folds its steps in order, so each logit is the same sum of the same
+// products as ScoreRows over the negative's row.
+template <class Form, bool kCorruptSrc>
+void ScoreNegatives(const float* fixed, const float* r, const float* block, int64_t m_pad,
+                    int64_t steps, float* out) {
+  constexpr int P = Form::kParts;
+  const int64_t part_stride = steps * m_pad;
+  for (int64_t j0 = 0; j0 < m_pad; j0 += kLanes) {
+    float acc[kLanes] = {};
+    for (int64_t k = 0; k < steps; ++k) {
+      float fp[P], rp[P];
+      LoadStep<P>(fixed, k, steps, fp);
+      LoadStep<P>(r, k, steps, rp);
+      const float* col = block + k * m_pad + j0;
+      for (int64_t j = 0; j < kLanes; ++j) {
+        float np[P];
+        for (int p = 0; p < P; ++p) {
+          np[p] = col[p * part_stride + j];
+        }
+        acc[j] = kCorruptSrc ? Form::Term(acc[j], np, rp, fp) : Form::Term(acc[j], fp, rp, np);
+      }
+    }
+    std::copy(acc, acc + kLanes, out + j0);
+  }
+}
+
+// The other row of one backward term: the positive's partner (o on the destination
+// side, s on the source side) or a negative, with its gradient row and coefficient.
+struct Partner {
+  const float* n;
+  float* dn;
+  float coeff;
+};
+
+// One term's update of one block of `kn` steps (all pointers offset to the block).
+// `held`/`rel` are the local blocks (part stride kBlock); every row has part stride
+// `steps`. The updates land in the order ds, dr, do_, so when the partner's gradient
+// row is the held row (kHeld), its update meets the held block in the same sequence
+// a row-at-a-time backward would give it.
+template <class Form, bool kCorruptSrc, bool kHeld>
+inline void PartnerBlock(float coeff, const float* __restrict f, const float* __restrict r,
+                         const float* __restrict n, float* __restrict held,
+                         float* __restrict rel, float* __restrict dn, int64_t kn,
+                         int64_t steps) {
+  constexpr int P = Form::kParts;
+  for (int64_t k = 0; k < kn; ++k) {
+    float fp[P], rp[P], np[P], gf[P], gr[P], gn[P];
+    LoadStep<P>(f, k, steps, fp);
+    LoadStep<P>(r, k, steps, rp);
+    LoadStep<P>(n, k, steps, np);
+    if constexpr (kCorruptSrc) {
+      Form::Grad(coeff, np, rp, fp, gn, gr, gf);
+    } else {
+      Form::Grad(coeff, fp, rp, np, gf, gr, gn);
+    }
+    for (int p = 0; p < P; ++p) {
+      float& hf = held[p * kBlock + k];
+      float& pn = kHeld ? held[p * kBlock + k] : dn[p * steps + k];
+      if constexpr (kCorruptSrc) {
+        pn += gn[p];
+        rel[p * kBlock + k] += gr[p];
+        hf += gf[p];
+      } else {
+        hf += gf[p];
+        rel[p * kBlock + k] += gr[p];
+        pn += gn[p];
+      }
+    }
+  }
+}
+
+// Backward pass of one edge, blocked over steps: `f` is the fixed representation
+// (s on the destination side, o on the source side) and `df` its gradient row, held
+// in a local block with the relation gradient while every partner updates them.
+template <class Form, bool kCorruptSrc>
+void BackwardEdge(const float* f, const float* r, float* df, float* dr,
+                  const std::vector<Partner>& partners, int64_t steps) {
+  constexpr int P = Form::kParts;
+  float held[P * kBlock];
+  float rel[P * kBlock];
+  for (int64_t k0 = 0; k0 < steps; k0 += kBlock) {
+    const int64_t kn = std::min(kBlock, steps - k0);
+    for (int p = 0; p < P; ++p) {
+      std::copy(df + p * steps + k0, df + p * steps + k0 + kn, held + p * kBlock);
+      std::copy(dr + p * steps + k0, dr + p * steps + k0 + kn, rel + p * kBlock);
+    }
+    for (const Partner& t : partners) {
+      if (t.dn == df) {
+        PartnerBlock<Form, kCorruptSrc, true>(t.coeff, f + k0, r + k0, t.n + k0, held, rel,
+                                              nullptr, kn, steps);
+      } else {
+        PartnerBlock<Form, kCorruptSrc, false>(t.coeff, f + k0, r + k0, t.n + k0, held, rel,
+                                               t.dn + k0, kn, steps);
+      }
+    }
+    for (int p = 0; p < P; ++p) {
+      std::copy(held + p * kBlock, held + p * kBlock + kn, df + p * steps + k0);
+      std::copy(rel + p * kBlock, rel + p * kBlock + kn, dr + p * steps + k0);
+    }
+  }
+}
 
 // One chunk of positive edges: scores each edge against the shared negatives and
 // accumulates d loss / d reprs into `d_out` and relation gradients into `rel_grad`.
 // `d_out`/`rel_grad` are either the real accumulators (single chunk, slot_of ==
 // rel_slot_of == nullptr) or per-chunk compact partials indexed through the slot
 // remaps (parallel), so the per-edge arithmetic is identical either way.
-double Decoder::SideLossChunk(const Tensor& reprs, const std::vector<int64_t>& src_rows,
-                              const std::vector<int64_t>& dst_rows,
-                              const std::vector<int32_t>& rels,
-                              const std::vector<int64_t>& neg_rows, bool corrupt_src,
-                              float inv_b, int64_t begin, int64_t end, Tensor* d_out,
-                              Tensor* rel_grad, const int32_t* slot_of,
-                              const int32_t* rel_slot_of) const {
+template <class Form, bool kCorruptSrc>
+double LossChunk(const RankingLossSide& side, int64_t begin, int64_t end, Tensor* d_out,
+                 Tensor* rel_grad, const int32_t* slot_of, const int32_t* rel_slot_of) {
+  const Tensor& reprs = *side.reprs;
+  const std::vector<int64_t>& neg_rows = *side.neg_rows;
   const int64_t m = static_cast<int64_t>(neg_rows.size());
+  const int64_t steps = side.dim / Form::kParts;
+  const float inv_b = side.inv_b;
   std::vector<float> logits(static_cast<size_t>(m) + 1);
   std::vector<float> probs(static_cast<size_t>(m) + 1);
+  std::vector<float> lanes(static_cast<size_t>(side.m_pad));
+  std::vector<Partner> negatives(static_cast<size_t>(m));
+  for (int64_t j = 0; j < m; ++j) {
+    const int64_t nrow = neg_rows[static_cast<size_t>(j)];
+    negatives[static_cast<size_t>(j)] = {reprs.RowPtr(nrow), GradRow(d_out, slot_of, nrow),
+                                         0.0f};
+  }
+  std::vector<Partner> partners;
+  partners.reserve(static_cast<size_t>(m) + 1);
   double loss = 0.0;
   for (int64_t i = begin; i < end; ++i) {
-    const float* s = reprs.RowPtr(src_rows[static_cast<size_t>(i)]);
-    const float* o = reprs.RowPtr(dst_rows[static_cast<size_t>(i)]);
-    const int32_t rel = rels[static_cast<size_t>(i)];
-    const float* r = rel_.value.RowPtr(rel);
+    const int64_t src_row = (*side.src_rows)[static_cast<size_t>(i)];
+    const int64_t dst_row = (*side.dst_rows)[static_cast<size_t>(i)];
+    const float* s = reprs.RowPtr(src_row);
+    const float* o = reprs.RowPtr(dst_row);
+    const int32_t rel = (*side.rels)[static_cast<size_t>(i)];
+    const float* r = side.rel_values->RowPtr(rel);
 
-    logits[0] = Score(s, r, o);
-    for (int64_t j = 0; j < m; ++j) {
-      const float* n = reprs.RowPtr(neg_rows[static_cast<size_t>(j)]);
-      logits[static_cast<size_t>(j) + 1] = corrupt_src ? Score(n, r, o) : Score(s, r, n);
-    }
+    logits[0] = ScoreRows<Form>(s, r, o, steps);
+    ScoreNegatives<Form, kCorruptSrc>(kCorruptSrc ? o : s, r, side.neg_block, side.m_pad,
+                                      steps, lanes.data());
+    std::copy(lanes.begin(), lanes.begin() + m, logits.begin() + 1);
 
     // Softmax CE with the positive in class 0.
     float maxv = logits[0];
@@ -69,46 +273,47 @@ double Decoder::SideLossChunk(const Tensor& reprs, const std::vector<int64_t>& s
     }
     loss -= std::log(std::max(probs[0], 1e-12f));
 
-    // dlogit_0 = (p0 - 1)/B, dlogit_j = p_j/B.
-    float* ds = GradRow(d_out, slot_of, src_rows[static_cast<size_t>(i)]);
-    float* do_ = GradRow(d_out, slot_of, dst_rows[static_cast<size_t>(i)]);
+    // dlogit_0 = (p0 - 1)/B, dlogit_j = p_j/B; negatives with a zero coefficient
+    // contribute nothing and are skipped.
+    float* ds = GradRow(d_out, slot_of, src_row);
+    float* do_ = GradRow(d_out, slot_of, dst_row);
     float* dr = GradRow(rel_grad, rel_slot_of, rel);
-    ScoreBackward(s, r, o, (probs[0] - 1.0f) * inv_b, ds, dr, do_);
+    const float c0 = (probs[0] - 1.0f) * inv_b;
+    partners.clear();
+    partners.push_back(kCorruptSrc ? Partner{s, ds, c0} : Partner{o, do_, c0});
     for (int64_t j = 0; j < m; ++j) {
-      const int64_t nrow = neg_rows[static_cast<size_t>(j)];
-      const float* n = reprs.RowPtr(nrow);
-      float* dn = GradRow(d_out, slot_of, nrow);
       const float coeff = probs[static_cast<size_t>(j) + 1] * inv_b;
       if (coeff == 0.0f) {
         continue;
       }
-      if (corrupt_src) {
-        ScoreBackward(n, r, o, coeff, dn, dr, do_);
-      } else {
-        ScoreBackward(s, r, n, coeff, ds, dr, dn);
-      }
+      const Partner& n = negatives[static_cast<size_t>(j)];
+      partners.push_back({n.n, n.dn, coeff});
     }
+    BackwardEdge<Form, kCorruptSrc>(kCorruptSrc ? o : s, r, kCorruptSrc ? do_ : ds, dr,
+                                    partners, steps);
   }
   return loss;
 }
 
-float Decoder::SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_rows,
-                               const std::vector<int64_t>& dst_rows,
-                               const std::vector<int32_t>& rels,
-                               const std::vector<int64_t>& neg_rows, bool corrupt_src,
-                               float scale, Tensor* d_reprs) {
-  const int64_t batch = static_cast<int64_t>(src_rows.size());
-  const int64_t m = static_cast<int64_t>(neg_rows.size());
-  MG_CHECK(batch > 0 && m > 0);
-  const float inv_b = scale / static_cast<float>(batch);
+template <class Form>
+double RankingLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
+                        Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
+                        const int32_t* rel_slot_of) {
+  return side.corrupt_src
+             ? LossChunk<Form, true>(side, begin, end, d_out, rel_grad, slot_of, rel_slot_of)
+             : LossChunk<Form, false>(side, begin, end, d_out, rel_grad, slot_of,
+                                      rel_slot_of);
+}
 
+}  // namespace
+
+float Decoder::SideLossAndGrad(const RankingLossSide& side, Tensor* d_reprs) {
+  const int64_t batch = static_cast<int64_t>(side.src_rows->size());
   const int64_t chunks = ComputeChunkCount(batch, kComputeGrainEdges);
   if (chunks <= 1) {
-    const double loss =
-        SideLossChunk(reprs, src_rows, dst_rows, rels, neg_rows, corrupt_src, inv_b, 0,
-                      batch, d_reprs, &rel_.grad, /*slot_of=*/nullptr,
-                      /*rel_slot_of=*/nullptr);
-    return static_cast<float>(loss * inv_b);
+    const double loss = SideLossChunk(side, 0, batch, d_reprs, &rel_.grad,
+                                      /*slot_of=*/nullptr, /*rel_slot_of=*/nullptr);
+    return static_cast<float>(loss * side.inv_b);
   }
 
   // Every edge writes the shared negative rows (and possibly shared src/dst/relation
@@ -117,6 +322,9 @@ float Decoder::SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& 
   // partials are compact: a chunk only touches the shared negatives plus its own
   // src/dst rows, so its buffer holds just those rows (slot order: negatives first,
   // then first occurrence — a fixed function of the chunk layout, never the pool).
+  const std::vector<int64_t>& src_rows = *side.src_rows;
+  const std::vector<int64_t>& dst_rows = *side.dst_rows;
+  const std::vector<int32_t>& rels = *side.rels;
   std::vector<Tensor> d_partials(static_cast<size_t>(chunks));
   std::vector<std::vector<int64_t>> touched_rows(static_cast<size_t>(chunks));
   std::vector<Tensor> rel_partials(static_cast<size_t>(chunks));
@@ -129,7 +337,7 @@ float Decoder::SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& 
         SlotRemap& row_remap = decoder_row_remap;
         row_remap.NextGeneration(d_reprs->rows());
         std::vector<int64_t> touched;
-        for (int64_t row : neg_rows) {
+        for (int64_t row : *side.neg_rows) {
           row_remap.Claim(row, &touched);
         }
         SlotRemap& rel_remap = decoder_rel_remap;
@@ -142,10 +350,9 @@ float Decoder::SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& 
         }
         Tensor d_partial(static_cast<int64_t>(touched.size()), d_reprs->cols());
         Tensor rel_partial(static_cast<int64_t>(rels_touched.size()), rel_.grad.cols());
-        loss_partials[static_cast<size_t>(chunk)] = SideLossChunk(
-            reprs, src_rows, dst_rows, rels, neg_rows, corrupt_src, inv_b, begin, end,
-            &d_partial, &rel_partial, row_remap.slot_of.data(),
-            rel_remap.slot_of.data());
+        loss_partials[static_cast<size_t>(chunk)] =
+            SideLossChunk(side, begin, end, &d_partial, &rel_partial,
+                          row_remap.slot_of.data(), rel_remap.slot_of.data());
         d_partials[static_cast<size_t>(chunk)] = std::move(d_partial);
         touched_rows[static_cast<size_t>(chunk)] = std::move(touched);
         rel_partials[static_cast<size_t>(chunk)] = std::move(rel_partial);
@@ -171,7 +378,7 @@ float Decoder::SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& 
         d_partials[static_cast<size_t>(chunk)] = Tensor();
         rel_partials[static_cast<size_t>(chunk)] = Tensor();
       });
-  return static_cast<float>(loss * inv_b);
+  return static_cast<float>(loss * side.inv_b);
 }
 
 float Decoder::LossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_rows,
@@ -181,10 +388,30 @@ float Decoder::LossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_
   MG_CHECK(d_reprs != nullptr);
   MG_CHECK(d_reprs->rows() == reprs.rows() && d_reprs->cols() == reprs.cols());
   MG_CHECK(src_rows.size() == dst_rows.size() && src_rows.size() == rels.size());
-  const float dst_loss = SideLossAndGrad(reprs, src_rows, dst_rows, rels, neg_rows,
-                                         /*corrupt_src=*/false, 0.5f, d_reprs);
-  const float src_loss = SideLossAndGrad(reprs, src_rows, dst_rows, rels, neg_rows,
-                                         /*corrupt_src=*/true, 0.5f, d_reprs);
+  const int64_t batch = static_cast<int64_t>(src_rows.size());
+  const int64_t m = static_cast<int64_t>(neg_rows.size());
+  MG_CHECK(batch > 0 && m > 0);
+
+  // Both sides score against the same negatives: transpose them once, padded to
+  // whole lane groups, and share the block read-only across every chunk.
+  const int64_t m_pad = (m + kLanes - 1) / kLanes * kLanes;
+  std::vector<float> neg_block(static_cast<size_t>(dim_ * m_pad), 0.0f);
+  for (int64_t j = 0; j < m; ++j) {
+    const float* n = reprs.RowPtr(neg_rows[static_cast<size_t>(j)]);
+    for (int64_t c = 0; c < dim_; ++c) {
+      neg_block[static_cast<size_t>(c * m_pad + j)] = n[c];
+    }
+  }
+
+  // Each side's loss and gradients are scaled by 1/2 so the two sides average
+  // without rescaling accumulated gradients.
+  RankingLossSide side{&reprs,     &rel_.value, &src_rows, &dst_rows,
+                       &rels,      &neg_rows,   neg_block.data(), m_pad,
+                       dim_,       /*corrupt_src=*/false,
+                       0.5f / static_cast<float>(batch)};
+  const float dst_loss = SideLossAndGrad(side, d_reprs);
+  side.corrupt_src = true;
+  const float src_loss = SideLossAndGrad(side, d_reprs);
   return dst_loss + src_loss;
 }
 
@@ -205,88 +432,39 @@ void Decoder::ScoreCandidates(const Tensor& reprs, int64_t fixed_row, int32_t re
 }
 
 float DistMultDecoder::Score(const float* s, const float* r, const float* o) const {
-  float v = 0.0f;
-  for (int64_t d = 0; d < dim_; ++d) {
-    v += s[d] * r[d] * o[d];
-  }
-  return v;
+  return ScoreRows<DistMultForm>(s, r, o, dim_ / DistMultForm::kParts);
 }
 
-void DistMultDecoder::ScoreBackward(const float* s, const float* r, const float* o,
-                                    float coeff, float* ds, float* dr, float* do_) const {
-  for (int64_t d = 0; d < dim_; ++d) {
-    if (ds != nullptr) {
-      ds[d] += coeff * r[d] * o[d];
-    }
-    if (dr != nullptr) {
-      dr[d] += coeff * s[d] * o[d];
-    }
-    if (do_ != nullptr) {
-      do_[d] += coeff * s[d] * r[d];
-    }
-  }
+double DistMultDecoder::SideLossChunk(const RankingLossSide& side, int64_t begin,
+                                      int64_t end, Tensor* d_out, Tensor* rel_grad,
+                                      const int32_t* slot_of,
+                                      const int32_t* rel_slot_of) const {
+  return RankingLossChunk<DistMultForm>(side, begin, end, d_out, rel_grad, slot_of,
+                                        rel_slot_of);
 }
 
 float TransEDecoder::Score(const float* s, const float* r, const float* o) const {
-  float v = 0.0f;
-  for (int64_t d = 0; d < dim_; ++d) {
-    const float diff = s[d] + r[d] - o[d];
-    v -= diff * diff;
-  }
-  return v;
+  return ScoreRows<TransEForm>(s, r, o, dim_ / TransEForm::kParts);
 }
 
-void TransEDecoder::ScoreBackward(const float* s, const float* r, const float* o,
-                                  float coeff, float* ds, float* dr, float* do_) const {
-  for (int64_t d = 0; d < dim_; ++d) {
-    const float g = -2.0f * (s[d] + r[d] - o[d]) * coeff;
-    if (ds != nullptr) {
-      ds[d] += g;
-    }
-    if (dr != nullptr) {
-      dr[d] += g;
-    }
-    if (do_ != nullptr) {
-      do_[d] -= g;
-    }
-  }
+double TransEDecoder::SideLossChunk(const RankingLossSide& side, int64_t begin,
+                                    int64_t end, Tensor* d_out, Tensor* rel_grad,
+                                    const int32_t* slot_of,
+                                    const int32_t* rel_slot_of) const {
+  return RankingLossChunk<TransEForm>(side, begin, end, d_out, rel_grad, slot_of,
+                                      rel_slot_of);
 }
 
 float ComplExDecoder::Score(const float* s, const float* r, const float* o) const {
-  const int64_t half = dim_ / 2;
-  const float* sr = s;
-  const float* si = s + half;
-  const float* rr = r;
-  const float* ri = r + half;
-  const float* onr = o;
-  const float* oni = o + half;
-  float v = 0.0f;
-  for (int64_t d = 0; d < half; ++d) {
-    v += (sr[d] * rr[d] - si[d] * ri[d]) * onr[d] + (sr[d] * ri[d] + si[d] * rr[d]) * oni[d];
-  }
-  return v;
+  return ScoreRows<ComplExForm>(s, r, o, dim_ / ComplExForm::kParts);
 }
 
-void ComplExDecoder::ScoreBackward(const float* s, const float* r, const float* o,
-                                   float coeff, float* ds, float* dr, float* do_) const {
-  const int64_t half = dim_ / 2;
-  for (int64_t d = 0; d < half; ++d) {
-    const float sr = s[d], si = s[d + half];
-    const float rr = r[d], ri = r[d + half];
-    const float onr = o[d], oni = o[d + half];
-    if (ds != nullptr) {
-      ds[d] += coeff * (rr * onr + ri * oni);
-      ds[d + half] += coeff * (rr * oni - ri * onr);
-    }
-    if (dr != nullptr) {
-      dr[d] += coeff * (sr * onr + si * oni);
-      dr[d + half] += coeff * (sr * oni - si * onr);
-    }
-    if (do_ != nullptr) {
-      do_[d] += coeff * (sr * rr - si * ri);
-      do_[d + half] += coeff * (sr * ri + si * rr);
-    }
-  }
+double ComplExDecoder::SideLossChunk(const RankingLossSide& side, int64_t begin,
+                                     int64_t end, Tensor* d_out, Tensor* rel_grad,
+                                     const int32_t* slot_of,
+                                     const int32_t* rel_slot_of) const {
+  return RankingLossChunk<ComplExForm>(side, begin, end, d_out, rel_grad, slot_of,
+                                       rel_slot_of);
 }
 
 std::unique_ptr<Decoder> MakeDecoder(const std::string& name, int32_t num_relations,

@@ -21,6 +21,9 @@
 
 namespace mariusgnn {
 
+// One side's read-only inputs to the ranking-loss kernel (defined in decoder.cc).
+struct RankingLossSide;
+
 class Decoder {
  public:
   virtual ~Decoder() = default;
@@ -39,8 +42,8 @@ class Decoder {
                     const std::vector<int64_t>& dst_rows, const std::vector<int32_t>& rels,
                     const std::vector<int64_t>& neg_rows, Tensor* d_reprs);
 
-  // out[j] = score(src, rel, cand_j); used for MRR ranking. corrupt_src=true scores
-  // (cand_j, rel, dst_row_or_src...) with the candidate on the source side.
+  // Scores candidates for MRR ranking: out[j] = score(fixed, rel, cand_j), or with
+  // corrupt_src=true out[j] = score(cand_j, rel, fixed).
   void ScoreCandidates(const Tensor& reprs, int64_t fixed_row, int32_t rel,
                        const std::vector<int64_t>& cand_rows, bool corrupt_src,
                        std::vector<float>* out) const;
@@ -55,30 +58,23 @@ class Decoder {
   // score(s, r, o) for dim_-wide vectors.
   virtual float Score(const float* s, const float* r, const float* o) const = 0;
 
-  // Adds coeff * dScore into ds, dr, do_ (any may be nullptr).
-  virtual void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                             float* ds, float* dr, float* do_) const = 0;
+  // The ranking-loss kernel over edges [begin, end) of one side: accumulates
+  // gradients into d_out/rel_grad (the real accumulators with null remaps, or
+  // per-chunk compact partials indexed via slot_of[global row] /
+  // rel_slot_of[relation]) and returns the unscaled loss sum. Every decoder
+  // instantiates the same kernel template with its own elementwise forms.
+  virtual double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
+                               Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
+                               const int32_t* rel_slot_of) const = 0;
 
   int64_t dim_;
   Parameter rel_;  // num_relations x dim
   const ComputeContext* compute_ = nullptr;
 
  private:
-  // One corruption side of the loss; gradients and the returned loss are multiplied by
-  // `scale` so two sides can be averaged without rescaling accumulated gradients.
-  float SideLossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_rows,
-                        const std::vector<int64_t>& dst_rows, const std::vector<int32_t>& rels,
-                        const std::vector<int64_t>& neg_rows, bool corrupt_src, float scale,
-                        Tensor* d_reprs);
-
-  // Edges [begin, end) of one side: accumulates gradients into d_out/rel_grad (the
-  // real accumulators with null remaps, or per-chunk compact partials indexed via
-  // slot_of[global row] / rel_slot_of[relation]) and returns the unscaled loss sum.
-  double SideLossChunk(const Tensor& reprs, const std::vector<int64_t>& src_rows,
-                       const std::vector<int64_t>& dst_rows, const std::vector<int32_t>& rels,
-                       const std::vector<int64_t>& neg_rows, bool corrupt_src, float inv_b,
-                       int64_t begin, int64_t end, Tensor* d_out, Tensor* rel_grad,
-                       const int32_t* slot_of, const int32_t* rel_slot_of) const;
+  // One corruption side of the loss over fixed edge chunks; gradients and the
+  // returned loss carry the side's scale (inv_b = scale / batch).
+  float SideLossAndGrad(const RankingLossSide& side, Tensor* d_reprs);
 };
 
 // score(s, r, o) = sum_d s_d * r_d * o_d.
@@ -92,8 +88,9 @@ class DistMultDecoder : public Decoder {
 
  protected:
   float Score(const float* s, const float* r, const float* o) const override;
-  void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                     float* ds, float* dr, float* do_) const override;
+  double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
+                       Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
+                       const int32_t* rel_slot_of) const override;
 };
 
 // score(s, r, o) = -||s + r - o||^2.
@@ -107,8 +104,9 @@ class TransEDecoder : public Decoder {
 
  protected:
   float Score(const float* s, const float* r, const float* o) const override;
-  void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                     float* ds, float* dr, float* do_) const override;
+  double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
+                       Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
+                       const int32_t* rel_slot_of) const override;
 };
 
 // score(s, r, o) = Re(<s, r, conj(o)>); dim must be even (first half real, second
@@ -125,8 +123,9 @@ class ComplExDecoder : public Decoder {
 
  protected:
   float Score(const float* s, const float* r, const float* o) const override;
-  void ScoreBackward(const float* s, const float* r, const float* o, float coeff,
-                     float* ds, float* dr, float* do_) const override;
+  double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
+                       Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
+                       const int32_t* rel_slot_of) const override;
 };
 
 std::unique_ptr<Decoder> MakeDecoder(const std::string& name, int32_t num_relations,

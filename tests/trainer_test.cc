@@ -319,6 +319,17 @@ TEST(LinkPrediction, TransEDecoderLearns) {
   EXPECT_LT(last.loss, first.loss);
 }
 
+TEST(LinkPredictionDeathTest, RejectsFewerThanOneNegative) {
+  Graph g = Fb15k237Like(0.03);
+  for (int64_t negatives : {0, -3}) {
+    TrainingConfig config = SmallLpConfig();
+    config.fanouts = {};
+    config.dims = {16};
+    config.num_negatives = negatives;
+    EXPECT_DEATH(LinkPredictionTrainer(&g, config), "num_negatives must be at least 1");
+  }
+}
+
 TEST(LinkPrediction, ComplExDecoderLearns) {
   Graph g = Fb15k237Like(0.03);
   TrainingConfig config = SmallLpConfig();
