@@ -5,10 +5,11 @@
 //
 // After the google-benchmark suites, a custom stage-3 section times every parallel
 // compute kernel (matmuls, neighbor aggregation, the ranking loss of every decoder
-// at the benchmark's shapes, sharded Adagrad) serially and on an 8-worker pool,
-// verifies the results are BITWISE identical, and prints per-kernel plus aggregate
-// speedups. The exit code gates only on
-// determinism — speedup depends on host core count (CI boxes may have 2).
+// at the benchmark's shapes, sharded Adagrad, the GraphSage backward with and
+// without the input gradient) serially and on an 8-worker pool, verifies the
+// results are BITWISE identical — and, for kernels with a scalar reference, equal
+// to it — and prints per-kernel plus aggregate speedups. The exit code gates only
+// on determinism — speedup depends on host core count (CI boxes may have 2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "src/sampler/dense.h"
 #include "src/storage/embedding_store.h"
 #include "src/tensor/ops.h"
+#include "src/util/check.h"
 #include "src/util/compute.h"
 #include "src/util/timer.h"
 
@@ -141,7 +143,16 @@ struct Stage3Kernel {
   // Runs the kernel once under `ctx` and returns a tensor capturing its full
   // result (output + gradients flattened), used for the bitwise check.
   std::function<Tensor(const ComputeContext*)> run;
+  // Optional scalar definition of the same result; the serial run must equal it
+  // bit for bit (the scalar-vs-lane check of a vectorized kernel).
+  std::function<Tensor()> reference = nullptr;
 };
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)) ==
+             0;
+}
 
 // Representative in-memory-config shapes: ~4k-row batches at dim 64.
 std::vector<Stage3Kernel> MakeStage3Kernels() {
@@ -158,8 +169,22 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
   kernels.push_back({"matmul_dW (A^T g)", [a, g](const ComputeContext* ctx) {
                        return MatmulTransA(*a, *g, ctx);
                      }});
-  kernels.push_back({"matmul_dX (g W^T)", [g, w](const ComputeContext* ctx) {
-                       return MatmulTransB(*g, *w, ctx);
+  // Reference: each output a dot product, s = +0.0f then s += g[i][kk] * w[j][kk]
+  // for kk ascending.
+  kernels.push_back({"matmul_dX (g W^T)",
+                     [g, w](const ComputeContext* ctx) { return MatmulTransB(*g, *w, ctx); },
+                     [g, w] {
+                       Tensor c(g->rows(), w->rows());
+                       for (int64_t i = 0; i < g->rows(); ++i) {
+                         for (int64_t j = 0; j < w->rows(); ++j) {
+                           float s = 0.0f;
+                           for (int64_t kk = 0; kk < g->cols(); ++kk) {
+                             s += (*g)(i, kk) * (*w)(j, kk);
+                           }
+                           c(i, j) = s;
+                         }
+                       }
+                       return c;
                      }});
 
   const int64_t segs = 4096, per_seg = 10;
@@ -263,21 +288,51 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
       offsets->push_back(s * per_nbr);
     }
     auto grad = std::make_shared<Tensor>(Tensor::Normal(num_out, dim, 0.5f, grng));
-    kernels.push_back(
-        {"graphsage_backward",
-         [h, self_rows, nbr_rows, offsets, grad, dim](const ComputeContext* ctx) {
-           Rng wrng(31);
-           GraphSageLayer layer(dim, dim, Activation::kRelu, wrng);
-           LayerView view;
-           view.h = h.get();
-           view.compute = ctx;
-           view.self_rows = *self_rows;
-           view.nbr_rows = *nbr_rows;
-           view.seg_offsets = *offsets;
-           std::unique_ptr<LayerContext> layer_ctx;
-           layer.Forward(view, &layer_ctx);
-           return layer.Backward(*layer_ctx, *grad);
-         }});
+    // One forward + backward; returns d(h) (empty without `input_grad`) followed by
+    // the parameter gradients.
+    auto backward = [h, self_rows, nbr_rows, offsets, grad, dim](const ComputeContext* ctx,
+                                                                 bool input_grad) {
+      Rng wrng(31);
+      GraphSageLayer layer(dim, dim, Activation::kRelu, wrng);
+      LayerView view;
+      view.h = h.get();
+      view.compute = ctx;
+      view.self_rows = *self_rows;
+      view.nbr_rows = *nbr_rows;
+      view.seg_offsets = *offsets;
+      std::unique_ptr<LayerContext> layer_ctx;
+      layer.Forward(view, &layer_ctx);
+      std::vector<Tensor> out = {layer.Backward(*layer_ctx, *grad, input_grad)};
+      for (Parameter* p : layer.Parameters()) {
+        out.push_back(p->grad);
+      }
+      return out;
+    };
+    // The parameter gradients stacked into one tensor (all are dim wide).
+    auto param_grads = [dim](const std::vector<Tensor>& out) {
+      int64_t rows = 0;
+      for (size_t i = 1; i < out.size(); ++i) {
+        rows += out[i].rows();
+      }
+      Tensor packed(rows, dim);
+      float* dst = packed.data();
+      for (size_t i = 1; i < out.size(); ++i) {
+        dst = std::copy(out[i].data(), out[i].data() + out[i].size(), dst);
+      }
+      return packed;
+    };
+    kernels.push_back({"graphsage_backward", [backward](const ComputeContext* ctx) {
+                         return backward(ctx, true)[0];
+                       }});
+    // Fixed inputs (node classification's first layer): no input-gradient kernels,
+    // and the parameter gradients must be those of the full backward.
+    kernels.push_back({"graphsage_backward (fixed inputs)",
+                       [backward, param_grads](const ComputeContext* ctx) {
+                         const std::vector<Tensor> out = backward(ctx, false);
+                         MG_CHECK(out[0].size() == 0);
+                         return param_grads(out);
+                       },
+                       [backward, param_grads] { return param_grads(backward(nullptr, true)); }});
   }
   return kernels;
 }
@@ -340,7 +395,7 @@ bool RunStage3Section(const std::string& json_path) {
   std::printf("\n=== stage-3 parallel kernels: serial vs %d-worker pool ===\n", kWorkers);
   std::printf("(speedup is host-dependent — this box has %u hardware threads)\n",
               std::thread::hardware_concurrency());
-  std::printf("%-24s %12s %12s %9s  %s\n", "kernel", "serial_ms", "parallel_ms",
+  std::printf("%-34s %12s %12s %9s  %s\n", "kernel", "serial_ms", "parallel_ms",
               "speedup", "bitwise");
 
   ThreadPool pool(kWorkers);
@@ -352,24 +407,20 @@ bool RunStage3Section(const std::string& json_path) {
   std::vector<Stage3Result> results;
   for (const Stage3Kernel& kernel : MakeStage3Kernels()) {
     const Tensor serial_out = kernel.run(nullptr);
-    const Tensor parallel_out = kernel.run(&ctx);
-    const bool identical =
-        serial_out.rows() == parallel_out.rows() &&
-        serial_out.cols() == parallel_out.cols() &&
-        std::memcmp(serial_out.data(), parallel_out.data(),
-                    static_cast<size_t>(serial_out.size()) * sizeof(float)) == 0;
+    const bool identical = BitwiseEqual(serial_out, kernel.run(&ctx)) &&
+                           (!kernel.reference || BitwiseEqual(serial_out, kernel.reference()));
     all_identical = all_identical && identical;
 
     const double serial_s = BestOfSeconds([&] { kernel.run(nullptr); }, kReps);
     const double parallel_s = BestOfSeconds([&] { kernel.run(&ctx); }, kReps);
     serial_total += serial_s;
     parallel_total += parallel_s;
-    std::printf("%-24s %12.3f %12.3f %8.2fx  %s\n", kernel.name.c_str(), serial_s * 1e3,
+    std::printf("%-34s %12.3f %12.3f %8.2fx  %s\n", kernel.name.c_str(), serial_s * 1e3,
                 parallel_s * 1e3, serial_s / parallel_s,
                 identical ? "IDENTICAL" : "DIVERGED (BUG)");
     results.push_back({kernel.name, serial_s * 1e3, parallel_s * 1e3, identical});
   }
-  std::printf("%-24s %12.3f %12.3f %8.2fx  aggregate\n", "TOTAL", serial_total * 1e3,
+  std::printf("%-34s %12.3f %12.3f %8.2fx  aggregate\n", "TOTAL", serial_total * 1e3,
               parallel_total * 1e3, serial_total / parallel_total);
   if (!json_path.empty()) {
     const Stage3Result total{"TOTAL", serial_total * 1e3, parallel_total * 1e3,
@@ -377,7 +428,7 @@ bool RunStage3Section(const std::string& json_path) {
     WriteStage3Json(json_path, results, total, kWorkers, all_identical);
   }
   if (!all_identical) {
-    std::printf("FAIL: a parallel kernel diverged from the serial bits\n");
+    std::printf("FAIL: a kernel diverged from its serial or scalar-reference bits\n");
   }
   return all_identical;
 }

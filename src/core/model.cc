@@ -31,14 +31,17 @@ ModelState ModelState::Build(TaskKind kind, const Graph& graph,
   m.kind = kind;
   m.config = config;
   if (config.num_layers() > 0) {
+    // Link prediction trains its node embeddings through d(h0); node classification
+    // reads fixed features, so its encoder computes no input gradient.
+    const bool trains_inputs = kind == TaskKind::kLinkPrediction;
     if (config.sampler == SamplerKind::kDense) {
       m.encoder = std::make_unique<GnnEncoder>(config.layer_type, config.dims,
-                                               Activation::kRelu, rng);
+                                               Activation::kRelu, rng, trains_inputs);
       m.dense_sampler = std::make_unique<DenseSampler>(nullptr, config.fanouts,
                                                        config.direction, config.seed + 1);
     } else {
-      m.block_encoder = std::make_unique<BlockEncoder>(config.layer_type, config.dims,
-                                                       Activation::kRelu, rng);
+      m.block_encoder = std::make_unique<BlockEncoder>(
+          config.layer_type, config.dims, Activation::kRelu, rng, trains_inputs);
       m.layerwise_sampler = std::make_unique<LayerwiseSampler>(
           nullptr, config.fanouts, config.direction, config.seed + 1);
     }

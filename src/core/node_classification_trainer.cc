@@ -91,7 +91,7 @@ void NodeClassificationTrainer::ConsumeBatch(PreparedBatch& batch,
   const float loss = SoftmaxCrossEntropy(logits, batch.labels, &dlogits, &compute_);
   Tensor dreprs = model_.head->Backward(dlogits);
   if (model_.encoder != nullptr) {
-    model_.encoder->Backward(dreprs);  // features are fixed; d(h0) is discarded
+    model_.encoder->Backward(dreprs);
   } else {
     model_.block_encoder->Backward(dreprs);
   }

@@ -75,7 +75,7 @@ Tensor GnnEncoder::Backward(const Tensor& grad_targets) {
   MG_CHECK(contexts_.size() == layers_.size());
   Tensor grad = grad_targets;
   for (size_t j = layers_.size(); j-- > 0;) {
-    grad = layers_[j]->Backward(*contexts_[j], grad);
+    grad = layers_[j]->Backward(*contexts_[j], grad, j > 0 || trains_inputs_);
   }
   return grad;
 }
@@ -241,7 +241,7 @@ Tensor BlockEncoder::Backward(const Tensor& grad_targets) {
   MG_CHECK(contexts_.size() == layers_.size());
   Tensor grad = grad_targets;
   for (size_t j = layers_.size(); j-- > 0;) {
-    grad = layers_[j]->Backward(*contexts_[j], grad);
+    grad = layers_[j]->Backward(*contexts_[j], grad, j > 0 || trains_inputs_);
   }
   return grad;
 }

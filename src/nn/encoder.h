@@ -10,6 +10,12 @@
 // is converted to segment form on the fly (the CSR conversion baseline systems perform)
 // and the same GnnLayer implementations are applied. It exists so the end-to-end
 // baseline comparisons isolate the sampling/data-structure difference.
+//
+// Both encoders learn at construction whether their base representations are
+// trained (`trains_inputs`). Link prediction trains its node embeddings and needs
+// d(H0); node classification reads fixed features, so its first layer skips every
+// input-gradient kernel and Backward returns an empty Tensor. Parameter gradients
+// are bitwise the same either way.
 #ifndef SRC_NN_ENCODER_H_
 #define SRC_NN_ENCODER_H_
 
@@ -34,8 +40,9 @@ std::vector<std::unique_ptr<GnnLayer>> BuildGnnLayers(GnnLayerType type,
 class GnnEncoder {
  public:
   GnnEncoder(GnnLayerType type, const std::vector<int64_t>& dims, Activation hidden_act,
-             Rng& rng)
-      : layers_(BuildGnnLayers(type, dims, hidden_act, rng)) {}
+             Rng& rng, bool trains_inputs = true)
+      : layers_(BuildGnnLayers(type, dims, hidden_act, rng)),
+        trains_inputs_(trains_inputs) {}
 
   // Stage-3 parallel-compute handle threaded into every layer view (null = serial;
   // results are bitwise-identical either way — see src/util/compute.h).
@@ -52,7 +59,8 @@ class GnnEncoder {
   Tensor InferForward(DenseBatch& batch, const Tensor& h0,
                       const ComputeContext* compute) const;
 
-  // Returns d loss / d h0, aligned with the original node_ids of the last Forward.
+  // Returns d loss / d h0, aligned with the original node_ids of the last Forward
+  // (empty unless the encoder trains its inputs).
   Tensor Backward(const Tensor& grad_targets);
 
   std::vector<Parameter*> Parameters();
@@ -68,6 +76,7 @@ class GnnEncoder {
                      std::vector<std::unique_ptr<LayerContext>>* ctxs) const;
 
   std::vector<std::unique_ptr<GnnLayer>> layers_;
+  bool trains_inputs_;
   std::vector<std::unique_ptr<LayerContext>> contexts_;
   const ComputeContext* compute_ = nullptr;
 };
@@ -75,8 +84,9 @@ class GnnEncoder {
 class BlockEncoder {
  public:
   BlockEncoder(GnnLayerType type, const std::vector<int64_t>& dims, Activation hidden_act,
-               Rng& rng)
-      : layers_(BuildGnnLayers(type, dims, hidden_act, rng)) {}
+               Rng& rng, bool trains_inputs = true)
+      : layers_(BuildGnnLayers(type, dims, hidden_act, rng)),
+        trains_inputs_(trains_inputs) {}
 
   // Stage-3 parallel-compute handle (null = serial; results identical either way).
   void set_compute(const ComputeContext* compute) { compute_ = compute; }
@@ -88,7 +98,8 @@ class BlockEncoder {
   Tensor InferForward(const LayerwiseSample& sample, const Tensor& h0,
                       const ComputeContext* compute) const;
 
-  // Returns d loss / d h0 (rows == input_nodes of the last Forward).
+  // Returns d loss / d h0 (rows == input_nodes of the last Forward; empty unless
+  // the encoder trains its inputs).
   Tensor Backward(const Tensor& grad_targets);
 
   std::vector<Parameter*> Parameters();
@@ -102,6 +113,7 @@ class BlockEncoder {
                      std::vector<std::unique_ptr<LayerContext>>* ctxs) const;
 
   std::vector<std::unique_ptr<GnnLayer>> layers_;
+  bool trains_inputs_;
   std::vector<std::unique_ptr<LayerContext>> contexts_;
   const ComputeContext* compute_ = nullptr;
 };

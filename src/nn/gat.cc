@@ -106,7 +106,7 @@ Tensor GatLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* c
   return out;
 }
 
-Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& grad_out) {
+Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) {
   auto& c = static_cast<GatContext&>(ctx);
   const ComputeContext* cc = c.compute;
   const int64_t num_edges = static_cast<int64_t>(c.nbr_rows.size());
@@ -116,7 +116,6 @@ Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& grad_out) {
   // Root path.
   AddInPlace(w_root_.grad, MatmulTransA(c.self_in, dpre, cc), cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);
-  Tensor dself_in = MatmulTransB(dpre, w_root_.value, cc);
 
   // Aggregation path: dweighted[e] = dpre[owner[e]]. Per-edge, disjoint writes.
   Tensor dz_nbr(num_edges, out_dim_);
@@ -184,8 +183,11 @@ Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& grad_out) {
   ScatterAddRows(dz, c.nbr_rows, dz_nbr, cc);
 
   AddInPlace(w_.grad, MatmulTransA(c.h, dz, cc), cc);
+  if (!input_grad) {
+    return Tensor();
+  }
   Tensor dh = MatmulTransB(dz, w_.value, cc);
-  ScatterAddRows(dh, c.self_rows, dself_in, cc);
+  ScatterAddRows(dh, c.self_rows, MatmulTransB(dpre, w_root_.value, cc), cc);
   return dh;
 }
 

@@ -70,13 +70,16 @@ Tensor GcnLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* c
   return out;
 }
 
-Tensor GcnLayer::Backward(LayerContext& ctx, const Tensor& grad_out) {
+Tensor GcnLayer::Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) {
   auto& c = static_cast<GcnContext&>(ctx);
   const ComputeContext* cc = c.compute;
   Tensor dpre = ActivationBackward(act_, c.out, grad_out, cc);
 
   AddInPlace(w_.grad, MatmulTransA(c.agg, dpre, cc), cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);
+  if (!input_grad) {
+    return Tensor();
+  }
 
   Tensor dagg = MatmulTransB(dpre, w_.value, cc);  // num_outputs x in_dim
   // Undo the closed-neighborhood mean scaling per segment.

@@ -52,7 +52,8 @@ Tensor GraphSageLayer::Forward(const LayerView& view, std::unique_ptr<LayerConte
   return out;
 }
 
-Tensor GraphSageLayer::Backward(LayerContext& ctx, const Tensor& grad_out) {
+Tensor GraphSageLayer::Backward(LayerContext& ctx, const Tensor& grad_out,
+                                bool input_grad) {
   auto& c = static_cast<SageContext&>(ctx);
   const ComputeContext* cc = c.compute;
   Tensor dpre = ActivationBackward(act_, c.out, grad_out, cc);
@@ -60,6 +61,9 @@ Tensor GraphSageLayer::Backward(LayerContext& ctx, const Tensor& grad_out) {
   AddInPlace(w_self_.grad, MatmulTransA(c.self_in, dpre, cc), cc);
   AddInPlace(w_nbr_.grad, MatmulTransA(c.nbr_mean, dpre, cc), cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);
+  if (!input_grad) {
+    return Tensor();
+  }
 
   Tensor dself = MatmulTransB(dpre, w_self_.value, cc);     // num_outputs x in_dim
   Tensor dnbr_mean = MatmulTransB(dpre, w_nbr_.value, cc);  // num_outputs x in_dim

@@ -10,8 +10,8 @@
 //                    nbr_rows[seg_offsets[s] .. seg_offsets[s+1]).
 //
 // Layers return the output representations for the view's output nodes. Backward
-// consumes the gradient of the output and produces the gradient w.r.t. h (all rows),
-// accumulating weight gradients into their Parameters.
+// consumes the gradient of the output, accumulates weight gradients into their
+// Parameters and, when asked, produces the gradient w.r.t. h (all rows).
 #ifndef SRC_NN_LAYER_H_
 #define SRC_NN_LAYER_H_
 
@@ -63,9 +63,10 @@ class GnnLayer {
   virtual Tensor Forward(const LayerView& view,
                          std::unique_ptr<LayerContext>* ctx) const = 0;
 
-  // Returns d loss / d h (rows == the forward view's num_inputs()) and accumulates
-  // parameter gradients.
-  virtual Tensor Backward(LayerContext& ctx, const Tensor& grad_out) = 0;
+  // Accumulates parameter gradients. With `input_grad`, returns d loss / d h (rows ==
+  // the forward view's num_inputs()); without it, skips every input-gradient kernel
+  // and returns an empty Tensor. Parameter gradients are bitwise the same either way.
+  virtual Tensor Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) = 0;
 
   virtual std::vector<Parameter*> Parameters() = 0;
 

@@ -83,18 +83,28 @@ Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx)
 Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
   MG_CHECK(a.cols() == b.cols());
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
+  // B is weight-sized: transpose it once so row kk of bt holds column kk of B and
+  // the n outputs of a row become independent lanes over a contiguous bt row.
+  Tensor bt(k, n);
+  for (int64_t j = 0; j < n; ++j) {
+    const float* brow = b.RowPtr(j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      bt.RowPtr(kk)[j] = brow[kk];
+    }
+  }
   Tensor c(m, n);
+  // No zero skip (unlike Matmul): 0 * inf and 0 * NaN are NaN, and a skip would drop
+  // them (see ops.h).
   ForEachRowChunk(ctx, m, [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; ++i) {
       const float* arow = a.RowPtr(i);
       float* crow = c.RowPtr(i);
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b.RowPtr(j);
-        float s = 0.0f;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          s += arow[kk] * brow[kk];
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = arow[kk];
+        const float* btrow = bt.RowPtr(kk);
+        for (int64_t j = 0; j < n; ++j) {
+          crow[j] += av * btrow[j];
         }
-        crow[j] = s;
       }
     }
   });

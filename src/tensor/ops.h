@@ -35,6 +35,10 @@ Tensor Matmul(const Tensor& a, const Tensor& b, const ComputeContext* ctx = null
 Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
 // C = A @ B^T. A: m x k, B: n x k -> C: m x n. (Input-gradient shape.)
+// Row-chunked over m. B is transposed once per call; each C row then accumulates
+// over k in ascending order with its n outputs as lanes, so every output has the
+// bits of the dot product s = 0; s += a[i][kk] * b[j][kk]. Zero A values are not
+// skipped, so 0 * inf and 0 * NaN stay NaN (docs/DETERMINISM.md, "Lane kernels").
 Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
 // out += in (same shape).

@@ -46,7 +46,7 @@ double LayerLoss(GnnLayer& layer, const Tensor& h, const Tensor& w_out,
     loss += static_cast<double>(out.data()[i]) * w_out.data()[i];
   }
   if (dh != nullptr) {
-    *dh = layer.Backward(*ctx, w_out);
+    *dh = layer.Backward(*ctx, w_out, /*input_grad=*/true);
   }
   return loss;
 }
@@ -88,7 +88,7 @@ void CheckWeightGradients(GnnLayer& layer, uint64_t seed) {
   std::unique_ptr<LayerContext> ctx;
   LayerView view = MakeView(&h);
   Tensor out = layer.Forward(view, &ctx);
-  layer.Backward(*ctx, w_out);
+  layer.Backward(*ctx, w_out, /*input_grad=*/true);
 
   const float eps = 1e-3f;
   for (Parameter* p : layer.Parameters()) {
@@ -532,7 +532,7 @@ std::vector<Tensor> RunLayerOnce(GnnLayerType type, const ComputeContext* ctx) {
   std::unique_ptr<LayerContext> saved;
   Tensor out = layer->Forward(view, &saved);
   Tensor grad_out = Tensor::Normal(out.rows(), out.cols(), 0.5f, rng);
-  Tensor dh = layer->Backward(*saved, grad_out);
+  Tensor dh = layer->Backward(*saved, grad_out, /*input_grad=*/true);
 
   std::vector<Tensor> results = {std::move(out), std::move(dh)};
   for (Parameter* p : layer->Parameters()) {
@@ -567,6 +567,87 @@ TEST(ParallelDeterminism, GcnForwardBackward) {
 TEST(ParallelDeterminism, GatForwardBackward) {
   CheckLayerDeterministicAcrossPools(GnnLayerType::kGat);
 }
+
+// ---------------------------------------------------------------------------
+// Fixed inputs: an encoder built with trains_inputs = false skips layer 0's
+// input-gradient kernels. Its parameter gradients must be bitwise those of the
+// full backward, and its Backward must return an empty tensor.
+// ---------------------------------------------------------------------------
+
+// Runs forward + backward through both encoder variants (same seed, so the same
+// weights) and compares them. `run` does one forward + backward on the encoder it
+// is given and returns Backward's result.
+template <typename Encoder, typename RunFn>
+void CheckFixedInputBackward(GnnLayerType type, int64_t num_inputs, const RunFn& run) {
+  const std::vector<int64_t> dims = {6, 5, 4};
+  Rng full_rng(91), fixed_rng(91);
+  Encoder full(type, dims, Activation::kRelu, full_rng, /*trains_inputs=*/true);
+  Encoder fixed(type, dims, Activation::kRelu, fixed_rng, /*trains_inputs=*/false);
+
+  const Tensor dh0 = run(full);
+  EXPECT_EQ(dh0.rows(), num_inputs);
+  EXPECT_EQ(dh0.cols(), dims.front());
+  const Tensor none = run(fixed);
+  EXPECT_EQ(none.size(), 0);
+
+  const std::vector<Parameter*> full_params = full.Parameters();
+  const std::vector<Parameter*> fixed_params = fixed.Parameters();
+  ASSERT_EQ(full_params.size(), fixed_params.size());
+  for (size_t i = 0; i < full_params.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(full_params[i]->value, fixed_params[i]->value));
+    EXPECT_TRUE(BitwiseEqual(full_params[i]->grad, fixed_params[i]->grad))
+        << "parameter " << i << " gradient diverged";
+  }
+}
+
+class FixedInputBackwardTest : public ::testing::TestWithParam<GnnLayerType> {};
+
+TEST_P(FixedInputBackwardTest, DenseEncoderMatchesFullBackward) {
+  Graph g = Fb15k237Like(0.05);
+  NeighborIndex index(g);
+  DenseSampler sampler(&index, {4, 3}, EdgeDirection::kBoth, 23);
+  DenseBatch proto = sampler.Sample({0, 1, 2, 3, 4});
+  proto.FinalizeForDevice();
+  Rng rng(92);
+  const Tensor h0 = Tensor::Normal(proto.num_nodes(), 6, 0.5f, rng);
+  const Tensor grad = Tensor::Normal(5, 4, 1.0f, rng);
+  CheckFixedInputBackward<GnnEncoder>(GetParam(), proto.num_nodes(),
+                                      [&](GnnEncoder& encoder) {
+                                        DenseBatch batch = proto;  // Forward consumes it
+                                        encoder.Forward(batch, h0);
+                                        return encoder.Backward(grad);
+                                      });
+}
+
+TEST_P(FixedInputBackwardTest, BlockEncoderMatchesFullBackward) {
+  Graph g = Fb15k237Like(0.05);
+  NeighborIndex index(g);
+  LayerwiseSampler sampler(&index, {4, 3}, EdgeDirection::kBoth, 24);
+  const LayerwiseSample sample = sampler.Sample({0, 1, 2, 3, 4});
+  Rng rng(93);
+  const Tensor h0 = Tensor::Normal(sample.NumInputNodes(), 6, 0.5f, rng);
+  const Tensor grad = Tensor::Normal(5, 4, 1.0f, rng);
+  CheckFixedInputBackward<BlockEncoder>(GetParam(), sample.NumInputNodes(),
+                                        [&](BlockEncoder& encoder) {
+                                          encoder.Forward(sample, h0);
+                                          return encoder.Backward(grad);
+                                        });
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayers, FixedInputBackwardTest,
+                         ::testing::Values(GnnLayerType::kGraphSage, GnnLayerType::kGcn,
+                                           GnnLayerType::kGat),
+                         [](const ::testing::TestParamInfo<GnnLayerType>& info) {
+                           switch (info.param) {
+                             case GnnLayerType::kGraphSage:
+                               return "GraphSage";
+                             case GnnLayerType::kGcn:
+                               return "Gcn";
+                             case GnnLayerType::kGat:
+                               return "Gat";
+                           }
+                           return "Unknown";
+                         });
 
 TEST(ParallelDeterminism, DecoderLossAndGrad) {
   // 400 positive edges (> kComputeGrainEdges) against 50 shared negatives; the

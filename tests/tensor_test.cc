@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -85,6 +86,66 @@ TEST(Ops, MatmulTransBConsistent) {
   Tensor ref = Matmul(a, bt);
   for (int64_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-4);
+  }
+}
+
+// The lane-form MatmulTransB must give every output the bits of a dot product:
+// s = +0.0f, then s += a[i][kk] * b[j][kk] for kk ascending. Signed zeros in `a`
+// meet infinities and NaN in `b`, so a kernel that skipped zero `a` values would
+// turn 0 * inf = NaN into a finite result. The NaN in `b` is the one the hardware
+// makes for 0 * inf, so every NaN in play has the same bits whichever operand an
+// addition propagates.
+TEST(Ops, MatmulTransBMatchesDotProductBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  volatile float zero = 0.0f;
+  const float nan = zero * inf;
+  ThreadPool pool(2);
+  ComputeContext pool_ctx;
+  pool_ctx.pool = &pool;
+  Rng rng(31);
+  for (int64_t m : {0, 1, 130}) {
+    for (int64_t k : {1, 5, 64}) {
+      for (int64_t n : {1, 3, 17, 64}) {
+        Tensor a = Tensor::Normal(m, k, 1.0f, rng);
+        for (int64_t i = 0; i < m; ++i) {
+          a(i, 0) = i % 2 == 0 ? 0.0f : -0.0f;  // every row meets b's column 0
+          if (k > 2 && i % 3 == 0) {
+            a(i, k / 2) = -0.0f;
+          }
+        }
+        Tensor b = Tensor::Normal(n, k, 1.0f, rng);
+        if (n > 1) {
+          b(1, 0) = inf;
+        }
+        if (n > 2) {
+          b(2, 0) = -inf;
+          b(2, k - 1) = nan;
+        }
+        Tensor ref(m, n);
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            float s = 0.0f;
+            for (int64_t kk = 0; kk < k; ++kk) {
+              s += a(i, kk) * b(j, kk);
+            }
+            ref(i, j) = s;
+          }
+        }
+        for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                          static_cast<const ComputeContext*>(&pool_ctx)}) {
+          const Tensor c = MatmulTransB(a, b, ctx);
+          ASSERT_EQ(c.rows(), m);
+          ASSERT_EQ(c.cols(), n);
+          EXPECT_TRUE(c.size() == 0 ||
+                      std::memcmp(c.data(), ref.data(),
+                                  static_cast<size_t>(c.size()) * sizeof(float)) == 0)
+              << "m=" << m << " k=" << k << " n=" << n << (ctx != nullptr ? " pooled" : "");
+          if (m > 0 && n > 1) {
+            EXPECT_TRUE(std::isnan(c(0, 1))) << "0 * inf was skipped";
+          }
+        }
+      }
+    }
   }
 }
 
