@@ -32,6 +32,7 @@
 #include "src/util/check.h"
 #include "src/util/compute.h"
 #include "src/util/timer.h"
+#include "tests/ranking_loss_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -203,31 +204,48 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
 
   // Ranking loss and gradients of one decoder: `edges` positives against `negatives`
   // shared negatives over 3000 rows. The result packs d_reprs, the relation
-  // gradient and the loss, so the bitwise check covers all three.
+  // gradient and the loss, so the bitwise check covers all three; the reference is
+  // the row-at-a-time scalar loop the lane kernel must equal bit for bit.
   auto add_ranking_loss = [&kernels](const std::string& name, const std::string& decoder,
                                      int64_t edges, int64_t negatives, int64_t ldim) {
     Rng drng(13);
-    auto reprs = std::make_shared<Tensor>(Tensor::Normal(3000, ldim, 0.5f, drng));
-    auto src = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(edges));
-    auto dst = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(edges));
-    auto rels = std::make_shared<std::vector<int32_t>>(static_cast<size_t>(edges), 0);
-    auto negs = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(negatives));
-    for (auto& v : *src) v = static_cast<int64_t>(drng.UniformInt(3000));
-    for (auto& v : *dst) v = static_cast<int64_t>(drng.UniformInt(3000));
-    for (auto& v : *negs) v = static_cast<int64_t>(drng.UniformInt(3000));
+    auto b = std::make_shared<RankingBatch>();
+    b->reprs = Tensor::Normal(3000, ldim, 0.5f, drng);
+    b->src.resize(static_cast<size_t>(edges));
+    b->dst.resize(static_cast<size_t>(edges));
+    b->rels.assign(static_cast<size_t>(edges), 0);
+    b->negs.resize(static_cast<size_t>(negatives));
+    for (auto& v : b->src) v = static_cast<int64_t>(drng.UniformInt(3000));
+    for (auto& v : b->dst) v = static_cast<int64_t>(drng.UniformInt(3000));
+    for (auto& v : b->negs) v = static_cast<int64_t>(drng.UniformInt(3000));
+    auto pack = [b, ldim](const Tensor& d_reprs, const Tensor& rel_grad, float loss) {
+      Tensor out(b->reprs.rows() + 2, ldim);
+      std::copy(d_reprs.data(), d_reprs.data() + d_reprs.size(), out.data());
+      std::copy(rel_grad.data(), rel_grad.data() + ldim, out.RowPtr(b->reprs.rows()));
+      out.RowPtr(b->reprs.rows() + 1)[0] = loss;
+      return out;
+    };
     kernels.push_back(
-        {name, [reprs, src, dst, rels, negs, decoder, ldim](const ComputeContext* ctx) {
+        {name,
+         [b, decoder, ldim, pack](const ComputeContext* ctx) {
            Rng wrng(17);
            std::unique_ptr<Decoder> dec = MakeDecoder(decoder, 1, ldim, wrng);
            dec->set_compute(ctx);
-           Tensor d_reprs(reprs->rows(), reprs->cols());
-           const float loss = dec->LossAndGrad(*reprs, *src, *dst, *rels, *negs, &d_reprs);
-           Tensor out(reprs->rows() + 2, ldim);
-           std::copy(d_reprs.data(), d_reprs.data() + d_reprs.size(), out.data());
-           const Tensor& rel_grad = dec->Parameters()[0]->grad;
-           std::copy(rel_grad.data(), rel_grad.data() + ldim, out.RowPtr(reprs->rows()));
-           out.RowPtr(reprs->rows() + 1)[0] = loss;
-           return out;
+           Tensor d_reprs(b->reprs.rows(), b->reprs.cols());
+           const float loss = dec->LossAndGrad(b->reprs, b->src, b->dst, b->rels, b->negs,
+                                               &d_reprs);
+           return pack(d_reprs, dec->Parameters()[0]->grad, loss);
+         },
+         [b, decoder, ldim, pack] {
+           Rng wrng(17);
+           std::unique_ptr<Decoder> dec = MakeDecoder(decoder, 1, ldim, wrng);
+           Tensor d_reprs(b->reprs.rows(), b->reprs.cols());
+           Tensor rel_grad(1, ldim);
+           int64_t skipped = 0;
+           const float loss = RefLossAndGrad(RefDecoderNamed(decoder), *b,
+                                             dec->Parameters()[0]->value, &d_reprs,
+                                             &rel_grad, &skipped);
+           return pack(d_reprs, rel_grad, loss);
          }});
   };
   add_ranking_loss("ranking_loss+grad", "distmult", 2048, 128, dim);

@@ -61,17 +61,20 @@ LinkPredictionTrainer::LinkPredictionTrainer(const Graph* graph, TrainingConfig 
     const std::string path = config_.storage.dir.empty()
                                  ? TempPath("mgnn_lp_embeddings")
                                  : config_.storage.dir + "/embeddings.bin";
-    buffer_ = std::make_unique<PartitionBuffer>(partitioning_.get(), emb_dim,
-                                                config_.storage.buffer_capacity, path,
-                                                config_.storage.disk_model, /*learnable=*/true,
-                                                &init, config_.MakePartitionIoOptions());
+    // Multi-replica disk training over an explicitly shared storage dir: every
+    // replica holds identical embedding state, so rank 0 alone creates and seeds
+    // the shared file and the other ranks attach to it without truncating it.
+    const bool shared = replica_.world > 1 && !config_.storage.dir.empty();
+    buffer_ = std::make_unique<PartitionBuffer>(
+        partitioning_.get(), emb_dim, config_.storage.buffer_capacity, path,
+        config_.storage.disk_model, /*learnable=*/true, &init,
+        config_.MakePartitionIoOptions(),
+        shared && replica_.rank != 0 ? BackingFile::kAttach : BackingFile::kCreate);
     disk_store_ = std::make_unique<BufferedEmbeddingStore>(buffer_.get(), true);
     disk_store_->set_compute(&compute_);
     store_ = disk_store_.get();
-    if (replica_.world > 1 && !config_.storage.dir.empty()) {
-      // Multi-replica disk training over an explicitly shared storage dir:
-      // every replica holds identical embedding state in its buffer, so only
-      // the owning rank (partition % world) writes a partition back — the
+    if (shared) {
+      // Only the owning rank (partition % world) writes a partition back — the
       // others skip the redundant (and racy) write. With a private per-rank
       // temp file (storage.dir empty) every rank must keep writing everything,
       // or its own later reads would see stale rows.
@@ -81,6 +84,8 @@ LinkPredictionTrainer::LinkPredictionTrainer(const Graph* graph, TrainingConfig 
             static_cast<uint8_t>(p % replica_.world == replica_.rank);
       }
       buffer_->SetPartitionOwnership(std::move(owned));
+      // No rank reads the shared file before rank 0's seed is complete.
+      exchange_->Barrier();
     }
     if (config_.storage.policy == "beta") {
       policy_ = std::make_unique<BetaPolicy>();

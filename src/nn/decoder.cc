@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/util/check.h"
 #include "src/util/slot_remap.h"
@@ -39,23 +40,52 @@ inline float* GradRow(Tensor* t, const int32_t* slot_of, int64_t row) {
 thread_local SlotRemap decoder_row_remap;
 thread_local SlotRemap decoder_rel_remap;
 
-// Negatives the forward pass scores side by side, one logit per lane.
+// The native vector of the compile target: 16 bytes on baseline x86-64 (SSE2),
+// 32 with AVX2, 64 with AVX-512F. Only the predefined target macros choose it, so
+// no build holds or passes a vector wider than its registers (no -Wpsabi ABI
+// notes). Lanes never combine: every lane is one negative (forward) or one
+// component (backward), so the width moves no bit (docs/DETERMINISM.md).
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+#elif defined(__AVX2__)
+constexpr int kVecBytes = 32;
+#else
+constexpr int kVecBytes = 16;
+#endif
+typedef float Vec __attribute__((vector_size(kVecBytes)));
+constexpr int64_t kW = kVecBytes / static_cast<int64_t>(sizeof(float));
+
+inline Vec LoadVec(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void StoreVec(float* p, const Vec& v) { std::memcpy(p, &v, sizeof(v)); }
+
+// Negatives the forward pass scores side by side, one logit per lane: kLanes / kW
+// accumulator vectors per lane group, held in registers across all steps.
 constexpr int64_t kLanes = 16;
-// Components per backward block: the edge's held gradient row and its relation
-// gradient row stay in local blocks of this width across all of its negatives.
-constexpr int64_t kBlock = 32;
+// Vectors per backward block, over all parts of a step: the edge's held gradient
+// row and its relation gradient row stay in kBlockVecs / kParts vector locals per
+// part across all of its partners.
+constexpr int kBlockVecs = 4;
 
 // Elementwise forms of the decoders. A score is the left-to-right fold of Term over
 // the steps k in [0, dim / kParts); step k reads components k, k + dim / kParts, ...
 // of each vector, so ComplEx pairs each real component with its imaginary one.
 // Grad gives coeff times the step's partial derivatives with respect to s, r and o.
+// Every operand is a float or a Vec: a scalar operand meets a Vec through the
+// vector extension's broadcast, unrounded, so each lane computes exactly the
+// scalar expression.
 struct DistMultForm {
   static constexpr int kParts = 1;
-  static float Term(float acc, const float* s, const float* r, const float* o) {
+  template <class A, class S, class R, class O>
+  static A Term(A acc, const S* s, const R* r, const O* o) {
     return acc + s[0] * r[0] * o[0];
   }
-  static void Grad(float coeff, const float* s, const float* r, const float* o, float* gs,
-                   float* gr, float* go) {
+  template <class V>
+  static void Grad(float coeff, const V* s, const V* r, const V* o, V* gs, V* gr, V* go) {
     gs[0] = coeff * r[0] * o[0];
     gr[0] = coeff * s[0] * o[0];
     go[0] = coeff * s[0] * r[0];
@@ -64,13 +94,14 @@ struct DistMultForm {
 
 struct TransEForm {
   static constexpr int kParts = 1;
-  static float Term(float acc, const float* s, const float* r, const float* o) {
-    const float diff = s[0] + r[0] - o[0];
+  template <class A, class S, class R, class O>
+  static A Term(A acc, const S* s, const R* r, const O* o) {
+    const auto diff = s[0] + r[0] - o[0];
     return acc - diff * diff;
   }
-  static void Grad(float coeff, const float* s, const float* r, const float* o, float* gs,
-                   float* gr, float* go) {
-    const float g = -2.0f * (s[0] + r[0] - o[0]) * coeff;
+  template <class V>
+  static void Grad(float coeff, const V* s, const V* r, const V* o, V* gs, V* gr, V* go) {
+    const V g = -2.0f * (s[0] + r[0] - o[0]) * coeff;
     gs[0] = g;
     gr[0] = g;
     go[0] = -g;
@@ -79,11 +110,12 @@ struct TransEForm {
 
 struct ComplExForm {
   static constexpr int kParts = 2;  // {real, imaginary}
-  static float Term(float acc, const float* s, const float* r, const float* o) {
+  template <class A, class S, class R, class O>
+  static A Term(A acc, const S* s, const R* r, const O* o) {
     return acc + ((s[0] * r[0] - s[1] * r[1]) * o[0] + (s[0] * r[1] + s[1] * r[0]) * o[1]);
   }
-  static void Grad(float coeff, const float* s, const float* r, const float* o, float* gs,
-                   float* gr, float* go) {
+  template <class V>
+  static void Grad(float coeff, const V* s, const V* r, const V* o, V* gs, V* gr, V* go) {
     gs[0] = coeff * (r[0] * o[0] + r[1] * o[1]);
     gs[1] = coeff * (r[0] * o[1] - r[1] * o[0]);
     gr[0] = coeff * (s[0] * o[0] + s[1] * o[1]);
@@ -98,6 +130,14 @@ template <int kParts>
 inline void LoadStep(const float* row, int64_t k, int64_t steps, float* out) {
   for (int p = 0; p < kParts; ++p) {
     out[p] = row[k + p * steps];
+  }
+}
+
+// The kParts vectors of steps [k, k + kW) of a row with `steps` steps.
+template <int kParts>
+inline void LoadStepVec(const float* row, int64_t k, int64_t steps, Vec* out) {
+  for (int p = 0; p < kParts; ++p) {
+    out[p] = LoadVec(row + k + p * steps);
   }
 }
 
@@ -117,29 +157,33 @@ float ScoreRows(const float* s, const float* r, const float* o, int64_t steps) {
 
 // Logits of all negatives against one edge, into out[0, m_pad). `fixed` is s on
 // the destination side and o on the source side. Lanes run across negatives and
-// every lane folds its steps in order, so each logit is the same sum of the same
+// every lane folds its steps in order from +0.0f, with the fixed row's and the
+// relation's step values broadcast, so each logit is the same sum of the same
 // products as ScoreRows over the negative's row.
 template <class Form, bool kCorruptSrc>
 void ScoreNegatives(const float* fixed, const float* r, const float* block, int64_t m_pad,
                     int64_t steps, float* out) {
   constexpr int P = Form::kParts;
+  constexpr int64_t kAcc = kLanes / kW;
   const int64_t part_stride = steps * m_pad;
   for (int64_t j0 = 0; j0 < m_pad; j0 += kLanes) {
-    float acc[kLanes] = {};
+    Vec acc[kAcc] = {};
     for (int64_t k = 0; k < steps; ++k) {
       float fp[P], rp[P];
       LoadStep<P>(fixed, k, steps, fp);
       LoadStep<P>(r, k, steps, rp);
       const float* col = block + k * m_pad + j0;
-      for (int64_t j = 0; j < kLanes; ++j) {
-        float np[P];
+      for (int64_t v = 0; v < kAcc; ++v) {
+        Vec np[P];
         for (int p = 0; p < P; ++p) {
-          np[p] = col[p * part_stride + j];
+          np[p] = LoadVec(col + p * part_stride + v * kW);
         }
-        acc[j] = kCorruptSrc ? Form::Term(acc[j], np, rp, fp) : Form::Term(acc[j], fp, rp, np);
+        acc[v] = kCorruptSrc ? Form::Term(acc[v], np, rp, fp) : Form::Term(acc[v], fp, rp, np);
       }
     }
-    std::copy(acc, acc + kLanes, out + j0);
+    for (int64_t v = 0; v < kAcc; ++v) {
+      StoreVec(out + j0 + v * kW, acc[v]);
+    }
   }
 }
 
@@ -151,70 +195,123 @@ struct Partner {
   float coeff;
 };
 
-// One term's update of one block of `kn` steps (all pointers offset to the block).
-// `held`/`rel` are the local blocks (part stride kBlock); every row has part stride
-// `steps`. The updates land in the order ds, dr, do_, so when the partner's gradient
-// row is the held row (kHeld), its update meets the held block in the same sequence
-// a row-at-a-time backward would give it.
-template <class Form, bool kCorruptSrc, bool kHeld>
-inline void PartnerBlock(float coeff, const float* __restrict f, const float* __restrict r,
-                         const float* __restrict n, float* __restrict held,
-                         float* __restrict rel, float* __restrict dn, int64_t kn,
-                         int64_t steps) {
+// One term's update of steps [k0, k0 + kNV * kW). `held`/`rel` are the register
+// blocks of the fixed row's and the relation's gradient; `f`, `r`, `n` and `dn`
+// are whole rows of part stride `steps`. The updates land in the order a
+// row-at-a-time backward gives them: held, rel, partner on the destination side,
+// partner, rel, held on the source side. When the partner's gradient row is the
+// held row (kHeld), its update goes to the held block in that same sequence.
+template <class Form, bool kCorruptSrc, bool kHeld, int kNV>
+inline void PartnerBlock(float coeff, const float* f, const float* r, const float* n,
+                         Vec (&held)[Form::kParts][kNV], Vec (&rel)[Form::kParts][kNV],
+                         float* dn, int64_t k0, int64_t steps) {
   constexpr int P = Form::kParts;
-  for (int64_t k = 0; k < kn; ++k) {
-    float fp[P], rp[P], np[P], gf[P], gr[P], gn[P];
-    LoadStep<P>(f, k, steps, fp);
-    LoadStep<P>(r, k, steps, rp);
-    LoadStep<P>(n, k, steps, np);
+  for (int v = 0; v < kNV; ++v) {
+    const int64_t k = k0 + v * kW;
+    Vec fp[P], rp[P], np[P], gf[P], gr[P], gn[P];
+    LoadStepVec<P>(f, k, steps, fp);
+    LoadStepVec<P>(r, k, steps, rp);
+    LoadStepVec<P>(n, k, steps, np);
     if constexpr (kCorruptSrc) {
       Form::Grad(coeff, np, rp, fp, gn, gr, gf);
     } else {
       Form::Grad(coeff, fp, rp, np, gf, gr, gn);
     }
     for (int p = 0; p < P; ++p) {
-      float& hf = held[p * kBlock + k];
-      float& pn = kHeld ? held[p * kBlock + k] : dn[p * steps + k];
+      Vec& hf = held[p][v];
+      Vec partner{};
+      if constexpr (!kHeld) {
+        partner = LoadVec(dn + k + p * steps);
+      }
+      Vec& pn = kHeld ? hf : partner;
       if constexpr (kCorruptSrc) {
         pn += gn[p];
-        rel[p * kBlock + k] += gr[p];
+        rel[p][v] += gr[p];
         hf += gf[p];
       } else {
         hf += gf[p];
-        rel[p * kBlock + k] += gr[p];
+        rel[p][v] += gr[p];
         pn += gn[p];
+      }
+      if constexpr (!kHeld) {
+        StoreVec(dn + k + p * steps, partner);
       }
     }
   }
 }
 
-// Backward pass of one edge, blocked over steps: `f` is the fixed representation
-// (s on the destination side, o on the source side) and `df` its gradient row, held
-// in a local block with the relation gradient while every partner updates them.
+// Steps [k0, k0 + kNV * kW) of one edge's backward: the held gradient row and the
+// relation gradient are loaded into registers once, every partner updates them in
+// order, and they are stored back once.
+template <class Form, bool kCorruptSrc, int kNV>
+void BackwardBlock(const float* f, const float* r, float* df, float* dr,
+                   const std::vector<Partner>& partners, int64_t k0, int64_t steps) {
+  constexpr int P = Form::kParts;
+  Vec held[P][kNV], rel[P][kNV];
+  for (int p = 0; p < P; ++p) {
+    for (int v = 0; v < kNV; ++v) {
+      held[p][v] = LoadVec(df + p * steps + k0 + v * kW);
+      rel[p][v] = LoadVec(dr + p * steps + k0 + v * kW);
+    }
+  }
+  for (const Partner& t : partners) {
+    if (t.dn == df) {
+      PartnerBlock<Form, kCorruptSrc, true, kNV>(t.coeff, f, r, t.n, held, rel, nullptr, k0,
+                                                 steps);
+    } else {
+      PartnerBlock<Form, kCorruptSrc, false, kNV>(t.coeff, f, r, t.n, held, rel, t.dn, k0,
+                                                  steps);
+    }
+  }
+  for (int p = 0; p < P; ++p) {
+    for (int v = 0; v < kNV; ++v) {
+      StoreVec(df + p * steps + k0 + v * kW, held[p][v]);
+      StoreVec(dr + p * steps + k0 + v * kW, rel[p][v]);
+    }
+  }
+}
+
+// Backward pass of one edge: `f` is the fixed representation (s on the destination
+// side, o on the source side) and `df` its gradient row. Steps go in register
+// blocks of kBlockVecs / kParts vectors per part, then single vectors (a row
+// shorter than a block, such as dim 32 at 16 lanes, stays in vectors), then one
+// scalar step at a time in memory, where a partner whose gradient row is df
+// meets it in the same sequence by aliasing.
 template <class Form, bool kCorruptSrc>
 void BackwardEdge(const float* f, const float* r, float* df, float* dr,
                   const std::vector<Partner>& partners, int64_t steps) {
   constexpr int P = Form::kParts;
-  float held[P * kBlock];
-  float rel[P * kBlock];
-  for (int64_t k0 = 0; k0 < steps; k0 += kBlock) {
-    const int64_t kn = std::min(kBlock, steps - k0);
-    for (int p = 0; p < P; ++p) {
-      std::copy(df + p * steps + k0, df + p * steps + k0 + kn, held + p * kBlock);
-      std::copy(dr + p * steps + k0, dr + p * steps + k0 + kn, rel + p * kBlock);
-    }
-    for (const Partner& t : partners) {
-      if (t.dn == df) {
-        PartnerBlock<Form, kCorruptSrc, true>(t.coeff, f + k0, r + k0, t.n + k0, held, rel,
-                                              nullptr, kn, steps);
+  int64_t k0 = 0;
+  for (; k0 + kBlockVecs / P * kW <= steps; k0 += kBlockVecs / P * kW) {
+    BackwardBlock<Form, kCorruptSrc, kBlockVecs / P>(f, r, df, dr, partners, k0, steps);
+  }
+  for (; k0 + kW <= steps; k0 += kW) {
+    BackwardBlock<Form, kCorruptSrc, 1>(f, r, df, dr, partners, k0, steps);
+  }
+  for (const Partner& t : partners) {
+    for (int64_t k = k0; k < steps; ++k) {
+      float fp[P], rp[P], np[P], gf[P], gr[P], gn[P];
+      LoadStep<P>(f, k, steps, fp);
+      LoadStep<P>(r, k, steps, rp);
+      LoadStep<P>(t.n, k, steps, np);
+      if constexpr (kCorruptSrc) {
+        Form::Grad(t.coeff, np, rp, fp, gn, gr, gf);
       } else {
-        PartnerBlock<Form, kCorruptSrc, false>(t.coeff, f + k0, r + k0, t.n + k0, held, rel,
-                                               t.dn + k0, kn, steps);
+        Form::Grad(t.coeff, fp, rp, np, gf, gr, gn);
       }
-    }
-    for (int p = 0; p < P; ++p) {
-      std::copy(held + p * kBlock, held + p * kBlock + kn, df + p * steps + k0);
-      std::copy(rel + p * kBlock, rel + p * kBlock + kn, dr + p * steps + k0);
+      for (int p = 0; p < P; ++p) {
+        float& hf = df[k + p * steps];
+        float& pn = t.dn[k + p * steps];
+        if constexpr (kCorruptSrc) {
+          pn += gn[p];
+          dr[k + p * steps] += gr[p];
+          hf += gf[p];
+        } else {
+          hf += gf[p];
+          dr[k + p * steps] += gr[p];
+          pn += gn[p];
+        }
+      }
     }
   }
 }

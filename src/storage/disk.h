@@ -71,8 +71,9 @@ struct DiskStats {
 
 class SimulatedDisk {
  public:
+  // `truncate` empties an existing file; without it the file's contents stay.
   SimulatedDisk(const std::string& path, DiskModel model = DiskModel(),
-                bool direct_io = false);
+                bool direct_io = false, bool truncate = true);
 
   // Thread-safe; return the modeled seconds charged for this operation.
   double Read(void* dst, size_t bytes, uint64_t offset);

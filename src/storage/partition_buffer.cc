@@ -30,7 +30,7 @@ std::string DirName(const std::string& path) {
 PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
                                  int32_t capacity, const std::string& path,
                                  DiskModel model, bool learnable, const Tensor* init,
-                                 PartitionIoOptions io)
+                                 PartitionIoOptions io, BackingFile backing)
     : partitioning_(partitioning),
       dim_(dim),
       capacity_(capacity),
@@ -48,7 +48,8 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   // O_DIRECT is only worth probing when the engine will issue aligned transfers;
   // the synchronous path reads exact payloads and stays buffered regardless.
   const bool direct = io.async && io.direct_io && ProbeDirectIo(DirName(path));
-  disk_ = std::make_unique<SimulatedDisk>(path, model, direct);
+  const bool create = backing == BackingFile::kCreate;
+  disk_ = std::make_unique<SimulatedDisk>(path, model, direct, /*truncate=*/create);
 
   values_ = AlignedBuffer(static_cast<size_t>(capacity_) * max_partition_rows_ * dim_);
   if (learnable_) {
@@ -62,20 +63,23 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   }
 
   // Seed the on-disk layout: each partition owns a fixed extent of
-  // kIoAlignment-padded streams (values, then optional Adagrad state).
-  disk_->Resize(static_cast<uint64_t>(p) * partition_extent_);
-  std::vector<float> scratch(static_cast<size_t>(max_partition_rows_) * dim_, 0.0f);
-  for (int32_t part = 0; part < p; ++part) {
-    if (init != nullptr) {
-      const auto& nodes = partitioning_->NodesIn(part);
-      for (size_t k = 0; k < nodes.size(); ++k) {
-        std::memcpy(&scratch[k * static_cast<size_t>(dim_)], init->RowPtr(nodes[k]),
-                    static_cast<size_t>(dim_) * sizeof(float));
+  // kIoAlignment-padded streams (values, then optional Adagrad state). A kAttach
+  // buffer leaves the layout its creator seeds untouched.
+  if (create) {
+    disk_->Resize(static_cast<uint64_t>(p) * partition_extent_);
+    std::vector<float> scratch(static_cast<size_t>(max_partition_rows_) * dim_, 0.0f);
+    for (int32_t part = 0; part < p; ++part) {
+      if (init != nullptr) {
+        const auto& nodes = partitioning_->NodesIn(part);
+        for (size_t k = 0; k < nodes.size(); ++k) {
+          std::memcpy(&scratch[k * static_cast<size_t>(dim_)], init->RowPtr(nodes[k]),
+                      static_cast<size_t>(dim_) * sizeof(float));
+        }
       }
-    }
-    disk_->Write(scratch.data(), StreamPayloadBytes(part), PartitionFileOffset(part));
-    if (init == nullptr) {
-      break;  // File is zero-filled by Resize; no need to write every partition.
+      disk_->Write(scratch.data(), StreamPayloadBytes(part), PartitionFileOffset(part));
+      if (init == nullptr) {
+        break;  // File is zero-filled by Resize; no need to write every partition.
+      }
     }
   }
   // Adagrad state starts at zero; Resize already zero-filled it.

@@ -69,14 +69,23 @@ struct PartitionIoOptions {
   std::function<void(const IoRequest&)> before_io;
 };
 
+// How a buffer takes its backing file. kCreate truncates the file and seeds the
+// layout. kAttach opens the file another replica creates over a shared storage
+// dir and writes nothing to it: no read through the buffer may start before that
+// replica's seed is complete (the trainer orders it with a
+// GradientExchange::Barrier).
+enum class BackingFile { kCreate, kAttach };
+
 class PartitionBuffer {
  public:
   // `learnable` adds a parallel Adagrad accumulator stream persisted next to the
   // values. `init` seeds the on-disk values (rows indexed by global node id); pass
-  // nullptr to zero-initialise. `io` selects synchronous or engine-backed IO.
+  // nullptr to zero-initialise; a kAttach buffer ignores it. `io` selects
+  // synchronous or engine-backed IO.
   PartitionBuffer(const Partitioning* partitioning, int64_t dim, int32_t capacity,
                   const std::string& path, DiskModel model, bool learnable,
-                  const Tensor* init, PartitionIoOptions io = PartitionIoOptions());
+                  const Tensor* init, PartitionIoOptions io = PartitionIoOptions(),
+                  BackingFile backing = BackingFile::kCreate);
   ~PartitionBuffer();
 
   PartitionBuffer(const PartitionBuffer&) = delete;

@@ -127,6 +127,27 @@ TEST_F(PartitionBufferTest, DirtyWriteBackPersists) {
   EXPECT_FLOAT_EQ(buffer_->ValueRow(node)[0], 123.0f);
 }
 
+TEST_F(PartitionBufferTest, AttachedBufferReadsTheCreatorsFileWithoutTruncating) {
+  buffer_->SetResident({0, 1});
+  const int64_t node = partitioning_->NodesIn(1).front();
+  buffer_->ValueRow(node)[0] = 123.0f;
+  buffer_->MarkDirty(node);
+  buffer_->SetResident({2, 3});  // evicts 1 (dirty -> write back)
+  // A second replica over the same file: it neither truncates nor re-seeds, so
+  // it sees the creator's write-back and the creator's seed alike.
+  PartitionBuffer attached(partitioning_.get(), 4, 3, path_, DiskModel(),
+                           /*learnable=*/true, /*init=*/nullptr, PartitionIoOptions(),
+                           BackingFile::kAttach);
+  EXPECT_EQ(attached.disk_stats().bytes_written, 0u);
+  attached.SetResident({1, 5});
+  EXPECT_FLOAT_EQ(attached.ValueRow(node)[0], 123.0f);
+  for (int64_t v : partitioning_->NodesIn(5)) {
+    EXPECT_FLOAT_EQ(attached.ValueRow(v)[1], init_(v, 1));
+  }
+  buffer_->SetResident({1});
+  EXPECT_FLOAT_EQ(buffer_->ValueRow(node)[0], 123.0f);
+}
+
 TEST_F(PartitionBufferTest, CleanEvictionDoesNotWrite) {
   buffer_->SetResident({0, 1, 2});
   buffer_->ResetDiskStats();
