@@ -3,7 +3,7 @@
 //
 // "serial" is the fully synchronous baseline of Figure 2 without pipelining: batch
 // construction blocks compute and every partition load/write-back stalls the epoch.
-// The pipelined configurations run the TrainingPipeline (sampling overlaps compute)
+// The pipelined configurations run a PipelineSession (sampling overlaps compute)
 // and, in disk mode, PartitionBuffer::Prefetch (partition IO overlaps compute), so
 // epoch time = compute + *unhidden* IO stalls drops strictly below the baseline.
 // Losses and MRR are printed to show the trajectories are identical for every
@@ -167,7 +167,6 @@ PipelineRun Run(const Graph& graph, bool disk, int workers,
   config.pipeline.compute_pool = shared_pool;
   config.pipeline.pipeline_pool = shared_pool;
   config.pipeline.adaptive_workers = controller;
-  config.pipeline.adaptive_within_epoch = true;
   config.storage.io_queue_depth = io_queue_depth;
   config.storage.io_direct = io_direct;
   if (disk) {

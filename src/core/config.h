@@ -4,8 +4,7 @@
 // (partition buffer + IO engine), PipelineOptions (async pipeline + adaptive
 // controller + compute parallelism), CheckpointOptions (crash-safe snapshots) —
 // so callers configure one subsystem at a time and new knobs land next to their
-// neighbors. The old flat field names survive as read-only forwarding accessors
-// (config.use_disk() etc.) for call sites that only consume the config.
+// neighbors.
 #ifndef SRC_CORE_CONFIG_H_
 #define SRC_CORE_CONFIG_H_
 
@@ -55,7 +54,7 @@ struct StorageOptions {
 // it, and stage-3 compute parallelism (src/pipeline/, src/util/compute.h).
 struct PipelineOptions {
   bool enabled = true;  // overlap sampling with compute
-  // Batch-construction workers when pipelined (TrainingPipeline). Worker count never
+  // Batch-construction workers when pipelined (PipelineSession). Worker count never
   // changes results: batches are derived from per-batch seeds and consumed in order.
   int workers = 2;
   int64_t queue_capacity = 4;  // prepared batches buffered ahead of compute
@@ -76,10 +75,6 @@ struct PipelineOptions {
   // (per-batch seeds + in-order consumption), so the rebalance preserves
   // bitwise-identical trajectories.
   bool adaptive_workers = true;
-  // Observation granularity: true = one window per partition set, with worker
-  // resizes applied mid-epoch at set boundaries (PipelineSession::Resize); false =
-  // the legacy epoch-boundary fallback (also disables the queue-depth signal).
-  bool adaptive_within_epoch = true;
   double par_eff_low = 0.40;
   double par_eff_high = 0.85;
   double queue_low = 0.25;
@@ -138,18 +133,6 @@ struct TrainingConfig {
   CheckpointOptions checkpoint;
   ReplicaOptions replica;
 
-  // Forwarding accessors for the pre-grouping flat field names: read-only views
-  // into the sub-structs so consumers of the config stay terse. Writers set the
-  // grouped fields directly (config.storage.use_disk = true).
-  bool use_disk() const { return storage.use_disk; }
-  bool prefetch() const { return storage.prefetch; }
-  const std::string& storage_dir() const { return storage.dir; }
-  bool pipelined() const { return pipeline.enabled; }
-  int pipeline_workers() const { return pipeline.workers; }
-  bool parallel_compute() const { return pipeline.parallel_compute; }
-  int64_t checkpoint_every_n_epochs() const { return checkpoint.every_n_epochs; }
-  const std::string& checkpoint_path() const { return checkpoint.path; }
-
   int64_t num_layers() const { return static_cast<int64_t>(fanouts.size()); }
 
   // The model-defining subset of this config (src/core/model.h): what
@@ -168,28 +151,10 @@ struct TrainingConfig {
     return m;
   }
 
-  // Pipeline settings for one epoch run, validated (both trainers drive their
-  // TrainingPipeline through this so the wiring cannot diverge). `worker_override`
-  // (>= 0) substitutes the adaptive split's current worker count when pipelined.
-  PipelineSessionOptions MakePipelineSessionOptions(int worker_override = -1) const {
-    MG_CHECK_MSG(pipeline.queue_capacity > 0, "pipeline.queue_capacity must be > 0");
-    MG_CHECK_MSG(pipeline.workers >= 0, "pipeline.workers must be >= 0");
-    PipelineSessionOptions options;
-    options.workers = pipeline.enabled ? pipeline.workers : 0;
-    if (pipeline.enabled && worker_override >= 0) {
-      options.workers = worker_override;
-    }
-    options.queue_capacity = static_cast<size_t>(pipeline.queue_capacity);
-    options.pool = pipeline.pipeline_pool;
-    return options;
-  }
-
   // In-epoch pipeline controller for one trainer (both trainers build theirs
   // through this so the thresholds and gating cannot diverge). Adapting is
   // pointless without the shared-pool contention it rebalances, so it requires
-  // both the pipeline and stage-3 parallel compute to be on;
-  // pipeline.adaptive_within_epoch selects per-partition-set windows (with
-  // mid-epoch resizes) vs the legacy epoch-boundary fallback.
+  // both the pipeline and stage-3 parallel compute to be on.
   PipelineController MakePipelineController() const {
     PipelineControllerOptions options;
     options.enabled =
@@ -203,9 +168,6 @@ struct TrainingConfig {
     options.io_stall_hold_fraction = pipeline.io_stall_hold_fraction;
     options.stall_grow_fraction = pipeline.stall_grow_fraction;
     options.queue_cooldown_windows = pipeline.queue_cooldown_windows;
-    options.granularity = pipeline.adaptive_within_epoch
-                              ? ControllerGranularity::kPartitionSet
-                              : ControllerGranularity::kEpoch;
     return PipelineController(options);
   }
 

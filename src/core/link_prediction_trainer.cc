@@ -6,14 +6,11 @@
 
 #include "src/core/checkpoint.h"
 #include "src/eval/metrics.h"
-#include "src/pipeline/training_pipeline.h"
 #include "src/policy/beta.h"
 #include "src/policy/comet.h"
 #include "src/tensor/ops.h"
-#include "src/util/binary_io.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
-#include "src/util/timer.h"
 
 namespace mariusgnn {
 
@@ -51,42 +48,15 @@ LinkPredictionTrainer::LinkPredictionTrainer(const Graph* graph, TrainingConfig 
     mem_store_ = std::make_unique<InMemoryEmbeddingStore>(graph_->num_nodes(), emb_dim,
                                                           init_scale, rng_);
     mem_store_->set_compute(&compute_);
-    full_index_ = std::make_unique<NeighborIndex>(*graph_);
-    store_ = mem_store_.get();
+    embeddings_ = mem_store_.get();
   } else {
-    MG_CHECK(config_.storage.num_physical >= 2 && config_.storage.buffer_capacity >= 2);
     partitioning_ = std::make_unique<Partitioning>(*graph_, config_.storage.num_physical,
                                                    PartitionAssignment::kRandom, rng_);
     Tensor init = Tensor::Uniform(graph_->num_nodes(), emb_dim, init_scale, rng_);
-    const std::string path = config_.storage.dir.empty()
-                                 ? TempPath("mgnn_lp_embeddings")
-                                 : config_.storage.dir + "/embeddings.bin";
-    // Multi-replica disk training over an explicitly shared storage dir: every
-    // replica holds identical embedding state, so rank 0 alone creates and seeds
-    // the shared file and the other ranks attach to it without truncating it.
-    const bool shared = replica_.world > 1 && !config_.storage.dir.empty();
-    buffer_ = std::make_unique<PartitionBuffer>(
-        partitioning_.get(), emb_dim, config_.storage.buffer_capacity, path,
-        config_.storage.disk_model, /*learnable=*/true, &init,
-        config_.MakePartitionIoOptions(),
-        shared && replica_.rank != 0 ? BackingFile::kAttach : BackingFile::kCreate);
+    MakePartitionBuffer("embeddings.bin", emb_dim, /*learnable=*/true, &init);
     disk_store_ = std::make_unique<BufferedEmbeddingStore>(buffer_.get(), true);
     disk_store_->set_compute(&compute_);
-    store_ = disk_store_.get();
-    if (shared) {
-      // Only the owning rank (partition % world) writes a partition back — the
-      // others skip the redundant (and racy) write. With a private per-rank
-      // temp file (storage.dir empty) every rank must keep writing everything,
-      // or its own later reads would see stale rows.
-      std::vector<uint8_t> owned(static_cast<size_t>(config_.storage.num_physical));
-      for (int32_t p = 0; p < config_.storage.num_physical; ++p) {
-        owned[static_cast<size_t>(p)] =
-            static_cast<uint8_t>(p % replica_.world == replica_.rank);
-      }
-      buffer_->SetPartitionOwnership(std::move(owned));
-      // No rank reads the shared file before rank 0's seed is complete.
-      exchange_->Barrier();
-    }
+    embeddings_ = disk_store_.get();
     if (config_.storage.policy == "beta") {
       policy_ = std::make_unique<BetaPolicy>();
     } else {
@@ -95,20 +65,54 @@ LinkPredictionTrainer::LinkPredictionTrainer(const Graph* graph, TrainingConfig 
                                               config_.storage.comet_randomize_grouping,
                                               config_.storage.comet_deferred_assignment);
     }
-    MG_CHECK_MSG(config_.sampler == SamplerKind::kDense,
-                 "baseline sampler supports in-memory training only");
   }
 }
 
 LinkPredictionTrainer::~LinkPredictionTrainer() = default;
 
+EpochPlan LinkPredictionTrainer::PlanEpoch() {
+  if (buffer_ == nullptr) {
+    return MemoryPlan();
+  }
+  return policy_->GenerateEpoch(*partitioning_, config_.storage.buffer_capacity, rng_);
+}
+
+std::vector<int64_t> LinkPredictionTrainer::SetExamples(const EpochPlan& plan, int64_t i) {
+  std::vector<int64_t> edge_ids;
+  if (buffer_ == nullptr) {
+    edge_ids = graph_->train_edges();
+    if (edge_ids.empty()) {
+      edge_ids.resize(static_cast<size_t>(graph_->num_edges()));
+      for (int64_t e = 0; e < graph_->num_edges(); ++e) {
+        edge_ids[static_cast<size_t>(e)] = e;
+      }
+    }
+  } else {
+    // X_i: the training edges of the buckets the plan assigns to this set.
+    for (const BucketId& bucket : plan.buckets_per_set[static_cast<size_t>(i)]) {
+      for (int64_t e : partitioning_->Bucket(bucket.first, bucket.second)) {
+        if (is_train_edge_[static_cast<size_t>(e)] != 0) {
+          edge_ids.push_back(e);
+        }
+      }
+    }
+  }
+  rng_.Shuffle(edge_ids);
+  if (buffer_ == nullptr) {
+    negatives_.emplace(graph_->num_nodes(), rng_.Next());
+  } else {
+    negatives_.emplace(buffer_->ResidentNodes(), rng_.Next());
+  }
+  return edge_ids;
+}
+
 // Batch construction (pipeline stage 1). Runs on worker threads: everything is
 // derived from `batch_seed` and read-only state, so the batch is identical for any
-// worker count (samplers must already point at the right index — see RunBatches).
-LinkPredictionTrainer::PreparedBatch LinkPredictionTrainer::PrepareBatch(
-    const std::vector<int64_t>& edge_ids, const UniformNegativeSampler& negatives,
-    uint64_t batch_seed) const {
-  PreparedBatch batch;
+// worker count (RunEpoch points the samplers at the set's index beforehand).
+std::shared_ptr<void> LinkPredictionTrainer::PrepareBatch(
+    const std::vector<int64_t>& edge_ids, uint64_t batch_seed) const {
+  auto prepared = std::make_shared<PreparedBatch>();
+  PreparedBatch& batch = *prepared;
   std::unordered_map<int64_t, int64_t> row_of;
   row_of.reserve(edge_ids.size() * 3);
   auto row = [&](int64_t node) {
@@ -128,7 +132,8 @@ LinkPredictionTrainer::PreparedBatch LinkPredictionTrainer::PrepareBatch(
     batch.dst_rows.push_back(row(edge.dst));
     batch.rels.push_back(edge.rel);
   }
-  for (int64_t n : negatives.SampleSeeded(config_.num_negatives, MixSeed(batch_seed, 1))) {
+  for (int64_t n :
+       negatives_->SampleSeeded(config_.num_negatives, MixSeed(batch_seed, 1))) {
     batch.neg_rows.push_back(row(n));
   }
 
@@ -140,21 +145,22 @@ LinkPredictionTrainer::PreparedBatch LinkPredictionTrainer::PrepareBatch(
     batch.layerwise =
         model_.layerwise_sampler->SampleSeeded(batch.targets, MixSeed(batch_seed, 3));
   }
-  return batch;
+  return prepared;
 }
 
-void LinkPredictionTrainer::ConsumeBatch(PreparedBatch& batch, EpochStats* stats) {
+void LinkPredictionTrainer::ConsumeBatch(void* item, EpochStats* stats) {
+  PreparedBatch& batch = *static_cast<PreparedBatch*>(item);
   Tensor reprs;
   if (model_.encoder != nullptr) {
     Tensor h0;
-    store_->Gather(batch.dense_nodes, &h0);
+    embeddings_->Gather(batch.dense_nodes, &h0);
     reprs = model_.encoder->Forward(batch.dense, h0);
   } else if (model_.block_encoder != nullptr) {
     Tensor h0;
-    store_->Gather(batch.layerwise.input_nodes(), &h0);
+    embeddings_->Gather(batch.layerwise.input_nodes(), &h0);
     reprs = model_.block_encoder->Forward(batch.layerwise, h0);
   } else {
-    store_->Gather(batch.targets, &reprs);
+    embeddings_->Gather(batch.targets, &reprs);
   }
 
   Tensor d_reprs(reprs.rows(), reprs.cols());
@@ -175,222 +181,7 @@ void LinkPredictionTrainer::ConsumeBatch(PreparedBatch& batch, EpochStats* stats
     sparse_grads = std::move(d_reprs);
     sparse_nodes = &batch.targets;
   }
-  ExchangeApply(/*has_batch=*/true, loss, sparse_nodes, &sparse_grads, store_,
-                config_.embedding_lr, stats);
-}
-
-// One PipelineSession spans the whole epoch: the producer maps the session's
-// global index onto the current set's local batch number (run_batch_base_),
-// then through ReplicaBatchPartition onto the set's GLOBAL batch number g —
-// rank r builds exactly the batches with g % world == r, seeded by
-// ReplicaBatchPartition::BatchSeed(per-set run_seed, g). For world == 1 this
-// degenerates to g == local batch and the stream is bit-identical to the
-// single-replica pipelines it replaces. The controller's worker count at epoch
-// start (== pipeline.workers when adapting is off) sizes the session; worker
-// count never affects the batch stream, only where time goes.
-std::unique_ptr<PipelineSession> LinkPredictionTrainer::MakeSession(
-    EpochStats* stats) {
-  return std::make_unique<PipelineSession>(
-      config_.MakePipelineSessionOptions(controller_.workers()),
-      [this](int64_t index) -> std::shared_ptr<void> {
-        const int64_t g = replica_.GlobalIndex(index - run_batch_base_);
-        const int64_t begin = g * config_.batch_size;
-        const int64_t end = begin + config_.batch_size < run_total_
-                                ? begin + config_.batch_size
-                                : run_total_;
-        const std::vector<int64_t> ids(run_ids_->begin() + begin,
-                                       run_ids_->begin() + end);
-        return std::make_shared<PreparedBatch>(
-            PrepareBatch(ids, *run_negatives_,
-                         ReplicaBatchPartition::BatchSeed(run_seed_, g)));
-      },
-      [this, stats](void* item, int64_t) {
-        // The consumer runs strictly in batch-index order; ConsumeBatch routes
-        // the step through the exchange seam, which folds every replica's loss
-        // into the epoch's determinism hash (docs/DETERMINISM.md).
-        ConsumeBatch(*static_cast<PreparedBatch*>(item), stats);
-      });
-}
-
-PipelineStats LinkPredictionTrainer::RunBatches(
-    const std::vector<int64_t>& edge_ids, const NeighborIndex& index,
-    const UniformNegativeSampler& negatives, PipelineSession* session,
-    EpochStats* stats) {
-  const int64_t total = static_cast<int64_t>(edge_ids.size());
-  if (total == 0) {
-    return PipelineStats();
-  }
-  // Point the samplers at this run's index once, up front; workers then only call
-  // const, seed-driven sampling methods. Swapping this (and the run_* members) is
-  // safe here: no producer can run between segments — workers never claim an
-  // index beyond the announced limit.
-  if (model_.dense_sampler != nullptr) {
-    model_.dense_sampler->set_index(&index);
-  }
-  if (model_.layerwise_sampler != nullptr) {
-    model_.layerwise_sampler->set_index(&index);
-  }
-  run_ids_ = &edge_ids;
-  run_negatives_ = &negatives;
-  run_seed_ = rng_.Next();
-  run_batch_base_ = session->announced();
-  run_total_ = total;
-  const int64_t num_batches =
-      (total + config_.batch_size - 1) / config_.batch_size;
-  // Rank r consumes only the global batches with g % world == r; the other
-  // ranks' losses/gradients arrive through the exchange. Ranks whose share is
-  // short of the step count run trailing batchless exchanges so every rank
-  // performs the same exchange sequence (StepCount == rank 0's local count).
-  const int64_t local_batches = replica_.LocalCount(num_batches);
-  const int64_t steps = replica_.StepCount(num_batches);
-  const PipelineStats ps = session->RunSegment(local_batches);
-  for (int64_t s = local_batches; s < steps; ++s) {
-    ExchangeApply(/*has_batch=*/false, 0.0f, nullptr, nullptr, store_,
-                  config_.embedding_lr, stats);
-  }
-  int64_t local_examples = local_batches * config_.batch_size;
-  if (local_batches > 0 &&
-      replica_.GlobalIndex(local_batches - 1) == num_batches - 1) {
-    // This rank owns the (possibly partial) last global batch.
-    local_examples += total - (num_batches - 1) * config_.batch_size -
-                      config_.batch_size;
-  }
-  stats->AccumulatePipeline(ps, local_examples);
-  return ps;
-}
-
-void LinkPredictionTrainer::ReportSetBoundary(
-    PipelineSession* session, const PipelineStats& ps,
-    const ComputeStats& compute_before, double io_stall_delta,
-    double window_seconds, bool more_sets, EpochStats* stats) {
-  controller_.ReportSetBoundary(ps, compute_stats_, compute_before, io_stall_delta,
-                                window_seconds, more_sets, session,
-                                &stats->workers_per_set, &stats->resize_count);
-}
-
-EpochStats LinkPredictionTrainer::TrainEpochInMemory() {
-  EpochStats stats;
-  compute_stats_.Reset();
-  WallTimer timer;
-  std::vector<int64_t> edge_ids = graph_->train_edges();
-  if (edge_ids.empty()) {
-    edge_ids.resize(static_cast<size_t>(graph_->num_edges()));
-    for (int64_t e = 0; e < graph_->num_edges(); ++e) {
-      edge_ids[static_cast<size_t>(e)] = e;
-    }
-  }
-  rng_.Shuffle(edge_ids);
-  stats.pipeline_workers = controller_.workers();
-  std::unique_ptr<PipelineSession> session = MakeSession(&stats);
-  UniformNegativeSampler negatives(graph_->num_nodes(), rng_.Next());
-  const ComputeStats compute_before = compute_stats_;
-  const PipelineStats ps =
-      RunBatches(edge_ids, *full_index_, negatives, session.get(), &stats);
-  stats.compute_seconds = timer.Seconds();
-  stats.wall_seconds = stats.compute_seconds;
-  ReportSetBoundary(session.get(), ps, compute_before, /*io_stall_delta=*/0.0,
-                    timer.Seconds(), /*more_sets=*/false, &stats);
-  stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
-  controller_.ObserveEpoch(stats.compute_parallel_efficiency);
-  stats.num_partition_sets = 1;
-  if (stats.num_global_batches > 0) {
-    stats.loss /= static_cast<double>(stats.num_global_batches);
-  }
-  return stats;
-}
-
-EpochStats LinkPredictionTrainer::TrainEpochDisk() {
-  EpochStats stats;
-  compute_stats_.Reset();
-  EpochPlan plan = policy_->GenerateEpoch(*partitioning_, config_.storage.buffer_capacity, rng_);
-  stats.num_partition_sets = plan.num_sets();
-  stats.pipeline_workers = controller_.workers();
-  std::unique_ptr<PipelineSession> session = MakeSession(&stats);
-
-  double prev_compute = 0.0;
-  for (int64_t i = 0; i < plan.num_sets(); ++i) {
-    // Controller window for this set: everything from the swap-in to the end of
-    // its training segment.
-    const ComputeStats compute_before = compute_stats_;
-    const double io_stall_before = stats.io_stall_seconds;
-    WallTimer window_timer;
-
-    const double sync_io = buffer_->SetResident(plan.sets[static_cast<size_t>(i)]);
-    stats.AccumulateSwapIo(sync_io, buffer_->ConsumeBackgroundIoSeconds(),
-                           prev_compute);
-
-    // Shared-storage fence (no-op otherwise): this set's dirty evictions may
-    // still be async submissions, and partitions another rank owns are never
-    // written back by this rank at all — so before anyone reads ahead, drain
-    // own write-backs and rendezvous. Every set-i read is thereby covered by
-    // the fence at set i-1 (within one SetResident the evict and load sets are
-    // disjoint, and all ranks run identical plans); the prefetch below issues
-    // strictly after the fence. The epoch boundary needs no extra fence:
-    // FlushAll below is synchronous and the epoch-hash exchange that follows
-    // it is itself a rendezvous.
-    SharedWritebackBarrier(buffer_.get());
-
-    // Stage the next set's partitions while this set trains (Figure 2's partition
-    // prefetch); the policy knows the upcoming swap.
-    if (config_.storage.prefetch && i + 1 < plan.num_sets()) {
-      buffer_->Prefetch(policy_->Lookahead(plan, i));
-    }
-
-    WallTimer set_timer;
-    // In-memory subgraph: all edges between resident partitions (Section 4.1).
-    std::vector<Edge> resident_edges;
-    const auto& set = plan.sets[static_cast<size_t>(i)];
-    for (int32_t a : set) {
-      for (int32_t b : set) {
-        for (int64_t e : partitioning_->Bucket(a, b)) {
-          resident_edges.push_back(graph_->edge(e));
-        }
-      }
-    }
-    NeighborIndex index(graph_->num_nodes(), resident_edges);
-
-    // X_i: training examples assigned to this set.
-    std::vector<int64_t> train_ids;
-    for (const BucketId& bucket : plan.buckets_per_set[static_cast<size_t>(i)]) {
-      for (int64_t e : partitioning_->Bucket(bucket.first, bucket.second)) {
-        if (is_train_edge_[static_cast<size_t>(e)] != 0) {
-          train_ids.push_back(e);
-        }
-      }
-    }
-    rng_.Shuffle(train_ids);
-
-    const UniformNegativeSampler negatives(buffer_->ResidentNodes(), rng_.Next());
-    const PipelineStats ps =
-        RunBatches(train_ids, index, negatives, session.get(), &stats);
-    prev_compute = set_timer.Seconds();
-    stats.compute_seconds += prev_compute;
-    ReportSetBoundary(session.get(), ps, compute_before,
-                      stats.io_stall_seconds - io_stall_before,
-                      window_timer.Seconds(), i + 1 < plan.num_sets(), &stats);
-  }
-  // End-of-epoch flush: write-backs still in flight drained plus the final dirty
-  // evictions. Background leftovers are charged conservatively as full stalls.
-  const double flush_io = buffer_->FlushAll();
-  const double leftover_bg = buffer_->ConsumeBackgroundIoSeconds();
-  stats.io_seconds += flush_io + leftover_bg;
-  stats.io_stall_seconds += flush_io + leftover_bg;
-  const IoEngineStats engine_io = buffer_->ConsumeIoStats();
-  stats.io_read_bytes = engine_io.read_bytes;
-  stats.io_write_bytes = engine_io.write_bytes;
-  stats.io_queue_depth_mean = engine_io.queue_depth_mean;
-  stats.io_inflight_peak = engine_io.inflight_peak;
-  stats.wall_seconds = stats.compute_seconds + stats.io_stall_seconds;
-  stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
-  controller_.ObserveEpoch(stats.compute_parallel_efficiency);
-  if (stats.num_global_batches > 0) {
-    stats.loss /= static_cast<double>(stats.num_global_batches);
-  }
-  return stats;
-}
-
-EpochStats LinkPredictionTrainer::TrainEpochImpl() {
-  return config_.storage.use_disk ? TrainEpochDisk() : TrainEpochInMemory();
+  ExchangeApply(/*has_batch=*/true, loss, sparse_nodes, &sparse_grads, stats);
 }
 
 CheckpointSectionSpec LinkPredictionTrainer::MakeBufferSectionSpec(
@@ -537,9 +328,7 @@ double LinkPredictionTrainer::EvaluateMrr(int64_t num_negatives, int64_t max_edg
   } else {
     values = mem_store_->values();
   }
-  if (full_index_ == nullptr) {
-    full_index_ = std::make_unique<NeighborIndex>(*graph_);
-  }
+  const NeighborIndex& index = FullIndex();
 
   const std::vector<int64_t>& split = use_valid ? graph_->valid_edges() : graph_->test_edges();
   std::vector<int64_t> edge_ids = split;
@@ -584,7 +373,7 @@ double LinkPredictionTrainer::EvaluateMrr(int64_t num_negatives, int64_t max_edg
       neg_rows.push_back(row(n));
     }
 
-    Tensor reprs = InferReprs(targets, values, *full_index_);
+    Tensor reprs = InferReprs(targets, values, index);
     std::vector<float> neg_scores;
     std::vector<float> kept_scores;
     std::vector<float> pos_score;

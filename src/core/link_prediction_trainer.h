@@ -10,12 +10,13 @@
 //  - pipelined mini-batch construction.
 //
 // The model itself (encoder/decoder/optimizer/samplers) lives in the inherited
-// ModelState (src/core/model.h); this class adds the embedding storage, the
-// disk partition policies, and the training loop.
+// ModelState (src/core/model.h) and the epoch loop in TrainerBase; this class
+// adds the embedding storage, the disk ordering policies, and the task hooks.
 #ifndef SRC_CORE_LINK_PREDICTION_TRAINER_H_
 #define SRC_CORE_LINK_PREDICTION_TRAINER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -43,10 +44,19 @@ class LinkPredictionTrainer : public TrainerBase {
   double EvaluateMrr(int64_t num_negatives = 500, int64_t max_edges = 2000,
                      bool use_valid = false, bool filtered = false);
 
-  const Partitioning* partitioning() const { return partitioning_.get(); }
-
  protected:
-  EpochStats TrainEpochImpl() override;
+  // Epoch-loop hooks (TrainerBase::RunEpoch). Memory mode trains every training edge
+  // as one set; disk mode follows the ordering policy's plan. Per set the RNG
+  // draw order is Shuffle(examples), then the negative sampler's seed.
+  EpochPlan PlanEpoch() override;
+  std::vector<int64_t> SetExamples(const EpochPlan& plan, int64_t i) override;
+  // Builds one mini batch of edge ids. Negatives and neighborhood samples come
+  // from seed-derived RNG streams, so the batch does not depend on worker
+  // scheduling.
+  std::shared_ptr<void> PrepareBatch(const std::vector<int64_t>& edge_ids,
+                                     uint64_t batch_seed) const override;
+  void ConsumeBatch(void* batch, EpochStats* stats) override;
+
   // Checkpoint extras: the embedding table (values + Adagrad state). In disk
   // mode the sections are streamed partition-by-partition through
   // PartitionBuffer::ExportPartition / ImportPartition, so the save/restore
@@ -63,73 +73,25 @@ class LinkPredictionTrainer : public TrainerBase {
  private:
   struct PreparedBatch;
 
-  // Pipeline stage 1 (worker threads): builds one mini batch of edge ids. Pure in
-  // `batch_seed`: negatives and neighborhood samples come from seed-derived RNG
-  // streams, so the batch does not depend on worker scheduling. The samplers must
-  // already point at the active NeighborIndex (RunBatches sets this up).
-  PreparedBatch PrepareBatch(const std::vector<int64_t>& edge_ids,
-                             const UniformNegativeSampler& negatives,
-                             uint64_t batch_seed) const;
-  // Pipeline stage 3 (calling thread, in batch order): forward/backward, then
-  // the update through the gradient-exchange seam (ExchangeApply), which also
-  // folds the exchanged losses into `stats` and the determinism hash.
-  void ConsumeBatch(PreparedBatch& batch, EpochStats* stats);
-
-  // Builds the epoch's PipelineSession: one session spans all partition sets, so
-  // the PipelineController can resize the stage-1 worker count at set boundaries
-  // mid-epoch without flushing pipeline state. The producer closure reads the
-  // run_* members below, which RunBatches swaps between segments.
-  std::unique_ptr<PipelineSession> MakeSession(EpochStats* stats);
-
-  // Runs one partition set's batches of `edge_ids` (already shuffled) as a session
-  // segment; config_.pipeline.enabled / pipeline.workers chose serial vs parallel
-  // construction when the session was built. Returns the segment's stage timings
-  // (also folded into `stats`).
-  PipelineStats RunBatches(const std::vector<int64_t>& edge_ids,
-                           const NeighborIndex& index,
-                           const UniformNegativeSampler& negatives,
-                           PipelineSession* session, EpochStats* stats);
-
-  // Reports a partition-set boundary into the pipeline layer: records the set's
-  // worker decision and feeds the controller its signal window (compute
-  // efficiency delta, queue occupancy, stalls); the controller may resize the
-  // session's workers for the next set.
-  void ReportSetBoundary(PipelineSession* session, const PipelineStats& ps,
-                         const ComputeStats& compute_before, double io_stall_delta,
-                         double window_seconds, bool more_sets, EpochStats* stats);
-
-  EpochStats TrainEpochInMemory();
-  EpochStats TrainEpochDisk();
-
   // Representations of `nodes` for evaluation, using full-graph sampling over
   // `values` (the exported/in-memory base representations).
   Tensor InferReprs(const std::vector<int64_t>& nodes, const Tensor& values,
                     const NeighborIndex& index);
 
-  // Current segment's producer state, swapped by RunBatches between partition
-  // sets. Safe without locks: workers never claim an index beyond the announced
-  // limit, so no producer runs while these change (ordered by the session's gate).
-  const std::vector<int64_t>* run_ids_ = nullptr;
-  const UniformNegativeSampler* run_negatives_ = nullptr;
-  uint64_t run_seed_ = 0;
-  int64_t run_batch_base_ = 0;
-  int64_t run_total_ = 0;
+  // The current set's negative sampler (universe: the resident nodes in disk
+  // mode), replaced by SetExamples between segments.
+  std::optional<UniformNegativeSampler> negatives_;
 
   // In-memory state.
   std::unique_ptr<InMemoryEmbeddingStore> mem_store_;
-  std::unique_ptr<NeighborIndex> full_index_;
 
   // Disk state.
-  std::unique_ptr<Partitioning> partitioning_;
-  std::unique_ptr<PartitionBuffer> buffer_;
   std::unique_ptr<BufferedEmbeddingStore> disk_store_;
   std::unique_ptr<OrderingPolicy> policy_;
   std::vector<char> is_train_edge_;
 
   // Lazily built true-edge set for the filtered MRR protocol.
   std::unordered_set<uint64_t> true_edges_;
-
-  EmbeddingStore* store_ = nullptr;  // active store (memory or disk)
 };
 
 }  // namespace mariusgnn

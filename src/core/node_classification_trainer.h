@@ -8,8 +8,8 @@
 //    (the Section 5.2 policy), with sampling restricted to the in-memory subgraph.
 //
 // The model itself (encoder/head/optimizer/samplers) lives in the inherited
-// ModelState (src/core/model.h); this class adds the feature storage and the
-// training loop.
+// ModelState (src/core/model.h) and the epoch loop in TrainerBase; this class
+// adds the feature storage and the task hooks.
 #ifndef SRC_CORE_NODE_CLASSIFICATION_TRAINER_H_
 #define SRC_CORE_NODE_CLASSIFICATION_TRAINER_H_
 
@@ -37,51 +37,31 @@ class NodeClassificationTrainer : public TrainerBase {
   double EvaluateValidAccuracy() { return EvaluateAccuracy(graph_->valid_nodes()); }
 
  protected:
-  // Features are fixed inputs, so the checkpoint has no extra sections beyond
-  // the model parameters (TrainerBase defaults).
-  EpochStats TrainEpochImpl() override;
+  // Epoch-loop hooks (TrainerBase::RunEpoch). PlanEpoch shuffles the training nodes,
+  // then (disk mode) draws the caching policy's sets. A set trains the nodes of
+  // the partitions resident for the first time this epoch, so it draws no RNG;
+  // sets with no such nodes train nothing. Features are fixed inputs, so the
+  // checkpoint has no extra sections beyond the model parameters.
+  EpochPlan PlanEpoch() override;
+  std::vector<int64_t> SetExamples(const EpochPlan& plan, int64_t i) override;
+  std::shared_ptr<void> PrepareBatch(const std::vector<int64_t>& nodes,
+                                     uint64_t batch_seed) const override;
+  void ConsumeBatch(void* batch, EpochStats* stats) override;
 
  private:
   struct PreparedBatch;
 
-  // Pipeline stage 1 (worker threads): pure in `batch_seed`, read-only state; the
-  // samplers must already point at the active NeighborIndex (RunBatches does this).
-  PreparedBatch PrepareBatch(const std::vector<int64_t>& nodes, uint64_t batch_seed) const;
-  // Pipeline stage 3 (calling thread, in batch order): forward/backward, then
-  // the dense-weight update through the gradient-exchange seam (ExchangeApply).
-  void ConsumeBatch(PreparedBatch& batch, EpochStats* stats);
-  // Builds the epoch's PipelineSession (one session spans all partition sets; the
-  // producer closure reads the run_* members RunBatches swaps between segments).
-  std::unique_ptr<PipelineSession> MakeSession(EpochStats* stats);
-  // Runs one partition set's batches as a session segment (serial when
-  // !config_.pipeline.enabled) and folds its timings into `stats`.
-  PipelineStats RunBatches(const std::vector<int64_t>& nodes,
-                           const NeighborIndex& index, PipelineSession* session,
-                           EpochStats* stats);
-  // Reports a partition-set boundary into the pipeline layer: records the set's
-  // worker decision and feeds the controller its signal window; the controller may
-  // resize the session's workers for the next set.
-  void ReportSetBoundary(PipelineSession* session, const PipelineStats& ps,
-                         const ComputeStats& compute_before, double io_stall_delta,
-                         double window_seconds, bool more_sets, EpochStats* stats);
   Tensor GatherFeatures(const std::vector<int64_t>& nodes, bool from_graph);
   Tensor InferLogits(const std::vector<int64_t>& nodes, const NeighborIndex& index);
 
-  // Current segment's producer state, swapped by RunBatches between partition
-  // sets (safe: workers never claim an index beyond the announced limit).
-  const std::vector<int64_t>* run_nodes_ = nullptr;
-  uint64_t run_seed_ = 0;
-  int64_t run_batch_base_ = 0;
-  int64_t run_total_ = 0;
-
-  std::unique_ptr<NeighborIndex> full_index_;
+  // This epoch's shuffled training nodes, and (disk mode) which partitions
+  // have already trained theirs.
+  std::vector<int64_t> train_;
+  std::vector<char> trained_;
 
   // Disk state (features are read-only: no write-back).
-  std::unique_ptr<Partitioning> partitioning_;
-  std::unique_ptr<PartitionBuffer> buffer_;
   std::unique_ptr<BufferedEmbeddingStore> buffer_store_;  // chunked Gather over buffer_
   NodeCachingPolicy caching_policy_;
-  bool use_buffer_features_ = false;  // true while training from resident partitions
 };
 
 }  // namespace mariusgnn

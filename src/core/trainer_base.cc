@@ -1,13 +1,33 @@
 #include "src/core/trainer_base.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/core/checkpoint.h"
+#include "src/pipeline/training_pipeline.h"
 #include "src/storage/embedding_store.h"
 #include "src/storage/partition_buffer.h"
+#include "src/util/binary_io.h"
 #include "src/util/check.h"
+#include "src/util/timer.h"
 
 namespace mariusgnn {
+namespace {
+
+// The epoch's PipelineSession settings, validated. `workers` is the
+// controller's current count, which is 0 whenever the pipeline is off.
+PipelineSessionOptions MakePipelineSessionOptions(const PipelineOptions& pipeline,
+                                                  int workers) {
+  MG_CHECK_MSG(pipeline.queue_capacity > 0, "pipeline.queue_capacity must be > 0");
+  MG_CHECK_MSG(pipeline.workers >= 0, "pipeline.workers must be >= 0");
+  PipelineSessionOptions options;
+  options.workers = workers;
+  options.queue_capacity = static_cast<size_t>(pipeline.queue_capacity);
+  options.pool = pipeline.pipeline_pool;
+  return options;
+}
+
+}  // namespace
 
 TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kind)
     : graph_(graph),
@@ -24,6 +44,13 @@ TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kin
     MG_CHECK_MSG(!config_.checkpoint.path.empty(),
                  "checkpoint_every_n_epochs requires checkpoint_path");
   }
+  if (!config_.storage.use_disk) {
+    full_index_ = std::make_unique<NeighborIndex>(*graph_);
+  } else {
+    MG_CHECK(config_.storage.num_physical >= 2 && config_.storage.buffer_capacity >= 2);
+    MG_CHECK_MSG(config_.sampler == SamplerKind::kDense,
+                 "baseline sampler supports in-memory training only");
+  }
 }
 
 TrainerBase::~TrainerBase() = default;
@@ -31,7 +58,7 @@ TrainerBase::~TrainerBase() = default;
 EpochStats TrainerBase::TrainEpoch() {
   epoch_determinism_.Reset();
   const uint64_t rv_before = RvRuntime::Global().TotalViolations();
-  EpochStats stats = TrainEpochImpl();
+  EpochStats stats = RunEpoch();
   last_determinism_hash_ = epoch_determinism_.value();
   stats.determinism_hash = last_determinism_hash_;
   // Cross-replica exchange-and-compare: every rank folded the identical loss
@@ -52,7 +79,7 @@ EpochStats TrainerBase::TrainEpoch() {
   // deleted mid-write). Replica state is bitwise-identical at every epoch
   // boundary (asserted by the hash exchange above), so rank 0's snapshot is
   // everyone's snapshot. The hash exchange is also a rendezvous that runs
-  // after the impl's synchronous flush, so rank 0 reads fully-written shared
+  // after RunEpoch's synchronous flush, so rank 0 reads fully-written shared
   // storage. docs/DISTRIBUTED.md documents the contract.
   if (replica_.rank == 0 && config_.checkpoint.every_n_epochs > 0 &&
       epochs_completed_ % config_.checkpoint.every_n_epochs == 0) {
@@ -75,23 +102,214 @@ EpochStats TrainerBase::TrainEpoch() {
   return stats;
 }
 
-void TrainerBase::SharedWritebackBarrier(PartitionBuffer* buffer) {
-  if (buffer == nullptr || !buffer->partition_ownership_active()) {
+EpochPlan TrainerBase::MemoryPlan() {
+  EpochPlan plan;
+  plan.sets.emplace_back();
+  plan.buckets_per_set.emplace_back();
+  return plan;
+}
+
+const NeighborIndex& TrainerBase::FullIndex() {
+  if (full_index_ == nullptr) {
+    full_index_ = std::make_unique<NeighborIndex>(*graph_);
+  }
+  return *full_index_;
+}
+
+void TrainerBase::MakePartitionBuffer(const std::string& file_name, int64_t dim,
+                                      bool learnable, const Tensor* init) {
+  const std::string path = config_.storage.dir.empty()
+                               ? TempPath("mgnn_" + file_name)
+                               : config_.storage.dir + "/" + file_name;
+  const bool shared = replica_.world > 1 && !config_.storage.dir.empty();
+  buffer_ = std::make_unique<PartitionBuffer>(
+      partitioning_.get(), dim, config_.storage.buffer_capacity, path,
+      config_.storage.disk_model, learnable, init, config_.MakePartitionIoOptions(),
+      shared && replica_.rank != 0 ? BackingFile::kAttach : BackingFile::kCreate);
+  if (!shared) {
+    return;
+  }
+  if (learnable) {
+    // Only the owning rank writes a partition back; the others skip the
+    // redundant (and racy) write. With a private per-rank file every rank must
+    // keep writing everything, or its own later reads would see stale rows.
+    std::vector<uint8_t> owned(static_cast<size_t>(config_.storage.num_physical));
+    for (int32_t p = 0; p < config_.storage.num_physical; ++p) {
+      owned[static_cast<size_t>(p)] =
+          static_cast<uint8_t>(p % replica_.world == replica_.rank);
+    }
+    buffer_->SetPartitionOwnership(std::move(owned));
+  }
+  // No rank reads the shared file before rank 0's seed is complete.
+  exchange_->Barrier();
+}
+
+void TrainerBase::SharedWritebackBarrier() {
+  if (!buffer_->partition_ownership_active()) {
     return;
   }
   // Local half: this rank's dirty evictions may still be queued in the IO
   // engine — only a completed write makes the shared file safe to re-read.
-  buffer->DrainIo();
+  buffer_->DrainIo();
   // Global half: no rank proceeds (and thus re-admits a partition) until every
   // rank's own write-backs are durable.
   exchange_->Barrier();
 }
 
+// One PipelineSession spans the whole epoch, so the PipelineController can
+// resize the stage-1 workers at set boundaries without flushing the pipeline.
+// The producer maps the session's global index onto the current set's local
+// batch number (segment.base), then through ReplicaBatchPartition onto the
+// set's GLOBAL batch number g — rank r builds exactly the batches with
+// g % world == r, seeded by ReplicaBatchPartition::BatchSeed(set seed, g). The
+// segment state changes only between segments, which is safe without locks:
+// workers never claim an index beyond the announced limit.
+EpochStats TrainerBase::RunEpoch() {
+  EpochStats stats;
+  compute_stats_.Reset();
+  const EpochPlan plan = PlanEpoch();
+  stats.num_partition_sets = plan.num_sets();
+  stats.pipeline_workers = controller_.workers();
+
+  struct Segment {
+    std::vector<int64_t> examples;
+    uint64_t seed = 0;
+    int64_t base = 0;
+  } segment;
+  const int64_t batch_size = config_.batch_size;
+  PipelineSession session(
+      MakePipelineSessionOptions(config_.pipeline, controller_.workers()),
+      [this, &segment, batch_size](int64_t index) {
+        const int64_t g = replica_.GlobalIndex(index - segment.base);
+        const int64_t begin = g * batch_size;
+        const int64_t end = std::min(begin + batch_size,
+                                     static_cast<int64_t>(segment.examples.size()));
+        const std::vector<int64_t> ids(segment.examples.begin() + begin,
+                                       segment.examples.begin() + end);
+        return PrepareBatch(ids, ReplicaBatchPartition::BatchSeed(segment.seed, g));
+      },
+      [this, &stats](void* item, int64_t) { ConsumeBatch(item, &stats); });
+
+  double prev_compute = 0.0;
+  for (int64_t i = 0; i < plan.num_sets(); ++i) {
+    const std::vector<int32_t>& set = plan.sets[static_cast<size_t>(i)];
+    const bool more_sets = i + 1 < plan.num_sets();
+    // Controller window for this set: everything from the swap-in to the end of
+    // its training segment.
+    const ComputeStats compute_before = compute_stats_;
+    const double io_stall_before = stats.io_stall_seconds;
+    WallTimer window_timer;
+
+    std::unique_ptr<NeighborIndex> resident_index;
+    if (buffer_ != nullptr) {
+      const double sync_io = buffer_->SetResident(set);
+      stats.AccumulateSwapIo(sync_io, buffer_->ConsumeBackgroundIoSeconds(), prev_compute);
+      // Shared-storage fence (no-op otherwise): this set's dirty evictions may
+      // still be async submissions, and partitions another rank owns are never
+      // written back by this rank at all — so before anyone reads ahead, drain
+      // own write-backs and rendezvous. Every set-i read is thereby covered by
+      // the fence at set i-1 (within one SetResident the evict and load sets
+      // are disjoint, and all ranks run identical plans); the prefetch below
+      // issues strictly after the fence. The epoch boundary needs no extra
+      // fence: the flush below is synchronous and the epoch-hash exchange that
+      // follows it is itself a rendezvous.
+      SharedWritebackBarrier();
+      // Stage the next set's partitions while this set trains (Figure 2's
+      // partition prefetch).
+      if (config_.storage.prefetch && more_sets) {
+        buffer_->Prefetch(PrefetchDelta(set, plan.sets[static_cast<size_t>(i) + 1]));
+      }
+    }
+
+    WallTimer set_timer;
+    const NeighborIndex* index = full_index_.get();
+    if (buffer_ != nullptr) {
+      // In-memory subgraph: all edges between resident partitions (Section 4.1).
+      std::vector<Edge> resident_edges;
+      for (int32_t a : set) {
+        for (int32_t b : set) {
+          for (int64_t e : partitioning_->Bucket(a, b)) {
+            resident_edges.push_back(graph_->edge(e));
+          }
+        }
+      }
+      resident_index = std::make_unique<NeighborIndex>(graph_->num_nodes(), resident_edges);
+      index = resident_index.get();
+    }
+
+    // X_i, run as one session segment. Workers only call const, seed-driven
+    // sampling methods, so pointing the samplers at this set's index up front
+    // is the only sampler state the segment needs.
+    segment.examples = SetExamples(plan, i);
+    PipelineStats ps;
+    const int64_t total = static_cast<int64_t>(segment.examples.size());
+    if (total > 0) {
+      if (model_.dense_sampler != nullptr) {
+        model_.dense_sampler->set_index(index);
+      }
+      if (model_.layerwise_sampler != nullptr) {
+        model_.layerwise_sampler->set_index(index);
+      }
+      segment.seed = rng_.Next();
+      segment.base = session.announced();
+      const int64_t num_batches = (total + batch_size - 1) / batch_size;
+      // Rank r consumes only the global batches with g % world == r; the other
+      // ranks' losses/gradients arrive through the exchange. Ranks whose share
+      // is short of the step count run trailing batchless exchanges so every
+      // rank performs the same exchange sequence (StepCount == rank 0's local
+      // count).
+      const int64_t local_batches = replica_.LocalCount(num_batches);
+      ps = session.RunSegment(local_batches);
+      for (int64_t s = local_batches; s < replica_.StepCount(num_batches); ++s) {
+        ExchangeApply(/*has_batch=*/false, 0.0f, nullptr, nullptr, &stats);
+      }
+      int64_t local_examples = local_batches * batch_size;
+      if (local_batches > 0 && replica_.GlobalIndex(local_batches - 1) == num_batches - 1) {
+        // This rank owns the (possibly partial) last global batch.
+        local_examples += total - num_batches * batch_size;
+      }
+      stats.AccumulatePipeline(ps, local_examples);
+    }
+    prev_compute = set_timer.Seconds();
+    stats.compute_seconds += prev_compute;
+    controller_.ReportSetBoundary(ps, compute_stats_, compute_before,
+                                  stats.io_stall_seconds - io_stall_before,
+                                  window_timer.Seconds(), more_sets, &session,
+                                  &stats.workers_per_set, &stats.resize_count);
+  }
+
+  if (buffer_ != nullptr) {
+    // End of epoch: a learnable buffer flushes its dirty partitions (draining
+    // the write-backs still in flight first), so every epoch starts from the
+    // on-disk table. A read-only buffer only drains: its partitions stay
+    // resident, and the next epoch's first swap loads only what changed.
+    // Background leftovers are charged conservatively as full stalls.
+    double flush_io = 0.0;
+    if (buffer_->learnable()) {
+      flush_io = buffer_->FlushAll();
+    } else {
+      buffer_->DrainIo();
+    }
+    const double leftover_bg = buffer_->ConsumeBackgroundIoSeconds();
+    stats.io_seconds += flush_io + leftover_bg;
+    stats.io_stall_seconds += flush_io + leftover_bg;
+    const IoEngineStats engine_io = buffer_->ConsumeIoStats();
+    stats.io_read_bytes = engine_io.read_bytes;
+    stats.io_write_bytes = engine_io.write_bytes;
+    stats.io_queue_depth_mean = engine_io.queue_depth_mean;
+    stats.io_inflight_peak = engine_io.inflight_peak;
+  }
+  stats.wall_seconds = stats.compute_seconds + stats.io_stall_seconds;
+  stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
+  if (stats.num_global_batches > 0) {
+    stats.loss /= static_cast<double>(stats.num_global_batches);
+  }
+  return stats;
+}
+
 void TrainerBase::ExchangeApply(bool has_batch, float loss,
                                 const std::vector<int64_t>* sparse_nodes,
-                                const Tensor* sparse_grads,
-                                EmbeddingStore* sparse_store, float sparse_lr,
-                                EpochStats* stats) {
+                                const Tensor* sparse_grads, EpochStats* stats) {
   GradientStep step;
   step.has_batch = has_batch;
   step.loss = loss;
@@ -115,10 +333,10 @@ void TrainerBase::ExchangeApply(bool has_batch, float loss,
   // Apply the merged sparse rows, then the reduced dense gradients — the two
   // touch disjoint parameters, preserving the historical sparse-then-dense
   // order inside the trainers' consume step.
-  if (sparse_store != nullptr && reduced.sparse_nodes != nullptr &&
+  if (embeddings_ != nullptr && reduced.sparse_nodes != nullptr &&
       !reduced.sparse_nodes->empty()) {
-    sparse_store->ApplyGradients(*reduced.sparse_nodes, *reduced.sparse_grads,
-                                 sparse_lr);
+    embeddings_->ApplyGradients(*reduced.sparse_nodes, *reduced.sparse_grads,
+                                config_.embedding_lr);
   }
   if (!model_.params.empty()) {
     if (reduced.dense != nullptr) {

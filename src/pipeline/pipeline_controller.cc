@@ -59,8 +59,7 @@ int PipelineController::ObserveWindow(const ControllerSignals& signals) {
 
 void PipelineController::ObserveWindowImpl(const ControllerSignals& signals) {
   // Rules 1-2: the efficiency hysteresis band. These dominate the queue signal so
-  // that fallback (kEpoch) mode and kPartitionSet mode agree whenever efficiency
-  // alone is decisive — and so forced-threshold tests stay deterministic.
+  // that forced-threshold tests stay deterministic.
   if (signals.compute_parallel_efficiency < options_.par_eff_low) {
     Shrink();
     return;
@@ -69,8 +68,7 @@ void PipelineController::ObserveWindowImpl(const ControllerSignals& signals) {
     Grow();
     return;
   }
-  if (options_.granularity == ControllerGranularity::kEpoch ||
-      !signals.has_queue_signal) {
+  if (!signals.has_queue_signal) {
     return;  // dead band, no refinement
   }
   // Rule 4: IO-bound window — the stall is on the storage layer, not the split.
@@ -99,9 +97,6 @@ void PipelineController::ObserveWindowImpl(const ControllerSignals& signals) {
 void PipelineController::ObserveSetWindow(const ControllerSignals& signals,
                                           PipelineSession* session, bool more_sets,
                                           int* resize_count) {
-  if (options_.granularity != ControllerGranularity::kPartitionSet) {
-    return;
-  }
   const int next = ObserveWindow(signals);
   if (session != nullptr && more_sets && session->workers() > 0 &&
       next != session->workers()) {
@@ -132,15 +127,6 @@ void PipelineController::ReportSetBoundary(
   signals.io_stall_seconds = io_stall_delta;
   signals.window_seconds = window_seconds;
   ObserveSetWindow(signals, session, more_sets, resize_count);
-}
-
-void PipelineController::ObserveEpoch(double compute_parallel_efficiency) {
-  if (options_.granularity != ControllerGranularity::kEpoch) {
-    return;
-  }
-  ControllerSignals signals;
-  signals.compute_parallel_efficiency = compute_parallel_efficiency;
-  ObserveWindow(signals);
 }
 
 }  // namespace mariusgnn

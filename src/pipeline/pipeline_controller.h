@@ -3,12 +3,11 @@
 //
 // The pipeline's three stages share one ThreadPool, so the split between stage-1
 // sampling workers and stage-3 compute chunks is a zero-sum allocation. The
-// controller observes one window per partition set (or per epoch in fallback
-// mode) and moves the split one worker at a time with hysteresis:
+// controller observes one window per partition set and moves the split one
+// worker at a time with hysteresis:
 //
 //   1. compute_parallel_efficiency below the low threshold — compute chunks are
-//      starved of pool threads — shrinks the sampling side (the legacy
-//      AdaptiveWorkerSplit rule, highest priority);
+//      starved of pool threads — shrinks the sampling side (highest priority);
 //   2. efficiency above the high threshold grows it back;
 //   3. in the dead band the queue-depth signal refines the decision (the same
 //      back-pressure reading credit-based pull schedulers use): a window whose
@@ -32,15 +31,6 @@
 #include "src/util/compute.h"
 
 namespace mariusgnn {
-
-// When the controller is allowed to act: at every partition-set boundary
-// (mid-epoch), or only between epochs (the legacy AdaptiveWorkerSplit behavior,
-// kept as a fallback mode; it also ignores the queue-depth signal so the two
-// modes are decision-for-decision comparable).
-enum class ControllerGranularity {
-  kPartitionSet,
-  kEpoch,
-};
 
 struct PipelineControllerOptions {
   bool enabled = true;
@@ -69,11 +59,10 @@ struct PipelineControllerOptions {
   // (rules 1-2) is not gated — it already has hysteresis, and starved compute
   // must be able to shed workers immediately.
   int queue_cooldown_windows = 2;
-  ControllerGranularity granularity = ControllerGranularity::kPartitionSet;
 };
 
-// One observation window: a partition set in kPartitionSet mode, a whole epoch in
-// kEpoch mode. Values are deltas over the window, not epoch cumulatives.
+// One observation window: a partition set (memory mode: the whole epoch, its
+// one set). Values are deltas over the window, not epoch cumulatives.
 struct ControllerSignals {
   double compute_parallel_efficiency = 1.0;
   // Time-weighted mean queue occupancy as a fraction of capacity, [0, 1]
@@ -92,33 +81,26 @@ class PipelineController {
   // Sampling workers the next window should run with.
   int workers() const { return workers_; }
 
-  // Feeds one window's signals and returns the updated worker count. In kEpoch
-  // mode (or without a queue signal) this is exactly AdaptiveWorkerSplit::Observe
-  // on the efficiency alone.
+  // Feeds one window's signals and returns the updated worker count. Without a
+  // queue signal (serial segments) only the efficiency band acts.
   int ObserveWindow(const ControllerSignals& signals);
 
-  // Partition-set boundary hook (both trainers report their boundaries through
-  // this so the wiring cannot diverge): observes the set's window and, when more
-  // sets remain in the epoch, applies a changed decision to the live session via
-  // PipelineSession::Resize, counting it in *resize_count. No-op in kEpoch mode.
+  // Partition-set boundary hook: observes the set's window and, when more sets
+  // remain in the epoch, applies a changed decision to the live session via
+  // PipelineSession::Resize, counting it in *resize_count.
   void ObserveSetWindow(const ControllerSignals& signals, PipelineSession* session,
                         bool more_sets, int* resize_count);
 
   // Full set-boundary report: records the set's worker decision into
   // *workers_per_set, assembles the signal window from the segment's stats and
-  // the compute/IO deltas, and feeds ObserveSetWindow. Both trainers report
-  // through this single entry point so the signal assembly cannot diverge.
+  // the compute/IO deltas, and feeds ObserveSetWindow. The epoch loop
+  // (TrainerBase::RunEpoch) reports every set through this single entry point.
   // Sets that trained nothing (ps.num_items == 0) are recorded but not observed.
   void ReportSetBoundary(const PipelineStats& ps, const ComputeStats& compute_now,
                          const ComputeStats& compute_before, double io_stall_delta,
                          double window_seconds, bool more_sets,
                          PipelineSession* session, std::vector<int>* workers_per_set,
                          int* resize_count);
-
-  // Epoch-boundary hook for the kEpoch fallback: one efficiency-only observation
-  // per epoch, exactly the legacy AdaptiveWorkerSplit cadence. No-op in
-  // kPartitionSet mode (the last set's window already covered the epoch tail).
-  void ObserveEpoch(double compute_parallel_efficiency);
 
   const PipelineControllerOptions& options() const { return options_; }
 

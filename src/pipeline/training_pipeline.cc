@@ -1,36 +1,11 @@
 #include "src/pipeline/training_pipeline.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "src/util/check.h"
 #include "src/util/timer.h"
 
 namespace mariusgnn {
-
-AdaptiveWorkerSplit::AdaptiveWorkerSplit(bool enabled, int max_workers,
-                                         int min_workers, double low_threshold,
-                                         double high_threshold)
-    : enabled_(enabled && max_workers > 0),
-      max_workers_(std::max(0, max_workers)),
-      min_workers_(std::min(std::max(1, min_workers), std::max(1, max_workers_))),
-      low_threshold_(low_threshold),
-      high_threshold_(high_threshold),
-      workers_(max_workers_) {
-  MG_CHECK(low_threshold_ <= high_threshold_);
-}
-
-int AdaptiveWorkerSplit::Observe(double compute_parallel_efficiency) {
-  if (!enabled_) {
-    return workers_;
-  }
-  if (compute_parallel_efficiency < low_threshold_ && workers_ > min_workers_) {
-    --workers_;
-  } else if (compute_parallel_efficiency > high_threshold_ && workers_ < max_workers_) {
-    ++workers_;
-  }
-  return workers_;
-}
 
 PipelineSession::PipelineSession(PipelineSessionOptions options, Producer produce,
                                  Consumer consume)
@@ -221,21 +196,6 @@ PipelineStats PipelineSession::Consume(int64_t count) {
   stats.queue_occupancy_mean =
       qs.MeanOccupancy() / static_cast<double>(queue_.capacity());
   return stats;
-}
-
-TrainingPipeline::TrainingPipeline(PipelineSessionOptions options)
-    : options_(std::move(options)) {
-  MG_CHECK(options_.queue_capacity > 0);
-  MG_CHECK(options_.workers >= 0);
-}
-
-PipelineStats TrainingPipeline::Run(int64_t n, const Producer& produce,
-                                    const Consumer& consume) {
-  if (n <= 0) {
-    return PipelineStats();
-  }
-  PipelineSession session(options_, produce, consume);
-  return session.RunSegment(n);
 }
 
 }  // namespace mariusgnn

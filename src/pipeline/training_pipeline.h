@@ -1,8 +1,8 @@
 // Multi-stage asynchronous training pipeline (Section 3, Figure 2).
 //
 // MariusGNN keeps out-of-core training compute-bound by overlapping the CPU-heavy
-// stages of an epoch with model compute. This subsystem is the shared engine both
-// trainers drive their epochs through:
+// stages of an epoch with model compute. PipelineSession is the engine the epoch
+// loop (TrainerBase::RunEpoch) runs every partition set through:
 //
 //   stage 1  batch construction — N workers on the shared ThreadPool each pull the
 //            next batch index from a ticket counter, build the batch (DENSE/layer-wise
@@ -18,15 +18,15 @@
 // runs it or in which order batches finish. A window gate keeps workers at most
 // queue_capacity + workers batches ahead of the consumer, bounding memory.
 //
-// PipelineSession is the resumable form of the engine: one session spans an epoch,
-// the item stream is announced in segments (one per partition set), and the stage-1
-// worker count can be resized at any point between Consume calls — the ticket
-// counter, window gate, and reorder buffer survive the resize, so the
-// PipelineController can rebalance the stage-1/stage-3 split mid-epoch without
-// flushing the pipeline or perturbing the batch stream.
+// The session is resumable: one session spans an epoch, the item stream is
+// announced in segments (one per partition set), and the stage-1 worker count can
+// be resized at any point between Consume calls — the ticket counter, window gate,
+// and reorder buffer survive the resize, so the PipelineController can rebalance
+// the stage-1/stage-3 split mid-epoch without flushing the pipeline or perturbing
+// the batch stream.
 //
 // The partition-IO stage of Figure 2 lives in PartitionBuffer::Prefetch (storage
-// layer); OrderingPolicy::Lookahead tells the trainer which partitions to stage next.
+// layer); the epoch loop stages the next set's new partitions (PrefetchDelta).
 #ifndef SRC_PIPELINE_TRAINING_PIPELINE_H_
 #define SRC_PIPELINE_TRAINING_PIPELINE_H_
 
@@ -68,45 +68,6 @@ struct PipelineStats {
   // back-pressure signal the PipelineController feeds on; 0 for serial runs).
   int workers = 0;
   double queue_occupancy_mean = 0.0;
-};
-
-// Adaptive stage-1/stage-3 pool split (the efficiency-hysteresis primitive inside
-// PipelineController, kept as its own class because the rule is independently
-// useful and independently tested). Sampling workers and compute chunks share one
-// ThreadPool; when the stage-3 kernels report low parallel efficiency it is usually
-// because epoch-long sampling workers occupy the pool and the compute helpers
-// cannot find idle threads. Shrinking the sampling-worker count hands that capacity
-// back to compute — the right trade whenever compute (not sampling) is the
-// bottleneck, because the queue is full and extra producers only wait on the
-// window gate.
-//
-// The controller moves one worker per observation with hysteresis: shrink while
-// efficiency < low_threshold, grow back while > high_threshold, hold in between.
-// It only ever changes the *worker count*, which the pipeline's determinism
-// contract guarantees can never change results (per-batch seeds + in-order
-// consumption), so the adaptive split preserves bitwise-identical loss/MRR
-// trajectories by construction even though its decisions are timing-driven.
-class AdaptiveWorkerSplit {
- public:
-  // Workers stay in [min_workers, max_workers] and start at max_workers. Disabled
-  // (or max_workers == 0, the non-pipelined mode) pins workers at max_workers.
-  AdaptiveWorkerSplit(bool enabled, int max_workers, int min_workers,
-                      double low_threshold, double high_threshold);
-
-  // Sampling workers to use for the next pipeline run.
-  int workers() const { return workers_; }
-
-  // Feeds one epoch's ComputeStats::ParallelEfficiency() and returns the updated
-  // worker count.
-  int Observe(double compute_parallel_efficiency);
-
- private:
-  bool enabled_;
-  int max_workers_;
-  int min_workers_;
-  double low_threshold_;
-  double high_threshold_;
-  int workers_;
 };
 
 // A resumable pipeline run. The logical item stream is open-ended: Extend
@@ -211,53 +172,6 @@ class PipelineSession {
   RvSequenceMonitor rv_ticket_{RvInvariant::kTicketOrder};
   RvQuiesceMonitor rv_quiesce_{RvInvariant::kResizeQuiesce};
   bool consuming_ = false;  // owner thread only
-};
-
-class TrainingPipeline {
- public:
-  explicit TrainingPipeline(PipelineSessionOptions options = PipelineSessionOptions());
-
-  // Type-erased item stream. Producer may run on any worker thread and must be
-  // thread-safe + index-deterministic; consumer runs on the calling thread, in order.
-  using Producer = PipelineSession::Producer;
-  using Consumer = PipelineSession::Consumer;
-
-  // Runs producer(i) / consumer(item, i) for i in [0, n); returns stage timings.
-  // Exceptions are not expected (library code aborts via MG_CHECK). Implemented as
-  // a one-segment PipelineSession.
-  PipelineStats Run(int64_t n, const Producer& produce, const Consumer& consume);
-
-  // Typed convenience wrapper.
-  template <typename T, typename P, typename C>
-  PipelineStats RunTyped(int64_t n, P&& produce, C&& consume) {
-    return Run(
-        n,
-        [&produce](int64_t i) -> std::shared_ptr<void> {
-          return std::make_shared<T>(produce(i));
-        },
-        [&consume](void* item, int64_t i) { consume(*static_cast<T*>(item), i); });
-  }
-
-  // Epoch helper shared by both trainers: slices [0, total) into contiguous batches
-  // of `batch_size` and pipelines them. produce receives (begin, end, batch_index).
-  template <typename T, typename P, typename C>
-  PipelineStats RunBatches(int64_t total, int64_t batch_size, P&& produce, C&& consume) {
-    MG_CHECK_MSG(batch_size > 0, "batch_size must be > 0");
-    const int64_t num_batches = (total + batch_size - 1) / batch_size;
-    return RunTyped<T>(
-        num_batches,
-        [&produce, total, batch_size](int64_t b) {
-          const int64_t begin = b * batch_size;
-          const int64_t end = begin + batch_size < total ? begin + batch_size : total;
-          return produce(begin, end, b);
-        },
-        std::forward<C>(consume));
-  }
-
-  const PipelineSessionOptions& options() const { return options_; }
-
- private:
-  PipelineSessionOptions options_;
 };
 
 }  // namespace mariusgnn

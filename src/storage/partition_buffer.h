@@ -93,6 +93,7 @@ class PartitionBuffer {
 
   int32_t capacity() const { return capacity_; }
   int64_t dim() const { return dim_; }
+  bool learnable() const { return learnable_; }
   bool async_io() const { return engine_ != nullptr; }
   // True when the O_DIRECT probe succeeded and the engine bypasses the page cache.
   bool direct_io() const { return disk_->direct_io(); }

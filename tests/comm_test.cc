@@ -235,8 +235,11 @@ int TrainLpReplicaSharedDisk(const ReplicaOptions& replica,
   return out.good() ? 0 : 4;
 }
 
+// With a non-empty `shared_dir` every replica trains from disk over the SAME
+// features.bin in that dir (rotation regime: every partition is read at least
+// once per epoch), which rank 0 alone creates and seeds.
 int TrainNcReplica(const ReplicaOptions& replica, int epochs,
-                   const std::string& out_path) {
+                   const std::string& out_path, const std::string& shared_dir = "") {
   Graph g = PapersMini(0.05);
   TrainingConfig config;
   config.fanouts = {10, 5};
@@ -246,6 +249,12 @@ int TrainNcReplica(const ReplicaOptions& replica, int epochs,
   config.pipeline.enabled = false;
   config.weight_lr = 0.05f;
   config.replica = replica;
+  if (!shared_dir.empty()) {
+    config.storage.use_disk = true;
+    config.storage.num_physical = 16;
+    config.storage.buffer_capacity = 2;
+    config.storage.dir = shared_dir;
+  }
   NodeClassificationTrainer trainer(&g, config);
   std::ofstream out(out_path);
   for (int e = 0; e < epochs; ++e) {
@@ -352,6 +361,20 @@ TEST(ProcessGroupExchange, TwoReplicasAgreeOnASharedStorageDir) {
   EXPECT_EQ(::stat((dir + "/ckpt").c_str(), &st), 0);
   std::remove((dir + "/ckpt").c_str());
   std::remove((dir + "/embeddings.bin").c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(ProcessGroupExchange, TwoNcReplicasAgreeOnASharedStorageDir) {
+  // The node-classification twin of the test above: the features file is
+  // read-only, but a rank that truncated and re-seeded it under a peer's reads
+  // would hand that peer zero rows, and the epoch hashes would diverge.
+  const std::string dir = TempPath("comm_nc_shared_dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  RunReplicasAndExpectAgreement(
+      2, 2, [&dir](const ReplicaOptions& replica, const std::string& out) {
+        return TrainNcReplica(replica, 2, out, dir);
+      });
+  std::remove((dir + "/features.bin").c_str());
   ::rmdir(dir.c_str());
 }
 

@@ -1,7 +1,7 @@
 // Tests for the pipeline layer: BoundedQueue under multi-producer/multi-consumer
-// load (including the occupancy instrumentation), TrainingPipeline's
-// order-preserving reassembly and determinism, PipelineSession's segmented runs
-// and mid-run resizes, and the PipelineController's decision rules.
+// load (including the occupancy instrumentation), PipelineSession's
+// order-preserving reassembly and determinism, its segmented runs and mid-run
+// resizes, and the PipelineController's decision rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -245,18 +245,31 @@ TEST(BoundedQueue, StatsConsistentUnderConcurrentPushPop) {
   EXPECT_LE(stats.MeanOccupancy(), 8.0);
 }
 
-TEST(TrainingPipeline, OrderedDeliveryWithJitteredProducers) {
+// Runs produce(i) / consume(item, i) for i in [0, n) as one typed
+// PipelineSession segment: the shape the epoch loop gives each partition set.
+template <typename T, typename P, typename C>
+PipelineStats RunOneSegment(const PipelineSessionOptions& options, int64_t n,
+                            P&& produce, C&& consume) {
+  PipelineSession session(
+      options,
+      [&produce](int64_t i) -> std::shared_ptr<void> {
+        return std::make_shared<T>(produce(i));
+      },
+      [&consume](void* item, int64_t i) { consume(*static_cast<T*>(item), i); });
+  return session.RunSegment(n);
+}
+
+TEST(PipelineSession, OrderedDeliveryWithJitteredProducers) {
   ThreadPool pool(4);
   PipelineSessionOptions options;
   options.workers = 4;
   options.queue_capacity = 3;
   options.pool = &pool;
-  TrainingPipeline pipeline(options);
 
   const int64_t n = 200;
   std::vector<int64_t> consumed;
-  const PipelineStats stats = pipeline.RunTyped<int64_t>(
-      n,
+  const PipelineStats stats = RunOneSegment<int64_t>(
+      options, n,
       [](int64_t i) {
         // Uneven production times force out-of-order completion.
         std::this_thread::sleep_for(std::chrono::microseconds((i * 7) % 300));
@@ -274,7 +287,7 @@ TEST(TrainingPipeline, OrderedDeliveryWithJitteredProducers) {
   EXPECT_GT(stats.sample_seconds, 0.0);
 }
 
-TEST(TrainingPipeline, WorkerCountNeverChangesConsumedSequence) {
+TEST(PipelineSession, WorkerCountNeverChangesConsumedSequence) {
   ThreadPool pool(4);
   // A producer that is a pure function of the index (the determinism contract).
   auto produce = [](int64_t i) { return MixSeed(42, static_cast<uint64_t>(i)); };
@@ -284,10 +297,9 @@ TEST(TrainingPipeline, WorkerCountNeverChangesConsumedSequence) {
     options.workers = workers;
     options.queue_capacity = 2;
     options.pool = &pool;
-    TrainingPipeline pipeline(options);
     std::vector<uint64_t> out;
-    pipeline.RunTyped<uint64_t>(
-        97, produce, [&](uint64_t& item, int64_t) { out.push_back(item); });
+    RunOneSegment<uint64_t>(options, 97, produce,
+                            [&](uint64_t& item, int64_t) { out.push_back(item); });
     runs.push_back(std::move(out));
   }
   for (size_t r = 1; r < runs.size(); ++r) {
@@ -295,12 +307,11 @@ TEST(TrainingPipeline, WorkerCountNeverChangesConsumedSequence) {
   }
 }
 
-TEST(TrainingPipeline, SerialModeRunsInline) {
-  TrainingPipeline pipeline(PipelineSessionOptions{0, 4, nullptr});
+TEST(PipelineSession, SerialModeRunsInline) {
   const std::thread::id caller = std::this_thread::get_id();
   int64_t produced_on_caller = 0;
-  const PipelineStats stats = pipeline.RunTyped<int>(
-      10,
+  const PipelineStats stats = RunOneSegment<int>(
+      PipelineSessionOptions{0, 4, nullptr}, 10,
       [&](int64_t i) {
         if (std::this_thread::get_id() == caller) {
           ++produced_on_caller;
@@ -313,52 +324,66 @@ TEST(TrainingPipeline, SerialModeRunsInline) {
   EXPECT_DOUBLE_EQ(stats.stall_seconds, 0.0);
 }
 
-TEST(TrainingPipeline, EmptyRunIsNoop) {
-  TrainingPipeline pipeline;
+TEST(PipelineSession, EmptySegmentIsNoop) {
   int calls = 0;
-  const PipelineStats stats = pipeline.RunTyped<int>(
-      0, [&](int64_t) { return ++calls; }, [&](int&, int64_t) { ++calls; });
+  const PipelineStats stats = RunOneSegment<int>(
+      PipelineSessionOptions(), 0, [&](int64_t) { return ++calls; },
+      [&](int&, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(stats.num_items, 0);
 }
 
-TEST(TrainingPipeline, RunBatchesSlicesTheFullRange) {
+TEST(PipelineSession, SegmentsSliceEachSetsExamples) {
+  // The epoch loop's slicing: each set's examples are one segment, and the
+  // producer maps the session-global index back to the set's batch number
+  // (index - the announced count when the segment began).
   ThreadPool pool(2);
   PipelineSessionOptions options;
   options.workers = 2;
   options.pool = &pool;
-  TrainingPipeline pipeline(options);
   struct Slice {
     int64_t begin, end, batch;
   };
+  const int64_t batch_size = 10;
+  int64_t set_total = 0;
+  int64_t base = 0;
   std::vector<Slice> seen;
-  pipeline.RunBatches<Slice>(
-      103, 10,
-      [](int64_t begin, int64_t end, int64_t b) { return Slice{begin, end, b}; },
-      [&](Slice& s, int64_t i) {
-        EXPECT_EQ(s.batch, i);
-        seen.push_back(s);
-      });
-  ASSERT_EQ(seen.size(), 11u);  // ceil(103 / 10)
-  int64_t covered = 0;
-  for (size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].begin, static_cast<int64_t>(i) * 10);
-    covered += seen[i].end - seen[i].begin;
+  PipelineSession session(
+      options,
+      [&](int64_t index) -> std::shared_ptr<void> {
+        const int64_t b = index - base;
+        const int64_t begin = b * batch_size;
+        return std::make_shared<Slice>(
+            Slice{begin, std::min(begin + batch_size, set_total), b});
+      },
+      [&](void* item, int64_t) { seen.push_back(*static_cast<Slice*>(item)); });
+  for (int64_t total : {103, 7, 20}) {
+    set_total = total;
+    base = session.announced();
+    seen.clear();
+    const int64_t num_batches = (total + batch_size - 1) / batch_size;
+    EXPECT_EQ(session.RunSegment(num_batches).num_items, num_batches);
+    ASSERT_EQ(static_cast<int64_t>(seen.size()), num_batches);
+    int64_t covered = 0;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].batch, static_cast<int64_t>(i));
+      EXPECT_EQ(seen[i].begin, static_cast<int64_t>(i) * batch_size);
+      covered += seen[i].end - seen[i].begin;
+    }
+    EXPECT_EQ(covered, total);
+    EXPECT_EQ(seen.back().end, total);
   }
-  EXPECT_EQ(covered, 103);
-  EXPECT_EQ(seen.back().end, 103);
 }
 
-TEST(TrainingPipeline, MoreWorkersThanPoolThreadsStillCompletes) {
+TEST(PipelineSession, MoreWorkersThanPoolThreadsStillCompletes) {
   ThreadPool pool(1);  // workers serialize on the single pool thread
   PipelineSessionOptions options;
   options.workers = 4;
   options.queue_capacity = 2;
   options.pool = &pool;
-  TrainingPipeline pipeline(options);
   std::vector<int64_t> consumed;
-  pipeline.RunTyped<int64_t>(
-      50, [](int64_t i) { return i; },
+  RunOneSegment<int64_t>(
+      options, 50, [](int64_t i) { return i; },
       [&](int64_t& item, int64_t i) {
         EXPECT_EQ(item, i);
         consumed.push_back(item);
@@ -366,7 +391,7 @@ TEST(TrainingPipeline, MoreWorkersThanPoolThreadsStillCompletes) {
   EXPECT_EQ(consumed.size(), 50u);
 }
 
-TEST(TrainingPipeline, ComputeChunksOnSaturatedPipelinePoolCannotDeadlock) {
+TEST(PipelineSession, ComputeChunksOnSaturatedPipelinePoolCannotDeadlock) {
   // The stage-3 deadlock hazard: every pool thread is a pipeline worker that can
   // block on the batch-window gate or the bounded queue during compute, so compute
   // helper tasks submitted to the same pool may never run. ForEachChunk must make
@@ -376,7 +401,6 @@ TEST(TrainingPipeline, ComputeChunksOnSaturatedPipelinePoolCannotDeadlock) {
   options.workers = 2;  // saturate the pool
   options.queue_capacity = 1;
   options.pool = &pool;
-  TrainingPipeline pipeline(options);
   ComputeContext ctx;
   ctx.pool = &pool;
 
@@ -386,8 +410,8 @@ TEST(TrainingPipeline, ComputeChunksOnSaturatedPipelinePoolCannotDeadlock) {
     expected[static_cast<size_t>(i)] = static_cast<float>(i) * 0.5f;
   }
   int64_t batches_ok = 0;
-  pipeline.RunTyped<int64_t>(
-      30, [](int64_t i) { return i; },
+  RunOneSegment<int64_t>(
+      options, 30, [](int64_t i) { return i; },
       [&](int64_t& item, int64_t i) {
         EXPECT_EQ(item, i);
         // Consumer-side parallel compute on the saturated pool.
@@ -420,17 +444,17 @@ TEST(PipelineSession, SegmentsWithResizesMatchFixedWorkerRun) {
   const uint64_t kSeed = 99;
   const int64_t n = 200;
 
-  // Reference: the one-shot fixed-worker pipeline over the same pure producer.
+  // Reference: one fixed-worker segment over the same pure producer.
   std::vector<uint64_t> expected;
   {
     PipelineSessionOptions options;
     options.workers = 2;
     options.queue_capacity = 3;
     options.pool = &pool;
-    TrainingPipeline pipeline(options);
-    pipeline.Run(
-        n, [&](int64_t i) { return SeededItem(kSeed, i); },
+    PipelineSession session(
+        options, [&](int64_t i) { return SeededItem(kSeed, i); },
         [&](void* item, int64_t) { expected.push_back(*static_cast<uint64_t*>(item)); });
+    session.RunSegment(n);
   }
 
   PipelineSessionOptions options;
@@ -626,9 +650,8 @@ TEST(PipelineSession, StressRandomDelaysAndAdversarialResizes) {
 }
 
 // ---------------------------------------------------------------------------
-// PipelineController decision rules. These mirror the AdaptiveWorkerSplit units
-// (the controller's rules 1-2 ARE that hysteresis), then cover the queue-depth
-// refinement, the IO-bound hold, and the epoch-granularity fallback equivalence.
+// PipelineController decision rules: the efficiency hysteresis (rules 1-2) and
+// its clamps, then the queue-depth refinement and the IO-bound hold.
 
 PipelineControllerOptions ControllerOpts(int max_workers, int min_workers = 1) {
   PipelineControllerOptions options;
@@ -687,6 +710,7 @@ TEST(PipelineController, DisabledPinsAtConfiguredWorkers) {
   options.enabled = false;
   PipelineController controller(options);
   EXPECT_EQ(controller.ObserveWindow(EffOnly(0.0)), 3);
+  EXPECT_EQ(controller.ObserveWindow(EffOnly(1.0)), 3);
   EXPECT_EQ(controller.ObserveWindow(DeadBandQueue(1.0)), 3);
 }
 
@@ -694,6 +718,7 @@ TEST(PipelineController, NonPipelinedStaysAtZeroWorkers) {
   PipelineController controller(ControllerOpts(0));
   EXPECT_EQ(controller.workers(), 0);
   EXPECT_EQ(controller.ObserveWindow(EffOnly(0.0)), 0);
+  EXPECT_EQ(controller.ObserveWindow(EffOnly(1.0)), 0);
 }
 
 TEST(PipelineController, QueueHighShrinksInDeadBand) {
@@ -728,33 +753,13 @@ TEST(PipelineController, EfficiencyRulesDominateQueueSignal) {
   PipelineController controller(ControllerOpts(4));
   // Efficiency below the low threshold shrinks even when the queue reads empty
   // with heavy stalls (the grow case); above high grows even when the queue
-  // reads full (the shrink case). Keeps fallback and per-set modes comparable.
+  // reads full (the shrink case).
   ControllerSignals low = DeadBandQueue(0.05, /*stall=*/0.5);
   low.compute_parallel_efficiency = 0.1;
   EXPECT_EQ(controller.ObserveWindow(low), 3);
   ControllerSignals high = DeadBandQueue(0.95);
   high.compute_parallel_efficiency = 0.95;
   EXPECT_EQ(controller.ObserveWindow(high), 4);
-}
-
-TEST(PipelineController, FallbackEpochModeMatchesAdaptiveWorkerSplit) {
-  // In epoch-granularity fallback mode the controller must be decision-for-
-  // decision identical to the legacy AdaptiveWorkerSplit on any efficiency
-  // sequence — and must ignore the queue signal entirely.
-  PipelineControllerOptions options = ControllerOpts(5, 2);
-  options.granularity = ControllerGranularity::kEpoch;
-  PipelineController controller(options);
-  AdaptiveWorkerSplit split(/*enabled=*/true, 5, 2, 0.4, 0.85);
-  EXPECT_EQ(controller.workers(), split.workers());
-  Rng rng(42);
-  for (int i = 0; i < 500; ++i) {
-    const double par_eff = rng.UniformDouble() * 1.2;
-    ControllerSignals signals = DeadBandQueue(rng.UniformDouble(),
-                                              rng.UniformDouble(),
-                                              rng.UniformDouble());
-    signals.compute_parallel_efficiency = par_eff;  // queue fields are decoys
-    EXPECT_EQ(controller.ObserveWindow(signals), split.Observe(par_eff)) << i;
-  }
 }
 
 TEST(PipelineController, QueueCooldownDampsShrinkGrowPingPong) {
@@ -816,37 +821,6 @@ TEST(PipelineController, RestoreStateClampsToConfiguredRange) {
   controller.RestoreState(/*workers=*/9, /*cooldown_remaining=*/1);
   EXPECT_EQ(controller.workers(), 4);
   EXPECT_EQ(controller.queue_cooldown_remaining(), 1);
-}
-
-TEST(AdaptiveWorkerSplit, ShrinksGrowsWithHysteresis) {
-  AdaptiveWorkerSplit split(/*enabled=*/true, /*max_workers=*/4, /*min_workers=*/1,
-                            /*low_threshold=*/0.4, /*high_threshold=*/0.85);
-  EXPECT_EQ(split.workers(), 4);           // starts at max
-  EXPECT_EQ(split.Observe(0.20), 3);       // below low -> shrink one step
-  EXPECT_EQ(split.Observe(0.39), 2);
-  EXPECT_EQ(split.Observe(0.60), 2);       // dead band -> hold
-  EXPECT_EQ(split.Observe(0.40), 2);       // thresholds are exclusive
-  EXPECT_EQ(split.Observe(0.90), 3);       // above high -> grow one step
-  EXPECT_EQ(split.Observe(0.95), 4);
-  EXPECT_EQ(split.Observe(0.99), 4);       // clamped at max
-}
-
-TEST(AdaptiveWorkerSplit, NeverShrinksBelowMinWorkers) {
-  AdaptiveWorkerSplit split(true, 3, 2, 0.5, 0.8);
-  EXPECT_EQ(split.Observe(0.0), 2);
-  EXPECT_EQ(split.Observe(0.0), 2);
-}
-
-TEST(AdaptiveWorkerSplit, DisabledPinsAtConfiguredWorkers) {
-  AdaptiveWorkerSplit split(/*enabled=*/false, 3, 1, 0.5, 0.8);
-  EXPECT_EQ(split.Observe(0.0), 3);
-  EXPECT_EQ(split.Observe(1.0), 3);
-}
-
-TEST(AdaptiveWorkerSplit, NonPipelinedStaysAtZeroWorkers) {
-  AdaptiveWorkerSplit split(true, /*max_workers=*/0, 1, 0.5, 0.8);
-  EXPECT_EQ(split.workers(), 0);
-  EXPECT_EQ(split.Observe(0.0), 0);
 }
 
 }  // namespace

@@ -270,6 +270,23 @@ TEST(NodeClassification, DiskFallbackRotationWhenTrainSetLarge) {
   EXPECT_EQ(stats.num_examples, static_cast<int64_t>(g.train_nodes().size()));
 }
 
+TEST(NodeClassification, CachedPartitionsStayResidentAcrossEpochs) {
+  // Features are read-only, so nothing is flushed at the epoch boundary: the
+  // cached training partitions stay resident and epoch 2 reads only the
+  // partitions its random fill swaps in, never the whole set again.
+  Graph g = PapersMini(0.08);
+  TrainingConfig config = SmallNcConfig();
+  config.storage.use_disk = true;
+  config.storage.num_physical = 16;
+  config.storage.buffer_capacity = 8;
+  NodeClassificationTrainer trainer(&g, config);
+  const EpochStats first = trainer.TrainEpoch();
+  const EpochStats second = trainer.TrainEpoch();
+  ASSERT_EQ(first.num_partition_sets, 1);
+  EXPECT_GT(first.io_read_bytes, 0u);
+  EXPECT_LT(second.io_read_bytes, first.io_read_bytes);
+}
+
 TEST(LinkPrediction, DiskEpochIoDropsWithLargerBuffer) {
   Graph g = Fb15k237Like(0.05);
   TrainingConfig config = SmallLpConfig();
@@ -581,7 +598,7 @@ TEST(LinkPrediction, BaselineSamplerParallelComputeTrajectoryIdentical) {
   EXPECT_DOUBLE_EQ(parallel.second, serial.second);
 }
 
-TEST(LinkPrediction, AdaptiveWorkerSplitDoesNotChangeTrajectory) {
+TEST(LinkPrediction, AdaptiveWorkersDoNotChangeTrajectory) {
   // Thresholds above any real efficiency force a shrink every epoch, so the
   // adaptive run demonstrably rebalances (3 -> 2 -> 1 sampling workers) while the
   // loss/MRR trajectory stays bitwise identical to the fixed-worker run: the split
@@ -619,7 +636,7 @@ TEST(LinkPrediction, AdaptiveWorkerSplitDoesNotChangeTrajectory) {
   EXPECT_EQ(adaptive.second, (std::vector<int>{3, 2, 1}));
 }
 
-TEST(NodeClassification, AdaptiveWorkerSplitDoesNotChangeTrajectory) {
+TEST(NodeClassification, AdaptiveWorkersDoNotChangeTrajectory) {
   Graph g = PapersMini(0.05);
   ThreadPool pool(4);
   auto run = [&](bool adaptive) {
@@ -661,7 +678,6 @@ TEST(LinkPrediction, MidEpochResizeDoesNotChangeTrajectory) {
     config.pipeline.compute_pool = &pool;
     config.pipeline.pipeline_pool = &pool;  // sampling + compute share one pool
     config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.adaptive_within_epoch = true;
     config.pipeline.par_eff_low = 2.0;  // force a shrink at every boundary
     config.pipeline.par_eff_high = 3.0;
     LinkPredictionTrainer trainer(&g, config);
@@ -709,7 +725,6 @@ TEST(NodeClassification, MidEpochResizeDoesNotChangeTrajectory) {
     config.pipeline.compute_pool = &pool;
     config.pipeline.pipeline_pool = &pool;
     config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.adaptive_within_epoch = true;
     config.pipeline.par_eff_low = 2.0;
     config.pipeline.par_eff_high = 3.0;
     NodeClassificationTrainer trainer(&g, config);
@@ -723,41 +738,6 @@ TEST(NodeClassification, MidEpochResizeDoesNotChangeTrajectory) {
   EXPECT_EQ(fixed.resize_count, 0);
   EXPECT_EQ(adaptive.workers_per_set.front(), 2);
   EXPECT_EQ(adaptive.workers_per_set.back(), 1);
-}
-
-TEST(LinkPrediction, EpochFallbackModeHoldsWorkersWithinEpoch) {
-  // adaptive_within_epoch = false restores the legacy epoch-granularity
-  // behavior: every set of an epoch runs the same worker count, resizes only
-  // happen between epochs, and the forced shrink steps once per epoch.
-  Graph g = Fb15k237Like(0.05);
-  ThreadPool pool(4);
-  TrainingConfig config = SmallLpConfig();
-  config.storage.use_disk = true;
-  config.storage.num_physical = 8;
-  config.storage.num_logical = 4;
-  config.storage.buffer_capacity = 4;
-  config.pipeline.enabled = true;
-  config.pipeline.workers = 2;
-  config.pipeline.parallel_compute = true;
-  config.pipeline.compute_pool = &pool;
-  config.pipeline.pipeline_pool = &pool;
-  config.pipeline.adaptive_workers = true;
-  config.pipeline.adaptive_within_epoch = false;
-  config.pipeline.par_eff_low = 2.0;
-  config.pipeline.par_eff_high = 3.0;
-  LinkPredictionTrainer trainer(&g, config);
-  const EpochStats first = trainer.TrainEpoch();
-  const EpochStats second = trainer.TrainEpoch();
-  EXPECT_EQ(first.pipeline_workers, 2);
-  EXPECT_EQ(first.resize_count, 0);
-  for (int w : first.workers_per_set) {
-    EXPECT_EQ(w, 2);
-  }
-  EXPECT_EQ(second.pipeline_workers, 1);  // one shrink at the epoch boundary
-  EXPECT_EQ(second.resize_count, 0);
-  for (int w : second.workers_per_set) {
-    EXPECT_EQ(w, 1);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +779,8 @@ void ExpectGolden(const GoldenRun& run, const std::vector<double>& want_losses,
 // trains the remaining epoch. The checkpoint layer guarantees the stitched
 // trajectory is bitwise-identical to the uninterrupted one, so both variants
 // must reproduce the same golden constants.
-GoldenRun GoldenLpRun(bool use_disk, bool resume = false) {
+GoldenRun GoldenLpRun(bool use_disk, bool resume = false,
+                      const std::string& policy = "comet") {
   Graph g = Fb15k237Like(0.03);
   TrainingConfig config = SmallLpConfig();
   config.pipeline.enabled = true;
@@ -809,6 +790,7 @@ GoldenRun GoldenLpRun(bool use_disk, bool resume = false) {
     config.storage.num_physical = 8;
     config.storage.num_logical = 4;
     config.storage.buffer_capacity = 4;
+    config.storage.policy = policy;
   }
   GoldenRun run;
   if (!resume) {
@@ -834,7 +816,10 @@ GoldenRun GoldenLpRun(bool use_disk, bool resume = false) {
   return run;
 }
 
-GoldenRun GoldenNcRun(bool use_disk, bool resume = false) {
+// `buffer_capacity` 8 is the cached regime (one partition set per epoch); 2
+// forces the rotation regime (many sets, some of which train no node).
+GoldenRun GoldenNcRun(bool use_disk, bool resume = false,
+                      int32_t buffer_capacity = 8) {
   Graph g = PapersMini(0.05);
   TrainingConfig config = SmallNcConfig();
   config.pipeline.enabled = true;
@@ -842,7 +827,7 @@ GoldenRun GoldenNcRun(bool use_disk, bool resume = false) {
   if (use_disk) {
     config.storage.use_disk = true;
     config.storage.num_physical = 16;
-    config.storage.buffer_capacity = 8;
+    config.storage.buffer_capacity = buffer_capacity;
   }
   GoldenRun run;
   if (!resume) {
@@ -913,6 +898,25 @@ TEST(GoldenTrajectory, NodeClassificationInMemoryResume) {
 TEST(GoldenTrajectory, NodeClassificationDiskResume) {
   ExpectGolden(GoldenNcRun(true, /*resume=*/true),
                {8.3907327651977539, 3.291311502456665}, 0.35333333333333333);
+}
+
+// Paths the four goldens above do not reach: the BETA ordering policy, and the
+// node-classification rotation regime, whose epoch runs many partition sets
+// including ones that train no node (no run-seed draw for those).
+
+TEST(GoldenTrajectory, LinkPredictionDiskBeta) {
+  ExpectGolden(GoldenLpRun(true, /*resume=*/false, "beta"),
+               {3.0368956923484802, 2.2918903827667236}, 0.40479505957199163);
+}
+
+TEST(GoldenTrajectory, NodeClassificationDiskRotation) {
+  ExpectGolden(GoldenNcRun(true, /*resume=*/false, /*buffer_capacity=*/2),
+               {9.0238022804260254, 2.8858122825622559}, 0.42666666666666669);
+}
+
+TEST(GoldenTrajectory, NodeClassificationDiskRotationResume) {
+  ExpectGolden(GoldenNcRun(true, /*resume=*/true, /*buffer_capacity=*/2),
+               {9.0238022804260254, 2.8858122825622559}, 0.42666666666666669);
 }
 
 TEST(Metrics, RankOfPositive) {
