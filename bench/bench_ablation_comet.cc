@@ -65,7 +65,7 @@ int main() {
     tc.storage.comet_deferred_assignment = v.deferred_assignment;
     const RunResult r = RunLinkPrediction(graph, tc, 4);
     std::printf("%-26s %10.3f %10.4f %12.2f\n", v.label, bias, r.metric,
-                r.avg_epoch_seconds);
+                r.modeled_epoch_seconds);
   }
   std::printf(
       "\nShape check: disabling the deferred assignment raises bias sharply; the\n"

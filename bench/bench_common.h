@@ -13,10 +13,13 @@
 namespace mariusgnn {
 namespace bench {
 
-// Multi-epoch training run summary.
+// Multi-epoch training run summary. The epoch times are modeled, not measured:
+// the host-clock compute time plus the unhidden IO stall on SimulatedDisk's
+// virtual clock (src/storage/disk.h), so the paper tables' out-of-core costs
+// follow the modeled disk rather than this host's page cache.
 struct RunResult {
-  double avg_epoch_seconds = 0.0;
-  double total_seconds = 0.0;
+  double modeled_epoch_seconds = 0.0;
+  double modeled_total_seconds = 0.0;
   double metric = 0.0;  // MRR or accuracy
   double io_seconds = 0.0;
 };
@@ -28,10 +31,10 @@ inline RunResult RunLinkPrediction(const Graph& graph, TrainingConfig config,
   RunResult result;
   for (int e = 0; e < epochs; ++e) {
     const EpochStats stats = trainer.TrainEpoch();
-    result.total_seconds += stats.wall_seconds;
+    result.modeled_total_seconds += stats.compute_seconds + stats.io_stall_seconds;
     result.io_seconds += stats.io_seconds;
   }
-  result.avg_epoch_seconds = result.total_seconds / epochs;
+  result.modeled_epoch_seconds = result.modeled_total_seconds / epochs;
   result.metric = trainer.EvaluateMrr(eval_negatives, eval_edges);
   return result;
 }
@@ -42,10 +45,10 @@ inline RunResult RunNodeClassification(const Graph& graph, TrainingConfig config
   RunResult result;
   for (int e = 0; e < epochs; ++e) {
     const EpochStats stats = trainer.TrainEpoch();
-    result.total_seconds += stats.wall_seconds;
+    result.modeled_total_seconds += stats.compute_seconds + stats.io_stall_seconds;
     result.io_seconds += stats.io_seconds;
   }
-  result.avg_epoch_seconds = result.total_seconds / epochs;
+  result.modeled_epoch_seconds = result.modeled_total_seconds / epochs;
   result.metric = trainer.EvaluateTestAccuracy();
   return result;
 }

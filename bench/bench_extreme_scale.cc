@@ -3,7 +3,7 @@
 // / 128B-edge hyperlink graph on one P3.2xLarge at 194k edges/sec and $564/epoch.
 //
 // Here: a hyperlink-like graph many times larger than the partition buffer is trained
-// disk-based for one epoch; we report the measured edges/sec and extrapolate the
+// disk-based for one epoch; we report the modeled edges/sec and extrapolate the
 // $/epoch of the full 128B-edge graph at that throughput.
 #include "bench/bench_common.h"
 #include "src/util/timer.h"
@@ -33,10 +33,13 @@ int main() {
 
   LinkPredictionTrainer trainer(&graph, config);
   const EpochStats stats = trainer.TrainEpoch();
+  // Modeled epoch time: measured compute plus the unhidden IO stall on
+  // SimulatedDisk's virtual clock, so the extrapolation follows the modeled disk.
+  const double modeled_seconds = stats.compute_seconds + stats.io_stall_seconds;
   const double edges_per_sec =
-      static_cast<double>(stats.num_examples) / stats.wall_seconds;
-  std::printf("epoch: %.1fs wall (%.1fs compute, %.3fs IO stall), %lld examples\n",
-              stats.wall_seconds, stats.compute_seconds, stats.io_stall_seconds,
+      static_cast<double>(stats.num_examples) / modeled_seconds;
+  std::printf("epoch: %.1fs modeled (%.1fs compute, %.3fs IO stall), %lld examples\n",
+              modeled_seconds, stats.compute_seconds, stats.io_stall_seconds,
               static_cast<long long>(stats.num_examples));
   std::printf("throughput: %.0f edges/sec\n", edges_per_sec);
 

@@ -1,7 +1,8 @@
 // Figure 7 reproduction: time-to-accuracy curves.
 //  Left panel:  node classification (Papers100M-like) — M-GNN mem/disk vs baseline.
 //  Right panel: link prediction (Freebase86M-like) — M-GNN mem/disk vs baseline.
-// Each series prints (cumulative seconds, metric) per epoch.
+// Each series prints (cumulative modeled seconds, metric) per epoch: modeled time
+// is measured compute plus the unhidden IO stall on SimulatedDisk's virtual clock.
 #include "bench/bench_common.h"
 
 using namespace mariusgnn;
@@ -15,8 +16,8 @@ void NcSeries(const char* name, const Graph& graph, TrainingConfig config, int e
   std::printf("%s:\n", name);
   for (int e = 1; e <= epochs; ++e) {
     const EpochStats stats = trainer.TrainEpoch();
-    cumulative += stats.wall_seconds;
-    std::printf("  t=%8.2fs  accuracy=%6.2f%%\n", cumulative,
+    cumulative += stats.compute_seconds + stats.io_stall_seconds;
+    std::printf("  t=%8.2fs modeled  accuracy=%6.2f%%\n", cumulative,
                 100.0 * trainer.EvaluateValidAccuracy());
   }
 }
@@ -27,8 +28,8 @@ void LpSeries(const char* name, const Graph& graph, TrainingConfig config, int e
   std::printf("%s:\n", name);
   for (int e = 1; e <= epochs; ++e) {
     const EpochStats stats = trainer.TrainEpoch();
-    cumulative += stats.wall_seconds;
-    std::printf("  t=%8.2fs  MRR=%.4f\n", cumulative,
+    cumulative += stats.compute_seconds + stats.io_stall_seconds;
+    std::printf("  t=%8.2fs modeled  MRR=%.4f\n", cumulative,
                 trainer.EvaluateMrr(100, 300, /*use_valid=*/true));
   }
 }

@@ -65,7 +65,7 @@ void RunDataset(const char* name, const Graph& graph, double cpu_budget_bytes,
     tc.storage.disk_model.block_size = 1 << 14;
     const RunResult r = RunLinkPrediction(graph, tc, epochs);
     std::printf("p=%-4d l=%-4d c=%-4d %16.2f %10.4f %6s\n", cfg.p, cfg.l, cfg.c,
-                r.avg_epoch_seconds, r.metric, is_tuned ? "<auto" : "");
+                r.modeled_epoch_seconds, r.metric, is_tuned ? "<auto" : "");
   }
 }
 

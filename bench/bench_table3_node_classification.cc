@@ -52,8 +52,8 @@ void RunDataset(const char* name, const Graph& graph, const char* mem_instance) 
   std::printf("%-12s %12s %12s %14s\n", "System", "Epoch (s)", "Accuracy", "$/epoch");
   for (const Row& row : rows) {
     std::printf("%-12s %12.2f %11.2f%% %14.6f\n", row.system,
-                row.result.avg_epoch_seconds, 100.0 * row.result.metric,
-                EpochCost(row.instance, row.result.avg_epoch_seconds));
+                row.result.modeled_epoch_seconds, 100.0 * row.result.metric,
+                EpochCost(row.instance, row.result.modeled_epoch_seconds));
   }
 }
 

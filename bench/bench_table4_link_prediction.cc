@@ -51,8 +51,8 @@ void RunDataset(const char* name, const Graph& graph, int epochs) {
               "IO (s)");
   for (const Row& row : rows) {
     std::printf("%-12s %12.2f %10.4f %14.6f %12.3f\n", row.system,
-                row.result.avg_epoch_seconds, row.result.metric,
-                EpochCost(row.instance, row.result.avg_epoch_seconds),
+                row.result.modeled_epoch_seconds, row.result.metric,
+                EpochCost(row.instance, row.result.modeled_epoch_seconds),
                 row.result.io_seconds);
   }
 }

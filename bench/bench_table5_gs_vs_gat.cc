@@ -61,9 +61,9 @@ int main() {
               "GAT epoch(s)", "GS MRR", "GAT MRR", "GS $/ep", "GAT $/ep");
   for (const Row& row : rows) {
     std::printf("%-12s %14.2f %14.2f %10.4f %10.4f %12.6f %12.6f\n", row.system,
-                row.gs.avg_epoch_seconds, row.gat.avg_epoch_seconds, row.gs.metric,
-                row.gat.metric, EpochCost(row.instance, row.gs.avg_epoch_seconds),
-                EpochCost(row.instance, row.gat.avg_epoch_seconds));
+                row.gs.modeled_epoch_seconds, row.gat.modeled_epoch_seconds, row.gs.metric,
+                row.gat.metric, EpochCost(row.instance, row.gs.modeled_epoch_seconds),
+                EpochCost(row.instance, row.gat.modeled_epoch_seconds));
   }
   std::printf(
       "\nShape check vs paper: MariusGNN's epoch time scales with model cost (GAT >\n"

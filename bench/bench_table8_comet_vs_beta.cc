@@ -51,7 +51,7 @@ void RunCombo(const char* model, const char* dataset, const Graph& graph, int ep
 
   std::printf("%-9s %-10s %10.4f %12.4f %12.4f %14.2f %14.2f\n", model, dataset,
               mem_result.metric, comet_result.metric, beta_result.metric,
-              comet_result.avg_epoch_seconds, beta_result.avg_epoch_seconds);
+              comet_result.modeled_epoch_seconds, beta_result.modeled_epoch_seconds);
 }
 
 }  // namespace

@@ -28,13 +28,13 @@ int main() {
 
   LinkPredictionTrainer trainer(&graph, config);
   trainer.TrainEpoch();
-  const std::string ckpt_v1 = TempPath("serve_quickstart_e1");
-  trainer.SaveCheckpoint(ckpt_v1);
+  const std::string ckpt_e1 = TempPath("serve_quickstart_e1");
+  trainer.SaveCheckpoint(ckpt_e1);
   trainer.TrainEpoch();
-  const std::string ckpt_v2 = TempPath("serve_quickstart_e2");
-  trainer.SaveCheckpoint(ckpt_v2);
-  std::printf("trained 2 epochs, checkpoints at %s / %s\n", ckpt_v1.c_str(),
-              ckpt_v2.c_str());
+  const std::string ckpt_e2 = TempPath("serve_quickstart_e2");
+  trainer.SaveCheckpoint(ckpt_e2);
+  std::printf("trained 2 epochs, checkpoints at %s / %s\n", ckpt_e1.c_str(),
+              ckpt_e2.c_str());
 
   // 2. Start a server on the epoch-1 snapshot. The model config must match the
   //    training run; the snapshot is mmapped (v2 checkpoints keep every section
@@ -44,7 +44,7 @@ int main() {
   InferenceServer server(&graph, TaskKind::kLinkPrediction, config.model_config(),
                          ServeOptions{});
   std::string error;
-  if (!server.LoadSnapshot(ckpt_v1, &error)) {
+  if (!server.LoadSnapshot(ckpt_e1, &error)) {
     std::printf("load failed: %s\n", error.c_str());
     return 1;
   }
@@ -74,7 +74,7 @@ int main() {
 
   // 4. Hot-swap to the epoch-2 snapshot. In-flight requests finish against the
   //    old epoch (their batch pinned it); new requests answer from the new one.
-  if (!server.LoadSnapshot(ckpt_v2, &error)) {
+  if (!server.LoadSnapshot(ckpt_e2, &error)) {
     std::printf("swap failed: %s\n", error.c_str());
     return 1;
   }
@@ -92,7 +92,7 @@ int main() {
   // pinned snapshot epoch — any hot-swap isolation breach would count here.
   std::printf("rv violations (serve.epoch_pin): %llu\n",
               static_cast<unsigned long long>(stats.rv_violations));
-  std::remove(ckpt_v1.c_str());
-  std::remove(ckpt_v2.c_str());
+  std::remove(ckpt_e1.c_str());
+  std::remove(ckpt_e2.c_str());
   return stats.rv_violations == 0 ? 0 : 1;
 }

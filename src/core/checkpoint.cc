@@ -131,10 +131,9 @@ bool ValidateMagicVersion(uint64_t magic, uint32_t version, std::string* error) 
   if (magic != kCheckpointMagic) {
     return Fail(error, "not a checkpoint file (bad magic)");
   }
-  if (version < kMinCheckpointFormatVersion || version > kCheckpointFormatVersion) {
+  if (version != kCheckpointFormatVersion) {
     return Fail(error, "unsupported checkpoint format version " +
                            std::to_string(version) + " (expected " +
-                           std::to_string(kMinCheckpointFormatVersion) + ".." +
                            std::to_string(kCheckpointFormatVersion) + ")");
   }
   return true;
@@ -146,19 +145,6 @@ uint64_t SectionBytes(const CheckpointSectionSpec& s) {
 }
 
 }  // namespace
-
-const Tensor& Checkpoint::tensor(const std::string& name) const {
-  if (tensor_index_.size() != tensors.size()) {
-    tensor_index_.clear();
-    for (size_t i = 0; i < tensors.size(); ++i) {
-      tensor_index_.emplace(tensors[i].first, i);
-    }
-  }
-  const auto it = tensor_index_.find(name);
-  MG_CHECK_MSG(it != tensor_index_.end(),
-               ("checkpoint is missing tensor section '" + name + "'").c_str());
-  return tensors[it->second].second;
-}
 
 std::string ParamSectionName(size_t index, const char* field) {
   return "param" + std::to_string(index) + "." + field;
@@ -174,15 +160,6 @@ void RestoreParamFromCheckpoint(Parameter* p, const Tensor& value,
   p->value = value;
   p->state = state;
   p->grad = Tensor(value.rows(), value.cols());
-}
-
-int64_t Checkpoint::scalar(const std::string& name, int64_t fallback) const {
-  for (const auto& [n, v] : scalars) {
-    if (n == name) {
-      return v;
-    }
-  }
-  return fallback;
 }
 
 void BuildTrainerCheckpointRequest(const std::string& kind, uint64_t run_seed,
@@ -422,33 +399,17 @@ CheckpointSaveStats SaveCheckpointStreaming(const CheckpointSaveRequest& request
   return stats;
 }
 
-void SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path) {
-  CheckpointSaveRequest request;
-  request.kind = checkpoint.kind;
-  request.run_seed = checkpoint.run_seed;
-  request.epoch = checkpoint.epoch;
-  for (size_t i = 0; i < 4; ++i) {
-    request.rng_state[i] = checkpoint.rng_state[i];
-  }
-  request.scalars = checkpoint.scalars;
-  request.sections.reserve(checkpoint.tensors.size());
-  for (const auto& [name, t] : checkpoint.tensors) {
-    request.sections.push_back(TensorSectionSpec(name, t));
-  }
-  SaveCheckpointStreaming(request, path);
-}
-
 // ---------------------------------------------------------------------------
 // Manifest parsing / manifest-driven restore
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Shared preamble + manifest parser behind LoadCheckpoint, CheckpointReader and
-// ReadCheckpointManifest. `head` must hold the preamble and the whole manifest
-// (callers size it from the preamble's manifest_bytes); `file_size` is the full
-// checkpoint file length, used to validate the data-block geometry without
-// touching the data itself. Fills *out with file-absolute section offsets.
+// Preamble + manifest parser behind CheckpointReader and ReadCheckpointManifest.
+// `head` must hold the preamble and the whole manifest (callers size it from the
+// preamble's manifest_bytes); `file_size` is the full checkpoint file length,
+// used to validate the data-block geometry without touching the data itself.
+// Fills *out with file-absolute section offsets.
 bool ParseCheckpointHead(const uint8_t* head, size_t head_len, uint64_t file_size,
                          CheckpointManifest* out, std::string* error) {
   if (head_len < kPreambleBytes || file_size < kPreambleBytes) {
@@ -471,17 +432,15 @@ bool ParseCheckpointHead(const uint8_t* head, size_t head_len, uint64_t file_siz
   const uint32_t kind_len = read_u32(kOffKindLen);
   const uint64_t manifest_bytes = read_u64(kOffManifestBytes);
   const uint64_t data_bytes = read_u64(kOffDataBytes);
-  // Overflow-safe size validation before trusting any on-disk length. v1 packs
-  // the data block flush against the manifest; v2 starts it at the next 4 KiB
-  // boundary (a v2 file with no data block ends right after the manifest).
+  // Overflow-safe size validation before trusting any on-disk length. The data
+  // block starts at the next 4 KiB boundary after the manifest (a file with no
+  // data block ends right after the manifest).
   const uint64_t remaining = file_size - kPreambleBytes;
   if (manifest_bytes > remaining || manifest_bytes + kPreambleBytes > head_len) {
     return Fail(error, "corrupt checkpoint: truncated manifest");
   }
   const uint64_t manifest_end = kPreambleBytes + manifest_bytes;
-  const uint64_t data_start =
-      version >= 2 ? (manifest_end + kIoAlignment - 1) & ~(uint64_t{kIoAlignment} - 1)
-                   : manifest_end;
+  const uint64_t data_start = AlignUpIo(manifest_end);
   const bool size_ok =
       data_bytes == 0 ? file_size == manifest_end
                       : data_start <= file_size && data_bytes == file_size - data_start;
@@ -497,7 +456,6 @@ bool ParseCheckpointHead(const uint8_t* head, size_t head_len, uint64_t file_siz
   m.version = version;
   m.data_start = data_start;
   m.data_bytes = data_bytes;
-  m.aligned_sections = version >= 2;
   if (kind_len > manifest_bytes) {
     return Fail(error, "corrupt checkpoint: kind length exceeds manifest");
   }
@@ -693,34 +651,6 @@ bool ReadCheckpointManifest(const std::string& path, CheckpointManifest* out,
     return false;
   }
   *out = reader.manifest();
-  return true;
-}
-
-bool LoadCheckpoint(const std::string& path, Checkpoint* out, std::string* error) {
-  CheckpointReader reader;
-  if (!reader.Open(path, error)) {
-    return false;
-  }
-  if (!reader.VerifyDataChecksum(error)) {
-    return false;
-  }
-  const CheckpointManifest& m = reader.manifest();
-  Checkpoint ck;
-  ck.kind = m.kind;
-  ck.run_seed = m.run_seed;
-  ck.epoch = m.epoch;
-  for (size_t i = 0; i < 4; ++i) {
-    ck.rng_state[i] = m.rng_state[i];
-  }
-  ck.scalars = m.scalars;
-  for (const CheckpointSectionInfo& s : m.sections) {
-    std::vector<float> values(static_cast<size_t>(s.rows) * s.cols);
-    if (!reader.ReadSection(s, values.data(), error)) {
-      return false;
-    }
-    ck.tensors.emplace_back(s.name, Tensor(s.rows, s.cols, std::move(values)));
-  }
-  *out = std::move(ck);
   return true;
 }
 

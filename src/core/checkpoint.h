@@ -20,20 +20,19 @@
 //                       data_offset u64, data_bytes u64}...]
 //   [data: tensor payloads, offsets relative to the data block]
 //
-// Since format version 2 the data block begins at the first 4 KiB boundary after
-// the manifest and every section offset is rounded up to 4 KiB (gaps are zero
-// padding, covered by the data checksum). Every payload therefore sits
-// page-aligned in the file, so the serving tier can mmap a checkpoint and hand
-// out zero-copy section views (src/serve/), and O_DIRECT readers need no bounce
-// buffering. Version-1 files (tightly packed) remain readable; only writing is
-// always v2.
+// The data block begins at the first 4 KiB boundary after the manifest and every
+// section offset is rounded up to 4 KiB (gaps are zero padding, covered by the
+// data checksum). Every payload therefore sits page-aligned in the file, so the
+// serving tier can mmap a checkpoint and hand out zero-copy section views
+// (src/serve/), and O_DIRECT readers need no bounce buffering.
 //
 // Both blobs carry FNV-1a 64 checksums; the format version is bumped on any
-// layout change. Saving streams section payloads into an AtomicFile (tmp →
-// fsync → rename) without ever materialising the full table: the manifest is
-// built first (all shapes are known up front), each section producer writes its
-// rows at the section's aligned offset, the data checksum is folded
-// incrementally, and the preamble is written last, just before Commit(). A
+// layout change, and readers accept only kCheckpointFormatVersion. Saving
+// streams section payloads into an AtomicFile (tmp → fsync → rename) without
+// ever materialising the full table: the manifest is built first (all shapes
+// are known up front), each section producer writes its rows at the section's
+// aligned offset, the data checksum is folded incrementally, and the preamble
+// is written last, just before Commit(). A
 // crash mid-save leaves the previous checkpoint intact and at worst a stale
 // <path>.tmp that the next save replaces (or PruneCheckpoints sweeps).
 // Restores are manifest-driven: CheckpointReader validates magic, version,
@@ -60,48 +59,6 @@
 namespace mariusgnn {
 
 inline constexpr uint32_t kCheckpointFormatVersion = 2;
-// Oldest version LoadCheckpoint / ReadCheckpointManifest still accept (v1:
-// unpadded sections, no alignment guarantee).
-inline constexpr uint32_t kMinCheckpointFormatVersion = 1;
-
-struct Checkpoint {
-  // Which trainer wrote this ("link_prediction" / "node_classification"); resume
-  // refuses a mismatch.
-  std::string kind;
-  uint64_t run_seed = 0;
-  // Epochs completed when the snapshot was taken; training continues at epoch+1.
-  uint64_t epoch = 0;
-  // Full xoshiro256** state of the trainer RNG at the epoch boundary.
-  uint64_t rng_state[4] = {0, 0, 0, 0};
-  // Small named integers (e.g. the pipeline controller's worker decision).
-  std::vector<std::pair<std::string, int64_t>> scalars;
-  // Named tensor sections in a fixed, kind-defined order: weight parameter
-  // values/accumulators, then embedding values/accumulators.
-  std::vector<std::pair<std::string, Tensor>> tensors;
-
-  // Convenience lookups; abort with a clear message when the section is absent
-  // (a well-formed checkpoint of the right kind always has them). tensor() is
-  // O(1) amortised: a name index is (re)built whenever it is stale, so models
-  // with many parameters restore in O(n) rather than O(n²).
-  const Tensor& tensor(const std::string& name) const;
-  int64_t scalar(const std::string& name, int64_t fallback) const;
-
- private:
-  // Lazily rebuilt name → tensors index cache; invalidated by size mismatch
-  // (sections are appended, never renamed in place).
-  mutable std::unordered_map<std::string, size_t> tensor_index_;
-};
-
-// Serialises and writes `checkpoint` to `path` atomically, through the
-// streaming writer below (tensor-backed section producers). Aborts on IO errors
-// (consistent with the rest of the storage layer: a failed save must not go
-// unnoticed), never leaves a torn file behind.
-void SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path);
-
-// Reads and validates `path`. Returns false — with a human-readable reason in
-// *error — for any missing, truncated, corrupt, or version-mismatched file;
-// *out is only written on success. Never aborts on bad input.
-bool LoadCheckpoint(const std::string& path, Checkpoint* out, std::string* error);
 
 // ---------------------------------------------------------------------------
 // Streaming save
@@ -185,7 +142,8 @@ struct CheckpointSaveStats {
 // offset, data checksum folded incrementally (scatter-written sections are
 // re-folded from the tmp file in bounded chunks), preamble written last, then
 // Commit(). Byte-identical to the historical whole-image writer for the same
-// logical content. Aborts on IO errors, like SaveCheckpoint.
+// logical content. Aborts on IO errors (consistent with the rest of the storage
+// layer: a failed save must not go unnoticed), never leaves a torn file behind.
 CheckpointSaveStats SaveCheckpointStreaming(const CheckpointSaveRequest& request,
                                             const std::string& path);
 
@@ -213,10 +171,7 @@ struct CheckpointManifest {
   std::vector<std::pair<std::string, int64_t>> scalars;
   std::vector<CheckpointSectionInfo> sections;
   uint64_t data_start = 0;  // absolute file offset of the data block
-  uint64_t data_bytes = 0;  // data block length (v2: includes alignment padding)
-  // True when every section payload is 4 KiB-aligned in the file (format v2+):
-  // the precondition for the serving tier's zero-copy mmap views.
-  bool aligned_sections = false;
+  uint64_t data_bytes = 0;  // data block length, alignment padding included
 
   // O(1) name lookup through an index built at parse time; falls back to a
   // linear scan for hand-assembled manifests whose index is stale.
@@ -231,8 +186,10 @@ struct CheckpointManifest {
 // manifest, with checksum — leaving the (possibly huge) data block untouched.
 // This is the serving tier's entry point: ModelSnapshot maps the file and
 // resolves section views through the returned offsets instead of deserialising
-// payloads. Same error contract as LoadCheckpoint; the data-block checksum is
-// NOT verified here (it would fault in every page).
+// payloads. Returns false — with a human-readable reason in *error — for any
+// missing, truncated, corrupt, or version-mismatched file; never aborts on bad
+// input. The data-block checksum is NOT verified here (it would fault in every
+// page).
 bool ReadCheckpointManifest(const std::string& path, CheckpointManifest* out,
                             std::string* error);
 

@@ -38,12 +38,15 @@ struct StorageOptions {
   bool comet_randomize_grouping = true;   // ablation knob (Section 5.1, mechanism 1)
   bool comet_deferred_assignment = true;  // ablation knob (Section 5.1, mechanism 2)
   DiskModel disk_model;
-  bool prefetch = true;  // overlap partition IO with compute in reported timings
-  // Batched IO engine knobs (effective only when prefetch is on; see
-  // src/storage/io_engine.h). queue_depth is the in-flight transfer limit,
-  // io_direct requests O_DIRECT (probed at runtime, buffered fallback), and
-  // io_coalesce_writes merges adjacent dirty write-backs. None of these affect
-  // training trajectories — only how fast the modeled IO completes.
+  // true: stage the next set's partitions while this set trains, and let
+  // write-backs overlap compute. false: no lookahead, and the trainer waits for
+  // all partition IO after each swap, so none of it overlaps compute.
+  bool prefetch = true;
+  // Batched IO engine knobs (see src/storage/io_engine.h). queue_depth is the
+  // in-flight transfer limit, io_direct requests O_DIRECT (probed at runtime,
+  // buffered fallback), and io_coalesce_writes merges adjacent dirty
+  // write-backs. None of these affect training trajectories — only how fast the
+  // modeled IO completes.
   int io_queue_depth = 4;
   bool io_direct = true;
   bool io_coalesce_writes = true;
@@ -171,13 +174,11 @@ struct TrainingConfig {
     return PipelineController(options);
   }
 
-  // Partition-buffer IO mode for one trainer (both trainers build theirs through
-  // this so the wiring cannot diverge): the batched engine runs iff prefetching
-  // is on, with the configured depth/direct/coalescing knobs.
+  // Partition-buffer IO engine settings for one trainer (both trainers build
+  // theirs through this so the wiring cannot diverge).
   PartitionIoOptions MakePartitionIoOptions() const {
     MG_CHECK_MSG(storage.io_queue_depth >= 1, "storage.io_queue_depth must be >= 1");
     PartitionIoOptions options;
-    options.async = storage.prefetch;
     options.queue_depth = storage.io_queue_depth;
     options.direct_io = storage.io_direct;
     options.coalesce_writes = storage.io_coalesce_writes;
@@ -208,10 +209,12 @@ struct TrainingConfig {
 
 struct EpochStats {
   double loss = 0.0;
+  // Host-clock time of the whole TrainEpoch call. The IO figures below are
+  // modeled (SimulatedDisk's virtual clock) and are not part of it.
+  double wall_seconds = 0.0;
   // Per-stage breakdown of the pipeline (Figure 2): sample = batch construction
   // across workers, io = modeled partition IO, compute = the training stage's wall
   // time, stalls = time a stage spent waiting on another.
-  double wall_seconds = 0.0;      // compute + unhidden IO stalls
   double compute_seconds = 0.0;
   // Scaling quality of the stage-3 parallel kernels: per-chunk busy time divided by
   // the capacity actually enlisted (sum of region wall x executors). 1.0 = every
@@ -229,9 +232,9 @@ struct EpochStats {
   double comm_seconds = 0.0;
   double comm_stall_seconds = 0.0;
   uint64_t comm_bytes = 0;
-  // IO-engine transfer counters for the epoch (zero when the engine is off):
-  // bytes moved through the engine, the time-weighted mean of outstanding
-  // requests while it was busy, and the peak outstanding count.
+  // IO-engine transfer counters for the epoch (zero without a partition
+  // buffer): bytes moved through the engine, the time-weighted mean of
+  // outstanding requests while it was busy, and the peak outstanding count.
   uint64_t io_read_bytes = 0;
   uint64_t io_write_bytes = 0;
   double io_queue_depth_mean = 0.0;

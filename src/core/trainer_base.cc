@@ -56,6 +56,7 @@ TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kin
 TrainerBase::~TrainerBase() = default;
 
 EpochStats TrainerBase::TrainEpoch() {
+  WallTimer epoch_timer;
   epoch_determinism_.Reset();
   const uint64_t rv_before = RvRuntime::Global().TotalViolations();
   EpochStats stats = RunEpoch();
@@ -99,6 +100,7 @@ EpochStats TrainerBase::TrainEpoch() {
     stats.checkpoint_save_seconds = last_checkpoint_stats_.seconds;
     stats.checkpoint_peak_bytes = last_checkpoint_stats_.peak_bytes;
   }
+  stats.wall_seconds = epoch_timer.Seconds();
   return stats;
 }
 
@@ -203,7 +205,14 @@ EpochStats TrainerBase::RunEpoch() {
     std::unique_ptr<NeighborIndex> resident_index;
     if (buffer_ != nullptr) {
       const double sync_io = buffer_->SetResident(set);
-      stats.AccumulateSwapIo(sync_io, buffer_->ConsumeBackgroundIoSeconds(), prev_compute);
+      // Without prefetch nothing overlaps compute: wait for this swap's
+      // write-backs here and charge them as stall in full.
+      const bool prefetch = config_.storage.prefetch;
+      if (!prefetch) {
+        buffer_->DrainIo();
+      }
+      stats.AccumulateSwapIo(sync_io, buffer_->ConsumeBackgroundIoSeconds(),
+                             prefetch ? prev_compute : 0.0);
       // Shared-storage fence (no-op otherwise): this set's dirty evictions may
       // still be async submissions, and partitions another rank owns are never
       // written back by this rank at all — so before anyone reads ahead, drain
@@ -216,7 +225,7 @@ EpochStats TrainerBase::RunEpoch() {
       SharedWritebackBarrier();
       // Stage the next set's partitions while this set trains (Figure 2's
       // partition prefetch).
-      if (config_.storage.prefetch && more_sets) {
+      if (prefetch && more_sets) {
         buffer_->Prefetch(PrefetchDelta(set, plan.sets[static_cast<size_t>(i) + 1]));
       }
     }
@@ -299,7 +308,6 @@ EpochStats TrainerBase::RunEpoch() {
     stats.io_queue_depth_mean = engine_io.queue_depth_mean;
     stats.io_inflight_peak = engine_io.inflight_peak;
   }
-  stats.wall_seconds = stats.compute_seconds + stats.io_stall_seconds;
   stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
   if (stats.num_global_batches > 0) {
     stats.loss /= static_cast<double>(stats.num_global_batches);

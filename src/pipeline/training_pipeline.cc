@@ -12,7 +12,6 @@ PipelineSession::PipelineSession(PipelineSessionOptions options, Producer produc
     : options_(std::move(options)),
       produce_(std::move(produce)),
       consume_(std::move(consume)),
-      pool_(options_.pool != nullptr ? options_.pool : &ThreadPool::Global()),
       queue_(options_.queue_capacity) {
   MG_CHECK(options_.queue_capacity > 0);
   MG_CHECK(options_.workers >= 0);
@@ -39,8 +38,12 @@ void PipelineSession::LaunchWorkers(int count) {
     std::lock_guard<std::mutex> lock(done_mu_);
     workers_left_ = count;
   }
+  // Resolved here, not at construction: a session that never launches workers
+  // (pipeline off) must not start the global pool's threads, so a serial
+  // trainer leaves no thread behind once it is destroyed (fork-based tests).
+  ThreadPool* pool = options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
   for (int w = 0; w < count; ++w) {
-    pool_->Submit([this] {
+    pool->Submit([this] {
       for (;;) {
         int64_t i;
         {

@@ -141,7 +141,6 @@ class PipelineSession {
   PipelineSessionOptions options_;
   Producer produce_;
   Consumer consume_;
-  ThreadPool* pool_;
   BoundedQueue<Produced> queue_;
 
   // Ticket claiming and the batch-window gate. Workers claim the next index under

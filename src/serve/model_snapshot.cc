@@ -20,29 +20,11 @@ EmbeddingSource::~EmbeddingSource() {
 }
 
 std::unique_ptr<EmbeddingSource> EmbeddingSource::OpenMapped(
-    const std::string& path, const CheckpointSectionInfo& section, bool aligned,
+    const std::string& path, const CheckpointSectionInfo& section,
     std::string* error) {
   std::unique_ptr<EmbeddingSource> src(new EmbeddingSource());
   src->rows_ = section.rows;
   src->cols_ = section.cols;
-  if (!aligned) {
-    // v1 files pack sections unaligned; read the payload once into an owned
-    // tensor instead of mapping.
-    std::unique_ptr<File> f = File::TryOpenReadOnly(path, error);
-    if (f == nullptr) {
-      return nullptr;
-    }
-    src->owned_ = Tensor(section.rows, section.cols);
-    // Untrusted on-disk input: a concurrently-truncated file must surface as a
-    // clean error, not a process abort.
-    if (!f->TryReadAt(src->owned_.data(), section.bytes, section.file_offset,
-                      error)) {
-      *error = "serve: corrupt checkpoint: " + *error;
-      return nullptr;
-    }
-    src->section_data_ = src->owned_.data();
-    return src;
-  }
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     *error = "serve: cannot open checkpoint for mmap: " + path;
@@ -223,8 +205,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
     snapshot->embeddings =
         options.disk_backed
             ? EmbeddingSource::OpenDiskLru(path, *section, options, error)
-            : EmbeddingSource::OpenMapped(path, *section,
-                                          manifest.aligned_sections, error);
+            : EmbeddingSource::OpenMapped(path, *section, error);
     if (snapshot->embeddings == nullptr) {
       return nullptr;
     }

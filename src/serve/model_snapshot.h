@@ -3,14 +3,12 @@
 // A ModelSnapshot binds one checkpoint file to one ModelState: the manifest is
 // parsed (never the payloads), model parameters are read section-by-section, and
 // the link-prediction embedding table is exposed through an EmbeddingSource
-// whose backing depends on the file format and the serving mode:
+// whose backing depends on the serving mode:
 //
-//  - kMapped:  format-v2 checkpoints guarantee 4 KiB-aligned sections, so the
-//              file is mmapped read-only and embedding rows are gathered
-//              straight out of the page-cache mapping — no deserialise pass,
-//              no second copy of the (potentially huge) table in memory.
-//  - kOwned:   format-v1 fallback (unaligned sections): the section is read
-//              once into an owned tensor.
+//  - kMapped:  checkpoints guarantee 4 KiB-aligned sections, so the file is
+//              mmapped read-only and embedding rows are gathered straight out
+//              of the page-cache mapping — no deserialise pass, no second copy
+//              of the (potentially huge) table in memory.
 //  - kDiskLru: disk-backed serving: rows stay on disk and are pulled through a
 //              fixed-capacity LRU cache of row blocks (pread on miss), fronting
 //              the checkpoint file the way the training tier's PartitionBuffer
@@ -44,7 +42,7 @@ namespace mariusgnn {
 // How a snapshot backs the embedding table.
 struct SnapshotOptions {
   // true = keep embedding rows on disk behind the LRU block cache; false =
-  // serve from memory (mmap view for v2 files, owned copy for v1).
+  // serve from an mmap view of the checkpoint.
   bool disk_backed = false;
   int64_t cache_block_rows = 256;     // rows per cached block
   int64_t cache_capacity_blocks = 64; // resident block limit
@@ -63,9 +61,9 @@ class EmbeddingSource {
   EmbeddingSource(const EmbeddingSource&) = delete;
   EmbeddingSource& operator=(const EmbeddingSource&) = delete;
 
-  // Memory-backed view: mmap for aligned (v2) files, owned copy otherwise.
+  // Memory-backed view: mmap of the checkpoint file.
   static std::unique_ptr<EmbeddingSource> OpenMapped(
-      const std::string& path, const CheckpointSectionInfo& section, bool aligned,
+      const std::string& path, const CheckpointSectionInfo& section,
       std::string* error);
   // Disk-backed: rows stay in the file, served through the LRU block cache.
   static std::unique_ptr<EmbeddingSource> OpenDiskLru(
@@ -97,9 +95,7 @@ class EmbeddingSource {
   // kMapped: whole-file mapping; the section's payload starts at section_data_.
   void* map_base_ = nullptr;
   size_t map_bytes_ = 0;
-  const float* section_data_ = nullptr;  // also set for kOwned (into owned_)
-
-  Tensor owned_;  // kOwned payload
+  const float* section_data_ = nullptr;
 
   // kDiskLru state.
   std::unique_ptr<File> file_;

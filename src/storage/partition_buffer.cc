@@ -45,9 +45,7 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   stream_bytes_pad_ = AlignUpIo(stream_bytes_);
   partition_extent_ = (learnable_ ? 2 : 1) * stream_bytes_pad_;
 
-  // O_DIRECT is only worth probing when the engine will issue aligned transfers;
-  // the synchronous path reads exact payloads and stays buffered regardless.
-  const bool direct = io.async && io.direct_io && ProbeDirectIo(DirName(path));
+  const bool direct = io.direct_io && ProbeDirectIo(DirName(path));
   const bool create = backing == BackingFile::kCreate;
   disk_ = std::make_unique<SimulatedDisk>(path, model, direct, /*truncate=*/create);
 
@@ -85,16 +83,14 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   // Adagrad state starts at zero; Resize already zero-filled it.
   disk_->ResetStats();
 
-  if (io.async) {
-    arena_ = std::make_unique<IoArena>(partition_extent_,
-                                       ArenaSlots(capacity_, io.queue_depth));
-    IoEngineOptions eo;
-    eo.queue_depth = io.queue_depth;
-    eo.coalesce_writes = io.coalesce_writes;
-    eo.max_transfer_bytes = io.max_transfer_bytes;
-    eo.before_io = io.before_io;
-    engine_ = std::make_unique<IoEngine>(disk_.get(), eo);
-  }
+  arena_ = std::make_unique<IoArena>(partition_extent_,
+                                     ArenaSlots(capacity_, io.queue_depth));
+  IoEngineOptions eo;
+  eo.queue_depth = io.queue_depth;
+  eo.coalesce_writes = io.coalesce_writes;
+  eo.max_transfer_bytes = io.max_transfer_bytes;
+  eo.before_io = io.before_io;
+  engine_ = std::make_unique<IoEngine>(disk_.get(), eo);
 }
 
 PartitionBuffer::~PartitionBuffer() {
@@ -130,19 +126,11 @@ double PartitionBuffer::LoadIntoSlot(int32_t partition, int32_t slot) {
                     : nullptr;
   const size_t bytes = StreamPayloadBytes(partition);
   const uint64_t offset = PartitionFileOffset(partition);
-  double io = 0.0;
-  if (engine_ != nullptr) {
-    // Blocking miss, routed through the engine so it stays ordered behind any
-    // in-flight write-back of the same partition (per-tag program order).
-    io += engine_->ReadSync(partition, vdst, bytes, offset);
-    if (learnable_) {
-      io += engine_->ReadSync(partition, sdst, bytes, offset + stream_bytes_pad_);
-    }
-  } else {
-    io += disk_->Read(vdst, bytes, offset);
-    if (learnable_) {
-      io += disk_->Read(sdst, bytes, offset + stream_bytes_pad_);
-    }
+  // Blocking miss, routed through the engine so it stays ordered behind any
+  // in-flight write-back of the same partition (per-tag program order).
+  double io = engine_->ReadSync(partition, vdst, bytes, offset);
+  if (learnable_) {
+    io += engine_->ReadSync(partition, sdst, bytes, offset + stream_bytes_pad_);
   }
   partition_in_slot_[static_cast<size_t>(slot)] = partition;
   slot_of_partition_[static_cast<size_t>(partition)] = slot;
@@ -180,7 +168,7 @@ double PartitionBuffer::EvictSlot(int32_t slot, bool synchronous) {
                    : nullptr;
     const size_t count =
         static_cast<size_t>(partitioning_->PartitionSize(partition)) * dim_;
-    if (engine_ != nullptr && !synchronous) {
+    if (!synchronous) {
       // Write-back off the critical path: snapshot the slot into an aligned
       // arena extent so the slot can be reused immediately. One transfer covers
       // both streams (the padded layout makes them contiguous); the engine
@@ -201,6 +189,8 @@ double PartitionBuffer::EvictSlot(int32_t slot, bool synchronous) {
             arena_->Release(extent);
           });
     } else {
+      // FlushAll's durable path: it drained the engine first, so no write of
+      // this partition is still queued behind this one.
       io += disk_->Write(vsrc, count * sizeof(float), PartitionFileOffset(partition));
       if (learnable_) {
         io += disk_->Write(ssrc, count * sizeof(float),
@@ -224,9 +214,6 @@ int32_t PartitionBuffer::FindFreeSlot() const {
 }
 
 void PartitionBuffer::Prefetch(const std::vector<int32_t>& partitions) {
-  if (engine_ == nullptr) {
-    return;
-  }
   for (int32_t part : partitions) {
     if (IsResident(part)) {
       continue;
@@ -265,7 +252,7 @@ double PartitionBuffer::ConsumeBackgroundIoSeconds() {
 }
 
 IoEngineStats PartitionBuffer::ConsumeIoStats() {
-  return engine_ != nullptr ? engine_->ConsumeStats() : IoEngineStats();
+  return engine_->ConsumeStats();
 }
 
 void PartitionBuffer::DiscardStaleStagedLocked(
@@ -286,11 +273,11 @@ double PartitionBuffer::SetResident(const std::vector<int32_t>& partitions) {
   MG_CHECK(static_cast<int32_t>(partitions.size()) <= capacity_);
   double io = 0.0;
   std::unordered_set<int32_t> wanted(partitions.begin(), partitions.end());
-  if (engine_ != nullptr) {
+  {
     std::lock_guard<std::mutex> lock(stage_mu_);
     DiscardStaleStagedLocked(wanted);
   }
-  // Evict residents that are no longer wanted (write-back is async when enabled).
+  // Evict residents that are no longer wanted (write-backs go to the engine).
   for (int32_t slot = 0; slot < capacity_; ++slot) {
     const int32_t part = partition_in_slot_[static_cast<size_t>(slot)];
     if (part >= 0 && wanted.find(part) == wanted.end()) {
@@ -298,47 +285,37 @@ double PartitionBuffer::SetResident(const std::vector<int32_t>& partitions) {
     }
   }
   // Fill free slots, preferring staged (prefetched) data over synchronous loads. The
-  // slot-assignment order is identical with and without async IO so the resident
-  // layout (and therefore ResidentNodes order) never depends on the IO mode.
+  // slot-assignment order is identical with and without prefetching so the
+  // resident layout (and therefore ResidentNodes order) never depends on it.
   for (int32_t part : partitions) {
     if (IsResident(part)) {
       continue;
     }
     const int32_t free_slot = FindFreeSlot();
     MG_CHECK(free_slot >= 0);
-    bool installed = false;
-    if (engine_ != nullptr) {
-      std::unique_lock<std::mutex> lock(stage_mu_);
-      if (staged_.count(part) != 0 || staging_in_flight_.count(part) != 0) {
-        stage_cv_.wait(lock, [&] { return staged_.count(part) != 0; });
-        float* extent = staged_[part].extent;
-        staged_.erase(part);
-        lock.unlock();
-        InstallIntoSlot(part, free_slot, extent);
-        arena_->Release(extent);
-        installed = true;
-      }
-    }
-    if (!installed) {
+    std::unique_lock<std::mutex> lock(stage_mu_);
+    if (staged_.count(part) != 0 || staging_in_flight_.count(part) != 0) {
+      stage_cv_.wait(lock, [&] { return staged_.count(part) != 0; });
+      float* extent = staged_[part].extent;
+      staged_.erase(part);
+      lock.unlock();
+      InstallIntoSlot(part, free_slot, extent);
+      arena_->Release(extent);
+    } else {
+      lock.unlock();
       io += LoadIntoSlot(part, free_slot);
     }
   }
   return io;
 }
 
-void PartitionBuffer::DrainIo() {
-  if (engine_ != nullptr) {
-    engine_->Drain();
-  }
-}
+void PartitionBuffer::DrainIo() { engine_->Drain(); }
 
 double PartitionBuffer::FlushAll() {
-  if (engine_ != nullptr) {
-    engine_->Drain();
-  }
+  engine_->Drain();
   // Staged prefetches survive a flush: they are clean copies of on-disk data and
   // may still be installed by the next SetResident (e.g. across an epoch
-  // boundary). Only ImportAll, which rewrites the file underneath them, discards.
+  // boundary). Only BeginImport, which rewrites the file underneath them, discards.
   double io = 0.0;
   for (int32_t slot = 0; slot < capacity_; ++slot) {
     io += EvictSlot(slot, /*synchronous=*/true);
@@ -395,39 +372,6 @@ Tensor PartitionBuffer::ExportAllState() {
   return ExportStream(/*state_stream=*/true);
 }
 
-void PartitionBuffer::ImportAll(const Tensor& values, const Tensor* state) {
-  MG_CHECK(values.cols() == dim_);
-  MG_CHECK_MSG((state != nullptr) == learnable_,
-               "ImportAll: state tensor must be supplied iff the buffer is learnable");
-  if (state != nullptr) {
-    MG_CHECK(state->rows() == values.rows() && state->cols() == dim_);
-  }
-  // The table must cover every node of the partitioning: a smaller import (e.g.
-  // a checkpoint from a different graph) would read past the tensor's rows.
-  int64_t num_nodes = 0;
-  for (int32_t part = 0; part < partitioning_->num_partitions(); ++part) {
-    num_nodes += partitioning_->PartitionSize(part);
-  }
-  MG_CHECK_MSG(values.rows() == num_nodes,
-               "ImportAll: table row count does not match the partitioning");
-  BeginImport();
-  const int32_t p = partitioning_->num_partitions();
-  std::vector<float> vscratch(static_cast<size_t>(max_partition_rows_) * dim_);
-  std::vector<float> sscratch(learnable_ ? vscratch.size() : 0);
-  for (int32_t part = 0; part < p; ++part) {
-    const auto& nodes = partitioning_->NodesIn(part);
-    for (size_t k = 0; k < nodes.size(); ++k) {
-      std::memcpy(&vscratch[k * static_cast<size_t>(dim_)], values.RowPtr(nodes[k]),
-                  static_cast<size_t>(dim_) * sizeof(float));
-      if (learnable_) {
-        std::memcpy(&sscratch[k * static_cast<size_t>(dim_)], state->RowPtr(nodes[k]),
-                    static_cast<size_t>(dim_) * sizeof(float));
-      }
-    }
-    ImportPartition(part, vscratch.data(), learnable_ ? sscratch.data() : nullptr);
-  }
-}
-
 double PartitionBuffer::ExportPartition(int32_t partition, float* values_out,
                                         float* state_out) {
   MG_CHECK(partition >= 0 && partition < partitioning_->num_partitions());
@@ -452,23 +396,14 @@ double PartitionBuffer::ExportPartition(int32_t partition, float* values_out,
   }
   const uint64_t offset = PartitionFileOffset(partition);
   double io = 0.0;
-  if (engine_ != nullptr) {
-    // Routed through the engine so the read stays ordered behind any in-flight
-    // write-back of this partition (per-tag program order): an evicted-dirty
-    // partition is never observed half-written.
-    if (values_out != nullptr) {
-      io += engine_->ReadSync(partition, values_out, bytes, offset);
-    }
-    if (state_out != nullptr) {
-      io += engine_->ReadSync(partition, state_out, bytes, offset + stream_bytes_pad_);
-    }
-  } else {
-    if (values_out != nullptr) {
-      io += disk_->Read(values_out, bytes, offset);
-    }
-    if (state_out != nullptr) {
-      io += disk_->Read(state_out, bytes, offset + stream_bytes_pad_);
-    }
+  // Routed through the engine so the read stays ordered behind any in-flight
+  // write-back of this partition (per-tag program order): an evicted-dirty
+  // partition is never observed half-written.
+  if (values_out != nullptr) {
+    io += engine_->ReadSync(partition, values_out, bytes, offset);
+  }
+  if (state_out != nullptr) {
+    io += engine_->ReadSync(partition, state_out, bytes, offset + stream_bytes_pad_);
   }
   return io;
 }
@@ -478,14 +413,12 @@ void PartitionBuffer::BeginImport() {
   // import rewrites the file, so staged prefetches of the *old* data must be
   // discarded too — they would shadow the imported table at the next SetResident.
   FlushAll();
-  if (engine_ != nullptr) {
-    std::lock_guard<std::mutex> lock(stage_mu_);
-    for (auto& entry : staged_) {
-      arena_->Release(entry.second.extent);
-    }
-    staged_.clear();
-    MG_CHECK(staging_in_flight_.empty());
+  std::lock_guard<std::mutex> lock(stage_mu_);
+  for (auto& entry : staged_) {
+    arena_->Release(entry.second.extent);
   }
+  staged_.clear();
+  MG_CHECK(staging_in_flight_.empty());
 }
 
 void PartitionBuffer::ImportPartition(int32_t partition, const float* values,

@@ -6,8 +6,8 @@
 // partitions are resident; the processing layer reads/writes rows of resident
 // partitions by global node id. Dirty partitions are written back on eviction.
 //
-// With async IO enabled, the buffer drives a batched IO engine (io_engine.h) so
-// partition IO overlaps with compute (the paper's "hide the IO" pipeline stage):
+// Every partition transfer goes through a batched IO engine (io_engine.h), so
+// partition IO can overlap with compute (the paper's "hide the IO" pipeline stage):
 //  - Prefetch() submits reads for upcoming partitions (OrderingPolicy::Lookahead
 //    tells the trainer which) into 4 KiB-aligned arena slots; the engine keeps up
 //    to queue_depth transfers in flight and completions land **out of order** — a
@@ -15,12 +15,13 @@
 //  - SetResident() installs staged partitions with a memcpy instead of a blocking
 //    disk read, and pushes dirty-eviction write-backs off the critical path; the
 //    engine deprioritises those writes behind reads and coalesces adjacent ones;
-//  - ConsumeBackgroundIoSeconds() reports the modeled seconds of that overlapped IO
-//    so trainers can account stalls as max(0, background_io - compute).
-// Ordering safety no longer relies on a FIFO queue: the engine preserves per-tag
-// (per-partition) program order, so a prefetch read submitted after a write-back
-// of the same partition always observes the written data, while transfers for
-// different partitions proceed concurrently.
+//  - ConsumeBackgroundIoSeconds() reports the modeled seconds of that background
+//    IO so trainers can account stalls as max(0, background_io - compute).
+// A caller that wants no overlap skips Prefetch and calls DrainIo() after
+// SetResident. Ordering safety does not rely on a FIFO queue: the engine
+// preserves per-tag (per-partition) program order, so a read submitted after a
+// write-back of the same partition always observes the written data, while
+// transfers for different partitions proceed concurrently.
 //
 // On-disk layout: each partition owns a fixed extent of streams (values, then
 // optional Adagrad state), each stream padded to kIoAlignment. The padding makes
@@ -50,13 +51,8 @@
 
 namespace mariusgnn {
 
-// How the buffer performs partition IO. Defaults describe the synchronous
-// (no-overlap) mode; trainers enable `async` when prefetching is on.
+// How the buffer's IO engine performs partition transfers.
 struct PartitionIoOptions {
-  // Run the batched IO engine: Prefetch() stages ahead and dirty evictions write
-  // back in the background. When false the buffer is fully synchronous and the
-  // remaining fields are ignored.
-  bool async = false;
   // In-flight transfer limit (engine worker count). 1 = serial engine.
   int queue_depth = 4;
   // Probe the backing filesystem for O_DIRECT and, when supported, route aligned
@@ -80,8 +76,8 @@ class PartitionBuffer {
  public:
   // `learnable` adds a parallel Adagrad accumulator stream persisted next to the
   // values. `init` seeds the on-disk values (rows indexed by global node id); pass
-  // nullptr to zero-initialise; a kAttach buffer ignores it. `io` selects
-  // synchronous or engine-backed IO.
+  // nullptr to zero-initialise; a kAttach buffer ignores it. `io` configures the
+  // IO engine.
   PartitionBuffer(const Partitioning* partitioning, int64_t dim, int32_t capacity,
                   const std::string& path, DiskModel model, bool learnable,
                   const Tensor* init, PartitionIoOptions io = PartitionIoOptions(),
@@ -94,10 +90,6 @@ class PartitionBuffer {
   int32_t capacity() const { return capacity_; }
   int64_t dim() const { return dim_; }
   bool learnable() const { return learnable_; }
-  bool async_io() const { return engine_ != nullptr; }
-  // True when the O_DIRECT probe succeeded and the engine bypasses the page cache.
-  bool direct_io() const { return disk_->direct_io(); }
-  int io_queue_depth() const { return engine_ ? engine_->queue_depth() : 1; }
 
   bool IsResident(int32_t partition) const {
     return slot_of_partition_[static_cast<size_t>(partition)] >= 0;
@@ -111,16 +103,15 @@ class PartitionBuffer {
   double SetResident(const std::vector<int32_t>& partitions);
 
   // Asynchronously stages `partitions` (skipping resident / already-staged ones) so
-  // a later SetResident installs them without blocking on disk. No-op when async IO
-  // is disabled. Returns immediately.
+  // a later SetResident installs them without blocking on disk. Returns
+  // immediately.
   void Prefetch(const std::vector<int32_t>& partitions);
 
   // Modeled seconds of background IO (prefetch reads + async write-backs) completed
-  // since the last call. Always 0 when async IO is disabled.
+  // since the last call.
   double ConsumeBackgroundIoSeconds();
 
-  // Engine transfer counters since the last call (EpochStats reporting). Zeroes
-  // when async IO is disabled.
+  // Engine transfer counters since the last call (EpochStats reporting).
   IoEngineStats ConsumeIoStats();
 
   // Flushes all dirty partitions to disk (draining pending background IO first);
@@ -139,21 +130,21 @@ class PartitionBuffer {
     MG_CHECK_MSG(owned.size() ==
                      static_cast<size_t>(partitioning_->num_partitions()),
                  "ownership map size does not match the partition count");
-    owned_partitions_ = std::move(owned);
+    ownership_ = std::move(owned);
   }
   bool OwnsPartition(int32_t partition) const {
-    return owned_partitions_.empty() ||
-           owned_partitions_[static_cast<size_t>(partition)] != 0;
+    return ownership_.empty() ||
+           ownership_[static_cast<size_t>(partition)] != 0;
   }
   // True when an ownership map has partitioned write-backs across replicas —
   // i.e. the buffer is in shared-storage multi-replica mode and readers need
   // the cross-replica write-back barrier (see GradientExchange::Barrier).
-  bool partition_ownership_active() const { return !owned_partitions_.empty(); }
+  bool partition_ownership_active() const { return !ownership_.empty(); }
 
   // Blocks until every already-submitted async IO request (prefetch reads and
-  // dirty write-backs) has completed. No-op when async IO is disabled. This is
-  // the local half of the shared-storage write-back barrier: drain own writes,
-  // then rendezvous, then it is safe for any replica to re-read.
+  // dirty write-backs) has completed. This is the local half of the
+  // shared-storage write-back barrier: drain own writes, then rendezvous, then
+  // it is safe for any replica to re-read.
   void DrainIo();
 
   // Row access by global node id; the node's partition must be resident.
@@ -190,12 +181,6 @@ class PartitionBuffer {
   // Same, for the Adagrad accumulator stream (learnable buffers only). Together
   // with ExportAll this is the checkpoint image of the embedding table.
   Tensor ExportAllState();
-
-  // Overwrites the full on-disk table (values and, when learnable, accumulator
-  // state) from node-indexed tensors — the inverse of ExportAll/ExportAllState,
-  // used by checkpoint restore. Flushes and evicts everything first, so the next
-  // SetResident reads the imported data. `state` must be non-null iff learnable.
-  void ImportAll(const Tensor& values, const Tensor* state);
 
   // Streams one partition out (the streaming checkpoint writer's unit of work):
   // copies the partition's rows, in partition-local order, into the caller's
@@ -269,12 +254,12 @@ class PartitionBuffer {
   std::unique_ptr<std::atomic<uint8_t>[]> dirty_;
   // Per-partition write-back ownership (see SetPartitionOwnership); empty =
   // own everything.
-  std::vector<uint8_t> owned_partitions_;
+  std::vector<uint8_t> ownership_;
 
-  // Async IO state (null when PartitionIoOptions::async is false). Declaration
-  // order matters: the engine destructor drains in-flight completions, which
-  // release arena slots and touch stage_mu_ — so engine_ is declared after (and
-  // destroyed before) arena_ and the staging state.
+  // Async IO state. Declaration order matters: the engine destructor drains
+  // in-flight completions, which release arena slots and touch stage_mu_ — so
+  // engine_ is declared after (and destroyed before) arena_ and the staging
+  // state.
   std::mutex stage_mu_;
   std::condition_variable stage_cv_;
   std::unordered_map<int32_t, StagedPartition> staged_;        // guarded by stage_mu_

@@ -1,12 +1,13 @@
 // Checkpoint/restore tests: format round-trip, rejection of every corruption
-// class (truncation, bad checksums, version mismatch, mid-save crash debris),
-// and a real kill-and-resume run (fork + _exit between epochs) that must
-// continue bitwise-identically to an uninterrupted run.
+// class (truncation, bad checksums, version mismatch including the retired v1
+// layout, mid-save crash debris), and a real kill-and-resume run (fork + _exit
+// between epochs) that must continue bitwise-identically to an uninterrupted run.
 //
-// The kill-and-resume test forks, so every trainer in this file runs fully
-// serial (no pipeline workers, no parallel compute, no async IO): the child
-// must not inherit a half-initialised thread pool. Determinism makes the
-// serial trajectories identical to the pipelined ones anyway.
+// The kill-and-resume test forks, so every trainer in this file runs without
+// pipeline workers or parallel compute, and no trainer (with its IO-engine
+// workers) is alive across the fork: the child must not inherit a
+// half-initialised thread pool. Determinism makes the serial trajectories
+// identical to the pipelined ones anyway.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,6 +23,7 @@
 #include "src/core/node_classification_trainer.h"
 #include "src/data/datasets.h"
 #include "src/util/binary_io.h"
+#include "tests/checkpoint_test_util.h"
 
 namespace mariusgnn {
 namespace {
@@ -206,7 +208,7 @@ TEST(Checkpoint, OverflowingTensorShapeRejected) {
   put_u64(manifest, 0);                 // data_bytes (matches the wrapped product)
 
   std::vector<char> file;
-  put_u64(file, 0x4D474E4E43503031ULL);  // magic
+  put_u64(file, kTestCheckpointMagic);
   put_u32(file, kCheckpointFormatVersion);
   put_u32(file, static_cast<uint32_t>(kind.size()));
   put_u64(file, manifest.size());
@@ -233,7 +235,6 @@ TEST(Checkpoint, V2SectionsAre4KiBAlignedInFile) {
   std::string error;
   ASSERT_TRUE(ReadCheckpointManifest(path, &m, &error)) << error;
   EXPECT_EQ(m.version, kCheckpointFormatVersion);
-  EXPECT_TRUE(m.aligned_sections);
   EXPECT_EQ(m.kind, "link_prediction");
   EXPECT_EQ(m.epoch, 3u);
   EXPECT_EQ(m.data_start % 4096, 0u);
@@ -249,87 +250,21 @@ TEST(Checkpoint, V2SectionsAre4KiBAlignedInFile) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ReadsUnpaddedV1Files) {
-  // Files written before the alignment change (version 1, payloads packed flush
-  // against the manifest and each other) must keep loading bit-exactly.
-  auto fnv = [](const std::vector<char>& b) {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    for (char c : b) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  };
-  auto put = [](std::vector<char>& b, const void* src, size_t len) {
-    const char* p = static_cast<const char*>(src);
-    b.insert(b.end(), p, p + len);
-  };
-  auto put_u32 = [&](std::vector<char>& b, uint32_t v) { put(b, &v, 4); };
-  auto put_u64 = [&](std::vector<char>& b, uint64_t v) { put(b, &v, 8); };
-  auto put_i64 = [&](std::vector<char>& b, int64_t v) { put(b, &v, 8); };
-  auto put_str = [&](std::vector<char>& b, const std::string& s) {
-    put_u32(b, static_cast<uint32_t>(s.size()));
-    put(b, s.data(), s.size());
-  };
-
-  const Checkpoint want = SampleCheckpoint();
-  std::vector<char> manifest;
-  put(manifest, want.kind.data(), want.kind.size());
-  put_u64(manifest, want.run_seed);
-  put_u64(manifest, want.epoch);
-  for (uint64_t w : want.rng_state) {
-    put_u64(manifest, w);
-  }
-  put_u32(manifest, static_cast<uint32_t>(want.scalars.size()));
-  for (const auto& [name, value] : want.scalars) {
-    put_str(manifest, name);
-    put_i64(manifest, value);
-  }
-  put_u32(manifest, static_cast<uint32_t>(want.tensors.size()));
-  std::vector<char> data;
-  for (const auto& [name, t] : want.tensors) {
-    put_str(manifest, name);
-    put_i64(manifest, t.rows());
-    put_i64(manifest, t.cols());
-    put_u64(manifest, data.size());  // tight v1 offsets, no padding
-    put_u64(manifest, static_cast<uint64_t>(t.size()) * sizeof(float));
-    if (t.size() > 0) {
-      put(data, t.data(), static_cast<size_t>(t.size()) * sizeof(float));
-    }
-  }
-
-  std::vector<char> file;
-  put_u64(file, 0x4D474E4E43503031ULL);  // magic
-  put_u32(file, 1);                      // version 1
-  put_u32(file, static_cast<uint32_t>(want.kind.size()));
-  put_u64(file, manifest.size());
-  put_u64(file, fnv(manifest));
-  put_u64(file, data.size());
-  put_u64(file, fnv(data));
-  file.insert(file.end(), manifest.begin(), manifest.end());
-  file.insert(file.end(), data.begin(), data.end());
-
+TEST(Checkpoint, V1FilesRejectedWithVersionError) {
+  // The retired v1 layout (sections packed flush, no alignment) is not read:
+  // both entry points fail cleanly with the version message.
   const std::string path = TempPath("mgnn_ckpt_v1");
-  Dump(path, file);
-
-  Checkpoint ck;
+  WriteReferenceCheckpoint(SampleCheckpoint(), path, /*version=*/1);
   std::string error;
-  ASSERT_TRUE(LoadCheckpoint(path, &ck, &error)) << error;
-  EXPECT_EQ(ck.kind, want.kind);
-  EXPECT_EQ(ck.epoch, want.epoch);
-  ASSERT_EQ(ck.tensors.size(), want.tensors.size());
-  for (size_t i = 0; i < want.tensors.size(); ++i) {
-    EXPECT_EQ(ck.tensors[i].first, want.tensors[i].first);
-    ASSERT_EQ(ck.tensors[i].second.size(), want.tensors[i].second.size());
-    for (int64_t j = 0; j < want.tensors[i].second.size(); ++j) {
-      EXPECT_EQ(ck.tensors[i].second.data()[j], want.tensors[i].second.data()[j]);
-    }
-  }
-
+  CheckpointReader reader;
+  EXPECT_FALSE(reader.Open(path, &error));
+  EXPECT_NE(error.find("unsupported checkpoint format version 1"), std::string::npos)
+      << error;
+  error.clear();
   CheckpointManifest m;
-  ASSERT_TRUE(ReadCheckpointManifest(path, &m, &error)) << error;
-  EXPECT_EQ(m.version, 1u);
-  EXPECT_FALSE(m.aligned_sections);
+  EXPECT_FALSE(ReadCheckpointManifest(path, &m, &error));
+  EXPECT_NE(error.find("unsupported checkpoint format version 1"), std::string::npos)
+      << error;
   std::remove(path.c_str());
 }
 
@@ -395,7 +330,7 @@ TrainingConfig SerialDiskLpConfig() {
   config.storage.num_physical = 8;
   config.storage.num_logical = 4;
   config.storage.buffer_capacity = 4;
-  config.storage.prefetch = false;  // no async IO thread
+  config.storage.prefetch = false;
   return config;
 }
 
@@ -444,78 +379,9 @@ TEST(CheckpointCrash, KillAndResumeProducesIdenticalTrajectory) {
   std::remove(ckpt.c_str());
 }
 
-// Byte-exact reference for the pre-streaming save algorithm: serialize the
-// manifest, materialize the whole data blob in memory (zero padding each
-// section up to its 4 KiB-aligned offset), then lay the file out as
-// preamble | manifest | zero gap | data blob. The streaming writer must
-// produce bit-identical files — same format version, no reader changes.
-void ReferenceMaterializedSave(const Checkpoint& ck, const std::string& path) {
-  auto fnv = [](const std::vector<char>& b) {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    for (char c : b) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  };
-  auto align4k = [](uint64_t n) { return (n + 4095) & ~uint64_t{4095}; };
-  auto put = [](std::vector<char>& b, const void* src, size_t len) {
-    const char* p = static_cast<const char*>(src);
-    b.insert(b.end(), p, p + len);
-  };
-  auto put_u32 = [&](std::vector<char>& b, uint32_t v) { put(b, &v, 4); };
-  auto put_u64 = [&](std::vector<char>& b, uint64_t v) { put(b, &v, 8); };
-  auto put_i64 = [&](std::vector<char>& b, int64_t v) { put(b, &v, 8); };
-  auto put_str = [&](std::vector<char>& b, const std::string& s) {
-    put_u32(b, static_cast<uint32_t>(s.size()));
-    put(b, s.data(), s.size());
-  };
-
-  std::vector<char> manifest;
-  put(manifest, ck.kind.data(), ck.kind.size());
-  put_u64(manifest, ck.run_seed);
-  put_u64(manifest, ck.epoch);
-  for (uint64_t w : ck.rng_state) {
-    put_u64(manifest, w);
-  }
-  put_u32(manifest, static_cast<uint32_t>(ck.scalars.size()));
-  for (const auto& [name, value] : ck.scalars) {
-    put_str(manifest, name);
-    put_i64(manifest, value);
-  }
-  put_u32(manifest, static_cast<uint32_t>(ck.tensors.size()));
-  std::vector<char> data;
-  for (const auto& [name, t] : ck.tensors) {
-    data.resize(align4k(data.size()));  // v2 alignment padding, zero-filled
-    put_str(manifest, name);
-    put_i64(manifest, t.rows());
-    put_i64(manifest, t.cols());
-    put_u64(manifest, data.size());
-    put_u64(manifest, static_cast<uint64_t>(t.size()) * sizeof(float));
-    if (t.size() > 0) {
-      put(data, t.data(), static_cast<size_t>(t.size()) * sizeof(float));
-    }
-  }
-
-  std::vector<char> file;
-  put_u64(file, 0x4D474E4E43503031ULL);  // magic
-  put_u32(file, kCheckpointFormatVersion);
-  put_u32(file, static_cast<uint32_t>(ck.kind.size()));
-  put_u64(file, manifest.size());
-  put_u64(file, fnv(manifest));
-  put_u64(file, data.size());
-  put_u64(file, fnv(data));
-  file.insert(file.end(), manifest.begin(), manifest.end());
-  if (!data.empty()) {
-    file.resize(align4k(file.size()));  // manifest->data gap (hole in the real file)
-    file.insert(file.end(), data.begin(), data.end());
-  }
-  Dump(path, file);
-}
-
 // Saves through the trainer's streaming writer, then re-derives the same
-// logical checkpoint and rewrites it with the reference materializing
-// algorithm: the two files must match byte for byte.
+// logical checkpoint and rewrites it with the reference materializing writer
+// (the pre-streaming save algorithm): the two files must match byte for byte.
 void ExpectStreamedSaveMatchesReference(TrainerBase& trainer,
                                         const std::string& tag) {
   const std::string path = TempPath("mgnn_golden_" + tag);
@@ -524,7 +390,7 @@ void ExpectStreamedSaveMatchesReference(TrainerBase& trainer,
   std::string error;
   ASSERT_TRUE(LoadCheckpoint(path, &ck, &error)) << tag << ": " << error;
   const std::string ref = path + ".ref";
-  ReferenceMaterializedSave(ck, ref);
+  WriteReferenceCheckpoint(ck, ref, kCheckpointFormatVersion);
   const std::vector<char> streamed = Slurp(path);
   const std::vector<char> reference = Slurp(ref);
   ASSERT_FALSE(streamed.empty()) << tag;
@@ -714,6 +580,28 @@ TEST(CheckpointCrash, ResumeRefusesWrongKindAndSeed) {
   LinkPredictionTrainer wrong(&g, other_seed);
   EXPECT_DEATH(wrong.ResumeFrom(ckpt), "different run seed");
   std::remove(ckpt.c_str());
+}
+
+TEST(CheckpointCrash, ResumeFromV1FileDiesWithVersionError) {
+  Graph g = Fb15k237Like(0.03);
+  TrainingConfig config = SerialDiskLpConfig();
+  config.storage.use_disk = false;
+  const std::string v2_path = TempPath("mgnn_ckpt_resume_v2");
+  {
+    LinkPredictionTrainer trainer(&g, config);
+    trainer.TrainEpoch();
+    trainer.SaveCheckpoint(v2_path);
+  }
+  // The same snapshot in the retired v1 layout: only the version differs.
+  Checkpoint ck;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpoint(v2_path, &ck, &error)) << error;
+  const std::string v1_path = TempPath("mgnn_ckpt_resume_v1");
+  WriteReferenceCheckpoint(ck, v1_path, /*version=*/1);
+  LinkPredictionTrainer resumed(&g, config);
+  EXPECT_DEATH(resumed.ResumeFrom(v1_path), "unsupported checkpoint format version 1");
+  std::remove(v2_path.c_str());
+  std::remove(v1_path.c_str());
 }
 
 }  // namespace

@@ -329,8 +329,10 @@ TEST(RvIntegration, IoEngineRunsViolationFree) {
     options.queue_depth = 4;
     IoEngine engine(&disk, options);
     std::vector<char> wbuf(512, 'x');
-    std::vector<char> rbuf(512);
+    // One read buffer per tag: requests of different tags run concurrently.
+    std::vector<std::vector<char>> rbufs(4, std::vector<char>(512));
     for (int tag = 0; tag < 4; ++tag) {
+      std::vector<char>& rbuf = rbufs[static_cast<size_t>(tag)];
       for (int round = 0; round < 4; ++round) {
         const uint64_t offset = static_cast<uint64_t>(tag) * 4096;
         engine.SubmitWrite(tag, wbuf.data(), wbuf.size(), offset, {});

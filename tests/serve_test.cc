@@ -2,12 +2,12 @@
 // identically to serial single-query evaluation (the determinism contract of
 // src/serve/server.h), hot snapshot swaps must never drop a request or mix
 // epochs within one answer, disk-backed LRU serving must match memory-backed
-// serving bit for bit, and unpadded format-v1 checkpoints must stay servable.
+// serving bit for bit, and a retired format-v1 checkpoint is refused without
+// disturbing the epoch being served.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "src/data/datasets.h"
 #include "src/serve/server.h"
 #include "src/util/binary_io.h"
+#include "tests/checkpoint_test_util.h"
 
 namespace mariusgnn {
 namespace {
@@ -237,93 +238,45 @@ TEST(Serve, DiskBackedLruMatchesMemoryBacked) {
   std::remove(path.c_str());
 }
 
-// Serializes a checkpoint in the pre-alignment v1 layout (tightly packed
-// sections, version 1) — the files old runs left behind.
-void WriteV1Checkpoint(const Checkpoint& ck, const std::string& path) {
-  auto fnv = [](const std::vector<char>& b) {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    for (char c : b) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  };
-  auto put = [](std::vector<char>& b, const void* src, size_t len) {
-    const char* p = static_cast<const char*>(src);
-    b.insert(b.end(), p, p + len);
-  };
-  auto put_u32 = [&](std::vector<char>& b, uint32_t v) { put(b, &v, 4); };
-  auto put_u64 = [&](std::vector<char>& b, uint64_t v) { put(b, &v, 8); };
-  auto put_i64 = [&](std::vector<char>& b, int64_t v) { put(b, &v, 8); };
-  auto put_str = [&](std::vector<char>& b, const std::string& s) {
-    put_u32(b, static_cast<uint32_t>(s.size()));
-    put(b, s.data(), s.size());
-  };
-
-  std::vector<char> manifest;
-  put(manifest, ck.kind.data(), ck.kind.size());
-  put_u64(manifest, ck.run_seed);
-  put_u64(manifest, ck.epoch);
-  for (uint64_t w : ck.rng_state) {
-    put_u64(manifest, w);
-  }
-  put_u32(manifest, static_cast<uint32_t>(ck.scalars.size()));
-  for (const auto& [name, value] : ck.scalars) {
-    put_str(manifest, name);
-    put_i64(manifest, value);
-  }
-  put_u32(manifest, static_cast<uint32_t>(ck.tensors.size()));
-  std::vector<char> data;
-  for (const auto& [name, t] : ck.tensors) {
-    put_str(manifest, name);
-    put_i64(manifest, t.rows());
-    put_i64(manifest, t.cols());
-    put_u64(manifest, data.size());  // tight v1 offsets, no padding
-    put_u64(manifest, static_cast<uint64_t>(t.size()) * sizeof(float));
-    if (t.size() > 0) {
-      put(data, t.data(), static_cast<size_t>(t.size()) * sizeof(float));
-    }
-  }
-
-  std::vector<char> file;
-  put_u64(file, 0x4D474E4E43503031ULL);  // magic
-  put_u32(file, 1);                      // version 1
-  put_u32(file, static_cast<uint32_t>(ck.kind.size()));
-  put_u64(file, manifest.size());
-  put_u64(file, fnv(manifest));
-  put_u64(file, data.size());
-  put_u64(file, fnv(data));
-  file.insert(file.end(), manifest.begin(), manifest.end());
-  file.insert(file.end(), data.begin(), data.end());
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(file.data(), static_cast<std::streamsize>(file.size()));
-}
-
-TEST(Serve, ServesUnpaddedV1Checkpoints) {
+TEST(Serve, LoadSnapshotRejectsV1AndKeepsServingPreviousEpoch) {
   Graph g = Fb15k237Like(0.05);
   TrainingConfig config = SmallLpConfig();
-  const std::string v2_path = TrainLpCheckpoint(g, config, 1, "mgnn_serve_v2");
+  LinkPredictionTrainer trainer(&g, config);
+  trainer.TrainEpoch();
+  const std::string e1_path = TempPath("mgnn_serve_v1_e1");
+  trainer.SaveCheckpoint(e1_path);
+  trainer.TrainEpoch();
+  const std::string e2_path = TempPath("mgnn_serve_v1_e2");
+  trainer.SaveCheckpoint(e2_path);
 
-  // Down-convert the real checkpoint to the v1 layout; the server must fall
-  // back from mmap views to the owned-copy load and answer identically.
+  // The epoch-2 snapshot down-converted to the retired v1 layout.
   Checkpoint ck;
   std::string error;
-  ASSERT_TRUE(LoadCheckpoint(v2_path, &ck, &error)) << error;
+  ASSERT_TRUE(LoadCheckpoint(e2_path, &ck, &error)) << error;
   const std::string v1_path = TempPath("mgnn_serve_v1");
-  WriteV1Checkpoint(ck, v1_path);
+  WriteReferenceCheckpoint(ck, v1_path, /*version=*/1);
 
-  InferenceServer v2_server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
-  InferenceServer v1_server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
-  ASSERT_TRUE(v2_server.LoadSnapshot(v2_path, &error)) << error;
-  ASSERT_TRUE(v1_server.LoadSnapshot(v1_path, &error)) << error;
-
-  for (const LinkQuery& lq : MakeLinkQueries(g, 8, 8)) {
-    ExpectBitwiseEqual(
-        v1_server.ScoreLinks(lq.src, lq.rel, lq.candidates).values,
-        v2_server.ScoreLinks(lq.src, lq.rel, lq.candidates).values);
+  InferenceServer server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
+  ASSERT_TRUE(server.LoadSnapshot(e1_path, &error)) << error;
+  const std::vector<LinkQuery> queries = MakeLinkQueries(g, 8, 8);
+  std::vector<ServeResult> before;
+  for (const LinkQuery& lq : queries) {
+    before.push_back(server.ScoreLinks(lq.src, lq.rel, lq.candidates));
   }
-  std::remove(v2_path.c_str());
+
+  EXPECT_FALSE(server.LoadSnapshot(v1_path, &error));
+  EXPECT_NE(error.find("unsupported checkpoint format version 1"), std::string::npos)
+      << error;
+  EXPECT_EQ(server.current_epoch(), 1u);
+  EXPECT_EQ(server.stats().snapshot_swaps, 0u);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const LinkQuery& lq = queries[q];
+    const ServeResult after = server.ScoreLinks(lq.src, lq.rel, lq.candidates);
+    EXPECT_EQ(after.epoch, 1u);
+    ExpectBitwiseEqual(after.values, before[q].values);
+  }
+  std::remove(e1_path.c_str());
+  std::remove(e2_path.c_str());
   std::remove(v1_path.c_str());
 }
 

@@ -18,12 +18,11 @@
 namespace mariusgnn {
 namespace {
 
-// Engine-backed IO mode used by the async buffer fixtures. direct_io is
-// requested so every SetUp exercises the runtime O_DIRECT probe (tmpfs and
-// most CI filesystems reject it, taking the buffered-fallback path).
+// IO-engine settings for the async buffer fixtures. direct_io is requested so
+// every SetUp exercises the runtime O_DIRECT probe (tmpfs and most CI
+// filesystems reject it, taking the buffered-fallback path).
 PartitionIoOptions AsyncIo(int queue_depth = 4) {
   PartitionIoOptions io;
-  io.async = true;
   io.queue_depth = queue_depth;
   io.direct_io = true;
   return io;
@@ -133,6 +132,9 @@ TEST_F(PartitionBufferTest, AttachedBufferReadsTheCreatorsFileWithoutTruncating)
   buffer_->ValueRow(node)[0] = 123.0f;
   buffer_->MarkDirty(node);
   buffer_->SetResident({2, 3});  // evicts 1 (dirty -> write back)
+  // The write-back is asynchronous: drain it before another replica reads the
+  // file, as TrainerBase::SharedWritebackBarrier does.
+  buffer_->DrainIo();
   // A second replica over the same file: it neither truncates nor re-seeds, so
   // it sees the creator's write-back and the creator's seed alike.
   PartitionBuffer attached(partitioning_.get(), 4, 3, path_, DiskModel(),
@@ -184,34 +186,6 @@ TEST_F(PartitionBufferTest, ExportAllRoundTrips) {
   // Untouched rows match init.
   const int64_t other = partitioning_->NodesIn(7).back();
   EXPECT_FLOAT_EQ(all(other, 0), init_(other, 0));
-}
-
-TEST_F(PartitionBufferTest, ExportImportAllRoundTripsValuesAndState) {
-  // Mutate values + Adagrad state of a resident node, export both streams, wipe
-  // the table with an import of the export, and verify nothing changed — the
-  // checkpoint layer's save/restore path through the buffer.
-  buffer_->SetResident({0, 1});
-  const int64_t node = partitioning_->NodesIn(1).front();
-  buffer_->ValueRow(node)[1] = 9.5f;
-  buffer_->StateRow(node)[1] = 4.25f;
-  buffer_->MarkDirty(node);
-  Tensor values = buffer_->ExportAll();
-  Tensor state = buffer_->ExportAllState();
-  ASSERT_EQ(state.rows(), graph_.num_nodes());
-  EXPECT_FLOAT_EQ(state(node, 1), 4.25f);
-
-  // Import zeros, then re-import the snapshot: the table must round-trip.
-  Tensor zeros_v(values.rows(), values.cols());
-  Tensor zeros_s(state.rows(), state.cols());
-  buffer_->ImportAll(zeros_v, &zeros_s);
-  buffer_->SetResident({1});
-  EXPECT_FLOAT_EQ(buffer_->ValueRow(node)[1], 0.0f);
-  buffer_->ImportAll(values, &state);
-  buffer_->SetResident({1, 2});
-  EXPECT_FLOAT_EQ(buffer_->ValueRow(node)[1], 9.5f);
-  EXPECT_FLOAT_EQ(buffer_->StateRow(node)[1], 4.25f);
-  const int64_t other = partitioning_->NodesIn(2).back();
-  EXPECT_FLOAT_EQ(buffer_->ValueRow(other)[0], init_(other, 0));
 }
 
 TEST_F(PartitionBufferTest, ExportPartitionMatchesExportAll) {
@@ -417,22 +391,22 @@ TEST_F(AsyncPartitionBufferTest, ExportAllSeesBackgroundWrites) {
   EXPECT_FLOAT_EQ(all(node, 1), 55.0f);
 }
 
-TEST_F(AsyncPartitionBufferTest, ResidentLayoutMatchesSyncBuffer) {
-  // The slot-assignment order must not depend on the IO mode, or negative-sampling
+TEST_F(AsyncPartitionBufferTest, ResidentLayoutMatchesUnprefetchedBuffer) {
+  // The slot-assignment order must not depend on prefetching, or negative-sampling
   // universes (ResidentNodes order) would diverge between prefetch on/off.
-  const std::string sync_path = TempPath("pb_sync_twin");
-  PartitionBuffer sync_buffer(partitioning_.get(), 4, 3, sync_path, DiskModel(),
-                              /*learnable=*/true, &init_);
+  const std::string twin_path = TempPath("pb_unprefetched_twin");
+  PartitionBuffer twin(partitioning_.get(), 4, 3, twin_path, DiskModel(),
+                       /*learnable=*/true, &init_);
   const std::vector<std::vector<int32_t>> schedule = {
       {0, 1, 2}, {1, 2, 3}, {3, 4, 5}, {0, 5, 6}};
   for (const auto& set : schedule) {
     buffer_->Prefetch(set);
     buffer_->SetResident(set);
-    sync_buffer.SetResident(set);
-    EXPECT_EQ(buffer_->ResidentPartitions(), sync_buffer.ResidentPartitions());
-    EXPECT_EQ(buffer_->ResidentNodes(), sync_buffer.ResidentNodes());
+    twin.SetResident(set);
+    EXPECT_EQ(buffer_->ResidentPartitions(), twin.ResidentPartitions());
+    EXPECT_EQ(buffer_->ResidentNodes(), twin.ResidentNodes());
   }
-  ::remove(sync_path.c_str());
+  ::remove(twin_path.c_str());
 }
 
 TEST(InMemoryEmbeddingStore, GatherAndUpdate) {

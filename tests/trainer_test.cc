@@ -442,6 +442,41 @@ TEST(LinkPrediction, DiskPipelineAndPrefetchDoNotChangeTrajectory) {
   EXPECT_DOUBLE_EQ(full_async.second, base.second);
 }
 
+TEST(Trainers, PrefetchOffOverlapsNoIoWithCompute) {
+  // With prefetch off, every partition read and every write-back is waited for
+  // before compute resumes, so all modeled IO is stall, bit for bit.
+  auto expect_no_overlap = [](TrainerBase& trainer, const char* tag) {
+    for (int e = 0; e < 2; ++e) {
+      const EpochStats stats = trainer.TrainEpoch();
+      EXPECT_GT(stats.io_seconds, 0.0) << tag << " epoch " << e;
+      EXPECT_EQ(stats.io_stall_seconds, stats.io_seconds) << tag << " epoch " << e;
+    }
+  };
+  Graph lp_graph = Fb15k237Like(0.05);
+  TrainingConfig lp = SmallLpConfig();
+  lp.pipeline.enabled = true;
+  lp.storage.use_disk = true;
+  lp.storage.num_physical = 8;
+  lp.storage.num_logical = 4;
+  lp.storage.buffer_capacity = 4;
+  lp.storage.policy = "comet";
+  lp.storage.prefetch = false;
+  LinkPredictionTrainer lp_trainer(&lp_graph, lp);
+  expect_no_overlap(lp_trainer, "lp_disk");
+
+  // Rotation (buffer smaller than the training partitions): many sets, so the
+  // feature buffer swaps partitions inside the epoch.
+  Graph nc_graph = PapersMini(0.08);
+  TrainingConfig nc = SmallNcConfig();
+  nc.pipeline.enabled = true;
+  nc.storage.use_disk = true;
+  nc.storage.num_physical = 16;
+  nc.storage.buffer_capacity = 2;
+  nc.storage.prefetch = false;
+  NodeClassificationTrainer nc_trainer(&nc_graph, nc);
+  expect_no_overlap(nc_trainer, "nc_disk");
+}
+
 TEST(NodeClassification, WorkerCountDoesNotChangeTrajectory) {
   Graph g = PapersMini(0.05);
   std::vector<double> losses;
