@@ -1,7 +1,7 @@
 // Shared helpers for the table/figure reproduction benches.
 //
 // Scales here are chosen so every bench finishes in at most a couple of minutes on a
-// single CPU core; EXPERIMENTS.md maps each bench's output onto the paper's tables.
+// single CPU core; README.md's "Benches" section lists what each bench reproduces.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 

@@ -22,7 +22,6 @@
 #include "src/pipeline/training_pipeline.h"
 #include "src/storage/disk.h"
 #include "src/storage/partition_buffer.h"
-#include "src/util/check.h"
 #include "src/util/compute.h"
 
 namespace mariusgnn {
@@ -42,14 +41,6 @@ struct StorageOptions {
   // write-backs overlap compute. false: no lookahead, and the trainer waits for
   // all partition IO after each swap, so none of it overlaps compute.
   bool prefetch = true;
-  // Batched IO engine knobs (see src/storage/io_engine.h). queue_depth is the
-  // in-flight transfer limit, io_direct requests O_DIRECT (probed at runtime,
-  // buffered fallback), and io_coalesce_writes merges adjacent dirty
-  // write-backs. None of these affect training trajectories — only how fast the
-  // modeled IO completes.
-  int io_queue_depth = 4;
-  bool io_direct = true;
-  bool io_coalesce_writes = true;
   std::string dir;  // defaults to a fresh temp path
 };
 
@@ -60,7 +51,6 @@ struct PipelineOptions {
   // Batch-construction workers when pipelined (PipelineSession). Worker count never
   // changes results: batches are derived from per-batch seeds and consumed in order.
   int workers = 2;
-  int64_t queue_capacity = 4;  // prepared batches buffered ahead of compute
   // Stage-3 compute parallelism: run the hot kernels (matmuls, neighbor
   // aggregation, ranking loss, sparse Adagrad) in fixed chunks on the shared
   // ThreadPool. Like the pipeline, this never changes results — chunk boundaries
@@ -70,26 +60,15 @@ struct PipelineOptions {
   // Adaptive stage-1/stage-3 pool split (PipelineController): while a window's
   // compute_parallel_efficiency sits below par_eff_low (compute chunks starved of
   // pool threads by epoch-long sampling workers), the next window runs one fewer
-  // sampling worker, down to min_workers; while it sits above par_eff_high,
-  // workers grow back toward `workers`. In the dead band the controller refines
-  // with queue back-pressure: time-weighted queue occupancy above queue_high
-  // (fraction of capacity) shrinks, occupancy below queue_low with real consumer
-  // stalls grows, and IO-bound windows hold. Worker count never affects results
+  // sampling worker, down to one; while it sits above par_eff_high, workers
+  // grow back toward `workers`. In the dead band the controller refines with
+  // queue back-pressure (PipelineControllerOptions in
+  // src/pipeline/pipeline_controller.h). Worker count never affects results
   // (per-batch seeds + in-order consumption), so the rebalance preserves
   // bitwise-identical trajectories.
   bool adaptive_workers = true;
   double par_eff_low = 0.40;
   double par_eff_high = 0.85;
-  double queue_low = 0.25;
-  double queue_high = 0.75;
-  double io_stall_hold_fraction = 0.50;
-  double stall_grow_fraction = 0.05;
-  // Queue-rule decision cool-down: after any worker resize, the queue
-  // back-pressure rules stay quiet for this many windows so the shrink/grow pair
-  // cannot ping-pong on hosts where neither split wins (the efficiency band is
-  // not gated — it has its own hysteresis).
-  int queue_cooldown_windows = 2;
-  int min_workers = 1;
   // Pool overrides for tests/benches; nullptr = ThreadPool::Global(). Pointing both
   // at one pool exercises the production default of sampling workers and compute
   // chunks sharing the global pool.
@@ -163,27 +142,14 @@ struct TrainingConfig {
     options.enabled =
         pipeline.adaptive_workers && pipeline.enabled && pipeline.parallel_compute;
     options.max_workers = pipeline.enabled ? pipeline.workers : 0;
-    options.min_workers = pipeline.min_workers;
     options.par_eff_low = pipeline.par_eff_low;
     options.par_eff_high = pipeline.par_eff_high;
-    options.queue_low = pipeline.queue_low;
-    options.queue_high = pipeline.queue_high;
-    options.io_stall_hold_fraction = pipeline.io_stall_hold_fraction;
-    options.stall_grow_fraction = pipeline.stall_grow_fraction;
-    options.queue_cooldown_windows = pipeline.queue_cooldown_windows;
     return PipelineController(options);
   }
 
   // Partition-buffer IO engine settings for one trainer (both trainers build
-  // theirs through this so the wiring cannot diverge).
-  PartitionIoOptions MakePartitionIoOptions() const {
-    MG_CHECK_MSG(storage.io_queue_depth >= 1, "storage.io_queue_depth must be >= 1");
-    PartitionIoOptions options;
-    options.queue_depth = storage.io_queue_depth;
-    options.direct_io = storage.io_direct;
-    options.coalesce_writes = storage.io_coalesce_writes;
-    return options;
-  }
+  // theirs through this so the wiring cannot diverge): the engine defaults.
+  PartitionIoOptions MakePartitionIoOptions() const { return PartitionIoOptions(); }
 
   // Gradient-exchange seam for one trainer (both trainers build theirs through
   // this so the replica wiring cannot diverge): the zero-copy LocalExchange

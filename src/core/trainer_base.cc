@@ -18,11 +18,9 @@ namespace {
 // controller's current count, which is 0 whenever the pipeline is off.
 PipelineSessionOptions MakePipelineSessionOptions(const PipelineOptions& pipeline,
                                                   int workers) {
-  MG_CHECK_MSG(pipeline.queue_capacity > 0, "pipeline.queue_capacity must be > 0");
   MG_CHECK_MSG(pipeline.workers >= 0, "pipeline.workers must be >= 0");
   PipelineSessionOptions options;
   options.workers = workers;
-  options.queue_capacity = static_cast<size_t>(pipeline.queue_capacity);
   options.pool = pipeline.pipeline_pool;
   return options;
 }

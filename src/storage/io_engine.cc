@@ -180,7 +180,7 @@ std::vector<IoEngine::Pending> IoEngine::ClaimLocked() {
   batch.push_back(std::move(sq_[pick]));
   sq_.erase(sq_.begin() + static_cast<ptrdiff_t>(pick));
 
-  if (is_write && options_.coalesce_writes) {
+  if (is_write) {
     // Grow the batch with queued writes adjacent to its byte range. A partner
     // must itself be claimable *given the batch*: no in-flight same-tag
     // request, and every earlier queued same-tag request already in the batch

@@ -78,7 +78,6 @@ struct IoEngineOptions {
   // IO worker threads == maximum transfers in flight. 1 is the legacy-equivalent
   // serial engine (still out-of-order-install capable, but one op at a time).
   int queue_depth = 4;
-  bool coalesce_writes = true;
   // Test seam: when > 0, each device transfer is split into sub-transfers of at
   // most this many bytes, exercising the short-transfer/offset-advance path.
   size_t max_transfer_bytes = 0;

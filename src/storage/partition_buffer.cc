@@ -45,7 +45,7 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   stream_bytes_pad_ = AlignUpIo(stream_bytes_);
   partition_extent_ = (learnable_ ? 2 : 1) * stream_bytes_pad_;
 
-  const bool direct = io.direct_io && ProbeDirectIo(DirName(path));
+  const bool direct = ProbeDirectIo(DirName(path));
   const bool create = backing == BackingFile::kCreate;
   disk_ = std::make_unique<SimulatedDisk>(path, model, direct, /*truncate=*/create);
 
@@ -87,7 +87,6 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
                                      ArenaSlots(capacity_, io.queue_depth));
   IoEngineOptions eo;
   eo.queue_depth = io.queue_depth;
-  eo.coalesce_writes = io.coalesce_writes;
   eo.max_transfer_bytes = io.max_transfer_bytes;
   eo.before_io = io.before_io;
   engine_ = std::make_unique<IoEngine>(disk_.get(), eo);

@@ -55,11 +55,6 @@ namespace mariusgnn {
 struct PartitionIoOptions {
   // In-flight transfer limit (engine worker count). 1 = serial engine.
   int queue_depth = 4;
-  // Probe the backing filesystem for O_DIRECT and, when supported, route aligned
-  // transfers around the page cache (falls back to buffered transparently).
-  bool direct_io = true;
-  // Merge adjacent dirty write-backs into single transfers.
-  bool coalesce_writes = true;
   // Test seams, forwarded to IoEngineOptions.
   size_t max_transfer_bytes = 0;
   std::function<void(const IoRequest&)> before_io;

@@ -36,8 +36,9 @@
 //                            GradientExchange::ExchangeEpochHash)
 //
 // Each monitor observation is a branch or two plus one relaxed atomic load (the
-// global enable flag), so the monitors stay on in Release builds; bench_pipeline
-// measures the overhead and records it in its JSON (< 1% of epoch time).
+// global enable flag), so the monitors stay on in Release builds;
+// bench_micro_kernels measures the overhead and records it in its JSON
+// (< 1% of epoch time).
 //
 // Violations route through a pluggable RvSink. The default sink counts and logs
 // (production: a violated invariant is a bug report, not a crash); tests and CI
@@ -112,7 +113,7 @@ class RvRuntime {
   static RvRuntime& Global();
 
   // Monitors are compiled in and enabled by default in every build type.
-  // Disabling is for overhead measurement (bench_pipeline) and tests only.
+  // Disabling is for overhead measurement (bench_micro_kernels) and tests only.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 

@@ -4,8 +4,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <thread>
+
+#include <unistd.h>
 
 #include "src/data/datasets.h"
 #include "src/storage/disk.h"
@@ -18,13 +22,12 @@
 namespace mariusgnn {
 namespace {
 
-// IO-engine settings for the async buffer fixtures. direct_io is requested so
-// every SetUp exercises the runtime O_DIRECT probe (tmpfs and most CI
-// filesystems reject it, taking the buffered-fallback path).
+// IO-engine settings for the async buffer fixtures. Every buffer runs the
+// runtime O_DIRECT probe (tmpfs and most CI filesystems reject it, taking the
+// buffered-fallback path).
 PartitionIoOptions AsyncIo(int queue_depth = 4) {
   PartitionIoOptions io;
   io.queue_depth = queue_depth;
-  io.direct_io = true;
   return io;
 }
 
@@ -796,6 +799,124 @@ TEST(ProbeDirectIo, ProbeLeavesNoFilesBehind) {
   const bool supported = ProbeDirectIo(parent);
   // Probe again: result is stable, and no leftover probe file breaks reruns.
   EXPECT_EQ(ProbeDirectIo(parent), supported);
+  const std::string probe_prefix = ".direct_probe." + std::to_string(::getpid()) + ".";
+  for (const auto& entry : std::filesystem::directory_iterator(parent)) {
+    EXPECT_NE(entry.path().filename().string().rfind(probe_prefix, 0), 0u)
+        << "leftover probe file " << entry.path();
+  }
+}
+
+// Runs one fixed request sequence through a depth-4 engine over `disk` and
+// returns the bytes of every read, in submission order, followed by the whole
+// file. Four gated reads of never-written blocks hold every worker while the
+// rest queues, so the byte-adjacent writes coalesce once the gate opens.
+std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk,
+                                                   IoEngineStats* stats) {
+  constexpr size_t kBlock = kIoAlignment;
+  constexpr size_t kFloats = kBlock / sizeof(float);
+  constexpr int kBlocks = 12;  // blocks 10 and 11 are only read by the gated reads
+  disk->Resize(kBlocks * kBlock);
+  AlignedBuffer src(10 * kFloats);
+  for (size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<float>(i % 1013) * 0.25f + static_cast<float>(i / kFloats);
+  }
+  AlignedBuffer rewrite(kFloats);
+  for (size_t i = 0; i < kFloats; ++i) {
+    rewrite[i] = -static_cast<float>(i);
+  }
+
+  IoEngineOptions opt;
+  opt.queue_depth = 4;
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  opt.before_io = [&](const IoRequest& req) {
+    if (req.tag >= 100) {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      gate_cv.wait(lock, [&] { return gate_open; });
+    }
+  };
+  IoEngine engine(disk, opt);
+  const auto none = [](double) {};
+  AlignedBuffer gated(4 * kFloats);
+  for (int32_t w = 0; w < 4; ++w) {
+    engine.SubmitRead(100 + w, gated.data() + w * kFloats, kBlock,
+                      static_cast<uint64_t>(10 + w % 2) * kBlock, none);
+  }
+  std::vector<AlignedBuffer> reads;
+  const auto read = [&](int32_t tag, uint64_t block) {
+    reads.emplace_back(kFloats);
+    engine.SubmitRead(tag, reads.back().data(), kBlock, block * kBlock, none);
+  };
+  reads.reserve(4);
+  for (int32_t b = 0; b < 6; ++b) {
+    engine.SubmitWrite(b, src.data() + b * kFloats, kBlock, b * kBlock, none);
+  }
+  read(1, 1);  // read-after-write on one of the coalescing writes
+  engine.SubmitWrite(6, src.data() + 6 * kFloats, kBlock, 6 * kBlock, none);
+  engine.SubmitWrite(7, src.data() + 7 * kFloats, kBlock, 7 * kBlock, none);
+  engine.SubmitWrite(2, rewrite.data(), kBlock, 2 * kBlock, none);
+  read(2, 2);
+  // A sub-block write at an unaligned offset takes the buffered descriptor
+  // even on a direct disk.
+  engine.SubmitWrite(9, src.data() + 9 * kFloats, 1000, 9 * kBlock + 64, none);
+  read(9, 9);
+  read(7, 7);
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  engine.Drain();
+  *stats = engine.ConsumeStats();
+
+  std::vector<std::vector<float>> out;
+  for (const AlignedBuffer& r : reads) {
+    out.emplace_back(r.data(), r.data() + r.size());
+  }
+  AlignedBuffer whole(kBlocks * kFloats);
+  engine.ReadSync(0, whole.data(), kBlocks * kBlock, 0);
+  out.emplace_back(whole.data(), whole.data() + whole.size());
+  return out;
+}
+
+TEST(IoEngineDirectIo, BufferedAndDirectDisksReadBackTheSameBytes) {
+  const std::string buffered_path = TempPath("io_mixed_buffered");
+  const std::string direct_path = TempPath("io_mixed_direct");
+  if (!ProbeDirectIo(direct_path.substr(0, direct_path.rfind('/')))) {
+    GTEST_SKIP() << "temp directory refuses O_DIRECT";
+  }
+  std::vector<std::vector<float>> buffered_reads, direct_reads;
+  IoEngineStats buffered_stats, direct_stats;
+  DiskStats buffered_disk, direct_disk;
+  {
+    SimulatedDisk disk(buffered_path, DiskModel(), /*direct_io=*/false);
+    buffered_reads = RunMixedIoSequence(&disk, &buffered_stats);
+    buffered_disk = disk.stats();
+  }
+  {
+    SimulatedDisk disk(direct_path, DiskModel(), /*direct_io=*/true);
+    ASSERT_TRUE(disk.direct_io());
+    direct_reads = RunMixedIoSequence(&disk, &direct_stats);
+    direct_disk = disk.stats();
+  }
+  ::remove(buffered_path.c_str());
+  ::remove(direct_path.c_str());
+
+  EXPECT_EQ(buffered_disk.direct_ops, 0u);
+  EXPECT_GT(direct_disk.direct_ops, 0u);
+  EXPECT_GT(buffered_stats.coalesced_writes, 0u);
+  EXPECT_GT(direct_stats.coalesced_writes, 0u);
+  ASSERT_EQ(buffered_reads.size(), direct_reads.size());
+  for (size_t i = 0; i < buffered_reads.size(); ++i) {
+    EXPECT_EQ(std::memcmp(buffered_reads[i].data(), direct_reads[i].data(),
+                          buffered_reads[i].size() * sizeof(float)),
+              0)
+        << "read " << i;
+  }
+  // The read-after-write saw its write, and the rewrite replaced block 2.
+  EXPECT_EQ(direct_reads[0][5], direct_reads.back()[1024 + 5]);
+  EXPECT_EQ(direct_reads[1][7], -7.0f);
 }
 
 // Concurrent submit/complete stress across queue depths (the CI TSan job runs
