@@ -38,9 +38,8 @@ int main() {
 
   // 2. Start a server on the epoch-1 snapshot. The model config must match the
   //    training run; the snapshot is mmapped (v2 checkpoints keep every section
-  //    4 KiB-aligned, so embedding rows are gathered zero-copy). For tables too
-  //    big for RAM, set options.snapshot.disk_backed = true to serve through an
-  //    LRU block cache over the checkpoint file instead.
+  //    4 KiB-aligned, so embedding rows are gathered zero-copy). Tables too big
+  //    for RAM need no option: the kernel pages rows of the mapping in and out.
   InferenceServer server(&graph, TaskKind::kLinkPrediction, config.model_config(),
                          ServeOptions{});
   std::string error;

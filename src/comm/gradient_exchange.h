@@ -15,10 +15,9 @@
 //    place", so single-replica trajectories through the seam are bitwise
 //    identical to the pre-seam code path (the golden-trajectory tests pin this).
 //  - ProcessGroupExchange (process_group_exchange.h): N processes over
-//    localhost TCP in a star around rank 0; serialize → transport run as
-//    chained async stages on the BoundedQueue/exec-loop pattern so the send
-//    side overlaps stage-3 compute, then ordered-fold reduce → broadcast →
-//    apply. Every rank applies the identical broadcast bytes, so replicas stay
+//    localhost TCP in a star around rank 0; each rank sends its contribution
+//    on the calling thread, then ordered-fold reduce → broadcast → apply.
+//    Every rank applies the identical broadcast bytes, so replicas stay
 //    bitwise-identical and end every epoch with the same determinism hash
 //    (checked by ExchangeEpochHash; docs/DISTRIBUTED.md).
 //
@@ -60,14 +59,11 @@ struct ReplicaOptions {
   int32_t listen_fd = -1;
 };
 
-// Comm accounting drained by ConsumeStats. blocking_seconds is time the
-// training thread spent waiting inside Exchange (the synchronous part of the
-// stall); background_seconds is exec-loop busy time (serialize + transport)
-// that overlaps stage-3 compute. EpochStats::AccumulateComm turns the pair
-// into the excess-over-overlap stall convention io_seconds already uses.
+// Comm accounting drained by ConsumeStats. Every exchange runs on the training
+// thread, so blocking_seconds — the time spent inside Exchange,
+// ExchangeEpochHash and Barrier — is all of the comm time.
 struct CommStats {
   double blocking_seconds = 0.0;
-  double background_seconds = 0.0;
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
 };
@@ -132,9 +128,8 @@ class GradientExchange {
   // must make matched calls. No-op identity for world == 1.
   virtual void Barrier() {}
 
-  // Drains the accumulated comm accounting (resets to zero). Virtual so
-  // implementations with async stages can fold in their loop busy time.
-  virtual CommStats ConsumeStats();
+  // Drains the accumulated comm accounting (resets to zero).
+  CommStats ConsumeStats();
 
  protected:
   CommStats stats_;

@@ -9,7 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <future>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -342,51 +342,13 @@ FoldedStep OrderedFold(const std::vector<StepContribution>& contributions,
   return out;
 }
 
-CommExecLoop::CommExecLoop(size_t capacity) : queue_(capacity) {
-  thread_ = std::thread([this] {
-    while (std::optional<std::function<void()>> job = queue_.Pop()) {
-      WallTimer timer;
-      (*job)();
-      busy_nanos_.fetch_add(static_cast<int64_t>(timer.Seconds() * 1e9),
-                            std::memory_order_relaxed);
-    }
-  });
-}
-
-CommExecLoop::~CommExecLoop() {
-  queue_.Close();  // Pop drains queued jobs before returning nullopt
-  thread_.join();
-}
-
-void CommExecLoop::Submit(std::function<void()> job) {
-  MG_CHECK_MSG(queue_.Push(std::move(job)), "comm exec loop is closed");
-}
-
-void CommExecLoop::Flush() {
-  std::promise<void> done;
-  std::future<void> fut = done.get_future();
-  Submit([&done] { done.set_value(); });
-  fut.wait();
-}
-
-double CommExecLoop::ConsumeBusySeconds() {
-  return static_cast<double>(busy_nanos_.exchange(0, std::memory_order_relaxed)) *
-         1e-9;
-}
-
 ProcessGroupExchange::ProcessGroupExchange(const ReplicaOptions& options)
     : rank_(options.rank), world_(options.world_size) {
   MG_CHECK_MSG(world_ >= 2, "ProcessGroupExchange requires world_size >= 2");
   ConnectStar(options);
-  serialize_loop_ = std::make_unique<CommExecLoop>();
-  transport_loop_ = std::make_unique<CommExecLoop>();
 }
 
 ProcessGroupExchange::~ProcessGroupExchange() {
-  // Drain the chained stages before closing sockets: serialize jobs may still
-  // enqueue transport jobs, transport jobs still write to peers_.
-  serialize_loop_.reset();
-  transport_loop_.reset();
   for (int fd : peers_) {
     if (fd >= 0) {
       ::close(fd);
@@ -457,7 +419,6 @@ void ProcessGroupExchange::ConnectStar(const ReplicaOptions& options) {
     std::vector<uint8_t> hello;
     AppendVal<int32_t>(&hello, rank_);
     SendFrame(fd, kMsgHello, hello);
-    stats_.bytes_sent += kFrameHeaderBytes + hello.size();
   }
 }
 
@@ -469,6 +430,7 @@ void ProcessGroupExchange::SendFrame(int fd, uint32_t kind,
   if (len > 0) {
     WriteAll(fd, payload.data(), payload.size());
   }
+  stats_.bytes_sent += kFrameHeaderBytes + payload.size();
 }
 
 std::vector<uint8_t> ProcessGroupExchange::RecvFrame(int fd,
@@ -487,23 +449,6 @@ std::vector<uint8_t> ProcessGroupExchange::RecvFrame(int fd,
   return payload;
 }
 
-void ProcessGroupExchange::SendContributionAsync(const GradientStep& step) {
-  // Chained stages: serialize on one loop, ship on the other. The caller's
-  // gradient tensors stay valid and unmodified until Exchange returns (the
-  // optimizer applies only after the reduced step comes back), and Exchange
-  // cannot return before this send completes — rank 0 replies only after
-  // receiving it — so capturing the step by value (pointers) is safe.
-  auto buf = std::make_shared<std::vector<uint8_t>>();
-  serialize_loop_->Submit([this, step, buf] {
-    *buf = SerializeContribution(step);
-    transport_loop_->Submit([this, buf] {
-      SendFrame(peers_[0], kMsgStep, *buf);
-      bytes_sent_async_.fetch_add(kFrameHeaderBytes + buf->size(),
-                                  std::memory_order_relaxed);
-    });
-  });
-}
-
 void ProcessGroupExchange::CoordinateStep(const GradientStep& step) {
   std::vector<StepContribution> contributions;
   contributions.reserve(static_cast<size_t>(world_));
@@ -516,14 +461,9 @@ void ProcessGroupExchange::CoordinateStep(const GradientStep& step) {
   // One serialized image, broadcast to every follower: all ranks apply the
   // identical bytes (the coordinator applies folded_ directly — the floats it
   // just serialized).
-  auto buf = std::make_shared<std::vector<uint8_t>>(SerializeFolded(folded_));
+  const std::vector<uint8_t> image = SerializeFolded(folded_);
   for (int32_t r = 1; r < world_; ++r) {
-    const int fd = peers_[static_cast<size_t>(r)];
-    transport_loop_->Submit([this, fd, buf] {
-      SendFrame(fd, kMsgStepResult, *buf);
-      bytes_sent_async_.fetch_add(kFrameHeaderBytes + buf->size(),
-                                  std::memory_order_relaxed);
-    });
+    SendFrame(peers_[static_cast<size_t>(r)], kMsgStepResult, image);
   }
 }
 
@@ -556,7 +496,7 @@ const ReducedStep& ProcessGroupExchange::Exchange(const GradientStep& step) {
   if (rank_ == 0) {
     CoordinateStep(step);
   } else {
-    SendContributionAsync(step);
+    SendFrame(peers_[0], kMsgStep, SerializeContribution(step));
     folded_ = ParseFolded(RecvFrame(peers_[0], kMsgStepResult), world_);
   }
   LoadResultFromFolded();
@@ -566,10 +506,6 @@ const ReducedStep& ProcessGroupExchange::Exchange(const GradientStep& step) {
 
 uint64_t ProcessGroupExchange::ExchangeEpochHash(uint64_t local_hash) {
   WallTimer timer;
-  // Quiesce the async stages first: the hash frames below are written on this
-  // thread and must not interleave with in-flight step frames on the sockets.
-  serialize_loop_->Flush();
-  transport_loop_->Flush();
   uint64_t agreed = local_hash;
   if (rank_ == 0) {
     for (int32_t r = 1; r < world_; ++r) {
@@ -589,13 +525,11 @@ uint64_t ProcessGroupExchange::ExchangeEpochHash(uint64_t local_hash) {
     AppendVal<uint64_t>(&payload, local_hash);
     for (int32_t r = 1; r < world_; ++r) {
       SendFrame(peers_[static_cast<size_t>(r)], kMsgEpochHashResult, payload);
-      stats_.bytes_sent += kFrameHeaderBytes + payload.size();
     }
   } else {
     std::vector<uint8_t> payload;
     AppendVal<uint64_t>(&payload, local_hash);
     SendFrame(peers_[0], kMsgEpochHash, payload);
-    stats_.bytes_sent += kFrameHeaderBytes + payload.size();
     const std::vector<uint8_t> resp = RecvFrame(peers_[0], kMsgEpochHashResult);
     Cursor c{resp.data(), resp.data() + resp.size()};
     agreed = c.Get<uint64_t>();
@@ -613,11 +547,6 @@ uint64_t ProcessGroupExchange::ExchangeEpochHash(uint64_t local_hash) {
 
 void ProcessGroupExchange::Barrier() {
   WallTimer timer;
-  // Quiesce the async stages first, like ExchangeEpochHash: the barrier frames
-  // are written on this thread and must not interleave with in-flight step
-  // frames on the sockets.
-  serialize_loop_->Flush();
-  transport_loop_->Flush();
   const std::vector<uint8_t> empty;
   if (rank_ == 0) {
     // True rendezvous: receive from ALL ranks before releasing ANY rank, so no
@@ -627,21 +556,12 @@ void ProcessGroupExchange::Barrier() {
     }
     for (int32_t r = 1; r < world_; ++r) {
       SendFrame(peers_[static_cast<size_t>(r)], kMsgBarrierResult, empty);
-      stats_.bytes_sent += kFrameHeaderBytes;
     }
   } else {
     SendFrame(peers_[0], kMsgBarrier, empty);
-    stats_.bytes_sent += kFrameHeaderBytes;
     RecvFrame(peers_[0], kMsgBarrierResult);
   }
   stats_.blocking_seconds += timer.Seconds();
-}
-
-CommStats ProcessGroupExchange::ConsumeStats() {
-  stats_.background_seconds += serialize_loop_->ConsumeBusySeconds() +
-                               transport_loop_->ConsumeBusySeconds();
-  stats_.bytes_sent += bytes_sent_async_.exchange(0, std::memory_order_relaxed);
-  return GradientExchange::ConsumeStats();
 }
 
 }  // namespace mariusgnn

@@ -6,26 +6,20 @@
 // ascending rank order (comm.fold_order monitored), and broadcasts one reduced
 // step that every rank — coordinator included — applies byte-identically.
 //
-// The send side runs as chained async stages on the BoundedQueue/exec-loop
-// pattern the pipeline already uses: Exchange() enqueues a serialize job whose
-// completion chains a transport job, then blocks only on the receive, so
-// serialization and the socket write overlap stage-3 compute of the next
-// batch on the other ranks. Any transport failure (peer died, connection
-// dropped) fails loudly via MG_CHECK before anything is applied — a step is
-// applied in full on every rank or the process aborts; there is no partial
-// apply.
+// Every frame is serialized and sent on the calling thread. A follower's
+// Exchange sends its contribution and then blocks receiving the reduced step,
+// which rank 0 cannot produce before that contribution arrives, so a
+// background sender would overlap no work. Any transport failure (peer died,
+// connection dropped) fails loudly via MG_CHECK before anything is applied — a
+// step is applied in full on every rank or the process aborts; there is no
+// partial apply.
 #ifndef SRC_COMM_PROCESS_GROUP_EXCHANGE_H_
 #define SRC_COMM_PROCESS_GROUP_EXCHANGE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/comm/gradient_exchange.h"
-#include "src/pipeline/queue.h"
 #include "src/util/rv_monitor.h"
 
 namespace mariusgnn {
@@ -71,31 +65,6 @@ StepContribution ParseContribution(const std::vector<uint8_t>& payload,
 std::vector<uint8_t> SerializeFolded(const FoldedStep& folded);
 FoldedStep ParseFolded(const std::vector<uint8_t>& payload, int32_t world);
 
-// Single-thread job loop on a BoundedQueue — the pipeline's exec-loop shape,
-// reused for the comm stages. Submit blocks when the queue is full
-// (backpressure toward the trainer); the destructor drains remaining jobs.
-class CommExecLoop {
- public:
-  explicit CommExecLoop(size_t capacity = 8);
-  ~CommExecLoop();
-
-  CommExecLoop(const CommExecLoop&) = delete;
-  CommExecLoop& operator=(const CommExecLoop&) = delete;
-
-  void Submit(std::function<void()> job);
-
-  // Blocks until every job submitted before this call has run.
-  void Flush();
-
-  // Seconds the loop spent running jobs since the last call.
-  double ConsumeBusySeconds();
-
- private:
-  BoundedQueue<std::function<void()>> queue_;
-  std::atomic<int64_t> busy_nanos_{0};
-  std::thread thread_;
-};
-
 class ProcessGroupExchange : public GradientExchange {
  public:
   // Blocks until all world_size ranks are connected (rank 0 accepts, others
@@ -108,20 +77,16 @@ class ProcessGroupExchange : public GradientExchange {
   const ReducedStep& Exchange(const GradientStep& step) override;
   uint64_t ExchangeEpochHash(uint64_t local_hash) override;
   void Barrier() override;
-  CommStats ConsumeStats() override;
 
  private:
   void ConnectStar(const ReplicaOptions& options);
-  // Serialize this rank's contribution and ship it to the coordinator as
-  // chained serialize → transport exec-loop stages.
-  void SendContributionAsync(const GradientStep& step);
   // Coordinator: receive world-1 contributions, ordered-fold with own step,
   // broadcast the result; every rank then loads folded_/result_ from it.
   void CoordinateStep(const GradientStep& step);
   void LoadResultFromFolded();
 
-  // Framed blocking socket IO; MG_CHECK-aborts on short reads/writes so a
-  // dropped peer can never yield a partial apply.
+  // Framed blocking socket IO, counted into stats_; MG_CHECK-aborts on short
+  // reads/writes so a dropped peer can never yield a partial apply.
   void SendFrame(int fd, uint32_t kind, const std::vector<uint8_t>& payload);
   std::vector<uint8_t> RecvFrame(int fd, uint32_t expect_kind);
 
@@ -131,15 +96,7 @@ class ProcessGroupExchange : public GradientExchange {
   // socket to rank r (index 0 unused).
   std::vector<int> peers_;
 
-  // Chained async send stages (see file comment).
-  std::unique_ptr<CommExecLoop> serialize_loop_;
-  std::unique_ptr<CommExecLoop> transport_loop_;
-
   RvFoldOrderMonitor fold_monitor_{RvInvariant::kCommFoldOrder};
-
-  // Bytes written by exec-loop transport jobs; drained into stats_ by
-  // ConsumeStats (the trainer thread) so the counters stay race-free.
-  std::atomic<uint64_t> bytes_sent_async_{0};
 
   // Current step's reduction, rebuilt by each Exchange call.
   FoldedStep folded_;

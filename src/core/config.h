@@ -191,12 +191,10 @@ struct EpochStats {
   double io_stall_seconds = 0.0;  // IO not hidden by prefetch overlap
   double pipeline_stall_seconds = 0.0;  // compute blocked waiting for the next batch
   // Cross-replica gradient-exchange accounting (all zero for the world=1
-  // LocalExchange): total comm time split into synchronous waits plus
-  // background serialize/transport, the part not hidden by compute overlap
-  // (same excess-over-overlap convention as io_stall_seconds — see
-  // AccumulateComm and docs/ARCHITECTURE.md), and bytes moved on the wire.
+  // LocalExchange): time the training thread spent blocked in the exchange
+  // (every exchange is synchronous, so all of it is stall) and bytes moved on
+  // the wire.
   double comm_seconds = 0.0;
-  double comm_stall_seconds = 0.0;
   uint64_t comm_bytes = 0;
   // IO-engine transfer counters for the epoch (zero without a partition
   // buffer): bytes moved through the engine, the time-weighted mean of
@@ -261,18 +259,6 @@ struct EpochStats {
                         double overlapped_compute) {
     io_seconds += sync_io + background_io;
     io_stall_seconds += sync_io + std::max(0.0, background_io - overlapped_compute);
-  }
-
-  // Folds the epoch's gradient-exchange accounting into the totals, using the
-  // same excess-over-overlap stall convention as AccumulateSwapIo: synchronous
-  // exchange waits (the trainer thread blocked inside Exchange) stall in full;
-  // background serialize/transport time only by its excess over the compute it
-  // overlapped.
-  void AccumulateComm(double blocking_comm, double background_comm,
-                      double overlapped_compute) {
-    comm_seconds += blocking_comm + background_comm;
-    comm_stall_seconds +=
-        blocking_comm + std::max(0.0, background_comm - overlapped_compute);
   }
 };
 

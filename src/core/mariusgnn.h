@@ -29,10 +29,10 @@
 //
 // Online serving (src/serve/, see examples/serve_quickstart.cpp): an
 // InferenceServer answers concurrent link-prediction / node-classification
-// queries straight off checkpoint snapshots — mmapped zero-copy for v2 files,
-// LRU-cached disk reads for tables too big for RAM — coalescing concurrent
-// requests into one batched forward and hot-swapping to a newer checkpoint
-// without dropping in-flight requests:
+// queries straight off checkpoint snapshots — mmapped zero-copy, with the
+// kernel page cache holding the hot rows even of tables too big for RAM —
+// coalescing concurrent requests into one batched forward and hot-swapping to a
+// newer checkpoint without dropping in-flight requests:
 //
 //   InferenceServer server(&graph, TaskKind::kLinkPrediction,
 //                          config.model_config(), {});

@@ -66,8 +66,7 @@ EpochStats TrainerBase::TrainEpoch() {
   // below). Identity for world == 1.
   exchange_->ExchangeEpochHash(last_determinism_hash_);
   const CommStats comm = exchange_->ConsumeStats();
-  stats.AccumulateComm(comm.blocking_seconds, comm.background_seconds,
-                       stats.compute_seconds);
+  stats.comm_seconds = comm.blocking_seconds;
   stats.comm_bytes = comm.bytes_sent + comm.bytes_received;
   stats.rv_violations = RvRuntime::Global().TotalViolations() - rv_before;
   ++epochs_completed_;

@@ -125,23 +125,6 @@ class BoundedQueue {
     return stats;
   }
 
-  // Current window's statistics without resetting it (tests / diagnostics).
-  QueueStats PeekStats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    QueueStats stats;
-    const Clock::time_point now = Clock::now();
-    stats.high_watermark = std::max(high_, items_.size());
-    stats.low_watermark = std::min(low_, items_.size());
-    stats.occupancy_integral =
-        integral_ + static_cast<double>(items_.size()) *
-                        std::chrono::duration<double>(now - last_event_).count();
-    stats.window_seconds =
-        std::chrono::duration<double>(now - window_start_).count();
-    stats.pushes = pushes_;
-    stats.pops = pops_;
-    return stats;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 

@@ -150,8 +150,8 @@ DenseBatch ConcatBlockDiagonal(const std::vector<const DenseBatch*>& batches,
 }
 
 DenseSampler::DenseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-                           EdgeDirection dir, uint64_t seed, ThreadPool* pool)
-    : index_(index), fanouts_(std::move(fanouts)), dir_(dir), rng_(seed), pool_(pool) {
+                           EdgeDirection dir, uint64_t seed)
+    : index_(index), fanouts_(std::move(fanouts)), dir_(dir), rng_(seed) {
   MG_CHECK(!fanouts_.empty());
 }
 
@@ -198,26 +198,19 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
     std::vector<int64_t> hop_nbrs(static_cast<size_t>(total));
     std::vector<int32_t> hop_rels(static_cast<size_t>(total));
 
-    auto fill = [&](int64_t begin, int64_t end) {
-      std::vector<Neighbor> scratch;
-      for (int64_t j = begin; j < end; ++j) {
-        scratch.clear();
-        Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(hop) * 0x100000001ULL +
-                                             static_cast<uint64_t>(j)));
-        index->SampleOneHop(delta[static_cast<size_t>(j)], fanout, dir_, node_rng, scratch);
-        int64_t pos = starts[static_cast<size_t>(j)];
-        for (const Neighbor& nb : scratch) {
-          hop_nbrs[static_cast<size_t>(pos)] = nb.node;
-          hop_rels[static_cast<size_t>(pos)] = nb.rel;
-          ++pos;
-        }
-        MG_DCHECK(pos == starts[static_cast<size_t>(j) + 1]);
+    std::vector<Neighbor> scratch;
+    for (int64_t j = 0; j < m; ++j) {
+      scratch.clear();
+      Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(hop) * 0x100000001ULL +
+                                           static_cast<uint64_t>(j)));
+      index->SampleOneHop(delta[static_cast<size_t>(j)], fanout, dir_, node_rng, scratch);
+      int64_t pos = starts[static_cast<size_t>(j)];
+      for (const Neighbor& nb : scratch) {
+        hop_nbrs[static_cast<size_t>(pos)] = nb.node;
+        hop_rels[static_cast<size_t>(pos)] = nb.rel;
+        ++pos;
       }
-    };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(m, fill, /*min_chunk=*/256);
-    } else {
-      fill(0, m);
+      MG_DCHECK(pos == starts[static_cast<size_t>(j) + 1]);
     }
 
     // Prepend this hop's samples (Algorithm 1, lines 5-6).

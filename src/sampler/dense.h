@@ -23,7 +23,6 @@
 
 #include "src/graph/neighbor_index.h"
 #include "src/util/rng.h"
-#include "src/util/threadpool.h"
 
 namespace mariusgnn {
 
@@ -88,8 +87,7 @@ class DenseSampler {
   // paper's "30, 20, 10 ordered away from the target nodes" convention). When dir is
   // kBoth, up to fanouts[h] neighbors are drawn from each direction.
   DenseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-               EdgeDirection dir, uint64_t seed = 17,
-               ThreadPool* pool = nullptr);
+               EdgeDirection dir, uint64_t seed = 17);
 
   // Samples the k-hop neighborhood of unique `target_nodes` and returns the DENSE
   // arrays (repr_map not yet finalized). Advances the sampler's own RNG.
@@ -116,7 +114,6 @@ class DenseSampler {
   std::vector<int64_t> fanouts_;
   EdgeDirection dir_;
   Rng rng_;
-  ThreadPool* pool_;
 };
 
 }  // namespace mariusgnn

@@ -5,10 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
-#include <utility>
 
+#include "src/util/binary_io.h"
 #include "src/util/check.h"
 
 namespace mariusgnn {
@@ -50,91 +49,26 @@ std::unique_ptr<EmbeddingSource> EmbeddingSource::OpenMapped(
   return src;
 }
 
-std::unique_ptr<EmbeddingSource> EmbeddingSource::OpenDiskLru(
-    const std::string& path, const CheckpointSectionInfo& section,
-    const SnapshotOptions& options, std::string* error) {
-  MG_CHECK_MSG(options.cache_block_rows > 0 && options.cache_capacity_blocks > 0,
-               "serve: LRU cache geometry must be positive");
-  std::unique_ptr<File> f = File::TryOpenReadOnly(path, error);
-  if (f == nullptr) {
-    return nullptr;
-  }
-  std::unique_ptr<EmbeddingSource> src(new EmbeddingSource());
-  src->rows_ = section.rows;
-  src->cols_ = section.cols;
-  src->file_ = std::move(f);
-  src->file_offset_ = section.file_offset;
-  src->block_rows_ = options.cache_block_rows;
-  src->capacity_blocks_ = options.cache_capacity_blocks;
-  return src;
-}
-
-const float* EmbeddingSource::CachedRow(int64_t row) const {
-  const int64_t block_id = row / block_rows_;
-  auto it = blocks_.find(block_id);
-  if (it != blocks_.end()) {
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.data.data() + (row - block_id * block_rows_) * cols_;
-  }
-  ++stats_.misses;
-  if (static_cast<int64_t>(blocks_.size()) >= capacity_blocks_) {
-    const int64_t victim = lru_.back();
-    lru_.pop_back();
-    blocks_.erase(victim);
-    ++stats_.evictions;
-  }
-  const int64_t begin_row = block_id * block_rows_;
-  const int64_t end_row = std::min(rows_, begin_row + block_rows_);
-  Block block;
-  block.data.resize(static_cast<size_t>((end_row - begin_row) * cols_));
-  file_->ReadAt(block.data.data(), block.data.size() * sizeof(float),
-                file_offset_ + static_cast<uint64_t>(begin_row) * cols_ * sizeof(float));
-  lru_.push_front(block_id);
-  block.lru_it = lru_.begin();
-  auto ins = blocks_.emplace(block_id, std::move(block)).first;
-  return ins->second.data.data() + (row - begin_row) * cols_;
-}
-
 Tensor EmbeddingSource::Gather(const std::vector<int64_t>& nodes,
                                const ComputeContext* compute) const {
   const int64_t n = static_cast<int64_t>(nodes.size());
   Tensor out(n, cols_);
-  if (section_data_ != nullptr) {
-    // Memory-backed: row-local copies, parallel-safe at any pool size.
-    ForEachChunk(compute, n, kComputeGrainRows,
-                 [&](int64_t, int64_t begin, int64_t end) {
-                   for (int64_t i = begin; i < end; ++i) {
-                     const int64_t row = nodes[static_cast<size_t>(i)];
-                     MG_DCHECK(row >= 0 && row < rows_);
-                     std::memcpy(out.RowPtr(i), section_data_ + row * cols_,
-                                 static_cast<size_t>(cols_) * sizeof(float));
-                   }
-                 });
-    return out;
-  }
-  // Disk-backed: the cache mutates on every lookup, so the gather runs serially
-  // under the lock. The bits are still a pure function of `nodes` — cache state
-  // only decides whether a row comes from memory or a fresh pread of the same
-  // immutable file bytes.
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t row = nodes[static_cast<size_t>(i)];
-    MG_CHECK_MSG(row >= 0 && row < rows_, "serve: embedding row out of range");
-    std::memcpy(out.RowPtr(i), CachedRow(row),
-                static_cast<size_t>(cols_) * sizeof(float));
-  }
+  // Row-local copies, parallel-safe at any pool size.
+  ForEachChunk(compute, n, kComputeGrainRows,
+               [&](int64_t, int64_t begin, int64_t end) {
+                 for (int64_t i = begin; i < end; ++i) {
+                   const int64_t row = nodes[static_cast<size_t>(i)];
+                   MG_DCHECK(row >= 0 && row < rows_);
+                   std::memcpy(out.RowPtr(i), section_data_ + row * cols_,
+                               static_cast<size_t>(cols_) * sizeof(float));
+                 }
+               });
   return out;
-}
-
-CacheStats EmbeddingSource::cache_stats() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return stats_;
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
     const std::string& path, const Graph& graph, TaskKind kind,
-    const ModelConfig& config, const SnapshotOptions& options,
+    const ModelConfig& config, const SnapshotOptions& /*options*/,
     std::string* error) {
   CheckpointManifest manifest;
   if (!ReadCheckpointManifest(path, &manifest, error)) {
@@ -202,10 +136,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
       *error = "serve: embedding table shape does not match (graph, config)";
       return nullptr;
     }
-    snapshot->embeddings =
-        options.disk_backed
-            ? EmbeddingSource::OpenDiskLru(path, *section, options, error)
-            : EmbeddingSource::OpenMapped(path, *section, error);
+    snapshot->embeddings = EmbeddingSource::OpenMapped(path, *section, error);
     if (snapshot->embeddings == nullptr) {
       return nullptr;
     }

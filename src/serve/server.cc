@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -17,6 +18,14 @@ namespace {
 // composition, arrival order, and snapshot swaps can never change a query's
 // neighborhood sample ("SERV").
 constexpr uint64_t kServeSeedSalt = 0x53455256ULL;
+
+// Aborts, naming the value, unless 0 <= value < limit.
+void CheckQueryId(const char* what, int64_t value, int64_t limit) {
+  MG_CHECK_MSG(value >= 0 && value < limit,
+               ("serve: " + std::string(what) + " " + std::to_string(value) +
+                " is out of range [0, " + std::to_string(limit) + ")")
+                   .c_str());
+}
 }  // namespace
 
 InferenceServer::InferenceServer(const Graph* graph, TaskKind kind,
@@ -32,11 +41,11 @@ InferenceServer::InferenceServer(const Graph* graph, TaskKind kind,
 }
 
 bool InferenceServer::LoadSnapshot(const std::string& path, std::string* error) {
-  // The expensive part — manifest parse, parameter reads, mmap/cache setup —
+  // The expensive part — manifest parse, parameter reads, mmap setup —
   // happens with no lock held; in-flight batches keep answering from the old
   // epoch until the pointer swap below.
   std::shared_ptr<const ModelSnapshot> next =
-      ModelSnapshot::Load(path, *graph_, kind_, config_, options_.snapshot, error);
+      ModelSnapshot::Load(path, *graph_, kind_, config_, SnapshotOptions(), error);
   if (next == nullptr) {
     return false;
   }
@@ -71,10 +80,20 @@ InferenceServer::LinkPlan InferenceServer::PlanLinkQuery(
   return plan;
 }
 
+void InferenceServer::CheckLinkQuery(int64_t src, int32_t rel,
+                                     const std::vector<int64_t>& candidates) const {
+  CheckQueryId("node", src, graph_->num_nodes());
+  CheckQueryId("relation", rel, graph_->num_relations());
+  for (int64_t cand : candidates) {
+    CheckQueryId("candidate node", cand, graph_->num_nodes());
+  }
+}
+
 ServeResult InferenceServer::ScoreLinks(int64_t src, int32_t rel,
                                         const std::vector<int64_t>& candidates) {
   MG_CHECK_MSG(kind_ == TaskKind::kLinkPrediction,
                "ScoreLinks on a node-classification server");
+  CheckLinkQuery(src, rel, candidates);
   Request req;
   req.src = src;
   req.rel = rel;
@@ -85,6 +104,7 @@ ServeResult InferenceServer::ScoreLinks(int64_t src, int32_t rel,
 ServeResult InferenceServer::Classify(int64_t node) {
   MG_CHECK_MSG(kind_ == TaskKind::kNodeClassification,
                "Classify on a link-prediction server");
+  CheckQueryId("node", node, graph_->num_nodes());
   Request req;
   req.src = node;
   return Submit(std::move(req));
@@ -242,6 +262,7 @@ ServeResult InferenceServer::ScoreLinksUnbatched(
     int64_t src, int32_t rel, const std::vector<int64_t>& candidates) const {
   MG_CHECK_MSG(kind_ == TaskKind::kLinkPrediction,
                "ScoreLinksUnbatched on a node-classification server");
+  CheckLinkQuery(src, rel, candidates);
   std::shared_ptr<const ModelSnapshot> snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -258,6 +279,7 @@ ServeResult InferenceServer::ScoreLinksUnbatched(
 ServeResult InferenceServer::ClassifyUnbatched(int64_t node) const {
   MG_CHECK_MSG(kind_ == TaskKind::kNodeClassification,
                "ClassifyUnbatched on a link-prediction server");
+  CheckQueryId("node", node, graph_->num_nodes());
   std::shared_ptr<const ModelSnapshot> snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -283,9 +305,6 @@ ServerStats InferenceServer::stats() const {
   s.snapshot_swaps = swaps_;
   s.rv_violations =
       RvRuntime::Global().violations(RvInvariant::kServeEpochPin);
-  if (snapshot_ != nullptr && snapshot_->embeddings != nullptr) {
-    s.cache = snapshot_->embeddings->cache_stats();
-  }
   return s;
 }
 

@@ -45,7 +45,6 @@ namespace mariusgnn {
 
 struct ServeOptions {
   int64_t max_batch = 64;     // most queries coalesced into one forward
-  SnapshotOptions snapshot;   // embedding backing: memory (mmap) vs disk LRU
   // Kernel pool for the batched forward; nullptr = serial. Either way the bits
   // are identical (src/util/compute.h), so this is a latency knob only.
   ThreadPool* compute_pool = nullptr;
@@ -63,7 +62,6 @@ struct ServerStats {
   uint64_t batches = 0;          // executed forwards (>= 1 query each)
   int64_t max_coalesced = 0;     // largest batch observed
   uint64_t snapshot_swaps = 0;   // successful LoadSnapshot calls after the first
-  CacheStats cache;              // current snapshot's LRU counters (disk mode)
   // serve.epoch_pin violations observed process-wide (RvRuntime counter): an
   // answer tagged with a different epoch than its batch's pinned snapshot.
   // Always 0 unless the hot-swap isolation is broken.
@@ -83,11 +81,14 @@ class InferenceServer {
   bool LoadSnapshot(const std::string& path, std::string* error);
 
   // Scores (src, rel, candidate_j) for every candidate. Blocks until answered;
-  // callable from any thread concurrently.
+  // callable from any thread concurrently. src and every candidate must be
+  // graph nodes and rel a graph relation; an out-of-range id aborts on the
+  // caller's thread, before the query is queued.
   ServeResult ScoreLinks(int64_t src, int32_t rel,
                          const std::vector<int64_t>& candidates);
 
-  // Class logits for one node. Blocks until answered; thread-safe.
+  // Class logits for one node. Blocks until answered; thread-safe. An
+  // out-of-range node aborts like ScoreLinks.
   ServeResult Classify(int64_t node);
 
   // Reference path: the same query executed alone, no batching or coalescing.
@@ -117,6 +118,10 @@ class InferenceServer {
   };
 
   static LinkPlan PlanLinkQuery(int64_t src, const std::vector<int64_t>& candidates);
+
+  // Caller-thread validation of a link query's ids against the graph (aborts).
+  void CheckLinkQuery(int64_t src, int32_t rel,
+                      const std::vector<int64_t>& candidates) const;
 
   // Enqueues `req` and runs the leader-follower protocol; returns the result.
   ServeResult Submit(Request req);

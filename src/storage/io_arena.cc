@@ -64,11 +64,6 @@ IoArena::~IoArena() {
   std::free(base_);
 }
 
-int IoArena::FreeSlots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(free_.size());
-}
-
 float* IoArena::Acquire() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return !free_.empty(); });

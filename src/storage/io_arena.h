@@ -71,7 +71,6 @@ class IoArena {
 
   size_t slot_bytes() const { return slot_bytes_; }
   int num_slots() const { return num_slots_; }
-  int FreeSlots() const;
 
   float* Acquire();
   void Release(float* slot);
@@ -80,7 +79,7 @@ class IoArena {
   size_t slot_bytes_ = 0;  // rounded up to kIoAlignment
   int num_slots_ = 0;
   char* base_ = nullptr;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::vector<float*> free_;  // guarded by mu_
 };

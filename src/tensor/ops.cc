@@ -120,34 +120,6 @@ void AddInPlace(Tensor& out, const Tensor& in, const ComputeContext* ctx) {
   });
 }
 
-void Axpy(Tensor& out, const Tensor& in, float alpha, const ComputeContext* ctx) {
-  MG_CHECK(out.rows() == in.rows() && out.cols() == in.cols());
-  ForEachElemChunk(ctx, out.size(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      out.data()[i] += alpha * in.data()[i];
-    }
-  });
-}
-
-Tensor Hadamard(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
-  MG_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  Tensor c(a.rows(), a.cols());
-  ForEachElemChunk(ctx, a.size(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      c.data()[i] = a.data()[i] * b.data()[i];
-    }
-  });
-  return c;
-}
-
-void Scale(Tensor& t, float alpha, const ComputeContext* ctx) {
-  ForEachElemChunk(ctx, t.size(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      t.data()[i] *= alpha;
-    }
-  });
-}
-
 void AddBiasRows(Tensor& t, const Tensor& bias, const ComputeContext* ctx) {
   MG_CHECK(bias.rows() == 1 && bias.cols() == t.cols());
   ForEachRowChunk(ctx, t.rows(), [&](int64_t row_begin, int64_t row_end) {
@@ -562,24 +534,6 @@ float SoftmaxCrossEntropy(const Tensor& logits, const std::vector<int64_t>& labe
     });
   }
   return static_cast<float>(loss * inv_n);
-}
-
-void RowL2NormalizeInPlace(Tensor& t, const ComputeContext* ctx) {
-  ForEachRowChunk(ctx, t.rows(), [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* row = t.RowPtr(r);
-      double s = 0.0;
-      for (int64_t c = 0; c < t.cols(); ++c) {
-        s += static_cast<double>(row[c]) * row[c];
-      }
-      if (s > 0.0) {
-        const float inv = static_cast<float>(1.0 / std::sqrt(s));
-        for (int64_t c = 0; c < t.cols(); ++c) {
-          row[c] *= inv;
-        }
-      }
-    }
-  });
 }
 
 }  // namespace mariusgnn

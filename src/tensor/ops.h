@@ -44,15 +44,6 @@ Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx 
 // out += in (same shape).
 void AddInPlace(Tensor& out, const Tensor& in, const ComputeContext* ctx = nullptr);
 
-// out += alpha * in.
-void Axpy(Tensor& out, const Tensor& in, float alpha, const ComputeContext* ctx = nullptr);
-
-// Elementwise product.
-Tensor Hadamard(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
-
-// Scales every element in place.
-void Scale(Tensor& t, float alpha, const ComputeContext* ctx = nullptr);
-
 // Adds a 1 x n bias row to every row of t (n == t.cols()).
 void AddBiasRows(Tensor& t, const Tensor& bias, const ComputeContext* ctx = nullptr);
 
@@ -117,9 +108,6 @@ Tensor RowSoftmax(const Tensor& logits, const ComputeContext* ctx = nullptr);
 // loss is an ordered per-chunk reduction over row chunks.
 float SoftmaxCrossEntropy(const Tensor& logits, const std::vector<int64_t>& labels,
                           Tensor* dlogits, const ComputeContext* ctx = nullptr);
-
-// L2-normalises each row in place (zero rows left untouched).
-void RowL2NormalizeInPlace(Tensor& t, const ComputeContext* ctx = nullptr);
 
 }  // namespace mariusgnn
 

@@ -32,13 +32,6 @@ Tensor Tensor::GlorotUniform(int64_t fan_in, int64_t fan_out, Rng& rng) {
   return Uniform(fan_in, fan_out, a, rng);
 }
 
-Tensor Tensor::Slice(int64_t begin, int64_t end) const {
-  MG_CHECK(begin >= 0 && begin <= end && end <= rows_);
-  Tensor out(end - begin, cols_);
-  std::copy(RowPtr(begin), RowPtr(begin) + (end - begin) * cols_, out.data());
-  return out;
-}
-
 void Tensor::Fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
 double Tensor::Norm() const {

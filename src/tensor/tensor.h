@@ -33,8 +33,6 @@ class Tensor {
     MG_CHECK(static_cast<int64_t>(data_.size()) == rows * cols);
   }
 
-  static Tensor Zeros(int64_t rows, int64_t cols) { return Tensor(rows, cols); }
-
   static Tensor Full(int64_t rows, int64_t cols, float value);
 
   // U(-a, a) initialisation.
@@ -65,9 +63,6 @@ class Tensor {
     MG_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
-
-  // Copy of rows [begin, end).
-  Tensor Slice(int64_t begin, int64_t end) const;
 
   void Fill(float value);
   void Zero() { Fill(0.0f); }

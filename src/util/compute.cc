@@ -97,9 +97,7 @@ void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
     if (stats != nullptr) {
       const double s = timer.Seconds();
       stats->busy_seconds += s;
-      stats->wall_seconds += s;
       stats->capacity_seconds += s;  // one executor: capacity == busy
-      ++stats->regions;
     }
     return;
   }
@@ -130,13 +128,11 @@ void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
   if (stats != nullptr) {
     const double wall_s = wall.Seconds();
     stats->busy_seconds += static_cast<double>(state->busy_nanos.load()) * 1e-9;
-    stats->wall_seconds += wall_s;
     // Capacity charges only threads that actually executed a chunk: a helper that
     // was queued but never ran (the caller drained everything first) enlisted no
     // capacity, so short regions still report honest efficiency.
     const int64_t executors = std::max<int64_t>(1, state->participants.load());
     stats->capacity_seconds += wall_s * static_cast<double>(executors);
-    ++stats->regions;
   }
 }
 

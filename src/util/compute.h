@@ -51,13 +51,11 @@ inline constexpr int64_t kComputeGrainSortEdges = 2048;
 // Aggregate counters for the parallel compute regions of one epoch.
 struct ComputeStats {
   double busy_seconds = 0.0;      // summed per-chunk execution time across threads
-  double wall_seconds = 0.0;      // caller-side wall time of the same regions
   // Sum over regions of (region wall x threads that actually executed >= 1 of its
   // chunks; 1 for regions that ran serially). The honest denominator for
   // efficiency: a small kernel that never went parallel — or whose queued helpers
   // never got a chunk — contributes capacity == busy, not 8x its wall time.
   double capacity_seconds = 0.0;
-  int64_t regions = 0;
 
   void Reset() { *this = ComputeStats(); }
 
@@ -72,11 +70,6 @@ struct ComputeStats {
     const double busy = busy_seconds - since.busy_seconds;
     const double capacity = capacity_seconds - since.capacity_seconds;
     return capacity > 0.0 ? busy / capacity : 1.0;
-  }
-
-  // busy / wall: the effective speedup over running the same chunks serially.
-  double Speedup() const {
-    return wall_seconds > 0.0 ? busy_seconds / wall_seconds : 1.0;
   }
 };
 

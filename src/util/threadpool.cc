@@ -36,43 +36,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
-                             int64_t min_chunk) {
-  if (n <= 0) {
-    return;
-  }
-  // Fixed chunk size: boundaries are a function of (n, min_chunk) only, never the
-  // worker count, so callers layering deterministic reductions on top of the chunk
-  // grid get identical results for any pool size (see src/util/compute.h). The cap
-  // bounds Submit overhead for huge n; it too depends only on n.
-  constexpr int64_t kMaxTasks = 256;
-  const int64_t step = std::max(min_chunk, (n + kMaxTasks - 1) / kMaxTasks);
-  const int64_t threads = static_cast<int64_t>(num_threads());
-  if (threads <= 1 || n <= min_chunk || OnWorkerThread()) {
-    // Inline execution walks the same grid so the callback sees identical chunk
-    // boundaries no matter how (or whether) the work was parallelized.
-    for (int64_t begin = 0; begin < n; begin += step) {
-      fn(begin, std::min(begin + step, n));
-    }
-    return;
-  }
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int64_t pending = (n + step - 1) / step;
-  for (int64_t begin = 0; begin < n; begin += step) {
-    const int64_t end = std::min(begin + step, n);
-    Submit([&, begin, end] {
-      fn(begin, end);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) {
-        done_cv.notify_one();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return pending == 0; });
-}
-
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });

@@ -1,8 +1,6 @@
-// Fixed-size worker pool with a parallel-for helper.
-//
-// The samplers use ParallelFor to split one-hop sampling and delta computation across
-// CPU threads (Section 4.1 of the paper: "we can sample incoming and outgoing edges for
-// any set of nodes in parallel using all available CPU threads").
+// Fixed-size worker pool. The pipeline's sampling workers run on it, and
+// ForEachChunk (src/util/compute.h) fans stage-3 kernels out onto it in fixed
+// chunks — the one parallel-for in the system.
 #ifndef SRC_UTIL_THREADPOOL_H_
 #define SRC_UTIL_THREADPOOL_H_
 
@@ -27,19 +25,8 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  // Enqueues a task; fire-and-forget (use ParallelFor for joinable work).
+  // Enqueues a task; fire-and-forget (use ForEachChunk for joinable work).
   void Submit(std::function<void()> task);
-
-  // Runs fn(begin, end) over contiguous chunks of [0, n) on the pool and blocks until
-  // all chunks complete. Chunks have fixed size max(min_chunk, ceil(n/256)) (the
-  // last may be short): the chunk grid depends only on n and min_chunk, never the
-  // pool size, so chunk-deterministic callers produce identical results on any pool.
-  // Runs inline — walking the same grid — when n is small, the pool has one
-  // thread, or the caller is itself one of this pool's workers (waiting on
-  // own-pool chunks from a worker deadlocks once all workers block — e.g.
-  // pipeline workers sampling).
-  void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
-                   int64_t min_chunk = 1024);
 
   // True when the calling thread is one of this pool's workers.
   bool OnWorkerThread() const;

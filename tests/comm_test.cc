@@ -573,9 +573,9 @@ void ExpectLpGolden(bool use_disk, const std::vector<double>& want_losses,
     const EpochStats s = trainer.TrainEpoch();
     EXPECT_EQ(s.loss, want_losses[e]) << "epoch " << e;
     EXPECT_NE(s.determinism_hash, 0u);
-    // LocalExchange moves nothing: no wire bytes, no comm stall.
+    // LocalExchange moves nothing: no wire bytes, no comm time.
     EXPECT_EQ(s.comm_bytes, 0u);
-    EXPECT_EQ(s.comm_stall_seconds, 0.0);
+    EXPECT_EQ(s.comm_seconds, 0.0);
     EXPECT_EQ(s.num_global_batches, s.num_batches);
   }
   EXPECT_EQ(trainer.EvaluateMrr(50, 100), want_mrr);

@@ -11,7 +11,6 @@
 #include "src/data/datasets.h"
 #include "src/graph/neighbor_index.h"
 #include "src/sampler/dense.h"
-#include "src/util/threadpool.h"
 
 namespace mariusgnn {
 namespace {
@@ -133,22 +132,6 @@ TEST(Dense, DeterministicGivenSeed) {
   EXPECT_EQ(a.node_ids, b.node_ids);
   EXPECT_EQ(a.nbrs, b.nbrs);
   EXPECT_EQ(a.nbr_offsets, b.nbr_offsets);
-}
-
-TEST(Dense, ParallelSamplingMatchesSerial) {
-  Graph g = Fb15k237Like(0.05);
-  NeighborIndex index(g);
-  ThreadPool pool(4);
-  DenseSampler serial(&index, {8, 8}, EdgeDirection::kBoth, 42, nullptr);
-  DenseSampler parallel(&index, {8, 8}, EdgeDirection::kBoth, 42, &pool);
-  std::vector<int64_t> targets;
-  for (int64_t v = 0; v < std::min<int64_t>(512, g.num_nodes()); ++v) {
-    targets.push_back(v);
-  }
-  DenseBatch a = serial.Sample(targets);
-  DenseBatch b = parallel.Sample(targets);
-  EXPECT_EQ(a.node_ids, b.node_ids);
-  EXPECT_EQ(a.nbrs, b.nbrs);
 }
 
 TEST(Dense, AdvanceLayerPreservesClosure) {

@@ -357,7 +357,9 @@ TEST(Decoder, TrainingReducesLoss) {
       first = loss;
     }
     last = loss;
-    Axpy(reprs, d, -0.5f);
+    for (int64_t i = 0; i < reprs.size(); ++i) {
+      reprs.data()[i] -= 0.5f * d.data()[i];
+    }
     for (Parameter* p : decoder.Parameters()) {
       opt.Step(*p);
       p->ZeroGrad();

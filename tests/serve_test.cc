@@ -1,13 +1,14 @@
 // Serving-tier tests: the batched concurrent path must answer bitwise-
 // identically to serial single-query evaluation (the determinism contract of
 // src/serve/server.h), hot snapshot swaps must never drop a request or mix
-// epochs within one answer, disk-backed LRU serving must match memory-backed
-// serving bit for bit, and a retired format-v1 checkpoint is refused without
-// disturbing the epoch being served.
+// epochs within one answer, a retired format-v1 checkpoint is refused without
+// disturbing the epoch being served, and a query naming a node or relation the
+// graph does not have aborts before it is queued.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,34 +211,6 @@ TEST(Serve, LayerwiseModelServes) {
   std::remove(path.c_str());
 }
 
-TEST(Serve, DiskBackedLruMatchesMemoryBacked) {
-  Graph g = Fb15k237Like(0.05);
-  TrainingConfig config = SmallLpConfig();
-  const std::string path = TrainLpCheckpoint(g, config, 1, "mgnn_serve_lru");
-
-  InferenceServer mem_server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
-  ServeOptions disk_options;
-  disk_options.snapshot.disk_backed = true;
-  disk_options.snapshot.cache_block_rows = 64;
-  disk_options.snapshot.cache_capacity_blocks = 2;  // tiny: force evictions
-  InferenceServer disk_server(&g, TaskKind::kLinkPrediction, config.model_config(),
-                              disk_options);
-  std::string error;
-  ASSERT_TRUE(mem_server.LoadSnapshot(path, &error)) << error;
-  ASSERT_TRUE(disk_server.LoadSnapshot(path, &error)) << error;
-
-  for (const LinkQuery& lq : MakeLinkQueries(g, 32, 16)) {
-    const ServeResult mem = mem_server.ScoreLinks(lq.src, lq.rel, lq.candidates);
-    const ServeResult disk = disk_server.ScoreLinks(lq.src, lq.rel, lq.candidates);
-    ExpectBitwiseEqual(disk.values, mem.values);
-  }
-  const ServerStats stats = disk_server.stats();
-  EXPECT_GT(stats.cache.misses, 0u);
-  EXPECT_GT(stats.cache.hits, 0u);
-  EXPECT_GT(stats.cache.evictions, 0u);
-  std::remove(path.c_str());
-}
-
 TEST(Serve, LoadSnapshotRejectsV1AndKeepsServingPreviousEpoch) {
   Graph g = Fb15k237Like(0.05);
   TrainingConfig config = SmallLpConfig();
@@ -366,6 +339,80 @@ TEST(Serve, HotSwapUnderLoad) {
   EXPECT_EQ(server.ScoreLinks(lq.src, lq.rel, lq.candidates).epoch, 2u);
   std::remove(ck1.c_str());
   std::remove(ck2.c_str());
+}
+
+// Out-of-range query ids abort on the caller's thread with the bad value in
+// the message, for the batched and the unbatched path alike: the embedding
+// gather and the decoder's relation lookup index the tables unchecked.
+class ServeDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    graph_ = Fb15k237Like(0.03);
+    config_ = SmallLpConfig();
+    config_.fanouts = {};
+    config_.dims = {16};
+    path_ = TrainLpCheckpoint(graph_, config_, 1, "mgnn_serve_death");
+    server_ = std::make_unique<InferenceServer>(
+        &graph_, TaskKind::kLinkPrediction, config_.model_config(), ServeOptions{});
+    std::string error;
+    ASSERT_TRUE(server_->LoadSnapshot(path_, &error)) << error;
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  Graph graph_;
+  TrainingConfig config_;
+  std::string path_;
+  std::unique_ptr<InferenceServer> server_;
+};
+
+TEST_F(ServeDeathTest, ScoreLinksRejectsOutOfRangeSource) {
+  const int64_t n = graph_.num_nodes();
+  EXPECT_DEATH(server_->ScoreLinks(n + 5, 0, {0, 1}),
+               "serve: node " + std::to_string(n + 5) + " is out of range");
+  EXPECT_DEATH(server_->ScoreLinks(n * 1000, 0, {0}),
+               "serve: node " + std::to_string(n * 1000) + " is out of range");
+  EXPECT_DEATH(server_->ScoreLinks(-1, 0, {0}), "serve: node -1 is out of range");
+  EXPECT_DEATH(server_->ScoreLinksUnbatched(n + 5, 0, {0, 1}),
+               "serve: node " + std::to_string(n + 5) + " is out of range");
+}
+
+TEST_F(ServeDeathTest, ScoreLinksRejectsOutOfRangeRelation) {
+  const int32_t r = graph_.num_relations();
+  EXPECT_DEATH(server_->ScoreLinks(0, r + 7, {0, 1}),
+               "serve: relation " + std::to_string(r + 7) + " is out of range");
+  EXPECT_DEATH(server_->ScoreLinks(0, -1, {0, 1}),
+               "serve: relation -1 is out of range");
+  EXPECT_DEATH(server_->ScoreLinksUnbatched(0, r, {0, 1}),
+               "serve: relation " + std::to_string(r) + " is out of range");
+}
+
+TEST_F(ServeDeathTest, ScoreLinksRejectsOutOfRangeCandidate) {
+  const int64_t n = graph_.num_nodes();
+  EXPECT_DEATH(server_->ScoreLinks(0, 0, {n + 3}),
+               "serve: candidate node " + std::to_string(n + 3) + " is out of range");
+  EXPECT_DEATH(server_->ScoreLinks(0, 0, {1, 2, -4}),
+               "serve: candidate node -4 is out of range");
+  EXPECT_DEATH(server_->ScoreLinksUnbatched(0, 0, {1, n}),
+               "serve: candidate node " + std::to_string(n) + " is out of range");
+}
+
+TEST(ServeNcDeathTest, ClassifyRejectsOutOfRangeNode) {
+  Graph g = PapersMini(0.05);
+  TrainingConfig config = SmallNcConfig();
+  NodeClassificationTrainer trainer(&g, config);
+  trainer.TrainEpoch();
+  const std::string path = TempPath("mgnn_serve_nc_death");
+  trainer.SaveCheckpoint(path);
+  InferenceServer server(&g, TaskKind::kNodeClassification, config.model_config(), {});
+  std::string error;
+  ASSERT_TRUE(server.LoadSnapshot(path, &error)) << error;
+  const int64_t n = g.num_nodes();
+  EXPECT_DEATH(server.Classify(n + 2),
+               "serve: node " + std::to_string(n + 2) + " is out of range");
+  EXPECT_DEATH(server.Classify(-3), "serve: node -3 is out of range");
+  EXPECT_DEATH(server.ClassifyUnbatched(n),
+               "serve: node " + std::to_string(n) + " is out of range");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "src/storage/io_engine.h"
 #include "src/storage/partition_buffer.h"
 #include "src/util/binary_io.h"
+#include "src/util/compute.h"
 
 namespace mariusgnn {
 namespace {
@@ -481,14 +482,14 @@ TEST_F(PartitionBufferTest, ConcurrentMarkDirtyFromWorkerThreads) {
   }
   const std::vector<int64_t> nodes = buffer_->ResidentNodes();
   ThreadPool pool(4);
-  pool.ParallelFor(
-      static_cast<int64_t>(nodes.size()),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          buffer_->MarkDirty(nodes[static_cast<size_t>(i)]);
-        }
-      },
-      /*min_chunk=*/8);
+  ComputeContext ctx;
+  ctx.pool = &pool;
+  ForEachChunk(&ctx, static_cast<int64_t>(nodes.size()), /*grain=*/8,
+               [&](int64_t, int64_t begin, int64_t end) {
+                 for (int64_t i = begin; i < end; ++i) {
+                   buffer_->MarkDirty(nodes[static_cast<size_t>(i)]);
+                 }
+               });
   buffer_->SetResident({3, 4, 5});  // evicts all three dirty slots -> write back
   buffer_->SetResident({0, 1, 2});
   for (size_t k = 0; k < probes.size(); ++k) {

@@ -2,11 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
-#include <utility>
 
 #include "src/pipeline/queue.h"
 #include "src/util/binary_io.h"
@@ -147,76 +145,6 @@ TEST(Rng, SampleWithoutReplacementUniformish) {
   for (int h : hits) {
     EXPECT_NEAR(static_cast<double>(h) / trials, 0.5, 0.06);
   }
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  pool.ParallelFor(1000, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      counts[static_cast<size_t>(i)].fetch_add(1);
-    }
-  }, /*min_chunk=*/10);
-  for (auto& c : counts) {
-    EXPECT_EQ(c.load(), 1);
-  }
-}
-
-TEST(ThreadPool, ParallelForEmptyAndSmall) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int64_t> total{0};
-  pool.ParallelFor(5, [&](int64_t b, int64_t e) { total.fetch_add(e - b); });
-  EXPECT_EQ(total.load(), 5);
-}
-
-TEST(ThreadPool, ParallelForFromOwnWorkerRunsInline) {
-  // A worker waiting on its own pool's chunks deadlocks once every worker blocks
-  // (e.g. pipeline workers sampling); ParallelFor must detect this and run inline.
-  ThreadPool pool(2);
-  std::atomic<int64_t> total{0};
-  std::atomic<int> done{0};
-  for (int t = 0; t < 2; ++t) {  // saturate the pool
-    pool.Submit([&] {
-      EXPECT_TRUE(pool.OnWorkerThread());
-      pool.ParallelFor(5000, [&](int64_t b, int64_t e) { total.fetch_add(e - b); },
-                       /*min_chunk=*/1);
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 2);
-  EXPECT_EQ(total.load(), 10000);
-  EXPECT_FALSE(pool.OnWorkerThread());
-}
-
-TEST(ThreadPool, ParallelForChunkGridStableAcrossPoolSizes) {
-  // Chunk boundaries must be a function of (n, min_chunk) only — never the worker
-  // count — so deterministic reductions layered on the grid are pool-size-proof.
-  auto grid_for = [](size_t workers) {
-    ThreadPool pool(workers);
-    std::mutex mu;
-    std::set<std::pair<int64_t, int64_t>> chunks;
-    pool.ParallelFor(1000, [&](int64_t b, int64_t e) {
-      std::lock_guard<std::mutex> lock(mu);
-      chunks.emplace(b, e);
-    }, /*min_chunk=*/64);
-    return chunks;
-  };
-  const auto one = grid_for(1);  // inline path must walk the same grid
-  const auto two = grid_for(2);
-  const auto eight = grid_for(8);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(two, eight);
-  ASSERT_EQ(two.size(), 16u);  // ceil(1000 / 64)
-  int64_t covered = 0;
-  for (const auto& [b, e] : two) {
-    EXPECT_TRUE(e - b == 64 || e == 1000);  // fixed grain, short tail
-    covered += e - b;
-  }
-  EXPECT_EQ(covered, 1000);
 }
 
 TEST(ComputeContext, ForEachChunkOrderedFoldsInAscendingOrder) {
