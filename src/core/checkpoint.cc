@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <system_error>
 
 #include "src/storage/io_arena.h"
 #include "src/util/binary_io.h"
@@ -678,16 +680,16 @@ void SplitCheckpointPath(const std::string& path, std::string* dir_prefix,
   }
 }
 
-bool AllDigits(const std::string& s) {
-  if (s.empty()) {
-    return false;
+// Parses an all-digit epoch tail. False for anything else, including a digit
+// string too long for int64_t: such a name is not retention-managed, so it is
+// never returned and never deleted.
+bool ParseEpoch(const std::string& s, int64_t* epoch) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') {
+    return false;  // from_chars would accept a leading '-'
   }
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  return true;
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, *epoch);
+  return r.ec == std::errc() && r.ptr == end;
 }
 
 // Scans the directory of `base` for retention-managed names. Fills `epochs`
@@ -721,7 +723,8 @@ void ScanCheckpointDir(const std::string& base,
     if (is_tmp) {
       tail.resize(tail.size() - 4);
     }
-    if (!AllDigits(tail)) {
+    int64_t epoch = 0;
+    if (!ParseEpoch(tail, &epoch)) {
       continue;
     }
     if (is_tmp) {
@@ -729,7 +732,7 @@ void ScanCheckpointDir(const std::string& base,
         debris->push_back(name);
       }
     } else if (epochs != nullptr) {
-      epochs->emplace_back(std::stoll(tail), name);
+      epochs->emplace_back(epoch, name);
     }
   }
   ::closedir(d);

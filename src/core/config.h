@@ -147,9 +147,9 @@ struct TrainingConfig {
     return PipelineController(options);
   }
 
-  // Partition-buffer IO engine settings for one trainer (both trainers build
-  // theirs through this so the wiring cannot diverge): the engine defaults.
-  PartitionIoOptions MakePartitionIoOptions() const { return PartitionIoOptions(); }
+  // Partition-buffer IO engine settings: the engine defaults. Kept only for
+  // benchmark/replay.cc, which calls it.
+  IoEngineOptions MakePartitionIoOptions() const { return IoEngineOptions(); }
 
   // Gradient-exchange seam for one trainer (both trainers build theirs through
   // this so the replica wiring cannot diverge): the zero-copy LocalExchange

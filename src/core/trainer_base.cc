@@ -123,7 +123,7 @@ void TrainerBase::MakePartitionBuffer(const std::string& file_name, int64_t dim,
   const bool shared = replica_.world > 1 && !config_.storage.dir.empty();
   buffer_ = std::make_unique<PartitionBuffer>(
       partitioning_.get(), dim, config_.storage.buffer_capacity, path,
-      config_.storage.disk_model, learnable, init, config_.MakePartitionIoOptions(),
+      config_.storage.disk_model, learnable, init, IoEngineOptions(),
       shared && replica_.rank != 0 ? BackingFile::kAttach : BackingFile::kCreate);
   if (!shared) {
     return;

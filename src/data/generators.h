@@ -5,7 +5,7 @@
 // experiments depend on*: power-law degree distributions (preferential attachment),
 // Zipf-distributed relation types for knowledge graphs, and community structure with
 // separable features/labels for node classification (so accuracy differences between
-// training regimes are meaningful). See DESIGN.md §1.
+// training regimes are meaningful). See README.md, "Datasets".
 #ifndef SRC_DATA_GENERATORS_H_
 #define SRC_DATA_GENERATORS_H_
 

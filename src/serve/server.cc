@@ -116,7 +116,7 @@ ServeResult InferenceServer::Submit(Request req) {
   MG_CHECK_MSG(snapshot_ != nullptr, "serve: no snapshot loaded");
   queue_.push_back(std::move(req));
   if (!leader_active_) {
-    // Leader: drain until empty (new arrivals during ExecuteBatch included),
+    // Leader: drain until empty (new arrivals during ServeBatch included),
     // re-reading the snapshot pointer per batch so a hot swap takes effect at
     // the next batch boundary without ever splitting a batch across epochs.
     leader_active_ = true;
@@ -133,7 +133,7 @@ ServeResult InferenceServer::Submit(Request req) {
       queries_ += take;
       max_coalesced_ = std::max(max_coalesced_, static_cast<int64_t>(take));
       lock.unlock();
-      ExecuteBatch(*snap, batch);
+      ServeBatch(*snap, batch);
       lock.lock();
     }
     leader_active_ = false;
@@ -173,8 +173,8 @@ ServeResult InferenceServer::ExecuteSingle(const ModelSnapshot& snap,
   return result;
 }
 
-void InferenceServer::ExecuteBatch(const ModelSnapshot& snap,
-                                   std::vector<Request>& batch) const {
+void InferenceServer::ServeBatch(const ModelSnapshot& snap,
+                                 std::vector<Request>& batch) const {
   const ComputeContext compute{options_.compute_pool, nullptr};
   const ModelState& model = snap.model;
 

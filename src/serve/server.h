@@ -126,8 +126,7 @@ class InferenceServer {
   // Enqueues `req` and runs the leader-follower protocol; returns the result.
   ServeResult Submit(Request req);
   // Executes one coalesced batch against one snapshot (leader thread only).
-  void ExecuteBatch(const ModelSnapshot& snap,
-                    std::vector<Request>& batch) const;
+  void ServeBatch(const ModelSnapshot& snap, std::vector<Request>& batch) const;
   ServeResult ExecuteSingle(const ModelSnapshot& snap, const Request& req) const;
 
   Tensor GatherBase(const ModelSnapshot& snap, const std::vector<int64_t>& nodes,

@@ -9,7 +9,10 @@
 //
 // Out-of-core experiments report modeled IO seconds (overlapped with compute when
 // prefetching is on), which keeps the COMET-vs-BETA comparisons deterministic and
-// host-independent. See DESIGN.md §1 for the substitution rationale.
+// host-independent: the IoEngine runs each request as its own transfer, so the
+// modeled seconds are a function of the request stream, never of thread timing.
+// docs/ARCHITECTURE.md ("Observability") says where they are reported and that
+// they are never part of a host-clock epoch time.
 //
 // Read/Write are thread-safe (the IoEngine issues many in-flight transfers from a
 // worker pool; positional pread/pwrite need no shared cursor and the stats are

@@ -1,34 +1,28 @@
-// Batched asynchronous IO engine for the partition buffer.
-//
-// The prefetch path used to be a single background thread issuing one synchronous
-// pread per partition in FIFO order: one in-flight request, and dirty write-backs
-// head-of-line-blocking the reads the next partition set needs. This engine
-// replaces it with an io_uring-style submission/completion-queue structure on a
-// portable thread-pool backend, so tests and CI run anywhere:
+// Asynchronous IO engine for the partition buffer: an io_uring-style
+// submission/completion-queue structure on a portable thread-pool backend, so
+// tests and CI run anywhere.
 //
 //  - callers submit read/write requests tagged with a partition id; a pool of
 //    queue_depth IO workers keeps up to queue_depth transfers in flight;
-//  - completions fire **out of order** — a slow partition no longer blocks the
+//  - completions fire **out of order** — a slow partition does not block the
 //    rest of the lookahead window (the caller installs staged partitions behind
 //    its own SetResident seam, so reordering never changes what is installed);
-//  - per-tag program order is preserved: two requests with the same tag execute
-//    in submission order, which is exactly the read-after-write /
-//    write-after-read hazard rule the partition buffer needs (a prefetch read of
-//    a partition queued behind its own dirty write-back always observes the
-//    written data). Requests with different tags are independent byte ranges and
-//    run concurrently.
-//  - scheduling prioritises reads over writes (reads gate the next partition
-//    set; write-backs only need to finish eventually), except that a write
-//    blocking a same-tag read is elevated so the read is not starved;
-//  - adjacent dirty write-backs coalesce into one larger transfer (fewer device
-//    ops under the 1/iops latency model — the paper's "large sequential writes"
-//    regime), bounded by kMaxCoalescedBytes.
+//  - one scheduling rule, per-partition FIFO: a worker takes the first queued
+//    request whose tag has nothing in flight and nothing queued ahead of it,
+//    and runs it as its own transfer. Two requests with the same tag therefore
+//    execute in submission order, which is exactly the read-after-write /
+//    write-after-read hazard rule the partition buffer needs (a prefetch read
+//    of a partition queued behind its own dirty write-back always observes the
+//    written data). Requests with different tags are independent byte ranges
+//    and run concurrently.
 //
 // Modeled-time accounting: each completion receives the request's modeled seconds
 // at the engine's queue depth (DiskModel::SecondsForAtDepth — the latency term
 // amortises across a saturated queue, the bandwidth term stays serial), which is
-// what the trainers fold into io_stall_seconds. ReadSync charges full undepthed
-// latency: a blocking miss cannot hide behind anything.
+// what the trainers fold into io_stall_seconds. One request is one transfer, so
+// the modeled seconds depend only on the request stream, never on thread timing.
+// ReadSync charges full undepthed latency: a blocking miss cannot hide behind
+// anything.
 #ifndef SRC_STORAGE_IO_ENGINE_H_
 #define SRC_STORAGE_IO_ENGINE_H_
 
@@ -38,9 +32,10 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/storage/disk.h"
@@ -64,9 +59,6 @@ struct IoEngineStats {
   uint64_t write_requests = 0;
   uint64_t read_bytes = 0;
   uint64_t write_bytes = 0;
-  // Write requests that were merged into an adjacent neighbour's transfer
-  // instead of being issued as their own device operation.
-  uint64_t coalesced_writes = 0;
   // Peak of queued + in-flight requests, and the time-weighted mean of that
   // count over the intervals where the engine was busy (wall-clock; diagnostic
   // only, never feeds determinism-sensitive paths).
@@ -75,12 +67,9 @@ struct IoEngineStats {
 };
 
 struct IoEngineOptions {
-  // IO worker threads == maximum transfers in flight. 1 is the legacy-equivalent
-  // serial engine (still out-of-order-install capable, but one op at a time).
+  // IO worker threads == maximum transfers in flight. 1 is the serial engine
+  // (still out-of-order-install capable, but one op at a time).
   int queue_depth = 4;
-  // Test seam: when > 0, each device transfer is split into sub-transfers of at
-  // most this many bytes, exercising the short-transfer/offset-advance path.
-  size_t max_transfer_bytes = 0;
   // Test seam: invoked on the IO worker immediately before each request's
   // transfer (fault/delay injection for out-of-order completion tests).
   std::function<void(const IoRequest&)> before_io;
@@ -124,31 +113,30 @@ class IoEngine {
   };
 
   void WorkerLoop();
-  // Claims the next executable batch (one read, or one write plus any mergeable
-  // adjacent writes) honouring per-tag order and read priority. Empty when
-  // nothing is currently claimable. Caller holds mu_.
-  std::vector<Pending> ClaimLocked();
-  void ExecuteBatch(std::vector<Pending>* batch);
+  // Claims the first queued request whose tag has nothing in flight and nothing
+  // queued ahead of it; nullopt when every queued request is ordered behind an
+  // in-flight one. Caller holds mu_.
+  std::optional<Pending> ClaimLocked();
+  void Execute(const Pending& p);
   void NoteEventLocked();  // advances the queue-depth time integral
 
   SimulatedDisk* disk_;
   IoEngineOptions options_;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  // submit/complete: workers re-scan the queue
+  std::condition_variable work_cv_;  // submit/stop: idle workers re-scan the queue
   std::condition_variable idle_cv_;  // Drain waiters
   std::deque<Pending> sq_;           // guarded by mu_
-  // Claimed-but-incomplete request count per tag; a queued request may not start
-  // while an earlier same-tag request is in flight. Guarded by mu_.
-  std::unordered_map<int32_t, int> tag_busy_;
-  int inflight_ = 0;  // requests currently executing; guarded by mu_
+  // Tags with a request in flight. A queued request may not start while an
+  // earlier same-tag request is in flight, so each tag has at most one and the
+  // set's size is the in-flight request count. Guarded by mu_.
+  std::unordered_set<int32_t> busy_tags_;
   bool stop_ = false;
   uint64_t next_seq_ = 0;  // submission sequence counter; guarded by mu_
 
-  // RV monitor (io_engine.tag_order): observed at claim time under mu_, in batch
-  // order — claim order is execution-start order, and coalesced batches preserve
-  // per-tag submission order internally, so any scheduler bug that lets a
-  // same-tag request jump an earlier one trips here.
+  // RV monitor (io_engine.tag_order): observed at claim time under mu_. Claim
+  // order is execution-start order, so any scheduler bug that lets a same-tag
+  // request jump an earlier one trips here.
   RvTagOrderMonitor rv_tag_order_{RvInvariant::kIoTagOrder};
 
   // Stats, guarded by mu_. The depth integral accumulates outstanding-request

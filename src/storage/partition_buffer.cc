@@ -30,7 +30,7 @@ std::string DirName(const std::string& path) {
 PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
                                  int32_t capacity, const std::string& path,
                                  DiskModel model, bool learnable, const Tensor* init,
-                                 PartitionIoOptions io, BackingFile backing)
+                                 IoEngineOptions io, BackingFile backing)
     : partitioning_(partitioning),
       dim_(dim),
       capacity_(capacity),
@@ -85,11 +85,7 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
 
   arena_ = std::make_unique<IoArena>(partition_extent_,
                                      ArenaSlots(capacity_, io.queue_depth));
-  IoEngineOptions eo;
-  eo.queue_depth = io.queue_depth;
-  eo.max_transfer_bytes = io.max_transfer_bytes;
-  eo.before_io = io.before_io;
-  engine_ = std::make_unique<IoEngine>(disk_.get(), eo);
+  engine_ = std::make_unique<IoEngine>(disk_.get(), std::move(io));
 }
 
 PartitionBuffer::~PartitionBuffer() {
@@ -170,8 +166,8 @@ double PartitionBuffer::EvictSlot(int32_t slot, bool synchronous) {
     if (!synchronous) {
       // Write-back off the critical path: snapshot the slot into an aligned
       // arena extent so the slot can be reused immediately. One transfer covers
-      // both streams (the padded layout makes them contiguous); the engine
-      // deprioritises it behind reads and may merge it with neighbours.
+      // both streams (the padded layout makes them contiguous), queued behind
+      // any earlier request for the same partition.
       float* extent = arena_->Acquire();
       std::memcpy(extent, vsrc, count * sizeof(float));
       if (learnable_) {

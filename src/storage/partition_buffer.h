@@ -13,8 +13,7 @@
 //    to queue_depth transfers in flight and completions land **out of order** — a
 //    slow partition no longer head-of-line-blocks the rest of the window;
 //  - SetResident() installs staged partitions with a memcpy instead of a blocking
-//    disk read, and pushes dirty-eviction write-backs off the critical path; the
-//    engine deprioritises those writes behind reads and coalesces adjacent ones;
+//    disk read, and pushes dirty-eviction write-backs off the critical path;
 //  - ConsumeBackgroundIoSeconds() reports the modeled seconds of that background
 //    IO so trainers can account stalls as max(0, background_io - compute).
 // A caller that wants no overlap skips Prefetch and calls DrainIo() after
@@ -24,17 +23,15 @@
 // transfers for different partitions proceed concurrently.
 //
 // On-disk layout: each partition owns a fixed extent of streams (values, then
-// optional Adagrad state), each stream padded to kIoAlignment. The padding makes
-// every engine transfer alignment-eligible for O_DIRECT and makes neighbouring
-// dirty partitions byte-adjacent, which is what lets the engine merge their
-// write-backs into single large transfers.
+// optional Adagrad state), each stream padded to kIoAlignment. The padding is
+// what O_DIRECT needs: every engine transfer starts and ends on an aligned
+// offset, so it is eligible for the direct descriptor.
 #ifndef SRC_STORAGE_PARTITION_BUFFER_H_
 #define SRC_STORAGE_PARTITION_BUFFER_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,15 +48,6 @@
 
 namespace mariusgnn {
 
-// How the buffer's IO engine performs partition transfers.
-struct PartitionIoOptions {
-  // In-flight transfer limit (engine worker count). 1 = serial engine.
-  int queue_depth = 4;
-  // Test seams, forwarded to IoEngineOptions.
-  size_t max_transfer_bytes = 0;
-  std::function<void(const IoRequest&)> before_io;
-};
-
 // How a buffer takes its backing file. kCreate truncates the file and seeds the
 // layout. kAttach opens the file another replica creates over a shared storage
 // dir and writes nothing to it: no read through the buffer may start before that
@@ -75,7 +63,7 @@ class PartitionBuffer {
   // IO engine.
   PartitionBuffer(const Partitioning* partitioning, int64_t dim, int32_t capacity,
                   const std::string& path, DiskModel model, bool learnable,
-                  const Tensor* init, PartitionIoOptions io = PartitionIoOptions(),
+                  const Tensor* init, IoEngineOptions io = IoEngineOptions(),
                   BackingFile backing = BackingFile::kCreate);
   ~PartitionBuffer();
 

@@ -564,6 +564,26 @@ TEST(CheckpointRetention, PruneNeverDeletesTheFileBeingWritten) {
   std::remove(CheckpointEpochPath(base, 3).c_str());
 }
 
+TEST(CheckpointRetention, EpochNumberPastInt64IsIgnored) {
+  // A stray "<stem>.epoch<N>" whose N does not fit in int64_t is not
+  // retention-managed: lookup skips it and pruning leaves it alone.
+  const std::string base = TempPath("mgnn_ckpt_overflow");
+  const std::string huge = base + ".epoch99999999999999999999";
+  auto exists = [](const std::string& p) {
+    return std::ifstream(p, std::ios::binary).good();
+  };
+  Dump(CheckpointEpochPath(base, 3), std::vector<char>(8, 'a'));
+  Dump(CheckpointEpochPath(base, 4), std::vector<char>(8, 'b'));
+  Dump(huge, std::vector<char>(8, 'z'));
+  EXPECT_EQ(LatestCheckpointPath(base), CheckpointEpochPath(base, 4));
+  PruneCheckpoints(base, 1, CheckpointEpochPath(base, 4));
+  EXPECT_FALSE(exists(CheckpointEpochPath(base, 3)));
+  EXPECT_TRUE(exists(CheckpointEpochPath(base, 4)));
+  EXPECT_TRUE(exists(huge));
+  std::remove(CheckpointEpochPath(base, 4).c_str());
+  std::remove(huge.c_str());
+}
+
 TEST(CheckpointCrash, ResumeRefusesWrongKindAndSeed) {
   Graph g = Fb15k237Like(0.03);
   TrainingConfig config = SerialDiskLpConfig();

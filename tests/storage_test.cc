@@ -26,8 +26,8 @@ namespace {
 // IO-engine settings for the async buffer fixtures. Every buffer runs the
 // runtime O_DIRECT probe (tmpfs and most CI filesystems reject it, taking the
 // buffered-fallback path).
-PartitionIoOptions AsyncIo(int queue_depth = 4) {
-  PartitionIoOptions io;
+IoEngineOptions AsyncIo(int queue_depth = 4) {
+  IoEngineOptions io;
   io.queue_depth = queue_depth;
   return io;
 }
@@ -142,7 +142,7 @@ TEST_F(PartitionBufferTest, AttachedBufferReadsTheCreatorsFileWithoutTruncating)
   // A second replica over the same file: it neither truncates nor re-seeds, so
   // it sees the creator's write-back and the creator's seed alike.
   PartitionBuffer attached(partitioning_.get(), 4, 3, path_, DiskModel(),
-                           /*learnable=*/true, /*init=*/nullptr, PartitionIoOptions(),
+                           /*learnable=*/true, /*init=*/nullptr, IoEngineOptions(),
                            BackingFile::kAttach);
   EXPECT_EQ(attached.disk_stats().bytes_written, 0u);
   attached.SetResident({1, 5});
@@ -676,66 +676,61 @@ TEST_F(IoEngineTest, SameTagPreservesWriteAfterReadOrder) {
   EXPECT_EQ(readback, original);
 }
 
-TEST_F(IoEngineTest, AdjacentWritesCoalesceIntoOneDeviceOp) {
-  // Gate the single worker on a decoy read, queue four byte-adjacent writes,
-  // then release: the engine must merge them into one device transfer.
+TEST_F(IoEngineTest, RequestsStartInSubmissionOrderAsOneTransferEach) {
+  // Gate the single worker on a decoy read, queue a write, a read and a
+  // byte-adjacent write on three tags, then release: the engine starts them in
+  // submission order (reads do not jump writes) and issues each as its own
+  // device transfer (adjacent writes do not merge).
+  const std::vector<float> original = Pattern(7.0f);
+  disk_->Write(original.data(), kBlock, 5 * kBlock);
   IoEngineOptions opt;
   opt.queue_depth = 1;
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
+  std::vector<int32_t> started;  // appended by the engine's one worker
   opt.before_io = [&](const IoRequest& req) {
     if (req.tag == 99) {
       std::unique_lock<std::mutex> lock(gate_mu);
       gate_cv.wait(lock, [&] { return gate_open; });
+      return;
     }
+    started.push_back(req.tag);
   };
   IoEngine engine(disk_.get(), opt);
   std::vector<float> decoy(kBlock / sizeof(float));
   engine.SubmitRead(99, decoy.data(), kBlock, 20 * kBlock, [](double) {});
-  std::vector<std::vector<float>> blocks;
-  for (int32_t tag = 0; tag < 4; ++tag) {
-    blocks.push_back(Pattern(100.0f * static_cast<float>(tag)));
-  }
   disk_->ResetStats();
-  for (int32_t tag = 0; tag < 4; ++tag) {
-    engine.SubmitWrite(tag, blocks[static_cast<size_t>(tag)].data(), kBlock,
-                       static_cast<uint64_t>(tag) * kBlock, [](double) {});
-  }
+  const std::vector<float> first = Pattern(100.0f);
+  const std::vector<float> second = Pattern(200.0f);
+  std::vector<float> readback(original.size(), 0.0f);
+  double first_seconds = -1.0;
+  double second_seconds = -1.0;
+  engine.SubmitWrite(0, first.data(), kBlock, 0,
+                     [&](double s) { first_seconds = s; });
+  engine.SubmitRead(5, readback.data(), kBlock, 5 * kBlock, [](double) {});
+  engine.SubmitWrite(1, second.data(), kBlock, kBlock,
+                     [&](double s) { second_seconds = s; });
   {
     std::lock_guard<std::mutex> lock(gate_mu);
     gate_open = true;
   }
   gate_cv.notify_all();
   engine.Drain();
-  const IoEngineStats stats = engine.ConsumeStats();
-  EXPECT_EQ(stats.coalesced_writes, 3u);   // three rode along with the first
-  EXPECT_EQ(stats.write_requests, 4u);
+  EXPECT_EQ(started, (std::vector<int32_t>{0, 5, 1}));
   const DiskStats ds = disk_->stats();
-  EXPECT_EQ(ds.write_ops, 1u);             // one merged transfer, one device op
-  EXPECT_EQ(ds.bytes_written, 4 * kBlock);
-  // The merged write landed every request's bytes at its own offset.
-  for (int32_t tag = 0; tag < 4; ++tag) {
-    std::vector<float> readback(kBlock / sizeof(float));
-    disk_->Read(readback.data(), kBlock, static_cast<uint64_t>(tag) * kBlock);
-    EXPECT_EQ(readback, blocks[static_cast<size_t>(tag)]);
-  }
-}
-
-TEST_F(IoEngineTest, SplitTransferSeamRoundTrips) {
-  // max_transfer_bytes forces every transfer through the partial-progress path
-  // (odd slice size, offsets advancing mid-request).
-  const std::vector<float> original = Pattern(7.0f);
-  disk_->Write(original.data(), kBlock, 5 * kBlock);
-  IoEngineOptions opt;
-  opt.queue_depth = 2;
-  opt.max_transfer_bytes = 1000;  // not a divisor of kBlock, not aligned
-  IoEngine engine(disk_.get(), opt);
-  disk_->ResetStats();
-  std::vector<float> readback(original.size(), 0.0f);
-  engine.ReadSync(5, readback.data(), kBlock, 5 * kBlock);
+  EXPECT_EQ(ds.write_ops, 2u);  // one device op per write request
+  EXPECT_EQ(ds.bytes_written, 2 * kBlock);
+  const double one_block = disk_->model().SecondsForAtDepth(kBlock, 1, 1);
+  EXPECT_EQ(first_seconds, one_block);
+  EXPECT_EQ(second_seconds, one_block);
+  // Every request's bytes landed at (or came from) its own offset.
   EXPECT_EQ(readback, original);
-  EXPECT_GE(disk_->stats().read_ops, 5u);  // ceil(4096/1000) slices
+  std::vector<float> on_disk(kBlock / sizeof(float));
+  disk_->Read(on_disk.data(), kBlock, 0);
+  EXPECT_EQ(on_disk, first);
+  disk_->Read(on_disk.data(), kBlock, kBlock);
+  EXPECT_EQ(on_disk, second);
 }
 
 TEST_F(IoEngineTest, QueueDepthStatsTrackOutstandingRequests) {
@@ -810,9 +805,8 @@ TEST(ProbeDirectIo, ProbeLeavesNoFilesBehind) {
 // Runs one fixed request sequence through a depth-4 engine over `disk` and
 // returns the bytes of every read, in submission order, followed by the whole
 // file. Four gated reads of never-written blocks hold every worker while the
-// rest queues, so the byte-adjacent writes coalesce once the gate opens.
-std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk,
-                                                   IoEngineStats* stats) {
+// rest queues, so the byte-adjacent writes all run once the gate opens.
+std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk) {
   constexpr size_t kBlock = kIoAlignment;
   constexpr size_t kFloats = kBlock / sizeof(float);
   constexpr int kBlocks = 12;  // blocks 10 and 11 are only read by the gated reads
@@ -853,7 +847,7 @@ std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk,
   for (int32_t b = 0; b < 6; ++b) {
     engine.SubmitWrite(b, src.data() + b * kFloats, kBlock, b * kBlock, none);
   }
-  read(1, 1);  // read-after-write on one of the coalescing writes
+  read(1, 1);  // read-after-write on one of the adjacent writes
   engine.SubmitWrite(6, src.data() + 6 * kFloats, kBlock, 6 * kBlock, none);
   engine.SubmitWrite(7, src.data() + 7 * kFloats, kBlock, 7 * kBlock, none);
   engine.SubmitWrite(2, rewrite.data(), kBlock, 2 * kBlock, none);
@@ -869,7 +863,6 @@ std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk,
   }
   gate_cv.notify_all();
   engine.Drain();
-  *stats = engine.ConsumeStats();
 
   std::vector<std::vector<float>> out;
   for (const AlignedBuffer& r : reads) {
@@ -888,17 +881,16 @@ TEST(IoEngineDirectIo, BufferedAndDirectDisksReadBackTheSameBytes) {
     GTEST_SKIP() << "temp directory refuses O_DIRECT";
   }
   std::vector<std::vector<float>> buffered_reads, direct_reads;
-  IoEngineStats buffered_stats, direct_stats;
   DiskStats buffered_disk, direct_disk;
   {
     SimulatedDisk disk(buffered_path, DiskModel(), /*direct_io=*/false);
-    buffered_reads = RunMixedIoSequence(&disk, &buffered_stats);
+    buffered_reads = RunMixedIoSequence(&disk);
     buffered_disk = disk.stats();
   }
   {
     SimulatedDisk disk(direct_path, DiskModel(), /*direct_io=*/true);
     ASSERT_TRUE(disk.direct_io());
-    direct_reads = RunMixedIoSequence(&disk, &direct_stats);
+    direct_reads = RunMixedIoSequence(&disk);
     direct_disk = disk.stats();
   }
   ::remove(buffered_path.c_str());
@@ -906,8 +898,6 @@ TEST(IoEngineDirectIo, BufferedAndDirectDisksReadBackTheSameBytes) {
 
   EXPECT_EQ(buffered_disk.direct_ops, 0u);
   EXPECT_GT(direct_disk.direct_ops, 0u);
-  EXPECT_GT(buffered_stats.coalesced_writes, 0u);
-  EXPECT_GT(direct_stats.coalesced_writes, 0u);
   ASSERT_EQ(buffered_reads.size(), direct_reads.size());
   for (size_t i = 0; i < buffered_reads.size(); ++i) {
     EXPECT_EQ(std::memcmp(buffered_reads[i].data(), direct_reads[i].data(),
@@ -1008,7 +998,7 @@ TEST_F(AsyncPartitionBufferTest, OutOfOrderStagingInstallsCorrectData) {
   // reverse submission order; SetResident must still install every partition's
   // own bytes (installation is keyed by tag, not by completion order).
   const std::string path = TempPath("pb_ooo_test");
-  PartitionIoOptions io = AsyncIo(4);
+  IoEngineOptions io = AsyncIo(4);
   io.before_io = [](const IoRequest& req) {
     if (req.kind == IoRequest::Kind::kRead) {
       std::this_thread::sleep_for(std::chrono::milliseconds((5 - req.tag % 6) * 8));

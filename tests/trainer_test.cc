@@ -120,6 +120,27 @@ TEST(LinkPrediction, DiskCometTrainsAndTracksIo) {
   EXPECT_GT(trainer.EvaluateMrr(100, 200), 0.08);
 }
 
+TEST(LinkPrediction, DiskIoSecondsRepeatForSameSeed) {
+  // Modeled IO is a function of the partition plan: the IO engine runs every
+  // request as its own transfer, so two fresh trainers charge the same seconds.
+  // Only the order of the float sums follows completion order.
+  Graph g = Fb15k237Like(0.05);
+  TrainingConfig config = SmallLpConfig();
+  config.storage.use_disk = true;
+  config.storage.num_physical = 8;
+  config.storage.num_logical = 4;
+  config.storage.buffer_capacity = 4;
+  config.storage.policy = "comet";
+  LinkPredictionTrainer a(&g, config);
+  LinkPredictionTrainer b(&g, config);
+  for (int e = 0; e < 3; ++e) {
+    const double io_a = a.TrainEpoch().io_seconds;
+    const double io_b = b.TrainEpoch().io_seconds;
+    EXPECT_GT(io_a, 0.0);
+    EXPECT_NEAR(io_b, io_a, 1e-9 * io_a) << "epoch " << e;
+  }
+}
+
 TEST(LinkPrediction, DiskBetaTrains) {
   Graph g = Fb15k237Like(0.05);
   TrainingConfig config = SmallLpConfig();
