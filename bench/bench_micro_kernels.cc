@@ -45,6 +45,16 @@ namespace {
 
 constexpr int64_t kDim = 64;
 
+// Floats per ranking-loss lane vector, from the target macros that pick it in
+// src/nn/decoder.cc: the width the loss_* rows below are timed at.
+#if defined(__AVX512F__)
+constexpr int kDecoderLaneFloats = 16;
+#elif defined(__AVX2__)
+constexpr int kDecoderLaneFloats = 8;
+#else
+constexpr int kDecoderLaneFloats = 4;
+#endif
+
 // Contiguous segment sum: the aggregation DENSE enables (Algorithm 3).
 void BM_SegmentSumAggregation(benchmark::State& state) {
   const int64_t num_segments = state.range(0);
@@ -456,6 +466,8 @@ bool RunStage3Section(const std::string& json_path) {
   std::printf("\n=== stage-3 parallel kernels: serial vs %d-worker pool ===\n", kWorkers);
   std::printf("(speedup is host-dependent — this box has %u hardware threads)\n",
               std::thread::hardware_concurrency());
+  std::printf("target ISA %s, decoder lanes %d floats wide\n", MGNN_TARGET_ISA,
+              kDecoderLaneFloats);
   std::printf("%-34s %12s %12s %9s  %s\n", "kernel", "serial_ms", "parallel_ms",
               "speedup", "bitwise");
 

@@ -1,9 +1,11 @@
-// Tests for src/util: RNG, thread pool, binary IO, queue, timers, check macros.
+// Tests for src/util: RNG, thread pool, binary IO, queue, timers, check macros,
+// and the build's instruction-set level.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "src/pipeline/queue.h"
@@ -12,6 +14,10 @@
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "src/util/timer.h"
+
+#if defined(__x86_64__)
+#include "cmake/host_x86_64_v3.h"
+#endif
 
 namespace mariusgnn {
 namespace {
@@ -349,6 +355,29 @@ TEST(WallTimer, MeasuresElapsed) {
   WallTimer timer;
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_GE(timer.Millis(), 5.0);
+}
+
+// The configure-time probe chose the level this host supports: a probe that
+// silently fell back to baseline would lose the 8-wide lanes, and no other test
+// would notice.
+TEST(Build, TargetMatchesHostProbe) {
+  const std::string isa = MGNN_TARGET_ISA;
+  if (isa == "flags") {
+    GTEST_SKIP() << "the level came from the compiler flags, not the probe";
+  }
+#if defined(__x86_64__)
+  if (isa == "x86-64-v3") {
+#if !defined(__AVX2__)
+    ADD_FAILURE() << "MGNN_TARGET_ISA is x86-64-v3 but __AVX2__ is not defined";
+#endif
+    EXPECT_TRUE(HostSupportsX8664V3()) << "built for x86-64-v3 on a host without it";
+  } else {
+    ASSERT_EQ(isa, "x86-64");
+    EXPECT_FALSE(HostSupportsX8664V3()) << "the probe fell back to baseline on a v3 host";
+  }
+#else
+  FAIL() << "MGNN_TARGET_ISA is " << isa << " on a target that is not x86-64";
+#endif
 }
 
 }  // namespace
