@@ -38,22 +38,13 @@
 #include "src/util/compute.h"
 #include "src/util/rv_monitor.h"
 #include "src/util/timer.h"
+#include "src/util/vec.h"
 #include "tests/ranking_loss_reference.h"
 
 namespace mariusgnn {
 namespace {
 
 constexpr int64_t kDim = 64;
-
-// Floats per ranking-loss lane vector, from the target macros that pick it in
-// src/nn/decoder.cc: the width the loss_* rows below are timed at.
-#if defined(__AVX512F__)
-constexpr int kDecoderLaneFloats = 16;
-#elif defined(__AVX2__)
-constexpr int kDecoderLaneFloats = 8;
-#else
-constexpr int kDecoderLaneFloats = 4;
-#endif
 
 // Contiguous segment sum: the aggregation DENSE enables (Algorithm 3).
 void BM_SegmentSumAggregation(benchmark::State& state) {
@@ -180,28 +171,44 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
   auto a = std::make_shared<Tensor>(Tensor::Normal(rows, dim, 1.0f, rng));
   auto w = std::make_shared<Tensor>(Tensor::Normal(dim, dim, 0.5f, rng));
   auto g = std::make_shared<Tensor>(Tensor::Normal(rows, dim, 0.5f, rng));
-  kernels.push_back({"matmul_fwd", [a, w](const ComputeContext* ctx) {
-                       return Matmul(*a, *w, ctx);
+  // The matmul references: each output a dot product, s = +0.0f then
+  // s += l(i, kk) * r(kk, j) for kk ascending, over the factors as written.
+  auto dot_reference = [](int64_t m, int64_t k, int64_t n, const auto& l, const auto& r) {
+    Tensor c(m, n);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        float s = 0.0f;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          s += l(i, kk) * r(kk, j);
+        }
+        c(i, j) = s;
+      }
+    }
+    return c;
+  };
+  kernels.push_back({"matmul_fwd",
+                     [a, w](const ComputeContext* ctx) { return Matmul(*a, *w, ctx); },
+                     [a, w, dot_reference] {
+                       return dot_reference(
+                           a->rows(), a->cols(), w->cols(),
+                           [&](int64_t i, int64_t kk) { return (*a)(i, kk); },
+                           [&](int64_t kk, int64_t j) { return (*w)(kk, j); });
                      }});
-  kernels.push_back({"matmul_dW (A^T g)", [a, g](const ComputeContext* ctx) {
-                       return MatmulTransA(*a, *g, ctx);
+  kernels.push_back({"matmul_dW (A^T g)",
+                     [a, g](const ComputeContext* ctx) { return MatmulTransA(*a, *g, ctx); },
+                     [a, g, dot_reference] {
+                       return dot_reference(
+                           a->cols(), a->rows(), g->cols(),
+                           [&](int64_t i, int64_t kk) { return (*a)(kk, i); },
+                           [&](int64_t kk, int64_t j) { return (*g)(kk, j); });
                      }});
-  // Reference: each output a dot product, s = +0.0f then s += g[i][kk] * w[j][kk]
-  // for kk ascending.
   kernels.push_back({"matmul_dX (g W^T)",
                      [g, w](const ComputeContext* ctx) { return MatmulTransB(*g, *w, ctx); },
-                     [g, w] {
-                       Tensor c(g->rows(), w->rows());
-                       for (int64_t i = 0; i < g->rows(); ++i) {
-                         for (int64_t j = 0; j < w->rows(); ++j) {
-                           float s = 0.0f;
-                           for (int64_t kk = 0; kk < g->cols(); ++kk) {
-                             s += (*g)(i, kk) * (*w)(j, kk);
-                           }
-                           c(i, j) = s;
-                         }
-                       }
-                       return c;
+                     [g, w, dot_reference] {
+                       return dot_reference(
+                           g->rows(), g->cols(), w->rows(),
+                           [&](int64_t i, int64_t kk) { return (*g)(i, kk); },
+                           [&](int64_t kk, int64_t j) { return (*w)(j, kk); });
                      }});
 
   const int64_t segs = 4096, per_seg = 10;
@@ -466,8 +473,8 @@ bool RunStage3Section(const std::string& json_path) {
   std::printf("\n=== stage-3 parallel kernels: serial vs %d-worker pool ===\n", kWorkers);
   std::printf("(speedup is host-dependent — this box has %u hardware threads)\n",
               std::thread::hardware_concurrency());
-  std::printf("target ISA %s, decoder lanes %d floats wide\n", MGNN_TARGET_ISA,
-              kDecoderLaneFloats);
+  std::printf("target ISA %s, lane kernels %d floats wide\n", MGNN_TARGET_ISA,
+              static_cast<int>(kW));
   std::printf("%-34s %12s %12s %9s  %s\n", "kernel", "serial_ms", "parallel_ms",
               "speedup", "bitwise");
 

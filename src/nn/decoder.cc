@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/util/check.h"
 #include "src/util/slot_remap.h"
+#include "src/util/vec.h"
 
 namespace mariusgnn {
 
@@ -39,29 +39,6 @@ inline float* GradRow(Tensor* t, const int32_t* slot_of, int64_t row) {
 // rows the claim pass touched, so stale entries are never read.
 thread_local SlotRemap decoder_row_remap;
 thread_local SlotRemap decoder_rel_remap;
-
-// The native vector of the compile target: 16 bytes on baseline x86-64 (SSE2),
-// 32 with AVX2, 64 with AVX-512F. Only the predefined target macros choose it, so
-// no build holds or passes a vector wider than its registers (no -Wpsabi ABI
-// notes). Lanes never combine: every lane is one negative (forward) or one
-// component (backward), so the width moves no bit (docs/DETERMINISM.md).
-#if defined(__AVX512F__)
-constexpr int kVecBytes = 64;
-#elif defined(__AVX2__)
-constexpr int kVecBytes = 32;
-#else
-constexpr int kVecBytes = 16;
-#endif
-typedef float Vec __attribute__((vector_size(kVecBytes)));
-constexpr int64_t kW = kVecBytes / static_cast<int64_t>(sizeof(float));
-
-inline Vec LoadVec(const float* p) {
-  Vec v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreVec(float* p, const Vec& v) { std::memcpy(p, &v, sizeof(v)); }
 
 // Negatives the forward pass scores side by side, one logit per lane: kLanes / kW
 // accumulator vectors per lane group, held in registers across all steps.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/util/slot_remap.h"
+#include "src/util/vec.h"
 
 namespace mariusgnn {
 
@@ -25,6 +26,89 @@ void ForEachRowChunk(const ComputeContext* ctx, int64_t rows, const Fn& fn) {
                [&](int64_t, int64_t begin, int64_t end) { fn(begin, end); });
 }
 
+// Rows and vectors of one register tile of the GEMM, and the kk steps per panel.
+constexpr int kGemmTileRows = 2;
+constexpr int kGemmTileVecs = 4;
+constexpr int64_t kGemmPanel = 256;
+
+// Adds the kk in [kb, ke) terms of C rows [i, i + R), columns [j, j + NV * kW):
+// the tile is loaded once, held in registers across the panel and stored once.
+template <int R, int NV>
+inline void GemmTile(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
+                     int64_t i, int64_t j, int64_t kb, int64_t ke) {
+  Vec acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = LoadVec(c.RowPtr(i + r) + j + v * kW);
+    }
+  }
+  for (int64_t kk = kb; kk < ke; ++kk) {
+    const float* brow = b.RowPtr(kk) + j;
+    Vec bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = LoadVec(brow + v * kW);
+    }
+    for (int r = 0; r < R; ++r) {
+      const float av = a[(i + r) * ars + kk * acs];
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] += av * bv[v];
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      StoreVec(c.RowPtr(i + r) + j + v * kW, acc[r][v]);
+    }
+  }
+}
+
+// One panel of R rows across all n columns: full tiles, then single vectors, then
+// the columns short of a vector one at a time.
+template <int R>
+inline void GemmRows(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
+                     int64_t i, int64_t kb, int64_t ke) {
+  const int64_t n = c.cols();
+  int64_t j = 0;
+  for (; j + kGemmTileVecs * kW <= n; j += kGemmTileVecs * kW) {
+    GemmTile<R, kGemmTileVecs>(a, ars, acs, b, c, i, j, kb, ke);
+  }
+  for (; j + kW <= n; j += kW) {
+    GemmTile<R, 1>(a, ars, acs, b, c, i, j, kb, ke);
+  }
+  for (; j < n; ++j) {
+    for (int r = 0; r < R; ++r) {
+      float s = c(i + r, j);
+      for (int64_t kk = kb; kk < ke; ++kk) {
+        s += a[(i + r) * ars + kk * acs] * b(kk, j);
+      }
+      c(i + r, j) = s;
+    }
+  }
+}
+
+// C += A @ B with A(i, kk) = a[i * ars + kk * acs], B: k x n and C: m x n row-major;
+// the one kernel behind all three matmuls. Row-chunked over m. kk runs in panels
+// of kGemmPanel steps, ascending, and each panel reloads the C tile, so every
+// element of a fresh (zero) C folds s = +0.0f; s += A(i, kk) * B[kk][j] for kk
+// ascending: the bits of the scalar dot product at every vector width. Zero A
+// values are not skipped, so 0 * inf and 0 * NaN stay NaN.
+void Gemm(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
+          const ComputeContext* ctx) {
+  const int64_t k = b.rows();
+  ForEachRowChunk(ctx, c.rows(), [&](int64_t row_begin, int64_t row_end) {
+    for (int64_t kb = 0; kb < k; kb += kGemmPanel) {
+      const int64_t ke = std::min(k, kb + kGemmPanel);
+      int64_t i = row_begin;
+      for (; i + kGemmTileRows <= row_end; i += kGemmTileRows) {
+        GemmRows<kGemmTileRows>(a, ars, acs, b, c, i, kb, ke);
+      }
+      for (; i < row_end; ++i) {
+        GemmRows<1>(a, ars, acs, b, c, i, kb, ke);
+      }
+    }
+  });
+}
+
 // Per-thread dst-row -> compact-slot remap for ScatterAddRows (see slot_remap.h
 // for the generation-stamp scheme and why thread_local reuse is sound).
 thread_local SlotRemap scatter_remap;
@@ -33,58 +117,22 @@ thread_local SlotRemap scatter_remap;
 
 Tensor Matmul(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
   MG_CHECK(a.cols() == b.rows());
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor c(m, n);
-  // Row-chunked over m; ikj loop order keeps the inner loop contiguous over b and c.
-  ForEachRowChunk(ctx, m, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a.RowPtr(i);
-      float* crow = c.RowPtr(i);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        if (av == 0.0f) {
-          continue;
-        }
-        const float* brow = b.RowPtr(kk);
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
+  Tensor c(a.rows(), b.cols());
+  Gemm(a.data(), a.cols(), 1, b, c, ctx);
   return c;
 }
 
 Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
   MG_CHECK(a.rows() == b.rows());
-  const int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  Tensor c(m, n);
-  // Chunked over the m output rows (columns of A); each C row accumulates over k in
-  // ascending order, so the sum order matches a serial kk-outer pass bit-for-bit.
-  ForEachRowChunk(ctx, m, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.RowPtr(kk);
-      const float* brow = b.RowPtr(kk);
-      for (int64_t i = row_begin; i < row_end; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) {
-          continue;
-        }
-        float* crow = c.RowPtr(i);
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
+  Tensor c(a.cols(), b.cols());
+  Gemm(a.data(), 1, a.cols(), b, c, ctx);
   return c;
 }
 
 Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
   MG_CHECK(a.cols() == b.cols());
-  const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  // B is weight-sized: transpose it once so row kk of bt holds column kk of B and
-  // the n outputs of a row become independent lanes over a contiguous bt row.
+  const int64_t k = a.cols(), n = b.rows();
+  // B is weight-sized: transpose it once so the kernel reads it row-major.
   Tensor bt(k, n);
   for (int64_t j = 0; j < n; ++j) {
     const float* brow = b.RowPtr(j);
@@ -92,22 +140,8 @@ Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx)
       bt.RowPtr(kk)[j] = brow[kk];
     }
   }
-  Tensor c(m, n);
-  // No zero skip (unlike Matmul): 0 * inf and 0 * NaN are NaN, and a skip would drop
-  // them (see ops.h).
-  ForEachRowChunk(ctx, m, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a.RowPtr(i);
-      float* crow = c.RowPtr(i);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        const float* btrow = bt.RowPtr(kk);
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] += av * btrow[j];
-        }
-      }
-    }
-  });
+  Tensor c(a.rows(), n);
+  Gemm(a.data(), a.cols(), 1, bt, c, ctx);
   return c;
 }
 

@@ -27,18 +27,22 @@
 
 namespace mariusgnn {
 
-// C = A @ B. A: m x k, B: k x n. Row-chunked over m.
+// The three matmuls share one register-tiled kernel (src/tensor/ops.cc), row-chunked
+// over the m output rows. With L and R the left and right factors of the product as
+// written (A^T, B^T included), every output has the bits of the scalar dot product
+// s = +0.0f; s += L(i, kk) * R(kk, j) for kk ascending, at any vector width and pool
+// size. Zero L values are not skipped, so 0 * inf and 0 * NaN give NaN
+// (docs/DETERMINISM.md, "Lane kernels").
+
+// C = A @ B. A: m x k, B: k x n -> C: m x n.
 Tensor Matmul(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
-// C = A^T @ B. A: k x m, B: k x n -> C: m x n. (Weight-gradient shape.)
-// Row-chunked over the m output rows; each accumulates over k in ascending order.
+// C = A^T @ B. A: k x m, B: k x n -> C: m x n. (Weight-gradient shape.) A is read
+// in place with strides, not transposed.
 Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
-// C = A @ B^T. A: m x k, B: n x k -> C: m x n. (Input-gradient shape.)
-// Row-chunked over m. B is transposed once per call; each C row then accumulates
-// over k in ascending order with its n outputs as lanes, so every output has the
-// bits of the dot product s = 0; s += a[i][kk] * b[j][kk]. Zero A values are not
-// skipped, so 0 * inf and 0 * NaN stay NaN (docs/DETERMINISM.md, "Lane kernels").
+// C = A @ B^T. A: m x k, B: n x k -> C: m x n. (Input-gradient shape.) B is
+// transposed once per call.
 Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
 // out += in (same shape).

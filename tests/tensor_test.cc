@@ -81,59 +81,88 @@ TEST(Ops, MatmulTransBConsistent) {
   }
 }
 
-// The lane-form MatmulTransB must give every output the bits of a dot product:
-// s = +0.0f, then s += a[i][kk] * b[j][kk] for kk ascending. Signed zeros in `a`
-// meet infinities and NaN in `b`, so a kernel that skipped zero `a` values would
-// turn 0 * inf = NaN into a finite result. The NaN in `b` is the one the hardware
-// makes for 0 * inf, so every NaN in play has the same bits whichever operand an
-// addition propagates.
-TEST(Ops, MatmulTransBMatchesDotProductBitwise) {
+Tensor Transposed(const Tensor& t) {
+  Tensor out(t.cols(), t.rows());
+  for (int64_t i = 0; i < t.rows(); ++i) {
+    for (int64_t j = 0; j < t.cols(); ++j) {
+      out(j, i) = t(i, j);
+    }
+  }
+  return out;
+}
+
+// Every matmul must give every output the bits of a dot product over the factors as
+// written, L = A or A^T and R = B or B^T: s = +0.0f, then s += L(i, kk) * R(kk, j)
+// for kk ascending. The shapes reach every path of the shared kernel at 4-, 8- and
+// 16-float vectors: whole register tiles, single-vector tiles, scalar columns, an
+// odd last row, and k = 300, more than one kk panel. Signed zeros in L meet
+// infinities and NaN in R, in every fifth column, so a kernel that skipped zero L
+// values would turn 0 * inf = NaN into a finite result. The NaN in R is the one the
+// hardware makes for 0 * inf, so every NaN in play has the same bits whichever
+// operand an addition propagates.
+TEST(Ops, MatmulsMatchDotProductBitwise) {
   const float inf = std::numeric_limits<float>::infinity();
   volatile float zero = 0.0f;
   const float nan = zero * inf;
+  struct Kernel {
+    const char* name;
+    std::function<Tensor(const Tensor& l, const Tensor& r, const ComputeContext* ctx)> run;
+  };
+  const std::vector<Kernel> kernels = {
+      {"Matmul", [](const Tensor& l, const Tensor& r,
+                    const ComputeContext* ctx) { return Matmul(l, r, ctx); }},
+      {"MatmulTransA", [](const Tensor& l, const Tensor& r,
+                          const ComputeContext* ctx) { return MatmulTransA(Transposed(l), r, ctx); }},
+      {"MatmulTransB", [](const Tensor& l, const Tensor& r,
+                          const ComputeContext* ctx) { return MatmulTransB(l, Transposed(r), ctx); }},
+  };
   ThreadPool pool(2);
   ComputeContext pool_ctx;
   pool_ctx.pool = &pool;
   Rng rng(31);
-  for (int64_t m : {0, 1, 130}) {
-    for (int64_t k : {1, 5, 64}) {
-      for (int64_t n : {1, 3, 17, 64}) {
-        Tensor a = Tensor::Normal(m, k, 1.0f, rng);
+  for (int64_t m : {0, 1, 3, 130}) {
+    for (int64_t k : {1, 5, 64, 300}) {
+      for (int64_t n : {1, 3, 7, 9, 17, 31, 33, 64, 65}) {
+        Tensor l = Tensor::Normal(m, k, 1.0f, rng);
         for (int64_t i = 0; i < m; ++i) {
-          a(i, 0) = i % 2 == 0 ? 0.0f : -0.0f;  // every row meets b's column 0
+          l(i, 0) = i % 2 == 0 ? 0.0f : -0.0f;  // every row meets R's row 0
           if (k > 2 && i % 3 == 0) {
-            a(i, k / 2) = -0.0f;
+            l(i, k / 2) = -0.0f;
           }
         }
-        Tensor b = Tensor::Normal(n, k, 1.0f, rng);
-        if (n > 1) {
-          b(1, 0) = inf;
-        }
-        if (n > 2) {
-          b(2, 0) = -inf;
-          b(2, k - 1) = nan;
+        Tensor r = Tensor::Normal(k, n, 1.0f, rng);
+        for (int64_t j = 0; j < n; ++j) {
+          if (j % 5 == 1) {
+            r(0, j) = inf;
+          } else if (j % 5 == 2) {
+            r(0, j) = -inf;
+            r(k - 1, j) = nan;
+          }
         }
         Tensor ref(m, n);
         for (int64_t i = 0; i < m; ++i) {
           for (int64_t j = 0; j < n; ++j) {
             float s = 0.0f;
             for (int64_t kk = 0; kk < k; ++kk) {
-              s += a(i, kk) * b(j, kk);
+              s += l(i, kk) * r(kk, j);
             }
             ref(i, j) = s;
           }
         }
-        for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
-                                          static_cast<const ComputeContext*>(&pool_ctx)}) {
-          const Tensor c = MatmulTransB(a, b, ctx);
-          ASSERT_EQ(c.rows(), m);
-          ASSERT_EQ(c.cols(), n);
-          EXPECT_TRUE(c.size() == 0 ||
-                      std::memcmp(c.data(), ref.data(),
-                                  static_cast<size_t>(c.size()) * sizeof(float)) == 0)
-              << "m=" << m << " k=" << k << " n=" << n << (ctx != nullptr ? " pooled" : "");
-          if (m > 0 && n > 1) {
-            EXPECT_TRUE(std::isnan(c(0, 1))) << "0 * inf was skipped";
+        for (const Kernel& kernel : kernels) {
+          for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                            static_cast<const ComputeContext*>(&pool_ctx)}) {
+            const Tensor c = kernel.run(l, r, ctx);
+            ASSERT_EQ(c.rows(), m);
+            ASSERT_EQ(c.cols(), n);
+            EXPECT_TRUE(c.size() == 0 ||
+                        std::memcmp(c.data(), ref.data(),
+                                    static_cast<size_t>(c.size()) * sizeof(float)) == 0)
+                << kernel.name << " m=" << m << " k=" << k << " n=" << n
+                << (ctx != nullptr ? " pooled" : "");
+            if (m > 0 && n > 1) {
+              EXPECT_TRUE(std::isnan(c(0, 1))) << kernel.name << ": 0 * inf was skipped";
+            }
           }
         }
       }
