@@ -1,6 +1,6 @@
 // Serving quickstart: train a link-prediction model, checkpoint it, and serve
-// link-scoring queries online — concurrent requests coalesce into batched
-// forwards, answers are bitwise-independent of batching, and the server
+// link-scoring queries online — each request is answered on its caller's
+// thread, answers are bitwise-independent of concurrency, and the server
 // hot-swaps to a newer checkpoint without dropping in-flight requests.
 //
 // Build & run:
@@ -51,9 +51,8 @@ int main() {
               static_cast<unsigned long long>(server.current_epoch()));
 
   // 3. Score candidate destinations for a few source nodes — from concurrent
-  //    client threads, which the leader-follower batcher coalesces into one
-  //    block-diagonal forward. Every answer is bitwise-identical to scoring the
-  //    query alone (ScoreLinksUnbatched), no matter how it was batched.
+  //    client threads, each of which runs its own query's forward. Every answer
+  //    is bitwise-identical to scoring the query alone, whatever else runs.
   const std::vector<int64_t> candidates = {1, 2, 3, 4, 5, 6, 7, 8};
   std::vector<std::thread> clients;
   for (int64_t src : {10, 20, 30, 40}) {
@@ -72,7 +71,7 @@ int main() {
   }
 
   // 4. Hot-swap to the epoch-2 snapshot. In-flight requests finish against the
-  //    old epoch (their batch pinned it); new requests answer from the new one.
+  //    old epoch (each pinned it); new requests answer from the new one.
   if (!server.LoadSnapshot(ckpt_e2, &error)) {
     std::printf("swap failed: %s\n", error.c_str());
     return 1;
@@ -82,13 +81,11 @@ int main() {
               static_cast<unsigned long long>(after.epoch));
 
   const ServerStats stats = server.stats();
-  std::printf("served %llu queries in %llu batches (max coalesced %lld), %llu swap\n",
+  std::printf("served %llu queries, %llu swap\n",
               static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<long long>(stats.max_coalesced),
               static_cast<unsigned long long>(stats.snapshot_swaps));
-  // The serve.epoch_pin RV monitor checked every answer against its batch's
-  // pinned snapshot epoch — any hot-swap isolation breach would count here.
+  // The serve.epoch_pin RV monitor checked every answer against the snapshot
+  // epoch its query pinned — any hot-swap isolation breach would count here.
   std::printf("rv violations (serve.epoch_pin): %llu\n",
               static_cast<unsigned long long>(stats.rv_violations));
   std::remove(ckpt_e1.c_str());

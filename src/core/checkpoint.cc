@@ -407,7 +407,7 @@ CheckpointSaveStats SaveCheckpointStreaming(const CheckpointSaveRequest& request
 
 namespace {
 
-// Preamble + manifest parser behind CheckpointReader and ReadCheckpointManifest.
+// Preamble + manifest parser behind CheckpointReader::Open.
 // `head` must hold the preamble and the whole manifest (callers size it from the
 // preamble's manifest_bytes); `file_size` is the full checkpoint file length,
 // used to validate the data-block geometry without touching the data itself.
@@ -643,16 +643,6 @@ bool CheckpointReader::ReadRows(const CheckpointSectionInfo& s, int64_t row,
                         &io_error)) {
     return Fail(error, "corrupt checkpoint: " + io_error);
   }
-  return true;
-}
-
-bool ReadCheckpointManifest(const std::string& path, CheckpointManifest* out,
-                            std::string* error) {
-  CheckpointReader reader;
-  if (!reader.Open(path, error)) {
-    return false;
-  }
-  *out = reader.manifest();
   return true;
 }
 

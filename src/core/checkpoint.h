@@ -182,17 +182,6 @@ struct CheckpointManifest {
   std::unordered_map<std::string, size_t> section_index;
 };
 
-// Parses and validates only the head of a checkpoint file — preamble and
-// manifest, with checksum — leaving the (possibly huge) data block untouched.
-// This is the serving tier's entry point: ModelSnapshot maps the file and
-// resolves section views through the returned offsets instead of deserialising
-// payloads. Returns false — with a human-readable reason in *error — for any
-// missing, truncated, corrupt, or version-mismatched file; never aborts on bad
-// input. The data-block checksum is NOT verified here (it would fault in every
-// page).
-bool ReadCheckpointManifest(const std::string& path, CheckpointManifest* out,
-                            std::string* error);
-
 // Validated random-access view of a checkpoint file: Open() checks the magic
 // and version straight from the preamble (before sizing any allocation from
 // untrusted fields), then parses the manifest; VerifyDataChecksum() folds the
@@ -209,6 +198,10 @@ class CheckpointReader {
   bool VerifyDataChecksum(std::string* error);
 
   const CheckpointManifest& manifest() const { return manifest_; }
+  // The one descriptor every read goes through. A caller that maps the file
+  // maps this descriptor, so the mapping shows the same file as the manifest
+  // even if another file is renamed onto the path after Open.
+  const File& file() const { return *file_; }
   const CheckpointSectionInfo* FindSection(const std::string& name) const {
     return manifest_.FindSection(name);
   }

@@ -31,8 +31,8 @@
 // InferenceServer answers concurrent link-prediction / node-classification
 // queries straight off checkpoint snapshots — mmapped zero-copy, with the
 // kernel page cache holding the hot rows even of tables too big for RAM —
-// coalescing concurrent requests into one batched forward and hot-swapping to a
-// newer checkpoint without dropping in-flight requests:
+// answering each request on its caller's thread and hot-swapping to a newer
+// checkpoint without dropping in-flight requests:
 //
 //   InferenceServer server(&graph, TaskKind::kLinkPrediction,
 //                          config.model_config(), {});

@@ -62,93 +62,6 @@ void DenseBatch::AdvanceLayer() {
   }
 }
 
-DenseBatch ConcatBlockDiagonal(const std::vector<const DenseBatch*>& batches,
-                               std::vector<int64_t>* target_row_offsets) {
-  MG_CHECK(!batches.empty());
-  const int64_t num_deltas = batches[0]->num_deltas();
-  const size_t q_count = batches.size();
-  for (const DenseBatch* b : batches) {
-    MG_CHECK_MSG(b->num_deltas() == num_deltas,
-                 "all merged batches must share the delta count (same fanouts)");
-    MG_CHECK_MSG(b->repr_map.size() == b->nbrs.size(),
-                 "merged batches must be finalized (repr_map built)");
-  }
-
-  DenseBatch out;
-  // Merged delta-group base offsets: group g starts after all queries' groups < g.
-  std::vector<int64_t> group_base(static_cast<size_t>(num_deltas) + 1, 0);
-  for (int64_t g = 0; g < num_deltas; ++g) {
-    int64_t size = 0;
-    for (const DenseBatch* b : batches) {
-      size += b->DeltaEnd(g) - b->DeltaBegin(g);
-    }
-    group_base[static_cast<size_t>(g) + 1] = group_base[static_cast<size_t>(g)] + size;
-  }
-  out.node_id_offsets.assign(group_base.begin(), group_base.end() - 1);
-  out.node_ids.resize(static_cast<size_t>(group_base.back()));
-
-  // Per-query local-row -> merged-row maps, built while placing node_ids.
-  std::vector<std::vector<int64_t>> row_map(q_count);
-  {
-    std::vector<int64_t> cursor(group_base.begin(), group_base.end() - 1);
-    for (size_t q = 0; q < q_count; ++q) {
-      const DenseBatch& b = *batches[q];
-      row_map[q].resize(static_cast<size_t>(b.num_nodes()));
-      for (int64_t g = 0; g < num_deltas; ++g) {
-        for (int64_t r = b.DeltaBegin(g); r < b.DeltaEnd(g); ++r) {
-          const int64_t m = cursor[static_cast<size_t>(g)]++;
-          out.node_ids[static_cast<size_t>(m)] = b.node_ids[static_cast<size_t>(r)];
-          row_map[q][static_cast<size_t>(r)] = m;
-        }
-      }
-    }
-  }
-
-  // Neighbor segments in merged output-node order (delta group >= 1, then query,
-  // then the query's nodes in order), with repr_map remapped per query.
-  bool want_rels = false;
-  size_t total_nbrs = 0;
-  for (const DenseBatch* b : batches) {
-    total_nbrs += b->nbrs.size();
-    want_rels = want_rels || !b->nbr_rels.empty();
-  }
-  out.nbrs.reserve(total_nbrs);
-  out.repr_map.reserve(total_nbrs);
-  if (want_rels) {
-    out.nbr_rels.reserve(total_nbrs);
-  }
-  out.nbr_offsets.reserve(static_cast<size_t>(group_base.back() - group_base[1]));
-  for (int64_t g = 1; g < num_deltas; ++g) {
-    for (size_t q = 0; q < q_count; ++q) {
-      const DenseBatch& b = *batches[q];
-      const std::vector<int64_t> segs = b.SegmentOffsets();
-      for (int64_t r = b.DeltaBegin(g); r < b.DeltaEnd(g); ++r) {
-        const int64_t seg = r - b.node_id_offsets[1];
-        out.nbr_offsets.push_back(static_cast<int64_t>(out.nbrs.size()));
-        for (int64_t e = segs[static_cast<size_t>(seg)];
-             e < segs[static_cast<size_t>(seg) + 1]; ++e) {
-          out.nbrs.push_back(b.nbrs[static_cast<size_t>(e)]);
-          out.repr_map.push_back(row_map[q][static_cast<size_t>(
-              b.repr_map[static_cast<size_t>(e)])]);
-          if (want_rels) {
-            out.nbr_rels.push_back(b.nbr_rels.empty()
-                                       ? 0
-                                       : b.nbr_rels[static_cast<size_t>(e)]);
-          }
-        }
-      }
-    }
-  }
-
-  if (target_row_offsets != nullptr) {
-    target_row_offsets->assign(1, 0);
-    for (const DenseBatch* b : batches) {
-      target_row_offsets->push_back(target_row_offsets->back() + b->num_targets());
-    }
-  }
-  return out;
-}
-
 DenseSampler::DenseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
                            EdgeDirection dir, uint64_t seed)
     : index_(index), fanouts_(std::move(fanouts)), dir_(dir), rng_(seed) {

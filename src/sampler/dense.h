@@ -66,20 +66,6 @@ struct DenseBatch {
   void AdvanceLayer();
 };
 
-// Merges per-query finalized DenseBatches into one block-diagonal batch: node
-// groups are concatenated delta-by-delta (all queries' Δ0, then all Δ1, ...),
-// neighbor segments keep their per-query order, and every repr_map entry is
-// remapped into the merged row space — entries never cross query blocks, so each
-// output row of a forward pass over the merged batch reads exactly the rows the
-// per-query forward would have read. Because the row-chunked matmuls and
-// per-segment aggregations are row/segment-local, the merged forward is
-// bitwise-identical per row to running each query alone (the serving batcher's
-// determinism contract). All inputs must share the same delta count (same
-// fanouts) and be finalized. `target_row_offsets` (size batches+1) receives each
-// query's target-row range within the merged forward output.
-DenseBatch ConcatBlockDiagonal(const std::vector<const DenseBatch*>& batches,
-                               std::vector<int64_t>* target_row_offsets);
-
 // Multi-hop sampler implementing Algorithm 1.
 class DenseSampler {
  public:

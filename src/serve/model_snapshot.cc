@@ -1,9 +1,6 @@
 #include "src/serve/model_snapshot.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstring>
 
@@ -19,27 +16,17 @@ EmbeddingSource::~EmbeddingSource() {
 }
 
 std::unique_ptr<EmbeddingSource> EmbeddingSource::OpenMapped(
-    const std::string& path, const CheckpointSectionInfo& section,
+    const CheckpointReader& reader, const CheckpointSectionInfo& section,
     std::string* error) {
   std::unique_ptr<EmbeddingSource> src(new EmbeddingSource());
   src->rows_ = section.rows;
   src->cols_ = section.cols;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    *error = "serve: cannot open checkpoint for mmap: " + path;
-    return nullptr;
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    *error = "serve: fstat failed on checkpoint: " + path;
-    return nullptr;
-  }
-  const size_t map_bytes = static_cast<size_t>(st.st_size);
-  void* base = ::mmap(nullptr, map_bytes, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps the file open
+  // The file length Open validated; the data block runs to the end of the file.
+  const CheckpointManifest& manifest = reader.manifest();
+  const size_t map_bytes = static_cast<size_t>(manifest.data_start + manifest.data_bytes);
+  void* base = ::mmap(nullptr, map_bytes, PROT_READ, MAP_SHARED, reader.file().fd(), 0);
   if (base == MAP_FAILED) {
-    *error = "serve: mmap failed on checkpoint: " + path;
+    *error = "serve: mmap failed on checkpoint: " + reader.file().path();
     return nullptr;
   }
   src->map_base_ = base;
@@ -70,10 +57,13 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
     const std::string& path, const Graph& graph, TaskKind kind,
     const ModelConfig& config, const SnapshotOptions& /*options*/,
     std::string* error) {
-  CheckpointManifest manifest;
-  if (!ReadCheckpointManifest(path, &manifest, error)) {
+  // One reader, one descriptor: the manifest, the parameters and the mapped
+  // table all come from the file the path named when Open ran.
+  CheckpointReader reader;
+  if (!reader.Open(path, error)) {
     return nullptr;
   }
+  const CheckpointManifest& manifest = reader.manifest();
   if (manifest.kind != CheckpointKindName(kind)) {
     *error = "serve: checkpoint kind '" + manifest.kind + "' does not match task '" +
              CheckpointKindName(kind) + "'";
@@ -98,10 +88,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
     return nullptr;
   }
 
-  std::unique_ptr<File> f = File::TryOpenReadOnly(path, error);
-  if (f == nullptr) {
-    return nullptr;
-  }
   for (size_t i = 0; i < snapshot->model.params.size(); ++i) {
     const std::string name = ParamSectionName(i, "value");
     const CheckpointSectionInfo* section = manifest.FindSection(name);
@@ -118,8 +104,8 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
     Tensor value(section->rows, section->cols);
     // Untrusted on-disk input: fail with a clean error instead of aborting if
     // the file was truncated between the manifest parse and this read.
-    if (!f->TryReadAt(value.data(), section->bytes, section->file_offset, error)) {
-      *error = "serve: corrupt checkpoint: " + *error;
+    if (!reader.ReadSection(*section, value.data(), error)) {
+      *error = "serve: " + *error;
       return nullptr;
     }
     // Serving never runs the optimizer: drop the Adagrad accumulator sections.
@@ -136,7 +122,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Load(
       *error = "serve: embedding table shape does not match (graph, config)";
       return nullptr;
     }
-    snapshot->embeddings = EmbeddingSource::OpenMapped(path, *section, error);
+    snapshot->embeddings = EmbeddingSource::OpenMapped(reader, *section, error);
     if (snapshot->embeddings == nullptr) {
       return nullptr;
     }

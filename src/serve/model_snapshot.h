@@ -3,16 +3,19 @@
 // A ModelSnapshot binds one checkpoint file to one ModelState: the manifest is
 // parsed (never the payloads), model parameters are read section-by-section, and
 // the link-prediction embedding table is exposed through an EmbeddingSource
-// over a read-only mmap of the checkpoint: checkpoints guarantee 4 KiB-aligned
-// sections, so embedding rows are gathered straight out of the page-cache
-// mapping — no deserialise pass, no second copy of the table in memory. The
-// kernel pages rows in on demand and evicts them under memory pressure, so
-// the same mapping serves tables larger than RAM.
+// over a read-only mmap of the checkpoint. All three go through one open
+// descriptor (CheckpointReader), so a save renamed onto the path while a load
+// runs cannot give a snapshot one epoch's manifest and another's weights or
+// table. Checkpoints guarantee 4 KiB-aligned sections, so embedding rows are
+// gathered straight out of the page-cache mapping — no deserialise pass, no
+// second copy of the table in memory. The kernel pages rows in on demand and
+// evicts them under memory pressure, so the same mapping serves tables larger
+// than RAM.
 //
 // Snapshots are immutable after Load and safe for concurrent readers: the
 // const forward path of ModelState never writes shared state. The server holds
 // snapshots in shared_ptrs so a hot swap retires the old epoch only after the
-// last in-flight batch drops its reference.
+// last in-flight query drops its reference.
 #ifndef SRC_SERVE_MODEL_SNAPSHOT_H_
 #define SRC_SERVE_MODEL_SNAPSHOT_H_
 
@@ -42,8 +45,10 @@ class EmbeddingSource {
   EmbeddingSource(const EmbeddingSource&) = delete;
   EmbeddingSource& operator=(const EmbeddingSource&) = delete;
 
+  // Maps the whole checkpoint through the reader's descriptor; `section` is one
+  // of the reader's manifest sections.
   static std::unique_ptr<EmbeddingSource> OpenMapped(
-      const std::string& path, const CheckpointSectionInfo& section,
+      const CheckpointReader& reader, const CheckpointSectionInfo& section,
       std::string* error);
 
   int64_t rows() const { return rows_; }

@@ -56,6 +56,8 @@ class File {
   uint64_t Size() const;
 
   const std::string& path() const { return path_; }
+  // The open descriptor, for mapping the file (it stays owned by this File).
+  int fd() const { return fd_; }
 
  private:
   File(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}

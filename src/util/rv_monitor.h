@@ -21,10 +21,9 @@
 //   io_engine.tag_order      same-tag IO requests start execution in submission
 //                            order — the read-after-write/write-after-read rule
 //                            the partition buffer depends on (RvTagOrderMonitor)
-//   serve.epoch_pin          every answer in a coalesced serving batch carries
-//                            the epoch of the snapshot the batch pinned — no
-//                            mixed-epoch answers across a hot swap
-//                            (RvEpochPinMonitor)
+//   serve.epoch_pin          every serving answer carries the epoch of the
+//                            snapshot its query pinned — no mixed-epoch
+//                            answers across a hot swap (RvEpochPinMonitor)
 //   comm.fold_order          cross-replica gradient reductions fold rank
 //                            contributions in strictly ascending rank order —
 //                            the ordered-fold rule that makes multi-replica
@@ -309,8 +308,8 @@ class RvFoldOrderMonitor {
   int32_t last_rank_ = -1;
 };
 
-// Every answer produced by one coalesced serving batch must carry the epoch of
-// the snapshot that batch pinned (stateless: the pin is passed per observation).
+// Every serving answer must carry the epoch of the snapshot its query pinned
+// (stateless: the pin is passed per observation).
 class RvEpochPinMonitor {
  public:
   explicit RvEpochPinMonitor(RvInvariant invariant) : invariant_(invariant) {}
@@ -322,7 +321,7 @@ class RvEpochPinMonitor {
     }
     if (answer_epoch != pinned_epoch) {
       rt.Report(invariant_, "answer tagged epoch " + std::to_string(answer_epoch) +
-                                " inside a batch pinned to epoch " +
+                                " for a query pinned to epoch " +
                                 std::to_string(pinned_epoch));
     }
   }

@@ -1,12 +1,16 @@
-// Serving-tier tests: the batched concurrent path must answer bitwise-
-// identically to serial single-query evaluation (the determinism contract of
-// src/serve/server.h), hot snapshot swaps must never drop a request or mix
-// epochs within one answer, a retired format-v1 checkpoint is refused without
-// disturbing the epoch being served, and a query naming a node or relation the
-// graph does not have aborts before it is queued.
+// Serving-tier tests: queries answered concurrently on their callers' threads
+// must be bitwise-identical to the same queries answered alone (the
+// determinism contract of src/serve/server.h), hot snapshot swaps must never
+// drop a request or mix epochs within one answer, a snapshot load must read
+// one file even while saves are renamed onto its path, a retired format-v1
+// checkpoint is refused without disturbing the epoch being served, and a
+// query naming a node or relation the graph does not have aborts on the
+// caller's thread.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -90,125 +94,122 @@ void ExpectBitwiseEqual(const std::vector<float>& got,
   }
 }
 
-TEST(Serve, BatchedMatchesUnbatchedLinkPrediction) {
-  Graph g = Fb15k237Like(0.05);
-  TrainingConfig config = SmallLpConfig();
-  const std::string path = TrainLpCheckpoint(g, config, 2, "mgnn_serve_lp");
+// One server per model shape, with its queries and their answers computed
+// alone on the main thread.
+struct ServedModel {
+  std::unique_ptr<InferenceServer> server;
+  std::string path;
+  TaskKind kind = TaskKind::kLinkPrediction;
+  std::vector<LinkQuery> queries;  // node classification uses only `src`
+  std::vector<ServeResult> alone;
 
-  InferenceServer server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
-  std::string error;
-  ASSERT_TRUE(server.LoadSnapshot(path, &error)) << error;
-  EXPECT_EQ(server.current_epoch(), 2u);
+  ServeResult Ask(const LinkQuery& q) const {
+    return kind == TaskKind::kNodeClassification
+               ? server->Classify(q.src)
+               : server->ScoreLinks(q.src, q.rel, q.candidates);
+  }
+};
 
-  const std::vector<LinkQuery> queries = MakeLinkQueries(g, 24, 16);
+ServedModel ServeLp(const Graph& g, const TrainingConfig& config, const char* tag) {
+  ServedModel m;
+  m.path = TrainLpCheckpoint(g, config, 1, tag);
+  m.server = std::make_unique<InferenceServer>(&g, TaskKind::kLinkPrediction,
+                                               config.model_config(), ServeOptions{});
+  m.queries = MakeLinkQueries(g, 12, 12);
+  return m;
+}
 
-  // Single-threaded: each ScoreLinks is a batch of one through the
-  // block-diagonal merge path; the oracle runs the direct per-query forward.
-  for (const LinkQuery& lq : queries) {
-    const ServeResult got = server.ScoreLinks(lq.src, lq.rel, lq.candidates);
-    const ServeResult want =
-        server.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates);
-    EXPECT_EQ(got.epoch, 2u);
-    ExpectBitwiseEqual(got.values, want.values);
+// Sixteen client threads (more than the cores) answer every query of a
+// GraphSage, a decoder-only and a layerwise link-prediction model and of a
+// node-classification model, each thread in its own rotation so that every
+// server runs many queries at once. Every answer must equal, bit for bit, the
+// same query answered alone on the main thread. Under TSan this is the race
+// gate for concurrent ExecuteSingle calls on one snapshot.
+TEST(Serve, ConcurrentQueriesMatchQueriesAnsweredAlone) {
+  Graph lp_graph = Fb15k237Like(0.05);
+  Graph nc_graph = PapersMini(0.05);
+  std::vector<ServedModel> models;
+
+  TrainingConfig graphsage = SmallLpConfig();
+  models.push_back(ServeLp(lp_graph, graphsage, "mgnn_serve_conc_sage"));
+  TrainingConfig decoder_only = SmallLpConfig();
+  decoder_only.fanouts = {};
+  decoder_only.dims = {16};
+  models.push_back(ServeLp(lp_graph, decoder_only, "mgnn_serve_conc_dec"));
+  TrainingConfig layerwise = SmallLpConfig();
+  layerwise.sampler = SamplerKind::kLayerwise;
+  models.push_back(ServeLp(lp_graph, layerwise, "mgnn_serve_conc_lw"));
+
+  TrainingConfig nc_config = SmallNcConfig();
+  {
+    NodeClassificationTrainer trainer(&nc_graph, nc_config);
+    trainer.TrainEpoch();
+    ServedModel nc;
+    nc.path = TempPath("mgnn_serve_conc_nc");
+    trainer.SaveCheckpoint(nc.path);
+    nc.kind = TaskKind::kNodeClassification;
+    nc.server = std::make_unique<InferenceServer>(
+        &nc_graph, TaskKind::kNodeClassification, nc_config.model_config(), ServeOptions{});
+    const size_t count = std::min<size_t>(12, nc_graph.test_nodes().size());
+    for (size_t i = 0; i < count; ++i) {
+      nc.queries.push_back({nc_graph.test_nodes()[i], 0, {}});
+    }
+    models.push_back(std::move(nc));
   }
 
-  // Concurrent: the same queries from many client threads coalesce into larger
-  // batches; every answer must still match the serial oracle bitwise.
-  std::vector<ServeResult> results(queries.size());
+  std::string error;
+  size_t total = 0;
+  for (ServedModel& m : models) {
+    ASSERT_TRUE(m.server->LoadSnapshot(m.path, &error)) << error;
+    for (const LinkQuery& q : m.queries) {
+      m.alone.push_back(m.Ask(q));
+      ASSERT_EQ(m.alone.back().epoch, 1u);
+    }
+    total += m.queries.size();
+  }
+  ASSERT_EQ(models.back().alone.front().values.size(),
+            static_cast<size_t>(nc_graph.num_classes()));
+
+  // Query k of the flattened list is (model k % 4, query k / 4); thread t
+  // starts at k = 5t and walks the whole list.
+  constexpr int kClients = 16;
+  std::vector<std::vector<ServeResult>> results(kClients,
+                                                std::vector<ServeResult>(total));
+  auto query_at = [&](size_t k) {
+    const ServedModel& m = models[k % models.size()];
+    return std::make_pair(&m, (k / models.size()) % m.queries.size());
+  };
+  std::atomic<bool> go{false};
   std::vector<std::thread> clients;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    clients.emplace_back([&, q] {
-      results[q] = server.ScoreLinks(queries[q].src, queries[q].rel,
-                                     queries[q].candidates);
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      for (size_t i = 0; i < total; ++i) {
+        const size_t k = (static_cast<size_t>(t) * 5 + i) % total;
+        const auto [m, q] = query_at(k);
+        results[t][k] = m->Ask(m->queries[q]);
+      }
     });
   }
+  go.store(true);
   for (std::thread& t : clients) {
     t.join();
   }
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const ServeResult want = server.ScoreLinksUnbatched(
-        queries[q].src, queries[q].rel, queries[q].candidates);
-    ExpectBitwiseEqual(results[q].values, want.values);
+
+  for (int t = 0; t < kClients; ++t) {
+    for (size_t k = 0; k < total; ++k) {
+      const auto [m, q] = query_at(k);
+      const ServeResult& got = results[t][k];
+      EXPECT_EQ(got.epoch, 1u);
+      ExpectBitwiseEqual(got.values, m->alone[q].values);
+    }
   }
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.queries, 2 * queries.size());
-  EXPECT_GE(stats.max_coalesced, 1);
-  std::remove(path.c_str());
-}
-
-TEST(Serve, BatchedMatchesUnbatchedNodeClassification) {
-  Graph g = PapersMini(0.05);
-  TrainingConfig config = SmallNcConfig();
-  NodeClassificationTrainer trainer(&g, config);
-  trainer.TrainEpoch();
-  const std::string path = TempPath("mgnn_serve_nc");
-  trainer.SaveCheckpoint(path);
-
-  InferenceServer server(&g, TaskKind::kNodeClassification, config.model_config(), {});
-  std::string error;
-  ASSERT_TRUE(server.LoadSnapshot(path, &error)) << error;
-
-  std::vector<int64_t> nodes(g.test_nodes().begin(),
-                             g.test_nodes().begin() +
-                                 std::min<size_t>(24, g.test_nodes().size()));
-  for (int64_t node : nodes) {
-    const ServeResult got = server.Classify(node);
-    const ServeResult want = server.ClassifyUnbatched(node);
-    EXPECT_EQ(got.epoch, 1u);
-    ASSERT_EQ(static_cast<int64_t>(got.values.size()), g.num_classes());
-    ExpectBitwiseEqual(got.values, want.values);
+  for (const ServedModel& m : models) {
+    EXPECT_EQ(m.server->stats().queries, (1 + kClients) * m.queries.size());
+    std::remove(m.path.c_str());
   }
-
-  std::vector<ServeResult> results(nodes.size());
-  std::vector<std::thread> clients;
-  for (size_t q = 0; q < nodes.size(); ++q) {
-    clients.emplace_back([&, q] { results[q] = server.Classify(nodes[q]); });
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
-  for (size_t q = 0; q < nodes.size(); ++q) {
-    ExpectBitwiseEqual(results[q].values,
-                       server.ClassifyUnbatched(nodes[q]).values);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Serve, DecoderOnlyLinkPrediction) {
-  Graph g = Fb15k237Like(0.05);
-  TrainingConfig config = SmallLpConfig();
-  config.fanouts = {};
-  config.dims = {16};
-  const std::string path = TrainLpCheckpoint(g, config, 1, "mgnn_serve_lp_dec");
-
-  InferenceServer server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
-  std::string error;
-  ASSERT_TRUE(server.LoadSnapshot(path, &error)) << error;
-  for (const LinkQuery& lq : MakeLinkQueries(g, 8, 8)) {
-    const ServeResult got = server.ScoreLinks(lq.src, lq.rel, lq.candidates);
-    ExpectBitwiseEqual(
-        got.values,
-        server.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates).values);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Serve, LayerwiseModelServes) {
-  Graph g = Fb15k237Like(0.05);
-  TrainingConfig config = SmallLpConfig();
-  config.sampler = SamplerKind::kLayerwise;
-  const std::string path = TrainLpCheckpoint(g, config, 1, "mgnn_serve_lp_lw");
-
-  InferenceServer server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
-  std::string error;
-  ASSERT_TRUE(server.LoadSnapshot(path, &error)) << error;
-  for (const LinkQuery& lq : MakeLinkQueries(g, 6, 8)) {
-    const ServeResult got = server.ScoreLinks(lq.src, lq.rel, lq.candidates);
-    ExpectBitwiseEqual(
-        got.values,
-        server.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates).values);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(Serve, LoadSnapshotRejectsV1AndKeepsServingPreviousEpoch) {
@@ -271,6 +272,68 @@ TEST(Serve, LoadSnapshotRejectsMismatches) {
   std::remove(path.c_str());
 }
 
+// A save lands by renaming a finished file onto the checkpoint path, so a
+// load can race one. Here a thread keeps renaming the epoch-1 and the epoch-2
+// file onto one path while the main thread loads snapshots from it. A load
+// that opened the path more than once could pair one epoch's manifest with the
+// other's weights or table; every snapshot must answer exactly like the
+// epoch its manifest names.
+TEST(Serve, LoadSnapshotReadsOneFileWhileSavesRenameOntoItsPath) {
+  Graph g = Fb15k237Like(0.05);
+  TrainingConfig config = SmallLpConfig();
+  LinkPredictionTrainer trainer(&g, config);
+  trainer.TrainEpoch();
+  const std::string ck1 = TempPath("mgnn_serve_race1");
+  trainer.SaveCheckpoint(ck1);
+  trainer.TrainEpoch();
+  const std::string ck2 = TempPath("mgnn_serve_race2");
+  trainer.SaveCheckpoint(ck2);
+
+  const std::vector<LinkQuery> queries = MakeLinkQueries(g, 4, 8);
+  std::vector<ServeResult> want[2];
+  std::string error;
+  for (int e = 0; e < 2; ++e) {
+    InferenceServer ref(&g, TaskKind::kLinkPrediction, config.model_config(), {});
+    ASSERT_TRUE(ref.LoadSnapshot(e == 0 ? ck1 : ck2, &error)) << error;
+    for (const LinkQuery& lq : queries) {
+      want[e].push_back(ref.ScoreLinks(lq.src, lq.rel, lq.candidates));
+    }
+  }
+
+  const std::string path = TempPath("mgnn_serve_race");
+  const std::string staged = path + ".staged";
+  ASSERT_EQ(::link(ck1.c_str(), path.c_str()), 0);
+  std::atomic<bool> stop{false};
+  std::thread saver([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      const std::string& from = i % 2 == 0 ? ck2 : ck1;
+      if (::link(from.c_str(), staged.c_str()) == 0) {
+        ::rename(staged.c_str(), path.c_str());
+      }
+    }
+  });
+
+  InferenceServer server(&g, TaskKind::kLinkPrediction, config.model_config(), {});
+  int seen[2] = {0, 0};
+  for (int load = 0; load < 200; ++load) {
+    ASSERT_TRUE(server.LoadSnapshot(path, &error)) << error;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const LinkQuery& lq = queries[q];
+      const ServeResult got = server.ScoreLinks(lq.src, lq.rel, lq.candidates);
+      ASSERT_TRUE(got.epoch == 1u || got.epoch == 2u) << "epoch " << got.epoch;
+      ExpectBitwiseEqual(got.values, want[got.epoch - 1][q].values);
+      ++seen[got.epoch - 1];
+    }
+  }
+  stop.store(true);
+  saver.join();
+  EXPECT_GT(seen[0] + seen[1], 0);
+  std::remove(path.c_str());
+  std::remove(staged.c_str());
+  std::remove(ck1.c_str());
+  std::remove(ck2.c_str());
+}
+
 // Hot swap under load: clients hammer the server while the main thread adopts
 // a new epoch mid-stream. Every request must be answered (zero drops), every
 // answer must carry exactly one epoch tag, and its values must match that
@@ -320,8 +383,8 @@ TEST(Serve, HotSwapUnderLoad) {
 
   for (int c = 0; c < kClients; ++c) {
     const LinkQuery& lq = queries[static_cast<size_t>(c) % queries.size()];
-    const ServeResult want1 = ref1.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates);
-    const ServeResult want2 = ref2.ScoreLinksUnbatched(lq.src, lq.rel, lq.candidates);
+    const ServeResult want1 = ref1.ScoreLinks(lq.src, lq.rel, lq.candidates);
+    const ServeResult want2 = ref2.ScoreLinks(lq.src, lq.rel, lq.candidates);
     for (int r = 0; r < kRoundsPerClient; ++r) {
       const ServeResult& got = results[c][r];
       ASSERT_TRUE(got.epoch == 1u || got.epoch == 2u) << "epoch " << got.epoch;
@@ -342,8 +405,9 @@ TEST(Serve, HotSwapUnderLoad) {
 }
 
 // Out-of-range query ids abort on the caller's thread with the bad value in
-// the message, for the batched and the unbatched path alike: the embedding
-// gather and the decoder's relation lookup index the tables unchecked.
+// the message, through the query calls and their benchmark aliases alike: the
+// embedding gather and the decoder's relation lookup index the tables
+// unchecked.
 class ServeDeathTest : public ::testing::Test {
  protected:
   void SetUp() override {
