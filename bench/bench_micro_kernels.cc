@@ -39,6 +39,7 @@
 #include "src/util/rv_monitor.h"
 #include "src/util/timer.h"
 #include "src/util/vec.h"
+#include "tests/aggregation_reference.h"
 #include "tests/ranking_loss_reference.h"
 
 namespace mariusgnn {
@@ -211,18 +212,35 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                            [&](int64_t kk, int64_t j) { return (*w)(j, kk); });
                      }});
 
-  const int64_t segs = 4096, per_seg = 10;
-  auto seg_src = std::make_shared<Tensor>(Tensor::Normal(segs * per_seg, dim, 1.0f, rng));
+  // GraphSage's neighbour mean at the graphsage_backward shape below: 4096 segments
+  // of 10 positions over a 45,056-row input, indices with duplicates. The
+  // references are the scalar gather-then-reduce and broadcast-then-fold.
+  const int64_t segs = 4096, per_seg = 10, agg_in = segs + segs * per_seg;
+  auto agg_h = std::make_shared<Tensor>(Tensor::Normal(agg_in, dim, 1.0f, rng));
+  auto agg_rows = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(segs * per_seg));
+  for (auto& v : *agg_rows) v = static_cast<int64_t>(rng.UniformInt(static_cast<int>(agg_in)));
   auto offsets = std::make_shared<std::vector<int64_t>>();
   for (int64_t s = 0; s <= segs; ++s) {
     offsets->push_back(s * per_seg);
   }
   auto seg_grad = std::make_shared<Tensor>(Tensor::Normal(segs, dim, 1.0f, rng));
-  kernels.push_back({"neighbor_agg_fwd", [seg_src, offsets](const ComputeContext* ctx) {
-                       return SegmentMean(*seg_src, *offsets, ctx);
+  kernels.push_back({"neighbor_agg_fwd",
+                     [agg_h, agg_rows, offsets](const ComputeContext* ctx) {
+                       return GatherSegmentMean(*agg_h, *agg_rows, *offsets, ctx);
+                     },
+                     [agg_h, agg_rows, offsets] {
+                       return RefGatherSegmentReduce(*agg_h, *agg_rows, *offsets, true);
                      }});
-  kernels.push_back({"neighbor_agg_bwd", [seg_grad, offsets](const ComputeContext* ctx) {
-                       return SegmentMeanBackward(*seg_grad, *offsets, ctx);
+  kernels.push_back({"neighbor_agg_bwd",
+                     [seg_grad, agg_rows, offsets, agg_in, dim](const ComputeContext* ctx) {
+                       Tensor dh(agg_in, dim);
+                       GatherSegmentMeanBackward(dh, *agg_rows, *offsets, *seg_grad, ctx);
+                       return dh;
+                     },
+                     [seg_grad, agg_rows, offsets, agg_in, dim] {
+                       Tensor dh(agg_in, dim);
+                       RefGatherSegmentReduceBackward(dh, *agg_rows, *offsets, *seg_grad, true);
+                       return dh;
                      }});
 
   // Ranking loss and gradients of one decoder: `edges` positives against `negatives`
@@ -310,8 +328,8 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                        }});
   }
 
-  // Full GraphSage backward: MatMulTransA/TransB + segment backward + the two
-  // ScatterAddRows collects — the backward pass the ISSUE names as scatter-bound.
+  // Full GraphSage backward: MatMulTransA/TransB, the self-row ScatterAddRows and
+  // the neighbour mean's pull backward, after one forward.
   {
     Rng grng(29);
     const int64_t num_out = 4096, per_nbr = 10;

@@ -42,9 +42,7 @@ TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kin
     MG_CHECK_MSG(!config_.checkpoint.path.empty(),
                  "checkpoint_every_n_epochs requires checkpoint_path");
   }
-  if (!config_.storage.use_disk) {
-    full_index_ = std::make_unique<NeighborIndex>(*graph_);
-  } else {
+  if (config_.storage.use_disk) {
     MG_CHECK(config_.storage.num_physical >= 2 && config_.storage.buffer_capacity >= 2);
     MG_CHECK_MSG(config_.sampler == SamplerKind::kDense,
                  "baseline sampler supports in-memory training only");
@@ -228,8 +226,10 @@ EpochStats TrainerBase::RunEpoch() {
     }
 
     WallTimer set_timer;
-    const NeighborIndex* index = full_index_.get();
-    if (buffer_ != nullptr) {
+    const NeighborIndex* index = nullptr;
+    if (buffer_ == nullptr) {
+      index = &FullIndex();
+    } else {
       // In-memory subgraph: all edges between resident partitions (Section 4.1).
       std::vector<Edge> resident_edges;
       for (int32_t a : set) {

@@ -1,6 +1,7 @@
 #include "src/nn/encoder.h"
 
 #include <numeric>
+#include <utility>
 
 #include "src/nn/gat.h"
 #include "src/nn/gcn.h"
@@ -49,10 +50,11 @@ Tensor GnnEncoder::ForwardImpl(DenseBatch& batch, const Tensor& h0,
     const int64_t out_begin = batch.node_id_offsets[1];
     view.self_rows.resize(static_cast<size_t>(batch.num_nodes() - out_begin));
     std::iota(view.self_rows.begin(), view.self_rows.end(), out_begin);
+    // Each layer keeps its own copy of this layer's neighbour rows and offsets
+    // (AdvanceLayer rewrites the batch's); the view moves them into it.
     view.nbr_rows = batch.repr_map;
     view.seg_offsets = batch.SegmentOffsets();
-    view.nbr_rels = batch.nbr_rels;
-    Tensor out = layers_[j]->Forward(view, &(*ctxs)[j]);
+    Tensor out = layers_[j]->Forward(std::move(view), &(*ctxs)[j]);
     if (j + 1 < layers_.size()) {
       batch.AdvanceLayer();
     }
@@ -115,7 +117,6 @@ LayerView BlockToView(const LayerBlock& block, const Tensor& h,
   const int64_t num_edges = static_cast<int64_t>(block.edge_dst.size());
   std::vector<int64_t> counts(static_cast<size_t>(num_dst) + 1, 0);
   view.nbr_rows.resize(static_cast<size_t>(num_edges));
-  view.nbr_rels.resize(static_cast<size_t>(num_edges));
   const int64_t chunks = ComputeChunkCount(num_edges, kComputeGrainSortEdges);
   // Placement positions are exact integers, so the single-pass and two-pass sorts
   // are bitwise identical by construction — unlike the float kernels, branching on
@@ -133,7 +134,6 @@ LayerView BlockToView(const LayerBlock& block, const Tensor& h,
     for (int64_t e = 0; e < num_edges; ++e) {
       const int64_t pos = cursor[static_cast<size_t>(block.edge_dst[static_cast<size_t>(e)])]++;
       view.nbr_rows[static_cast<size_t>(pos)] = block.edge_src[static_cast<size_t>(e)];
-      view.nbr_rels[static_cast<size_t>(pos)] = block.edge_rel[static_cast<size_t>(e)];
     }
     return view;
   }
@@ -200,8 +200,6 @@ LayerView BlockToView(const LayerBlock& block, const Tensor& h,
                    const int64_t pos_e = cursor[static_cast<size_t>(slot)]++;
                    view.nbr_rows[static_cast<size_t>(pos_e)] =
                        block.edge_src[static_cast<size_t>(e)];
-                   view.nbr_rels[static_cast<size_t>(pos_e)] =
-                       block.edge_rel[static_cast<size_t>(e)];
                  }
                });
   return view;
@@ -221,7 +219,7 @@ Tensor BlockEncoder::ForwardImpl(const LayerwiseSample& sample, const Tensor& h0
   for (size_t j = 0; j < layers_.size(); ++j) {
     LayerView view = BlockToView(sample.blocks[j], h, compute);
     view.compute = compute;
-    Tensor out = layers_[j]->Forward(view, &(*ctxs)[j]);
+    Tensor out = layers_[j]->Forward(std::move(view), &(*ctxs)[j]);
     h = std::move(out);
   }
   return h;

@@ -1,5 +1,7 @@
 #include "src/nn/gat.h"
 
+#include <utility>
+
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -35,34 +37,34 @@ GatLayer::GatLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng,
       attn_r_(Tensor::Uniform(1, out_dim, 0.3f, rng)),
       bias_(Tensor(1, out_dim)) {}
 
-Tensor GatLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* ctx) const {
+Tensor GatLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const {
   MG_CHECK(view.h != nullptr && view.h->cols() == in_dim_);
   const ComputeContext* cc = view.compute;
   auto c = std::make_unique<GatContext>();
   c->compute = cc;
-  c->self_rows = view.self_rows;
-  c->nbr_rows = view.nbr_rows;
-  c->seg_offsets = view.seg_offsets;
+  c->self_rows = std::move(view.self_rows);
+  c->nbr_rows = std::move(view.nbr_rows);
+  c->seg_offsets = std::move(view.seg_offsets);
   c->h = *view.h;
 
-  const int64_t num_out = view.num_outputs();
-  const int64_t num_edges = static_cast<int64_t>(view.nbr_rows.size());
+  const int64_t num_out = static_cast<int64_t>(c->self_rows.size());
+  const int64_t num_edges = static_cast<int64_t>(c->nbr_rows.size());
   c->owner.resize(static_cast<size_t>(num_edges));
   // Chunked over segments: each segment owns its contiguous edge range.
   ForEachChunk(cc, num_out, kComputeGrainRows,
                [&](int64_t, int64_t seg_begin, int64_t seg_end) {
                  for (int64_t s = seg_begin; s < seg_end; ++s) {
-                   for (int64_t e = view.seg_offsets[static_cast<size_t>(s)];
-                        e < view.seg_offsets[static_cast<size_t>(s) + 1]; ++e) {
+                   for (int64_t e = c->seg_offsets[static_cast<size_t>(s)];
+                        e < c->seg_offsets[static_cast<size_t>(s) + 1]; ++e) {
                      c->owner[static_cast<size_t>(e)] = s;
                    }
                  }
                });
 
   Tensor z = Matmul(*view.h, w_.value, cc);
-  c->self_in = IndexSelect(*view.h, view.self_rows, cc);
-  c->z_self = IndexSelect(z, view.self_rows, cc);
-  c->z_nbr = IndexSelect(z, view.nbr_rows, cc);
+  c->self_in = IndexSelect(*view.h, c->self_rows, cc);
+  c->z_self = IndexSelect(z, c->self_rows, cc);
+  c->z_nbr = IndexSelect(z, c->nbr_rows, cc);
 
   // Raw attention scores: per-edge, disjoint writes.
   Tensor scores(num_edges, 1);
@@ -80,7 +82,7 @@ Tensor GatLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* c
                });
   c->e_act = LeakyRelu(scores, leaky_slope_, cc);
   c->alpha = c->e_act;
-  SegmentSoftmaxInPlace(c->alpha, view.seg_offsets, cc);
+  SegmentSoftmaxInPlace(c->alpha, c->seg_offsets, cc);
 
   // Weighted aggregation: per-edge, disjoint rows.
   Tensor weighted(num_edges, out_dim_);
@@ -95,7 +97,7 @@ Tensor GatLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* c
                    }
                  }
                });
-  Tensor pre = SegmentSum(weighted, view.seg_offsets, cc);
+  Tensor pre = SegmentSum(weighted, c->seg_offsets, cc);
   AddInPlace(pre, Matmul(c->self_in, w_root_.value, cc), cc);
   AddBiasRows(pre, bias_.value, cc);
   c->out = ApplyActivation(act_, pre, cc);

@@ -23,7 +23,7 @@ class GatLayer : public GnnLayer {
   GatLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng,
            float leaky_slope = 0.2f);
 
-  Tensor Forward(const LayerView& view, std::unique_ptr<LayerContext>* ctx) const override;
+  Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const override;
   Tensor Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) override;
   std::vector<Parameter*> Parameters() override {
     return {&w_, &w_root_, &attn_l_, &attn_r_, &bias_};

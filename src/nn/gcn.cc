@@ -1,5 +1,7 @@
 #include "src/nn/gcn.h"
 
+#include <utility>
+
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -43,21 +45,19 @@ GcnLayer::GcnLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng)
       w_(Tensor::GlorotUniform(in_dim, out_dim, rng)),
       bias_(Tensor(1, out_dim)) {}
 
-Tensor GcnLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* ctx) const {
+Tensor GcnLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const {
   MG_CHECK(view.h != nullptr && view.h->cols() == in_dim_);
   const ComputeContext* cc = view.compute;
   auto c = std::make_unique<GcnContext>();
   c->compute = cc;
-  c->self_rows = view.self_rows;
-  c->nbr_rows = view.nbr_rows;
-  c->seg_offsets = view.seg_offsets;
+  c->self_rows = std::move(view.self_rows);
+  c->nbr_rows = std::move(view.nbr_rows);
+  c->seg_offsets = std::move(view.seg_offsets);
   c->num_inputs = view.num_inputs();
 
-  Tensor self_in = IndexSelect(*view.h, view.self_rows, cc);
-  Tensor nbr_in = IndexSelect(*view.h, view.nbr_rows, cc);
-  Tensor agg = SegmentSum(nbr_in, view.seg_offsets, cc);
-  AddInPlace(agg, self_in, cc);
-  ScaleByClosedNeighborhood(agg, view.seg_offsets, cc);
+  Tensor agg = GatherSegmentSum(*view.h, c->nbr_rows, c->seg_offsets, cc);
+  AddInPlace(agg, IndexSelect(*view.h, c->self_rows, cc), cc);
+  ScaleByClosedNeighborhood(agg, c->seg_offsets, cc);
   c->agg = agg;
 
   Tensor pre = Matmul(agg, w_.value, cc);
@@ -84,11 +84,10 @@ Tensor GcnLayer::Backward(LayerContext& ctx, const Tensor& grad_out, bool input_
   Tensor dagg = MatmulTransB(dpre, w_.value, cc);  // num_outputs x in_dim
   // Undo the closed-neighborhood mean scaling per segment.
   ScaleByClosedNeighborhood(dagg, c.seg_offsets, cc);
-  Tensor dnbr_in = SegmentSumBackward(dagg, c.seg_offsets, cc);
 
   Tensor dh(c.num_inputs, in_dim_);
   ScatterAddRows(dh, c.self_rows, dagg, cc);
-  ScatterAddRows(dh, c.nbr_rows, dnbr_in, cc);
+  GatherSegmentSumBackward(dh, c.nbr_rows, c.seg_offsets, dagg, cc);
   return dh;
 }
 

@@ -19,7 +19,7 @@ class GcnLayer : public GnnLayer {
  public:
   GcnLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng);
 
-  Tensor Forward(const LayerView& view, std::unique_ptr<LayerContext>* ctx) const override;
+  Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const override;
   Tensor Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) override;
   std::vector<Parameter*> Parameters() override { return {&w_, &bias_}; }
 

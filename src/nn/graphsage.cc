@@ -1,5 +1,7 @@
 #include "src/nn/graphsage.h"
 
+#include <utility>
+
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -27,19 +29,18 @@ GraphSageLayer::GraphSageLayer(int64_t in_dim, int64_t out_dim, Activation act, 
       w_nbr_(Tensor::GlorotUniform(in_dim, out_dim, rng)),
       bias_(Tensor(1, out_dim)) {}
 
-Tensor GraphSageLayer::Forward(const LayerView& view, std::unique_ptr<LayerContext>* ctx) const {
+Tensor GraphSageLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const {
   MG_CHECK(view.h != nullptr && view.h->cols() == in_dim_);
   const ComputeContext* cc = view.compute;
   auto c = std::make_unique<SageContext>();
   c->compute = cc;
-  c->self_rows = view.self_rows;
-  c->nbr_rows = view.nbr_rows;
-  c->seg_offsets = view.seg_offsets;
+  c->self_rows = std::move(view.self_rows);
+  c->nbr_rows = std::move(view.nbr_rows);
+  c->seg_offsets = std::move(view.seg_offsets);
   c->num_inputs = view.num_inputs();
 
-  c->self_in = IndexSelect(*view.h, view.self_rows, cc);
-  Tensor nbr_in = IndexSelect(*view.h, view.nbr_rows, cc);
-  c->nbr_mean = SegmentMean(nbr_in, view.seg_offsets, cc);
+  c->self_in = IndexSelect(*view.h, c->self_rows, cc);
+  c->nbr_mean = GatherSegmentMean(*view.h, c->nbr_rows, c->seg_offsets, cc);
 
   Tensor pre = Matmul(c->self_in, w_self_.value, cc);
   AddInPlace(pre, Matmul(c->nbr_mean, w_nbr_.value, cc), cc);
@@ -67,11 +68,10 @@ Tensor GraphSageLayer::Backward(LayerContext& ctx, const Tensor& grad_out,
 
   Tensor dself = MatmulTransB(dpre, w_self_.value, cc);     // num_outputs x in_dim
   Tensor dnbr_mean = MatmulTransB(dpre, w_nbr_.value, cc);  // num_outputs x in_dim
-  Tensor dnbr_in = SegmentMeanBackward(dnbr_mean, c.seg_offsets, cc);
 
   Tensor dh(c.num_inputs, in_dim_);
   ScatterAddRows(dh, c.self_rows, dself, cc);
-  ScatterAddRows(dh, c.nbr_rows, dnbr_in, cc);
+  GatherSegmentMeanBackward(dh, c.nbr_rows, c.seg_offsets, dnbr_mean, cc);
   return dh;
 }
 

@@ -2,8 +2,10 @@
 //
 //   h_s' = act( W_self · h_s  +  W_nbr · mean_{j in N(s)} h_j  +  b )
 //
-// Lowered onto the dense kernels of Algorithm 3: index_select by nbr_rows, segment
-// mean over contiguous segments, two matmuls.
+// Lowered onto the dense kernels of Algorithm 3: a segment mean over contiguous
+// segments that reads the nbr_rows of h in place (GatherSegmentMean), two matmuls.
+// The backward folds each input row's neighbour gradient in place
+// (GatherSegmentMeanBackward), so no edge-sized matrix is built either way.
 #ifndef SRC_NN_GRAPHSAGE_H_
 #define SRC_NN_GRAPHSAGE_H_
 
@@ -19,7 +21,7 @@ class GraphSageLayer : public GnnLayer {
  public:
   GraphSageLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng);
 
-  Tensor Forward(const LayerView& view, std::unique_ptr<LayerContext>* ctx) const override;
+  Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const override;
   Tensor Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) override;
   std::vector<Parameter*> Parameters() override { return {&w_self_, &w_nbr_, &bias_}; }
 

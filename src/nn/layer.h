@@ -30,7 +30,6 @@ struct LayerView {
   std::vector<int64_t> self_rows;
   std::vector<int64_t> nbr_rows;
   std::vector<int64_t> seg_offsets;
-  std::vector<int32_t> nbr_rels;  // optional, parallel to nbr_rows
   // Stage-3 parallel-compute handle (may be null = serial). Layers save it in their
   // LayerContext so the backward pass runs with the same parallelism.
   const ComputeContext* compute = nullptr;
@@ -60,8 +59,8 @@ class GnnLayer {
   // Computes output representations; fills *ctx with the state Backward needs.
   // Const: all invocation state goes into *ctx, never into the layer, so a shared
   // immutable layer stack (e.g. a serving snapshot) can run Forward concurrently.
-  virtual Tensor Forward(const LayerView& view,
-                         std::unique_ptr<LayerContext>* ctx) const = 0;
+  // The view is taken by value so its index vectors move into *ctx uncopied.
+  virtual Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const = 0;
 
   // Accumulates parameter gradients. With `input_grad`, returns d loss / d h (rows ==
   // the forward view's num_inputs()); without it, skips every input-gradient kernel

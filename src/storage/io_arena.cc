@@ -1,12 +1,8 @@
 #include "src/storage/io_arena.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <utility>
-
-#if defined(__linux__)
 #include <sys/mman.h>
-#endif
+
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -14,17 +10,22 @@ namespace mariusgnn {
 
 namespace {
 
-// aligned_alloc requires the size to be a multiple of the alignment; hugepage
-// advice is best-effort (requires Linux + THP enabled) and never load-bearing.
+size_t MappedBytes(size_t bytes) { return AlignUpIo(bytes == 0 ? kIoAlignment : bytes); }
+
+// Anonymous mappings are page-aligned and read as zeros by construction, and a
+// page is only faulted in (and counted in RSS) when first touched, so slots a
+// buffer never uses cost nothing.
 void* AllocAligned(size_t bytes) {
-  const size_t rounded = AlignUpIo(bytes == 0 ? kIoAlignment : bytes);
-  void* p = std::aligned_alloc(kIoAlignment, rounded);
-  MG_CHECK_MSG(p != nullptr, "aligned allocation failed");
-  std::memset(p, 0, rounded);
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  ::madvise(p, rounded, MADV_HUGEPAGE);
-#endif
+  void* p = ::mmap(nullptr, MappedBytes(bytes), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  MG_CHECK_MSG(p != MAP_FAILED, "anonymous mapping failed");
   return p;
+}
+
+void FreeAligned(void* p, size_t bytes) {
+  if (p != nullptr) {
+    ::munmap(p, MappedBytes(bytes));
+  }
 }
 
 }  // namespace
@@ -33,14 +34,14 @@ AlignedBuffer::AlignedBuffer(size_t count) : size_(count) {
   data_ = static_cast<float*>(AllocAligned(count * sizeof(float)));
 }
 
-AlignedBuffer::~AlignedBuffer() { std::free(data_); }
+AlignedBuffer::~AlignedBuffer() { FreeAligned(data_, size_ * sizeof(float)); }
 
 AlignedBuffer::AlignedBuffer(AlignedBuffer&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
 
 AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
   if (this != &other) {
-    std::free(data_);
+    FreeAligned(data_, size_ * sizeof(float));
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
   }
@@ -61,7 +62,7 @@ IoArena::IoArena(size_t slot_bytes, int num_slots)
 IoArena::~IoArena() {
   MG_CHECK_MSG(static_cast<int>(free_.size()) == num_slots_,
                "IoArena destroyed with slots still in use");
-  std::free(base_);
+  FreeAligned(base_, slot_bytes_ * static_cast<size_t>(num_slots_));
 }
 
 float* IoArena::Acquire() {

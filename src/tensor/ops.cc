@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/slot_remap.h"
 #include "src/util/vec.h"
 
 namespace mariusgnn {
@@ -109,10 +108,6 @@ void Gemm(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
   });
 }
 
-// Per-thread dst-row -> compact-slot remap for ScatterAddRows (see slot_remap.h
-// for the generation-stamp scheme and why thread_local reuse is sound).
-thread_local SlotRemap scatter_remap;
-
 }  // namespace
 
 Tensor Matmul(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
@@ -215,112 +210,184 @@ Tensor IndexSelect(const Tensor& t, const std::vector<int64_t>& indices,
   return out;
 }
 
-void ScatterAddRows(Tensor& dst, const std::vector<int64_t>& indices, const Tensor& src,
-                    const ComputeContext* ctx) {
-  MG_CHECK(static_cast<int64_t>(indices.size()) == src.rows());
-  MG_CHECK(dst.cols() == src.cols());
-  const int64_t n = static_cast<int64_t>(indices.size());
-  const int64_t cols = src.cols();
-  const int64_t chunks = ComputeChunkCount(n, kComputeGrainScatterRows);
-  if (chunks <= 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      MG_DCHECK(indices[static_cast<size_t>(i)] >= 0 &&
-                indices[static_cast<size_t>(i)] < dst.rows());
-      float* drow = dst.RowPtr(indices[static_cast<size_t>(i)]);
-      const float* srow = src.RowPtr(i);
-      for (int64_t c = 0; c < cols; ++c) {
-        drow[c] += srow[c];
-      }
-    }
-    return;
-  }
-  // Strictly increasing indices (the iota self_rows every layer backward passes)
-  // have no duplicates, so chunks write disjoint dst rows directly — no remap, no
-  // partials. Each dst row receives exactly one add either way, so the bits match
-  // the fold path below exactly; path selection depends only on the indices, never
-  // the pool, so determinism across pool sizes is preserved.
-  bool strictly_increasing = true;
-  for (int64_t i = 1; i < n && strictly_increasing; ++i) {
-    strictly_increasing = indices[static_cast<size_t>(i)] > indices[static_cast<size_t>(i) - 1];
-  }
-  if (strictly_increasing) {
-    ForEachChunk(ctx, n, kComputeGrainScatterRows,
-                 [&](int64_t, int64_t begin, int64_t end) {
-                   for (int64_t i = begin; i < end; ++i) {
-                     MG_DCHECK(indices[static_cast<size_t>(i)] >= 0 &&
-                               indices[static_cast<size_t>(i)] < dst.rows());
-                     float* drow = dst.RowPtr(indices[static_cast<size_t>(i)]);
-                     const float* srow = src.RowPtr(i);
-                     for (int64_t c = 0; c < cols; ++c) {
-                       drow[c] += srow[c];
-                     }
-                   }
-                 });
-    return;
-  }
-
-  // Duplicate indices make this a scatter-reduce with a data-dependent write set,
-  // so each chunk accumulates into a compact partial holding only the dst rows it
-  // touches (slot order = first occurrence within the chunk, a fixed function of
-  // the chunk layout), and the partials fold into dst in ascending chunk order.
-  // Same bits for a null context and any pool size. The dst-row -> slot remap is a
-  // generation-stamped thread_local scratch: a fresh O(dst_rows) fill per chunk
-  // would rival the useful scatter work, while bumping the stamp invalidates the
-  // whole scratch in O(1), so each chunk pays only O(touched) — and the remap's
-  // contents stay a pure function of the chunk, never of which thread ran before.
-  std::vector<Tensor> partials(static_cast<size_t>(chunks));
-  std::vector<std::vector<int64_t>> touched_rows(static_cast<size_t>(chunks));
-  ForEachChunkOrdered(
-      ctx, n, kComputeGrainScatterRows,
-      [&](int64_t chunk, int64_t begin, int64_t end) {
-        SlotRemap& remap = scatter_remap;
-        remap.NextGeneration(dst.rows());
-        std::vector<int64_t> touched;
-        for (int64_t i = begin; i < end; ++i) {
-          const int64_t row = indices[static_cast<size_t>(i)];
-          MG_DCHECK(row >= 0 && row < dst.rows());
-          remap.Claim(row, &touched);
-        }
-        Tensor partial(static_cast<int64_t>(touched.size()), cols);
-        for (int64_t i = begin; i < end; ++i) {
-          float* drow = partial.RowPtr(
-              remap.slot_of[static_cast<size_t>(indices[static_cast<size_t>(i)])]);
-          const float* srow = src.RowPtr(i);
-          for (int64_t c = 0; c < cols; ++c) {
-            drow[c] += srow[c];
-          }
-        }
-        partials[static_cast<size_t>(chunk)] = std::move(partial);
-        touched_rows[static_cast<size_t>(chunk)] = std::move(touched);
-      },
-      [&](int64_t chunk) {
-        const std::vector<int64_t>& rows = touched_rows[static_cast<size_t>(chunk)];
-        const Tensor& partial = partials[static_cast<size_t>(chunk)];
-        for (size_t s = 0; s < rows.size(); ++s) {
-          float* drow = dst.RowPtr(rows[s]);
-          const float* srow = partial.RowPtr(static_cast<int64_t>(s));
-          for (int64_t c = 0; c < cols; ++c) {
-            drow[c] += srow[c];
-          }
-        }
-        // Free the folded partial eagerly.
-        partials[static_cast<size_t>(chunk)] = Tensor();
-      });
-}
-
 namespace {
 
-void CheckOffsets(const Tensor& src, const std::vector<int64_t>& offsets) {
+void CheckOffsets(int64_t rows, const std::vector<int64_t>& offsets) {
   MG_CHECK(!offsets.empty());
   MG_CHECK(offsets.front() == 0);
-  MG_CHECK(offsets.back() == src.rows());
+  MG_CHECK(offsets.back() == rows);
+}
+
+// The one scatter-reduce: dst[indices[e]] += value(e) for every position e, where
+// add(acc, e) adds value(e) into the cols() floats at acc. Its bits are those of
+// positions cut into chunks of kComputeGrainScatterRows, each chunk summing its
+// values per destination row into a partial that starts at +0.0f, and the
+// partials added to dst in ascending chunk order. A call of one chunk, and
+// strictly increasing indices (at most one value per row: every layer's iota self
+// rows), add each value straight into its row instead. Rather than scattering,
+// it pulls: a counting sort lists each destination row's positions in ascending
+// order, and each row folds its own positions. Rows are chunked at the row grain
+// and every row is written by one chunk only, so any pool size gives the same
+// bits.
+template <typename AddFn>
+void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
+                    const ComputeContext* ctx, const AddFn& add) {
+  const int64_t n = static_cast<int64_t>(indices.size());
+  bool strictly_increasing = true;
+  for (int64_t e = 1; e < n && strictly_increasing; ++e) {
+    strictly_increasing = indices[static_cast<size_t>(e)] > indices[static_cast<size_t>(e) - 1];
+  }
+  const bool direct =
+      strictly_increasing || ComputeChunkCount(n, kComputeGrainScatterRows) <= 1;
+
+  // Reverse CSR: positions of destination row r are sources[first[r]..first[r+1]),
+  // ascending, because the placement pass walks positions in order.
+  std::vector<int64_t> first(static_cast<size_t>(dst.rows()) + 1, 0);
+  for (int64_t row : indices) {
+    MG_DCHECK(row >= 0 && row < dst.rows());
+    ++first[static_cast<size_t>(row) + 1];
+  }
+  for (size_t r = 1; r < first.size(); ++r) {
+    first[r] += first[r - 1];
+  }
+  std::vector<int64_t> sources(static_cast<size_t>(n));
+  {
+    std::vector<int64_t> cursor(first.begin(), first.end() - 1);
+    for (int64_t e = 0; e < n; ++e) {
+      sources[static_cast<size_t>(cursor[static_cast<size_t>(indices[static_cast<size_t>(e)])]++)] =
+          e;
+    }
+  }
+  const int64_t cols = dst.cols();
+  ForEachRowChunk(ctx, dst.rows(), [&](int64_t row_begin, int64_t row_end) {
+    std::vector<float> partial(static_cast<size_t>(cols));
+    for (int64_t r = row_begin; r < row_end; ++r) {
+      float* drow = dst.RowPtr(r);
+      int64_t k = first[static_cast<size_t>(r)];
+      const int64_t k_end = first[static_cast<size_t>(r) + 1];
+      if (direct) {
+        for (; k < k_end; ++k) {
+          add(drow, sources[static_cast<size_t>(k)]);
+        }
+        continue;
+      }
+      while (k < k_end) {
+        const int64_t chunk = sources[static_cast<size_t>(k)] / kComputeGrainScatterRows;
+        std::fill(partial.begin(), partial.end(), 0.0f);
+        for (; k < k_end && sources[static_cast<size_t>(k)] / kComputeGrainScatterRows == chunk;
+             ++k) {
+          add(partial.data(), sources[static_cast<size_t>(k)]);
+        }
+        for (int64_t c = 0; c < cols; ++c) {
+          drow[c] += partial[static_cast<size_t>(c)];
+        }
+      }
+    }
+  });
+}
+
+// Shared body of GatherSegmentSum and GatherSegmentMean, chunked over segments.
+Tensor GatherSegmentReduce(const Tensor& h, const std::vector<int64_t>& rows,
+                           const std::vector<int64_t>& offsets, bool mean,
+                           const ComputeContext* ctx) {
+  CheckOffsets(static_cast<int64_t>(rows.size()), offsets);
+  const int64_t segs = static_cast<int64_t>(offsets.size()) - 1;
+  const int64_t cols = h.cols();
+  Tensor out(segs, cols);
+  ForEachRowChunk(ctx, segs, [&](int64_t seg_begin, int64_t seg_end) {
+    for (int64_t s = seg_begin; s < seg_end; ++s) {
+      float* orow = out.RowPtr(s);
+      const int64_t begin = offsets[static_cast<size_t>(s)];
+      const int64_t end = offsets[static_cast<size_t>(s) + 1];
+      for (int64_t e = begin; e < end; ++e) {
+        MG_DCHECK(rows[static_cast<size_t>(e)] >= 0 && rows[static_cast<size_t>(e)] < h.rows());
+        const float* hrow = h.RowPtr(rows[static_cast<size_t>(e)]);
+        for (int64_t c = 0; c < cols; ++c) {
+          orow[c] += hrow[c];
+        }
+      }
+      if (mean && end - begin > 1) {
+        const float inv = 1.0f / static_cast<float>(end - begin);
+        for (int64_t c = 0; c < cols; ++c) {
+          orow[c] *= inv;
+        }
+      }
+    }
+  });
+  return out;
+}
+
+// Shared body of the two backward forms: position e's value is grad[seg(e)],
+// times 1/count for the mean of a segment of count > 1.
+void GatherSegmentReduceBackward(Tensor& dh, const std::vector<int64_t>& rows,
+                                 const std::vector<int64_t>& offsets, const Tensor& grad,
+                                 bool mean, const ComputeContext* ctx) {
+  CheckOffsets(static_cast<int64_t>(rows.size()), offsets);
+  MG_CHECK(grad.rows() == static_cast<int64_t>(offsets.size()) - 1);
+  MG_CHECK(dh.cols() == grad.cols());
+  std::vector<int64_t> owner(rows.size());
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    std::fill(owner.begin() + offsets[s], owner.begin() + offsets[s + 1],
+              static_cast<int64_t>(s));
+  }
+  const int64_t cols = grad.cols();
+  PullScatterAdd(dh, rows, ctx, [&](float* acc, int64_t e) {
+    const int64_t s = owner[static_cast<size_t>(e)];
+    const int64_t count = offsets[static_cast<size_t>(s) + 1] - offsets[static_cast<size_t>(s)];
+    const float* grow = grad.RowPtr(s);
+    if (mean && count > 1) {
+      const float inv = 1.0f / static_cast<float>(count);
+      for (int64_t c = 0; c < cols; ++c) {
+        acc[c] += grow[c] * inv;
+      }
+    } else {
+      for (int64_t c = 0; c < cols; ++c) {
+        acc[c] += grow[c];
+      }
+    }
+  });
 }
 
 }  // namespace
 
+void ScatterAddRows(Tensor& dst, const std::vector<int64_t>& indices, const Tensor& src,
+                    const ComputeContext* ctx) {
+  MG_CHECK(static_cast<int64_t>(indices.size()) == src.rows());
+  MG_CHECK(dst.cols() == src.cols());
+  const int64_t cols = src.cols();
+  PullScatterAdd(dst, indices, ctx, [&](float* acc, int64_t e) {
+    const float* srow = src.RowPtr(e);
+    for (int64_t c = 0; c < cols; ++c) {
+      acc[c] += srow[c];
+    }
+  });
+}
+
+Tensor GatherSegmentSum(const Tensor& h, const std::vector<int64_t>& rows,
+                        const std::vector<int64_t>& offsets, const ComputeContext* ctx) {
+  return GatherSegmentReduce(h, rows, offsets, /*mean=*/false, ctx);
+}
+
+Tensor GatherSegmentMean(const Tensor& h, const std::vector<int64_t>& rows,
+                         const std::vector<int64_t>& offsets, const ComputeContext* ctx) {
+  return GatherSegmentReduce(h, rows, offsets, /*mean=*/true, ctx);
+}
+
+void GatherSegmentSumBackward(Tensor& dh, const std::vector<int64_t>& rows,
+                              const std::vector<int64_t>& offsets, const Tensor& grad,
+                              const ComputeContext* ctx) {
+  GatherSegmentReduceBackward(dh, rows, offsets, grad, /*mean=*/false, ctx);
+}
+
+void GatherSegmentMeanBackward(Tensor& dh, const std::vector<int64_t>& rows,
+                               const std::vector<int64_t>& offsets, const Tensor& grad,
+                               const ComputeContext* ctx) {
+  GatherSegmentReduceBackward(dh, rows, offsets, grad, /*mean=*/true, ctx);
+}
+
 Tensor SegmentSum(const Tensor& src, const std::vector<int64_t>& offsets,
                   const ComputeContext* ctx) {
-  CheckOffsets(src, offsets);
+  CheckOffsets(src.rows(), offsets);
   const int64_t segs = static_cast<int64_t>(offsets.size()) - 1;
   Tensor out(segs, src.cols());
   ForEachRowChunk(ctx, segs, [&](int64_t seg_begin, int64_t seg_end) {
@@ -338,67 +405,10 @@ Tensor SegmentSum(const Tensor& src, const std::vector<int64_t>& offsets,
   return out;
 }
 
-Tensor SegmentMean(const Tensor& src, const std::vector<int64_t>& offsets,
-                   const ComputeContext* ctx) {
-  Tensor out = SegmentSum(src, offsets, ctx);
-  ForEachRowChunk(ctx, out.rows(), [&](int64_t seg_begin, int64_t seg_end) {
-    for (int64_t s = seg_begin; s < seg_end; ++s) {
-      const int64_t count =
-          offsets[static_cast<size_t>(s) + 1] - offsets[static_cast<size_t>(s)];
-      if (count > 1) {
-        const float inv = 1.0f / static_cast<float>(count);
-        float* orow = out.RowPtr(s);
-        for (int64_t c = 0; c < out.cols(); ++c) {
-          orow[c] *= inv;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-Tensor SegmentSumBackward(const Tensor& grad_out, const std::vector<int64_t>& offsets,
-                          const ComputeContext* ctx) {
-  MG_CHECK(grad_out.rows() == static_cast<int64_t>(offsets.size()) - 1);
-  Tensor grad_in(offsets.back(), grad_out.cols());
-  ForEachRowChunk(ctx, grad_out.rows(), [&](int64_t seg_begin, int64_t seg_end) {
-    for (int64_t s = seg_begin; s < seg_end; ++s) {
-      const float* grow = grad_out.RowPtr(s);
-      for (int64_t r = offsets[static_cast<size_t>(s)];
-           r < offsets[static_cast<size_t>(s) + 1]; ++r) {
-        std::copy(grow, grow + grad_out.cols(), grad_in.RowPtr(r));
-      }
-    }
-  });
-  return grad_in;
-}
-
-Tensor SegmentMeanBackward(const Tensor& grad_out, const std::vector<int64_t>& offsets,
-                           const ComputeContext* ctx) {
-  Tensor grad_in = SegmentSumBackward(grad_out, offsets, ctx);
-  ForEachRowChunk(ctx, grad_out.rows(), [&](int64_t seg_begin, int64_t seg_end) {
-    for (int64_t s = seg_begin; s < seg_end; ++s) {
-      const int64_t count =
-          offsets[static_cast<size_t>(s) + 1] - offsets[static_cast<size_t>(s)];
-      if (count > 1) {
-        const float inv = 1.0f / static_cast<float>(count);
-        for (int64_t r = offsets[static_cast<size_t>(s)];
-             r < offsets[static_cast<size_t>(s) + 1]; ++r) {
-          float* row = grad_in.RowPtr(r);
-          for (int64_t c = 0; c < grad_in.cols(); ++c) {
-            row[c] *= inv;
-          }
-        }
-      }
-    }
-  });
-  return grad_in;
-}
-
 void SegmentSoftmaxInPlace(Tensor& scores, const std::vector<int64_t>& offsets,
                            const ComputeContext* ctx) {
   MG_CHECK(scores.cols() == 1);
-  CheckOffsets(scores, offsets);
+  CheckOffsets(scores.rows(), offsets);
   const int64_t segs = static_cast<int64_t>(offsets.size()) - 1;
   ForEachRowChunk(ctx, segs, [&](int64_t seg_begin, int64_t seg_end) {
     for (int64_t s = seg_begin; s < seg_end; ++s) {

@@ -12,10 +12,13 @@
 //    reductions, flat elements for the elementwise ops. Chunk boundaries and any
 //    cross-chunk reduction order depend only on the input shape, so results are
 //    bitwise-identical for a null context and for pools of any size.
-//  - ScatterAddRows has a data-dependent write set (duplicate indices make it a
-//    scatter-reduce), so its chunks accumulate into compact touched-row partials
-//    that are folded into dst in ascending chunk order — the same pattern as the
-//    decoder's shared-negative gradients (src/nn/decoder.cc).
+//  - The scatter-reduces (ScatterAddRows and the Gather* backward kernels) have a
+//    data-dependent write set: duplicate indices send many positions to one row.
+//    They pull instead of scattering. A counting sort lists each destination
+//    row's positions in ascending order, and each row folds its own positions
+//    in fixed position chunks, one +0.0f partial per chunk added in ascending
+//    chunk order (kComputeGrainScatterRows). Rows are chunked, and each row is
+//    written by one chunk only (docs/DETERMINISM.md, "Scatter-reduce").
 #ifndef SRC_TENSOR_OPS_H_
 #define SRC_TENSOR_OPS_H_
 
@@ -59,12 +62,12 @@ Tensor SumRows(const Tensor& t, const ComputeContext* ctx = nullptr);
 Tensor IndexSelect(const Tensor& t, const std::vector<int64_t>& indices,
                    const ComputeContext* ctx = nullptr);
 
-// Scatter-add rows: dst[indices[i]] += src[i]. Duplicate indices are allowed; each
-// chunk accumulates into a compact partial over the rows it touches and the partials
-// fold into dst in ascending chunk order (see header note), so any pool size — or a
-// null context — produces identical bits. Strictly increasing index vectors (iota
-// self_rows) take a direct disjoint-write path with the same bits, since every dst
-// row then receives exactly one addend.
+// Scatter-add rows: dst[indices[i]] += src[i]. Duplicate indices are allowed. The
+// bits are those of positions cut into chunks of kComputeGrainScatterRows, each
+// chunk summing its rows per destination into a partial that starts at +0.0f and
+// the partials added to dst in ascending chunk order; a call of one chunk, or
+// strictly increasing indices, add every row straight in. Any pool size, or a
+// null context, produces these bits (see header note).
 void ScatterAddRows(Tensor& dst, const std::vector<int64_t>& indices, const Tensor& src,
                     const ComputeContext* ctx = nullptr);
 
@@ -73,15 +76,29 @@ void ScatterAddRows(Tensor& dst, const std::vector<int64_t>& indices, const Tens
 // segments: each destination row is owned by exactly one chunk.
 Tensor SegmentSum(const Tensor& src, const std::vector<int64_t>& offsets,
                   const ComputeContext* ctx = nullptr);
-Tensor SegmentMean(const Tensor& src, const std::vector<int64_t>& offsets,
-                   const ComputeContext* ctx = nullptr);
 
-// Backward of SegmentSum: broadcast each segment's gradient row to its member rows.
-Tensor SegmentSumBackward(const Tensor& grad_out, const std::vector<int64_t>& offsets,
-                          const ComputeContext* ctx = nullptr);
-// Backward of SegmentMean: broadcast divided by segment size.
-Tensor SegmentMeanBackward(const Tensor& grad_out, const std::vector<int64_t>& offsets,
-                           const ComputeContext* ctx = nullptr);
+// Fused gather and segment reduction: output row s starts at +0.0f and adds
+// h[rows[e]] for e in [offsets[s], offsets[s+1]) ascending, so it has the bits of
+// SegmentSum(IndexSelect(h, rows), offsets) without the gathered matrix.
+// offsets.back() == rows.size(). The mean form then scales row s by
+// 1.0f / count when count > 1. Chunked over segments.
+Tensor GatherSegmentSum(const Tensor& h, const std::vector<int64_t>& rows,
+                        const std::vector<int64_t>& offsets,
+                        const ComputeContext* ctx = nullptr);
+Tensor GatherSegmentMean(const Tensor& h, const std::vector<int64_t>& rows,
+                         const std::vector<int64_t>& offsets,
+                         const ComputeContext* ctx = nullptr);
+
+// Backward of the two: dh[rows[e]] += grad[s] for every position e of segment s,
+// with the same bits as ScatterAddRows over a per-position matrix holding grad[s]
+// (times 1.0f / count, rounded, for the mean of a segment of count > 1), which is
+// never built.
+void GatherSegmentSumBackward(Tensor& dh, const std::vector<int64_t>& rows,
+                              const std::vector<int64_t>& offsets, const Tensor& grad,
+                              const ComputeContext* ctx = nullptr);
+void GatherSegmentMeanBackward(Tensor& dh, const std::vector<int64_t>& rows,
+                               const std::vector<int64_t>& offsets, const Tensor& grad,
+                               const ComputeContext* ctx = nullptr);
 
 // In-place softmax over each segment of a column vector (n x 1). Used by GAT attention.
 void SegmentSoftmaxInPlace(Tensor& scores, const std::vector<int64_t>& offsets,

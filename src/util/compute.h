@@ -41,8 +41,11 @@ inline constexpr int64_t kComputeGrainEdges = 128;  // per-positive-edge decoder
 // Pure candidate scoring does ~dim work per item (vs (negatives+1) x dim for the
 // loss kernel), so it needs a proportionally coarser grain to be worth fanning out.
 inline constexpr int64_t kComputeGrainCandidates = 1024;
-// Scatter-reduce rows (ScatterAddRows): each chunk allocates a dst-row slot remap,
-// so the grain is coarser than the matmul row grain to amortize that setup.
+// Scatter-reduce positions (ScatterAddRows and the Gather* backward kernels): each
+// destination row folds one partial per chunk of this many positions that holds
+// any of its sources, in ascending chunk order. The chunks are rows of the fold,
+// not units of work (the kernels run over destination rows at kComputeGrainRows),
+// so this grain fixes bits only.
 inline constexpr int64_t kComputeGrainScatterRows = 512;
 // Per-edge counting sort (BlockToView): each chunk owns a num_dst-sized histogram
 // and cursor array, so the grain is coarse enough to amortize both passes.

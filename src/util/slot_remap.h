@@ -1,6 +1,7 @@
 // Generation-stamped dense-key -> compact-slot remap for chunk-parallel
-// scatter-reduce kernels (ScatterAddRows, the decoder's shared-negative
-// gradients). Each chunk builds a compact partial over just the rows it touches;
+// kernels with a data-dependent write set (the decoder's shared-negative
+// gradients, BlockToView's sparse histograms). Each chunk builds a compact
+// partial over just the rows it touches;
 // the remap from global row to partial slot needs O(1) invalidation between
 // chunks, because a fresh O(num_rows) sentinel fill per chunk would rival the
 // useful scatter work. An entry is valid only when its stamp equals the current

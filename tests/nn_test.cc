@@ -32,7 +32,6 @@ LayerView MakeView(const Tensor* h) {
   view.self_rows = {3, 4};
   view.nbr_rows = {0, 1, 2, 1};
   view.seg_offsets = {0, 3, 4};
-  view.nbr_rels = {0, 0, 0, 0};
   return view;
 }
 
@@ -508,7 +507,6 @@ LayerView MakeBigView(const Tensor* h, Rng& rng) {
   for (auto& r : view.nbr_rows) {
     r = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(num_in)));
   }
-  view.nbr_rels.assign(view.nbr_rows.size(), 0);
   return view;
 }
 

@@ -6,10 +6,12 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "src/util/threadpool.h"
+#include "tests/aggregation_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -195,32 +197,39 @@ TEST(Ops, SegmentSumBasic) {
   EXPECT_FLOAT_EQ(out(2, 1), 12);  // rows 2+3+4
 }
 
-TEST(Ops, SegmentMeanBasic) {
-  Tensor src = MakeTensor(4, 1, {2, 4, 9, 0});
-  std::vector<int64_t> offsets = {0, 2, 4};
-  Tensor out = SegmentMean(src, offsets);
+TEST(Ops, GatherSegmentMeanBasic) {
+  Tensor h = MakeTensor(3, 1, {2, 4, 9});
+  std::vector<int64_t> rows = {0, 1, 2, 2};
+  std::vector<int64_t> offsets = {0, 2, 2, 4};
+  Tensor out = GatherSegmentMean(h, rows, offsets);
+  ASSERT_EQ(out.rows(), 3);
   EXPECT_FLOAT_EQ(out(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(out(1, 0), 4.5f);
+  EXPECT_FLOAT_EQ(out(1, 0), 0.0f);  // empty segment
+  EXPECT_FLOAT_EQ(out(2, 0), 9.0f);
+  EXPECT_FLOAT_EQ(GatherSegmentSum(h, rows, offsets)(2, 0), 18.0f);
 }
 
-TEST(Ops, SegmentSumBackwardBroadcasts) {
+TEST(Ops, GatherSegmentSumBackwardBroadcasts) {
   Tensor grad = MakeTensor(2, 2, {1, 2, 3, 4});
+  std::vector<int64_t> rows = {4, 0, 4, 1};  // row 4 is hit twice by segment 0
   std::vector<int64_t> offsets = {0, 3, 4};
-  Tensor gin = SegmentSumBackward(grad, offsets);
-  ASSERT_EQ(gin.rows(), 4);
-  for (int64_t r = 0; r < 3; ++r) {
-    EXPECT_FLOAT_EQ(gin(r, 0), 1);
-    EXPECT_FLOAT_EQ(gin(r, 1), 2);
-  }
-  EXPECT_FLOAT_EQ(gin(3, 0), 3);
+  Tensor dh(5, 2);
+  GatherSegmentSumBackward(dh, rows, offsets, grad);
+  EXPECT_FLOAT_EQ(dh(4, 0), 2);
+  EXPECT_FLOAT_EQ(dh(4, 1), 4);
+  EXPECT_FLOAT_EQ(dh(0, 1), 2);
+  EXPECT_FLOAT_EQ(dh(1, 0), 3);
+  EXPECT_FLOAT_EQ(dh(2, 0), 0);
 }
 
-TEST(Ops, SegmentMeanBackwardDivides) {
+TEST(Ops, GatherSegmentMeanBackwardDivides) {
   Tensor grad = MakeTensor(1, 1, {6});
+  std::vector<int64_t> rows = {0, 1, 2};
   std::vector<int64_t> offsets = {0, 3};
-  Tensor gin = SegmentMeanBackward(grad, offsets);
+  Tensor dh = Tensor::Full(3, 1, 1.0f);  // backward accumulates
+  GatherSegmentMeanBackward(dh, rows, offsets, grad);
   for (int64_t r = 0; r < 3; ++r) {
-    EXPECT_FLOAT_EQ(gin(r, 0), 2.0f);
+    EXPECT_FLOAT_EQ(dh(r, 0), 3.0f);
   }
 }
 
@@ -336,22 +345,28 @@ TEST(Ops, AddBiasAndSumRows) {
   EXPECT_FLOAT_EQ(s(0, 2), 6);
 }
 
-// Property sweep: SegmentSum ∘ SegmentSumBackward conserves mass for random shapes.
+// Property sweep: GatherSegmentSum and its backward are adjoint for random shapes.
 class SegmentParamTest : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(SegmentParamTest, SumBackwardAdjoint) {
-  // <SegmentSum(x), g> == <x, SegmentSumBackward(g)> (adjoint identity).
+  // <GatherSegmentSum(x, rows), g> == <x, GatherSegmentSumBackward(g)> (adjoint
+  // identity), with rows repeating input rows.
   const int64_t segs = GetParam();
   Rng rng(100 + static_cast<uint64_t>(segs));
   std::vector<int64_t> offsets = {0};
   for (int64_t s = 0; s < segs; ++s) {
     offsets.push_back(offsets.back() + static_cast<int64_t>(rng.UniformInt(4)));
   }
-  const int64_t rows = offsets.back();
-  Tensor x = Tensor::Normal(rows, 3, 1.0f, rng);
+  const int64_t inputs = 1 + segs / 2;
+  std::vector<int64_t> rows(static_cast<size_t>(offsets.back()));
+  for (auto& r : rows) {
+    r = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(inputs)));
+  }
+  Tensor x = Tensor::Normal(inputs, 3, 1.0f, rng);
   Tensor g = Tensor::Normal(segs, 3, 1.0f, rng);
-  Tensor y = SegmentSum(x, offsets);
-  Tensor gx = SegmentSumBackward(g, offsets);
+  Tensor y = GatherSegmentSum(x, rows, offsets);
+  Tensor gx(inputs, 3);
+  GatherSegmentSumBackward(gx, rows, offsets, g);
   double lhs = 0.0, rhs = 0.0;
   for (int64_t i = 0; i < y.size(); ++i) {
     lhs += static_cast<double>(y.data()[i]) * g.data()[i];
@@ -505,11 +520,17 @@ TEST(OpsDeterminism, SegmentOpsAcrossPools) {
   }
   Tensor src = Tensor::Normal(offsets.back(), 13, 1.0f, rng);
   Tensor grad = Tensor::Normal(200, 13, 1.0f, rng);
+  std::vector<int64_t> rows(static_cast<size_t>(offsets.back()));
+  for (auto& r : rows) {
+    r = static_cast<int64_t>(rng.UniformInt(150));
+  }
   ExpectBitwiseIdenticalAcrossPools([&](const ComputeContext* ctx) {
     Tensor out = SegmentSum(src, offsets, ctx);
-    AddInPlace(out, SegmentMean(src, offsets, ctx), ctx);
-    Tensor back = SegmentSumBackward(grad, offsets, ctx);
-    AddInPlace(back, SegmentMeanBackward(grad, offsets, ctx), ctx);
+    AddInPlace(out, GatherSegmentSum(src, rows, offsets, ctx), ctx);
+    AddInPlace(out, GatherSegmentMean(src, rows, offsets, ctx), ctx);
+    Tensor back(150, 13);
+    GatherSegmentSumBackward(back, rows, offsets, grad, ctx);
+    GatherSegmentMeanBackward(back, rows, offsets, grad, ctx);
     Tensor flat_out(1, out.size(), std::vector<float>(out.data(), out.data() + out.size()));
     Tensor flat_back(1, back.size(),
                      std::vector<float>(back.data(), back.data() + back.size()));
@@ -621,6 +642,173 @@ TEST(Ops, ScatterAddRowsAllSameIndexExactSum) {
     EXPECT_FLOAT_EQ(dst(1, c), 2000.0f);
     EXPECT_FLOAT_EQ(dst(0, c), 0.0f);
   }
+}
+
+// The fused gather-reduce kernels and the pull scatter-reduce against the scalar
+// composition they replace (tests/aggregation_reference.h), bit for bit. Position
+// counts straddle the scatter chunk grain (511, 512, 513) and reach ten chunks;
+// index patterns are all-same, interleaved, strictly increasing and random;
+// segments are ragged with empty ones; values include +-0, +-inf and NaN, and
+// whole -0.0 rows, whose sign a +0.0f partial flips where a direct add keeps it.
+struct PullCase {
+  std::string name;
+  std::vector<int64_t> indices;  // one per position
+  int64_t rows;                  // destination (or gathered) rows
+};
+
+std::vector<PullCase> PullCases() {
+  std::vector<PullCase> cases;
+  Rng rng(41);
+  for (int64_t n : {0, 1, 511, 512, 513, 5000}) {
+    const std::string tag = "n" + std::to_string(n);
+    PullCase same{tag + "/all_same", std::vector<int64_t>(static_cast<size_t>(n), 3), 8};
+    PullCase interleaved{tag + "/interleaved", {}, 7};
+    PullCase increasing{tag + "/increasing", {}, 2 * n + 2};
+    PullCase random{tag + "/random", {}, 40};
+    for (int64_t e = 0; e < n; ++e) {
+      interleaved.indices.push_back(e % 7);
+      increasing.indices.push_back(2 * e + 1);
+      random.indices.push_back(static_cast<int64_t>(rng.UniformInt(40)));
+    }
+    cases.push_back(std::move(same));
+    cases.push_back(std::move(interleaved));
+    cases.push_back(std::move(increasing));
+    cases.push_back(std::move(random));
+  }
+  return cases;
+}
+
+// Ragged segments over n positions (sizes 0..9, so some are empty), with an empty
+// segment at each end; and one segment holding every position.
+std::vector<std::vector<int64_t>> PullOffsets(int64_t n, Rng& rng) {
+  std::vector<int64_t> ragged = {0, 0};
+  while (ragged.back() < n) {
+    ragged.push_back(std::min(n, ragged.back() + static_cast<int64_t>(rng.UniformInt(10))));
+  }
+  ragged.push_back(n);
+  return {ragged, {0, n}};
+}
+
+// Normal values with specials planted: every 5th row all -0.0, and every 11th row
+// one of +0, -0, +inf, -inf, NaN in one column. The NaN is the hardware's default
+// NaN (inf - inf), the only NaN arithmetic makes, so NaN bits cannot depend on
+// which operand of an add the compiler puts first.
+Tensor PullValues(int64_t rows, int64_t cols, Rng& rng) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  const float specials[] = {0.0f, -0.0f, inf, -inf, nan};
+  Tensor t = Tensor::Normal(rows, cols, 1.0f, rng);
+  for (int64_t r = 0; r < rows; ++r) {
+    if (r % 5 == 0) {
+      std::fill(t.RowPtr(r), t.RowPtr(r) + cols, -0.0f);
+    } else if (r % 11 == 0) {
+      t(r, r % cols) = specials[(r / 11) % 5];
+    }
+  }
+  return t;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Runs check(ctx) with a null context and pools of 1, 2 and 8 workers.
+void ForEachPullContext(const std::function<void(const ComputeContext*, const std::string&)>&
+                            check) {
+  check(nullptr, "null");
+  for (size_t workers : {1u, 2u, 8u}) {
+    ThreadPool pool(workers);
+    ComputeContext ctx;
+    ctx.pool = &pool;
+    check(&ctx, std::to_string(workers) + " workers");
+  }
+}
+
+TEST(OpsPull, ScatterAddRowsMatchesChunkFoldReferenceBitwise) {
+  for (const PullCase& pc : PullCases()) {
+    Rng rng(43);
+    const int64_t n = static_cast<int64_t>(pc.indices.size());
+    const Tensor src = PullValues(n, 9, rng);
+    const Tensor base = PullValues(pc.rows, 9, rng);
+    Tensor want = base;
+    RefScatterAddRows(want, pc.indices, src);
+    ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
+      Tensor dst = base;
+      ScatterAddRows(dst, pc.indices, src, ctx);
+      EXPECT_TRUE(SameBits(dst, want)) << pc.name << ", " << how;
+    });
+  }
+}
+
+TEST(OpsPull, GatherSegmentMatchesGatherThenReduceBitwise) {
+  for (const PullCase& pc : PullCases()) {
+    Rng rng(45);
+    const int64_t n = static_cast<int64_t>(pc.indices.size());
+    const Tensor h = PullValues(pc.rows, 9, rng);
+    for (const std::vector<int64_t>& offsets : PullOffsets(n, rng)) {
+      for (const bool mean : {false, true}) {
+        const Tensor want = RefGatherSegmentReduce(h, pc.indices, offsets, mean);
+        ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
+          const Tensor got = mean ? GatherSegmentMean(h, pc.indices, offsets, ctx)
+                                  : GatherSegmentSum(h, pc.indices, offsets, ctx);
+          EXPECT_TRUE(SameBits(got, want)) << pc.name << ", " << offsets.size() - 1
+                                           << " segments, mean " << mean << ", " << how;
+        });
+      }
+    }
+  }
+}
+
+TEST(OpsPull, GatherSegmentBackwardMatchesBroadcastThenFoldBitwise) {
+  for (const PullCase& pc : PullCases()) {
+    Rng rng(47);
+    const int64_t n = static_cast<int64_t>(pc.indices.size());
+    const Tensor base = PullValues(pc.rows, 9, rng);
+    for (const std::vector<int64_t>& offsets : PullOffsets(n, rng)) {
+      const Tensor grad = PullValues(static_cast<int64_t>(offsets.size()) - 1, 9, rng);
+      for (const bool mean : {false, true}) {
+        Tensor want = base;
+        RefGatherSegmentReduceBackward(want, pc.indices, offsets, grad, mean);
+        ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
+          Tensor dh = base;
+          if (mean) {
+            GatherSegmentMeanBackward(dh, pc.indices, offsets, grad, ctx);
+          } else {
+            GatherSegmentSumBackward(dh, pc.indices, offsets, grad, ctx);
+          }
+          EXPECT_TRUE(SameBits(dh, want)) << pc.name << ", " << offsets.size() - 1
+                                          << " segments, mean " << mean << ", " << how;
+        });
+      }
+    }
+  }
+}
+
+// The mean form's backward is the adjoint of its forward:
+// <GatherSegmentMean(x), g> == <x, GatherSegmentMeanBackward(g)>.
+TEST(OpsPull, GatherSegmentMeanBackwardIsAdjoint) {
+  Rng rng(49);
+  const int64_t inputs = 300;
+  std::vector<int64_t> rows(2000);
+  for (auto& r : rows) {
+    r = static_cast<int64_t>(rng.UniformInt(inputs));
+  }
+  const std::vector<int64_t> offsets = PullOffsets(2000, rng)[0];
+  const int64_t segs = static_cast<int64_t>(offsets.size()) - 1;
+  Tensor x = Tensor::Normal(inputs, 5, 1.0f, rng);
+  Tensor g = Tensor::Normal(segs, 5, 1.0f, rng);
+  Tensor y = GatherSegmentMean(x, rows, offsets);
+  Tensor gx(inputs, 5);
+  GatherSegmentMeanBackward(gx, rows, offsets, g);
+  double lhs = 0.0, rhs = 0.0;
+  for (int64_t i = 0; i < y.size(); ++i) {
+    lhs += static_cast<double>(y.data()[i]) * g.data()[i];
+  }
+  for (int64_t i = 0; i < x.size(); ++i) {
+    rhs += static_cast<double>(x.data()[i]) * gx.data()[i];
+  }
+  EXPECT_NEAR(lhs, rhs, 1e-3 * (1.0 + std::abs(lhs)));
 }
 
 TEST(OpsDeterminism, GatherNormalizeAcrossPools) {
