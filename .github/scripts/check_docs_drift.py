@@ -14,6 +14,9 @@ Checks, over README.md and docs/*.md:
      (which share the subsystem prefixes). `comm.<name>` references are
      invariant-only: they must match an invariant name exactly.
   3. Every relative markdown link points at a file that exists.
+  4. The monitor table in docs/DETERMINISM.md lists exactly the invariant
+     names RvInvariantName returns: no stale row for a deleted monitor, and
+     no monitor without a row.
 
 The parser is deliberately permissive (it may admit a few extra identifiers
 from struct method bodies); it exists to catch renamed/removed fields and
@@ -30,6 +33,7 @@ GRADIENT_EXCHANGE_H = os.path.join(
     REPO_ROOT, "src", "comm", "gradient_exchange.h"
 )
 RV_MONITOR_CC = os.path.join(REPO_ROOT, "src", "util", "rv_monitor.cc")
+DETERMINISM_MD = os.path.join(REPO_ROOT, "docs", "DETERMINISM.md")
 
 # Struct name -> (doc prefix used to reference its members, defining header).
 STRUCTS = {
@@ -83,6 +87,29 @@ def rv_invariant_names():
     with open(RV_MONITOR_CC, encoding="utf-8") as f:
         source = f.read()
     return set(re.findall(r'return\s+"([a-z_]+\.[a-z_]+)"', source))
+
+
+def monitor_table_rows():
+    """Invariant names in the first column of DETERMINISM.md's monitor table:
+    the table whose header row starts with `| invariant |`."""
+    with open(DETERMINISM_MD, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = {}
+    in_table = False
+    for number, line in enumerate(lines, start=1):
+        if re.match(r"^\|\s*invariant\s*\|", line):
+            in_table = True
+            continue
+        if not in_table:
+            continue
+        if not line.startswith("|"):
+            break
+        m = re.match(r"^\|\s*`([^`]+)`\s*\|", line)
+        if m:
+            rows[m.group(1)] = number
+    if not in_table:
+        sys.exit("check_docs_drift: no `| invariant |` table in docs/DETERMINISM.md")
+    return rows
 
 
 def doc_files():
@@ -142,6 +169,16 @@ def main():
             if not os.path.exists(resolved):
                 line = text.count("\n", 0, m.start()) + 1
                 errors.append(f"{rel}:{line}: dangling link `{target}`")
+
+    rel = os.path.relpath(DETERMINISM_MD, REPO_ROOT)
+    rows = monitor_table_rows()
+    for name, line in sorted(rows.items()):
+        if name not in invariants:
+            errors.append(
+                f"{rel}:{line}: monitor table row `{name}` is not an rv invariant"
+            )
+    for name in sorted(invariants - set(rows)):
+        errors.append(f"{rel}: monitor table has no row for rv invariant `{name}`")
 
     if errors:
         print("docs drift detected:")

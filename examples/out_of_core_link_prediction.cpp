@@ -35,14 +35,6 @@ int main() {
         "epoch %d: loss=%.4f  compute=%.2fs  io=%.3fs (stall %.3fs)  sets=%lld\n",
         epoch, stats.loss, stats.compute_seconds, stats.io_seconds,
         stats.io_stall_seconds, static_cast<long long>(stats.num_partition_sets));
-    // The in-epoch controller's per-set worker decisions (mid-epoch resizes at
-    // partition-set boundaries, driven by queue occupancy + compute efficiency).
-    std::printf("         workers/set=[");
-    for (size_t s = 0; s < stats.workers_per_set.size(); ++s) {
-      std::printf("%s%d", s == 0 ? "" : " ", stats.workers_per_set[s]);
-    }
-    std::printf("]  resizes=%d  queue_occ=%.2f\n", stats.resize_count,
-                stats.queue_occupancy_mean);
     // Batched IO engine traffic: bytes moved through the submission queue and
     // how deep it actually ran (mean outstanding requests / peak in flight).
     std::printf("         io_read=%.1fMB io_write=%.1fMB qd_mean=%.2f inflight_peak=%d\n",

@@ -30,20 +30,14 @@ int main() {
   config.batch_size = 1000;
   config.num_negatives = 64;
 
-  // 3. Train and evaluate. The in-epoch PipelineController (on by default)
-  //    rebalances stage-1 sampling workers vs stage-3 compute chunks from queue
-  //    occupancy + compute efficiency; its per-set decisions are in EpochStats.
+  // 3. Train and evaluate. By default one sampling worker builds batches ahead of
+  //    compute (pipeline.workers); the worker count never changes the results.
   LinkPredictionTrainer trainer(&graph, config);
   for (int epoch = 1; epoch <= 5; ++epoch) {
     const EpochStats stats = trainer.TrainEpoch();
     const double mrr = trainer.EvaluateMrr(/*num_negatives=*/200, /*max_edges=*/500);
-    std::printf("epoch %d: loss=%.4f  time=%.2fs  MRR=%.4f  workers/set=[", epoch,
-                stats.loss, stats.wall_seconds, mrr);
-    for (size_t s = 0; s < stats.workers_per_set.size(); ++s) {
-      std::printf("%s%d", s == 0 ? "" : " ", stats.workers_per_set[s]);
-    }
-    std::printf("]  resizes=%d  queue_occ=%.2f  hash=%016llx  rv=%llu\n",
-                stats.resize_count, stats.queue_occupancy_mean,
+    std::printf("epoch %d: loss=%.4f  time=%.2fs  MRR=%.4f  hash=%016llx  rv=%llu\n",
+                epoch, stats.loss, stats.wall_seconds, mrr,
                 static_cast<unsigned long long>(stats.determinism_hash),
                 static_cast<unsigned long long>(stats.rv_violations));
   }

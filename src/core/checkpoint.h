@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "src/nn/parameter.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/tensor/tensor.h"
 #include "src/util/binary_io.h"
 #include "src/util/rng.h"
@@ -253,7 +252,7 @@ void RestoreParamFromCheckpoint(Parameter* p, const Tensor& value,
                                 const Tensor& state);
 
 // The save/restore core both trainers share — kind tag, run seed, epoch count,
-// RNG words, controller scalars, and the model-parameter sections — lives here
+// RNG words and the model-parameter sections — lives here
 // so the validation sequence cannot drift between the two trainers. Trainers
 // append any extra sections (e.g. the link-prediction embedding table) on top;
 // RestoreTrainerCheckpointCore verifies the total section count is exactly
@@ -261,14 +260,12 @@ void RestoreParamFromCheckpoint(Parameter* p, const Tensor& value,
 // reader (no whole-checkpoint materialisation).
 void BuildTrainerCheckpointRequest(const std::string& kind, uint64_t run_seed,
                                    int64_t epochs_completed, const Rng& rng,
-                                   const PipelineController& controller,
                                    const std::vector<Parameter*>& params,
                                    CheckpointSaveRequest* out);
 void RestoreTrainerCheckpointCore(CheckpointReader& reader, const std::string& kind,
                                   uint64_t run_seed, size_t extra_sections,
                                   const std::vector<Parameter*>& params, Rng* rng,
-                                  int64_t* epochs_completed,
-                                  PipelineController* controller);
+                                  int64_t* epochs_completed);
 
 }  // namespace mariusgnn
 

@@ -1,8 +1,8 @@
 // Training configuration and per-epoch statistics shared by both trainers.
 //
 // The knob list is grouped into sub-structs by subsystem — StorageOptions
-// (partition buffer + IO engine), PipelineOptions (async pipeline + adaptive
-// controller + compute parallelism), CheckpointOptions (crash-safe snapshots) —
+// (partition buffer + IO engine), PipelineOptions (async pipeline + compute
+// parallelism), CheckpointOptions (crash-safe snapshots) —
 // so callers configure one subsystem at a time and new knobs land next to their
 // neighbors.
 #ifndef SRC_CORE_CONFIG_H_
@@ -18,7 +18,6 @@
 #include "src/core/model.h"
 #include "src/graph/neighbor_index.h"
 #include "src/nn/encoder.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/pipeline/training_pipeline.h"
 #include "src/storage/disk.h"
 #include "src/storage/partition_buffer.h"
@@ -44,31 +43,19 @@ struct StorageOptions {
   std::string dir;  // defaults to a fresh temp path
 };
 
-// Async batch-construction pipeline, the in-epoch adaptive controller on top of
-// it, and stage-3 compute parallelism (src/pipeline/, src/util/compute.h).
+// Async batch-construction pipeline and stage-3 compute parallelism
+// (src/pipeline/, src/util/compute.h).
 struct PipelineOptions {
   bool enabled = true;  // overlap sampling with compute
   // Batch-construction workers when pipelined (PipelineSession). Worker count never
   // changes results: batches are derived from per-batch seeds and consumed in order.
-  int workers = 2;
+  int workers = 1;
   // Stage-3 compute parallelism: run the hot kernels (matmuls, neighbor
   // aggregation, ranking loss, sparse Adagrad) in fixed chunks on the shared
   // ThreadPool. Like the pipeline, this never changes results — chunk boundaries
   // and reduction order depend only on tensor shapes (src/util/compute.h), so
   // serial and N-thread runs are bitwise-identical.
   bool parallel_compute = true;
-  // Adaptive stage-1/stage-3 pool split (PipelineController): while a window's
-  // compute_parallel_efficiency sits below par_eff_low (compute chunks starved of
-  // pool threads by epoch-long sampling workers), the next window runs one fewer
-  // sampling worker, down to one; while it sits above par_eff_high, workers
-  // grow back toward `workers`. In the dead band the controller refines with
-  // queue back-pressure (PipelineControllerOptions in
-  // src/pipeline/pipeline_controller.h). Worker count never affects results
-  // (per-batch seeds + in-order consumption), so the rebalance preserves
-  // bitwise-identical trajectories.
-  bool adaptive_workers = true;
-  double par_eff_low = 0.40;
-  double par_eff_high = 0.85;
   // Pool overrides for tests/benches; nullptr = ThreadPool::Global(). Pointing both
   // at one pool exercises the production default of sampling workers and compute
   // chunks sharing the global pool.
@@ -133,20 +120,6 @@ struct TrainingConfig {
     return m;
   }
 
-  // In-epoch pipeline controller for one trainer (both trainers build theirs
-  // through this so the thresholds and gating cannot diverge). Adapting is
-  // pointless without the shared-pool contention it rebalances, so it requires
-  // both the pipeline and stage-3 parallel compute to be on.
-  PipelineController MakePipelineController() const {
-    PipelineControllerOptions options;
-    options.enabled =
-        pipeline.adaptive_workers && pipeline.enabled && pipeline.parallel_compute;
-    options.max_workers = pipeline.enabled ? pipeline.workers : 0;
-    options.par_eff_low = pipeline.par_eff_low;
-    options.par_eff_high = pipeline.par_eff_high;
-    return PipelineController(options);
-  }
-
   // Partition-buffer IO engine settings: the engine defaults. Kept only for
   // benchmark/replay.cc, which calls it.
   IoEngineOptions MakePartitionIoOptions() const { return IoEngineOptions(); }
@@ -203,16 +176,6 @@ struct EpochStats {
   uint64_t io_write_bytes = 0;
   double io_queue_depth_mean = 0.0;
   int io_inflight_peak = 0;
-  // Stage-1 sampling workers the epoch started with (after the adaptive
-  // stage-1/stage-3 split; equals the configured count when adapting is off).
-  int pipeline_workers = 0;
-  // Per-set decision record of the in-epoch controller: the worker count each
-  // partition set ran with, how many mid-epoch resizes it performed, and the
-  // time-weighted mean pipeline-queue occupancy (fraction of capacity) across the
-  // epoch's pipelined segments.
-  std::vector<int> workers_per_set;
-  int resize_count = 0;
-  double queue_occupancy_mean = 0.0;
   int64_t num_batches = 0;
   int64_t num_examples = 0;
   // Batches folded across ALL replicas this epoch (the loss divisor): every
@@ -238,14 +201,7 @@ struct EpochStats {
   uint64_t checkpoint_peak_bytes = 0;
 
   // Folds one pipeline run over `num_examples` examples into the epoch totals.
-  // The epoch-level queue occupancy mean weights each segment by its batch count.
   void AccumulatePipeline(const PipelineStats& ps, int64_t examples) {
-    if (num_batches + ps.num_items > 0) {
-      queue_occupancy_mean =
-          (queue_occupancy_mean * static_cast<double>(num_batches) +
-           ps.queue_occupancy_mean * static_cast<double>(ps.num_items)) /
-          static_cast<double>(num_batches + ps.num_items);
-    }
     num_batches += ps.num_items;
     num_examples += examples;
     sample_seconds += ps.sample_seconds;

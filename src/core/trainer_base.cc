@@ -14,13 +14,12 @@
 namespace mariusgnn {
 namespace {
 
-// The epoch's PipelineSession settings, validated. `workers` is the
-// controller's current count, which is 0 whenever the pipeline is off.
-PipelineSessionOptions MakePipelineSessionOptions(const PipelineOptions& pipeline,
-                                                  int workers) {
+// The epoch's PipelineSession settings, validated: no workers when the
+// pipeline is off.
+PipelineSessionOptions MakePipelineSessionOptions(const PipelineOptions& pipeline) {
   MG_CHECK_MSG(pipeline.workers >= 0, "pipeline.workers must be >= 0");
   PipelineSessionOptions options;
-  options.workers = workers;
+  options.workers = pipeline.enabled ? pipeline.workers : 0;
   options.pool = pipeline.pipeline_pool;
   return options;
 }
@@ -32,7 +31,6 @@ TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kin
       config_(std::move(config)),
       rng_(config_.seed),
       compute_(config_.MakeComputeContext(&compute_stats_)),
-      controller_(config_.MakePipelineController()),
       model_(ModelState::Build(kind, *graph, config_.model_config(), rng_)) {
   model_.SetCompute(&compute_);
   exchange_ = config_.MakeGradientExchange();
@@ -153,8 +151,9 @@ void TrainerBase::SharedWritebackBarrier() {
   exchange_->Barrier();
 }
 
-// One PipelineSession spans the whole epoch, so the PipelineController can
-// resize the stage-1 workers at set boundaries without flushing the pipeline.
+// One PipelineSession spans the whole epoch, so its sampling workers start
+// once per epoch rather than once per partition set (a COMET disk epoch runs
+// tens of sets).
 // The producer maps the session's global index onto the current set's local
 // batch number (segment.base), then through ReplicaBatchPartition onto the
 // set's GLOBAL batch number g — rank r builds exactly the batches with
@@ -166,7 +165,6 @@ EpochStats TrainerBase::RunEpoch() {
   compute_stats_.Reset();
   const EpochPlan plan = PlanEpoch();
   stats.num_partition_sets = plan.num_sets();
-  stats.pipeline_workers = controller_.workers();
 
   struct Segment {
     std::vector<int64_t> examples;
@@ -175,7 +173,7 @@ EpochStats TrainerBase::RunEpoch() {
   } segment;
   const int64_t batch_size = config_.batch_size;
   PipelineSession session(
-      MakePipelineSessionOptions(config_.pipeline, controller_.workers()),
+      MakePipelineSessionOptions(config_.pipeline),
       [this, &segment, batch_size](int64_t index) {
         const int64_t g = replica_.GlobalIndex(index - segment.base);
         const int64_t begin = g * batch_size;
@@ -191,11 +189,6 @@ EpochStats TrainerBase::RunEpoch() {
   for (int64_t i = 0; i < plan.num_sets(); ++i) {
     const std::vector<int32_t>& set = plan.sets[static_cast<size_t>(i)];
     const bool more_sets = i + 1 < plan.num_sets();
-    // Controller window for this set: everything from the swap-in to the end of
-    // its training segment.
-    const ComputeStats compute_before = compute_stats_;
-    const double io_stall_before = stats.io_stall_seconds;
-    WallTimer window_timer;
 
     std::unique_ptr<NeighborIndex> resident_index;
     if (buffer_ != nullptr) {
@@ -247,7 +240,6 @@ EpochStats TrainerBase::RunEpoch() {
     // sampling methods, so pointing the samplers at this set's index up front
     // is the only sampler state the segment needs.
     segment.examples = SetExamples(plan, i);
-    PipelineStats ps;
     const int64_t total = static_cast<int64_t>(segment.examples.size());
     if (total > 0) {
       if (model_.dense_sampler != nullptr) {
@@ -265,7 +257,7 @@ EpochStats TrainerBase::RunEpoch() {
       // rank performs the same exchange sequence (StepCount == rank 0's local
       // count).
       const int64_t local_batches = replica_.LocalCount(num_batches);
-      ps = session.RunSegment(local_batches);
+      const PipelineStats ps = session.RunSegment(local_batches);
       for (int64_t s = local_batches; s < replica_.StepCount(num_batches); ++s) {
         ExchangeApply(/*has_batch=*/false, 0.0f, nullptr, nullptr, &stats);
       }
@@ -278,10 +270,6 @@ EpochStats TrainerBase::RunEpoch() {
     }
     prev_compute = set_timer.Seconds();
     stats.compute_seconds += prev_compute;
-    controller_.ReportSetBoundary(ps, compute_stats_, compute_before,
-                                  stats.io_stall_seconds - io_stall_before,
-                                  window_timer.Seconds(), more_sets, &session,
-                                  &stats.workers_per_set, &stats.resize_count);
   }
 
   if (buffer_ != nullptr) {
@@ -365,7 +353,7 @@ size_t TrainerBase::NumExtraCheckpointSections() const { return 0; }
 void TrainerBase::SaveCheckpoint(const std::string& path) {
   CheckpointSaveRequest request;
   BuildTrainerCheckpointRequest(CheckpointKindName(model_.kind), config_.seed,
-                                epochs_completed_, rng_, controller_, model_.params,
+                                epochs_completed_, rng_, model_.params,
                                 &request);
   // Last completed epoch's determinism hash, bitcast into the named-scalar
   // list (docs/CHECKPOINT_FORMAT.md): the resumed trainer re-exposes it, so a
@@ -387,8 +375,7 @@ void TrainerBase::ResumeFrom(const std::string& path) {
   MG_CHECK_MSG(reader.VerifyDataChecksum(&error), error.c_str());
   RestoreTrainerCheckpointCore(reader, CheckpointKindName(model_.kind),
                                config_.seed, NumExtraCheckpointSections(),
-                               model_.params, &rng_, &epochs_completed_,
-                               &controller_);
+                               model_.params, &rng_, &epochs_completed_);
   const int64_t hash_bits = reader.manifest().scalar("determinism_hash", 0);
   std::memcpy(&last_determinism_hash_, &hash_bits, sizeof(last_determinism_hash_));
   RestoreCheckpointSections(reader);

@@ -2,8 +2,7 @@
 // same code path and expose one checkpoint/epoch contract.
 //
 // TrainerBase holds everything task-independent — config, RNG, the stage-3
-// compute handle, the in-epoch pipeline controller, the model, and the
-// partition buffer — and implements the epoch loop (Section 3, Figure 2),
+// compute handle, the model, and the partition buffer — and implements the epoch loop (Section 3, Figure 2),
 // TrainEpoch (epoch counting + auto-checkpoint), SaveCheckpoint, and ResumeFrom
 // once. Derived trainers implement only the task hooks: plan the epoch's
 // partition sets, pick a set's training examples, build a batch (PrepareBatch)
@@ -24,7 +23,6 @@
 #include "src/graph/graph.h"
 #include "src/graph/neighbor_index.h"
 #include "src/graph/partition.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/policy/policy.h"
 #include "src/util/compute.h"
 #include "src/util/rng.h"
@@ -74,7 +72,7 @@ class TrainerBase {
 
  protected:
   // Builds the ModelState (validating the config for `kind`) and the shared
-  // compute/controller wiring. Derived ctors add task storage on top; any RNG
+  // compute wiring. Derived ctors add task storage on top; any RNG
   // draws they make come after the model's, preserving historical draw order.
   TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kind);
 
@@ -147,8 +145,6 @@ class TrainerBase {
   // EpochStats.compute_parallel_efficiency.
   ComputeStats compute_stats_;
   ComputeContext compute_;
-  // In-epoch pipeline controller (see pipeline_controller.h).
-  PipelineController controller_;
 
   // Gradient-exchange seam (src/comm/): LocalExchange identity for world=1,
   // ProcessGroupExchange for multi-replica runs. Built in the ctor, so a

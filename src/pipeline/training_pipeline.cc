@@ -1,7 +1,5 @@
 #include "src/pipeline/training_pipeline.h"
 
-#include <chrono>
-
 #include "src/util/check.h"
 #include "src/util/timer.h"
 
@@ -12,35 +10,38 @@ PipelineSession::PipelineSession(PipelineSessionOptions options, Producer produc
     : options_(std::move(options)),
       produce_(std::move(produce)),
       consume_(std::move(consume)),
-      queue_(options_.queue_capacity) {
+      queue_(options_.queue_capacity),
+      window_(static_cast<int64_t>(options_.queue_capacity) + options_.workers) {
   MG_CHECK(options_.queue_capacity > 0);
   MG_CHECK(options_.workers >= 0);
   if (options_.workers > 0) {
-    workers_ = options_.workers;
-    LaunchWorkers(workers_);
+    LaunchWorkers();
   }
 }
 
+// Workers parked on the gate see stop_; a worker blocked on the full queue, or
+// one that finishes its batch after the close, fails its push. Either way it
+// exits, and whatever is still queued is dropped with the queue.
 PipelineSession::~PipelineSession() {
-  if (workers_ > 0) {
-    StopWorkers();
-  }
-  queue_.Close();
-}
-
-void PipelineSession::LaunchWorkers(int count) {
   {
     std::lock_guard<std::mutex> lock(gate_mu_);
-    window_ = static_cast<int64_t>(options_.queue_capacity) + count;
-    stop_ = false;
+    stop_ = true;
   }
+  gate_cv_.notify_all();
+  queue_.Close();
+  std::unique_lock<std::mutex> lock(done_mu_);
+  done_cv_.wait(lock, [this] { return workers_left_ == 0; });
+}
+
+void PipelineSession::LaunchWorkers() {
+  const int count = options_.workers;
   {
     std::lock_guard<std::mutex> lock(done_mu_);
     workers_left_ = count;
   }
-  // Resolved here, not at construction: a session that never launches workers
-  // (pipeline off) must not start the global pool's threads, so a serial
-  // trainer leaves no thread behind once it is destroyed (fork-based tests).
+  // Resolved only when workers launch: a session with no workers (pipeline off)
+  // must not start the global pool's threads, so a serial trainer leaves no
+  // thread behind once it is destroyed (fork-based tests).
   ThreadPool* pool = options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
   for (int w = 0; w < count; ++w) {
     pool->Submit([this] {
@@ -71,53 +72,6 @@ void PipelineSession::LaunchWorkers(int count) {
       }
     });
   }
-}
-
-void PipelineSession::StopWorkers() {
-  {
-    std::lock_guard<std::mutex> lock(gate_mu_);
-    stop_ = true;
-  }
-  gate_cv_.notify_all();
-  // Workers parked on the gate exit immediately; a worker mid-produce finishes and
-  // pushes first. With the consumer idle the queue can be (or fill) full, so drain
-  // it into the reorder buffer — bounded by the window gate at window_ entries —
-  // until every worker has exited.
-  std::unique_lock<std::mutex> lock(done_mu_);
-  while (workers_left_ > 0) {
-    lock.unlock();
-    while (std::optional<Produced> got = queue_.TryPop()) {
-      reorder_.emplace(got->index, std::move(got->item));
-    }
-    lock.lock();
-    done_cv_.wait_for(lock, std::chrono::milliseconds(1),
-                      [this] { return workers_left_ == 0; });
-  }
-  lock.unlock();
-  // Items pushed between the last drain and the final worker exit.
-  while (std::optional<Produced> got = queue_.TryPop()) {
-    reorder_.emplace(got->index, std::move(got->item));
-  }
-}
-
-void PipelineSession::Resize(int new_workers) {
-  MG_CHECK_MSG(workers_ >= 1, "Resize requires a threaded session (workers >= 1)");
-  MG_CHECK_MSG(new_workers >= 1, "Resize target must be >= 1 worker");
-  if (new_workers == workers_) {
-    return;
-  }
-  StopWorkers();
-  {
-    // pipeline.resize_quiesce: after StopWorkers the session must be fully
-    // quiescent — no Consume delivery on the stack, every worker exited, and the
-    // queue drained into the reorder buffer — or the relaunch could race the old
-    // workers and corrupt the batch stream.
-    std::lock_guard<std::mutex> lock(done_mu_);
-    rv_quiesce_.ObserveResize(consuming_, workers_left_, queue_.Size());
-  }
-  workers_ = new_workers;
-  ++resize_count_;
-  LaunchWorkers(new_workers);
 }
 
 int64_t PipelineSession::Extend(int64_t count) {
@@ -152,15 +106,12 @@ PipelineStats PipelineSession::Consume(int64_t count) {
   MG_CHECK(count >= 0);
   const int64_t target = consumed_ + count;
   MG_CHECK_MSG(target <= announced_, "Consume beyond the announced stream");
-  if (workers_ == 0) {
+  if (options_.workers == 0) {
     PipelineStats stats = ConsumeSerial(target);
     stats.num_items = count;
     return stats;
   }
 
-  // The queue-occupancy window covers exactly this segment: reset on entry,
-  // snapshot on exit.
-  (void)queue_.WindowStats();
   const int64_t sample_nanos_start = sample_nanos_.load(std::memory_order_relaxed);
 
   PipelineStats stats;
@@ -178,9 +129,7 @@ PipelineStats PipelineSession::Consume(int64_t count) {
     reorder_.erase(it);
     rv_ticket_.Observe(consumed_);
     WallTimer compute_timer;
-    consuming_ = true;
     consume_(item.get(), consumed_);
-    consuming_ = false;
     stats.compute_seconds += compute_timer.Seconds();
     {
       std::lock_guard<std::mutex> lock(gate_mu_);
@@ -190,14 +139,10 @@ PipelineStats PipelineSession::Consume(int64_t count) {
   }
 
   stats.num_items = count;
-  stats.workers = workers_;
   stats.sample_seconds =
       static_cast<double>(sample_nanos_.load(std::memory_order_relaxed) -
                           sample_nanos_start) *
       1e-9;
-  const QueueStats qs = queue_.WindowStats();
-  stats.queue_occupancy_mean =
-      qs.MeanOccupancy() / static_cast<double>(queue_.capacity());
   return stats;
 }
 

@@ -18,12 +18,8 @@
 // runs it or in which order batches finish. A window gate keeps workers at most
 // queue_capacity + workers batches ahead of the consumer, bounding memory.
 //
-// The session is resumable: one session spans an epoch, the item stream is
-// announced in segments (one per partition set), and the stage-1 worker count can
-// be resized at any point between Consume calls — the ticket counter, window gate,
-// and reorder buffer survive the resize, so the PipelineController can rebalance
-// the stage-1/stage-3 split mid-epoch without flushing the pipeline or perturbing
-// the batch stream.
+// One session spans an epoch: the item stream is announced in segments (one per
+// partition set), and the workers are launched once, when the session is built.
 //
 // The partition-IO stage of Figure 2 lives in PartitionBuffer::Prefetch (storage
 // layer); the epoch loop stages the next set's new partitions (PrefetchDelta).
@@ -49,7 +45,7 @@ namespace mariusgnn {
 struct PipelineSessionOptions {
   // Batch-construction workers. 0 runs everything serially on the calling thread
   // (same batch stream, no threads) — the non-pipelined baseline.
-  int workers = 2;
+  int workers = 1;
   // Prepared batches buffered between construction and compute (Figure 2's
   // "Pipeline Queue" depth).
   size_t queue_capacity = 4;
@@ -63,20 +59,12 @@ struct PipelineStats {
   double compute_seconds = 0.0;  // total consumer-callback time
   double stall_seconds = 0.0;    // consumer time blocked waiting for the next batch
   int64_t num_items = 0;
-  // Stage-1 workers the segment ran with, and the time-weighted mean occupancy of
-  // the pipeline queue over the segment as a fraction of its capacity (the
-  // back-pressure signal the PipelineController feeds on; 0 for serial runs).
-  int workers = 0;
-  double queue_occupancy_mean = 0.0;
 };
 
 // A resumable pipeline run. The logical item stream is open-ended: Extend
 // announces more items (workers may start producing them immediately, subject to
-// the window gate), Consume delivers the next `count` announced items to the
-// consumer strictly in index order, and Resize changes the stage-1 worker count
-// in place — items already produced (in the queue or the reorder buffer), the
-// ticket counter, and the consumption cursor all survive, so a resize can never
-// change what is produced or the order it is consumed in.
+// the window gate), and Consume delivers the next `count` announced items to the
+// consumer strictly in index order.
 //
 // Workers never claim an index beyond the announced limit. That is what makes
 // per-partition-set segments safe: the producer callback may read per-set state
@@ -85,7 +73,7 @@ struct PipelineStats {
 // announced. The swap is ordered by the gate mutex: state written before
 // Extend/Consume is visible to every worker that claims one of the new indices.
 //
-// Threading: Extend/Consume/Resize/stats must be called from the owning thread
+// Threading: Extend/Consume/stats must be called from the owning thread
 // (the consumer); the producer callback runs on pool workers and must be
 // thread-safe + index-deterministic.
 class PipelineSession {
@@ -112,19 +100,10 @@ class PipelineSession {
     return Consume(count);
   }
 
-  // Quiesces the current workers (draining any that block on the full queue into
-  // the reorder buffer), then relaunches with `new_workers`. Only valid on
-  // threaded sessions (constructed with workers >= 1) and with new_workers >= 1;
-  // a no-op when the count is unchanged. Never changes the consumed sequence.
-  void Resize(int new_workers);
-
-  int workers() const { return workers_; }
-  int resize_count() const { return resize_count_; }
   int64_t announced() const { return announced_; }
   int64_t consumed() const { return consumed_; }
   // Current queue depth (diagnostics/tests; stale immediately).
   size_t queue_size() const { return queue_.Size(); }
-  size_t queue_capacity() const { return queue_.capacity(); }
 
  private:
   struct Produced {
@@ -132,10 +111,7 @@ class PipelineSession {
     std::shared_ptr<void> item;
   };
 
-  void LaunchWorkers(int count);
-  // Stops the workers and waits for them to exit, draining the queue into the
-  // reorder buffer so producers blocked on a full queue can finish their push.
-  void StopWorkers();
+  void LaunchWorkers();
   PipelineStats ConsumeSerial(int64_t target);
 
   PipelineSessionOptions options_;
@@ -145,32 +121,26 @@ class PipelineSession {
 
   // Ticket claiming and the batch-window gate. Workers claim the next index under
   // gate_mu_ only when it is below both the announced limit and consumed + window
-  // (window = queue_capacity + workers, recomputed on resize).
+  // (window = queue_capacity + workers).
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
   int64_t announced_ = 0;    // guarded by gate_mu_; read lock-free by the owner
   int64_t consumed_ = 0;     // guarded by gate_mu_; read lock-free by the owner
   int64_t next_ticket_ = 0;  // guarded by gate_mu_
-  int64_t window_ = 0;       // guarded by gate_mu_
+  const int64_t window_;     // queue_capacity + workers
   bool stop_ = false;        // guarded by gate_mu_
 
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   int workers_left_ = 0;  // guarded by done_mu_
 
-  int workers_ = 0;  // current launched worker count (owner thread only)
-  int resize_count_ = 0;
   std::atomic<int64_t> sample_nanos_{0};
   std::map<int64_t, std::shared_ptr<void>> reorder_;  // owner thread only
 
-  // RV monitors (owner thread only). rv_ticket_ observes every index handed to
-  // the consumer — serial or pipelined — so any reorder-buffer slip shows up as a
-  // pipeline.ticket_order violation. rv_quiesce_ checks Resize's precondition
-  // (no active Consume delivery, all workers exited, queue drained) after
-  // StopWorkers returns; consuming_ is the mid-delivery flag it reads.
+  // RV monitor (owner thread only): observes every index handed to the
+  // consumer — serial or pipelined — so any reorder-buffer slip shows up as a
+  // pipeline.ticket_order violation.
   RvSequenceMonitor rv_ticket_{RvInvariant::kTicketOrder};
-  RvQuiesceMonitor rv_quiesce_{RvInvariant::kResizeQuiesce};
-  bool consuming_ = false;  // owner thread only
 };
 
 }  // namespace mariusgnn

@@ -106,7 +106,6 @@ ServeResult InferenceServer::Answer(int64_t src, int32_t rel,
     snap = snapshot_;
   }
   ServeResult result = ExecuteSingle(*snap, src, rel, candidates);
-  rv_epoch_pin_.ObserveAnswer(snap->epoch, result.epoch);
   queries_.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
@@ -158,8 +157,6 @@ ServerStats InferenceServer::stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     s.snapshot_swaps = swaps_;
   }
-  s.rv_violations =
-      RvRuntime::Global().violations(RvInvariant::kServeEpochPin);
   return s;
 }
 

@@ -33,7 +33,6 @@
 #include "src/graph/graph.h"
 #include "src/graph/neighbor_index.h"
 #include "src/serve/model_snapshot.h"
-#include "src/util/rv_monitor.h"
 
 namespace mariusgnn {
 
@@ -51,10 +50,6 @@ struct ServeResult {
 struct ServerStats {
   uint64_t queries = 0;
   uint64_t snapshot_swaps = 0;   // successful LoadSnapshot calls after the first
-  // serve.epoch_pin violations observed process-wide (RvRuntime counter): an
-  // answer tagged with a different epoch than the snapshot its query pinned.
-  // Always 0 unless the hot-swap isolation is broken.
-  uint64_t rv_violations = 0;
 };
 
 class InferenceServer {
@@ -121,11 +116,6 @@ class InferenceServer {
   ModelConfig config_;
   std::unique_ptr<const NeighborIndex> full_index_;  // null without a GNN
   uint64_t query_seed_ = 0;  // content-independent sample seed, fixed per server
-
-  // RV monitor (serve.epoch_pin): every answer must carry the epoch of the
-  // snapshot its query pinned. Stateless and thread-safe; mutable because the
-  // query path is const.
-  mutable RvEpochPinMonitor rv_epoch_pin_{RvInvariant::kServeEpochPin};
 
   mutable std::atomic<uint64_t> queries_{0};
   mutable std::mutex mu_;

@@ -66,14 +66,6 @@ struct ComputeStats {
   double ParallelEfficiency() const {
     return capacity_seconds > 0.0 ? busy_seconds / capacity_seconds : 1.0;
   }
-
-  // Efficiency of the window between an earlier snapshot of *this and now — the
-  // per-partition-set signal the PipelineController observes mid-epoch.
-  double ParallelEfficiencySince(const ComputeStats& since) const {
-    const double busy = busy_seconds - since.busy_seconds;
-    const double capacity = capacity_seconds - since.capacity_seconds;
-    return capacity > 0.0 ? busy / capacity : 1.0;
-  }
 };
 
 // Handle the trainers thread through encoder/decoder/optimizer/storage alongside

@@ -13,12 +13,8 @@ const char* RvInvariantName(RvInvariant invariant) {
       return "pipeline.ticket_order";
     case RvInvariant::kQueueOccupancy:
       return "pipeline.queue_occupancy";
-    case RvInvariant::kResizeQuiesce:
-      return "pipeline.resize_quiesce";
     case RvInvariant::kIoTagOrder:
       return "io_engine.tag_order";
-    case RvInvariant::kServeEpochPin:
-      return "serve.epoch_pin";
     case RvInvariant::kCommFoldOrder:
       return "comm.fold_order";
     case RvInvariant::kCommReplicaHash:

@@ -11,19 +11,11 @@
 //
 //   pipeline.ticket_order    indices delivered through the reorder buffer to the
 //                            consumer are strictly increasing (RvSequenceMonitor)
-//   pipeline.queue_occupancy BoundedQueue occupancy stays within [0, capacity]
-//                            and the window watermarks stay consistent
-//                            (RvWatermarkMonitor)
-//   pipeline.resize_quiesce  PipelineSession::Resize only happens at quiesce: not
-//                            inside a Consume delivery, with every worker exited
-//                            and the queue drained into the reorder buffer
-//                            (RvQuiesceMonitor)
+//   pipeline.queue_occupancy BoundedQueue occupancy never exceeds its capacity
+//                            after a push (RvOccupancyMonitor)
 //   io_engine.tag_order      same-tag IO requests start execution in submission
 //                            order — the read-after-write/write-after-read rule
 //                            the partition buffer depends on (RvTagOrderMonitor)
-//   serve.epoch_pin          every serving answer carries the epoch of the
-//                            snapshot its query pinned — no mixed-epoch
-//                            answers across a hot swap (RvEpochPinMonitor)
 //   comm.fold_order          cross-replica gradient reductions fold rank
 //                            contributions in strictly ascending rank order —
 //                            the ordered-fold rule that makes multi-replica
@@ -42,8 +34,8 @@
 // Violations route through a pluggable RvSink. The default sink counts and logs
 // (production: a violated invariant is a bug report, not a crash); tests and CI
 // install AbortRvSink so any violation dies loudly (death-test hooks). Violation
-// counters are always kept, independent of the sink, and surface in EpochStats,
-// ServerStats, and the bench JSON.
+// counters are always kept, independent of the sink, and surface in EpochStats
+// and the bench JSON.
 //
 // DeterminismHash is the cross-run comparison primitive: an ordered FNV-1a 64
 // fold of each batch's loss bits, taken at the in-order consumption point, so
@@ -67,9 +59,7 @@ namespace mariusgnn {
 enum class RvInvariant : int {
   kTicketOrder = 0,
   kQueueOccupancy,
-  kResizeQuiesce,
   kIoTagOrder,
-  kServeEpochPin,
   kCommFoldOrder,
   kCommReplicaHash,
   kCount,
@@ -184,12 +174,12 @@ class RvSequenceMonitor {
   int64_t last_ = std::numeric_limits<int64_t>::min();
 };
 
-// Occupancy within [0, capacity] plus window-watermark consistency.
-class RvWatermarkMonitor {
+// Occupancy within [0, capacity].
+class RvOccupancyMonitor {
  public:
-  explicit RvWatermarkMonitor(RvInvariant invariant) : invariant_(invariant) {}
+  explicit RvOccupancyMonitor(RvInvariant invariant) : invariant_(invariant) {}
 
-  // After every state change: the live occupancy can never exceed capacity.
+  // After every push: the live occupancy can never exceed capacity.
   void ObserveOccupancy(size_t occupancy, size_t capacity) {
     RvRuntime& rt = RvRuntime::Global();
     if (!rt.enabled()) {
@@ -198,46 +188,6 @@ class RvWatermarkMonitor {
     if (occupancy > capacity) {
       rt.Report(invariant_, "occupancy " + std::to_string(occupancy) +
                                 " exceeds capacity " + std::to_string(capacity));
-    }
-  }
-
-  // At window close: low <= high <= capacity (the integral's support).
-  void ObserveWindow(size_t low, size_t high, size_t capacity) {
-    RvRuntime& rt = RvRuntime::Global();
-    if (!rt.enabled()) {
-      return;
-    }
-    if (low > high || high > capacity) {
-      rt.Report(invariant_, "inconsistent watermarks: low " + std::to_string(low) +
-                                ", high " + std::to_string(high) + ", capacity " +
-                                std::to_string(capacity));
-    }
-  }
-
- private:
-  RvInvariant invariant_;
-};
-
-// Resize happens only at quiesce: never inside a Consume delivery, and only
-// once every worker has exited and the queue is drained into the reorder
-// buffer.
-class RvQuiesceMonitor {
- public:
-  explicit RvQuiesceMonitor(RvInvariant invariant) : invariant_(invariant) {}
-
-  void ObserveResize(bool mid_consume, int workers_left, size_t queue_size) {
-    RvRuntime& rt = RvRuntime::Global();
-    if (!rt.enabled()) {
-      return;
-    }
-    if (mid_consume) {
-      rt.Report(invariant_, "resize entered while a Consume delivery is active");
-    }
-    if (workers_left != 0 || queue_size != 0) {
-      rt.Report(invariant_, "resize before quiesce: " +
-                                std::to_string(workers_left) +
-                                " workers still running, " +
-                                std::to_string(queue_size) + " items undrained");
     }
   }
 
@@ -306,28 +256,6 @@ class RvFoldOrderMonitor {
  private:
   RvInvariant invariant_;
   int32_t last_rank_ = -1;
-};
-
-// Every serving answer must carry the epoch of the snapshot its query pinned
-// (stateless: the pin is passed per observation).
-class RvEpochPinMonitor {
- public:
-  explicit RvEpochPinMonitor(RvInvariant invariant) : invariant_(invariant) {}
-
-  void ObserveAnswer(uint64_t pinned_epoch, uint64_t answer_epoch) {
-    RvRuntime& rt = RvRuntime::Global();
-    if (!rt.enabled()) {
-      return;
-    }
-    if (answer_epoch != pinned_epoch) {
-      rt.Report(invariant_, "answer tagged epoch " + std::to_string(answer_epoch) +
-                                " for a query pinned to epoch " +
-                                std::to_string(pinned_epoch));
-    }
-  }
-
- private:
-  RvInvariant invariant_;
 };
 
 // --- Determinism hash ---------------------------------------------------------

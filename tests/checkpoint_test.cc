@@ -36,7 +36,7 @@ Checkpoint SampleCheckpoint() {
   for (int i = 0; i < 4; ++i) {
     ck.rng_state[i] = 0x1111111111111111ULL * (i + 1);
   }
-  ck.scalars.emplace_back("controller_workers", 2);
+  ck.scalars.emplace_back("determinism_hash", 2);
   Tensor a(3, 4);
   for (int64_t i = 0; i < a.size(); ++i) {
     a.data()[i] = static_cast<float>(i) * 0.5f;
@@ -72,7 +72,7 @@ TEST(Checkpoint, RoundTripPreservesEverything) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(loaded.rng_state[i], saved.rng_state[i]);
   }
-  EXPECT_EQ(loaded.scalar("controller_workers", -1), 2);
+  EXPECT_EQ(loaded.scalar("determinism_hash", -1), 2);
   EXPECT_EQ(loaded.scalar("absent", -1), -1);
   ASSERT_EQ(loaded.tensors.size(), saved.tensors.size());
   const Tensor& a = loaded.tensor("param0.value");
@@ -322,7 +322,6 @@ TrainingConfig SerialDiskLpConfig() {
   config.num_negatives = 32;
   config.pipeline.enabled = false;
   config.pipeline.parallel_compute = false;
-  config.pipeline.adaptive_workers = false;
   config.storage.use_disk = true;
   config.storage.num_physical = 8;
   config.storage.num_logical = 4;
@@ -408,7 +407,6 @@ TrainingConfig SerialNcConfig(bool use_disk) {
   config.weight_lr = 0.05f;
   config.pipeline.enabled = false;
   config.pipeline.parallel_compute = false;
-  config.pipeline.adaptive_workers = false;
   if (use_disk) {
     config.storage.use_disk = true;
     config.storage.num_physical = 16;
@@ -619,6 +617,40 @@ TEST(CheckpointCrash, ResumeFromV1FileDiesWithVersionError) {
   EXPECT_DEATH(resumed.ResumeFrom(v1_path), "unsupported checkpoint format version 1");
   std::remove(v2_path.c_str());
   std::remove(v1_path.c_str());
+}
+
+TEST(CheckpointCrash, ResumeIgnoresRetiredControllerScalars) {
+  // Files written while an adaptive pipeline controller existed carry two more
+  // manifest scalars, controller_workers and controller_cooldown. Readers skip
+  // unknown scalars, so such a file still resumes bit for bit.
+  Graph g = Fb15k237Like(0.03);
+  TrainingConfig config = SerialDiskLpConfig();
+  config.storage.use_disk = false;
+  const std::string new_path = TempPath("mgnn_ckpt_resume_current");
+  std::vector<double> want;
+  {
+    LinkPredictionTrainer trainer(&g, config);
+    trainer.TrainEpoch();
+    trainer.SaveCheckpoint(new_path);
+    want.push_back(trainer.TrainEpoch().loss);
+    want.push_back(trainer.EvaluateMrr(50, 100));
+  }
+  Checkpoint ck;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpoint(new_path, &ck, &error)) << error;
+  EXPECT_EQ(ck.scalar("controller_workers", -1), -1);  // no longer written
+  ck.scalars.emplace_back("controller_workers", 2);
+  ck.scalars.emplace_back("controller_cooldown", 1);
+  const std::string old_path = TempPath("mgnn_ckpt_resume_retired_scalars");
+  WriteReferenceCheckpoint(ck, old_path, kCheckpointFormatVersion);
+
+  LinkPredictionTrainer resumed(&g, config);
+  resumed.ResumeFrom(old_path);
+  EXPECT_EQ(resumed.epochs_completed(), 1);
+  EXPECT_EQ(resumed.TrainEpoch().loss, want[0]);
+  EXPECT_EQ(resumed.EvaluateMrr(50, 100), want[1]);
+  std::remove(new_path.c_str());
+  std::remove(old_path.c_str());
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ TEST(RvRuntime, CountsPerInvariantAndTotal) {
   rt.Report(RvInvariant::kIoTagOrder, "injected");
   EXPECT_EQ(rt.violations(RvInvariant::kTicketOrder), 2u);
   EXPECT_EQ(rt.violations(RvInvariant::kIoTagOrder), 1u);
-  EXPECT_EQ(rt.violations(RvInvariant::kServeEpochPin), 0u);
+  EXPECT_EQ(rt.violations(RvInvariant::kCommFoldOrder), 0u);
   EXPECT_EQ(rt.TotalViolations(), 3u);
   EXPECT_EQ(scope.sink().total(), 3);
   rt.ResetViolations();
@@ -161,10 +161,9 @@ TEST(RvRuntime, InvariantNamesAreStable) {
   EXPECT_STREQ(RvInvariantName(RvInvariant::kTicketOrder), "pipeline.ticket_order");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kQueueOccupancy),
                "pipeline.queue_occupancy");
-  EXPECT_STREQ(RvInvariantName(RvInvariant::kResizeQuiesce),
-               "pipeline.resize_quiesce");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kIoTagOrder), "io_engine.tag_order");
-  EXPECT_STREQ(RvInvariantName(RvInvariant::kServeEpochPin), "serve.epoch_pin");
+  EXPECT_STREQ(RvInvariantName(RvInvariant::kCommFoldOrder), "comm.fold_order");
+  EXPECT_STREQ(RvInvariantName(RvInvariant::kCommReplicaHash), "comm.replica_hash");
 }
 
 // --- Negative tests: each monitor trips on its injected violation -------------
@@ -187,31 +186,14 @@ TEST(RvSequenceMonitorTest, TripsOnOutOfOrderTicket) {
   EXPECT_EQ(scope.sink().count(RvInvariant::kTicketOrder), 2);
 }
 
-TEST(RvWatermarkMonitorTest, TripsOnWatermarkBreach) {
+TEST(RvOccupancyMonitorTest, TripsWhenOccupancyExceedsCapacity) {
   RvTestScope scope;
-  RvWatermarkMonitor wm(RvInvariant::kQueueOccupancy);
-  wm.ObserveOccupancy(4, 4);
-  wm.ObserveWindow(0, 4, 4);
+  RvOccupancyMonitor occupancy(RvInvariant::kQueueOccupancy);
+  occupancy.ObserveOccupancy(4, 4);
   EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 0);
-  wm.ObserveOccupancy(5, 4);  // injected: occupancy beyond capacity
+  occupancy.ObserveOccupancy(5, 4);  // injected: occupancy beyond capacity
   EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 1);
-  wm.ObserveWindow(3, 2, 4);  // injected: low watermark above high
-  EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 2);
-  wm.ObserveWindow(0, 5, 4);  // injected: high watermark beyond capacity
-  EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 3);
-}
-
-TEST(RvQuiesceMonitorTest, TripsOnResizeBeforeQuiesce) {
-  RvTestScope scope;
-  RvQuiesceMonitor q(RvInvariant::kResizeQuiesce);
-  q.ObserveResize(false, 0, 0);  // clean quiesce
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 0);
-  q.ObserveResize(true, 0, 0);  // injected: resize inside a Consume delivery
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 1);
-  q.ObserveResize(false, 2, 0);  // injected: workers still running
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 2);
-  q.ObserveResize(false, 0, 3);  // injected: queue not drained
-  EXPECT_EQ(scope.sink().count(RvInvariant::kResizeQuiesce), 3);
+  EXPECT_NE(scope.sink().last_detail().find("exceeds capacity 4"), std::string::npos);
 }
 
 TEST(RvTagOrderMonitorTest, TripsOnSameTagReorder) {
@@ -229,16 +211,6 @@ TEST(RvTagOrderMonitorTest, TripsOnSameTagReorder) {
   tag.Reset();
   tag.ObserveStart(1, 0);  // fresh engine, fresh sequences
   EXPECT_EQ(scope.sink().count(RvInvariant::kIoTagOrder), 2);
-}
-
-TEST(RvEpochPinMonitorTest, TripsOnMixedEpochAnswer) {
-  RvTestScope scope;
-  RvEpochPinMonitor pin(RvInvariant::kServeEpochPin);
-  pin.ObserveAnswer(3, 3);
-  EXPECT_EQ(scope.sink().count(RvInvariant::kServeEpochPin), 0);
-  pin.ObserveAnswer(3, 4);  // injected: answer from a different epoch
-  EXPECT_EQ(scope.sink().count(RvInvariant::kServeEpochPin), 1);
-  EXPECT_NE(scope.sink().last_detail().find("pinned to epoch 3"), std::string::npos);
 }
 
 // --- AbortRvSink death path ---------------------------------------------------
@@ -267,12 +239,11 @@ TEST(RvIntegration, BoundedQueueRunsViolationFree) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(queue.Pop().has_value());
     }
-    (void)queue.WindowStats();
   }
   EXPECT_EQ(scope.sink().total(), 0);
 }
 
-TEST(RvIntegration, PipelineSessionWithResizesRunsViolationFree) {
+TEST(RvIntegration, PipelineSessionAcrossSegmentsRunsViolationFree) {
   RvTestScope scope;
   PipelineSessionOptions options;
   options.workers = 2;
@@ -286,38 +257,14 @@ TEST(RvIntegration, PipelineSessionWithResizesRunsViolationFree) {
         consumed.push_back(i);
       });
   session.RunSegment(8);
-  session.Resize(4);
+  session.RunSegment(1);
   session.RunSegment(8);
-  session.Resize(1);
-  session.RunSegment(8);
+  session.RunSegment(7);
   ASSERT_EQ(consumed.size(), 24u);
   for (size_t i = 0; i < consumed.size(); ++i) {
     EXPECT_EQ(consumed[i], static_cast<int64_t>(i));
   }
   EXPECT_EQ(scope.sink().total(), 0);
-}
-
-TEST(RvIntegration, MidConsumeResizeTripsQuiesceMonitor) {
-  RvTestScope scope;
-  PipelineSessionOptions options;
-  options.workers = 2;
-  options.queue_capacity = 2;
-  std::unique_ptr<PipelineSession> session;
-  bool injected = false;
-  session = std::make_unique<PipelineSession>(
-      options,
-      [](int64_t i) -> std::shared_ptr<void> { return std::make_shared<int64_t>(i); },
-      [&](void*, int64_t i) {
-        if (i == 2 && !injected) {
-          injected = true;
-          session->Resize(3);  // injected: resize from inside a delivery
-        }
-      });
-  session->RunSegment(6);
-  EXPECT_TRUE(injected);
-  EXPECT_GE(scope.sink().count(RvInvariant::kResizeQuiesce), 1);
-  // The stream itself must still have been delivered in order.
-  EXPECT_EQ(scope.sink().count(RvInvariant::kTicketOrder), 0);
 }
 
 TEST(RvIntegration, IoEngineRunsViolationFree) {

@@ -436,31 +436,41 @@ TEST(LinkPrediction, WorkerCountDoesNotChangeTrajectory) {
 
 TEST(LinkPrediction, DiskPipelineAndPrefetchDoNotChangeTrajectory) {
   // The async path (partition prefetch + background write-back + pipeline workers)
-  // must reproduce the fully synchronous run exactly.
+  // must reproduce the fully synchronous run exactly, at every worker count, with
+  // sampling workers and compute chunks sharing one pool (the production shape).
   Graph g = Fb15k237Like(0.05);
-  auto run = [&](bool pipelined, bool prefetch) {
+  ThreadPool pool(4);
+  auto run = [&](int workers, bool prefetch) {
     TrainingConfig config = SmallLpConfig();
     config.storage.use_disk = true;
     config.storage.num_physical = 8;
     config.storage.num_logical = 4;
     config.storage.buffer_capacity = 4;
-    config.pipeline.enabled = pipelined;
-    config.pipeline.workers = 2;
+    config.pipeline.enabled = workers > 0;
+    config.pipeline.workers = workers;
+    config.pipeline.compute_pool = &pool;
+    config.pipeline.pipeline_pool = &pool;
     config.storage.prefetch = prefetch;
     LinkPredictionTrainer trainer(&g, config);
     double loss = 0.0;
+    int64_t sets = 0;
     for (int e = 0; e < 2; ++e) {
-      loss += trainer.TrainEpoch().loss;
+      const EpochStats stats = trainer.TrainEpoch();
+      loss += stats.loss;
+      sets = stats.num_partition_sets;
     }
+    EXPECT_GT(sets, 1);
     return std::make_pair(loss, trainer.EvaluateMrr(50, 100));
   };
-  const auto base = run(false, false);
-  const auto prefetch_only = run(false, true);
-  const auto full_async = run(true, true);
+  const auto base = run(0, false);
+  const auto prefetch_only = run(0, true);
   EXPECT_DOUBLE_EQ(prefetch_only.first, base.first);
-  EXPECT_DOUBLE_EQ(full_async.first, base.first);
   EXPECT_DOUBLE_EQ(prefetch_only.second, base.second);
-  EXPECT_DOUBLE_EQ(full_async.second, base.second);
+  for (int workers : {1, 3}) {
+    const auto full_async = run(workers, true);
+    EXPECT_DOUBLE_EQ(full_async.first, base.first) << workers << " workers";
+    EXPECT_DOUBLE_EQ(full_async.second, base.second) << workers << " workers";
+  }
 }
 
 TEST(Trainers, PrefetchOffOverlapsNoIoWithCompute) {
@@ -499,20 +509,37 @@ TEST(Trainers, PrefetchOffOverlapsNoIoWithCompute) {
 }
 
 TEST(NodeClassification, WorkerCountDoesNotChangeTrajectory) {
-  Graph g = PapersMini(0.05);
-  std::vector<double> losses;
-  for (int workers : {0, 2}) {
-    TrainingConfig config = SmallNcConfig();
-    config.pipeline.enabled = workers > 0;
-    config.pipeline.workers = workers;
-    NodeClassificationTrainer trainer(&g, config);
-    double loss = 0.0;
-    for (int e = 0; e < 2; ++e) {
-      loss += trainer.TrainEpoch().loss;
+  // In memory, and in the NC disk rotation regime (16 partitions through a
+  // 2-partition buffer), where one epoch spans many partition sets.
+  ThreadPool pool(4);
+  for (const bool disk : {false, true}) {
+    Graph g = PapersMini(disk ? 0.08 : 0.05);
+    std::vector<double> losses;
+    for (int workers : {0, 1, 2}) {
+      TrainingConfig config = SmallNcConfig();
+      config.pipeline.enabled = workers > 0;
+      config.pipeline.workers = workers;
+      config.pipeline.compute_pool = &pool;
+      config.pipeline.pipeline_pool = &pool;
+      if (disk) {
+        config.storage.use_disk = true;
+        config.storage.num_physical = 16;
+        config.storage.buffer_capacity = 2;
+      }
+      NodeClassificationTrainer trainer(&g, config);
+      double loss = 0.0;
+      for (int e = 0; e < 2; ++e) {
+        const EpochStats stats = trainer.TrainEpoch();
+        loss += stats.loss;
+        if (disk) {
+          EXPECT_GT(stats.num_partition_sets, 1);
+        }
+      }
+      losses.push_back(loss);
     }
-    losses.push_back(loss);
+    EXPECT_DOUBLE_EQ(losses[1], losses[0]) << (disk ? "disk" : "memory");
+    EXPECT_DOUBLE_EQ(losses[2], losses[0]) << (disk ? "disk" : "memory");
   }
-  EXPECT_DOUBLE_EQ(losses[1], losses[0]);
 }
 
 TEST(LinkPrediction, PipelinedEpochReportsStageBreakdown) {
@@ -652,148 +679,6 @@ TEST(LinkPrediction, BaselineSamplerParallelComputeTrajectoryIdentical) {
   const auto parallel = run(true);
   EXPECT_DOUBLE_EQ(parallel.first, serial.first);
   EXPECT_DOUBLE_EQ(parallel.second, serial.second);
-}
-
-TEST(LinkPrediction, AdaptiveWorkersDoNotChangeTrajectory) {
-  // Thresholds above any real efficiency force a shrink every epoch, so the
-  // adaptive run demonstrably rebalances (3 -> 2 -> 1 sampling workers) while the
-  // loss/MRR trajectory stays bitwise identical to the fixed-worker run: the split
-  // only ever changes worker count, which never changes the batch stream.
-  Graph g = Fb15k237Like(0.03);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallLpConfig();
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 3;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;  // sampling + compute share one pool
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.par_eff_low = 2.0;
-    config.pipeline.par_eff_high = 3.0;
-    LinkPredictionTrainer trainer(&g, config);
-    std::vector<double> history;
-    std::vector<int> workers;
-    for (int e = 0; e < 3; ++e) {
-      const EpochStats stats = trainer.TrainEpoch();
-      history.push_back(stats.loss);
-      workers.push_back(stats.pipeline_workers);
-    }
-    history.push_back(trainer.EvaluateMrr(50, 100));
-    return std::make_pair(history, workers);
-  };
-  const auto fixed = run(false);
-  const auto adaptive = run(true);
-  ASSERT_EQ(adaptive.first.size(), fixed.first.size());
-  for (size_t i = 0; i < fixed.first.size(); ++i) {
-    EXPECT_EQ(adaptive.first[i], fixed.first[i]) << "epoch " << i;
-  }
-  EXPECT_EQ(fixed.second, (std::vector<int>{3, 3, 3}));
-  EXPECT_EQ(adaptive.second, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(NodeClassification, AdaptiveWorkersDoNotChangeTrajectory) {
-  Graph g = PapersMini(0.05);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallNcConfig();
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 2;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.par_eff_low = 2.0;
-    config.pipeline.par_eff_high = 3.0;
-    NodeClassificationTrainer trainer(&g, config);
-    double loss = 0.0;
-    for (int e = 0; e < 2; ++e) {
-      loss += trainer.TrainEpoch().loss;
-    }
-    return loss;
-  };
-  EXPECT_DOUBLE_EQ(run(true), run(false));
-}
-
-TEST(LinkPrediction, MidEpochResizeDoesNotChangeTrajectory) {
-  // Disk mode with thresholds above any real efficiency forces a shrink at every
-  // partition-set boundary, so the controller demonstrably resizes the live
-  // session mid-epoch — while the loss/MRR trajectory stays bitwise identical to
-  // the fixed-worker run, because a resize only ever changes the worker count.
-  Graph g = Fb15k237Like(0.05);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallLpConfig();
-    config.storage.use_disk = true;
-    config.storage.num_physical = 8;
-    config.storage.num_logical = 4;
-    config.storage.buffer_capacity = 4;
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 3;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;  // sampling + compute share one pool
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.par_eff_low = 2.0;  // force a shrink at every boundary
-    config.pipeline.par_eff_high = 3.0;
-    LinkPredictionTrainer trainer(&g, config);
-    const EpochStats stats = trainer.TrainEpoch();
-    return std::make_pair(stats, trainer.EvaluateMrr(50, 100));
-  };
-  const auto fixed = run(false);
-  const auto adaptive = run(true);
-  EXPECT_EQ(adaptive.first.loss, fixed.first.loss);
-  EXPECT_EQ(adaptive.second, fixed.second);
-
-  // The fixed run never resizes; the adaptive run resizes mid-epoch.
-  EXPECT_EQ(fixed.first.resize_count, 0);
-  ASSERT_GT(fixed.first.num_partition_sets, 1);
-  for (int w : fixed.first.workers_per_set) {
-    EXPECT_EQ(w, 3);
-  }
-  EXPECT_GE(adaptive.first.resize_count, 1);
-  ASSERT_EQ(static_cast<int64_t>(adaptive.first.workers_per_set.size()),
-            adaptive.first.num_partition_sets);
-  EXPECT_EQ(adaptive.first.workers_per_set.front(), 3);
-  for (size_t i = 1; i < adaptive.first.workers_per_set.size(); ++i) {
-    EXPECT_LE(adaptive.first.workers_per_set[i],
-              adaptive.first.workers_per_set[i - 1]);  // forced shrinks only
-    EXPECT_GE(adaptive.first.workers_per_set[i], 1);
-  }
-  // The per-set record and the queue signal are reported either way.
-  EXPECT_GE(adaptive.first.queue_occupancy_mean, 0.0);
-  EXPECT_LE(adaptive.first.queue_occupancy_mean, 1.0);
-}
-
-TEST(NodeClassification, MidEpochResizeDoesNotChangeTrajectory) {
-  // The NC disk rotation regime (tiny buffer) yields many partition sets per
-  // epoch; forced shrinks at the set boundaries must not perturb the trajectory.
-  Graph g = PapersMini(0.08);
-  ThreadPool pool(4);
-  auto run = [&](bool adaptive) {
-    TrainingConfig config = SmallNcConfig();
-    config.storage.use_disk = true;
-    config.storage.num_physical = 16;
-    config.storage.buffer_capacity = 2;
-    config.pipeline.enabled = true;
-    config.pipeline.workers = 2;
-    config.pipeline.parallel_compute = true;
-    config.pipeline.compute_pool = &pool;
-    config.pipeline.pipeline_pool = &pool;
-    config.pipeline.adaptive_workers = adaptive;
-    config.pipeline.par_eff_low = 2.0;
-    config.pipeline.par_eff_high = 3.0;
-    NodeClassificationTrainer trainer(&g, config);
-    return trainer.TrainEpoch();
-  };
-  const EpochStats fixed = run(false);
-  const EpochStats adaptive = run(true);
-  EXPECT_EQ(adaptive.loss, fixed.loss);
-  ASSERT_GT(adaptive.num_partition_sets, 1);
-  EXPECT_GE(adaptive.resize_count, 1);  // shrank 2 -> 1 mid-epoch
-  EXPECT_EQ(fixed.resize_count, 0);
-  EXPECT_EQ(adaptive.workers_per_set.front(), 2);
-  EXPECT_EQ(adaptive.workers_per_set.back(), 1);
 }
 
 // ---------------------------------------------------------------------------
