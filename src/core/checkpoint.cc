@@ -513,17 +513,8 @@ bool ParseCheckpointHead(const uint8_t* head, size_t head_len, uint64_t file_siz
 
 const CheckpointSectionInfo* CheckpointManifest::FindSection(
     const std::string& name) const {
-  if (section_index.size() == sections.size()) {
-    const auto it = section_index.find(name);
-    return it == section_index.end() ? nullptr : &sections[it->second];
-  }
-  // Hand-assembled manifest without an index (tests): fall back to a scan.
-  for (const CheckpointSectionInfo& s : sections) {
-    if (s.name == name) {
-      return &s;
-    }
-  }
-  return nullptr;
+  const auto it = section_index.find(name);
+  return it == section_index.end() ? nullptr : &sections[it->second];
 }
 
 int64_t CheckpointManifest::scalar(const std::string& name,

@@ -172,8 +172,8 @@ struct CheckpointManifest {
   uint64_t data_start = 0;  // absolute file offset of the data block
   uint64_t data_bytes = 0;  // data block length, alignment padding included
 
-  // O(1) name lookup through an index built at parse time; falls back to a
-  // linear scan for hand-assembled manifests whose index is stale.
+  // O(1) name lookup through the index ParseCheckpointHead builds; of sections
+  // sharing a name, the first is found.
   const CheckpointSectionInfo* FindSection(const std::string& name) const;
   int64_t scalar(const std::string& name, int64_t fallback) const;
 

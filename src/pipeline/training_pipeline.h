@@ -4,19 +4,27 @@
 // stages of an epoch with model compute. PipelineSession is the engine the epoch
 // loop (TrainerBase::RunEpoch) runs every partition set through:
 //
-//   stage 1  batch construction — N workers on the shared ThreadPool each pull the
+//   stage 1  batch construction — N workers on the shared ThreadPool each take the
 //            next batch index from a ticket counter, build the batch (DENSE/layer-wise
-//            sampling + negative sampling), and push it into a BoundedQueue;
-//   stage 2  reassembly — the consumer drains the queue into a small reorder buffer
-//            and hands batches to the compute callback strictly in batch-index order,
-//            so training is bitwise-identical to a serial run for any worker count;
+//            sampling + negative sampling), and deposit it in a ring of
+//            kPipelineLookahead + N slots: index i goes into slot i % window;
+//   stage 2  in-order hand-off — the consumer takes slot consumed % window, waiting
+//            only if that batch is still being built, so training is
+//            bitwise-identical to a serial run for any worker count;
 //   stage 3  compute — forward/backward/update runs on the calling thread (the
 //            paper's GPU stage), while workers are already sampling future batches.
 //
 // Determinism contract: the producer callback must depend only on the batch index
-// (derive per-batch RNG streams from MixSeed(run_seed, index)), never on which worker
-// runs it or in which order batches finish. A window gate keeps workers at most
-// queue_capacity + workers batches ahead of the consumer, bounding memory.
+// (derive per-batch RNG streams from MixSeed(run_seed, index)), never on which thread
+// runs it or in which order batches finish. A ticket gate keeps every claimed index
+// below consumed + window, which bounds memory and means a deposit always finds its
+// slot empty.
+//
+// The consumer is the only consume loop. When the next index has not been claimed
+// yet, it claims it and builds the batch on its own thread: with 0 workers that is
+// every batch (the non-pipelined baseline, no threads started); with workers it is in
+// practice a segment's first batch, the same caller-participation rule ForEachChunk
+// (src/util/compute.h) uses.
 //
 // One session spans an epoch: the item stream is announced in segments (one per
 // partition set), and the workers are launched once, when the session is built.
@@ -30,52 +38,47 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
+#include <vector>
 
-#include "src/pipeline/queue.h"
-#include "src/util/check.h"
 #include "src/util/rv_monitor.h"
 #include "src/util/threadpool.h"
 
 namespace mariusgnn {
 
+// Prepared batches the window holds beyond one per worker (Figure 2's "Pipeline
+// Queue" depth): workers run at most kPipelineLookahead + workers batches ahead.
+inline constexpr int64_t kPipelineLookahead = 4;
+
 struct PipelineSessionOptions {
   // Batch-construction workers. 0 runs everything serially on the calling thread
   // (same batch stream, no threads) — the non-pipelined baseline.
   int workers = 1;
-  // Prepared batches buffered between construction and compute (Figure 2's
-  // "Pipeline Queue" depth).
-  size_t queue_capacity = 4;
   // Pool the workers run on; nullptr = ThreadPool::Global().
   ThreadPool* pool = nullptr;
 };
 
-// Per-stage timing breakdown of one pipeline run (or one session segment).
+// Per-stage timing breakdown of one session segment.
 struct PipelineStats {
-  double sample_seconds = 0.0;   // total batch-construction time across workers
-  double compute_seconds = 0.0;  // total consumer-callback time
-  double stall_seconds = 0.0;    // consumer time blocked waiting for the next batch
+  double sample_seconds = 0.0;  // total batch-construction time across threads
+  double stall_seconds = 0.0;   // consumer time blocked waiting for the next batch
   int64_t num_items = 0;
 };
 
-// A resumable pipeline run. The logical item stream is open-ended: Extend
-// announces more items (workers may start producing them immediately, subject to
-// the window gate), and Consume delivers the next `count` announced items to the
-// consumer strictly in index order.
+// A resumable pipeline run over an open-ended item stream. RunSegment announces
+// `count` more items and delivers them to the consumer strictly in index order.
 //
 // Workers never claim an index beyond the announced limit. That is what makes
 // per-partition-set segments safe: the producer callback may read per-set state
 // (neighbor index, negative sampler, seed) that the caller swaps between
 // segments, because no worker can run ahead into a segment that has not been
 // announced. The swap is ordered by the gate mutex: state written before
-// Extend/Consume is visible to every worker that claims one of the new indices.
+// RunSegment is visible to every thread that claims one of the new indices.
 //
-// Threading: Extend/Consume/stats must be called from the owning thread
-// (the consumer); the producer callback runs on pool workers and must be
-// thread-safe + index-deterministic.
+// Threading: RunSegment must be called from the owning thread (the consumer);
+// the producer callback runs on pool workers and on the owner, and must be
+// thread-safe + index-deterministic. It must return a non-null item.
 class PipelineSession {
  public:
   using Producer = std::function<std::shared_ptr<void>(int64_t index)>;
@@ -87,59 +90,39 @@ class PipelineSession {
   PipelineSession(const PipelineSession&) = delete;
   PipelineSession& operator=(const PipelineSession&) = delete;
 
-  // Announces `count` more items of the stream. Returns the new announced total.
-  int64_t Extend(int64_t count);
-
-  // Consumes the next `count` announced items in index order and returns the
-  // segment's stage timings. Requires consumed() + count <= announced().
-  PipelineStats Consume(int64_t count);
-
-  // Extend + Consume: the common one-segment-per-partition-set shape.
-  PipelineStats RunSegment(int64_t count) {
-    Extend(count);
-    return Consume(count);
-  }
+  // Announces `count` more items, consumes them in index order, and returns the
+  // segment's stage timings. An exception from the consumer propagates; the
+  // session can then still be destroyed.
+  PipelineStats RunSegment(int64_t count);
 
   int64_t announced() const { return announced_; }
-  int64_t consumed() const { return consumed_; }
-  // Current queue depth (diagnostics/tests; stale immediately).
-  size_t queue_size() const { return queue_.Size(); }
 
  private:
-  struct Produced {
-    int64_t index;
-    std::shared_ptr<void> item;
-  };
+  void LaunchWorkers(int count, ThreadPool* pool);
+  // produce_(i), with its time added to sample_nanos_.
+  std::shared_ptr<void> Produce(int64_t i);
 
-  void LaunchWorkers();
-  PipelineStats ConsumeSerial(int64_t target);
-
-  PipelineSessionOptions options_;
   Producer produce_;
   Consumer consume_;
-  BoundedQueue<Produced> queue_;
+  const int64_t window_;  // kPipelineLookahead + workers
 
-  // Ticket claiming and the batch-window gate. Workers claim the next index under
-  // gate_mu_ only when it is below both the announced limit and consumed + window
-  // (window = queue_capacity + workers).
+  // gate_mu_ guards the tickets, the slots and workers_left_. Workers claim the
+  // next index only when it is below both the announced limit and
+  // consumed + window, so slot i % window is always empty when i is deposited.
   std::mutex gate_mu_;
-  std::condition_variable gate_cv_;
-  int64_t announced_ = 0;    // guarded by gate_mu_; read lock-free by the owner
-  int64_t consumed_ = 0;     // guarded by gate_mu_; read lock-free by the owner
-  int64_t next_ticket_ = 0;  // guarded by gate_mu_
-  const int64_t window_;     // queue_capacity + workers
-  bool stop_ = false;        // guarded by gate_mu_
-
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  int workers_left_ = 0;  // guarded by done_mu_
+  std::condition_variable ticket_cv_;  // workers: a ticket opened, or stop_
+  std::condition_variable slot_cv_;    // owner: a slot filled, or a worker exited
+  std::vector<std::shared_ptr<void>> slots_;
+  int64_t announced_ = 0;    // read lock-free by the owner, its only writer
+  int64_t consumed_ = 0;     // read lock-free by the owner, its only writer
+  int64_t next_ticket_ = 0;
+  bool stop_ = false;
+  int workers_left_ = 0;
 
   std::atomic<int64_t> sample_nanos_{0};
-  std::map<int64_t, std::shared_ptr<void>> reorder_;  // owner thread only
 
-  // RV monitor (owner thread only): observes every index handed to the
-  // consumer — serial or pipelined — so any reorder-buffer slip shows up as a
-  // pipeline.ticket_order violation.
+  // RV monitor (owner thread only): observes each index as it is handed to the
+  // consumer (pipeline.ticket_order).
   RvSequenceMonitor rv_ticket_{RvInvariant::kTicketOrder};
 };
 

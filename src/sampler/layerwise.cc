@@ -63,7 +63,6 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
         }
         block.edge_dst.push_back(static_cast<int64_t>(d));
         block.edge_src.push_back(it->second);
-        block.edge_rel.push_back(nb.rel);
       }
     }
     frontier = block.src_nodes;

@@ -27,7 +27,6 @@ struct LayerBlock {
   std::vector<int64_t> src_nodes;
   std::vector<int64_t> edge_dst;  // index into dst_nodes
   std::vector<int64_t> edge_src;  // index into src_nodes
-  std::vector<int32_t> edge_rel;
 
   int64_t num_edges() const { return static_cast<int64_t>(edge_dst.size()); }
 };

@@ -17,11 +17,11 @@
 // 1, or 16 extra threads, because the per-chunk arithmetic and the combine order
 // are both fixed functions of the input shape.
 //
-// Deadlock safety: pipeline workers can block on the batch-window gate or the
-// bounded queue *while holding pool threads* during stage-3 compute. The helpers
-// therefore never make the caller wait on an unclaimed chunk: the calling thread
-// claims and executes chunks itself, and only waits for chunks already claimed by a
-// pool worker (which is by definition running, not blocked).
+// Deadlock safety: pipeline workers can block on the batch-window gate *while
+// holding pool threads* during stage-3 compute. The helpers therefore never make
+// the caller wait on an unclaimed chunk: the calling thread claims and executes
+// chunks itself, and only waits for chunks already claimed by a pool worker
+// (which is by definition running, not blocked).
 #ifndef SRC_UTIL_COMPUTE_H_
 #define SRC_UTIL_COMPUTE_H_
 

@@ -11,8 +11,6 @@ const char* RvInvariantName(RvInvariant invariant) {
   switch (invariant) {
     case RvInvariant::kTicketOrder:
       return "pipeline.ticket_order";
-    case RvInvariant::kQueueOccupancy:
-      return "pipeline.queue_occupancy";
     case RvInvariant::kIoTagOrder:
       return "io_engine.tag_order";
     case RvInvariant::kCommFoldOrder:

@@ -9,10 +9,8 @@
 // every Release binary, in the RV style (lightweight-yet-rigorous runtime
 // checking, complementing exhaustive offline verification):
 //
-//   pipeline.ticket_order    indices delivered through the reorder buffer to the
-//                            consumer are strictly increasing (RvSequenceMonitor)
-//   pipeline.queue_occupancy BoundedQueue occupancy never exceeds its capacity
-//                            after a push (RvOccupancyMonitor)
+//   pipeline.ticket_order    indices PipelineSession hands to the consumer are
+//                            strictly increasing (RvSequenceMonitor)
 //   io_engine.tag_order      same-tag IO requests start execution in submission
 //                            order — the read-after-write/write-after-read rule
 //                            the partition buffer depends on (RvTagOrderMonitor)
@@ -58,7 +56,6 @@ namespace mariusgnn {
 
 enum class RvInvariant : int {
   kTicketOrder = 0,
-  kQueueOccupancy,
   kIoTagOrder,
   kCommFoldOrder,
   kCommReplicaHash,
@@ -145,10 +142,10 @@ class ScopedRvSink {
 //
 // Each monitor instance is owned by the subsystem whose invariant it checks and
 // is observed from exactly the context that already serializes the state it
-// watches (the session owner thread, the queue mutex, the engine mutex), so the
+// watches (the session owner thread, the engine mutex), so the
 // monitors add no locking of their own.
 
-// Strictly-increasing sequence (the reorder buffer's delivery order).
+// Strictly-increasing sequence (the pipeline's delivery order).
 class RvSequenceMonitor {
  public:
   explicit RvSequenceMonitor(RvInvariant invariant) : invariant_(invariant) {}
@@ -172,27 +169,6 @@ class RvSequenceMonitor {
  private:
   RvInvariant invariant_;
   int64_t last_ = std::numeric_limits<int64_t>::min();
-};
-
-// Occupancy within [0, capacity].
-class RvOccupancyMonitor {
- public:
-  explicit RvOccupancyMonitor(RvInvariant invariant) : invariant_(invariant) {}
-
-  // After every push: the live occupancy can never exceed capacity.
-  void ObserveOccupancy(size_t occupancy, size_t capacity) {
-    RvRuntime& rt = RvRuntime::Global();
-    if (!rt.enabled()) {
-      return;
-    }
-    if (occupancy > capacity) {
-      rt.Report(invariant_, "occupancy " + std::to_string(occupancy) +
-                                " exceeds capacity " + std::to_string(capacity));
-    }
-  }
-
- private:
-  RvInvariant invariant_;
 };
 
 // Same-tag requests must start execution in submission order (different tags

@@ -1,17 +1,15 @@
-// Tests for the pipeline layer: BoundedQueue under multi-producer/multi-consumer
-// load, and PipelineSession's order-preserving reassembly, determinism, segmented
-// runs and teardown.
+// Tests for the pipeline layer: PipelineSession's in-order delivery, determinism,
+// look-ahead window, consumer-side production, segmented runs and teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "src/pipeline/queue.h"
 #include "src/pipeline/training_pipeline.h"
 #include "src/util/compute.h"
 #include "src/util/rng.h"
@@ -19,172 +17,6 @@
 
 namespace mariusgnn {
 namespace {
-
-TEST(BoundedQueue, MultiProducerMultiConsumerDeliversEverything) {
-  BoundedQueue<int64_t> q(8);
-  const int kProducers = 4;
-  const int kConsumers = 3;
-  const int64_t kPerProducer = 500;
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int64_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(static_cast<int64_t>(p) * kPerProducer + i));
-      }
-    });
-  }
-  std::mutex mu;
-  std::vector<int64_t> received;
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        std::optional<int64_t> v = q.Pop();
-        if (!v.has_value()) {
-          return;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        received.push_back(*v);
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  q.Close();
-  for (auto& t : consumers) {
-    t.join();
-  }
-  ASSERT_EQ(received.size(), static_cast<size_t>(kProducers) * kPerProducer);
-  std::set<int64_t> unique(received.begin(), received.end());
-  EXPECT_EQ(unique.size(), received.size());  // no duplicates, no losses
-}
-
-TEST(BoundedQueue, CloseUnblocksBlockedProducers) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(0));
-  std::atomic<int> rejected{0};
-  std::vector<std::thread> producers;
-  for (int i = 0; i < 3; ++i) {
-    producers.emplace_back([&] {
-      if (!q.Push(1)) {  // blocks on the full queue until Close
-        rejected.fetch_add(1);
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  for (auto& t : producers) {
-    t.join();
-  }
-  EXPECT_EQ(rejected.load(), 3);
-}
-
-TEST(BoundedQueue, CloseUnblocksBlockedConsumers) {
-  BoundedQueue<int> q(4);
-  std::atomic<int> empty_pops{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      if (!q.Pop().has_value()) {  // blocks on the empty queue until Close
-        empty_pops.fetch_add(1);
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  for (auto& t : consumers) {
-    t.join();
-  }
-  EXPECT_EQ(empty_pops.load(), 3);
-}
-
-TEST(BoundedQueue, CapacityBackpressure) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.Push(0));
-  ASSERT_TRUE(q.Push(1));
-  EXPECT_EQ(q.Size(), 2u);
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    q.Push(2);
-    third_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_pushed.load());  // held back by capacity
-  EXPECT_EQ(q.Pop().value(), 0);
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-}
-
-TEST(BoundedQueue, DrainAfterCloseKeepsFifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.Push(i));
-  }
-  q.Close();
-  EXPECT_FALSE(q.Push(99));  // rejected after close
-  for (int i = 0; i < 5; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);  // buffered items drain in order
-  }
-  EXPECT_FALSE(q.Pop().has_value());  // then closed-and-empty
-}
-
-TEST(BoundedQueue, CapacityOnePingPongStats) {
-  // Capacity 1 forces strict producer/consumer alternation: every push blocks
-  // until the previous item was popped, the hardest case for the backpressure
-  // path.
-  BoundedQueue<int> q(1);
-  const int kItems = 1000;
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems; ++i) {
-      ASSERT_TRUE(q.Push(i));
-    }
-  });
-  for (int i = 0; i < kItems; ++i) {
-    const std::optional<int> v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);  // FIFO survives the ping-pong
-  }
-  producer.join();
-  EXPECT_EQ(q.Size(), 0u);
-}
-
-TEST(BoundedQueue, StatsConsistentUnderConcurrentPushPop) {
-  BoundedQueue<int64_t> q(8);
-  const int kProducers = 4;
-  const int kConsumers = 3;
-  const int64_t kPerProducer = 400;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int64_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(static_cast<int64_t>(p) * kPerProducer + i));
-      }
-    });
-  }
-  std::atomic<int64_t> received{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (q.Pop().has_value()) {
-        received.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  q.Close();
-  for (auto& t : consumers) {
-    t.join();
-  }
-  const int64_t total = static_cast<int64_t>(kProducers) * kPerProducer;
-  EXPECT_EQ(received.load(), total);
-  EXPECT_EQ(q.Size(), 0u);  // drained at the end
-}
 
 // Runs produce(i) / consume(item, i) for i in [0, n) as one typed
 // PipelineSession segment: the shape the epoch loop gives each partition set.
@@ -204,7 +36,6 @@ TEST(PipelineSession, OrderedDeliveryWithJitteredProducers) {
   ThreadPool pool(4);
   PipelineSessionOptions options;
   options.workers = 4;
-  options.queue_capacity = 3;
   options.pool = &pool;
 
   const int64_t n = 200;
@@ -236,8 +67,7 @@ TEST(PipelineSession, WorkerCountNeverChangesConsumedSequence) {
   for (int workers : {0, 1, 2, 4}) {
     PipelineSessionOptions options;
     options.workers = workers;
-    options.queue_capacity = 2;
-    options.pool = &pool;
+      options.pool = &pool;
     std::vector<uint64_t> out;
     RunOneSegment<uint64_t>(options, 97, produce,
                             [&](uint64_t& item, int64_t) { out.push_back(item); });
@@ -252,7 +82,7 @@ TEST(PipelineSession, SerialModeRunsInline) {
   const std::thread::id caller = std::this_thread::get_id();
   int64_t produced_on_caller = 0;
   const PipelineStats stats = RunOneSegment<int>(
-      PipelineSessionOptions{0, 4, nullptr}, 10,
+      PipelineSessionOptions{0, nullptr}, 10,
       [&](int64_t i) {
         if (std::this_thread::get_id() == caller) {
           ++produced_on_caller;
@@ -320,7 +150,6 @@ TEST(PipelineSession, MoreWorkersThanPoolThreadsStillCompletes) {
   ThreadPool pool(1);  // workers serialize on the single pool thread
   PipelineSessionOptions options;
   options.workers = 4;
-  options.queue_capacity = 2;
   options.pool = &pool;
   std::vector<int64_t> consumed;
   RunOneSegment<int64_t>(
@@ -334,13 +163,12 @@ TEST(PipelineSession, MoreWorkersThanPoolThreadsStillCompletes) {
 
 TEST(PipelineSession, ComputeChunksOnSaturatedPipelinePoolCannotDeadlock) {
   // The stage-3 deadlock hazard: every pool thread is a pipeline worker that can
-  // block on the batch-window gate or the bounded queue during compute, so compute
-  // helper tasks submitted to the same pool may never run. ForEachChunk must make
-  // progress through the calling thread alone — and still produce the same bits.
+  // block on the batch-window gate during compute, so compute helper tasks
+  // submitted to the same pool may never run. ForEachChunk must make progress
+  // through the calling thread alone — and still produce the same bits.
   ThreadPool pool(2);
   PipelineSessionOptions options;
   options.workers = 2;  // saturate the pool
-  options.queue_capacity = 1;
   options.pool = &pool;
   ComputeContext ctx;
   ctx.pool = &pool;
@@ -378,31 +206,6 @@ std::shared_ptr<void> SeededItem(uint64_t seed, int64_t i) {
   return std::make_shared<uint64_t>(MixSeed(seed, static_cast<uint64_t>(i)));
 }
 
-TEST(PipelineSession, ExtendAheadOfConsumeKeepsOrder) {
-  ThreadPool pool(2);
-  PipelineSessionOptions options;
-  options.workers = 2;
-  options.queue_capacity = 2;
-  options.pool = &pool;
-  std::vector<int64_t> got;
-  PipelineSession session(
-      options,
-      [](int64_t i) -> std::shared_ptr<void> { return std::make_shared<int64_t>(i * 3); },
-      [&](void* item, int64_t i) {
-        EXPECT_EQ(*static_cast<int64_t*>(item), i * 3);
-        got.push_back(*static_cast<int64_t*>(item));
-      });
-  session.Extend(60);  // announce everything; consume in uneven pieces
-  EXPECT_EQ(session.announced(), 60);
-  session.Consume(10);
-  session.Consume(1);
-  session.Consume(49);
-  ASSERT_EQ(got.size(), 60u);
-  for (int64_t i = 0; i < 60; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)], i * 3);
-  }
-}
-
 TEST(PipelineSession, SerialSessionRunsInlineAndSupportsSegments) {
   PipelineSessionOptions options;
   options.workers = 0;
@@ -426,38 +229,142 @@ TEST(PipelineSession, SerialSessionRunsInlineAndSupportsSegments) {
   EXPECT_EQ(got.size(), 12u);
 }
 
+// Spins until `count` reaches `target`, for at most ten seconds (the caller's
+// expectations then report a window that never filled).
+void WaitUntilAtLeast(const std::atomic<int64_t>& count, int64_t target) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (count.load() < target && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+TEST(PipelineSession, ProducersNeverRunMoreThanWindowAhead) {
+  // The look-ahead bound: index i is only ever built while i < consumed + window,
+  // so at most `window` batches are alive at once. The consumer stalls once per
+  // run until the window is full, so the bound is also reached, not just kept.
+  ThreadPool pool(4);
+  for (int workers = 1; workers <= 4; ++workers) {
+    PipelineSessionOptions options;
+    options.workers = workers;
+    options.pool = &pool;
+    const int64_t window = kPipelineLookahead + workers;
+    const int64_t n = 120;
+    const int64_t full_at = 37;  // the consumed index at which the window fills
+    std::atomic<int64_t> consumed{0};
+    std::atomic<int64_t> produced{0};
+    std::atomic<int64_t> high_water{0};
+    std::vector<int64_t> got;
+    PipelineSession session(
+        options,
+        [&](int64_t i) -> std::shared_ptr<void> {
+          const int64_t ahead = i - consumed.load();
+          int64_t seen = high_water.load();
+          while (ahead > seen && !high_water.compare_exchange_weak(seen, ahead)) {
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds((i * 13) % 200));
+          produced.fetch_add(1);
+          return std::make_shared<int64_t>(i);
+        },
+        [&](void* item, int64_t i) {
+          if (i == full_at) {
+            WaitUntilAtLeast(produced, full_at + window);
+          }
+          got.push_back(*static_cast<int64_t*>(item));
+          consumed.fetch_add(1);
+        });
+    session.RunSegment(50);
+    session.RunSegment(n - 50);
+    EXPECT_EQ(high_water.load(), window - 1) << "workers " << workers;
+    ASSERT_EQ(static_cast<int64_t>(got.size()), n);
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[static_cast<size_t>(i)], i);
+    }
+  }
+}
+
+TEST(PipelineSession, ConsumerBuildsUnclaimedBatchesItself) {
+  // Caller participation: the consumer builds any batch no worker has claimed.
+  // Every pool thread is held by a blocker, so the session's workers never start
+  // and the consumer must build every batch itself — the consumed stream is the
+  // same as with free workers, and nothing waits on a worker that never comes.
+  auto produce = [](int64_t i) { return MixSeed(42, static_cast<uint64_t>(i)); };
+  std::vector<uint64_t> expected;
+  for (int64_t i = 0; i < 40; ++i) {
+    expected.push_back(produce(i));
+  }
+  for (int workers : {0, 1, 2, 4}) {
+    ThreadPool pool(2);
+    std::atomic<bool> release{false};
+    for (size_t t = 0; t < pool.num_threads(); ++t) {
+      pool.Submit([&release] {
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      });
+    }
+    PipelineSessionOptions options;
+    options.workers = workers;
+    options.pool = &pool;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int64_t> on_caller{0};
+    std::vector<uint64_t> got;
+    {
+      PipelineSession session(
+          options,
+          [&](int64_t i) -> std::shared_ptr<void> {
+            if (std::this_thread::get_id() == caller) {
+              on_caller.fetch_add(1);
+            }
+            return std::make_shared<uint64_t>(produce(i));
+          },
+          [&](void* item, int64_t) { got.push_back(*static_cast<uint64_t*>(item)); });
+      for (int64_t seg : {13, 1, 26}) {
+        const PipelineStats ps = session.RunSegment(seg);
+        EXPECT_DOUBLE_EQ(ps.stall_seconds, 0.0) << "workers " << workers;
+      }
+      // Let the workers start (and park at the gate) so teardown can join them.
+      release.store(true);
+    }
+    EXPECT_EQ(on_caller.load(), 40) << "workers " << workers;
+    EXPECT_EQ(got, expected) << "workers " << workers;
+  }
+}
+
 TEST(PipelineSession, TeardownWithBlockedProducersDoesNotDeadlock) {
-  // The close-while-producer-blocked case: items are announced but never
-  // consumed, so producers sit blocked on the full queue (or parked on the
-  // window gate) when the session is destroyed. Teardown must release both,
-  // not deadlock; ASan's leak check covers the queued-but-unconsumed items.
+  // Teardown mid-segment: the consumer throws at the first batch, leaving 60
+  // items announced, none consumed, a full window of built batches in the slots
+  // and the producers parked on the gate (or still depositing their last batch).
+  // Teardown must release them, not deadlock; ASan's leak check covers the
+  // built-but-unconsumed batches.
   ThreadPool pool(2);
   PipelineSessionOptions options;
   options.workers = 2;
-  options.queue_capacity = 1;
   options.pool = &pool;
+  const int64_t window = kPipelineLookahead + options.workers;
+  std::atomic<int64_t> produced{0};
   {
     PipelineSession session(
         options,
-        [](int64_t i) -> std::shared_ptr<void> { return std::make_shared<int64_t>(i); },
-        [](void*, int64_t) {});
-    session.Extend(50);
-    // Wait for a producer to actually fill the queue (and block behind it).
-    for (int spin = 0; spin < 2000 && session.queue_size() < 1; ++spin) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    EXPECT_EQ(session.queue_size(), 1u);
-    session.Extend(10);
-    // Destroy with 60 announced, 0 consumed, and a producer blocked mid-push.
+        [&produced](int64_t i) -> std::shared_ptr<void> {
+          auto item = std::make_shared<int64_t>(i);
+          produced.fetch_add(1);
+          return item;
+        },
+        [&](void*, int64_t) {
+          WaitUntilAtLeast(produced, window);
+          throw std::runtime_error("consumer stopped");
+        });
+    EXPECT_THROW(session.RunSegment(60), std::runtime_error);
+    EXPECT_EQ(produced.load(), window);
   }
-  SUCCEED();
+  EXPECT_EQ(produced.load(), window);
 }
 
-// Randomized stress test: random producer delays, random segment and consume
-// sizes, and consumes that start only once producers are blocked on a full
-// queue, at every worker count from 1 to 4 — asserting in-order delivery, no
-// deadlock (the test completing at all), and bitwise-equal output vs the
-// expected stream. Runs under TSan in CI like the rest of this suite.
+// Randomized stress test: random producer delays, random segment sizes, and
+// consumer pauses that last until the producers have filled the window, at every
+// worker count from 1 to 4 — asserting in-order delivery, no deadlock (the test
+// completing at all), and bitwise-equal output vs the expected stream. Runs under
+// TSan in CI like the rest of this suite.
 TEST(PipelineSession, StressRandomDelaysAndSegmentsAtFixedWorkerCounts) {
   ThreadPool pool(4);
   for (uint64_t seed = 1; seed <= 3; ++seed) {
@@ -471,50 +378,42 @@ TEST(PipelineSession, StressRandomDelaysAndSegmentsAtFixedWorkerCounts) {
     for (int workers = 1; workers <= 4; ++workers) {
       PipelineSessionOptions options;
       options.workers = workers;
-      options.queue_capacity = 2;
       options.pool = &pool;
+      const int64_t window = kPipelineLookahead + workers;
       std::vector<uint64_t> got;
+      std::atomic<int64_t> produced{0};
+      int64_t announced = 0;
       Rng rng(seed * 7919 + static_cast<uint64_t>(workers));
       {
         PipelineSession session(
             options,
-            [seed](int64_t i) -> std::shared_ptr<void> {
+            [seed, &produced](int64_t i) -> std::shared_ptr<void> {
               // Deterministic per-index jitter; no shared RNG on worker threads.
               std::this_thread::sleep_for(std::chrono::microseconds(
                   MixSeed(seed ^ 0xABCD, static_cast<uint64_t>(i)) % 300));
-              return SeededItem(seed, i);
+              std::shared_ptr<void> item = SeededItem(seed, i);
+              produced.fetch_add(1);
+              return item;
             },
-            [&](void* item, int64_t) { got.push_back(*static_cast<uint64_t*>(item)); });
-
-        int64_t announced = 0;
-        int64_t consumed = 0;
-        while (consumed < n) {
-          if (announced < n && (announced == consumed || rng.UniformInt(0, 2) == 0)) {
-            const int64_t seg = std::min<int64_t>(n - announced, rng.UniformInt(1, 33));
-            session.Extend(seg);
-            announced += seg;
-          }
-          if (rng.UniformInt(0, 3) == 0 && announced - consumed >
-                  static_cast<int64_t>(options.queue_capacity) + workers) {
-            // Adversarial point: let the queue fill (producers blocked mid-push)
-            // before the consumer resumes.
-            for (int spin = 0;
-                 spin < 5000 && session.queue_size() < options.queue_capacity; ++spin) {
-              std::this_thread::sleep_for(std::chrono::microseconds(100));
-            }
-          }
-          const int64_t take =
-              std::min<int64_t>(announced - consumed, rng.UniformInt(1, 41));
-          session.Consume(take);
-          consumed += take;
+            [&](void* item, int64_t i) {
+              if (rng.UniformInt(0, 7) == 0) {
+                // Adversarial point: let the producers fill the window (and park
+                // on the gate) before the consumer resumes.
+                WaitUntilAtLeast(produced, std::min(announced, i + window));
+              }
+              got.push_back(*static_cast<uint64_t*>(item));
+            });
+        while (announced < n) {
+          const int64_t seg = std::min<int64_t>(n - announced, rng.UniformInt(1, 41));
+          announced += seg;
+          session.RunSegment(seg);
         }
-        EXPECT_EQ(session.consumed(), n);
+        EXPECT_EQ(session.announced(), n);
       }
       ASSERT_EQ(got.size(), expected.size()) << "seed " << seed << " workers " << workers;
       EXPECT_EQ(got, expected) << "seed " << seed << " workers " << workers;
     }
   }
 }
-
 }  // namespace
 }  // namespace mariusgnn

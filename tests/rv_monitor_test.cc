@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/pipeline/queue.h"
 #include "src/pipeline/training_pipeline.h"
 #include "src/storage/disk.h"
 #include "src/storage/io_engine.h"
@@ -159,8 +158,6 @@ TEST(RvRuntime, SetSinkReturnsPrevious) {
 
 TEST(RvRuntime, InvariantNamesAreStable) {
   EXPECT_STREQ(RvInvariantName(RvInvariant::kTicketOrder), "pipeline.ticket_order");
-  EXPECT_STREQ(RvInvariantName(RvInvariant::kQueueOccupancy),
-               "pipeline.queue_occupancy");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kIoTagOrder), "io_engine.tag_order");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kCommFoldOrder), "comm.fold_order");
   EXPECT_STREQ(RvInvariantName(RvInvariant::kCommReplicaHash), "comm.replica_hash");
@@ -184,16 +181,6 @@ TEST(RvSequenceMonitorTest, TripsOnOutOfOrderTicket) {
   seq.Reset();
   seq.Observe(0);  // a reset starts a fresh sequence
   EXPECT_EQ(scope.sink().count(RvInvariant::kTicketOrder), 2);
-}
-
-TEST(RvOccupancyMonitorTest, TripsWhenOccupancyExceedsCapacity) {
-  RvTestScope scope;
-  RvOccupancyMonitor occupancy(RvInvariant::kQueueOccupancy);
-  occupancy.ObserveOccupancy(4, 4);
-  EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 0);
-  occupancy.ObserveOccupancy(5, 4);  // injected: occupancy beyond capacity
-  EXPECT_EQ(scope.sink().count(RvInvariant::kQueueOccupancy), 1);
-  EXPECT_NE(scope.sink().last_detail().find("exceeds capacity 4"), std::string::npos);
 }
 
 TEST(RvTagOrderMonitorTest, TripsOnSameTagReorder) {
@@ -229,25 +216,10 @@ TEST(AbortRvSinkDeathTest, AbortsOnViolation) {
 
 // --- Integration: real components run violation-free --------------------------
 
-TEST(RvIntegration, BoundedQueueRunsViolationFree) {
-  RvTestScope scope;
-  BoundedQueue<int> queue(3);
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(queue.Push(i));
-    }
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(queue.Pop().has_value());
-    }
-  }
-  EXPECT_EQ(scope.sink().total(), 0);
-}
-
 TEST(RvIntegration, PipelineSessionAcrossSegmentsRunsViolationFree) {
   RvTestScope scope;
   PipelineSessionOptions options;
   options.workers = 2;
-  options.queue_capacity = 2;
   std::vector<int64_t> consumed;
   PipelineSession session(
       options,

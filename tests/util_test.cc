@@ -1,4 +1,4 @@
-// Tests for src/util: RNG, thread pool, binary IO, queue, timers, check macros,
+// Tests for src/util: RNG, thread pool, binary IO, timers, check macros,
 // and the build's instruction-set level.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "src/pipeline/queue.h"
 #include "src/util/binary_io.h"
 #include "src/util/compute.h"
 #include "src/util/rng.h"
@@ -304,42 +303,6 @@ TEST(AtomicFile, CommitReplacesPreviousContentWholesale) {
   File f(path);
   EXPECT_EQ(f.Size(), 4u);
   ::remove(path.c_str());
-}
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.Push(i));
-  }
-  for (int i = 0; i < 4; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(BoundedQueue, CloseUnblocksAndDrains) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.Push(1));
-  q.Close();
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BoundedQueue, BlocksProducerWhenFull) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.Push(0));
-  std::atomic<bool> pushed{false};
-  std::thread t([&] {
-    q.Push(1);
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  q.Pop();
-  t.join();
-  EXPECT_TRUE(pushed.load());
 }
 
 TEST(VirtualClock, Accumulates) {
