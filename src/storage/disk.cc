@@ -23,36 +23,30 @@ bool SimulatedDisk::DirectEligible(const void* buf, size_t bytes,
          bytes % kIoAlignment == 0 && offset % kIoAlignment == 0;
 }
 
-double SimulatedDisk::Read(void* dst, size_t bytes, uint64_t offset) {
+void SimulatedDisk::Read(void* dst, size_t bytes, uint64_t offset) {
   if (bytes == 0) {
-    return 0.0;
+    return;
   }
   const bool direct = DirectEligible(dst, bytes, offset);
   (direct ? *direct_file_ : file_).ReadAt(dst, bytes, offset);
   const uint64_t ops = OpsFor(bytes);
-  const double seconds = model_.SecondsFor(bytes, ops);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.bytes_read += bytes;
   stats_.read_ops += ops;
   stats_.direct_ops += direct ? ops : 0;
-  stats_.modeled_seconds += seconds;
-  return seconds;
 }
 
-double SimulatedDisk::Write(const void* src, size_t bytes, uint64_t offset) {
+void SimulatedDisk::Write(const void* src, size_t bytes, uint64_t offset) {
   if (bytes == 0) {
-    return 0.0;
+    return;
   }
   const bool direct = DirectEligible(src, bytes, offset);
   (direct ? *direct_file_ : file_).WriteAt(src, bytes, offset);
   const uint64_t ops = OpsFor(bytes);
-  const double seconds = model_.SecondsFor(bytes, ops);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.bytes_written += bytes;
   stats_.write_ops += ops;
   stats_.direct_ops += direct ? ops : 0;
-  stats_.modeled_seconds += seconds;
-  return seconds;
 }
 
 }  // namespace mariusgnn

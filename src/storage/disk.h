@@ -2,8 +2,8 @@
 //
 // The paper's disk experiments run on an EBS volume with 1 GB/s bandwidth and 10k IOPS.
 // That hardware is not available here, so SimulatedDisk performs *real* file IO for
-// correctness while charging every operation to a virtual clock using a simple
-// latency + bandwidth model:
+// correctness, and every transfer is priced on a virtual clock by DiskModel, a
+// simple latency + bandwidth model:
 //
 //     seconds(op, bytes) = 1/iops + bytes/bandwidth
 //
@@ -16,8 +16,8 @@
 //
 // Read/Write are thread-safe (the IoEngine issues many in-flight transfers from a
 // worker pool; positional pread/pwrite need no shared cursor and the stats are
-// mutex-guarded) and return the modeled seconds of the individual operation so
-// concurrent callers never have to diff the global stats counter.
+// mutex-guarded). They count bytes and device ops; the IoEngine prices each
+// request from its bytes with DiskModel, so the disk keeps no clock of its own.
 //
 // When constructed with direct_io = true, the disk additionally opens the file
 // O_DIRECT (the caller probes filesystem support first — see ProbeDirectIo in
@@ -67,7 +67,6 @@ struct DiskStats {
   uint64_t read_ops = 0;
   uint64_t write_ops = 0;
   uint64_t direct_ops = 0;  // transfers that went through the O_DIRECT descriptor
-  double modeled_seconds = 0.0;
 
   void Reset() { *this = DiskStats(); }
 };
@@ -78,9 +77,9 @@ class SimulatedDisk {
   SimulatedDisk(const std::string& path, DiskModel model = DiskModel(),
                 bool direct_io = false, bool truncate = true);
 
-  // Thread-safe; return the modeled seconds charged for this operation.
-  double Read(void* dst, size_t bytes, uint64_t offset);
-  double Write(const void* src, size_t bytes, uint64_t offset);
+  // Thread-safe.
+  void Read(void* dst, size_t bytes, uint64_t offset);
+  void Write(const void* src, size_t bytes, uint64_t offset);
   void Resize(uint64_t bytes) { file_.Resize(bytes); }
 
   DiskStats stats() const {

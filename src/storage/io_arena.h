@@ -1,22 +1,22 @@
-// Aligned slab arena backing the partition buffer's IO path.
+// Aligned extent arena: the one memory pool of the partition buffer.
 //
 // O_DIRECT transfers require sector-aligned buffers, offsets, and lengths, and the
 // hot partition buffer should not pay a page-cache double-copy for data that lives
-// in its own slots anyway. This file provides the two allocation primitives the
-// storage engine builds on:
+// in its own memory anyway. IoArena is a fixed pool of equal-sized 4 KiB-aligned
+// extents, each big enough for one partition in its on-disk layout. An extent
+// holds a resident partition's rows, a staged read waiting to be installed, or an
+// evicted partition whose write-back is in flight. Acquire blocks until an extent
+// frees, bounding the buffer's memory to num_slots * slot_bytes.
 //
-//  - AlignedBuffer: a 4 KiB-aligned, zero-initialised float array used for the
-//    resident partition slots themselves (values + Adagrad state).
-//  - IoArena: a fixed pool of equal-sized 4 KiB-aligned slots that stage
-//    partitions between disk and the buffer (prefetched reads waiting to be
-//    installed, eviction snapshots waiting to be written back). Acquire blocks
-//    until a slot frees, bounding staging memory to num_slots * slot_bytes.
+// The pool is one anonymous private mapping: page-aligned and zero by
+// construction, so construction touches no page, and an extent that is never
+// used is never faulted in. It is not advised to use huge pages: on a 4-vCPU
+// host with THP in madvise mode, MADV_HUGEPAGE left kge_disk's epoch_s unchanged
+// and raised its peak RSS by 4.6% (6 paired benchmark runs).
 //
-// Both are anonymous private mappings: page-aligned and zero by construction, so
-// construction touches no page, and a slot that is never used is never faulted
-// in. Neither is advised to use huge pages: on a 4-vCPU host with THP in madvise
-// mode, MADV_HUGEPAGE left kge_disk's epoch_s unchanged and raised its peak RSS
-// by 4.6% (6 paired benchmark runs).
+// Under AddressSanitizer a free extent is poisoned (Release poisons, Acquire
+// unpoisons), so a row pointer or a transfer that outlives its extent is
+// reported as a use-after-poison. Other builds get no extra code.
 #ifndef SRC_STORAGE_IO_ARENA_H_
 #define SRC_STORAGE_IO_ARENA_H_
 
@@ -35,32 +35,9 @@ inline constexpr size_t AlignUpIo(size_t n) {
   return (n + kIoAlignment - 1) & ~(kIoAlignment - 1);
 }
 
-// Page-aligned, zero-initialised float storage. Move-only.
-class AlignedBuffer {
- public:
-  AlignedBuffer() = default;
-  explicit AlignedBuffer(size_t count);
-  ~AlignedBuffer();
-
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  AlignedBuffer(AlignedBuffer&& other) noexcept;
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept;
-
-  float* data() { return data_; }
-  const float* data() const { return data_; }
-  float& operator[](size_t i) { return data_[i]; }
-  const float& operator[](size_t i) const { return data_[i]; }
-  size_t size() const { return size_; }
-
- private:
-  float* data_ = nullptr;
-  size_t size_ = 0;
-};
-
-// Fixed pool of equal-sized aligned slots. Acquire/Release are thread-safe;
-// Acquire blocks until a slot is free (callers size the pool so the steady-state
-// working set — staged reads + in-flight write-backs — always fits).
+// Fixed pool of equal-sized aligned extents. Acquire/Release are thread-safe;
+// Acquire blocks until an extent is free (callers size the pool so the
+// steady-state working set always fits).
 class IoArena {
  public:
   IoArena(size_t slot_bytes, int num_slots);

@@ -8,13 +8,15 @@ namespace mariusgnn {
 
 namespace {
 
-// Staging pool size, in partition extents: worst case is one full buffer of
-// staged prefetches, one of stale prefetches awaiting discard, and one of
-// eviction snapshots in flight, plus a request per IO worker. Only the trainer
-// thread blocks on slot exhaustion (IO workers never Acquire), so the bound is
-// about memory, not liveness.
+// Arena size, in partition extents: the `capacity` resident slots, plus, at
+// worst, one full buffer of staged reads, one of stale prefetches awaiting
+// discard, and one of evicted extents whose write-backs are in flight, plus a
+// request per IO worker. Only the trainer thread calls Acquire (IO workers only
+// Release), so the bound is about memory, not liveness; and the arena's LIFO
+// free list hands back the most recently released extent first, so the set of
+// extents ever touched stays near the working set rather than the pool size.
 int ArenaSlots(int32_t capacity, int queue_depth) {
-  return 3 * capacity + queue_depth;
+  return 4 * capacity + queue_depth;
 }
 
 std::string DirName(const std::string& path) {
@@ -49,10 +51,7 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   const bool create = backing == BackingFile::kCreate;
   disk_ = std::make_unique<SimulatedDisk>(path, model, direct, /*truncate=*/create);
 
-  values_ = AlignedBuffer(static_cast<size_t>(capacity_) * max_partition_rows_ * dim_);
-  if (learnable_) {
-    state_ = AlignedBuffer(values_.size());
-  }
+  slot_extent_.assign(static_cast<size_t>(capacity_), nullptr);
   partition_in_slot_.assign(static_cast<size_t>(capacity_), -1);
   slot_of_partition_.assign(static_cast<size_t>(p), -1);
   dirty_ = std::make_unique<std::atomic<uint8_t>[]>(static_cast<size_t>(capacity_));
@@ -90,12 +89,18 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
 
 PartitionBuffer::~PartitionBuffer() {
   // Drain + join the engine before the staging state its completions touch goes
-  // away, then hand still-staged extents back so the arena's leak check passes.
+  // away, then hand staged and resident extents back so the arena's leak check
+  // passes.
   engine_.reset();
   for (auto& entry : staged_) {
-    arena_->Release(entry.second.extent);
+    arena_->Release(entry.second);
   }
   staged_.clear();
+  for (float* extent : slot_extent_) {
+    if (extent != nullptr) {
+      arena_->Release(extent);
+    }
+  }
 }
 
 uint64_t PartitionBuffer::PartitionFileOffset(int32_t partition) const {
@@ -114,89 +119,38 @@ size_t PartitionBuffer::ExtentTransferBytes(int32_t partition) const {
   return (streams - 1) * stream_bytes_pad_ + AlignUpIo(StreamPayloadBytes(partition));
 }
 
-double PartitionBuffer::LoadIntoSlot(int32_t partition, int32_t slot) {
-  float* vdst = values_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_;
-  float* sdst = learnable_
-                    ? state_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_
-                    : nullptr;
-  const size_t bytes = StreamPayloadBytes(partition);
-  const uint64_t offset = PartitionFileOffset(partition);
-  // Blocking miss, routed through the engine so it stays ordered behind any
-  // in-flight write-back of the same partition (per-tag program order).
-  double io = engine_->ReadSync(partition, vdst, bytes, offset);
-  if (learnable_) {
-    io += engine_->ReadSync(partition, sdst, bytes, offset + stream_bytes_pad_);
-  }
-  partition_in_slot_[static_cast<size_t>(slot)] = partition;
-  slot_of_partition_[static_cast<size_t>(partition)] = slot;
-  dirty_[static_cast<size_t>(slot)].store(0, std::memory_order_relaxed);
-  return io;
+double PartitionBuffer::BlockingSeconds(size_t bytes) const {
+  return disk_->model().SecondsFor(bytes, disk_->OpsFor(bytes));
 }
 
-void PartitionBuffer::InstallIntoSlot(int32_t partition, int32_t slot,
-                                      const float* extent) {
-  const size_t count =
-      static_cast<size_t>(partitioning_->PartitionSize(partition)) * dim_;
-  std::memcpy(values_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_,
-              extent, count * sizeof(float));
-  if (learnable_) {
-    std::memcpy(state_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_,
-                extent + stream_bytes_pad_ / sizeof(float), count * sizeof(float));
-  }
-  partition_in_slot_[static_cast<size_t>(slot)] = partition;
-  slot_of_partition_[static_cast<size_t>(partition)] = slot;
-  dirty_[static_cast<size_t>(slot)].store(0, std::memory_order_relaxed);
-}
-
-double PartitionBuffer::EvictSlot(int32_t slot, bool synchronous) {
+size_t PartitionBuffer::EvictSlot(int32_t slot, bool background) {
   const int32_t partition = partition_in_slot_[static_cast<size_t>(slot)];
   if (partition < 0) {
-    return 0.0;
+    return 0;
   }
-  double io = 0.0;
+  float* extent = std::exchange(slot_extent_[static_cast<size_t>(slot)], nullptr);
+  size_t bytes = 0;
   if (dirty_[static_cast<size_t>(slot)].load(std::memory_order_relaxed) != 0 &&
       OwnsPartition(partition)) {
-    const float* vsrc =
-        values_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_;
-    const float* ssrc =
-        learnable_ ? state_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_
-                   : nullptr;
-    const size_t count =
-        static_cast<size_t>(partitioning_->PartitionSize(partition)) * dim_;
-    if (!synchronous) {
-      // Write-back off the critical path: snapshot the slot into an aligned
-      // arena extent so the slot can be reused immediately. One transfer covers
-      // both streams (the padded layout makes them contiguous), queued behind
-      // any earlier request for the same partition.
-      float* extent = arena_->Acquire();
-      std::memcpy(extent, vsrc, count * sizeof(float));
-      if (learnable_) {
-        std::memcpy(extent + stream_bytes_pad_ / sizeof(float), ssrc,
-                    count * sizeof(float));
-      }
-      engine_->SubmitWrite(
-          partition, extent, ExtentTransferBytes(partition),
-          PartitionFileOffset(partition), [this, extent](double modeled_seconds) {
-            {
-              std::lock_guard<std::mutex> lock(stage_mu_);
-              background_seconds_ += modeled_seconds;
-            }
-            arena_->Release(extent);
-          });
-    } else {
-      // FlushAll's durable path: it drained the engine first, so no write of
-      // this partition is still queued behind this one.
-      io += disk_->Write(vsrc, count * sizeof(float), PartitionFileOffset(partition));
-      if (learnable_) {
-        io += disk_->Write(ssrc, count * sizeof(float),
-                           PartitionFileOffset(partition) + stream_bytes_pad_);
-      }
-    }
+    // The slot's extent is already in the on-disk layout: one transfer covers
+    // both streams, queued behind any earlier request for the same partition.
+    // The slot itself is free at once; the extent stays in use until written.
+    bytes = ExtentTransferBytes(partition);
+    engine_->SubmitWrite(partition, extent, bytes, PartitionFileOffset(partition),
+                         [this, extent, background](double modeled_seconds) {
+                           if (background) {
+                             std::lock_guard<std::mutex> lock(stage_mu_);
+                             background_seconds_ += modeled_seconds;
+                           }
+                           arena_->Release(extent);
+                         });
+  } else {
+    arena_->Release(extent);
   }
   slot_of_partition_[static_cast<size_t>(partition)] = -1;
   partition_in_slot_[static_cast<size_t>(slot)] = -1;
   dirty_[static_cast<size_t>(slot)].store(0, std::memory_order_relaxed);
-  return io;
+  return bytes;
 }
 
 int32_t PartitionBuffer::FindFreeSlot() const {
@@ -208,36 +162,43 @@ int32_t PartitionBuffer::FindFreeSlot() const {
   return -1;
 }
 
-void PartitionBuffer::Prefetch(const std::vector<int32_t>& partitions) {
-  for (int32_t part : partitions) {
-    if (IsResident(part)) {
-      continue;
+bool PartitionBuffer::StageRead(int32_t partition, bool background) {
+  if (IsResident(partition)) {
+    return false;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    if (staged_.count(partition) != 0 || staging_in_flight_.count(partition) != 0) {
+      return false;
     }
-    {
-      std::lock_guard<std::mutex> lock(stage_mu_);
-      if (staged_.count(part) != 0 || staging_in_flight_.count(part) != 0) {
-        continue;
-      }
-    }
-    // Acquire outside stage_mu_: it may block until a completion releases a
-    // slot, and completions take stage_mu_. Only this (trainer) thread inserts
-    // staging entries, so the check above cannot race with another Prefetch.
-    float* extent = arena_->Acquire();
-    {
-      std::lock_guard<std::mutex> lock(stage_mu_);
-      staging_in_flight_.emplace(part, StagingInFlight{extent});
-    }
-    engine_->SubmitRead(
-        part, extent, ExtentTransferBytes(part), PartitionFileOffset(part),
-        [this, part, extent](double modeled_seconds) {
-          {
-            std::lock_guard<std::mutex> lock(stage_mu_);
-            staged_.emplace(part, StagedPartition{extent});
-            staging_in_flight_.erase(part);
+  }
+  // Acquire outside stage_mu_: it may block until a completion releases an
+  // extent, and completions take stage_mu_. Only this (trainer) thread inserts
+  // staging entries, so the check above cannot race with another StageRead.
+  float* extent = arena_->Acquire();
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    staging_in_flight_.insert(partition);
+  }
+  engine_->SubmitRead(
+      partition, extent, ExtentTransferBytes(partition), PartitionFileOffset(partition),
+      [this, partition, extent, background](double modeled_seconds) {
+        {
+          std::lock_guard<std::mutex> lock(stage_mu_);
+          staged_.emplace(partition, extent);
+          staging_in_flight_.erase(partition);
+          if (background) {
             background_seconds_ += modeled_seconds;
           }
-          stage_cv_.notify_all();
-        });
+        }
+        stage_cv_.notify_all();
+      });
+  return true;
+}
+
+void PartitionBuffer::Prefetch(const std::vector<int32_t>& partitions) {
+  for (int32_t part : partitions) {
+    StageRead(part, /*background=*/true);
   }
 }
 
@@ -255,8 +216,8 @@ void PartitionBuffer::DiscardStaleStagedLocked(
   for (auto it = staged_.begin(); it != staged_.end();) {
     if (wanted.count(it->first) == 0) {
       // Staged data is a clean copy of what is still on disk — discarding loses
-      // nothing but the prefetch work (stale lookahead after a resize).
-      arena_->Release(it->second.extent);
+      // nothing but the prefetch work.
+      arena_->Release(it->second);
       it = staged_.erase(it);
     } else {
       ++it;
@@ -266,7 +227,6 @@ void PartitionBuffer::DiscardStaleStagedLocked(
 
 double PartitionBuffer::SetResident(const std::vector<int32_t>& partitions) {
   MG_CHECK(static_cast<int32_t>(partitions.size()) <= capacity_);
-  double io = 0.0;
   std::unordered_set<int32_t> wanted(partitions.begin(), partitions.end());
   {
     std::lock_guard<std::mutex> lock(stage_mu_);
@@ -276,30 +236,39 @@ double PartitionBuffer::SetResident(const std::vector<int32_t>& partitions) {
   for (int32_t slot = 0; slot < capacity_; ++slot) {
     const int32_t part = partition_in_slot_[static_cast<size_t>(slot)];
     if (part >= 0 && wanted.find(part) == wanted.end()) {
-      io += EvictSlot(slot, /*synchronous=*/false);
+      EvictSlot(slot, /*background=*/true);
     }
   }
-  // Fill free slots, preferring staged (prefetched) data over synchronous loads. The
-  // slot-assignment order is identical with and without prefetching so the
-  // resident layout (and therefore ResidentNodes order) never depends on it.
+  // Read the misses through the prefetch path, all submitted before the first
+  // install waits, so they overlap at the engine's queue depth. They block this
+  // call, so each is charged as one undepthed transfer.
+  double io = 0.0;
+  for (int32_t part : partitions) {
+    if (StageRead(part, /*background=*/false)) {
+      io += BlockingSeconds(ExtentTransferBytes(part));
+    }
+  }
+  // Install in `partitions` order, whatever order the reads complete in, so
+  // the resident layout (and therefore ResidentNodes order) never depends on
+  // prefetching.
   for (int32_t part : partitions) {
     if (IsResident(part)) {
       continue;
     }
-    const int32_t free_slot = FindFreeSlot();
-    MG_CHECK(free_slot >= 0);
-    std::unique_lock<std::mutex> lock(stage_mu_);
-    if (staged_.count(part) != 0 || staging_in_flight_.count(part) != 0) {
+    const int32_t slot = FindFreeSlot();
+    MG_CHECK(slot >= 0);
+    float* extent = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(stage_mu_);
       stage_cv_.wait(lock, [&] { return staged_.count(part) != 0; });
-      float* extent = staged_[part].extent;
-      staged_.erase(part);
-      lock.unlock();
-      InstallIntoSlot(part, free_slot, extent);
-      arena_->Release(extent);
-    } else {
-      lock.unlock();
-      io += LoadIntoSlot(part, free_slot);
+      auto it = staged_.find(part);
+      extent = it->second;
+      staged_.erase(it);
     }
+    slot_extent_[static_cast<size_t>(slot)] = extent;
+    partition_in_slot_[static_cast<size_t>(slot)] = part;
+    slot_of_partition_[static_cast<size_t>(part)] = slot;
+    dirty_[static_cast<size_t>(slot)].store(0, std::memory_order_relaxed);
   }
   return io;
 }
@@ -307,35 +276,35 @@ double PartitionBuffer::SetResident(const std::vector<int32_t>& partitions) {
 void PartitionBuffer::DrainIo() { engine_->Drain(); }
 
 double PartitionBuffer::FlushAll() {
-  engine_->Drain();
-  // Staged prefetches survive a flush: they are clean copies of on-disk data and
-  // may still be installed by the next SetResident (e.g. across an epoch
-  // boundary). Only BeginImport, which rewrites the file underneath them, discards.
+  // One whole-extent write per dirty slot, each queued behind any earlier
+  // request for its partition; the drain waits for them all, so they are
+  // charged as blocking. Staged prefetches survive a flush: they are clean
+  // copies of on-disk data and may still be installed by the next SetResident
+  // (e.g. across an epoch boundary). Only BeginImport, which rewrites the file
+  // underneath them, discards.
   double io = 0.0;
   for (int32_t slot = 0; slot < capacity_; ++slot) {
-    io += EvictSlot(slot, /*synchronous=*/true);
+    io += BlockingSeconds(EvictSlot(slot, /*background=*/false));
   }
+  engine_->Drain();
   return io;
 }
 
-int64_t PartitionBuffer::SlotRowOf(int64_t node) const {
+float* PartitionBuffer::RowOf(int64_t node, size_t stream_offset) const {
   const int32_t part = partitioning_->PartitionOf(node);
   const int32_t slot = slot_of_partition_[static_cast<size_t>(part)];
   MG_CHECK_MSG(slot >= 0, "node's partition is not resident");
-  return static_cast<int64_t>(slot) * max_partition_rows_ + partitioning_->LocalIndexOf(node);
+  return slot_extent_[static_cast<size_t>(slot)] + stream_offset / sizeof(float) +
+         static_cast<size_t>(partitioning_->LocalIndexOf(node)) * static_cast<size_t>(dim_);
 }
 
-float* PartitionBuffer::ValueRow(int64_t node) {
-  return values_.data() + static_cast<size_t>(SlotRowOf(node)) * dim_;
-}
+float* PartitionBuffer::ValueRow(int64_t node) { return RowOf(node, 0); }
 
-const float* PartitionBuffer::ValueRow(int64_t node) const {
-  return values_.data() + static_cast<size_t>(SlotRowOf(node)) * dim_;
-}
+const float* PartitionBuffer::ValueRow(int64_t node) const { return RowOf(node, 0); }
 
 float* PartitionBuffer::StateRow(int64_t node) {
   MG_CHECK(learnable_);
-  return state_.data() + static_cast<size_t>(SlotRowOf(node)) * dim_;
+  return RowOf(node, stream_bytes_pad_);
 }
 
 Tensor PartitionBuffer::ExportStream(bool state_stream) {
@@ -377,15 +346,12 @@ double PartitionBuffer::ExportPartition(int32_t partition, float* values_out,
   if (slot >= 0) {
     // Flush-through: the resident rows (dirty or clean) are the freshest copy.
     // No eviction, no write-back — residency and the trajectory are untouched.
+    const float* extent = slot_extent_[static_cast<size_t>(slot)];
     if (values_out != nullptr) {
-      std::memcpy(values_out,
-                  values_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_,
-                  bytes);
+      std::memcpy(values_out, extent, bytes);
     }
     if (state_out != nullptr) {
-      std::memcpy(state_out,
-                  state_.data() + static_cast<size_t>(slot) * max_partition_rows_ * dim_,
-                  bytes);
+      std::memcpy(state_out, extent + stream_bytes_pad_ / sizeof(float), bytes);
     }
     return 0.0;
   }
@@ -410,7 +376,7 @@ void PartitionBuffer::BeginImport() {
   FlushAll();
   std::lock_guard<std::mutex> lock(stage_mu_);
   for (auto& entry : staged_) {
-    arena_->Release(entry.second.extent);
+    arena_->Release(entry.second);
   }
   staged_.clear();
   MG_CHECK(staging_in_flight_.empty());

@@ -6,16 +6,21 @@
 // partitions are resident; the processing layer reads/writes rows of resident
 // partitions by global node id. Dirty partitions are written back on eviction.
 //
-// Every partition transfer goes through a batched IO engine (io_engine.h), so
-// partition IO can overlap with compute (the paper's "hide the IO" pipeline stage):
+// One memory pool and one transfer shape. Every resident slot is an IoArena extent
+// laid out as on disk (values, then optional Adagrad state), and every partition
+// moves between disk and memory as one whole-extent IO engine transfer (io_engine.h),
+// so partition IO can overlap with compute (the paper's "hide the IO" pipeline stage):
 //  - Prefetch() submits reads for upcoming partitions (OrderingPolicy::Lookahead
-//    tells the trainer which) into 4 KiB-aligned arena slots; the engine keeps up
-//    to queue_depth transfers in flight and completions land **out of order** — a
-//    slow partition no longer head-of-line-blocks the rest of the window;
-//  - SetResident() installs staged partitions with a memcpy instead of a blocking
-//    disk read, and pushes dirty-eviction write-backs off the critical path;
-//  - ConsumeBackgroundIoSeconds() reports the modeled seconds of that background
-//    IO so trainers can account stalls as max(0, background_io - compute).
+//    tells the trainer which) into arena extents; the engine keeps up to
+//    queue_depth transfers in flight and completions land **out of order** — a
+//    slow partition does not head-of-line-block the rest of the window;
+//  - SetResident() reads its misses the same way, then installs each staged
+//    extent into a slot as a pointer, with no copy; a dirty eviction hands the
+//    slot's own extent to the engine, and the write's completion frees it;
+//  - FlushAll() submits one write per dirty slot and drains the engine;
+//  - ConsumeBackgroundIoSeconds() reports the modeled seconds of the background
+//    IO (prefetch reads and eviction write-backs) so trainers can account stalls
+//    as max(0, background_io - compute).
 // A caller that wants no overlap skips Prefetch and calls DrainIo() after
 // SetResident. Ordering safety does not rely on a FIFO queue: the engine
 // preserves per-tag (per-partition) program order, so a read submitted after a
@@ -79,10 +84,12 @@ class PartitionBuffer {
   }
 
   // Makes exactly `partitions` resident (evicting others, loading missing ones) and
-  // returns the modeled IO seconds spent *synchronously* — staged partitions install
-  // without disk reads and dirty evictions write back in the background (their
-  // modeled seconds surface via ConsumeBackgroundIoSeconds). |partitions| must be
-  // <= capacity.
+  // returns the modeled IO seconds spent *synchronously*: each partition neither
+  // staged nor being staged is read here, one blocking whole-extent transfer each
+  // (the reads overlap at the engine's queue depth, but each is charged full
+  // latency). Staged partitions install without disk reads, and dirty evictions
+  // write back in the background (their modeled seconds surface via
+  // ConsumeBackgroundIoSeconds). |partitions| must be <= capacity.
   double SetResident(const std::vector<int32_t>& partitions);
 
   // Asynchronously stages `partitions` (skipping resident / already-staged ones) so
@@ -97,8 +104,8 @@ class PartitionBuffer {
   // Engine transfer counters since the last call (EpochStats reporting).
   IoEngineStats ConsumeIoStats();
 
-  // Flushes all dirty partitions to disk (draining pending background IO first);
-  // returns modeled IO seconds of the synchronous flush.
+  // Writes every dirty partition back and evicts every slot, then drains all
+  // pending IO; returns the undepthed modeled seconds of the flush's writes.
   double FlushAll();
 
   // Multi-replica ownership map (one byte per physical partition, nonzero =
@@ -188,31 +195,33 @@ class PartitionBuffer {
   void ImportPartition(int32_t partition, const float* values, const float* state);
 
  private:
-  // A prefetched partition parked between the IO engine and installation: one
-  // arena slot holding the partition's full on-disk extent (both streams, padded
-  // layout — see PartitionFileOffset).
-  struct StagedPartition {
-    float* extent = nullptr;  // owned by arena_ until installed or discarded
-  };
-  // In-flight prefetch bookkeeping (guarded by stage_mu_).
-  struct StagingInFlight {
-    float* extent = nullptr;
-  };
-
   uint64_t PartitionFileOffset(int32_t partition) const;
   // Bytes of one stream's payload for `partition` (actual rows, no padding).
   size_t StreamPayloadBytes(int32_t partition) const;
   // Bytes the engine transfers for `partition`: both streams at padded stride,
   // trailing stream aligned up. Always kIoAlignment-aligned.
   size_t ExtentTransferBytes(int32_t partition) const;
+  // Undepthed modeled seconds of one blocking transfer of `bytes` (0 for 0).
+  double BlockingSeconds(size_t bytes) const;
   Tensor ExportStream(bool state_stream);
-  double LoadIntoSlot(int32_t partition, int32_t slot);
-  double EvictSlot(int32_t slot, bool synchronous);
-  int64_t SlotRowOf(int64_t node) const;
+  // Unless `partition` is resident, staged or being staged, reads its whole
+  // extent into a fresh arena extent, whose completion moves it into staged_,
+  // and returns true. `background` charges the read's modeled seconds to
+  // ConsumeBackgroundIoSeconds (a prefetch); SetResident charges the misses it
+  // reads itself as blocking seconds instead.
+  bool StageRead(int32_t partition, bool background);
+  // Frees `slot`. A dirty partition this replica owns is written back from the
+  // slot's own extent, and the write's completion releases it; any other
+  // extent is released at once. `background` charges the write's modeled
+  // seconds as background IO (an eviction); FlushAll charges its writes itself.
+  // Returns the bytes written back (0 when nothing was).
+  size_t EvictSlot(int32_t slot, bool background);
+  // The node's row in the stream at `stream_offset` bytes into its slot's
+  // extent; the node's partition must be resident.
+  float* RowOf(int64_t node, size_t stream_offset) const;
   int32_t FindFreeSlot() const;
-  void InstallIntoSlot(int32_t partition, int32_t slot, const float* extent);
-  // Drops staged extents for partitions not in `wanted` (stale lookahead after a
-  // mid-epoch resize), returning their arena slots. Caller holds stage_mu_.
+  // Drops staged extents for partitions not in `wanted` (lookahead that the
+  // next set does not use), returning them to the arena. Caller holds stage_mu_.
   void DiscardStaleStagedLocked(const std::unordered_set<int32_t>& wanted);
 
   const Partitioning* partitioning_;
@@ -225,10 +234,9 @@ class PartitionBuffer {
   size_t stream_bytes_pad_ = 0;  // AlignUpIo(stream_bytes_)
   size_t partition_extent_ = 0;  // streams * stream_bytes_pad_
   std::unique_ptr<SimulatedDisk> disk_;
-  // Buffer storage: capacity_ slots of max_partition_rows_ rows each. Values and
-  // (optionally) Adagrad state share slot geometry.
-  AlignedBuffer values_;
-  AlignedBuffer state_;
+  // Resident storage: each occupied slot holds one arena extent in the on-disk
+  // layout, values at offset 0 and Adagrad state at stream_bytes_pad_.
+  std::vector<float*> slot_extent_;         // nullptr = free
   std::vector<int32_t> partition_in_slot_;  // -1 = free
   std::vector<int32_t> slot_of_partition_;  // -1 = not resident
   // Per-slot dirty flags, one byte per slot so worker threads can mark without
@@ -240,14 +248,15 @@ class PartitionBuffer {
   std::vector<uint8_t> ownership_;
 
   // Async IO state. Declaration order matters: the engine destructor drains
-  // in-flight completions, which release arena slots and touch stage_mu_ — so
+  // in-flight completions, which release arena extents and touch stage_mu_ — so
   // engine_ is declared after (and destroyed before) arena_ and the staging
   // state.
   std::mutex stage_mu_;
   std::condition_variable stage_cv_;
-  std::unordered_map<int32_t, StagedPartition> staged_;        // guarded by stage_mu_
-  std::unordered_map<int32_t, StagingInFlight> staging_in_flight_;  // guarded by stage_mu_
-  double background_seconds_ = 0.0;                            // guarded by stage_mu_
+  // Read partitions waiting to be installed, each in its own arena extent.
+  std::unordered_map<int32_t, float*> staged_;      // guarded by stage_mu_
+  std::unordered_set<int32_t> staging_in_flight_;   // guarded by stage_mu_
+  double background_seconds_ = 0.0;                 // guarded by stage_mu_
   std::unique_ptr<IoArena> arena_;
   std::unique_ptr<IoEngine> engine_;
 };

@@ -1,6 +1,7 @@
 // Tests for the simulated disk, IO engine, partition buffer, and embedding stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -32,6 +33,20 @@ IoEngineOptions AsyncIo(int queue_depth = 4) {
   return io;
 }
 
+// Bytes of one whole-partition transfer of a learnable buffer: the values
+// stream at its padded stride, then the state stream's rows rounded up to
+// kIoAlignment.
+size_t ExtentTransferBytes(const Partitioning& partitioning, int64_t dim,
+                           int32_t partition) {
+  int64_t max_rows = 0;
+  for (int32_t p = 0; p < partitioning.num_partitions(); ++p) {
+    max_rows = std::max(max_rows, partitioning.PartitionSize(p));
+  }
+  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
+  return AlignUpIo(static_cast<size_t>(max_rows) * row_bytes) +
+         AlignUpIo(static_cast<size_t>(partitioning.PartitionSize(partition)) * row_bytes);
+}
+
 TEST(DiskModel, SecondsCombineLatencyAndBandwidth) {
   DiskModel model;
   model.bandwidth_bytes_per_sec = 1e9;
@@ -49,9 +64,12 @@ TEST(SimulatedDisk, ReadWriteRoundTripAndStats) {
   std::vector<float> in(3);
   disk.Read(in.data(), in.size() * sizeof(float), 128);
   EXPECT_EQ(in, out);
-  EXPECT_EQ(disk.stats().bytes_written, out.size() * sizeof(float));
-  EXPECT_EQ(disk.stats().bytes_read, in.size() * sizeof(float));
-  EXPECT_GT(disk.stats().modeled_seconds, 0.0);
+  const size_t bytes = out.size() * sizeof(float);
+  EXPECT_EQ(disk.stats().bytes_written, bytes);
+  EXPECT_EQ(disk.stats().bytes_read, bytes);
+  EXPECT_EQ(disk.stats().write_ops, 1u);
+  EXPECT_EQ(disk.stats().read_ops, 1u);
+  EXPECT_GT(disk.model().SecondsFor(bytes, disk.OpsFor(bytes)), 0.0);
   disk.ResetStats();
   EXPECT_EQ(disk.stats().bytes_read, 0u);
   ::remove(path.c_str());
@@ -63,15 +81,18 @@ TEST(SimulatedDisk, SmallReadsCostMoreOpsPerByte) {
   SimulatedDisk disk(path, model);
   disk.Resize(8 << 20);
   std::vector<char> buf(1 << 20);
-  // One large read.
+  // One large read: one device op per 512 KiB block.
   disk.Read(buf.data(), buf.size(), 0);
-  const double large = disk.stats().modeled_seconds;
+  EXPECT_EQ(disk.stats().read_ops, 2u);
+  const double large = model.SecondsFor(buf.size(), disk.OpsFor(buf.size()));
   disk.ResetStats();
-  // Same bytes as 4096 small reads.
+  // Same bytes as 4096 small reads, one device op each.
   for (int i = 0; i < 4096; ++i) {
     disk.Read(buf.data(), 256, static_cast<uint64_t>(i) * 256);
   }
-  const double small = disk.stats().modeled_seconds;
+  EXPECT_EQ(disk.stats().read_ops, 4096u);
+  EXPECT_EQ(disk.stats().bytes_read, buf.size());
+  const double small = 4096 * model.SecondsFor(256, disk.OpsFor(256));
   EXPECT_GT(small, large * 10);
   ::remove(path.c_str());
 }
@@ -165,11 +186,10 @@ TEST_F(PartitionBufferTest, CleanEvictionDoesNotWrite) {
 TEST_F(PartitionBufferTest, SwapIoIsIncremental) {
   buffer_->SetResident({0, 1, 2});
   buffer_->ResetDiskStats();
-  // One-partition swap reads one partition only.
+  // One-partition swap reads one partition only, values and Adagrad state in
+  // one whole-extent transfer.
   buffer_->SetResident({0, 1, 3});
-  const uint64_t expected =
-      static_cast<uint64_t>(partitioning_->PartitionSize(3)) * 4 * sizeof(float) * 2;
-  EXPECT_EQ(buffer_->disk_stats().bytes_read, expected);  // values + adagrad state
+  EXPECT_EQ(buffer_->disk_stats().bytes_read, ExtentTransferBytes(*partitioning_, 4, 3));
 }
 
 TEST_F(PartitionBufferTest, ResidentNodesMatchesPartitions) {
@@ -413,6 +433,85 @@ TEST_F(AsyncPartitionBufferTest, ResidentLayoutMatchesUnprefetchedBuffer) {
   ::remove(twin_path.c_str());
 }
 
+TEST_F(AsyncPartitionBufferTest, ColdSetResidentReadsEachPartitionAsOneTransfer) {
+  // Misses go through the engine as one whole-extent read each, and are charged
+  // as blocking: one undepthed transfer per partition.
+  const std::vector<int32_t> set = {0, 3, 5};
+  const double sync_io = buffer_->SetResident(set);
+  const IoEngineStats stats = buffer_->ConsumeIoStats();
+  EXPECT_EQ(stats.read_requests, set.size());
+  EXPECT_EQ(stats.write_requests, 0u);
+  // Each extent is under one 512 KiB block, so one device op.
+  EXPECT_EQ(buffer_->disk_stats().read_ops, set.size());
+  uint64_t bytes = 0;
+  double expected_io = 0.0;
+  for (int32_t part : set) {
+    const size_t extent = ExtentTransferBytes(*partitioning_, 4, part);
+    bytes += extent;
+    expected_io += DiskModel().SecondsFor(extent, 1);
+  }
+  EXPECT_EQ(stats.read_bytes, bytes);
+  EXPECT_DOUBLE_EQ(sync_io, expected_io);
+  EXPECT_DOUBLE_EQ(buffer_->ConsumeBackgroundIoSeconds(), 0.0);
+}
+
+TEST_F(AsyncPartitionBufferTest, HeldWriteBackKeepsItsExtent) {
+  // A dirty eviction writes from the slot's own extent, so that extent must
+  // not be handed out again until the write completes. Hold partition 1's
+  // write-back at the engine and keep loading partitions that need fresh
+  // extents: each must install its own rows, in an extent other than the held
+  // one, and once the write runs the reloaded partition shows the written row.
+  const std::string path = TempPath("pb_held_write");
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  IoEngineOptions io = AsyncIo(4);
+  io.before_io = [&](const IoRequest& req) {
+    if (req.kind == IoRequest::Kind::kWrite && req.tag == 1) {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      gate_cv.wait(lock, [&] { return gate_open; });
+    }
+  };
+  PartitionBuffer buffer(partitioning_.get(), 4, 3, path, DiskModel(),
+                         /*learnable=*/true, &init_, io);
+  const auto extent_of = [&](int32_t part) {
+    const int64_t node = partitioning_->NodesIn(part).front();
+    return buffer.ValueRow(node) - partitioning_->LocalIndexOf(node) * 4;
+  };
+  buffer.SetResident({0, 1, 2});
+  const int64_t node = partitioning_->NodesIn(1).front();
+  buffer.ValueRow(node)[0] = 123.0f;
+  buffer.MarkDirty(node);
+  const float* held = extent_of(1);
+  for (const std::vector<int32_t>& set :
+       std::vector<std::vector<int32_t>>{{3, 4, 5}, {6, 7, 0}, {2, 3, 4}}) {
+    buffer.SetResident(set);
+    for (int32_t part : set) {
+      EXPECT_NE(extent_of(part), held) << "partition " << part;
+      for (int64_t v : partitioning_->NodesIn(part)) {
+        for (int64_t d = 0; d < 4; ++d) {
+          EXPECT_EQ(buffer.ValueRow(v)[d], init_(v, d)) << "partition " << part;
+        }
+      }
+    }
+  }
+  // The write-back was held through every load above.
+  EXPECT_EQ(buffer.disk_stats().bytes_written, 0u);
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  buffer.SetResident({1});  // queued behind the write-back (per-tag order)
+  EXPECT_EQ(buffer.ValueRow(node)[0], 123.0f);
+  for (int64_t v : partitioning_->NodesIn(1)) {
+    for (int64_t d = v == node ? 1 : 0; d < 4; ++d) {
+      EXPECT_EQ(buffer.ValueRow(v)[d], init_(v, d));
+    }
+  }
+  ::remove(path.c_str());
+}
+
 TEST(InMemoryEmbeddingStore, GatherAndUpdate) {
   Rng rng(3);
   InMemoryEmbeddingStore store(10, 4, 0.5f, rng);
@@ -560,6 +659,40 @@ TEST(BufferedEmbeddingStore, AdagradStatePersistsAcrossEviction) {
   EXPECT_LT(step2, step1);
   ::remove(path.c_str());
 }
+
+TEST(IoArena, ReleasedExtentIsHandedOutFirst) {
+  // The free list is LIFO, which keeps the set of extents ever touched (and so
+  // the buffer's resident memory) near its working set rather than the pool.
+  IoArena arena(100, 4);
+  EXPECT_EQ(arena.slot_bytes(), kIoAlignment);
+  float* a = arena.Acquire();
+  float* b = arena.Acquire();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % kIoAlignment, 0u);
+  EXPECT_EQ(reinterpret_cast<char*>(b) - reinterpret_cast<char*>(a),
+            static_cast<ptrdiff_t>(kIoAlignment));
+  arena.Release(a);
+  EXPECT_EQ(arena.Acquire(), a);
+  arena.Release(a);
+  arena.Release(b);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(IoArenaDeathTest, ReleasedExtentIsPoisonedUnderAsan) {
+  IoArena arena(kIoAlignment, 2);
+  float* extent = arena.Acquire();
+  extent[0] = 1.0f;
+  arena.Release(extent);
+  EXPECT_DEATH(
+      {
+        volatile float* row = extent;
+        row[0] = 2.0f;
+      },
+      "use-after-poison");
+  extent = arena.Acquire();
+  extent[0] = 3.0f;  // acquired again: addressable
+  arena.Release(extent);
+}
+#endif
 
 TEST(DiskModel, DepthAmortisesLatencyOnly) {
   DiskModel model;
@@ -811,11 +944,13 @@ std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk) {
   constexpr size_t kFloats = kBlock / sizeof(float);
   constexpr int kBlocks = 12;  // blocks 10 and 11 are only read by the gated reads
   disk->Resize(kBlocks * kBlock);
-  AlignedBuffer src(10 * kFloats);
-  for (size_t i = 0; i < src.size(); ++i) {
+  // Every buffer is an aligned arena extent of the whole file's size.
+  IoArena arena(kBlocks * kBlock, 5);
+  float* src = arena.Acquire();
+  for (size_t i = 0; i < 10 * kFloats; ++i) {
     src[i] = static_cast<float>(i % 1013) * 0.25f + static_cast<float>(i / kFloats);
   }
-  AlignedBuffer rewrite(kFloats);
+  float* rewrite = arena.Acquire();
   for (size_t i = 0; i < kFloats; ++i) {
     rewrite[i] = -static_cast<float>(i);
   }
@@ -833,28 +968,28 @@ std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk) {
   };
   IoEngine engine(disk, opt);
   const auto none = [](double) {};
-  AlignedBuffer gated(4 * kFloats);
+  float* gated = arena.Acquire();
   for (int32_t w = 0; w < 4; ++w) {
-    engine.SubmitRead(100 + w, gated.data() + w * kFloats, kBlock,
+    engine.SubmitRead(100 + w, gated + w * kFloats, kBlock,
                       static_cast<uint64_t>(10 + w % 2) * kBlock, none);
   }
-  std::vector<AlignedBuffer> reads;
+  // The reads land one block apart in one extent, in submission order.
+  float* reads = arena.Acquire();
+  int num_reads = 0;
   const auto read = [&](int32_t tag, uint64_t block) {
-    reads.emplace_back(kFloats);
-    engine.SubmitRead(tag, reads.back().data(), kBlock, block * kBlock, none);
+    engine.SubmitRead(tag, reads + num_reads++ * kFloats, kBlock, block * kBlock, none);
   };
-  reads.reserve(4);
   for (int32_t b = 0; b < 6; ++b) {
-    engine.SubmitWrite(b, src.data() + b * kFloats, kBlock, b * kBlock, none);
+    engine.SubmitWrite(b, src + b * kFloats, kBlock, b * kBlock, none);
   }
   read(1, 1);  // read-after-write on one of the adjacent writes
-  engine.SubmitWrite(6, src.data() + 6 * kFloats, kBlock, 6 * kBlock, none);
-  engine.SubmitWrite(7, src.data() + 7 * kFloats, kBlock, 7 * kBlock, none);
-  engine.SubmitWrite(2, rewrite.data(), kBlock, 2 * kBlock, none);
+  engine.SubmitWrite(6, src + 6 * kFloats, kBlock, 6 * kBlock, none);
+  engine.SubmitWrite(7, src + 7 * kFloats, kBlock, 7 * kBlock, none);
+  engine.SubmitWrite(2, rewrite, kBlock, 2 * kBlock, none);
   read(2, 2);
   // A sub-block write at an unaligned offset takes the buffered descriptor
   // even on a direct disk.
-  engine.SubmitWrite(9, src.data() + 9 * kFloats, 1000, 9 * kBlock + 64, none);
+  engine.SubmitWrite(9, src + 9 * kFloats, 1000, 9 * kBlock + 64, none);
   read(9, 9);
   read(7, 7);
   {
@@ -865,12 +1000,15 @@ std::vector<std::vector<float>> RunMixedIoSequence(SimulatedDisk* disk) {
   engine.Drain();
 
   std::vector<std::vector<float>> out;
-  for (const AlignedBuffer& r : reads) {
-    out.emplace_back(r.data(), r.data() + r.size());
+  for (int r = 0; r < num_reads; ++r) {
+    out.emplace_back(reads + r * kFloats, reads + (r + 1) * kFloats);
   }
-  AlignedBuffer whole(kBlocks * kFloats);
-  engine.ReadSync(0, whole.data(), kBlocks * kBlock, 0);
-  out.emplace_back(whole.data(), whole.data() + whole.size());
+  float* whole = arena.Acquire();
+  engine.ReadSync(0, whole, kBlocks * kBlock, 0);
+  out.emplace_back(whole, whole + kBlocks * kFloats);
+  for (float* extent : {src, rewrite, gated, reads, whole}) {
+    arena.Release(extent);
+  }
   return out;
 }
 
