@@ -106,11 +106,12 @@ void BM_OneHopSample(benchmark::State& state) {
   Graph g = LiveJournalMini(0.25);
   NeighborIndex index(g);
   Rng rng(3);
+  PickScratch picks;
   std::vector<Neighbor> out;
   int64_t node = 0;
   for (auto _ : state) {
     out.clear();
-    index.SampleOneHop(node, 10, EdgeDirection::kBoth, rng, out);
+    index.SampleOneHop(node, 10, EdgeDirection::kBoth, rng, picks, out);
     node = (node + 37) % g.num_nodes();
     benchmark::DoNotOptimize(out.data());
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "src/core/checkpoint.h"
 #include "src/eval/metrics.h"
@@ -11,6 +10,7 @@
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
+#include "src/util/node_row_map.h"
 
 namespace mariusgnn {
 
@@ -113,14 +113,15 @@ std::shared_ptr<void> LinkPredictionTrainer::PrepareBatch(
     const std::vector<int64_t>& edge_ids, uint64_t batch_seed) const {
   auto prepared = std::make_shared<PreparedBatch>();
   PreparedBatch& batch = *prepared;
-  std::unordered_map<int64_t, int64_t> row_of;
-  row_of.reserve(edge_ids.size() * 3);
+  NodeRowMap row_of(std::min(static_cast<int64_t>(edge_ids.size()) * 2 + config_.num_negatives,
+                             graph_->num_nodes()));
   auto row = [&](int64_t node) {
-    auto [it, inserted] = row_of.emplace(node, static_cast<int64_t>(batch.targets.size()));
+    const auto [r, inserted] =
+        row_of.Emplace(node, static_cast<int64_t>(batch.targets.size()));
     if (inserted) {
       batch.targets.push_back(node);
     }
-    return it->second;
+    return r;
   };
 
   batch.src_rows.reserve(edge_ids.size());
@@ -352,13 +353,14 @@ double LinkPredictionTrainer::EvaluateMrr(int64_t num_negatives, int64_t max_edg
   for (size_t begin = 0; begin < edge_ids.size(); begin += chunk) {
     const size_t end = std::min(edge_ids.size(), begin + chunk);
     std::vector<int64_t> targets;
-    std::unordered_map<int64_t, int64_t> row_of;
+    NodeRowMap row_of(std::min(static_cast<int64_t>(2 * (end - begin) + neg_nodes.size()),
+                               graph_->num_nodes()));
     auto row = [&](int64_t node) {
-      auto [it, inserted] = row_of.emplace(node, static_cast<int64_t>(targets.size()));
+      const auto [r, inserted] = row_of.Emplace(node, static_cast<int64_t>(targets.size()));
       if (inserted) {
         targets.push_back(node);
       }
-      return it->second;
+      return r;
     };
     std::vector<int64_t> srcs, dsts;
     std::vector<int32_t> rels;

@@ -33,7 +33,8 @@ NeighborIndex::NeighborIndex(int64_t num_nodes, const std::vector<Edge>& edges)
 }
 
 int64_t NeighborIndex::SampleDirection(int64_t node, int64_t fanout, bool outgoing,
-                                       Rng& rng, std::vector<Neighbor>& out) const {
+                                       Rng& rng, PickScratch& picks,
+                                       std::vector<Neighbor>& out) const {
   const std::vector<Neighbor>& pool = outgoing ? by_src_ : by_dst_;
   const std::vector<int64_t>& offsets = outgoing ? out_offsets_ : in_offsets_;
   const int64_t begin = offsets[static_cast<size_t>(node)];
@@ -46,22 +47,22 @@ int64_t NeighborIndex::SampleDirection(int64_t node, int64_t fanout, bool outgoi
     out.insert(out.end(), pool.begin() + begin, pool.begin() + end);
     return degree;
   }
-  std::vector<int64_t> picks = rng.SampleWithoutReplacement(degree, fanout);
-  for (int64_t p : picks) {
+  for (int64_t p : rng.SampleWithoutReplacement(degree, fanout, &picks)) {
     out.push_back(pool[static_cast<size_t>(begin + p)]);
   }
   return fanout;
 }
 
 int64_t NeighborIndex::SampleOneHop(int64_t node, int64_t fanout, EdgeDirection dir,
-                                    Rng& rng, std::vector<Neighbor>& out) const {
+                                    Rng& rng, PickScratch& picks,
+                                    std::vector<Neighbor>& out) const {
   MG_DCHECK(node >= 0 && node < num_nodes_);
   int64_t count = 0;
   if (dir == EdgeDirection::kOutgoing || dir == EdgeDirection::kBoth) {
-    count += SampleDirection(node, fanout, /*outgoing=*/true, rng, out);
+    count += SampleDirection(node, fanout, /*outgoing=*/true, rng, picks, out);
   }
   if (dir == EdgeDirection::kIncoming || dir == EdgeDirection::kBoth) {
-    count += SampleDirection(node, fanout, /*outgoing=*/false, rng, out);
+    count += SampleDirection(node, fanout, /*outgoing=*/false, rng, picks, out);
   }
   return count;
 }
@@ -69,7 +70,8 @@ int64_t NeighborIndex::SampleOneHop(int64_t node, int64_t fanout, EdgeDirection 
 std::vector<Neighbor> NeighborIndex::AllNeighbors(int64_t node, EdgeDirection dir) const {
   std::vector<Neighbor> out;
   Rng unused(0);
-  SampleOneHop(node, /*fanout=*/-1, dir, unused, out);
+  PickScratch no_picks;
+  SampleOneHop(node, /*fanout=*/-1, dir, unused, no_picks, out);
   return out;
 }
 

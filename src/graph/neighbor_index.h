@@ -52,16 +52,17 @@ class NeighborIndex {
   // Appends up to `fanout` one-hop neighbors of `node` in the given direction to `out`
   // and returns how many were appended. fanout < 0 means "all neighbors". When kBoth,
   // up to `fanout` neighbors are drawn from each direction. Sampling is without
-  // replacement within a direction.
+  // replacement within a direction; `picks` is the caller's draw scratch, reused
+  // across calls so a warm sampler allocates nothing per node.
   int64_t SampleOneHop(int64_t node, int64_t fanout, EdgeDirection dir, Rng& rng,
-                       std::vector<Neighbor>& out) const;
+                       PickScratch& picks, std::vector<Neighbor>& out) const;
 
   // Full (unsampled) neighbor lists, for tests and full-neighborhood aggregation.
   std::vector<Neighbor> AllNeighbors(int64_t node, EdgeDirection dir) const;
 
  private:
   int64_t SampleDirection(int64_t node, int64_t fanout, bool outgoing, Rng& rng,
-                          std::vector<Neighbor>& out) const;
+                          PickScratch& picks, std::vector<Neighbor>& out) const;
 
   int64_t num_nodes_ = 0;
   // by_src_[out_offsets_[v] .. out_offsets_[v+1]) are v's outgoing neighbors;

@@ -1,10 +1,9 @@
 #include "src/sampler/dense.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/util/check.h"
+#include "src/util/node_row_map.h"
 
 namespace mariusgnn {
 
@@ -18,16 +17,15 @@ std::vector<int64_t> DenseBatch::SegmentOffsets() const {
 }
 
 void DenseBatch::FinalizeForDevice() {
-  std::unordered_map<int64_t, int64_t> row_of;
-  row_of.reserve(node_ids.size() * 2);
+  NodeRowMap row_of(num_nodes());
   for (size_t i = 0; i < node_ids.size(); ++i) {
-    row_of.emplace(node_ids[i], static_cast<int64_t>(i));
+    row_of.Emplace(node_ids[i], static_cast<int64_t>(i));
   }
   repr_map.resize(nbrs.size());
   for (size_t i = 0; i < nbrs.size(); ++i) {
-    auto it = row_of.find(nbrs[i]);
-    MG_CHECK_MSG(it != row_of.end(), "nbr id missing from node_ids");
-    repr_map[i] = it->second;
+    const int64_t row = row_of.Find(nbrs[i]);
+    MG_CHECK_MSG(row >= 0, "nbr id missing from node_ids");
+    repr_map[i] = row;
   }
 }
 
@@ -80,14 +78,18 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
   b.node_id_offsets = {0};
   b.node_ids = target_nodes;
 
-  std::unordered_set<int64_t> in_sample;
-  in_sample.reserve(target_nodes.size() * 4);
+  // Every node id in the sample so far; the rows are unused (set semantics).
+  NodeRowMap in_sample(
+      std::min(static_cast<int64_t>(target_nodes.size()) * 4, index->num_nodes()));
   for (int64_t v : target_nodes) {
-    in_sample.insert(v);
+    in_sample.Emplace(v, in_sample.size());
   }
-  MG_CHECK_MSG(in_sample.size() == target_nodes.size(), "target_nodes must be unique");
+  MG_CHECK_MSG(in_sample.size() == static_cast<int64_t>(target_nodes.size()),
+               "target_nodes must be unique");
 
   std::vector<int64_t> delta = target_nodes;  // Δk
+  std::vector<Neighbor> scratch;
+  PickScratch picks;
 
   // Loop i = k..1: sample one-hop neighbors for Δi (Algorithm 1, line 3).
   for (size_t hop = 0; hop < fanouts_.size(); ++hop) {
@@ -111,12 +113,12 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
     std::vector<int64_t> hop_nbrs(static_cast<size_t>(total));
     std::vector<int32_t> hop_rels(static_cast<size_t>(total));
 
-    std::vector<Neighbor> scratch;
     for (int64_t j = 0; j < m; ++j) {
       scratch.clear();
       Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(hop) * 0x100000001ULL +
                                            static_cast<uint64_t>(j)));
-      index->SampleOneHop(delta[static_cast<size_t>(j)], fanout, dir_, node_rng, scratch);
+      index->SampleOneHop(delta[static_cast<size_t>(j)], fanout, dir_, node_rng, picks,
+                          scratch);
       int64_t pos = starts[static_cast<size_t>(j)];
       for (const Neighbor& nb : scratch) {
         hop_nbrs[static_cast<size_t>(pos)] = nb.node;
@@ -152,7 +154,7 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
     // Δi−1 = unique(Δi_nbrs) \ node_ids (Algorithm 1, line 7).
     std::vector<int64_t> next_delta;
     for (int64_t v : hop_nbrs) {
-      if (in_sample.insert(v).second) {
+      if (in_sample.Emplace(v, in_sample.size()).second) {
         next_delta.push_back(v);
       }
     }

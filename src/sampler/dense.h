@@ -12,6 +12,10 @@
 //   repr_map        : for each entry of nbrs, the row of that node id within node_ids
 //                     (equivalently within the representation matrix H).
 //
+// Both node-id dedups, the Δ sets while sampling and repr_map in FinalizeForDevice,
+// use a NodeRowMap (src/util/node_row_map.h) built on the stack of the call and sized
+// to the sample: O(sample) memory, never O(|V|), and no state kept across calls.
+//
 // DenseSampler::Sample implements Algorithm 1 (one-hop samples are taken once per node
 // and reused across layers); DenseBatch::AdvanceLayer implements Algorithm 2 (the
 // on-device slicing that discards the deepest delta after each GNN layer).
@@ -57,8 +61,9 @@ struct DenseBatch {
   // the tensor segment kernels.
   std::vector<int64_t> SegmentOffsets() const;
 
-  // Builds repr_map: the node_ids row of every nbrs entry. Call once after sampling,
-  // before the first layer ("transfer to device").
+  // Builds repr_map: the node_ids row of every nbrs entry, through one NodeRowMap
+  // over node_ids. Call once after sampling, before the first layer ("transfer to
+  // device"). Aborts if an nbrs entry is not in node_ids.
   void FinalizeForDevice();
 
   // Algorithm 2: drops Δ0 (the deepest group) and its neighbor segments after a layer

@@ -1,8 +1,9 @@
 #include "src/sampler/layerwise.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "src/util/check.h"
+#include "src/util/node_row_map.h"
 
 namespace mariusgnn {
 
@@ -33,6 +34,7 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
 
   std::vector<int64_t> frontier = target_nodes;
   std::vector<Neighbor> scratch;
+  PickScratch picks;
   // Hop h = 0 is the layer closest to the targets (the k-th GNN layer); blocks are
   // stored innermost-first so we fill from the back.
   for (size_t h = 0; h < fanouts_.size(); ++h) {
@@ -40,11 +42,11 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
     block.dst_nodes = frontier;
 
     // src_nodes = dst_nodes ++ newly sampled neighbors (deduped within this layer).
-    std::unordered_map<int64_t, int64_t> src_pos;
-    src_pos.reserve(frontier.size() * 4);
+    NodeRowMap src_pos(
+        std::min(static_cast<int64_t>(frontier.size()) * 4, index->num_nodes()));
     block.src_nodes = frontier;
     for (size_t i = 0; i < frontier.size(); ++i) {
-      src_pos.emplace(frontier[i], static_cast<int64_t>(i));
+      src_pos.Emplace(frontier[i], static_cast<int64_t>(i));
     }
 
     for (size_t d = 0; d < frontier.size(); ++d) {
@@ -54,15 +56,15 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
       Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(h) * 0x100000001ULL +
                                            static_cast<uint64_t>(d)));
       // Fresh sample per layer: this is the cross-layer resampling DENSE avoids.
-      index->SampleOneHop(frontier[d], fanouts_[h], dir_, node_rng, scratch);
+      index->SampleOneHop(frontier[d], fanouts_[h], dir_, node_rng, picks, scratch);
       for (const Neighbor& nb : scratch) {
-        auto [it, inserted] =
-            src_pos.emplace(nb.node, static_cast<int64_t>(block.src_nodes.size()));
+        const auto [row, inserted] =
+            src_pos.Emplace(nb.node, static_cast<int64_t>(block.src_nodes.size()));
         if (inserted) {
           block.src_nodes.push_back(nb.node);
         }
         block.edge_dst.push_back(static_cast<int64_t>(d));
-        block.edge_src.push_back(it->second);
+        block.edge_src.push_back(row);
       }
     }
     frontier = block.src_nodes;
@@ -82,12 +84,13 @@ TreeSampleStats TreeSampler::Sample(const std::vector<int64_t>& target_nodes) {
   std::vector<int64_t> level = target_nodes;
   stats.total_instances = static_cast<int64_t>(level.size());
   std::vector<Neighbor> scratch;
+  PickScratch picks;
   for (int64_t fanout : fanouts_) {
     std::vector<int64_t> next;
     next.reserve(level.size() * static_cast<size_t>(fanout));
     for (int64_t v : level) {
       scratch.clear();
-      index_->SampleOneHop(v, fanout, dir_, rng_, scratch);
+      index_->SampleOneHop(v, fanout, dir_, rng_, picks, scratch);
       for (const Neighbor& nb : scratch) {
         next.push_back(nb.node);
       }

@@ -2,11 +2,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
+#include "src/util/node_row_map.h"
 #include "src/util/rng.h"
 
 namespace mariusgnn {
@@ -58,16 +58,13 @@ bool InferenceServer::LoadSnapshot(const std::string& path, std::string* error) 
 InferenceServer::LinkPlan InferenceServer::PlanLinkQuery(
     int64_t src, const std::vector<int64_t>& candidates) {
   LinkPlan plan;
-  std::unordered_map<int64_t, int64_t> row_of;
-  row_of.reserve(candidates.size() + 1);
+  NodeRowMap row_of(static_cast<int64_t>(candidates.size()) + 1);
   auto row_for = [&](int64_t node) {
-    auto it = row_of.find(node);
-    if (it != row_of.end()) {
-      return it->second;
+    const auto [row, inserted] =
+        row_of.Emplace(node, static_cast<int64_t>(plan.targets.size()));
+    if (inserted) {
+      plan.targets.push_back(node);
     }
-    const int64_t row = static_cast<int64_t>(plan.targets.size());
-    plan.targets.push_back(node);
-    row_of.emplace(node, row);
     return row;
   };
   plan.src_row = row_for(src);

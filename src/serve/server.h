@@ -88,9 +88,9 @@ class InferenceServer {
   uint64_t current_epoch() const;
   ServerStats stats() const;
 
- private:
   // Per-query dedup of the rows a link query needs scored: `targets` are the
-  // unique node ids (src first), src_row/cand_rows index into them.
+  // unique node ids in first-occurrence order (src first), src_row/cand_rows
+  // index into them.
   struct LinkPlan {
     std::vector<int64_t> targets;
     int64_t src_row = 0;
@@ -99,6 +99,7 @@ class InferenceServer {
 
   static LinkPlan PlanLinkQuery(int64_t src, const std::vector<int64_t>& candidates);
 
+ private:
   // Pins the current snapshot (aborts if none is loaded), answers the checked
   // query against it and counts it.
   ServeResult Answer(int64_t src, int32_t rel,

@@ -1,24 +1,24 @@
 #include "src/util/rng.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace mariusgnn {
 
-std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t population, int64_t count) {
+const std::vector<int64_t>& Rng::SampleWithoutReplacement(int64_t population, int64_t count,
+                                                          PickScratch* scratch) {
   MG_CHECK(population >= 0 && count >= 0);
+  std::vector<int64_t>& out = scratch->picks;
+  out.clear();
   if (count >= population) {
-    std::vector<int64_t> all(static_cast<size_t>(population));
     for (int64_t i = 0; i < population; ++i) {
-      all[static_cast<size_t>(i)] = i;
+      out.push_back(i);
     }
-    return all;
+    return out;
   }
-  std::vector<int64_t> out;
-  out.reserve(static_cast<size_t>(count));
   if (count * 3 >= population) {
     // Dense case: partial Fisher–Yates over an index vector.
-    std::vector<int64_t> idx(static_cast<size_t>(population));
+    std::vector<int64_t>& idx = scratch->pool;
+    idx.resize(static_cast<size_t>(population));
     for (int64_t i = 0; i < population; ++i) {
       idx[static_cast<size_t>(i)] = i;
     }
@@ -29,17 +29,15 @@ std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t population, int64_t c
     }
     return out;
   }
-  // Sparse case: Floyd's algorithm.
-  std::unordered_set<int64_t> seen;
-  seen.reserve(static_cast<size_t>(count) * 2);
+  // Sparse case: Floyd's algorithm. Every earlier pick is < j, so j itself is
+  // always new.
+  NodeRowMap& seen = scratch->seen;
+  seen.Reset(count);
   for (int64_t j = population - count; j < population; ++j) {
-    int64_t t = UniformInt(0, j + 1);
-    if (seen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      seen.insert(j);
-      out.push_back(j);
-    }
+    const int64_t t = UniformInt(0, j + 1);
+    const int64_t pick = seen.Find(t) < 0 ? t : j;
+    seen.Emplace(pick, static_cast<int64_t>(out.size()));
+    out.push_back(pick);
   }
   // Floyd's produces a biased order; shuffle for uniform order.
   Shuffle(out);

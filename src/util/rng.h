@@ -13,8 +13,18 @@
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/node_row_map.h"
 
 namespace mariusgnn {
+
+// Caller-owned buffers for Rng::SampleWithoutReplacement. A sampler keeps one for
+// a whole sample and reuses it for every node's draw, so once warm a draw
+// allocates nothing.
+struct PickScratch {
+  std::vector<int64_t> picks;  // the last draw's indices
+  std::vector<int64_t> pool;   // partial Fisher–Yates index pool (dense case)
+  NodeRowMap seen;             // Floyd's picks so far (sparse case)
+};
 
 // Combines a stream seed with an index into an independent per-index seed
 // (splitmix64 finalizer). Pipeline workers use MixSeed(run_seed, batch_index) so a
@@ -104,10 +114,12 @@ class Rng {
     }
   }
 
-  // Samples `count` distinct indices from [0, population) when count < population,
-  // otherwise returns all indices 0..population-1. Uses Floyd's algorithm for small
-  // counts relative to population; order of results is randomized.
-  std::vector<int64_t> SampleWithoutReplacement(int64_t population, int64_t count);
+  // Writes `count` distinct indices from [0, population) to scratch->picks when
+  // count < population, otherwise all indices 0..population-1, and returns
+  // scratch->picks. Uses Floyd's algorithm for small counts relative to
+  // population (order then randomized by a shuffle), else a partial Fisher–Yates.
+  const std::vector<int64_t>& SampleWithoutReplacement(int64_t population, int64_t count,
+                                                       PickScratch* scratch);
 
   // Checkpoint/restore of the full generator state (the 4 xoshiro256** words): a
   // restored Rng continues the random stream bit-for-bit where the saved one

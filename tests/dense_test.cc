@@ -1,6 +1,7 @@
 // Tests for the DENSE data structure (Algorithm 1), the per-layer update
 // (Algorithm 2), and their invariants, including a hand-checked example mirroring the
-// paper's Figure 3.
+// paper's Figure 3, and field-for-field agreement of the sampler and its one-hop draws
+// with their hash-based references (tests/sampling_reference.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "src/data/datasets.h"
 #include "src/graph/neighbor_index.h"
 #include "src/sampler/dense.h"
+#include "tests/sampling_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -276,6 +278,131 @@ TEST(Dense, RelationsParallelToNbrs) {
   b.FinalizeForDevice();
   b.AdvanceLayer();
   EXPECT_EQ(b.nbr_rels.size(), b.nbrs.size());
+}
+
+// Unique targets covering hubs (ids 0..3), ordinary nodes and isolated nodes
+// (the graph's last ids), in a seeded order.
+std::vector<int64_t> MixedTargets(const Graph& g, uint64_t seed, int64_t count) {
+  Rng rng(seed);
+  std::vector<int64_t> ids(static_cast<size_t>(g.num_nodes()));
+  for (int64_t i = 0; i < g.num_nodes(); ++i) {
+    ids[static_cast<size_t>(i)] = i;
+  }
+  rng.Shuffle(ids);
+  std::vector<int64_t> targets = {g.num_nodes() - 1, 0, 2};
+  for (int64_t v : ids) {
+    if (static_cast<int64_t>(targets.size()) >= count) {
+      break;
+    }
+    if (std::find(targets.begin(), targets.end(), v) == targets.end()) {
+      targets.push_back(v);
+    }
+  }
+  return targets;
+}
+
+const EdgeDirection kAllDirections[] = {EdgeDirection::kOutgoing, EdgeDirection::kIncoming,
+                                        EdgeDirection::kBoth};
+
+// Every node's one-hop draw, with one pick scratch reused across the whole
+// sweep, equals the hash-based reference's, and leaves the node's generator in
+// the reference's state: same picks, same RNG calls in the same order.
+TEST(DenseReference, OneHopDrawsMatchHashReference) {
+  for (uint64_t graph_seed : {1u, 2u}) {
+    Graph g = SamplingTestGraph(graph_seed);
+    NeighborIndex index(g);
+    PickScratch picks;
+    std::vector<Neighbor> got;
+    std::vector<Neighbor> want;
+    uint64_t got_state[4];
+    uint64_t want_state[4];
+    for (EdgeDirection dir : kAllDirections) {
+      for (int64_t fanout : {-1, 0, 1, 3, 10, 30}) {
+        for (int64_t v = 0; v < g.num_nodes(); ++v) {
+          Rng rng(MixSeed(graph_seed, static_cast<uint64_t>(v)));
+          Rng ref(MixSeed(graph_seed, static_cast<uint64_t>(v)));
+          got.clear();
+          want.clear();
+          const int64_t n = index.SampleOneHop(v, fanout, dir, rng, picks, got);
+          ASSERT_EQ(n, RefSampleOneHop(index, v, fanout, dir, ref, want));
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].node, want[i].node) << "node " << v << " fanout " << fanout;
+            ASSERT_EQ(got[i].rel, want[i].rel);
+          }
+          rng.SaveState(got_state);
+          ref.SaveState(want_state);
+          for (int w = 0; w < 4; ++w) {
+            ASSERT_EQ(got_state[w], want_state[w]) << "node " << v << " fanout " << fanout;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Hubs of in- and out-degree above 3x the largest fanout below, so Floyd's
+// branch runs, next to the take-all and dense branches.
+TEST(DenseReference, TestGraphHasHubsSelfLoopsAndIsolatedNodes) {
+  Graph g = SamplingTestGraph(1);
+  NeighborIndex index(g);
+  for (int64_t hub = 0; hub < 4; ++hub) {
+    EXPECT_GT(index.OutDegree(hub), 3 * 30);
+    EXPECT_GT(index.InDegree(hub), 3 * 30);
+  }
+  EXPECT_EQ(index.OutDegree(g.num_nodes() - 1) + index.InDegree(g.num_nodes() - 1), 0);
+  bool self_loop = false;
+  for (const Edge& e : g.edges()) {
+    self_loop = self_loop || e.src == e.dst;
+  }
+  EXPECT_TRUE(self_loop);
+}
+
+// The flat-map sampler and FinalizeForDevice produce the hash-based
+// reference's DENSE arrays field for field, at depths 1-4 in every direction.
+TEST(DenseReference, SampleAndFinalizeMatchHashReference) {
+  const std::vector<std::vector<int64_t>> fanout_sets = {
+      {30}, {10, 3}, {3, 5, 2}, {4, 2, 3, 2}};
+  for (uint64_t graph_seed : {1u, 2u, 3u}) {
+    Graph g = SamplingTestGraph(graph_seed);
+    NeighborIndex index(g);
+    for (EdgeDirection dir : kAllDirections) {
+      for (const auto& fanouts : fanout_sets) {
+        DenseSampler sampler(&index, fanouts, dir);
+        for (uint64_t batch = 0; batch < 4; ++batch) {
+          const std::vector<int64_t> targets =
+              MixedTargets(g, graph_seed * 100 + batch, 5 + 20 * static_cast<int64_t>(batch));
+          const uint64_t batch_seed = MixSeed(graph_seed, batch);
+          DenseBatch got = sampler.SampleSeeded(targets, batch_seed);
+          DenseBatch want = RefDenseSampleSeeded(index, fanouts, dir, targets, batch_seed);
+          got.FinalizeForDevice();
+          RefFinalizeForDevice(want);
+          ASSERT_EQ(got.node_id_offsets, want.node_id_offsets);
+          ASSERT_EQ(got.node_ids, want.node_ids);
+          ASSERT_EQ(got.nbr_offsets, want.nbr_offsets);
+          ASSERT_EQ(got.nbrs, want.nbrs);
+          ASSERT_EQ(got.nbr_rels, want.nbr_rels);
+          ASSERT_EQ(got.repr_map, want.repr_map);
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseDeathTest, DuplicateTargetsAbort) {
+  Graph g = SamplingTestGraph(1);
+  NeighborIndex index(g);
+  DenseSampler sampler(&index, {3}, EdgeDirection::kBoth);
+  EXPECT_DEATH(sampler.SampleSeeded({5, 6, 5}, 1), "target_nodes must be unique");
+}
+
+TEST(DenseDeathTest, FinalizeRejectsNeighborOutsideSample) {
+  DenseBatch b;
+  b.node_id_offsets = {0, 1};
+  b.node_ids = {7, 8};
+  b.nbr_offsets = {0};
+  b.nbrs = {9};
+  EXPECT_DEATH(b.FinalizeForDevice(), "nbr id missing from node_ids");
 }
 
 }  // namespace

@@ -76,8 +76,9 @@ TEST(NeighborIndex, SampleRespectsFanout) {
   Graph g = TinyGraph();
   NeighborIndex index(g);
   Rng rng(1);
+  PickScratch picks;
   std::vector<Neighbor> out;
-  const int64_t count = index.SampleOneHop(2, 2, EdgeDirection::kOutgoing, rng, out);
+  const int64_t count = index.SampleOneHop(2, 2, EdgeDirection::kOutgoing, rng, picks, out);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(out.size(), 2u);
   // Sampled without replacement: distinct.
@@ -88,8 +89,9 @@ TEST(NeighborIndex, SampleAllWhenFanoutExceedsDegree) {
   Graph g = TinyGraph();
   NeighborIndex index(g);
   Rng rng(1);
+  PickScratch picks;
   std::vector<Neighbor> out;
-  const int64_t count = index.SampleOneHop(0, 10, EdgeDirection::kIncoming, rng, out);
+  const int64_t count = index.SampleOneHop(0, 10, EdgeDirection::kIncoming, rng, picks, out);
   EXPECT_EQ(count, 2);
 }
 
@@ -97,8 +99,9 @@ TEST(NeighborIndex, BothDirectionsCombines) {
   Graph g = TinyGraph();
   NeighborIndex index(g);
   Rng rng(1);
+  PickScratch picks;
   std::vector<Neighbor> out;
-  const int64_t count = index.SampleOneHop(2, 10, EdgeDirection::kBoth, rng, out);
+  const int64_t count = index.SampleOneHop(2, 10, EdgeDirection::kBoth, rng, picks, out);
   EXPECT_EQ(count, 5);  // 3 outgoing + 2 incoming
 }
 
@@ -106,10 +109,11 @@ TEST(NeighborIndex, SampleCoversAllNeighborsEventually) {
   Graph g = TinyGraph();
   NeighborIndex index(g);
   Rng rng(3);
+  PickScratch picks;
   std::set<int64_t> seen;
   for (int t = 0; t < 200; ++t) {
     std::vector<Neighbor> out;
-    index.SampleOneHop(2, 1, EdgeDirection::kOutgoing, rng, out);
+    index.SampleOneHop(2, 1, EdgeDirection::kOutgoing, rng, picks, out);
     seen.insert(out[0].node);
   }
   EXPECT_EQ(seen, (std::set<int64_t>{0, 1, 3}));
@@ -206,10 +210,11 @@ TEST(NeighborIndex, SubgraphIndexRestrictsSampling) {
   }
   NeighborIndex index(g.num_nodes(), resident);
   Rng rng(7);
+  PickScratch picks;
   std::vector<Neighbor> out;
   for (int64_t v : part.NodesIn(0)) {
     out.clear();
-    index.SampleOneHop(v, 10, EdgeDirection::kBoth, rng, out);
+    index.SampleOneHop(v, 10, EdgeDirection::kBoth, rng, picks, out);
     for (const Neighbor& n : out) {
       EXPECT_TRUE(resident_nodes.count(n.node) == 1)
           << "sampled neighbor outside the resident subgraph";
@@ -221,8 +226,9 @@ TEST(NeighborIndex, GraphWithNoEdges) {
   Graph g(5, {});
   NeighborIndex index(g);
   Rng rng(1);
+  PickScratch picks;
   std::vector<Neighbor> out;
-  EXPECT_EQ(index.SampleOneHop(3, 4, EdgeDirection::kBoth, rng, out), 0);
+  EXPECT_EQ(index.SampleOneHop(3, 4, EdgeDirection::kBoth, rng, picks, out), 0);
   EXPECT_TRUE(out.empty());
 }
 

@@ -8,6 +8,7 @@
 #include "src/sampler/dense.h"
 #include "src/sampler/layerwise.h"
 #include "src/sampler/negative.h"
+#include "tests/sampling_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -125,6 +126,45 @@ TEST(NegativeSampler, RestrictedUniverse) {
     EXPECT_TRUE(v == 5 || v == 10 || v == 15);
   }
   EXPECT_EQ(seen.size(), 3u);
+}
+
+
+// The flat-map layer-wise sampler produces the hash-based reference's blocks
+// field for field, at depths 1-4 in every direction. Targets repeat an id and
+// include isolated nodes: a repeated target keeps its first row.
+TEST(LayerwiseReference, SampleMatchesHashReference) {
+  const std::vector<std::vector<int64_t>> fanout_sets = {
+      {30}, {10, 3}, {3, 5, 2}, {4, 2, 3, 2}};
+  const EdgeDirection dirs[] = {EdgeDirection::kOutgoing, EdgeDirection::kIncoming,
+                                EdgeDirection::kBoth};
+  for (uint64_t graph_seed : {1u, 2u, 3u}) {
+    Graph g = SamplingTestGraph(graph_seed);
+    NeighborIndex index(g);
+    Rng target_rng(graph_seed);
+    for (EdgeDirection dir : dirs) {
+      for (const auto& fanouts : fanout_sets) {
+        LayerwiseSampler sampler(&index, fanouts, dir);
+        for (uint64_t batch = 0; batch < 3; ++batch) {
+          std::vector<int64_t> targets = {0, g.num_nodes() - 1, 1};
+          for (int i = 0; i < 8; ++i) {
+            targets.push_back(target_rng.UniformInt(0, g.num_nodes()));
+          }
+          targets.push_back(targets[3]);
+          const uint64_t batch_seed = MixSeed(graph_seed, batch);
+          const LayerwiseSample got = sampler.SampleSeeded(targets, batch_seed);
+          const LayerwiseSample want =
+              RefLayerwiseSampleSeeded(index, fanouts, dir, targets, batch_seed);
+          ASSERT_EQ(got.blocks.size(), want.blocks.size());
+          for (size_t k = 0; k < got.blocks.size(); ++k) {
+            ASSERT_EQ(got.blocks[k].dst_nodes, want.blocks[k].dst_nodes) << "block " << k;
+            ASSERT_EQ(got.blocks[k].src_nodes, want.blocks[k].src_nodes) << "block " << k;
+            ASSERT_EQ(got.blocks[k].edge_dst, want.blocks[k].edge_dst) << "block " << k;
+            ASSERT_EQ(got.blocks[k].edge_src, want.blocks[k].edge_src) << "block " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // determinism contract of src/serve/server.h), hot snapshot swaps must never
 // drop a request or mix epochs within one answer, a snapshot load must read
 // one file even while saves are renamed onto its path, a retired format-v1
-// checkpoint is refused without disturbing the epoch being served, and a
-// query naming a node or relation the graph does not have aborts on the
-// caller's thread.
+// checkpoint is refused without disturbing the epoch being served, a query
+// naming a node or relation the graph does not have aborts on the caller's
+// thread, and a link query's row plan equals its hash-based reference.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -24,6 +24,7 @@
 #include "src/serve/server.h"
 #include "src/util/binary_io.h"
 #include "tests/checkpoint_test_util.h"
+#include "tests/sampling_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -477,6 +478,31 @@ TEST(ServeNcDeathTest, ClassifyRejectsOutOfRangeNode) {
   EXPECT_DEATH(server.ClassifyUnbatched(n),
                "serve: node " + std::to_string(n) + " is out of range");
   std::remove(path.c_str());
+}
+
+
+// A link query's plan from the flat map equals the hash-based reference's:
+// the source first, then each candidate's first occurrence, with repeated
+// candidates (and a candidate equal to the source) sharing their row.
+TEST(ServePlan, PlanLinkQueryMatchesHashReference) {
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int64_t universe = 1 + rng.UniformInt(0, trial < 100 ? 20 : 100000);
+    const int64_t src = rng.UniformInt(0, universe);
+    std::vector<int64_t> candidates;
+    const int64_t count = rng.UniformInt(0, 300);
+    for (int64_t i = 0; i < count; ++i) {
+      candidates.push_back(i % 7 == 3 ? src : rng.UniformInt(0, universe));
+    }
+    if (!candidates.empty()) {
+      candidates.push_back(candidates.front());
+    }
+    const InferenceServer::LinkPlan got = InferenceServer::PlanLinkQuery(src, candidates);
+    const RefLinkPlan want = RefPlanLinkQuery(src, candidates);
+    ASSERT_EQ(got.targets, want.targets) << "trial " << trial;
+    ASSERT_EQ(got.src_row, want.src_row);
+    ASSERT_EQ(got.cand_rows, want.cand_rows);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "src/util/binary_io.h"
 #include "src/util/compute.h"
+#include "src/util/node_row_map.h"
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "src/util/timer.h"
@@ -17,6 +19,7 @@
 #if defined(__x86_64__)
 #include "cmake/host_x86_64_v3.h"
 #endif
+#include "tests/sampling_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -113,9 +116,10 @@ TEST(Rng, ShufflePreservesElements) {
 
 TEST(Rng, SampleWithoutReplacementDistinct) {
   Rng rng(13);
+  PickScratch scratch;
   for (int64_t population : {10, 100, 10000}) {
     for (int64_t count : {1, 5, 9}) {
-      auto s = rng.SampleWithoutReplacement(population, count);
+      auto s = rng.SampleWithoutReplacement(population, count, &scratch);
       ASSERT_EQ(static_cast<int64_t>(s.size()), count);
       std::set<int64_t> uniq(s.begin(), s.end());
       EXPECT_EQ(static_cast<int64_t>(uniq.size()), count);
@@ -129,7 +133,8 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
 
 TEST(Rng, SampleWithoutReplacementAllWhenCountExceeds) {
   Rng rng(13);
-  auto s = rng.SampleWithoutReplacement(5, 10);
+  PickScratch scratch;
+  auto s = rng.SampleWithoutReplacement(5, 10, &scratch);
   ASSERT_EQ(s.size(), 5u);
   std::sort(s.begin(), s.end());
   for (int64_t i = 0; i < 5; ++i) {
@@ -140,16 +145,118 @@ TEST(Rng, SampleWithoutReplacementAllWhenCountExceeds) {
 TEST(Rng, SampleWithoutReplacementUniformish) {
   // Each element of [0,20) should appear in roughly half of 10-element samples.
   Rng rng(17);
+  PickScratch scratch;
   std::vector<int> hits(20, 0);
   const int trials = 4000;
   for (int t = 0; t < trials; ++t) {
-    for (int64_t v : rng.SampleWithoutReplacement(20, 10)) {
+    for (int64_t v : rng.SampleWithoutReplacement(20, 10, &scratch)) {
       ++hits[static_cast<size_t>(v)];
     }
   }
   for (int h : hits) {
     EXPECT_NEAR(static_cast<double>(h) / trials, 0.5, 0.06);
   }
+}
+
+// One scratch reused across every draw (as a sampler reuses it across nodes)
+// must give the hash-set reference's picks, in order, and leave the generator
+// in the reference's state after each draw, on every branch: take-all, the
+// dense partial Fisher–Yates and Floyd's sparse draw.
+TEST(Rng, SampleWithoutReplacementMatchesHashReference) {
+  Rng rng(23);
+  Rng ref(23);
+  PickScratch scratch;
+  uint64_t got_state[4];
+  uint64_t want_state[4];
+  const int64_t populations[] = {0, 1, 2, 7, 30, 31, 90, 1000, 70000};
+  const int64_t counts[] = {0, 1, 3, 10, 30, 33, 500};
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t population : populations) {
+      for (int64_t count : counts) {
+        const std::vector<int64_t> want = RefSampleWithoutReplacement(ref, population, count);
+        const std::vector<int64_t>& got =
+            rng.SampleWithoutReplacement(population, count, &scratch);
+        ASSERT_EQ(got, want) << "population " << population << " count " << count;
+        rng.SaveState(got_state);
+        ref.SaveState(want_state);
+        for (int w = 0; w < 4; ++w) {
+          ASSERT_EQ(got_state[w], want_state[w]) << "population " << population;
+        }
+      }
+    }
+  }
+}
+
+TEST(NodeRowMap, GrowthKeepsFirstOccurrenceRows) {
+  // Starts at the 16-slot minimum and grows to 2^17 slots (2^16 keys at load
+  // 1/2); every key keeps the row of its first Emplace through every rehash.
+  NodeRowMap map;
+  EXPECT_EQ(map.capacity(), 16);
+  const int64_t n = int64_t{1} << 16;
+  auto key_of = [](int64_t i) { return (i * 7919) % 1000003; };  // distinct for i < n
+  for (int64_t i = 0; i < n; ++i) {
+    const auto [row, inserted] = map.Emplace(key_of(i), i);
+    ASSERT_TRUE(inserted);
+    ASSERT_EQ(row, i);
+    // A repeated key keeps its first row.
+    const auto [again, reinserted] = map.Emplace(key_of(i / 2), n + i);
+    ASSERT_FALSE(reinserted);
+    ASSERT_EQ(again, i / 2);
+    ASSERT_LE(2 * map.size(), map.capacity());
+  }
+  EXPECT_EQ(map.size(), n);
+  EXPECT_EQ(map.capacity(), 2 * n);
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(map.Find(key_of(i)), i);
+  }
+}
+
+TEST(NodeRowMap, FindReturnsMinusOneForAbsentKeys) {
+  NodeRowMap map(4);
+  EXPECT_EQ(map.Find(0), -1);
+  EXPECT_EQ(map.Find(12345), -1);
+  map.Emplace(5, 0);
+  map.Emplace(21, 1);
+  EXPECT_EQ(map.Find(5), 0);
+  EXPECT_EQ(map.Find(21), 1);
+  for (int64_t k = 0; k < 1000; ++k) {
+    if (k != 5 && k != 21) {
+      ASSERT_EQ(map.Find(k), -1) << k;
+    }
+  }
+  map.Reset(4);
+  EXPECT_EQ(map.size(), 0);
+  EXPECT_EQ(map.Find(5), -1);
+}
+
+TEST(NodeRowMap, ExtremeAndStridedKeysResolve) {
+  NodeRowMap map;
+  const int64_t max_key = std::numeric_limits<int64_t>::max();
+  map.Emplace(0, 10);
+  map.Emplace(max_key, 11);
+  // Multiples of 2^32 differ only in their high word; a hash of the low bits
+  // alone would put them all in one slot.
+  for (int64_t i = 1; i <= 1000; ++i) {
+    map.Emplace(i << 32, 100 + i);
+  }
+  EXPECT_EQ(map.Find(0), 10);
+  EXPECT_EQ(map.Find(max_key), 11);
+  for (int64_t i = 1; i <= 1000; ++i) {
+    ASSERT_EQ(map.Find(i << 32), 100 + i);
+  }
+  EXPECT_EQ(map.Find(int64_t{1001} << 32), -1);
+  EXPECT_EQ(map.Find(max_key - 1), -1);
+  EXPECT_EQ(map.size(), 1002);
+}
+
+TEST(NodeRowMapDeathTest, NegativeKeyTripsDcheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "MG_DCHECK compiles out under NDEBUG";
+#else
+  NodeRowMap map;
+  EXPECT_DEATH(map.Emplace(-1, 0), "key >= 0");
+  EXPECT_DEATH(map.Find(-7), "key >= 0");
+#endif
 }
 
 TEST(ComputeContext, ForEachChunkOrderedFoldsInAscendingOrder) {
