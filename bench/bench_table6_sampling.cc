@@ -1,7 +1,10 @@
 // Table 6 reproduction: per-mini-batch CPU sampling time, device compute time
 // (forward+backward), and #nodes/#edges sampled, for GraphSage GNNs of depth 1-5,
 // comparing DENSE against DGL/PyG-style layer-wise resampling. Fanout: 10 incoming +
-// 10 outgoing per node per layer, as in the paper.
+// 10 outgoing per node per layer, as in the paper. Both methods run the one
+// GnnEncoder; the compute column includes lowering the sample to the encoder's plan
+// (PlanFromDense / PlanFromBlocks), so it covers each method's per-layer index work.
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -44,7 +47,8 @@ Measurement MeasureDense(const Graph& /*graph*/, const NeighborIndex& index, int
     Tensor h0 = Tensor::Normal(batch.num_nodes(), kDim, 0.5f, rng);
     Tensor grad = Tensor::Full(static_cast<int64_t>(targets.size()), kDim, 1.0f);
     WallTimer t2;
-    encoder.Forward(batch, h0);
+    GnnPlan plan = PlanFromDense(std::move(batch));
+    encoder.Forward(plan, h0);
     encoder.Backward(grad);
     m.compute_ms += t2.Millis();
   }
@@ -59,7 +63,7 @@ Measurement MeasureLayerwise(const Graph& /*graph*/, const NeighborIndex& index,
   LayerwiseSampler sampler(&index, fanouts, EdgeDirection::kBoth, 3);
   Rng rng(7);
   std::vector<int64_t> dims(static_cast<size_t>(depth) + 1, kDim);
-  BlockEncoder encoder(GnnLayerType::kGraphSage, dims, Activation::kRelu, rng);
+  GnnEncoder encoder(GnnLayerType::kGraphSage, dims, Activation::kRelu, rng);
 
   Measurement m;
   for (int r = 0; r < kRounds; ++r) {
@@ -72,7 +76,8 @@ Measurement MeasureLayerwise(const Graph& /*graph*/, const NeighborIndex& index,
     Tensor h0 = Tensor::Normal(sample.NumInputNodes(), kDim, 0.5f, rng);
     Tensor grad = Tensor::Full(static_cast<int64_t>(targets.size()), kDim, 1.0f);
     WallTimer t2;
-    encoder.Forward(sample, h0);
+    GnnPlan plan = PlanFromBlocks(sample);
+    encoder.Forward(plan, h0);
     encoder.Backward(grad);
     m.compute_ms += t2.Millis();
   }

@@ -133,8 +133,9 @@ struct TrainingConfig {
     return CreateGradientExchange(replica);
   }
 
-  // Stage-3 compute handle for one trainer, recording into `stats` (both trainers
-  // build theirs through this so the wiring cannot diverge).
+  // Stage-3 compute handle for one trainer (both trainers build theirs through
+  // this so the wiring cannot diverge). The trainers pass no `stats` sink; only
+  // benchmark/replay.cc records region timings into one.
   ComputeContext MakeComputeContext(ComputeStats* stats) const {
     ComputeContext ctx;
     if (pipeline.parallel_compute) {
@@ -155,10 +156,6 @@ struct EpochStats {
   // across workers, io = modeled partition IO, compute = the training stage's wall
   // time, stalls = time a stage spent waiting on another.
   double compute_seconds = 0.0;
-  // Scaling quality of the stage-3 parallel kernels: per-chunk busy time divided by
-  // the capacity actually enlisted (sum of region wall x executors). 1.0 = every
-  // region fully used its threads; serial runs report 1.0.
-  double compute_parallel_efficiency = 1.0;
   double sample_seconds = 0.0;    // batch construction (overlaps compute when pipelined)
   double io_seconds = 0.0;        // total modeled IO
   double io_stall_seconds = 0.0;  // IO not hidden by prefetch overlap

@@ -20,9 +20,7 @@ struct LinkPredictionTrainer::PreparedBatch {
   std::vector<int64_t> dst_rows;
   std::vector<int64_t> neg_rows;
   std::vector<int32_t> rels;
-  DenseBatch dense;
-  std::vector<int64_t> dense_nodes;  // node_ids snapshot (dense is consumed by Forward)
-  LayerwiseSample layerwise;
+  GnnPlan plan;  // empty without a GNN
 };
 
 LinkPredictionTrainer::LinkPredictionTrainer(const Graph* graph, TrainingConfig config)
@@ -138,51 +136,32 @@ std::shared_ptr<void> LinkPredictionTrainer::PrepareBatch(
     batch.neg_rows.push_back(row(n));
   }
 
-  if (model_.dense_sampler != nullptr) {
-    batch.dense = model_.dense_sampler->SampleSeeded(batch.targets, MixSeed(batch_seed, 2));
-    batch.dense.FinalizeForDevice();
-    batch.dense_nodes = batch.dense.node_ids;
-  } else if (model_.layerwise_sampler != nullptr) {
-    batch.layerwise =
-        model_.layerwise_sampler->SampleSeeded(batch.targets, MixSeed(batch_seed, 3));
+  if (model_.has_gnn()) {
+    batch.plan = model_.SamplePlan(batch.targets, model_.TrainingSampleSeed(batch_seed),
+                                   *sample_index_);
   }
   return prepared;
 }
 
 void LinkPredictionTrainer::ConsumeBatch(void* item, EpochStats* stats) {
   PreparedBatch& batch = *static_cast<PreparedBatch*>(item);
+  const bool gnn = model_.has_gnn();
+  // The touched sparse rows: the plan's input nodes, or the targets themselves.
+  const std::vector<int64_t>& rows = gnn ? batch.plan.input_nodes : batch.targets;
   Tensor reprs;
-  if (model_.encoder != nullptr) {
-    Tensor h0;
-    embeddings_->Gather(batch.dense_nodes, &h0);
-    reprs = model_.encoder->Forward(batch.dense, h0);
-  } else if (model_.block_encoder != nullptr) {
-    Tensor h0;
-    embeddings_->Gather(batch.layerwise.input_nodes(), &h0);
-    reprs = model_.block_encoder->Forward(batch.layerwise, h0);
-  } else {
-    embeddings_->Gather(batch.targets, &reprs);
+  embeddings_->Gather(rows, &reprs);
+  if (gnn) {
+    reprs = model_.encoder->Forward(batch.plan, reprs);
   }
 
   Tensor d_reprs(reprs.rows(), reprs.cols());
   const float loss = model_.decoder->LossAndGrad(reprs, batch.src_rows, batch.dst_rows,
                                                  batch.rels, batch.neg_rows, &d_reprs);
 
-  // The touched sparse rows + their gradients for this batch; every update —
-  // sparse and dense — is applied through the gradient-exchange seam.
-  const std::vector<int64_t>* sparse_nodes = nullptr;
-  Tensor sparse_grads;
-  if (model_.encoder != nullptr) {
-    sparse_grads = model_.encoder->Backward(d_reprs);
-    sparse_nodes = &batch.dense_nodes;
-  } else if (model_.block_encoder != nullptr) {
-    sparse_grads = model_.block_encoder->Backward(d_reprs);
-    sparse_nodes = &batch.layerwise.input_nodes();
-  } else {
-    sparse_grads = std::move(d_reprs);
-    sparse_nodes = &batch.targets;
-  }
-  ExchangeApply(/*has_batch=*/true, loss, sparse_nodes, &sparse_grads, stats);
+  // Every update — sparse and dense — is applied through the gradient-exchange
+  // seam.
+  const Tensor sparse_grads = gnn ? model_.encoder->Backward(d_reprs) : std::move(d_reprs);
+  ExchangeApply(/*has_batch=*/true, loss, &rows, &sparse_grads, stats);
 }
 
 CheckpointSectionSpec LinkPredictionTrainer::MakeBufferSectionSpec(

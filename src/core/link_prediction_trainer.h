@@ -5,8 +5,8 @@
 //    Marius) and k-layer GNN encoders (GraphSage/GCN/GAT);
 //  - in-memory training (the whole graph resident) and disk-based training through the
 //    partition buffer with a COMET or BETA replacement policy;
-//  - DENSE sampling (MariusGNN) or baseline layer-wise sampling + block execution
-//    (in-memory only, mirroring DGL/PyG's capabilities);
+//  - DENSE sampling (MariusGNN) or baseline layer-wise sampling (in-memory only,
+//    mirroring DGL/PyG's capabilities), both lowered to the one encoder's plan;
 //  - pipelined mini-batch construction.
 //
 // The model itself (encoder/decoder/optimizer/samplers) lives in the inherited

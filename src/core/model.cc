@@ -1,5 +1,7 @@
 #include "src/core/model.h"
 
+#include <utility>
+
 #include "src/util/check.h"
 
 namespace mariusgnn {
@@ -34,14 +36,12 @@ ModelState ModelState::Build(TaskKind kind, const Graph& graph,
     // Link prediction trains its node embeddings through d(h0); node classification
     // reads fixed features, so its encoder computes no input gradient.
     const bool trains_inputs = kind == TaskKind::kLinkPrediction;
+    m.encoder = std::make_unique<GnnEncoder>(config.layer_type, config.dims,
+                                             Activation::kRelu, rng, trains_inputs);
     if (config.sampler == SamplerKind::kDense) {
-      m.encoder = std::make_unique<GnnEncoder>(config.layer_type, config.dims,
-                                               Activation::kRelu, rng, trains_inputs);
       m.dense_sampler = std::make_unique<DenseSampler>(nullptr, config.fanouts,
                                                        config.direction, config.seed + 1);
     } else {
-      m.block_encoder = std::make_unique<BlockEncoder>(
-          config.layer_type, config.dims, Activation::kRelu, rng, trains_inputs);
       m.layerwise_sampler = std::make_unique<LayerwiseSampler>(
           nullptr, config.fanouts, config.direction, config.seed + 1);
     }
@@ -55,8 +55,6 @@ ModelState ModelState::Build(TaskKind kind, const Graph& graph,
 
   if (m.encoder != nullptr) {
     m.params = m.encoder->Parameters();
-  } else if (m.block_encoder != nullptr) {
-    m.params = m.block_encoder->Parameters();
   }
   if (m.decoder != nullptr) {
     for (Parameter* p : m.decoder->Parameters()) {
@@ -75,9 +73,6 @@ void ModelState::SetCompute(const ComputeContext* compute) {
   if (encoder != nullptr) {
     encoder->set_compute(compute);
   }
-  if (block_encoder != nullptr) {
-    block_encoder->set_compute(compute);
-  }
   if (decoder != nullptr) {
     decoder->set_compute(compute);
   }
@@ -87,23 +82,28 @@ void ModelState::SetCompute(const ComputeContext* compute) {
   weight_opt->set_compute(compute);
 }
 
+GnnPlan ModelState::SamplePlan(const std::vector<int64_t>& nodes, uint64_t seed,
+                               const NeighborIndex& index) const {
+  if (dense_sampler != nullptr) {
+    DenseBatch batch = dense_sampler->SampleSeeded(nodes, seed, &index);
+    batch.FinalizeForDevice();
+    return PlanFromDense(std::move(batch));
+  }
+  MG_CHECK_MSG(layerwise_sampler != nullptr, "SamplePlan requires a GNN");
+  return PlanFromBlocks(layerwise_sampler->SampleSeeded(nodes, seed, &index));
+}
+
 Tensor ModelState::InferReprs(
     const std::vector<int64_t>& nodes, uint64_t sample_seed,
     const NeighborIndex& index,
     const std::function<Tensor(const std::vector<int64_t>&)>& gather,
     const ComputeContext* compute) const {
-  if (encoder != nullptr) {
-    DenseBatch batch = dense_sampler->SampleSeeded(nodes, sample_seed, &index);
-    batch.FinalizeForDevice();
-    Tensor h0 = gather(batch.node_ids);
-    return encoder->InferForward(batch, h0, compute);
+  if (!has_gnn()) {
+    return gather(nodes);
   }
-  if (block_encoder != nullptr) {
-    LayerwiseSample sample = layerwise_sampler->SampleSeeded(nodes, sample_seed, &index);
-    Tensor h0 = gather(sample.input_nodes());
-    return block_encoder->InferForward(sample, h0, compute);
-  }
-  return gather(nodes);
+  GnnPlan plan = SamplePlan(nodes, sample_seed, index);
+  const Tensor h0 = gather(plan.input_nodes);
+  return encoder->InferForward(plan, h0, compute);
 }
 
 Tensor ModelState::InferLogits(

@@ -1,13 +1,13 @@
 // The shared model object behind both trainers and the serving tier.
 //
 // ModelState owns everything that defines "the model" for one task: the GNN
-// encoder (DENSE or baseline block execution), the task head (link-prediction
-// decoder or node-classification linear layer), the weight optimizer, the
-// Parameters() list in checkpoint section order, and the neighborhood samplers.
-// Both trainers construct one through ModelState::Build — so the two cannot
-// drift — and the inference server loads checkpoint parameters into one and
-// drives the const forward path (InferForward / SampleForInference) that never
-// mutates shared state, making a single ModelState safe for concurrent readers.
+// encoder, the task head (link-prediction decoder or node-classification linear
+// layer), the weight optimizer, the Parameters() list in checkpoint section
+// order, and the neighborhood sampler. Both trainers construct one through
+// ModelState::Build — so the two cannot drift — and the inference server loads
+// checkpoint parameters into one and drives the const path (SamplePlan /
+// InferReprs) that never mutates shared state, making a single ModelState safe
+// for concurrent readers.
 #ifndef SRC_CORE_MODEL_H_
 #define SRC_CORE_MODEL_H_
 
@@ -31,7 +31,7 @@ namespace mariusgnn {
 
 enum class SamplerKind {
   kDense,      // MariusGNN: DENSE with one-hop sample reuse (Algorithm 1)
-  kLayerwise,  // baseline: DGL/PyG-style per-layer resampling + block execution
+  kLayerwise,  // baseline: DGL/PyG-style per-layer resampling into bipartite blocks
 };
 
 enum class TaskKind { kLinkPrediction, kNodeClassification };
@@ -59,10 +59,9 @@ struct ModelState {
   TaskKind kind = TaskKind::kLinkPrediction;
   ModelConfig config;
 
-  // Exactly one encoder is set when num_layers > 0 (DENSE vs baseline); both are
-  // null for decoder-only link prediction.
+  // Set when num_layers > 0, for either sampler; null for decoder-only link
+  // prediction.
   std::unique_ptr<GnnEncoder> encoder;
-  std::unique_ptr<BlockEncoder> block_encoder;
   std::unique_ptr<Decoder> decoder;   // link prediction
   std::unique_ptr<LinearLayer> head;  // node classification
   std::unique_ptr<Adagrad> weight_opt;
@@ -71,6 +70,7 @@ struct ModelState {
   // point into the unique_ptr-owned components.
   std::vector<Parameter*> params;
 
+  // The one sampler config.sampler names (both null without a GNN).
   std::unique_ptr<DenseSampler> dense_sampler;
   std::unique_ptr<LayerwiseSampler> layerwise_sampler;
 
@@ -87,17 +87,30 @@ struct ModelState {
   // (training path; the const inference entry points take their own handle).
   void SetCompute(const ComputeContext* compute);
 
-  bool has_gnn() const { return encoder != nullptr || block_encoder != nullptr; }
+  bool has_gnn() const { return encoder != nullptr; }
   int64_t out_dim() const { return config.dims.back(); }
+
+  // Samples the k-hop neighborhood of `nodes` over `index`, entirely derived
+  // from `seed` (never the samplers' internal RNG or index pointer), and lowers
+  // it to the encoder's plan (PlanFromDense / PlanFromBlocks). Const and pure:
+  // the trainers call it from pipeline stage 1 and InferReprs from evaluation
+  // and serving threads. Requires has_gnn().
+  GnnPlan SamplePlan(const std::vector<int64_t>& nodes, uint64_t seed,
+                     const NeighborIndex& index) const;
+
+  // The sample seed of a training batch: MixSeed(batch_seed, 2) for DENSE and
+  // MixSeed(batch_seed, 3) for layer-wise (the negatives use salt 1).
+  uint64_t TrainingSampleSeed(uint64_t batch_seed) const {
+    return MixSeed(batch_seed, config.sampler == SamplerKind::kDense ? 2 : 3);
+  }
 
   // --- Const inference path (shared by trainer evaluation and the server) ---
   //
-  // Samples the k-hop neighborhood of `nodes`, entirely derived from
-  // `sample_seed` + `index` (never the samplers' internal RNG or index pointer),
-  // gathers base representations through `gather` (rows align with the sample's
-  // input nodes), and runs the inference-only forward. Bitwise-pure: the same
-  // (model state, nodes, seed, index) always produces the same bits, and no
-  // shared state is written, so concurrent calls are safe.
+  // SamplePlan with `sample_seed`, gathers base representations through
+  // `gather` (rows align with the plan's input nodes), and runs the
+  // inference-only forward. Bitwise-pure: the same (model state, nodes, seed,
+  // index) always produces the same bits, and no shared state is written, so
+  // concurrent calls are safe.
   Tensor InferReprs(const std::vector<int64_t>& nodes, uint64_t sample_seed,
                     const NeighborIndex& index,
                     const std::function<Tensor(const std::vector<int64_t>&)>& gather,

@@ -11,9 +11,7 @@ namespace mariusgnn {
 struct NodeClassificationTrainer::PreparedBatch {
   std::vector<int64_t> nodes;  // batch target nodes
   std::vector<int64_t> labels;
-  DenseBatch dense;
-  std::vector<int64_t> dense_nodes;
-  LayerwiseSample layerwise;
+  GnnPlan plan;
 };
 
 NodeClassificationTrainer::NodeClassificationTrainer(const Graph* graph,
@@ -86,35 +84,20 @@ std::shared_ptr<void> NodeClassificationTrainer::PrepareBatch(
   for (int64_t v : nodes) {
     batch.labels.push_back(graph_->labels()[static_cast<size_t>(v)]);
   }
-  if (model_.dense_sampler != nullptr) {
-    batch.dense = model_.dense_sampler->SampleSeeded(nodes, MixSeed(batch_seed, 2));
-    batch.dense.FinalizeForDevice();
-    batch.dense_nodes = batch.dense.node_ids;
-  } else {
-    batch.layerwise = model_.layerwise_sampler->SampleSeeded(nodes, MixSeed(batch_seed, 3));
-  }
+  batch.plan =
+      model_.SamplePlan(nodes, model_.TrainingSampleSeed(batch_seed), *sample_index_);
   return prepared;
 }
 
 void NodeClassificationTrainer::ConsumeBatch(void* item, EpochStats* stats) {
   PreparedBatch& batch = *static_cast<PreparedBatch*>(item);
-  Tensor reprs;
-  if (model_.encoder != nullptr) {
-    Tensor h0 = GatherFeatures(batch.dense_nodes, /*from_graph=*/false);
-    reprs = model_.encoder->Forward(batch.dense, h0);
-  } else {
-    Tensor h0 = GatherFeatures(batch.layerwise.input_nodes(), /*from_graph=*/false);
-    reprs = model_.block_encoder->Forward(batch.layerwise, h0);
-  }
+  // Node classification always has a GNN (ValidateConfig).
+  const Tensor h0 = GatherFeatures(batch.plan.input_nodes, /*from_graph=*/false);
+  const Tensor reprs = model_.encoder->Forward(batch.plan, h0);
   Tensor logits = model_.head->Forward(reprs);
   Tensor dlogits;
   const float loss = SoftmaxCrossEntropy(logits, batch.labels, &dlogits, &compute_);
-  Tensor dreprs = model_.head->Backward(dlogits);
-  if (model_.encoder != nullptr) {
-    model_.encoder->Backward(dreprs);
-  } else {
-    model_.block_encoder->Backward(dreprs);
-  }
+  model_.encoder->Backward(model_.head->Backward(dlogits));
   // Features are fixed inputs: no sparse stream, only the dense weights go
   // through the gradient-exchange seam.
   ExchangeApply(/*has_batch=*/true, loss, nullptr, nullptr, stats);

@@ -30,7 +30,7 @@ TrainerBase::TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kin
     : graph_(graph),
       config_(std::move(config)),
       rng_(config_.seed),
-      compute_(config_.MakeComputeContext(&compute_stats_)),
+      compute_(config_.MakeComputeContext(nullptr)),
       model_(ModelState::Build(kind, *graph, config_.model_config(), rng_)) {
   model_.SetCompute(&compute_);
   exchange_ = config_.MakeGradientExchange();
@@ -162,7 +162,6 @@ void TrainerBase::SharedWritebackBarrier() {
 // workers never claim an index beyond the announced limit.
 EpochStats TrainerBase::RunEpoch() {
   EpochStats stats;
-  compute_stats_.Reset();
   const EpochPlan plan = PlanEpoch();
   stats.num_partition_sets = plan.num_sets();
 
@@ -237,17 +236,12 @@ EpochStats TrainerBase::RunEpoch() {
     }
 
     // X_i, run as one session segment. Workers only call const, seed-driven
-    // sampling methods, so pointing the samplers at this set's index up front
-    // is the only sampler state the segment needs.
+    // sampling methods, so this set's index is the only sampling state the
+    // segment needs.
     segment.examples = SetExamples(plan, i);
     const int64_t total = static_cast<int64_t>(segment.examples.size());
     if (total > 0) {
-      if (model_.dense_sampler != nullptr) {
-        model_.dense_sampler->set_index(index);
-      }
-      if (model_.layerwise_sampler != nullptr) {
-        model_.layerwise_sampler->set_index(index);
-      }
+      sample_index_ = index;
       segment.seed = rng_.Next();
       segment.base = session.announced();
       const int64_t num_batches = (total + batch_size - 1) / batch_size;
@@ -293,7 +287,6 @@ EpochStats TrainerBase::RunEpoch() {
     stats.io_queue_depth_mean = engine_io.queue_depth_mean;
     stats.io_inflight_peak = engine_io.inflight_peak;
   }
-  stats.compute_parallel_efficiency = compute_stats_.ParallelEfficiency();
   if (stats.num_global_batches > 0) {
     stats.loss /= static_cast<double>(stats.num_global_batches);
   }

@@ -77,8 +77,8 @@ class TrainerBase {
   TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kind);
 
   // Epoch-loop task hooks. Per epoch RunEpoch calls PlanEpoch once, then
-  // for each set i: makes S_i resident, stages the next set, points the
-  // samplers at S_i's edge index, calls SetExamples(plan, i), and pipelines
+  // for each set i: makes S_i resident, stages the next set, points
+  // sample_index_ at S_i's edge index, calls SetExamples(plan, i), and pipelines
   // those examples in batch_size slices through PrepareBatch (worker threads)
   // and ConsumeBatch (this thread, in batch order).
   //
@@ -141,9 +141,7 @@ class TrainerBase {
   int64_t epochs_completed_ = 0;
 
   // Stage-3 parallel compute: handle threaded into the model's components (and
-  // the derived trainer's stores), plus the per-epoch scaling counters behind
-  // EpochStats.compute_parallel_efficiency.
-  ComputeStats compute_stats_;
+  // the derived trainer's stores).
   ComputeContext compute_;
 
   // Gradient-exchange seam (src/comm/): LocalExchange identity for world=1,
@@ -163,6 +161,9 @@ class TrainerBase {
   CheckpointSaveStats last_checkpoint_stats_;
 
   ModelState model_;
+  // The neighbor index of the set being trained, which PrepareBatch samples
+  // over. RunEpoch sets it before each segment starts, so workers only read it.
+  const NeighborIndex* sample_index_ = nullptr;
 
   // Disk mode: the node partitioning and the partition buffer over it. Both
   // null in memory mode.

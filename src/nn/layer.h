@@ -1,13 +1,17 @@
-// GNN layer abstraction shared by the DENSE execution path and the baseline per-block
-// (DGL/PyG-style) execution path.
+// GNN layer abstraction, and the per-layer plan every batch is lowered to.
 //
 // A LayerView describes one aggregation step over an input representation matrix h:
 //  - self_rows[s]  : the row of h holding output node s's own representation.
-//  - nbr_rows[e]   : the row of h holding neighbor entry e's representation. For the
-//                    DENSE path this is exactly the repr_map array of the paper, and
+//  - nbr_rows[e]   : the row of h holding neighbor entry e's representation. For a
+//                    DENSE batch this is exactly the repr_map array of the paper, and
 //                    neighbor entries of each output node are contiguous.
 //  - seg_offsets   : size |self_rows|+1; neighbor entries of output node s occupy
 //                    nbr_rows[seg_offsets[s] .. seg_offsets[s+1]).
+//
+// A GnnPlan is a batch ready for the encoder: the node ids behind the rows of the
+// base representations h0, plus one index-only LayerView per layer. Both samplers
+// lower to it in pipeline stage 1 (PlanFromDense / PlanFromBlocks, encoder.h); the
+// encoder fills in each view's h and compute handle as it runs the layers.
 //
 // Layers return the output representations for the view's output nodes. Backward
 // consumes the gradient of the output, accumulates weight gradients into their
@@ -36,6 +40,11 @@ struct LayerView {
 
   int64_t num_outputs() const { return static_cast<int64_t>(self_rows.size()); }
   int64_t num_inputs() const { return h->rows(); }
+};
+
+struct GnnPlan {
+  std::vector<int64_t> input_nodes;  // node id of each h0 row
+  std::vector<LayerView> layers;     // layers[0] runs first; h and compute unset
 };
 
 // Opaque per-invocation saved state; each layer derives its own. Forward copies the

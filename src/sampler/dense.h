@@ -98,7 +98,6 @@ class DenseSampler {
                           uint64_t batch_seed, const NeighborIndex* index) const;
 
   int64_t num_layers() const { return static_cast<int64_t>(fanouts_.size()); }
-  void set_index(const NeighborIndex* index) { index_ = index; }
 
  private:
   const NeighborIndex* index_;

@@ -66,7 +66,6 @@ class LayerwiseSampler {
                                const NeighborIndex* index) const;
 
   int64_t num_layers() const { return static_cast<int64_t>(fanouts_.size()); }
-  void set_index(const NeighborIndex* index) { index_ = index; }
 
  private:
   const NeighborIndex* index_;

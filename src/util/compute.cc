@@ -89,16 +89,22 @@ void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
       lockfree_serial ? 0 : static_cast<int64_t>(pool->IdleThreads());
   // Serial path: same chunks, ascending order, so bits match the parallel path.
   // OnWorkerThread guards nested use from a pool task (a leaf region there).
+  // The clock is read only when a stats sink is set.
   if (lockfree_serial || idle == 0) {
+    const auto run_serial = [&] {
+      for (int64_t c = 0; c < chunks; ++c) {
+        body(c, c * grain, std::min((c + 1) * grain, n));
+      }
+    };
+    if (stats == nullptr) {
+      run_serial();
+      return;
+    }
     WallTimer timer;
-    for (int64_t c = 0; c < chunks; ++c) {
-      body(c, c * grain, std::min((c + 1) * grain, n));
-    }
-    if (stats != nullptr) {
-      const double s = timer.Seconds();
-      stats->busy_seconds += s;
-      stats->capacity_seconds += s;  // one executor: capacity == busy
-    }
+    run_serial();
+    const double s = timer.Seconds();
+    stats->busy_seconds += s;
+    stats->capacity_seconds += s;  // one executor: capacity == busy
     return;
   }
 

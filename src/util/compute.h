@@ -47,11 +47,10 @@ inline constexpr int64_t kComputeGrainCandidates = 1024;
 // not units of work (the kernels run over destination rows at kComputeGrainRows),
 // so this grain fixes bits only.
 inline constexpr int64_t kComputeGrainScatterRows = 512;
-// Per-edge counting sort (BlockToView): each chunk owns a num_dst-sized histogram
-// and cursor array, so the grain is coarse enough to amortize both passes.
-inline constexpr int64_t kComputeGrainSortEdges = 2048;
 
-// Aggregate counters for the parallel compute regions of one epoch.
+// Aggregate counters for the parallel compute regions of one epoch. No trainer
+// records them; they stay only because benchmark/replay.cc names this type and
+// ComputeContext::stats.
 struct ComputeStats {
   double busy_seconds = 0.0;      // summed per-chunk execution time across threads
   // Sum over regions of (region wall x threads that actually executed >= 1 of its

@@ -1,10 +1,9 @@
 // Generation-stamped dense-key -> compact-slot remap for chunk-parallel
-// kernels with a data-dependent write set (the decoder's shared-negative
-// gradients, BlockToView's sparse histograms). Each chunk builds a compact
-// partial over just the rows it touches;
-// the remap from global row to partial slot needs O(1) invalidation between
-// chunks, because a fresh O(num_rows) sentinel fill per chunk would rival the
-// useful scatter work. An entry is valid only when its stamp equals the current
+// kernels with a data-dependent write set (its one user is the decoder's
+// shared-negative gradients). Each chunk builds a compact partial over just the
+// rows it touches; the remap from global row to partial slot needs O(1)
+// invalidation between chunks, because a fresh O(num_rows) sentinel fill per
+// chunk would rival the useful scatter work. An entry is valid only when its stamp equals the current
 // generation, so NextGeneration invalidates everything by bumping a counter.
 //
 // Intended use is one thread_local instance per call site: pool workers drain

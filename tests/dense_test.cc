@@ -11,6 +11,7 @@
 
 #include "src/data/datasets.h"
 #include "src/graph/neighbor_index.h"
+#include "src/nn/encoder.h"
 #include "src/sampler/dense.h"
 #include "tests/sampling_reference.h"
 
@@ -383,6 +384,40 @@ TEST(DenseReference, SampleAndFinalizeMatchHashReference) {
           ASSERT_EQ(got.nbrs, want.nbrs);
           ASSERT_EQ(got.nbr_rels, want.nbr_rels);
           ASSERT_EQ(got.repr_map, want.repr_map);
+        }
+      }
+    }
+  }
+}
+
+// PlanFromDense gives the DENSE encoder's former per-layer views vector for
+// vector, at depths 1-4 in every direction, and keeps node_ids as the input rows.
+TEST(DenseReference, PlanFromDenseMatchesEncoderViews) {
+  const std::vector<std::vector<int64_t>> fanout_sets = {
+      {30}, {10, 3}, {3, 5, 2}, {4, 2, 3, 2}};
+  for (uint64_t graph_seed : {1u, 2u, 3u}) {
+    Graph g = SamplingTestGraph(graph_seed);
+    NeighborIndex index(g);
+    for (EdgeDirection dir : kAllDirections) {
+      for (const auto& fanouts : fanout_sets) {
+        DenseSampler sampler(&index, fanouts, dir);
+        for (uint64_t batch = 0; batch < 3; ++batch) {
+          const std::vector<int64_t> targets =
+              MixedTargets(g, graph_seed * 100 + batch, 5 + 20 * static_cast<int64_t>(batch));
+          DenseBatch sample = sampler.SampleSeeded(targets, MixSeed(graph_seed, batch));
+          sample.FinalizeForDevice();
+          const std::vector<LayerView> want = RefDenseLayerViews(sample);
+          const GnnPlan got = PlanFromDense(sample);
+          ASSERT_EQ(got.input_nodes, sample.node_ids);
+          ASSERT_EQ(got.layers.size(), fanouts.size());
+          ASSERT_EQ(want.size(), fanouts.size());
+          for (size_t j = 0; j < want.size(); ++j) {
+            ASSERT_EQ(got.layers[j].self_rows, want[j].self_rows) << "layer " << j;
+            ASSERT_EQ(got.layers[j].nbr_rows, want[j].nbr_rows) << "layer " << j;
+            ASSERT_EQ(got.layers[j].seg_offsets, want[j].seg_offsets) << "layer " << j;
+            EXPECT_EQ(got.layers[j].h, nullptr);
+            EXPECT_EQ(got.layers[j].compute, nullptr);
+          }
         }
       }
     }

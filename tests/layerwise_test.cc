@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "src/data/datasets.h"
+#include "src/nn/encoder.h"
 #include "src/sampler/dense.h"
 #include "src/sampler/layerwise.h"
 #include "src/sampler/negative.h"
@@ -160,6 +161,45 @@ TEST(LayerwiseReference, SampleMatchesHashReference) {
             ASSERT_EQ(got.blocks[k].src_nodes, want.blocks[k].src_nodes) << "block " << k;
             ASSERT_EQ(got.blocks[k].edge_dst, want.blocks[k].edge_dst) << "block " << k;
             ASSERT_EQ(got.blocks[k].edge_src, want.blocks[k].edge_src) << "block " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+// PlanFromBlocks gives the baseline's former serial block-to-segment sort vector
+// for vector, block by block, at depths 1-4 in every direction, and takes the
+// innermost block's src_nodes as the input rows.
+TEST(LayerwiseReference, PlanFromBlocksMatchesSerialSort) {
+  const std::vector<std::vector<int64_t>> fanout_sets = {
+      {30}, {10, 3}, {3, 5, 2}, {4, 2, 3, 2}};
+  const EdgeDirection dirs[] = {EdgeDirection::kOutgoing, EdgeDirection::kIncoming,
+                                EdgeDirection::kBoth};
+  for (uint64_t graph_seed : {1u, 2u, 3u}) {
+    Graph g = SamplingTestGraph(graph_seed);
+    NeighborIndex index(g);
+    Rng target_rng(graph_seed);
+    for (EdgeDirection dir : dirs) {
+      for (const auto& fanouts : fanout_sets) {
+        LayerwiseSampler sampler(&index, fanouts, dir);
+        for (uint64_t batch = 0; batch < 3; ++batch) {
+          std::vector<int64_t> targets = {0, g.num_nodes() - 1, 1};
+          for (int i = 0; i < 8; ++i) {
+            targets.push_back(target_rng.UniformInt(0, g.num_nodes()));
+          }
+          const LayerwiseSample sample =
+              sampler.SampleSeeded(targets, MixSeed(graph_seed, batch));
+          const GnnPlan got = PlanFromBlocks(sample);
+          ASSERT_EQ(got.input_nodes, sample.input_nodes());
+          ASSERT_EQ(got.layers.size(), sample.blocks.size());
+          for (size_t j = 0; j < sample.blocks.size(); ++j) {
+            const LayerView want = RefSortBlockByDst(sample.blocks[j]);
+            ASSERT_EQ(got.layers[j].self_rows, want.self_rows) << "block " << j;
+            ASSERT_EQ(got.layers[j].nbr_rows, want.nbr_rows) << "block " << j;
+            ASSERT_EQ(got.layers[j].seg_offsets, want.seg_offsets) << "block " << j;
+            EXPECT_EQ(got.layers[j].h, nullptr);
+            EXPECT_EQ(got.layers[j].compute, nullptr);
           }
         }
       }

@@ -227,12 +227,12 @@ TEST(GnnEncoder, EndToEndInputGradient) {
   }
 }
 
-// Block-encoder path: the same check through the baseline execution path.
-TEST(BlockEncoder, EndToEndInputGradient) {
+// The same check over a layer-wise sample lowered by PlanFromBlocks.
+TEST(GnnEncoder, LayerwisePlanEndToEndInputGradient) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
   Rng rng(18);
-  BlockEncoder encoder(GnnLayerType::kGraphSage, {3, 4, 3}, Activation::kRelu, rng);
+  GnnEncoder encoder(GnnLayerType::kGraphSage, {3, 4, 3}, Activation::kRelu, rng);
   LayerwiseSampler sampler(&index, {3, 3}, EdgeDirection::kBoth, 22);
   std::vector<int64_t> targets = {0, 1, 2};
   LayerwiseSample sample = sampler.Sample(targets);
@@ -240,7 +240,8 @@ TEST(BlockEncoder, EndToEndInputGradient) {
   Tensor w_out = Tensor::Normal(3, 3, 1.0f, rng);
 
   auto loss_fn = [&](const Tensor& h) {
-    Tensor out = encoder.Forward(sample, h);
+    GnnPlan plan = PlanFromBlocks(sample);  // Forward consumes the plan's layers
+    Tensor out = encoder.Forward(plan, h);
     double loss = 0.0;
     for (int64_t i = 0; i < out.size(); ++i) {
       loss += static_cast<double>(out.data()[i]) * w_out.data()[i];
@@ -249,6 +250,7 @@ TEST(BlockEncoder, EndToEndInputGradient) {
   };
   loss_fn(h0);
   Tensor dh0 = encoder.Backward(w_out);
+  ASSERT_EQ(dh0.rows(), sample.NumInputNodes());
 
   const float eps = 1e-2f;
   int64_t checked = 0;
@@ -578,12 +580,12 @@ TEST(ParallelDeterminism, GatForwardBackward) {
 // Runs forward + backward through both encoder variants (same seed, so the same
 // weights) and compares them. `run` does one forward + backward on the encoder it
 // is given and returns Backward's result.
-template <typename Encoder, typename RunFn>
+template <typename RunFn>
 void CheckFixedInputBackward(GnnLayerType type, int64_t num_inputs, const RunFn& run) {
   const std::vector<int64_t> dims = {6, 5, 4};
   Rng full_rng(91), fixed_rng(91);
-  Encoder full(type, dims, Activation::kRelu, full_rng, /*trains_inputs=*/true);
-  Encoder fixed(type, dims, Activation::kRelu, fixed_rng, /*trains_inputs=*/false);
+  GnnEncoder full(type, dims, Activation::kRelu, full_rng, /*trains_inputs=*/true);
+  GnnEncoder fixed(type, dims, Activation::kRelu, fixed_rng, /*trains_inputs=*/false);
 
   const Tensor dh0 = run(full);
   EXPECT_EQ(dh0.rows(), num_inputs);
@@ -612,15 +614,14 @@ TEST_P(FixedInputBackwardTest, DenseEncoderMatchesFullBackward) {
   Rng rng(92);
   const Tensor h0 = Tensor::Normal(proto.num_nodes(), 6, 0.5f, rng);
   const Tensor grad = Tensor::Normal(5, 4, 1.0f, rng);
-  CheckFixedInputBackward<GnnEncoder>(GetParam(), proto.num_nodes(),
-                                      [&](GnnEncoder& encoder) {
-                                        DenseBatch batch = proto;  // Forward consumes it
-                                        encoder.Forward(batch, h0);
-                                        return encoder.Backward(grad);
-                                      });
+  CheckFixedInputBackward(GetParam(), proto.num_nodes(), [&](GnnEncoder& encoder) {
+    GnnPlan plan = PlanFromDense(proto);  // Forward consumes the plan's layers
+    encoder.Forward(plan, h0);
+    return encoder.Backward(grad);
+  });
 }
 
-TEST_P(FixedInputBackwardTest, BlockEncoderMatchesFullBackward) {
+TEST_P(FixedInputBackwardTest, LayerwisePlanMatchesFullBackward) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
   LayerwiseSampler sampler(&index, {4, 3}, EdgeDirection::kBoth, 24);
@@ -628,11 +629,11 @@ TEST_P(FixedInputBackwardTest, BlockEncoderMatchesFullBackward) {
   Rng rng(93);
   const Tensor h0 = Tensor::Normal(sample.NumInputNodes(), 6, 0.5f, rng);
   const Tensor grad = Tensor::Normal(5, 4, 1.0f, rng);
-  CheckFixedInputBackward<BlockEncoder>(GetParam(), sample.NumInputNodes(),
-                                        [&](BlockEncoder& encoder) {
-                                          encoder.Forward(sample, h0);
-                                          return encoder.Backward(grad);
-                                        });
+  CheckFixedInputBackward(GetParam(), sample.NumInputNodes(), [&](GnnEncoder& encoder) {
+    GnnPlan plan = PlanFromBlocks(sample);
+    encoder.Forward(plan, h0);
+    return encoder.Backward(grad);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayers, FixedInputBackwardTest,

@@ -6,11 +6,17 @@
 // The rewrites must reproduce every output field and every RNG draw bit for
 // bit; dense_test, layerwise_test, util_test and serve_test compare them on the
 // seeded graphs built by SamplingTestGraph.
+//
+// Also the per-layer index derivations the two encoders ran inside Forward
+// before both samplers lowered to one plan in stage 1: the DENSE encoder's
+// per-layer views and the baseline's serial block-to-segment counting sort.
+// PlanFromDense and PlanFromBlocks must give the same vectors.
 #ifndef TESTS_SAMPLING_REFERENCE_H_
 #define TESTS_SAMPLING_REFERENCE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -18,6 +24,7 @@
 
 #include "src/graph/graph.h"
 #include "src/graph/neighbor_index.h"
+#include "src/nn/layer.h"
 #include "src/sampler/dense.h"
 #include "src/sampler/layerwise.h"
 #include "src/util/check.h"
@@ -220,6 +227,52 @@ inline RefLinkPlan RefPlanLinkQuery(int64_t src, const std::vector<int64_t>& can
     plan.cand_rows.push_back(row_for(cand));
   }
   return plan;
+}
+
+// The DENSE encoder's per-layer views: the outputs node_ids[offsets[1]:] read
+// their own rows, a copy of repr_map and SegmentOffsets(), then AdvanceLayer()
+// before the next layer. `batch` must be finalized.
+inline std::vector<LayerView> RefDenseLayerViews(DenseBatch batch) {
+  const int64_t num_layers = batch.num_deltas() - 1;
+  std::vector<LayerView> views;
+  for (int64_t j = 0; j < num_layers; ++j) {
+    LayerView view;
+    const int64_t out_begin = batch.node_id_offsets[1];
+    view.self_rows.resize(static_cast<size_t>(batch.num_nodes() - out_begin));
+    std::iota(view.self_rows.begin(), view.self_rows.end(), out_begin);
+    view.nbr_rows = batch.repr_map;
+    view.seg_offsets = batch.SegmentOffsets();
+    views.push_back(std::move(view));
+    if (j + 1 < num_layers) {
+      batch.AdvanceLayer();
+    }
+  }
+  return views;
+}
+
+// The baseline's block-to-segment conversion: self rows 0..|dst|-1, and a
+// single-pass counting sort of the edges by destination.
+inline LayerView RefSortBlockByDst(const LayerBlock& block) {
+  LayerView view;
+  const int64_t num_dst = static_cast<int64_t>(block.dst_nodes.size());
+  view.self_rows.resize(static_cast<size_t>(num_dst));
+  std::iota(view.self_rows.begin(), view.self_rows.end(), 0);
+  const int64_t num_edges = static_cast<int64_t>(block.edge_dst.size());
+  std::vector<int64_t> counts(static_cast<size_t>(num_dst) + 1, 0);
+  view.nbr_rows.resize(static_cast<size_t>(num_edges));
+  for (int64_t d : block.edge_dst) {
+    ++counts[static_cast<size_t>(d) + 1];
+  }
+  for (size_t i = 1; i < counts.size(); ++i) {
+    counts[i] += counts[i - 1];
+  }
+  view.seg_offsets = counts;
+  std::vector<int64_t> cursor(counts.begin(), counts.end() - 1);
+  for (int64_t e = 0; e < num_edges; ++e) {
+    const int64_t pos = cursor[static_cast<size_t>(block.edge_dst[static_cast<size_t>(e)])]++;
+    view.nbr_rows[static_cast<size_t>(pos)] = block.edge_src[static_cast<size_t>(e)];
+  }
+  return view;
 }
 
 // A seeded random graph that reaches every branch of the samplers: a few hubs
