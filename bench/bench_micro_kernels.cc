@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -33,6 +34,7 @@
 #include "src/graph/neighbor_index.h"
 #include "src/nn/decoder.h"
 #include "src/nn/graphsage.h"
+#include "src/nn/optimizer.h"
 #include "src/sampler/dense.h"
 #include "src/storage/embedding_store.h"
 #include "src/tensor/ops.h"
@@ -298,6 +300,47 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
   for (const char* decoder : {"distmult", "transe", "complex"}) {
     add_ranking_loss(std::string("loss_") + decoder + "_d128_m16", decoder, 1024, 16, 128);
     add_ranking_loss(std::string("loss_") + decoder + "_d32_m50", decoder, 1024, 50, 32);
+  }
+
+  // The ReLU backward over a ReLU output (about half of it zero, in a random
+  // sign pattern) and two dense Adagrad steps, against their scalar loops: a
+  // return to scalar code shows in the serial column.
+  {
+    auto relu_out = std::make_shared<Tensor>(Relu(*a));
+    kernels.push_back({"relu_backward",
+                       [relu_out, g](const ComputeContext* ctx) {
+                         return ReluBackward(*relu_out, *g, ctx);
+                       },
+                       [relu_out, g] {
+                         Tensor out(g->rows(), g->cols());
+                         for (int64_t i = 0; i < out.size(); ++i) {
+                           out.data()[i] = relu_out->data()[i] > 0.0f ? g->data()[i] : 0.0f;
+                         }
+                         return out;
+                       }});
+    const float lr = 0.05f, eps = 1e-10f;
+    kernels.push_back({"dense_adagrad",
+                       [a, g, lr, eps](const ComputeContext* ctx) {
+                         Parameter p(*a);
+                         p.grad = *g;
+                         Adagrad opt(lr, eps);
+                         opt.set_compute(ctx);
+                         opt.Step(p);
+                         opt.Step(p);
+                         return p.value;
+                       },
+                       [a, g, lr, eps] {
+                         Tensor value = *a;
+                         Tensor state(a->rows(), a->cols());
+                         for (int step = 0; step < 2; ++step) {
+                           for (int64_t i = 0; i < value.size(); ++i) {
+                             const float gi = g->data()[i];
+                             state.data()[i] += gi * gi;
+                             value.data()[i] -= lr * gi / (std::sqrt(state.data()[i]) + eps);
+                           }
+                         }
+                         return value;
+                       }});
   }
 
   // Sharded sparse Adagrad over 4096 distinct rows.

@@ -160,7 +160,8 @@ void LinkPredictionTrainer::ConsumeBatch(void* item, EpochStats* stats) {
 
   // Every update — sparse and dense — is applied through the gradient-exchange
   // seam.
-  const Tensor sparse_grads = gnn ? model_.encoder->Backward(d_reprs) : std::move(d_reprs);
+  const Tensor sparse_grads =
+      gnn ? model_.encoder->Backward(std::move(d_reprs)) : std::move(d_reprs);
   ExchangeApply(/*has_batch=*/true, loss, &rows, &sparse_grads, stats);
 }
 

@@ -125,11 +125,11 @@ Tensor GnnEncoder::InferForward(DenseBatch& batch, const Tensor& h0,
   return InferForward(plan, h0, compute);
 }
 
-Tensor GnnEncoder::Backward(const Tensor& grad_targets) {
+Tensor GnnEncoder::Backward(Tensor grad_targets) {
   MG_CHECK(contexts_.size() == layers_.size());
-  Tensor grad = grad_targets;
+  Tensor grad = std::move(grad_targets);
   for (size_t j = layers_.size(); j-- > 0;) {
-    grad = layers_[j]->Backward(*contexts_[j], grad, j > 0 || trains_inputs_);
+    grad = layers_[j]->Backward(*contexts_[j], std::move(grad), j > 0 || trains_inputs_);
   }
   return grad;
 }

@@ -79,7 +79,7 @@ class GnnEncoder {
 
   // Returns d loss / d h0, aligned with the input_nodes of the last Forward
   // (empty unless the encoder trains its inputs).
-  Tensor Backward(const Tensor& grad_targets);
+  Tensor Backward(Tensor grad_targets);
 
   std::vector<Parameter*> Parameters();
 

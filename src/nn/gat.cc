@@ -100,7 +100,7 @@ Tensor GatLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) con
   Tensor pre = SegmentSum(weighted, c->seg_offsets, cc);
   AddInPlace(pre, Matmul(c->self_in, w_root_.value, cc), cc);
   AddBiasRows(pre, bias_.value, cc);
-  c->out = ApplyActivation(act_, pre, cc);
+  c->out = ApplyActivation(act_, std::move(pre), cc);
   Tensor out = c->out;
   if (ctx != nullptr) {
     *ctx = std::move(c);
@@ -108,12 +108,12 @@ Tensor GatLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) con
   return out;
 }
 
-Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) {
+Tensor GatLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
   auto& c = static_cast<GatContext&>(ctx);
   const ComputeContext* cc = c.compute;
   const int64_t num_edges = static_cast<int64_t>(c.nbr_rows.size());
   const int64_t num_segs = static_cast<int64_t>(c.seg_offsets.size()) - 1;
-  Tensor dpre = ActivationBackward(act_, c.out, grad_out, cc);
+  Tensor dpre = ActivationBackward(act_, c.out, std::move(grad_out), cc);
 
   // Root path.
   AddInPlace(w_root_.grad, MatmulTransA(c.self_in, dpre, cc), cc);

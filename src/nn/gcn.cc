@@ -62,7 +62,7 @@ Tensor GcnLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) con
 
   Tensor pre = Matmul(agg, w_.value, cc);
   AddBiasRows(pre, bias_.value, cc);
-  c->out = ApplyActivation(act_, pre, cc);
+  c->out = ApplyActivation(act_, std::move(pre), cc);
   Tensor out = c->out;
   if (ctx != nullptr) {
     *ctx = std::move(c);
@@ -70,10 +70,10 @@ Tensor GcnLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) con
   return out;
 }
 
-Tensor GcnLayer::Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) {
+Tensor GcnLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
   auto& c = static_cast<GcnContext&>(ctx);
   const ComputeContext* cc = c.compute;
-  Tensor dpre = ActivationBackward(act_, c.out, grad_out, cc);
+  Tensor dpre = ActivationBackward(act_, c.out, std::move(grad_out), cc);
 
   AddInPlace(w_.grad, MatmulTransA(c.agg, dpre, cc), cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);

@@ -45,7 +45,7 @@ Tensor GraphSageLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ct
   Tensor pre = Matmul(c->self_in, w_self_.value, cc);
   AddInPlace(pre, Matmul(c->nbr_mean, w_nbr_.value, cc), cc);
   AddBiasRows(pre, bias_.value, cc);
-  c->out = ApplyActivation(act_, pre, cc);
+  c->out = ApplyActivation(act_, std::move(pre), cc);
   Tensor out = c->out;
   if (ctx != nullptr) {
     *ctx = std::move(c);
@@ -53,11 +53,10 @@ Tensor GraphSageLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ct
   return out;
 }
 
-Tensor GraphSageLayer::Backward(LayerContext& ctx, const Tensor& grad_out,
-                                bool input_grad) {
+Tensor GraphSageLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
   auto& c = static_cast<SageContext&>(ctx);
   const ComputeContext* cc = c.compute;
-  Tensor dpre = ActivationBackward(act_, c.out, grad_out, cc);
+  Tensor dpre = ActivationBackward(act_, c.out, std::move(grad_out), cc);
 
   AddInPlace(w_self_.grad, MatmulTransA(c.self_in, dpre, cc), cc);
   AddInPlace(w_nbr_.grad, MatmulTransA(c.nbr_mean, dpre, cc), cc);

@@ -5,7 +5,7 @@
 
 namespace mariusgnn {
 
-Tensor ApplyActivation(Activation act, const Tensor& pre, const ComputeContext* ctx) {
+Tensor ApplyActivation(Activation act, Tensor pre, const ComputeContext* ctx) {
   switch (act) {
     case Activation::kNone:
       return pre;
@@ -18,7 +18,7 @@ Tensor ApplyActivation(Activation act, const Tensor& pre, const ComputeContext* 
   return pre;
 }
 
-Tensor ActivationBackward(Activation act, const Tensor& out, const Tensor& grad_out,
+Tensor ActivationBackward(Activation act, const Tensor& out, Tensor grad_out,
                           const ComputeContext* ctx) {
   switch (act) {
     case Activation::kNone:

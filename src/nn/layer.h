@@ -56,9 +56,10 @@ struct LayerContext {
 
 enum class Activation { kNone, kRelu, kTanh };
 
-Tensor ApplyActivation(Activation act, const Tensor& pre,
-                       const ComputeContext* ctx = nullptr);
-Tensor ActivationBackward(Activation act, const Tensor& out, const Tensor& grad_out,
+// `pre` and `grad_out` are sinks: kNone (every last layer) returns them moved,
+// not copied.
+Tensor ApplyActivation(Activation act, Tensor pre, const ComputeContext* ctx = nullptr);
+Tensor ActivationBackward(Activation act, const Tensor& out, Tensor grad_out,
                           const ComputeContext* ctx = nullptr);
 
 class GnnLayer {
@@ -74,7 +75,8 @@ class GnnLayer {
   // Accumulates parameter gradients. With `input_grad`, returns d loss / d h (rows ==
   // the forward view's num_inputs()); without it, skips every input-gradient kernel
   // and returns an empty Tensor. Parameter gradients are bitwise the same either way.
-  virtual Tensor Backward(LayerContext& ctx, const Tensor& grad_out, bool input_grad) = 0;
+  // `grad_out` is a sink, so a layer without activation uses it uncopied.
+  virtual Tensor Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) = 0;
 
   virtual std::vector<Parameter*> Parameters() = 0;
 

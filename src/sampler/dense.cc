@@ -41,9 +41,6 @@ void DenseBatch::AdvanceLayer() {
           : static_cast<int64_t>(nbrs.size());
 
   nbrs.erase(nbrs.begin(), nbrs.begin() + drop_nbrs);
-  if (!nbr_rels.empty()) {
-    nbr_rels.erase(nbr_rels.begin(), nbr_rels.begin() + drop_nbrs);
-  }
   repr_map.erase(repr_map.begin(), repr_map.begin() + drop_nbrs);
   for (auto& r : repr_map) {
     r -= delta_prev_len;
@@ -111,7 +108,6 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
     }
     const int64_t total = starts[static_cast<size_t>(m)];
     std::vector<int64_t> hop_nbrs(static_cast<size_t>(total));
-    std::vector<int32_t> hop_rels(static_cast<size_t>(total));
 
     for (int64_t j = 0; j < m; ++j) {
       scratch.clear();
@@ -122,7 +118,6 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
       int64_t pos = starts[static_cast<size_t>(j)];
       for (const Neighbor& nb : scratch) {
         hop_nbrs[static_cast<size_t>(pos)] = nb.node;
-        hop_rels[static_cast<size_t>(pos)] = nb.rel;
         ++pos;
       }
       MG_DCHECK(pos == starts[static_cast<size_t>(j) + 1]);
@@ -143,12 +138,6 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
       new_nbrs.insert(new_nbrs.end(), hop_nbrs.begin(), hop_nbrs.end());
       new_nbrs.insert(new_nbrs.end(), b.nbrs.begin(), b.nbrs.end());
       b.nbrs = std::move(new_nbrs);
-
-      std::vector<int32_t> new_rels;
-      new_rels.reserve(hop_rels.size() + b.nbr_rels.size());
-      new_rels.insert(new_rels.end(), hop_rels.begin(), hop_rels.end());
-      new_rels.insert(new_rels.end(), b.nbr_rels.begin(), b.nbr_rels.end());
-      b.nbr_rels = std::move(new_rels);
     }
 
     // Δi−1 = unique(Δi_nbrs) \ node_ids (Algorithm 1, line 7).

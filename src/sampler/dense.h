@@ -35,8 +35,6 @@ struct DenseBatch {
   std::vector<int64_t> node_ids;
   std::vector<int64_t> nbr_offsets;
   std::vector<int64_t> nbrs;
-  // Relation id of the edge behind each nbrs entry (parallel array; knowledge graphs).
-  std::vector<int32_t> nbr_rels;
   // Filled by FinalizeForDevice().
   std::vector<int64_t> repr_map;
 

@@ -456,6 +456,14 @@ Tensor SegmentSoftmaxBackward(const Tensor& probs, const Tensor& grad,
   return out;
 }
 
+// Every ReLU-family loop loads both operands of its select unconditionally (the
+// backward passes and the leaky pair through local pointers), so each vectorizes
+// to a compare and a blend per lane, with no branch on the input's sign. The
+// select keeps the scalar `>` rule: NaN, -0.0f and +0.0f take the not-positive
+// side. The leaky pair writes the slope product for every element first and
+// then selects against it: with the product inside the select, GCC sinks the
+// multiply into the not-positive branch and, since a float multiply may trap,
+// will not if-convert it back.
 Tensor Relu(const Tensor& t, const ComputeContext* ctx) {
   Tensor out(t.rows(), t.cols());
   ForEachElemChunk(ctx, t.size(), [&](int64_t begin, int64_t end) {
@@ -468,9 +476,13 @@ Tensor Relu(const Tensor& t, const ComputeContext* ctx) {
 
 Tensor ReluBackward(const Tensor& out, const Tensor& grad_out, const ComputeContext* ctx) {
   Tensor g(out.rows(), out.cols());
+  const float* o = out.data();
+  const float* go = grad_out.data();
+  float* dst = g.data();
   ForEachElemChunk(ctx, out.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      g.data()[i] = out.data()[i] > 0.0f ? grad_out.data()[i] : 0.0f;
+      const float gi = go[i];
+      dst[i] = o[i] > 0.0f ? gi : 0.0f;
     }
   });
   return g;
@@ -478,10 +490,16 @@ Tensor ReluBackward(const Tensor& out, const Tensor& grad_out, const ComputeCont
 
 Tensor LeakyRelu(const Tensor& t, float slope, const ComputeContext* ctx) {
   Tensor out(t.rows(), t.cols());
+  const float* in = t.data();
+  float* o = out.data();
   ForEachElemChunk(ctx, t.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      const float v = t.data()[i];
-      out.data()[i] = v > 0.0f ? v : slope * v;
+      o[i] = slope * in[i];
+    }
+    for (int64_t i = begin; i < end; ++i) {
+      const float v = in[i];
+      const float scaled = o[i];
+      o[i] = v > 0.0f ? v : scaled;
     }
   });
   return out;
@@ -490,9 +508,17 @@ Tensor LeakyRelu(const Tensor& t, float slope, const ComputeContext* ctx) {
 Tensor LeakyReluBackward(const Tensor& out, const Tensor& grad_out, float slope,
                          const ComputeContext* ctx) {
   Tensor g(out.rows(), out.cols());
+  const float* o = out.data();
+  const float* go = grad_out.data();
+  float* dst = g.data();
   ForEachElemChunk(ctx, out.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      g.data()[i] = out.data()[i] > 0.0f ? grad_out.data()[i] : slope * grad_out.data()[i];
+      dst[i] = slope * go[i];
+    }
+    for (int64_t i = begin; i < end; ++i) {
+      const float gi = go[i];
+      const float scaled = dst[i];
+      dst[i] = o[i] > 0.0f ? gi : scaled;
     }
   });
   return g;

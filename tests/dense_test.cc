@@ -270,17 +270,6 @@ TEST_P(DenseFanoutTest, CapAndDeterminism) {
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, DenseFanoutTest, ::testing::Values(1, 2, 3, 8, 32));
 
-TEST(Dense, RelationsParallelToNbrs) {
-  Graph g = Fb15k237Like(0.05);
-  NeighborIndex index(g);
-  DenseSampler sampler(&index, {6, 6}, EdgeDirection::kBoth, 19);
-  DenseBatch b = sampler.Sample({3, 6, 9});
-  EXPECT_EQ(b.nbr_rels.size(), b.nbrs.size());
-  b.FinalizeForDevice();
-  b.AdvanceLayer();
-  EXPECT_EQ(b.nbr_rels.size(), b.nbrs.size());
-}
-
 // Unique targets covering hubs (ids 0..3), ordinary nodes and isolated nodes
 // (the graph's last ids), in a seeded order.
 std::vector<int64_t> MixedTargets(const Graph& g, uint64_t seed, int64_t count) {
@@ -382,7 +371,6 @@ TEST(DenseReference, SampleAndFinalizeMatchHashReference) {
           ASSERT_EQ(got.node_ids, want.node_ids);
           ASSERT_EQ(got.nbr_offsets, want.nbr_offsets);
           ASSERT_EQ(got.nbrs, want.nbrs);
-          ASSERT_EQ(got.nbr_rels, want.nbr_rels);
           ASSERT_EQ(got.repr_map, want.repr_map);
         }
       }

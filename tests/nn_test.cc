@@ -815,6 +815,33 @@ TEST(ParallelDeterminism, ShardedSparseAdagrad) {
   }
 }
 
+// The dense Adagrad loop vectorizes (sqrtps/divps under -fno-math-errno); two
+// steps must equal the scalar update bit for bit. 7 x 13 elements run the
+// vector body and its tails, and the zero-gradient rows must stay put.
+TEST(Optimizer, AdagradMatchesScalarReferenceBitwise) {
+  Rng rng(41);
+  const float lr = 0.05f, eps = 1e-10f;
+  Parameter p(Tensor::Normal(7, 13, 0.5f, rng));
+  Adagrad opt(lr, eps);
+  Tensor value = p.value;
+  Tensor state(7, 13);
+  for (int step = 0; step < 2; ++step) {
+    p.grad = Tensor::Normal(7, 13, 0.3f, rng);
+    for (int64_t c = 0; c < 13; ++c) {
+      p.grad(2, c) = 0.0f;
+      p.grad(5, c) = 0.0f;
+    }
+    for (int64_t i = 0; i < value.size(); ++i) {
+      const float g = p.grad.data()[i];
+      state.data()[i] += g * g;
+      value.data()[i] -= lr * g / (std::sqrt(state.data()[i]) + eps);
+    }
+    opt.Step(p);
+    ASSERT_TRUE(BitwiseEqual(p.state, state)) << "step " << step;
+    ASSERT_TRUE(BitwiseEqual(p.value, value)) << "step " << step;
+  }
+}
+
 TEST(ParallelDeterminism, DenseAdagradStep) {
   auto run = [&](const ComputeContext* ctx) {
     Rng rng(31);

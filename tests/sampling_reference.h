@@ -129,7 +129,6 @@ inline DenseBatch RefDenseSampleSeeded(const NeighborIndex& index,
   for (size_t hop = 0; hop < fanouts.size(); ++hop) {
     std::vector<int64_t> hop_offsets;
     std::vector<int64_t> hop_nbrs;
-    std::vector<int32_t> hop_rels;
     std::vector<Neighbor> scratch;
     for (size_t j = 0; j < delta.size(); ++j) {
       hop_offsets.push_back(static_cast<int64_t>(hop_nbrs.size()));
@@ -139,7 +138,6 @@ inline DenseBatch RefDenseSampleSeeded(const NeighborIndex& index,
       RefSampleOneHop(index, delta[j], fanouts[hop], dir, node_rng, scratch);
       for (const Neighbor& nb : scratch) {
         hop_nbrs.push_back(nb.node);
-        hop_rels.push_back(nb.rel);
       }
     }
     const int64_t total = static_cast<int64_t>(hop_nbrs.size());
@@ -148,7 +146,6 @@ inline DenseBatch RefDenseSampleSeeded(const NeighborIndex& index,
     }
     b.nbr_offsets = std::move(hop_offsets);
     b.nbrs.insert(b.nbrs.begin(), hop_nbrs.begin(), hop_nbrs.end());
-    b.nbr_rels.insert(b.nbr_rels.begin(), hop_rels.begin(), hop_rels.end());
 
     std::vector<int64_t> next_delta;
     for (int64_t v : hop_nbrs) {

@@ -3,12 +3,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -657,6 +659,91 @@ TEST(BufferedEmbeddingStore, AdagradStatePersistsAcrossEviction) {
   const float step2 = -after2(0, 0) - step1;
   EXPECT_GT(step1, 0.0f);
   EXPECT_LT(step2, step1);
+  ::remove(path.c_str());
+}
+
+// The stores' sparse Adagrad loops vectorize (sqrtps/divps under
+// -fno-math-errno); each must equal this scalar update bit for bit. 1e-10f is
+// embedding_store.cc's kAdagradEps.
+void RefSparseAdagradRow(float* row, float* acc, const float* g, int64_t d, float lr) {
+  for (int64_t k = 0; k < d; ++k) {
+    acc[k] += g[k] * g[k];
+    row[k] -= lr * g[k] / (std::sqrt(acc[k]) + 1e-10f);
+  }
+}
+
+// Two steps of gradients for `num_rows` rows at dim 13 (the vector body plus its
+// tails), with rows 1 and 4 of each step zero.
+std::vector<Tensor> SparseAdagradSteps(int64_t num_rows, Rng& rng) {
+  std::vector<Tensor> steps;
+  for (int step = 0; step < 2; ++step) {
+    Tensor grads = Tensor::Normal(num_rows, 13, 0.3f, rng);
+    for (int64_t c = 0; c < 13; ++c) {
+      grads(1, c) = 0.0f;
+      grads(4, c) = 0.0f;
+    }
+    steps.push_back(std::move(grads));
+  }
+  return steps;
+}
+
+TEST(InMemoryEmbeddingStore, ApplyGradientsMatchesScalarReferenceBitwise) {
+  Rng rng(43);
+  InMemoryEmbeddingStore store(40, 13, 0.5f, rng);
+  const std::vector<int64_t> nodes = {3, 17, 0, 39, 8, 21, 30};
+  Tensor values = store.values();
+  Tensor state = store.state();
+  for (const Tensor& grads : SparseAdagradSteps(static_cast<int64_t>(nodes.size()), rng)) {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      RefSparseAdagradRow(values.RowPtr(nodes[i]), state.RowPtr(nodes[i]),
+                          grads.RowPtr(static_cast<int64_t>(i)), 13, 0.1f);
+    }
+    store.ApplyGradients(nodes, grads, 0.1f);
+    ASSERT_EQ(std::memcmp(store.values().data(), values.data(),
+                          static_cast<size_t>(values.size()) * sizeof(float)),
+              0);
+    ASSERT_EQ(std::memcmp(store.state().data(), state.data(),
+                          static_cast<size_t>(state.size()) * sizeof(float)),
+              0);
+  }
+}
+
+TEST(BufferedEmbeddingStore, ApplyGradientsMatchesScalarReferenceBitwise) {
+  Graph graph = LiveJournalMini(0.01);
+  Rng rng(44);
+  Partitioning partitioning(graph, 4, PartitionAssignment::kRandom, rng);
+  Tensor init = Tensor::Uniform(graph.num_nodes(), 13, 0.5f, rng);
+  const std::string path = TempPath("bes_adagrad_ref_test");
+  PartitionBuffer buffer(&partitioning, 13, 2, path, DiskModel(), true, &init);
+  BufferedEmbeddingStore store(&buffer, true);
+  buffer.SetResident({0, 1});
+  std::vector<int64_t> nodes = buffer.ResidentNodes();
+  nodes.resize(9);
+  // The reference rows: values and accumulators of `nodes`, copied out first.
+  Tensor values(static_cast<int64_t>(nodes.size()), 13);
+  Tensor state(static_cast<int64_t>(nodes.size()), 13);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    std::memcpy(values.RowPtr(static_cast<int64_t>(i)), buffer.ValueRow(nodes[i]),
+                13 * sizeof(float));
+    std::memcpy(state.RowPtr(static_cast<int64_t>(i)), buffer.StateRow(nodes[i]),
+                13 * sizeof(float));
+  }
+  for (const Tensor& grads : SparseAdagradSteps(static_cast<int64_t>(nodes.size()), rng)) {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const int64_t r = static_cast<int64_t>(i);
+      RefSparseAdagradRow(values.RowPtr(r), state.RowPtr(r), grads.RowPtr(r), 13, 0.5f);
+    }
+    store.ApplyGradients(nodes, grads, 0.5f);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const int64_t r = static_cast<int64_t>(i);
+      ASSERT_EQ(std::memcmp(buffer.ValueRow(nodes[i]), values.RowPtr(r), 13 * sizeof(float)),
+                0)
+          << "row " << i;
+      ASSERT_EQ(std::memcmp(buffer.StateRow(nodes[i]), state.RowPtr(r), 13 * sizeof(float)),
+                0)
+          << "row " << i;
+    }
+  }
   ::remove(path.c_str());
 }
 

@@ -7,10 +7,12 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "src/util/threadpool.h"
+#include "src/util/vec.h"
 #include "tests/aggregation_reference.h"
 
 namespace mariusgnn {
@@ -294,6 +296,62 @@ TEST(Ops, LeakyReluSlope) {
   Tensor gin = LeakyReluBackward(out, grad, 0.1f);
   EXPECT_FLOAT_EQ(gin(0, 0), 0.1f);
   EXPECT_FLOAT_EQ(gin(0, 1), 1.0f);
+}
+
+// The ReLU family's loops vectorize (a compare and a blend per lane); they must
+// equal the scalar `>` select bit for bit on every input, including the vector
+// tails (lengths 0 to 3 * kW + 1), signed zeros, NaNs, infinities, denormals
+// and an alternating-sign run.
+std::vector<float> ReluLaneInputs(int64_t n, int64_t phase) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float special[] = {0.0f,   -0.0f,        nan,     -nan,    inf,   -inf,
+                           denorm, -denorm,      1e-39f,  -1e-39f, 1.5f,  -2.25f,
+                           3e38f,  -3e38f,       1e-30f,  -7.0f};
+  const int64_t num_special = static_cast<int64_t>(sizeof(special) / sizeof(special[0]));
+  std::vector<float> v(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    // Even phases cycle the special values; odd phases alternate the sign.
+    v[static_cast<size_t>(i)] = phase % 2 == 0
+                                    ? special[(i * 5 + phase) % num_special]
+                                    : (i % 2 == 0 ? 1.0f : -1.0f) * (0.5f + static_cast<float>(i));
+  }
+  return v;
+}
+
+void ExpectSameBits(const Tensor& got, const std::vector<float>& want, const char* kernel,
+                    int64_t n) {
+  ASSERT_EQ(got.size(), static_cast<int64_t>(want.size()));
+  if (want.empty()) {
+    return;  // an empty tensor's data() may be null, which memcmp must not get
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+      << kernel << " diverged from its scalar reference at length " << n;
+}
+
+TEST(OpsLanes, ReluFamilyMatchesScalarReferenceBitwise) {
+  const float slope = 0.2f;
+  for (int64_t n = 0; n <= 3 * kW + 1; ++n) {
+    for (int64_t phase = 0; phase < 4; ++phase) {
+      const std::vector<float> x = ReluLaneInputs(n, phase);
+      const std::vector<float> g = ReluLaneInputs(n, phase + 1);
+      const Tensor xt = MakeTensor(1, n, x);
+      const Tensor gt = MakeTensor(1, n, g);
+      std::vector<float> relu(x.size()), relu_bwd(x.size()), leaky(x.size()),
+          leaky_bwd(x.size());
+      for (size_t i = 0; i < x.size(); ++i) {
+        relu[i] = x[i] > 0.0f ? x[i] : 0.0f;
+        relu_bwd[i] = x[i] > 0.0f ? g[i] : 0.0f;
+        leaky[i] = x[i] > 0.0f ? x[i] : slope * x[i];
+        leaky_bwd[i] = x[i] > 0.0f ? g[i] : slope * g[i];
+      }
+      ExpectSameBits(Relu(xt), relu, "Relu", n);
+      ExpectSameBits(ReluBackward(xt, gt), relu_bwd, "ReluBackward", n);
+      ExpectSameBits(LeakyRelu(xt, slope), leaky, "LeakyRelu", n);
+      ExpectSameBits(LeakyReluBackward(xt, gt, slope), leaky_bwd, "LeakyReluBackward", n);
+    }
+  }
 }
 
 TEST(Ops, RowSoftmaxRowsSumToOne) {
