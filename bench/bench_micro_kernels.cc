@@ -9,7 +9,10 @@
 // without the input gradient) serially and on an 8-worker pool, verifies the
 // results are BITWISE identical — and, for kernels with a scalar reference, equal
 // to it — and prints per-kernel plus aggregate speedups. The exit code gates only
-// on determinism — speedup depends on host core count (CI boxes may have 2).
+// on determinism — speedup depends on host core count (CI boxes may have 2). One
+// row is serial by design: neighbor_index_build, a full-graph NeighborIndex at
+// the nc_disk benchmark's scale, checked list for list against the edge-order
+// stable sort.
 //
 // Last, it measures the always-on RV monitors' epoch-time overhead
 // (rv_overhead_fraction, the median of paired on/off ratios, with its quartiles)
@@ -45,6 +48,7 @@
 #include "src/util/vec.h"
 #include "tests/aggregation_reference.h"
 #include "tests/ranking_loss_reference.h"
+#include "tests/sampling_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -109,7 +113,7 @@ void BM_OneHopSample(benchmark::State& state) {
   NeighborIndex index(g);
   Rng rng(3);
   PickScratch picks;
-  std::vector<Neighbor> out;
+  std::vector<int64_t> out;
   int64_t node = 0;
   for (auto _ : state) {
     out.clear();
@@ -438,6 +442,48 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                          return param_grads(out);
                        },
                        [backward, param_grads] { return param_grads(backward(nullptr, true)); }});
+  }
+
+  // The full-graph neighbor index at the nc_disk benchmark's scale (PapersMini at
+  // 0.5). Its result is every list read back, out lists then in lists, each node's
+  // degree followed by its ids, one int64 per float pair; so the row times the
+  // build plus one read of the index.
+  {
+    auto graph = std::make_shared<const Graph>(PapersMini(0.5));
+    auto pack = [](const std::vector<int64_t>& words) {
+      Tensor t(static_cast<int64_t>(words.size()), 2);
+      std::memcpy(t.data(), words.data(), words.size() * sizeof(int64_t));
+      return t;
+    };
+    kernels.push_back(
+        {"neighbor_index_build",
+         [graph, pack](const ComputeContext*) {
+           const NeighborIndex index(*graph);
+           std::vector<int64_t> words;
+           words.reserve(static_cast<size_t>(2 * (graph->num_nodes() + graph->num_edges())));
+           Rng unused(0);
+           PickScratch picks;
+           for (EdgeDirection dir : {EdgeDirection::kOutgoing, EdgeDirection::kIncoming}) {
+             for (int64_t v = 0; v < graph->num_nodes(); ++v) {
+               const size_t at = words.size();
+               words.push_back(0);
+               const int64_t degree = index.SampleOneHop(v, -1, dir, unused, picks, words);
+               words[at] = degree;
+             }
+           }
+           return pack(words);
+         },
+         [graph, pack] {
+           std::vector<int64_t> words;
+           for (bool outgoing : {true, false}) {
+             for (const std::vector<int64_t>& list :
+                  RefNeighborLists(graph->num_nodes(), graph->edges(), outgoing)) {
+               words.push_back(static_cast<int64_t>(list.size()));
+               words.insert(words.end(), list.begin(), list.end());
+             }
+           }
+           return pack(words);
+         }});
   }
   return kernels;
 }

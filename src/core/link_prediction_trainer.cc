@@ -270,14 +270,18 @@ void LinkPredictionTrainer::RestoreCheckpointSections(CheckpointReader& reader) 
 // samplers' internal RNG streams), so metrics are a pure function of model
 // state: repeated evaluations of the same model agree bit-for-bit, and a
 // checkpoint-resumed trainer evaluates identically to the one that saved it.
+// A decoder-only model's representations are its base rows, so it never builds
+// the full-graph index.
 Tensor LinkPredictionTrainer::InferReprs(const std::vector<int64_t>& nodes,
-                                         const Tensor& values,
-                                         const NeighborIndex& index) {
+                                         const Tensor& values) {
+  auto gather = [&](const std::vector<int64_t>& ids) {
+    return IndexSelect(values, ids, &compute_);
+  };
+  if (!model_.has_gnn()) {
+    return gather(nodes);
+  }
   const uint64_t eval_seed = MixSeed(config_.seed, 0x4556414CULL);  // "EVAL"
-  return model_.InferReprs(
-      nodes, eval_seed, index,
-      [&](const std::vector<int64_t>& ids) { return IndexSelect(values, ids, &compute_); },
-      &compute_);
+  return model_.InferReprs(nodes, eval_seed, FullIndex(), gather, &compute_);
 }
 
 namespace {
@@ -309,7 +313,6 @@ double LinkPredictionTrainer::EvaluateMrr(int64_t num_negatives, int64_t max_edg
   } else {
     values = mem_store_->values();
   }
-  const NeighborIndex& index = FullIndex();
 
   const std::vector<int64_t>& split = use_valid ? graph_->valid_edges() : graph_->test_edges();
   std::vector<int64_t> edge_ids = split;
@@ -355,7 +358,7 @@ double LinkPredictionTrainer::EvaluateMrr(int64_t num_negatives, int64_t max_edg
       neg_rows.push_back(row(n));
     }
 
-    Tensor reprs = InferReprs(targets, values, index);
+    Tensor reprs = InferReprs(targets, values);
     std::vector<float> neg_scores;
     std::vector<float> kept_scores;
     std::vector<float> pos_score;

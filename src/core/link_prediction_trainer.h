@@ -75,8 +75,7 @@ class LinkPredictionTrainer : public TrainerBase {
 
   // Representations of `nodes` for evaluation, using full-graph sampling over
   // `values` (the exported/in-memory base representations).
-  Tensor InferReprs(const std::vector<int64_t>& nodes, const Tensor& values,
-                    const NeighborIndex& index);
+  Tensor InferReprs(const std::vector<int64_t>& nodes, const Tensor& values);
 
   // The current set's negative sampler (universe: the resident nodes in disk
   // mode), replaced by SetExamples between segments.

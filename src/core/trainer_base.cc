@@ -218,21 +218,17 @@ EpochStats TrainerBase::RunEpoch() {
     }
 
     WallTimer set_timer;
+    // Only a GNN samples: a decoder-only model gets no index at all.
     const NeighborIndex* index = nullptr;
-    if (buffer_ == nullptr) {
-      index = &FullIndex();
-    } else {
-      // In-memory subgraph: all edges between resident partitions (Section 4.1).
-      std::vector<Edge> resident_edges;
-      for (int32_t a : set) {
-        for (int32_t b : set) {
-          for (int64_t e : partitioning_->Bucket(a, b)) {
-            resident_edges.push_back(graph_->edge(e));
-          }
-        }
+    if (model_.has_gnn()) {
+      if (buffer_ == nullptr) {
+        index = &FullIndex();
+      } else {
+        // In-memory subgraph: all edges between resident partitions (Section 4.1),
+        // indexed straight from the set's buckets.
+        resident_index = std::make_unique<NeighborIndex>(*graph_, *partitioning_, set);
+        index = resident_index.get();
       }
-      resident_index = std::make_unique<NeighborIndex>(graph_->num_nodes(), resident_edges);
-      index = resident_index.get();
     }
 
     // X_i, run as one session segment. Workers only call const, seed-driven

@@ -78,7 +78,8 @@ class TrainerBase {
 
   // Epoch-loop task hooks. Per epoch RunEpoch calls PlanEpoch once, then
   // for each set i: makes S_i resident, stages the next set, points
-  // sample_index_ at S_i's edge index, calls SetExamples(plan, i), and pipelines
+  // sample_index_ at S_i's edge index (null when the model has no GNN, since
+  // nothing samples), calls SetExamples(plan, i), and pipelines
   // those examples in batch_size slices through PrepareBatch (worker threads)
   // and ConsumeBatch (this thread, in batch order).
   //
@@ -111,7 +112,8 @@ class TrainerBase {
   void MakePartitionBuffer(const std::string& file_name, int64_t dim, bool learnable,
                            const Tensor* init);
 
-  // Neighbor index over the whole graph: memory-mode training and evaluation.
+  // Neighbor index over the whole graph, built on first use: memory-mode
+  // training and evaluation of a model with a GNN.
   const NeighborIndex& FullIndex();
 
   // The one place a batch's gradients meet the optimizer: routes this rank's
@@ -162,7 +164,8 @@ class TrainerBase {
 
   ModelState model_;
   // The neighbor index of the set being trained, which PrepareBatch samples
-  // over. RunEpoch sets it before each segment starts, so workers only read it.
+  // over; null without a GNN. RunEpoch sets it before each segment starts, so
+  // workers only read it.
   const NeighborIndex* sample_index_ = nullptr;
 
   // Disk mode: the node partitioning and the partition buffer over it. Both

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/util/binary_io.h"
@@ -94,6 +95,24 @@ void SaveGraph(const Graph& graph, const std::string& prefix) {
   }
 }
 
+namespace {
+
+// Every count in .meta is untrusted: `count` elements of `elem_bytes` must fit in
+// the `available` bytes left in their file before anything is allocated for them.
+void CheckCountFits(int64_t count, uint64_t elem_bytes, uint64_t available,
+                    const char* message) {
+  MG_CHECK_MSG(count >= 0 && static_cast<uint64_t>(count) <= available / elem_bytes,
+               message);
+}
+
+std::string BadEdgeMessage(size_t i, const Edge& e) {
+  return "edge " + std::to_string(i) + " (src " + std::to_string(e.src) + ", dst " +
+         std::to_string(e.dst) + ", rel " + std::to_string(e.rel) +
+         ") is outside the graph's node or relation range";
+}
+
+}  // namespace
+
 Graph LoadGraph(const std::string& prefix) {
   Meta meta;
   {
@@ -101,17 +120,34 @@ Graph LoadGraph(const std::string& prefix) {
     f.ReadAt(&meta, sizeof(meta), 0);
   }
   MG_CHECK_MSG(meta.magic == kMagic, "bad graph file magic");
+  MG_CHECK_MSG(meta.num_nodes >= 0, "corrupt graph meta: negative node count");
 
-  std::vector<Edge> edges(static_cast<size_t>(meta.num_edges));
-  if (meta.num_edges > 0) {
+  std::vector<Edge> edges;
+  if (meta.num_edges != 0) {
     File f(prefix + ".edges");
+    CheckCountFits(meta.num_edges, sizeof(Edge), f.Size(),
+                   "corrupt graph: edge count exceeds the .edges file size");
+    edges.resize(static_cast<size_t>(meta.num_edges));
     f.ReadAt(edges.data(), edges.size() * sizeof(Edge), 0);
+  }
+  // The index and bucket builds index arrays by endpoint, so check them all here.
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    MG_CHECK_MSG(e.src >= 0 && e.src < meta.num_nodes && e.dst >= 0 &&
+                     e.dst < meta.num_nodes && e.rel >= 0 && e.rel < meta.num_relations,
+                 BadEdgeMessage(i, e).c_str());
   }
   Graph graph(meta.num_nodes, std::move(edges), meta.num_relations);
 
   if (meta.has_features != 0) {
-    std::vector<float> data(static_cast<size_t>(meta.num_nodes * meta.feature_dim));
     File f(prefix + ".feat");
+    const uint64_t feat_bytes = f.Size();
+    const char* too_many = "corrupt graph: feature count exceeds the .feat file size";
+    MG_CHECK_MSG(meta.feature_dim > 0, "corrupt graph meta: feature_dim");
+    CheckCountFits(meta.feature_dim, sizeof(float), feat_bytes, too_many);
+    CheckCountFits(meta.num_nodes, static_cast<uint64_t>(meta.feature_dim) * sizeof(float),
+                   feat_bytes, too_many);
+    std::vector<float> data(static_cast<size_t>(meta.num_nodes * meta.feature_dim));
     f.ReadAt(data.data(), data.size() * sizeof(float), 0);
     graph.set_features(Tensor(meta.num_nodes, meta.feature_dim, std::move(data)));
   }
@@ -121,12 +157,16 @@ Graph LoadGraph(const std::string& prefix) {
   }
   {
     File f(prefix + ".splits");
+    uint64_t available = f.Size();
     uint64_t offset = 0;
     auto read_split = [&](int64_t count) {
+      CheckCountFits(count, sizeof(int64_t), available,
+                     "corrupt graph: split counts exceed the .splits file size");
       std::vector<int64_t> split(static_cast<size_t>(count));
       if (count > 0) {
         f.ReadAt(split.data(), split.size() * sizeof(int64_t), offset);
         offset += split.size() * sizeof(int64_t);
+        available -= split.size() * sizeof(int64_t);
       }
       return split;
     };

@@ -6,24 +6,24 @@
 //    an array that, for each node ID in memory, stores the offsets corresponding to its
 //    outgoing and incoming edges in each of the two edge lists."
 //
+// Each entry of the two lists is the neighboring node id only (8 bytes): no sampler,
+// encoder or server reads an edge's relation through the index, so relations stay
+// on `Graph`. A node's list keeps its edges in the order the index was built from.
+//
 // NeighborIndex is rebuilt whenever the partition buffer's contents change (each S_i)
 // and supports parallel one-hop sampling of incoming and/or outgoing neighbors.
 #ifndef SRC_GRAPH_NEIGHBOR_INDEX_H_
 #define SRC_GRAPH_NEIGHBOR_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/graph/partition.h"
 #include "src/util/rng.h"
 
 namespace mariusgnn {
-
-// A sampled neighbor: the neighboring node plus the relation of the connecting edge.
-struct Neighbor {
-  int64_t node = 0;
-  int32_t rel = 0;
-};
 
 enum class EdgeDirection { kOutgoing, kIncoming, kBoth };
 
@@ -39,8 +39,14 @@ class NeighborIndex {
   explicit NeighborIndex(const Graph& graph)
       : NeighborIndex(graph.num_nodes(), graph.edges()) {}
 
+  // The in-memory subgraph of partition set `partitions`: the edges of every bucket
+  // (a, b) with a and b in the set, a-major, b-minor, ascending edge id within a
+  // bucket. The same lists as indexing that edge sequence, with no copy of it.
+  NeighborIndex(const Graph& graph, const Partitioning& partitioning,
+                const std::vector<int32_t>& partitions);
+
   int64_t num_nodes() const { return num_nodes_; }
-  int64_t num_edges() const { return static_cast<int64_t>(by_src_.size()); }
+  int64_t num_edges() const { return num_edges_; }
 
   int64_t OutDegree(int64_t node) const {
     return out_offsets_[static_cast<size_t>(node) + 1] - out_offsets_[static_cast<size_t>(node)];
@@ -49,26 +55,33 @@ class NeighborIndex {
     return in_offsets_[static_cast<size_t>(node) + 1] - in_offsets_[static_cast<size_t>(node)];
   }
 
-  // Appends up to `fanout` one-hop neighbors of `node` in the given direction to `out`
-  // and returns how many were appended. fanout < 0 means "all neighbors". When kBoth,
-  // up to `fanout` neighbors are drawn from each direction. Sampling is without
+  // Appends up to `fanout` one-hop neighbor ids of `node` in the given direction to
+  // `out` and returns how many were appended. fanout < 0 means "all neighbors". When
+  // kBoth, up to `fanout` neighbors are drawn from each direction. Sampling is without
   // replacement within a direction; `picks` is the caller's draw scratch, reused
   // across calls so a warm sampler allocates nothing per node.
   int64_t SampleOneHop(int64_t node, int64_t fanout, EdgeDirection dir, Rng& rng,
-                       PickScratch& picks, std::vector<Neighbor>& out) const;
+                       PickScratch& picks, std::vector<int64_t>& out) const;
 
-  // Full (unsampled) neighbor lists, for tests and full-neighborhood aggregation.
-  std::vector<Neighbor> AllNeighbors(int64_t node, EdgeDirection dir) const;
+  // Full (unsampled) neighbor id lists, for tests and full-neighborhood aggregation.
+  std::vector<int64_t> AllNeighbors(int64_t node, EdgeDirection dir) const;
 
  private:
+  // Counting-sorts the edges that `for_each_edge(fn)` visits: it calls fn(src, dst)
+  // once per edge, in the same order on each of its two calls.
+  template <typename ForEachEdge>
+  void Build(const ForEachEdge& for_each_edge);
+
   int64_t SampleDirection(int64_t node, int64_t fanout, bool outgoing, Rng& rng,
-                          PickScratch& picks, std::vector<Neighbor>& out) const;
+                          PickScratch& picks, std::vector<int64_t>& out) const;
 
   int64_t num_nodes_ = 0;
+  int64_t num_edges_ = 0;
   // by_src_[out_offsets_[v] .. out_offsets_[v+1]) are v's outgoing neighbors;
-  // by_dst_[in_offsets_[v] .. in_offsets_[v+1]) are v's incoming neighbors.
-  std::vector<Neighbor> by_src_;
-  std::vector<Neighbor> by_dst_;
+  // by_dst_[in_offsets_[v] .. in_offsets_[v+1]) are v's incoming neighbors. Left
+  // uninitialized until the scatter writes every entry.
+  std::unique_ptr<int64_t[]> by_src_;
+  std::unique_ptr<int64_t[]> by_dst_;
   std::vector<int64_t> out_offsets_;
   std::vector<int64_t> in_offsets_;
 };

@@ -72,15 +72,29 @@ Partitioning::Partitioning(const Graph& graph, int32_t num_partitions,
     num_training_partitions_ = parts;
   }
 
-  // Group edges into buckets.
-  buckets_.assign(static_cast<size_t>(p_) * p_, {});
+  // Group edge ids into buckets: a counting sort by bucket that walks edges in id
+  // order, so each bucket lists its ids ascending. Counts land two slots up, so
+  // after the prefix sum bucket_offsets_[b + 1] is bucket b's scatter cursor, and
+  // the scatter leaves it at b's end (the spare last slot is dropped).
   const auto& edges = graph.edges();
-  for (int64_t i = 0; i < graph.num_edges(); ++i) {
-    const Edge& e = edges[static_cast<size_t>(i)];
-    const int32_t bi = part_of_node_[static_cast<size_t>(e.src)];
-    const int32_t bj = part_of_node_[static_cast<size_t>(e.dst)];
-    buckets_[static_cast<size_t>(bi) * p_ + bj].push_back(i);
+  const size_t num_buckets = static_cast<size_t>(p_) * static_cast<size_t>(p_);
+  std::vector<uint32_t> bucket_of(edges.size());
+  bucket_offsets_.assign(num_buckets + 2, 0);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const size_t bi = static_cast<size_t>(part_of_node_[static_cast<size_t>(edges[i].src)]);
+    const size_t bj = static_cast<size_t>(part_of_node_[static_cast<size_t>(edges[i].dst)]);
+    bucket_of[i] = static_cast<uint32_t>(bi * static_cast<size_t>(p_) + bj);
+    ++bucket_offsets_[bucket_of[i] + 2];
   }
+  for (size_t b = 2; b < bucket_offsets_.size(); ++b) {
+    bucket_offsets_[b] += bucket_offsets_[b - 1];
+  }
+  bucket_edges_.resize(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    bucket_edges_[static_cast<size_t>(bucket_offsets_[bucket_of[i] + 1]++)] =
+        static_cast<int64_t>(i);
+  }
+  bucket_offsets_.pop_back();
   total_edges_ = graph.num_edges();
 }
 

@@ -1,9 +1,9 @@
 // Physical node partitions and edge buckets (Section 3 of the paper).
 //
 // The node-id space is split into p physical partitions. Edge bucket (i, j) is the set
-// of edges whose source lies in partition i and destination in partition j; edges in a
-// bucket are stored contiguously so the storage layer can read a bucket with one
-// sequential IO.
+// of edges whose source lies in partition i and destination in partition j; a bucket's
+// edge ids are stored contiguously, in one counting-sorted array for all p * p
+// buckets, so a bucket is read as one sequential slice.
 //
 // Two assignment modes:
 //  - kRandom: nodes are assigned to partitions by a random permutation (link prediction
@@ -23,6 +23,19 @@
 namespace mariusgnn {
 
 enum class PartitionAssignment { kRandom, kTrainingNodesFirst };
+
+// A read-only slice of edge ids, for range-for.
+class EdgeIdRange {
+ public:
+  EdgeIdRange(const int64_t* begin, const int64_t* end) : begin_(begin), end_(end) {}
+  const int64_t* begin() const { return begin_; }
+  const int64_t* end() const { return end_; }
+  int64_t size() const { return end_ - begin_; }
+
+ private:
+  const int64_t* begin_;
+  const int64_t* end_;
+};
 
 class Partitioning {
  public:
@@ -57,14 +70,15 @@ class Partitioning {
   // partitions fully/partially occupied by training nodes.
   int32_t num_training_partitions() const { return num_training_partitions_; }
 
-  // Edge indices (into graph.edges()) of bucket (i, j).
-  const std::vector<int64_t>& Bucket(int32_t i, int32_t j) const {
-    return buckets_[static_cast<size_t>(i) * p_ + j];
+  // Edge indices (into graph.edges()) of bucket (i, j), ascending: a slice of the
+  // one bucket-sorted edge-id array.
+  EdgeIdRange Bucket(int32_t i, int32_t j) const {
+    const size_t b = static_cast<size_t>(i) * static_cast<size_t>(p_) + static_cast<size_t>(j);
+    const int64_t* ids = bucket_edges_.data();
+    return EdgeIdRange(ids + bucket_offsets_[b], ids + bucket_offsets_[b + 1]);
   }
 
-  int64_t BucketSize(int32_t i, int32_t j) const {
-    return static_cast<int64_t>(Bucket(i, j).size());
-  }
+  int64_t BucketSize(int32_t i, int32_t j) const { return Bucket(i, j).size(); }
 
   // Total number of edges across all buckets (== graph.num_edges()).
   int64_t TotalEdges() const { return total_edges_; }
@@ -76,7 +90,10 @@ class Partitioning {
   std::vector<int32_t> part_of_node_;
   std::vector<int64_t> local_index_;
   std::vector<std::vector<int64_t>> nodes_per_partition_;
-  std::vector<std::vector<int64_t>> buckets_;  // p_ * p_ buckets, row-major.
+  // Bucket (i, j), row-major b = i * p_ + j, is
+  // bucket_edges_[bucket_offsets_[b] .. bucket_offsets_[b + 1]).
+  std::vector<int64_t> bucket_edges_;
+  std::vector<int64_t> bucket_offsets_;
 };
 
 }  // namespace mariusgnn

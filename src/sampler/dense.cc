@@ -85,7 +85,6 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
                "target_nodes must be unique");
 
   std::vector<int64_t> delta = target_nodes;  // Δk
-  std::vector<Neighbor> scratch;
   PickScratch picks;
 
   // Loop i = k..1: sample one-hop neighbors for Δi (Algorithm 1, line 3).
@@ -107,20 +106,16 @@ DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
       starts[static_cast<size_t>(j) + 1] = starts[static_cast<size_t>(j)] + count;
     }
     const int64_t total = starts[static_cast<size_t>(m)];
-    std::vector<int64_t> hop_nbrs(static_cast<size_t>(total));
+    // Node j's draws append at starts[j]: each appends exactly its count above.
+    std::vector<int64_t> hop_nbrs;
+    hop_nbrs.reserve(static_cast<size_t>(total));
 
     for (int64_t j = 0; j < m; ++j) {
-      scratch.clear();
       Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(hop) * 0x100000001ULL +
                                            static_cast<uint64_t>(j)));
       index->SampleOneHop(delta[static_cast<size_t>(j)], fanout, dir_, node_rng, picks,
-                          scratch);
-      int64_t pos = starts[static_cast<size_t>(j)];
-      for (const Neighbor& nb : scratch) {
-        hop_nbrs[static_cast<size_t>(pos)] = nb.node;
-        ++pos;
-      }
-      MG_DCHECK(pos == starts[static_cast<size_t>(j) + 1]);
+                          hop_nbrs);
+      MG_DCHECK(static_cast<int64_t>(hop_nbrs.size()) == starts[static_cast<size_t>(j) + 1]);
     }
 
     // Prepend this hop's samples (Algorithm 1, lines 5-6).

@@ -33,7 +33,7 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
   sample.blocks.resize(fanouts_.size());
 
   std::vector<int64_t> frontier = target_nodes;
-  std::vector<Neighbor> scratch;
+  std::vector<int64_t> scratch;
   PickScratch picks;
   // Hop h = 0 is the layer closest to the targets (the k-th GNN layer); blocks are
   // stored innermost-first so we fill from the back.
@@ -57,11 +57,11 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
                                            static_cast<uint64_t>(d)));
       // Fresh sample per layer: this is the cross-layer resampling DENSE avoids.
       index->SampleOneHop(frontier[d], fanouts_[h], dir_, node_rng, picks, scratch);
-      for (const Neighbor& nb : scratch) {
+      for (int64_t nb : scratch) {
         const auto [row, inserted] =
-            src_pos.Emplace(nb.node, static_cast<int64_t>(block.src_nodes.size()));
+            src_pos.Emplace(nb, static_cast<int64_t>(block.src_nodes.size()));
         if (inserted) {
-          block.src_nodes.push_back(nb.node);
+          block.src_nodes.push_back(nb);
         }
         block.edge_dst.push_back(static_cast<int64_t>(d));
         block.edge_src.push_back(row);
@@ -83,17 +83,12 @@ TreeSampleStats TreeSampler::Sample(const std::vector<int64_t>& target_nodes) {
   TreeSampleStats stats;
   std::vector<int64_t> level = target_nodes;
   stats.total_instances = static_cast<int64_t>(level.size());
-  std::vector<Neighbor> scratch;
   PickScratch picks;
   for (int64_t fanout : fanouts_) {
     std::vector<int64_t> next;
     next.reserve(level.size() * static_cast<size_t>(fanout));
     for (int64_t v : level) {
-      scratch.clear();
-      index_->SampleOneHop(v, fanout, dir_, rng_, picks, scratch);
-      for (const Neighbor& nb : scratch) {
-        next.push_back(nb.node);
-      }
+      index_->SampleOneHop(v, fanout, dir_, rng_, picks, next);
     }
     stats.total_instances += static_cast<int64_t>(next.size());
     stats.total_edges += static_cast<int64_t>(next.size());

@@ -222,13 +222,14 @@ void CheckOffsets(int64_t rows, const std::vector<int64_t>& offsets) {
 // add(acc, e) adds value(e) into the cols() floats at acc. Its bits are those of
 // positions cut into chunks of kComputeGrainScatterRows, each chunk summing its
 // values per destination row into a partial that starts at +0.0f, and the
-// partials added to dst in ascending chunk order. A call of one chunk, and
-// strictly increasing indices (at most one value per row: every layer's iota self
-// rows), add each value straight into its row instead. Rather than scattering,
-// it pulls: a counting sort lists each destination row's positions in ascending
-// order, and each row folds its own positions. Rows are chunked at the row grain
-// and every row is written by one chunk only, so any pool size gives the same
-// bits.
+// partials added to dst in ascending chunk order. Strictly increasing indices (at
+// most one value per row: every layer's iota self rows) and a call of one chunk
+// add each value straight into its row in position order: the first chunked by
+// position, since no two positions share a row, the second serially. Otherwise
+// it pulls rather than scatters: a counting sort lists each destination row's
+// positions in ascending order, and each row folds its own positions. Rows are
+// chunked at the row grain and every row is written by one chunk only, so any
+// pool size gives the same bits.
 template <typename AddFn>
 void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
                     const ComputeContext* ctx, const AddFn& add) {
@@ -237,8 +238,21 @@ void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
   for (int64_t e = 1; e < n && strictly_increasing; ++e) {
     strictly_increasing = indices[static_cast<size_t>(e)] > indices[static_cast<size_t>(e) - 1];
   }
-  const bool direct =
-      strictly_increasing || ComputeChunkCount(n, kComputeGrainScatterRows) <= 1;
+  const auto add_in_order = [&](int64_t begin, int64_t end) {
+    for (int64_t e = begin; e < end; ++e) {
+      const int64_t row = indices[static_cast<size_t>(e)];
+      MG_DCHECK(row >= 0 && row < dst.rows());
+      add(dst.RowPtr(row), e);
+    }
+  };
+  if (strictly_increasing) {
+    ForEachRowChunk(ctx, n, add_in_order);
+    return;
+  }
+  if (ComputeChunkCount(n, kComputeGrainScatterRows) <= 1) {
+    add_in_order(0, n);
+    return;
+  }
 
   // Reverse CSR: positions of destination row r are sources[first[r]..first[r+1]),
   // ascending, because the placement pass walks positions in order.
@@ -265,12 +279,6 @@ void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
       float* drow = dst.RowPtr(r);
       int64_t k = first[static_cast<size_t>(r)];
       const int64_t k_end = first[static_cast<size_t>(r) + 1];
-      if (direct) {
-        for (; k < k_end; ++k) {
-          add(drow, sources[static_cast<size_t>(k)]);
-        }
-        continue;
-      }
       while (k < k_end) {
         const int64_t chunk = sources[static_cast<size_t>(k)] / kComputeGrainScatterRows;
         std::fill(partial.begin(), partial.end(), 0.0f);

@@ -186,5 +186,39 @@ TEST(Serialize, EmptySplitsSurvive) {
   RemoveGraphFiles(prefix);
 }
 
+// LoadGraph trusts no count in .meta: a truncated .edges file fails the size
+// check before anything is allocated, and every edge's endpoints and relation
+// are checked, with the first bad edge named.
+TEST(SerializeDeathTest, TruncatedEdgesFileAborts) {
+  Graph g(10, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}});
+  const std::string prefix = TempPath("ser_trunc");
+  SaveGraph(g, prefix);
+  {
+    File f(prefix + ".edges");
+    f.Resize(2 * sizeof(Edge));
+  }
+  EXPECT_DEATH(LoadGraph(prefix), "edge count exceeds the .edges file size");
+  RemoveGraphFiles(prefix);
+}
+
+TEST(SerializeDeathTest, OutOfRangeEndpointAborts) {
+  Graph g(4, {{0, 1, 0}, {2, 3, 0}, {1, 4, 0}});  // edge 2's dst is past the last node
+  const std::string prefix = TempPath("ser_dst");
+  SaveGraph(g, prefix);
+  EXPECT_DEATH(LoadGraph(prefix), "edge 2 .src 1, dst 4, rel 0. is outside");
+  RemoveGraphFiles(prefix);
+}
+
+TEST(SerializeDeathTest, OutOfRangeSourceOrRelationAborts) {
+  Graph g(4, {{0, 1, 1}, {-1, 2, 0}}, 2);  // edge 1's src is negative
+  const std::string prefix = TempPath("ser_src");
+  SaveGraph(g, prefix);
+  EXPECT_DEATH(LoadGraph(prefix), "edge 1 .src -1, dst 2, rel 0. is outside");
+  Graph h(4, {{0, 1, 1}, {3, 2, 2}}, 2);  // edge 1's relation is past the last one
+  SaveGraph(h, prefix);
+  EXPECT_DEATH(LoadGraph(prefix), "edge 1 .src 3, dst 2, rel 2. is outside");
+  RemoveGraphFiles(prefix);
+}
+
 }  // namespace
 }  // namespace mariusgnn

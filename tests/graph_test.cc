@@ -3,11 +3,13 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "src/data/datasets.h"
 #include "src/graph/graph.h"
 #include "src/graph/neighbor_index.h"
 #include "src/graph/partition.h"
+#include "tests/sampling_reference.h"
 
 namespace mariusgnn {
 namespace {
@@ -55,8 +57,8 @@ TEST(NeighborIndex, AllNeighborsIncoming) {
   NeighborIndex index(g);
   auto nbrs = index.AllNeighbors(0, EdgeDirection::kIncoming);
   std::set<int64_t> ids;
-  for (const auto& n : nbrs) {
-    ids.insert(n.node);
+  for (int64_t n : nbrs) {
+    ids.insert(n);
   }
   EXPECT_EQ(ids, (std::set<int64_t>{2, 3}));
 }
@@ -66,8 +68,8 @@ TEST(NeighborIndex, AllNeighborsOutgoing) {
   NeighborIndex index(g);
   auto nbrs = index.AllNeighbors(2, EdgeDirection::kOutgoing);
   std::set<int64_t> ids;
-  for (const auto& n : nbrs) {
-    ids.insert(n.node);
+  for (int64_t n : nbrs) {
+    ids.insert(n);
   }
   EXPECT_EQ(ids, (std::set<int64_t>{0, 1, 3}));
 }
@@ -77,12 +79,12 @@ TEST(NeighborIndex, SampleRespectsFanout) {
   NeighborIndex index(g);
   Rng rng(1);
   PickScratch picks;
-  std::vector<Neighbor> out;
+  std::vector<int64_t> out;
   const int64_t count = index.SampleOneHop(2, 2, EdgeDirection::kOutgoing, rng, picks, out);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(out.size(), 2u);
   // Sampled without replacement: distinct.
-  EXPECT_NE(out[0].node, out[1].node);
+  EXPECT_NE(out[0], out[1]);
 }
 
 TEST(NeighborIndex, SampleAllWhenFanoutExceedsDegree) {
@@ -90,7 +92,7 @@ TEST(NeighborIndex, SampleAllWhenFanoutExceedsDegree) {
   NeighborIndex index(g);
   Rng rng(1);
   PickScratch picks;
-  std::vector<Neighbor> out;
+  std::vector<int64_t> out;
   const int64_t count = index.SampleOneHop(0, 10, EdgeDirection::kIncoming, rng, picks, out);
   EXPECT_EQ(count, 2);
 }
@@ -100,7 +102,7 @@ TEST(NeighborIndex, BothDirectionsCombines) {
   NeighborIndex index(g);
   Rng rng(1);
   PickScratch picks;
-  std::vector<Neighbor> out;
+  std::vector<int64_t> out;
   const int64_t count = index.SampleOneHop(2, 10, EdgeDirection::kBoth, rng, picks, out);
   EXPECT_EQ(count, 5);  // 3 outgoing + 2 incoming
 }
@@ -112,21 +114,74 @@ TEST(NeighborIndex, SampleCoversAllNeighborsEventually) {
   PickScratch picks;
   std::set<int64_t> seen;
   for (int t = 0; t < 200; ++t) {
-    std::vector<Neighbor> out;
+    std::vector<int64_t> out;
     index.SampleOneHop(2, 1, EdgeDirection::kOutgoing, rng, picks, out);
-    seen.insert(out[0].node);
+    seen.insert(out[0]);
   }
   EXPECT_EQ(seen, (std::set<int64_t>{0, 1, 3}));
 }
 
-TEST(NeighborIndex, PreservesRelations) {
-  std::vector<Edge> edges = {{0, 1, 7}, {0, 2, 9}};
-  Graph g(3, std::move(edges), 10);
-  NeighborIndex index(g);
-  auto nbrs = index.AllNeighbors(0, EdgeDirection::kOutgoing);
-  ASSERT_EQ(nbrs.size(), 2u);
-  for (const auto& n : nbrs) {
-    EXPECT_EQ(n.rel, n.node == 1 ? 7 : 9);
+// Every node's out and in lists, list for list, against the edge-order reference.
+void ExpectListsMatchEdgeOrder(const NeighborIndex& index, int64_t num_nodes,
+                               const std::vector<Edge>& edges) {
+  ASSERT_EQ(index.num_nodes(), num_nodes);
+  ASSERT_EQ(index.num_edges(), static_cast<int64_t>(edges.size()));
+  const auto out = RefNeighborLists(num_nodes, edges, /*outgoing=*/true);
+  const auto in = RefNeighborLists(num_nodes, edges, /*outgoing=*/false);
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    const size_t sv = static_cast<size_t>(v);
+    ASSERT_EQ(index.AllNeighbors(v, EdgeDirection::kOutgoing), out[sv]) << "node " << v;
+    ASSERT_EQ(index.AllNeighbors(v, EdgeDirection::kIncoming), in[sv]) << "node " << v;
+    ASSERT_EQ(index.OutDegree(v), static_cast<int64_t>(out[sv].size()));
+    ASSERT_EQ(index.InDegree(v), static_cast<int64_t>(in[sv].size()));
+  }
+}
+
+// Hubs, self loops and isolated nodes.
+TEST(NeighborIndex, ListsAreEdgeOrderStableSort) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const Graph g = SamplingTestGraph(seed);
+    ExpectListsMatchEdgeOrder(NeighborIndex(g), g.num_nodes(), g.edges());
+  }
+}
+
+// Each of 40 (src, dst) pairs repeated about 15 times under varying relations,
+// interleaved, so a list holds runs of equal ids among distinct ones.
+TEST(NeighborIndex, DuplicateEdgesKeepEdgeOrder) {
+  Rng rng(9);
+  std::vector<Edge> pairs;
+  for (int k = 0; k < 40; ++k) {
+    pairs.push_back({rng.UniformInt(0, 30), rng.UniformInt(0, 30), 0});
+  }
+  std::vector<Edge> edges;
+  for (int e = 0; e < 600; ++e) {
+    Edge edge = pairs[static_cast<size_t>(rng.UniformInt(40))];
+    edge.rel = static_cast<int32_t>(rng.UniformInt(4));
+    edges.push_back(edge);
+  }
+  ExpectListsMatchEdgeOrder(NeighborIndex(32, edges), 32, edges);
+}
+
+// The resident index built from a set's buckets equals the index over the same
+// edges gathered a-major, b-minor, ascending edge id, for sets in any order.
+TEST(NeighborIndex, BucketBuiltEqualsEdgeListBuilt) {
+  const Graph g = SamplingTestGraph(4);
+  Rng prng(5);
+  Partitioning part(g, 5, PartitionAssignment::kRandom, prng);
+  const std::vector<std::vector<int32_t>> sets = {{0}, {0, 1}, {3, 1}, {4, 0, 2}, {2, 4, 1, 3, 0}};
+  for (const std::vector<int32_t>& set : sets) {
+    std::vector<Edge> resident;
+    for (int32_t a : set) {
+      for (int32_t b : set) {
+        for (int64_t e : part.Bucket(a, b)) {
+          resident.push_back(g.edge(e));
+        }
+      }
+    }
+    const NeighborIndex want(g.num_nodes(), resident);
+    const NeighborIndex got(g, part, set);
+    ASSERT_EQ(got.num_edges(), want.num_edges());
+    ExpectListsMatchEdgeOrder(got, g.num_nodes(), resident);
   }
 }
 
@@ -189,6 +244,32 @@ TEST(Partitioning, BucketsPartitionEdges) {
   EXPECT_EQ(part.TotalEdges(), g.num_edges());
 }
 
+// Each bucket is the ascending list of edge ids whose endpoints fall in its
+// partitions, for both assignment modes.
+TEST(Partitioning, BucketsAreAscendingEdgeIdFilters) {
+  const Graph g = PapersMini(0.05);
+  for (PartitionAssignment mode :
+       {PartitionAssignment::kRandom, PartitionAssignment::kTrainingNodesFirst}) {
+    Rng rng(10);
+    const int32_t p = 6;
+    Partitioning part(g, p, mode, rng);
+    for (int32_t i = 0; i < p; ++i) {
+      for (int32_t j = 0; j < p; ++j) {
+        std::vector<int64_t> want;
+        for (int64_t e = 0; e < g.num_edges(); ++e) {
+          if (part.PartitionOf(g.edge(e).src) == i && part.PartitionOf(g.edge(e).dst) == j) {
+            want.push_back(e);
+          }
+        }
+        const EdgeIdRange bucket = part.Bucket(i, j);
+        EXPECT_EQ(std::vector<int64_t>(bucket.begin(), bucket.end()), want)
+            << "bucket (" << i << ", " << j << ")";
+        EXPECT_EQ(part.BucketSize(i, j), static_cast<int64_t>(want.size()));
+      }
+    }
+  }
+}
+
 TEST(NeighborIndex, SubgraphIndexRestrictsSampling) {
   // The disk path builds an index over only the resident buckets; sampled neighbors
   // must stay inside the subgraph's edge set.
@@ -211,12 +292,12 @@ TEST(NeighborIndex, SubgraphIndexRestrictsSampling) {
   NeighborIndex index(g.num_nodes(), resident);
   Rng rng(7);
   PickScratch picks;
-  std::vector<Neighbor> out;
+  std::vector<int64_t> out;
   for (int64_t v : part.NodesIn(0)) {
     out.clear();
     index.SampleOneHop(v, 10, EdgeDirection::kBoth, rng, picks, out);
-    for (const Neighbor& n : out) {
-      EXPECT_TRUE(resident_nodes.count(n.node) == 1)
+    for (int64_t n : out) {
+      EXPECT_TRUE(resident_nodes.count(n) == 1)
           << "sampled neighbor outside the resident subgraph";
     }
   }
@@ -227,7 +308,7 @@ TEST(NeighborIndex, GraphWithNoEdges) {
   NeighborIndex index(g);
   Rng rng(1);
   PickScratch picks;
-  std::vector<Neighbor> out;
+  std::vector<int64_t> out;
   EXPECT_EQ(index.SampleOneHop(3, 4, EdgeDirection::kBoth, rng, picks, out), 0);
   EXPECT_TRUE(out.empty());
 }

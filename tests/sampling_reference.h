@@ -1,5 +1,6 @@
-// Hash-based references for the sampling and query-planning paths: the
-// std::unordered_map/set versions of Rng::SampleWithoutReplacement,
+// References for the sampling and query-planning paths. RefNeighborLists is
+// NeighborIndex's per-node lists as a stable sort of the edge list. The rest are
+// hash-based: the std::unordered_map/set versions of Rng::SampleWithoutReplacement,
 // NeighborIndex::SampleOneHop, DenseSampler::SampleSeeded +
 // DenseBatch::FinalizeForDevice, LayerwiseSampler::SampleSeeded and
 // InferenceServer::PlanLinkQuery that the flat NodeRowMap versions replaced.
@@ -74,8 +75,8 @@ inline std::vector<int64_t> RefSampleWithoutReplacement(Rng& rng, int64_t popula
 // One direction's neighbor pool comes from AllNeighbors, which lists a node's
 // edges in the index's own order.
 inline int64_t RefSampleDirection(const NeighborIndex& index, int64_t node, int64_t fanout,
-                                  EdgeDirection one_dir, Rng& rng, std::vector<Neighbor>& out) {
-  const std::vector<Neighbor> pool = index.AllNeighbors(node, one_dir);
+                                  EdgeDirection one_dir, Rng& rng, std::vector<int64_t>& out) {
+  const std::vector<int64_t> pool = index.AllNeighbors(node, one_dir);
   const int64_t degree = static_cast<int64_t>(pool.size());
   if (degree == 0) {
     return 0;
@@ -91,7 +92,7 @@ inline int64_t RefSampleDirection(const NeighborIndex& index, int64_t node, int6
 }
 
 inline int64_t RefSampleOneHop(const NeighborIndex& index, int64_t node, int64_t fanout,
-                               EdgeDirection dir, Rng& rng, std::vector<Neighbor>& out) {
+                               EdgeDirection dir, Rng& rng, std::vector<int64_t>& out) {
   int64_t count = 0;
   if (dir == EdgeDirection::kOutgoing || dir == EdgeDirection::kBoth) {
     count += RefSampleDirection(index, node, fanout, EdgeDirection::kOutgoing, rng, out);
@@ -100,6 +101,19 @@ inline int64_t RefSampleOneHop(const NeighborIndex& index, int64_t node, int64_t
     count += RefSampleDirection(index, node, fanout, EdgeDirection::kIncoming, rng, out);
   }
   return count;
+}
+
+// The edge-order stable-sort reference for NeighborIndex's lists: lists[v] is
+// node v's neighbors in one direction, in the order of `edges` (outgoing: the dst
+// of each edge with src v; incoming: the src of each edge with dst v).
+inline std::vector<std::vector<int64_t>> RefNeighborLists(int64_t num_nodes,
+                                                          const std::vector<Edge>& edges,
+                                                          bool outgoing) {
+  std::vector<std::vector<int64_t>> lists(static_cast<size_t>(num_nodes));
+  for (const Edge& e : edges) {
+    lists[static_cast<size_t>(outgoing ? e.src : e.dst)].push_back(outgoing ? e.dst : e.src);
+  }
+  return lists;
 }
 
 inline void RefFinalizeForDevice(DenseBatch& b) {
@@ -129,16 +143,14 @@ inline DenseBatch RefDenseSampleSeeded(const NeighborIndex& index,
   for (size_t hop = 0; hop < fanouts.size(); ++hop) {
     std::vector<int64_t> hop_offsets;
     std::vector<int64_t> hop_nbrs;
-    std::vector<Neighbor> scratch;
+    std::vector<int64_t> scratch;
     for (size_t j = 0; j < delta.size(); ++j) {
       hop_offsets.push_back(static_cast<int64_t>(hop_nbrs.size()));
       scratch.clear();
       Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(hop) * 0x100000001ULL +
                                            static_cast<uint64_t>(j)));
       RefSampleOneHop(index, delta[j], fanouts[hop], dir, node_rng, scratch);
-      for (const Neighbor& nb : scratch) {
-        hop_nbrs.push_back(nb.node);
-      }
+      hop_nbrs.insert(hop_nbrs.end(), scratch.begin(), scratch.end());
     }
     const int64_t total = static_cast<int64_t>(hop_nbrs.size());
     for (int64_t o : b.nbr_offsets) {
@@ -171,7 +183,7 @@ inline LayerwiseSample RefLayerwiseSampleSeeded(const NeighborIndex& index,
   LayerwiseSample sample;
   sample.blocks.resize(fanouts.size());
   std::vector<int64_t> frontier = target_nodes;
-  std::vector<Neighbor> scratch;
+  std::vector<int64_t> scratch;
   for (size_t h = 0; h < fanouts.size(); ++h) {
     LayerBlock& block = sample.blocks[fanouts.size() - 1 - h];
     block.dst_nodes = frontier;
@@ -185,11 +197,10 @@ inline LayerwiseSample RefLayerwiseSampleSeeded(const NeighborIndex& index,
       Rng node_rng(MixSeed(batch_seed, static_cast<uint64_t>(h) * 0x100000001ULL +
                                            static_cast<uint64_t>(d)));
       RefSampleOneHop(index, frontier[d], fanouts[h], dir, node_rng, scratch);
-      for (const Neighbor& nb : scratch) {
-        auto [it, inserted] =
-            src_pos.emplace(nb.node, static_cast<int64_t>(block.src_nodes.size()));
+      for (int64_t nb : scratch) {
+        auto [it, inserted] = src_pos.emplace(nb, static_cast<int64_t>(block.src_nodes.size()));
         if (inserted) {
-          block.src_nodes.push_back(nb.node);
+          block.src_nodes.push_back(nb);
         }
         block.edge_dst.push_back(static_cast<int64_t>(d));
         block.edge_src.push_back(it->second);
