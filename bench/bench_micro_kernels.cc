@@ -6,9 +6,10 @@
 // After the google-benchmark suites, a custom stage-3 section times every parallel
 // compute kernel (matmuls, neighbor aggregation, the ranking loss of every decoder
 // at the benchmark's shapes, sharded Adagrad, the GraphSage backward with and
-// without the input gradient) serially and on an 8-worker pool, verifies the
-// results are BITWISE identical — and, for kernels with a scalar reference, equal
-// to it — and prints per-kernel plus aggregate speedups. The exit code gates only
+// without the input gradient, one GraphSage layer's forward and backward at the
+// nc_disk benchmark's layer-0 shape) serially and on an 8-worker pool, verifies
+// the results are BITWISE identical — and, for kernels with a scalar reference,
+// equal to it — and prints per-kernel plus aggregate speedups. The exit code gates only
 // on determinism — speedup depends on host core count (CI boxes may have 2). One
 // row is serial by design: neighbor_index_build, a full-graph NeighborIndex at
 // the nc_disk benchmark's scale, checked list for list against the edge-order
@@ -378,15 +379,13 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                        }});
   }
 
-  // Full GraphSage backward: MatMulTransA/TransB, the self-row ScatterAddRows and
-  // the neighbour mean's pull backward, after one forward.
+  // Full GraphSage backward: MatMulTransA/TransB, the self gradient added into d h's
+  // self-row range and the neighbour mean's pull backward, after one forward.
   {
     Rng grng(29);
     const int64_t num_out = 4096, per_nbr = 10;
     const int64_t num_in = num_out + num_out * per_nbr;
     auto h = std::make_shared<Tensor>(Tensor::Normal(num_in, dim, 0.5f, grng));
-    auto self_rows = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(num_out));
-    std::iota(self_rows->begin(), self_rows->end(), 0);
     auto nbr_rows =
         std::make_shared<std::vector<int64_t>>(static_cast<size_t>(num_out * per_nbr));
     for (auto& v : *nbr_rows) {
@@ -399,19 +398,19 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
     auto grad = std::make_shared<Tensor>(Tensor::Normal(num_out, dim, 0.5f, grng));
     // One forward + backward; returns d(h) (empty without `input_grad`) followed by
     // the parameter gradients.
-    auto backward = [h, self_rows, nbr_rows, offsets, grad, dim](const ComputeContext* ctx,
-                                                                 bool input_grad) {
+    auto backward = [h, nbr_rows, offsets, grad, dim](const ComputeContext* ctx,
+                                                      bool input_grad) {
       Rng wrng(31);
       GraphSageLayer layer(dim, dim, Activation::kRelu, wrng);
       LayerView view;
       view.h = h.get();
       view.compute = ctx;
-      view.self_rows = *self_rows;
+      view.self_begin = 0;
       view.nbr_rows = *nbr_rows;
       view.seg_offsets = *offsets;
       std::unique_ptr<LayerContext> layer_ctx;
-      layer.Forward(view, &layer_ctx);
-      std::vector<Tensor> out = {layer.Backward(*layer_ctx, *grad, input_grad)};
+      const Tensor fwd = layer.Forward(view, &layer_ctx);
+      std::vector<Tensor> out = {layer.Backward(*layer_ctx, fwd, *grad, input_grad)};
       for (Parameter* p : layer.Parameters()) {
         out.push_back(p->grad);
       }
@@ -442,6 +441,82 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                          return param_grads(out);
                        },
                        [backward, param_grads] { return param_grads(backward(nullptr, true)); }});
+  }
+
+  // One GraphSage layer, forward and backward with the input gradient, at the
+  // nc_disk benchmark's measured layer-0 shape: 3729 input rows, 3693 outputs
+  // whose own rows start at row 36, 18,532 neighbour positions, 64 -> 64. The
+  // result packs the output, d h and the parameter gradients; the reference is
+  // the composition the layer replaced (IndexSelect of the self rows, Matmul +
+  // AddInPlace, ScatterAddRows of the self gradient), bit for bit.
+  {
+    Rng lrng(37);
+    const int64_t num_in = 3729, self_begin = 36, num_out = 3693, positions = 18532;
+    auto h = std::make_shared<Tensor>(Tensor::Normal(num_in, dim, 0.5f, lrng));
+    auto nbr_rows = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(positions));
+    for (auto& v : *nbr_rows) {
+      v = static_cast<int64_t>(lrng.UniformInt(static_cast<int>(num_in)));
+    }
+    // Segments of 5 positions, the first positions % num_out of them 6.
+    auto offsets = std::make_shared<std::vector<int64_t>>(1, 0);
+    for (int64_t s = 0; s < num_out; ++s) {
+      offsets->push_back(offsets->back() + positions / num_out +
+                         (s < positions % num_out ? 1 : 0));
+    }
+    MG_CHECK(offsets->back() == positions);
+    auto grad = std::make_shared<Tensor>(Tensor::Normal(num_out, dim, 0.5f, lrng));
+    auto pack = [dim](const std::vector<Tensor>& parts) {
+      int64_t rows = 0;
+      for (const Tensor& t : parts) {
+        rows += t.size() / dim;
+      }
+      Tensor packed(rows, dim);
+      float* dst = packed.data();
+      for (const Tensor& t : parts) {
+        dst = std::copy(t.data(), t.data() + t.size(), dst);
+      }
+      return packed;
+    };
+    kernels.push_back(
+        {"graphsage_layer (nc_disk layer 0)",
+         [h, nbr_rows, offsets, grad, dim, self_begin, pack](const ComputeContext* ctx) {
+           Rng wrng(41);
+           GraphSageLayer layer(dim, dim, Activation::kRelu, wrng);
+           LayerView view;
+           view.h = h.get();
+           view.compute = ctx;
+           view.self_begin = self_begin;
+           view.nbr_rows = *nbr_rows;
+           view.seg_offsets = *offsets;
+           std::unique_ptr<LayerContext> layer_ctx;
+           std::vector<Tensor> parts = {layer.Forward(view, &layer_ctx)};
+           parts.push_back(layer.Backward(*layer_ctx, parts[0], *grad, /*input_grad=*/true));
+           for (Parameter* p : layer.Parameters()) {
+             parts.push_back(p->grad);
+           }
+           return pack(parts);
+         },
+         [h, nbr_rows, offsets, grad, dim, self_begin, num_out, pack] {
+           Rng wrng(41);
+           GraphSageLayer layer(dim, dim, Activation::kRelu, wrng);
+           RefLayerInputs in;
+           in.h = h.get();
+           in.self_rows.resize(static_cast<size_t>(num_out));
+           std::iota(in.self_rows.begin(), in.self_rows.end(), self_begin);
+           in.nbr_rows = *nbr_rows;
+           in.seg_offsets = *offsets;
+           for (Parameter* p : layer.Parameters()) {
+             in.params.push_back(&p->value);
+           }
+           in.act = Activation::kRelu;
+           in.grad_out = grad.get();
+           RefLayerRun run = RefGraphSageRun(in);
+           std::vector<Tensor> parts = {std::move(run.out), std::move(run.dh)};
+           for (Tensor& g : run.grads) {
+             parts.push_back(std::move(g));
+           }
+           return pack(parts);
+         }});
   }
 
   // The full-graph neighbor index at the nc_disk benchmark's scale (PapersMini at

@@ -151,7 +151,7 @@ void LinkPredictionTrainer::ConsumeBatch(void* item, EpochStats* stats) {
   Tensor reprs;
   embeddings_->Gather(rows, &reprs);
   if (gnn) {
-    reprs = model_.encoder->Forward(batch.plan, reprs);
+    reprs = model_.encoder->Forward(batch.plan, std::move(reprs));
   }
 
   Tensor d_reprs(reprs.rows(), reprs.cols());

@@ -102,8 +102,7 @@ Tensor ModelState::InferReprs(
     return gather(nodes);
   }
   GnnPlan plan = SamplePlan(nodes, sample_seed, index);
-  const Tensor h0 = gather(plan.input_nodes);
-  return encoder->InferForward(plan, h0, compute);
+  return encoder->InferForward(plan, gather(plan.input_nodes), compute);
 }
 
 Tensor ModelState::InferLogits(

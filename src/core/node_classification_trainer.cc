@@ -92,8 +92,8 @@ std::shared_ptr<void> NodeClassificationTrainer::PrepareBatch(
 void NodeClassificationTrainer::ConsumeBatch(void* item, EpochStats* stats) {
   PreparedBatch& batch = *static_cast<PreparedBatch*>(item);
   // Node classification always has a GNN (ValidateConfig).
-  const Tensor h0 = GatherFeatures(batch.plan.input_nodes, /*from_graph=*/false);
-  const Tensor reprs = model_.encoder->Forward(batch.plan, h0);
+  const Tensor reprs = model_.encoder->Forward(
+      batch.plan, GatherFeatures(batch.plan.input_nodes, /*from_graph=*/false));
   Tensor logits = model_.head->Forward(reprs);
   Tensor dlogits;
   const float loss = SoftmaxCrossEntropy(logits, batch.labels, &dlogits, &compute_);

@@ -115,20 +115,17 @@ std::string BadEdgeMessage(size_t i, const Edge& e) {
 
 Graph LoadGraph(const std::string& prefix) {
   Meta meta;
-  {
-    File f(prefix + ".meta");
-    f.ReadAt(&meta, sizeof(meta), 0);
-  }
+  File::OpenReadOnly(prefix + ".meta")->ReadAt(&meta, sizeof(meta), 0);
   MG_CHECK_MSG(meta.magic == kMagic, "bad graph file magic");
   MG_CHECK_MSG(meta.num_nodes >= 0, "corrupt graph meta: negative node count");
 
   std::vector<Edge> edges;
   if (meta.num_edges != 0) {
-    File f(prefix + ".edges");
-    CheckCountFits(meta.num_edges, sizeof(Edge), f.Size(),
+    const std::unique_ptr<File> f = File::OpenReadOnly(prefix + ".edges");
+    CheckCountFits(meta.num_edges, sizeof(Edge), f->Size(),
                    "corrupt graph: edge count exceeds the .edges file size");
     edges.resize(static_cast<size_t>(meta.num_edges));
-    f.ReadAt(edges.data(), edges.size() * sizeof(Edge), 0);
+    f->ReadAt(edges.data(), edges.size() * sizeof(Edge), 0);
   }
   // The index and bucket builds index arrays by endpoint, so check them all here.
   for (size_t i = 0; i < edges.size(); ++i) {
@@ -140,15 +137,15 @@ Graph LoadGraph(const std::string& prefix) {
   Graph graph(meta.num_nodes, std::move(edges), meta.num_relations);
 
   if (meta.has_features != 0) {
-    File f(prefix + ".feat");
-    const uint64_t feat_bytes = f.Size();
+    const std::unique_ptr<File> f = File::OpenReadOnly(prefix + ".feat");
+    const uint64_t feat_bytes = f->Size();
     const char* too_many = "corrupt graph: feature count exceeds the .feat file size";
     MG_CHECK_MSG(meta.feature_dim > 0, "corrupt graph meta: feature_dim");
     CheckCountFits(meta.feature_dim, sizeof(float), feat_bytes, too_many);
     CheckCountFits(meta.num_nodes, static_cast<uint64_t>(meta.feature_dim) * sizeof(float),
                    feat_bytes, too_many);
     std::vector<float> data(static_cast<size_t>(meta.num_nodes * meta.feature_dim));
-    f.ReadAt(data.data(), data.size() * sizeof(float), 0);
+    f->ReadAt(data.data(), data.size() * sizeof(float), 0);
     graph.set_features(Tensor(meta.num_nodes, meta.feature_dim, std::move(data)));
   }
   if (meta.has_labels != 0) {
@@ -156,15 +153,15 @@ Graph LoadGraph(const std::string& prefix) {
     graph.set_num_classes(meta.num_classes);
   }
   {
-    File f(prefix + ".splits");
-    uint64_t available = f.Size();
+    const std::unique_ptr<File> f = File::OpenReadOnly(prefix + ".splits");
+    uint64_t available = f->Size();
     uint64_t offset = 0;
     auto read_split = [&](int64_t count) {
       CheckCountFits(count, sizeof(int64_t), available,
                      "corrupt graph: split counts exceed the .splits file size");
       std::vector<int64_t> split(static_cast<size_t>(count));
       if (count > 0) {
-        f.ReadAt(split.data(), split.size() * sizeof(int64_t), offset);
+        f->ReadAt(split.data(), split.size() * sizeof(int64_t), offset);
         offset += split.size() * sizeof(int64_t);
         available -= split.size() * sizeof(int64_t);
       }

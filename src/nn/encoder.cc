@@ -1,6 +1,5 @@
 #include "src/nn/encoder.h"
 
-#include <numeric>
 #include <utility>
 
 #include "src/nn/gat.h"
@@ -40,9 +39,7 @@ GnnPlan PlanFromDense(DenseBatch batch) {
   plan.layers.resize(static_cast<size_t>(batch.num_deltas() - 1));
   for (size_t j = 0; j < plan.layers.size(); ++j) {
     LayerView& view = plan.layers[j];
-    const int64_t out_begin = batch.node_id_offsets[1];
-    view.self_rows.resize(static_cast<size_t>(batch.num_nodes() - out_begin));
-    std::iota(view.self_rows.begin(), view.self_rows.end(), out_begin);
+    view.self_begin = batch.node_id_offsets[1];
     view.seg_offsets = batch.SegmentOffsets();
     if (j + 1 == plan.layers.size()) {
       view.nbr_rows = std::move(batch.repr_map);
@@ -65,8 +62,7 @@ GnnPlan PlanFromBlocks(const LayerwiseSample& sample) {
     const LayerBlock& block = sample.blocks[j];
     LayerView& view = plan.layers[j];
     const int64_t num_dst = static_cast<int64_t>(block.dst_nodes.size());
-    view.self_rows.resize(static_cast<size_t>(num_dst));
-    std::iota(view.self_rows.begin(), view.self_rows.end(), 0);
+    view.self_begin = 0;
 
     std::vector<int64_t> counts(static_cast<size_t>(num_dst) + 1, 0);
     for (int64_t d : block.edge_dst) {
@@ -86,32 +82,44 @@ GnnPlan PlanFromBlocks(const LayerwiseSample& sample) {
   return plan;
 }
 
-Tensor GnnEncoder::ForwardImpl(GnnPlan& plan, const Tensor& h0,
-                               const ComputeContext* compute,
+Tensor GnnEncoder::ForwardImpl(GnnPlan& plan, Tensor h0, const ComputeContext* compute,
+                               std::vector<Tensor>* inputs,
                                std::vector<std::unique_ptr<LayerContext>>* ctxs) const {
   MG_CHECK(static_cast<int64_t>(plan.layers.size()) == num_layers());
   MG_CHECK(h0.rows() == static_cast<int64_t>(plan.input_nodes.size()));
-  ctxs->clear();
-  ctxs->resize(layers_.size());
+  // Drop the previous batch's state before this batch's layers allocate theirs.
+  inputs->clear();
+  inputs->resize(layers_.size());
+  if (ctxs != nullptr) {
+    ctxs->clear();
+    ctxs->resize(layers_.size());
+  }
 
-  Tensor h;
+  (*inputs)[0] = std::move(h0);
+  Tensor out;
   for (size_t j = 0; j < layers_.size(); ++j) {
     LayerView& view = plan.layers[j];
-    view.h = j == 0 ? &h0 : &h;
+    view.h = &(*inputs)[j];
     view.compute = compute;
-    h = layers_[j]->Forward(std::move(view), &(*ctxs)[j]);
+    out = layers_[j]->Forward(std::move(view), ctxs != nullptr ? &(*ctxs)[j] : nullptr);
+    if (ctxs == nullptr) {
+      (*inputs)[j] = Tensor();  // no Backward will read it
+    }
+    if (j + 1 < layers_.size()) {
+      (*inputs)[j + 1] = std::move(out);
+    }
   }
-  return h;
+  return out;
 }
 
-Tensor GnnEncoder::Forward(GnnPlan& plan, const Tensor& h0) {
-  return ForwardImpl(plan, h0, compute_, &contexts_);
+Tensor GnnEncoder::Forward(GnnPlan& plan, Tensor h0) {
+  return ForwardImpl(plan, std::move(h0), compute_, &inputs_, &contexts_);
 }
 
-Tensor GnnEncoder::InferForward(GnnPlan& plan, const Tensor& h0,
+Tensor GnnEncoder::InferForward(GnnPlan& plan, Tensor h0,
                                 const ComputeContext* compute) const {
-  std::vector<std::unique_ptr<LayerContext>> scratch;
-  return ForwardImpl(plan, h0, compute, &scratch);
+  std::vector<Tensor> inputs;
+  return ForwardImpl(plan, std::move(h0), compute, &inputs, nullptr);
 }
 
 Tensor GnnEncoder::Forward(DenseBatch& batch, const Tensor& h0) {
@@ -128,8 +136,12 @@ Tensor GnnEncoder::InferForward(DenseBatch& batch, const Tensor& h0,
 Tensor GnnEncoder::Backward(Tensor grad_targets) {
   MG_CHECK(contexts_.size() == layers_.size());
   Tensor grad = std::move(grad_targets);
+  const Tensor no_output;
   for (size_t j = layers_.size(); j-- > 0;) {
-    grad = layers_[j]->Backward(*contexts_[j], std::move(grad), j > 0 || trains_inputs_);
+    // Layer j's output is layer j+1's input. The last output went to the caller,
+    // and the last layer has no activation to read it (BuildGnnLayers).
+    const Tensor& out = j + 1 < layers_.size() ? inputs_[j + 1] : no_output;
+    grad = layers_[j]->Backward(*contexts_[j], out, std::move(grad), j > 0 || trains_inputs_);
   }
   return grad;
 }

@@ -14,6 +14,13 @@
 //    baseline systems perform, so the same layers apply and the end-to-end
 //    comparisons isolate the sampling/data-structure difference.
 //
+// The encoder owns each batch's activations. Forward takes h0 by value (callers
+// move it in), keeps every layer's input (h0 and each hidden output) until the
+// next Forward, where the layers' saved contexts and Backward read them in
+// place, and moves the last output out to the caller. So a caller may reassign
+// or drop its own h0 (`reprs = encoder.Forward(plan, std::move(reprs))`) before
+// Backward.
+//
 // The encoder learns at construction whether its base representations are
 // trained (`trains_inputs`). Link prediction trains its node embeddings and needs
 // d(H0); node classification reads fixed features, so its first layer skips every
@@ -59,20 +66,22 @@ class GnnEncoder {
   // results are bitwise-identical either way — see src/util/compute.h).
   void set_compute(const ComputeContext* compute) { compute_ = compute; }
 
-  // h0 rows align with plan.input_nodes. Returns representations of the target
-  // nodes. Consumes plan.layers (each view's index vectors move into its layer's
-  // saved context); plan.input_nodes is left for the caller.
-  Tensor Forward(GnnPlan& plan, const Tensor& h0);
+  // h0 rows align with plan.input_nodes; h0 is kept until the next Forward.
+  // Returns representations of the target nodes. Consumes plan.layers (each
+  // view's index vectors move into its layer's saved context); plan.input_nodes
+  // is left for the caller.
+  Tensor Forward(GnnPlan& plan, Tensor h0);
 
   // Inference-only forward: identical math to Forward (bitwise), but saves no
-  // backward state in the encoder, so a const encoder shared by concurrent
-  // readers (the serving snapshot) stays immutable. `compute` overrides the
-  // training-time handle (pass nullptr for serial).
-  Tensor InferForward(GnnPlan& plan, const Tensor& h0,
-                      const ComputeContext* compute) const;
+  // backward state, in the encoder or anywhere, and drops each layer's input once
+  // the layer has run, so a const encoder shared by concurrent readers (the
+  // serving snapshot) stays immutable. `compute` overrides the training-time
+  // handle (pass nullptr for serial).
+  Tensor InferForward(GnnPlan& plan, Tensor h0, const ComputeContext* compute) const;
 
-  // One-line wrappers over PlanFromDense (`batch` is moved from). They remain
-  // only for benchmark/replay.cc, which calls them and is kept unchanged.
+  // One-line wrappers over PlanFromDense (`batch` is moved from; h0 is copied).
+  // They remain only for benchmark/replay.cc, which calls them and is kept
+  // unchanged.
   Tensor Forward(DenseBatch& batch, const Tensor& h0);
   Tensor InferForward(DenseBatch& batch, const Tensor& h0,
                       const ComputeContext* compute) const;
@@ -87,13 +96,18 @@ class GnnEncoder {
   int64_t out_dim() const { return layers_.back()->out_dim(); }
 
  private:
-  // Shared const forward pass: per-invocation state lands in *ctxs, never in the
-  // encoder.
-  Tensor ForwardImpl(GnnPlan& plan, const Tensor& h0, const ComputeContext* compute,
+  // Shared const forward pass: layer j's input lands in (*inputs)[j] and, with
+  // `ctxs`, its saved context in (*ctxs)[j]; without `ctxs` nothing is saved and
+  // each input is dropped after its layer.
+  Tensor ForwardImpl(GnnPlan& plan, Tensor h0, const ComputeContext* compute,
+                     std::vector<Tensor>* inputs,
                      std::vector<std::unique_ptr<LayerContext>>* ctxs) const;
 
   std::vector<std::unique_ptr<GnnLayer>> layers_;
   bool trains_inputs_;
+  // The last Forward's layer inputs and saved contexts; the contexts point into
+  // inputs_.
+  std::vector<Tensor> inputs_;
   std::vector<std::unique_ptr<LayerContext>> contexts_;
   const ComputeContext* compute_ = nullptr;
 };

@@ -10,17 +10,15 @@ namespace mariusgnn {
 namespace {
 
 struct GatContext : public LayerContext {
-  std::vector<int64_t> self_rows;
+  const Tensor* h = nullptr;  // layer input, read in place
+  int64_t self_begin = 0;
   std::vector<int64_t> nbr_rows;
   std::vector<int64_t> seg_offsets;
   std::vector<int64_t> owner;  // segment id of each neighbor entry
-  Tensor h;                    // layer input (copy; needed for dW)
-  Tensor self_in;              // gathered input rows of output nodes
-  Tensor z_self;               // W-projected self rows
+  Tensor z;                    // W-projected input rows (self rows read in place)
   Tensor z_nbr;                // W-projected neighbor rows
   Tensor alpha;                // attention weights (E x 1, post-softmax)
   Tensor e_act;                // post-LeakyReLU scores (E x 1)
-  Tensor out;
 };
 
 }  // namespace
@@ -40,14 +38,15 @@ GatLayer::GatLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng,
 Tensor GatLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const {
   MG_CHECK(view.h != nullptr && view.h->cols() == in_dim_);
   const ComputeContext* cc = view.compute;
+  const int64_t num_out = view.num_outputs();
+  const ConstRowSpan h_self(*view.h, view.self_begin, num_out);
   auto c = std::make_unique<GatContext>();
   c->compute = cc;
-  c->self_rows = std::move(view.self_rows);
+  c->h = view.h;
+  c->self_begin = view.self_begin;
   c->nbr_rows = std::move(view.nbr_rows);
   c->seg_offsets = std::move(view.seg_offsets);
-  c->h = *view.h;
 
-  const int64_t num_out = static_cast<int64_t>(c->self_rows.size());
   const int64_t num_edges = static_cast<int64_t>(c->nbr_rows.size());
   c->owner.resize(static_cast<size_t>(num_edges));
   // Chunked over segments: each segment owns its contiguous edge range.
@@ -61,17 +60,16 @@ Tensor GatLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) con
                  }
                });
 
-  Tensor z = Matmul(*view.h, w_.value, cc);
-  c->self_in = IndexSelect(*view.h, c->self_rows, cc);
-  c->z_self = IndexSelect(z, c->self_rows, cc);
-  c->z_nbr = IndexSelect(z, c->nbr_rows, cc);
+  c->z = Matmul(*view.h, w_.value, cc);
+  c->z_nbr = IndexSelect(c->z, c->nbr_rows, cc);
 
   // Raw attention scores: per-edge, disjoint writes.
   Tensor scores(num_edges, 1);
   ForEachChunk(cc, num_edges, kComputeGrainEdges,
                [&](int64_t, int64_t edge_begin, int64_t edge_end) {
                  for (int64_t e = edge_begin; e < edge_end; ++e) {
-                   const float* zs = c->z_self.RowPtr(c->owner[static_cast<size_t>(e)]);
+                   const float* zs =
+                       c->z.RowPtr(c->self_begin + c->owner[static_cast<size_t>(e)]);
                    const float* zn = c->z_nbr.RowPtr(e);
                    float s = 0.0f;
                    for (int64_t d = 0; d < out_dim_; ++d) {
@@ -98,25 +96,25 @@ Tensor GatLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) con
                  }
                });
   Tensor pre = SegmentSum(weighted, c->seg_offsets, cc);
-  AddInPlace(pre, Matmul(c->self_in, w_root_.value, cc), cc);
+  MatmulAdd(pre, h_self, w_root_.value, cc);
   AddBiasRows(pre, bias_.value, cc);
-  c->out = ApplyActivation(act_, std::move(pre), cc);
-  Tensor out = c->out;
   if (ctx != nullptr) {
     *ctx = std::move(c);
   }
-  return out;
+  return ApplyActivation(act_, std::move(pre), cc);
 }
 
-Tensor GatLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
+Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
+                          bool input_grad) {
   auto& c = static_cast<GatContext&>(ctx);
   const ComputeContext* cc = c.compute;
   const int64_t num_edges = static_cast<int64_t>(c.nbr_rows.size());
   const int64_t num_segs = static_cast<int64_t>(c.seg_offsets.size()) - 1;
-  Tensor dpre = ActivationBackward(act_, c.out, std::move(grad_out), cc);
+  const Tensor dpre = ActivationBackward(act_, out, std::move(grad_out), cc);
 
   // Root path.
-  AddInPlace(w_root_.grad, MatmulTransA(c.self_in, dpre, cc), cc);
+  AddInPlace(w_root_.grad, MatmulTransA(ConstRowSpan(*c.h, c.self_begin, num_segs), dpre, cc),
+             cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);
 
   // Aggregation path: dweighted[e] = dpre[owner[e]]. Per-edge, disjoint writes.
@@ -142,11 +140,14 @@ Tensor GatLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
   Tensor de_act = SegmentSoftmaxBackward(c.alpha, dalpha, c.seg_offsets, cc);
   Tensor de_raw = LeakyReluBackward(c.e_act, de_act, leaky_slope_, cc);
 
-  // Chunked over segments: dz_self row s and the edges of segment s are owned by one
-  // chunk. The shared attn_l/attn_r gradients are cross-chunk accumulators, so each
-  // chunk writes a private partial and the partials are folded in ascending chunk
-  // order (no atomics on floats, identical bits for any pool size).
-  Tensor dz_self(c.z_self.rows(), out_dim_);
+  // dz collects d loss / d z over all input rows: first each self row's attention
+  // gradient, folded straight into its row (from +0.0f, as a separate self matrix
+  // would be), then the neighbor rows' scatter.
+  Tensor dz(c.h->rows(), out_dim_);
+  // Chunked over segments: self row s of dz and the edges of segment s are owned by
+  // one chunk. The shared attn_l/attn_r gradients are cross-chunk accumulators, so
+  // each chunk writes a private partial and the partials are folded in ascending
+  // chunk order (no atomics on floats, identical bits for any pool size).
   const int64_t seg_chunks = ComputeChunkCount(num_segs, kComputeGrainRows);
   std::vector<Tensor> attn_l_partials(static_cast<size_t>(seg_chunks));
   std::vector<Tensor> attn_r_partials(static_cast<size_t>(seg_chunks));
@@ -156,8 +157,8 @@ Tensor GatLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
         Tensor dattn_l(1, out_dim_);
         Tensor dattn_r(1, out_dim_);
         for (int64_t s = seg_begin; s < seg_end; ++s) {
-          const float* zs = c.z_self.RowPtr(s);
-          float* dzs = dz_self.RowPtr(s);
+          const float* zs = c.z.RowPtr(c.self_begin + s);
+          float* dzs = dz.RowPtr(c.self_begin + s);
           for (int64_t e = c.seg_offsets[static_cast<size_t>(s)];
                e < c.seg_offsets[static_cast<size_t>(s) + 1]; ++e) {
             const float de = de_raw.data()[e];
@@ -179,17 +180,15 @@ Tensor GatLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
         AddInPlace(attn_r_.grad, attn_r_partials[static_cast<size_t>(chunk)]);
       });
 
-  // Collect dz over all input rows, then push through W.
-  Tensor dz(c.h.rows(), out_dim_);
-  ScatterAddRows(dz, c.self_rows, dz_self, cc);
   ScatterAddRows(dz, c.nbr_rows, dz_nbr, cc);
 
-  AddInPlace(w_.grad, MatmulTransA(c.h, dz, cc), cc);
+  // Push dz through W.
+  AddInPlace(w_.grad, MatmulTransA(*c.h, dz, cc), cc);
   if (!input_grad) {
     return Tensor();
   }
   Tensor dh = MatmulTransB(dz, w_.value, cc);
-  ScatterAddRows(dh, c.self_rows, MatmulTransB(dpre, w_root_.value, cc), cc);
+  MatmulTransBAdd(RowSpan(dh, c.self_begin, num_segs), dpre, w_root_.value, cc);
   return dh;
 }
 

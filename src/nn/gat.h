@@ -24,7 +24,8 @@ class GatLayer : public GnnLayer {
            float leaky_slope = 0.2f);
 
   Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const override;
-  Tensor Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) override;
+  Tensor Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
+                  bool input_grad) override;
   std::vector<Parameter*> Parameters() override {
     return {&w_, &w_root_, &attn_l_, &attn_r_, &bias_};
   }

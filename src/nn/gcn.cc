@@ -10,12 +10,11 @@ namespace mariusgnn {
 namespace {
 
 struct GcnContext : public LayerContext {
-  std::vector<int64_t> self_rows;
+  int64_t self_begin = 0;
   std::vector<int64_t> nbr_rows;
   std::vector<int64_t> seg_offsets;
   int64_t num_inputs = 0;
   Tensor agg;  // closed-neighborhood mean (num_outputs x in_dim)
-  Tensor out;
 };
 
 // Scales row s of t by 1 / (1 + |segment s|), chunked over segments (each chunk
@@ -48,32 +47,31 @@ GcnLayer::GcnLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng)
 Tensor GcnLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const {
   MG_CHECK(view.h != nullptr && view.h->cols() == in_dim_);
   const ComputeContext* cc = view.compute;
+  const ConstRowSpan h_self(*view.h, view.self_begin, view.num_outputs());
   auto c = std::make_unique<GcnContext>();
   c->compute = cc;
-  c->self_rows = std::move(view.self_rows);
+  c->self_begin = view.self_begin;
   c->nbr_rows = std::move(view.nbr_rows);
   c->seg_offsets = std::move(view.seg_offsets);
   c->num_inputs = view.num_inputs();
 
-  Tensor agg = GatherSegmentSum(*view.h, c->nbr_rows, c->seg_offsets, cc);
-  AddInPlace(agg, IndexSelect(*view.h, c->self_rows, cc), cc);
-  ScaleByClosedNeighborhood(agg, c->seg_offsets, cc);
-  c->agg = agg;
+  c->agg = GatherSegmentSum(*view.h, c->nbr_rows, c->seg_offsets, cc);
+  AddInPlace(c->agg, h_self, cc);
+  ScaleByClosedNeighborhood(c->agg, c->seg_offsets, cc);
 
-  Tensor pre = Matmul(agg, w_.value, cc);
+  Tensor pre = Matmul(c->agg, w_.value, cc);
   AddBiasRows(pre, bias_.value, cc);
-  c->out = ApplyActivation(act_, std::move(pre), cc);
-  Tensor out = c->out;
   if (ctx != nullptr) {
     *ctx = std::move(c);
   }
-  return out;
+  return ApplyActivation(act_, std::move(pre), cc);
 }
 
-Tensor GcnLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
+Tensor GcnLayer::Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
+                          bool input_grad) {
   auto& c = static_cast<GcnContext&>(ctx);
   const ComputeContext* cc = c.compute;
-  Tensor dpre = ActivationBackward(act_, c.out, std::move(grad_out), cc);
+  const Tensor dpre = ActivationBackward(act_, out, std::move(grad_out), cc);
 
   AddInPlace(w_.grad, MatmulTransA(c.agg, dpre, cc), cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);
@@ -86,7 +84,7 @@ Tensor GcnLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
   ScaleByClosedNeighborhood(dagg, c.seg_offsets, cc);
 
   Tensor dh(c.num_inputs, in_dim_);
-  ScatterAddRows(dh, c.self_rows, dagg, cc);
+  AddInPlace(RowSpan(dh, c.self_begin, dagg.rows()), dagg, cc);
   GatherSegmentSumBackward(dh, c.nbr_rows, c.seg_offsets, dagg, cc);
   return dh;
 }

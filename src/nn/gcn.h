@@ -20,7 +20,8 @@ class GcnLayer : public GnnLayer {
   GcnLayer(int64_t in_dim, int64_t out_dim, Activation act, Rng& rng);
 
   Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const override;
-  Tensor Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) override;
+  Tensor Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
+                  bool input_grad) override;
   std::vector<Parameter*> Parameters() override { return {&w_, &bias_}; }
 
   int64_t in_dim() const override { return in_dim_; }

@@ -10,13 +10,11 @@ namespace mariusgnn {
 namespace {
 
 struct SageContext : public LayerContext {
-  std::vector<int64_t> self_rows;
+  const Tensor* h = nullptr;  // layer input, read in place
+  int64_t self_begin = 0;
   std::vector<int64_t> nbr_rows;
   std::vector<int64_t> seg_offsets;
-  int64_t num_inputs = 0;
-  Tensor self_in;   // gathered self inputs (num_outputs x in_dim)
   Tensor nbr_mean;  // aggregated neighbor inputs (num_outputs x in_dim)
-  Tensor out;       // post-activation output
 };
 
 }  // namespace
@@ -32,45 +30,43 @@ GraphSageLayer::GraphSageLayer(int64_t in_dim, int64_t out_dim, Activation act, 
 Tensor GraphSageLayer::Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const {
   MG_CHECK(view.h != nullptr && view.h->cols() == in_dim_);
   const ComputeContext* cc = view.compute;
+  const ConstRowSpan h_self(*view.h, view.self_begin, view.num_outputs());
   auto c = std::make_unique<SageContext>();
   c->compute = cc;
-  c->self_rows = std::move(view.self_rows);
+  c->h = view.h;
+  c->self_begin = view.self_begin;
   c->nbr_rows = std::move(view.nbr_rows);
   c->seg_offsets = std::move(view.seg_offsets);
-  c->num_inputs = view.num_inputs();
-
-  c->self_in = IndexSelect(*view.h, c->self_rows, cc);
   c->nbr_mean = GatherSegmentMean(*view.h, c->nbr_rows, c->seg_offsets, cc);
 
-  Tensor pre = Matmul(c->self_in, w_self_.value, cc);
-  AddInPlace(pre, Matmul(c->nbr_mean, w_nbr_.value, cc), cc);
+  Tensor pre = Matmul(h_self, w_self_.value, cc);
+  MatmulAdd(pre, c->nbr_mean, w_nbr_.value, cc);
   AddBiasRows(pre, bias_.value, cc);
-  c->out = ApplyActivation(act_, std::move(pre), cc);
-  Tensor out = c->out;
   if (ctx != nullptr) {
     *ctx = std::move(c);
   }
-  return out;
+  return ApplyActivation(act_, std::move(pre), cc);
 }
 
-Tensor GraphSageLayer::Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) {
+Tensor GraphSageLayer::Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
+                                bool input_grad) {
   auto& c = static_cast<SageContext&>(ctx);
   const ComputeContext* cc = c.compute;
-  Tensor dpre = ActivationBackward(act_, c.out, std::move(grad_out), cc);
+  const Tensor dpre = ActivationBackward(act_, out, std::move(grad_out), cc);
+  const int64_t num_out = dpre.rows();
+  const ConstRowSpan h_self(*c.h, c.self_begin, num_out);
 
-  AddInPlace(w_self_.grad, MatmulTransA(c.self_in, dpre, cc), cc);
+  AddInPlace(w_self_.grad, MatmulTransA(h_self, dpre, cc), cc);
   AddInPlace(w_nbr_.grad, MatmulTransA(c.nbr_mean, dpre, cc), cc);
   AddInPlace(bias_.grad, SumRows(dpre, cc), cc);
   if (!input_grad) {
     return Tensor();
   }
 
-  Tensor dself = MatmulTransB(dpre, w_self_.value, cc);     // num_outputs x in_dim
-  Tensor dnbr_mean = MatmulTransB(dpre, w_nbr_.value, cc);  // num_outputs x in_dim
-
-  Tensor dh(c.num_inputs, in_dim_);
-  ScatterAddRows(dh, c.self_rows, dself, cc);
-  GatherSegmentMeanBackward(dh, c.nbr_rows, c.seg_offsets, dnbr_mean, cc);
+  Tensor dh(c.h->rows(), in_dim_);
+  MatmulTransBAdd(RowSpan(dh, c.self_begin, num_out), dpre, w_self_.value, cc);
+  GatherSegmentMeanBackward(dh, c.nbr_rows, c.seg_offsets,
+                            MatmulTransB(dpre, w_nbr_.value, cc), cc);
   return dh;
 }
 

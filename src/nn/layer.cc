@@ -1,5 +1,7 @@
 #include "src/nn/layer.h"
 
+#include <utility>
+
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -10,9 +12,9 @@ Tensor ApplyActivation(Activation act, Tensor pre, const ComputeContext* ctx) {
     case Activation::kNone:
       return pre;
     case Activation::kRelu:
-      return Relu(pre, ctx);
+      return Relu(std::move(pre), ctx);
     case Activation::kTanh:
-      return Tanh(pre, ctx);
+      return Tanh(std::move(pre), ctx);
   }
   MG_CHECK_MSG(false, "unknown activation");
   return pre;
@@ -24,9 +26,9 @@ Tensor ActivationBackward(Activation act, const Tensor& out, Tensor grad_out,
     case Activation::kNone:
       return grad_out;
     case Activation::kRelu:
-      return ReluBackward(out, grad_out, ctx);
+      return ReluBackward(out, std::move(grad_out), ctx);
     case Activation::kTanh:
-      return TanhBackward(out, grad_out, ctx);
+      return TanhBackward(out, std::move(grad_out), ctx);
   }
   MG_CHECK_MSG(false, "unknown activation");
   return grad_out;

@@ -1,11 +1,14 @@
 // GNN layer abstraction, and the per-layer plan every batch is lowered to.
 //
 // A LayerView describes one aggregation step over an input representation matrix h:
-//  - self_rows[s]  : the row of h holding output node s's own representation.
+//  - self_begin    : output node s's own representation is row self_begin + s of
+//                    h. Both planners put the outputs in one contiguous run of
+//                    rows (DENSE: node_ids[offsets[1]:]; a block: its first |dst|
+//                    rows), so layers read their self rows in place.
 //  - nbr_rows[e]   : the row of h holding neighbor entry e's representation. For a
 //                    DENSE batch this is exactly the repr_map array of the paper, and
 //                    neighbor entries of each output node are contiguous.
-//  - seg_offsets   : size |self_rows|+1; neighbor entries of output node s occupy
+//  - seg_offsets   : size num_outputs()+1; neighbor entries of output node s occupy
 //                    nbr_rows[seg_offsets[s] .. seg_offsets[s+1]).
 //
 // A GnnPlan is a batch ready for the encoder: the node ids behind the rows of the
@@ -15,7 +18,10 @@
 //
 // Layers return the output representations for the view's output nodes. Backward
 // consumes the gradient of the output, accumulates weight gradients into their
-// Parameters and, when asked, produces the gradient w.r.t. h (all rows).
+// Parameters and, when asked, produces the gradient w.r.t. h (all rows). A layer
+// copies neither its input nor its output: its saved context points at *view.h,
+// and Backward is handed the output Forward returned, so both must stay alive and
+// unchanged in between (GnnEncoder keeps them; see encoder.h).
 #ifndef SRC_NN_LAYER_H_
 #define SRC_NN_LAYER_H_
 
@@ -31,14 +37,14 @@ namespace mariusgnn {
 
 struct LayerView {
   const Tensor* h = nullptr;
-  std::vector<int64_t> self_rows;
+  int64_t self_begin = 0;
   std::vector<int64_t> nbr_rows;
   std::vector<int64_t> seg_offsets;
   // Stage-3 parallel-compute handle (may be null = serial). Layers save it in their
   // LayerContext so the backward pass runs with the same parallelism.
   const ComputeContext* compute = nullptr;
 
-  int64_t num_outputs() const { return static_cast<int64_t>(self_rows.size()); }
+  int64_t num_outputs() const { return static_cast<int64_t>(seg_offsets.size()) - 1; }
   int64_t num_inputs() const { return h->rows(); }
 };
 
@@ -56,8 +62,9 @@ struct LayerContext {
 
 enum class Activation { kNone, kRelu, kTanh };
 
-// `pre` and `grad_out` are sinks: kNone (every last layer) returns them moved,
-// not copied.
+// `pre` and `grad_out` are sinks, computed in place: a moved-in tensor comes back
+// with no allocation, and kNone (every last layer) returns it untouched and never
+// reads `out`.
 Tensor ApplyActivation(Activation act, Tensor pre, const ComputeContext* ctx = nullptr);
 Tensor ActivationBackward(Activation act, const Tensor& out, Tensor grad_out,
                           const ComputeContext* ctx = nullptr);
@@ -69,14 +76,18 @@ class GnnLayer {
   // Computes output representations; fills *ctx with the state Backward needs.
   // Const: all invocation state goes into *ctx, never into the layer, so a shared
   // immutable layer stack (e.g. a serving snapshot) can run Forward concurrently.
-  // The view is taken by value so its index vectors move into *ctx uncopied.
+  // The view is taken by value so its index vectors move into *ctx uncopied; *ctx
+  // keeps a pointer to *view.h, which must outlive Backward.
   virtual Tensor Forward(LayerView view, std::unique_ptr<LayerContext>* ctx) const = 0;
 
   // Accumulates parameter gradients. With `input_grad`, returns d loss / d h (rows ==
   // the forward view's num_inputs()); without it, skips every input-gradient kernel
   // and returns an empty Tensor. Parameter gradients are bitwise the same either way.
-  // `grad_out` is a sink, so a layer without activation uses it uncopied.
-  virtual Tensor Backward(LayerContext& ctx, Tensor grad_out, bool input_grad) = 0;
+  // `out` is the tensor the matching Forward returned; only the activation's
+  // backward reads it, so a kNone layer may be passed an empty one. `grad_out` is
+  // a sink: the activation's backward runs in place in it.
+  virtual Tensor Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
+                          bool input_grad) = 0;
 
   virtual std::vector<Parameter*> Parameters() = 0;
 

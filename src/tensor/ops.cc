@@ -26,19 +26,28 @@ void ForEachRowChunk(const ComputeContext* ctx, int64_t rows, const Fn& fn) {
 }
 
 // Rows and vectors of one register tile of the GEMM, and the kk steps per panel.
+// A panel's rows of B (64 x 64 floats at the layers' width, 16 KB) stay in L1
+// while every row pair of C passes over them; that matters only for
+// MatmulTransA, whose k is a batch's row count (the others have k = in_dim).
 constexpr int kGemmTileRows = 2;
 constexpr int kGemmTileVecs = 4;
-constexpr int64_t kGemmPanel = 256;
+constexpr int64_t kGemmPanel = 64;
 
 // Adds the kk in [kb, ke) terms of C rows [i, i + R), columns [j, j + NV * kW):
 // the tile is loaded once, held in registers across the panel and stored once.
-template <int R, int NV>
-inline void GemmTile(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
-                     int64_t i, int64_t j, int64_t kb, int64_t ke) {
+// With kAdd the tile starts at +0.0f instead of C's values and is added to C at
+// the store: the epilogue C + s of AddInPlace(C, product).
+template <int R, int NV, bool kAdd>
+inline void GemmTile(const float* a, int64_t ars, int64_t acs, const Tensor& b,
+                     const RowSpan& c, int64_t i, int64_t j, int64_t kb, int64_t ke) {
   Vec acc[R][NV];
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < NV; ++v) {
-      acc[r][v] = LoadVec(c.RowPtr(i + r) + j + v * kW);
+      if constexpr (kAdd) {
+        acc[r][v] = Vec{};
+      } else {
+        acc[r][v] = LoadVec(c.RowPtr(i + r) + j + v * kW);
+      }
     }
   }
   for (int64_t kk = kb; kk < ke; ++kk) {
@@ -56,78 +65,78 @@ inline void GemmTile(const float* a, int64_t ars, int64_t acs, const Tensor& b, 
   }
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < NV; ++v) {
-      StoreVec(c.RowPtr(i + r) + j + v * kW, acc[r][v]);
+      float* dst = c.RowPtr(i + r) + j + v * kW;
+      if constexpr (kAdd) {
+        StoreVec(dst, LoadVec(dst) + acc[r][v]);
+      } else {
+        StoreVec(dst, acc[r][v]);
+      }
     }
   }
 }
 
 // One panel of R rows across all n columns: full tiles, then single vectors, then
 // the columns short of a vector one at a time.
-template <int R>
-inline void GemmRows(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
-                     int64_t i, int64_t kb, int64_t ke) {
+template <int R, bool kAdd>
+inline void GemmRows(const float* a, int64_t ars, int64_t acs, const Tensor& b,
+                     const RowSpan& c, int64_t i, int64_t kb, int64_t ke) {
   const int64_t n = c.cols();
   int64_t j = 0;
   for (; j + kGemmTileVecs * kW <= n; j += kGemmTileVecs * kW) {
-    GemmTile<R, kGemmTileVecs>(a, ars, acs, b, c, i, j, kb, ke);
+    GemmTile<R, kGemmTileVecs, kAdd>(a, ars, acs, b, c, i, j, kb, ke);
   }
   for (; j + kW <= n; j += kW) {
-    GemmTile<R, 1>(a, ars, acs, b, c, i, j, kb, ke);
+    GemmTile<R, 1, kAdd>(a, ars, acs, b, c, i, j, kb, ke);
   }
   for (; j < n; ++j) {
     for (int r = 0; r < R; ++r) {
-      float s = c(i + r, j);
+      float* dst = c.RowPtr(i + r) + j;
+      float s = kAdd ? 0.0f : *dst;
       for (int64_t kk = kb; kk < ke; ++kk) {
         s += a[(i + r) * ars + kk * acs] * b(kk, j);
       }
-      c(i + r, j) = s;
+      *dst = kAdd ? *dst + s : s;
     }
   }
 }
 
-// C += A @ B with A(i, kk) = a[i * ars + kk * acs], B: k x n and C: m x n row-major;
-// the one kernel behind all three matmuls. Row-chunked over m. kk runs in panels
-// of kGemmPanel steps, ascending, and each panel reloads the C tile, so every
-// element of a fresh (zero) C folds s = +0.0f; s += A(i, kk) * B[kk][j] for kk
-// ascending: the bits of the scalar dot product at every vector width. Zero A
+// C += A @ B with A(i, kk) = a[i * ars + kk * acs], B: k x n and C: m x n
+// row-major; the one kernel behind all the matmuls. Row-chunked over m. Without
+// kAdd, kk runs in panels of kGemmPanel steps, ascending, and each panel reloads
+// the C tile, so every element of a fresh (zero) C folds s = +0.0f;
+// s += A(i, kk) * B[kk][j] for kk ascending: the bits of the scalar dot product at
+// every vector width. With kAdd, all of k is one panel: each tile folds that same
+// s in registers and C gets C + s once, the bits of AddInPlace(C, A @ B). Zero A
 // values are not skipped, so 0 * inf and 0 * NaN stay NaN.
-void Gemm(const float* a, int64_t ars, int64_t acs, const Tensor& b, Tensor& c,
+template <bool kAdd>
+void Gemm(const float* a, int64_t ars, int64_t acs, const Tensor& b, const RowSpan& c,
           const ComputeContext* ctx) {
   const int64_t k = b.rows();
+  MG_CHECK(b.cols() == c.cols());
   ForEachRowChunk(ctx, c.rows(), [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t kb = 0; kb < k; kb += kGemmPanel) {
-      const int64_t ke = std::min(k, kb + kGemmPanel);
+    const auto panel = [&](int64_t kb, int64_t ke) {
       int64_t i = row_begin;
       for (; i + kGemmTileRows <= row_end; i += kGemmTileRows) {
-        GemmRows<kGemmTileRows>(a, ars, acs, b, c, i, kb, ke);
+        GemmRows<kGemmTileRows, kAdd>(a, ars, acs, b, c, i, kb, ke);
       }
       for (; i < row_end; ++i) {
-        GemmRows<1>(a, ars, acs, b, c, i, kb, ke);
+        GemmRows<1, kAdd>(a, ars, acs, b, c, i, kb, ke);
       }
+    };
+    if (kAdd) {
+      panel(0, k);
+      return;
+    }
+    for (int64_t kb = 0; kb < k; kb += kGemmPanel) {
+      panel(kb, std::min(k, kb + kGemmPanel));
     }
   });
 }
 
-}  // namespace
-
-Tensor Matmul(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
-  MG_CHECK(a.cols() == b.rows());
-  Tensor c(a.rows(), b.cols());
-  Gemm(a.data(), a.cols(), 1, b, c, ctx);
-  return c;
-}
-
-Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
-  MG_CHECK(a.rows() == b.rows());
-  Tensor c(a.cols(), b.cols());
-  Gemm(a.data(), 1, a.cols(), b, c, ctx);
-  return c;
-}
-
-Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
-  MG_CHECK(a.cols() == b.cols());
-  const int64_t k = a.cols(), n = b.rows();
-  // B is weight-sized: transpose it once so the kernel reads it row-major.
+// B^T, for the A @ B^T forms: B is weight-sized, so it is transposed once per call
+// and the kernel reads it row-major.
+Tensor Transposed(const Tensor& b) {
+  const int64_t n = b.rows(), k = b.cols();
   Tensor bt(k, n);
   for (int64_t j = 0; j < n; ++j) {
     const float* brow = b.RowPtr(j);
@@ -135,16 +144,49 @@ Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx)
       bt.RowPtr(kk)[j] = brow[kk];
     }
   }
-  Tensor c(a.rows(), n);
-  Gemm(a.data(), a.cols(), 1, bt, c, ctx);
+  return bt;
+}
+
+}  // namespace
+
+Tensor Matmul(ConstRowSpan a, const Tensor& b, const ComputeContext* ctx) {
+  MG_CHECK(a.cols() == b.rows());
+  Tensor c(a.rows(), b.cols());
+  Gemm<false>(a.data(), a.cols(), 1, b, c, ctx);
   return c;
 }
 
-void AddInPlace(Tensor& out, const Tensor& in, const ComputeContext* ctx) {
+void MatmulAdd(RowSpan c, ConstRowSpan a, const Tensor& b, const ComputeContext* ctx) {
+  MG_CHECK(a.cols() == b.rows() && c.rows() == a.rows());
+  Gemm<true>(a.data(), a.cols(), 1, b, c, ctx);
+}
+
+Tensor MatmulTransA(ConstRowSpan a, const Tensor& b, const ComputeContext* ctx) {
+  MG_CHECK(a.rows() == b.rows());
+  Tensor c(a.cols(), b.cols());
+  Gemm<false>(a.data(), 1, a.cols(), b, c, ctx);
+  return c;
+}
+
+Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
+  MG_CHECK(a.cols() == b.cols());
+  Tensor c(a.rows(), b.rows());
+  Gemm<false>(a.data(), a.cols(), 1, Transposed(b), c, ctx);
+  return c;
+}
+
+void MatmulTransBAdd(RowSpan c, const Tensor& a, const Tensor& b, const ComputeContext* ctx) {
+  MG_CHECK(a.cols() == b.cols() && c.rows() == a.rows());
+  Gemm<true>(a.data(), a.cols(), 1, Transposed(b), c, ctx);
+}
+
+void AddInPlace(RowSpan out, ConstRowSpan in, const ComputeContext* ctx) {
   MG_CHECK(out.rows() == in.rows() && out.cols() == in.cols());
+  float* o = out.data();
+  const float* x = in.data();
   ForEachElemChunk(ctx, out.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      out.data()[i] += in.data()[i];
+      o[i] += x[i];
     }
   });
 }
@@ -223,13 +265,13 @@ void CheckOffsets(int64_t rows, const std::vector<int64_t>& offsets) {
 // positions cut into chunks of kComputeGrainScatterRows, each chunk summing its
 // values per destination row into a partial that starts at +0.0f, and the
 // partials added to dst in ascending chunk order. Strictly increasing indices (at
-// most one value per row: every layer's iota self rows) and a call of one chunk
-// add each value straight into its row in position order: the first chunked by
-// position, since no two positions share a row, the second serially. Otherwise
-// it pulls rather than scatters: a counting sort lists each destination row's
-// positions in ascending order, and each row folds its own positions. Rows are
-// chunked at the row grain and every row is written by one chunk only, so any
-// pool size gives the same bits.
+// most one value per row) and a call of one chunk add each value straight into
+// its row in position order: the first chunked by position, since no two
+// positions share a row, the second serially. Otherwise it pulls rather than
+// scatters: a counting sort lists each destination row's positions in ascending
+// order, and each row folds its own positions. Rows are chunked at the row grain
+// and every row is written by one chunk only, so any pool size gives the same
+// bits.
 template <typename AddFn>
 void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
                     const ComputeContext* ctx, const AddFn& add) {
@@ -464,36 +506,36 @@ Tensor SegmentSoftmaxBackward(const Tensor& probs, const Tensor& grad,
   return out;
 }
 
-// Every ReLU-family loop loads both operands of its select unconditionally (the
-// backward passes and the leaky pair through local pointers), so each vectorizes
-// to a compare and a blend per lane, with no branch on the input's sign. The
-// select keeps the scalar `>` rule: NaN, -0.0f and +0.0f take the not-positive
-// side. The leaky pair writes the slope product for every element first and
-// then selects against it: with the product inside the select, GCC sinks the
-// multiply into the not-positive branch and, since a float multiply may trap,
-// will not if-convert it back.
-Tensor Relu(const Tensor& t, const ComputeContext* ctx) {
-  Tensor out(t.rows(), t.cols());
+// Every ReLU-family loop loads both operands of its select unconditionally,
+// through local pointers, so each vectorizes to a compare and a blend per lane,
+// with no branch on the input's sign; the ReLU pair selects in place in its sink
+// operand. The select keeps the scalar `>` rule: NaN, -0.0f and +0.0f take the
+// not-positive side. The leaky pair writes the slope product for every element
+// first and then selects against it: with the product inside the select, GCC
+// sinks the multiply into the not-positive branch and, since a float multiply
+// may trap, will not if-convert it back.
+Tensor Relu(Tensor t, const ComputeContext* ctx) {
+  float* p = t.data();
   ForEachElemChunk(ctx, t.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      out.data()[i] = t.data()[i] > 0.0f ? t.data()[i] : 0.0f;
+      const float v = p[i];
+      p[i] = v > 0.0f ? v : 0.0f;
     }
   });
-  return out;
+  return t;
 }
 
-Tensor ReluBackward(const Tensor& out, const Tensor& grad_out, const ComputeContext* ctx) {
-  Tensor g(out.rows(), out.cols());
+Tensor ReluBackward(const Tensor& out, Tensor grad_out, const ComputeContext* ctx) {
+  MG_CHECK(out.rows() == grad_out.rows() && out.cols() == grad_out.cols());
   const float* o = out.data();
-  const float* go = grad_out.data();
-  float* dst = g.data();
+  float* g = grad_out.data();
   ForEachElemChunk(ctx, out.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      const float gi = go[i];
-      dst[i] = o[i] > 0.0f ? gi : 0.0f;
+      const float gi = g[i];
+      g[i] = o[i] > 0.0f ? gi : 0.0f;
     }
   });
-  return g;
+  return grad_out;
 }
 
 Tensor LeakyRelu(const Tensor& t, float slope, const ComputeContext* ctx) {
@@ -532,24 +574,26 @@ Tensor LeakyReluBackward(const Tensor& out, const Tensor& grad_out, float slope,
   return g;
 }
 
-Tensor Tanh(const Tensor& t, const ComputeContext* ctx) {
-  Tensor out(t.rows(), t.cols());
+Tensor Tanh(Tensor t, const ComputeContext* ctx) {
+  float* p = t.data();
   ForEachElemChunk(ctx, t.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      out.data()[i] = std::tanh(t.data()[i]);
+      p[i] = std::tanh(p[i]);
     }
   });
-  return out;
+  return t;
 }
 
-Tensor TanhBackward(const Tensor& out, const Tensor& grad_out, const ComputeContext* ctx) {
-  Tensor g(out.rows(), out.cols());
+Tensor TanhBackward(const Tensor& out, Tensor grad_out, const ComputeContext* ctx) {
+  MG_CHECK(out.rows() == grad_out.rows() && out.cols() == grad_out.cols());
+  const float* o = out.data();
+  float* g = grad_out.data();
   ForEachElemChunk(ctx, out.size(), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      g.data()[i] = (1.0f - out.data()[i] * out.data()[i]) * grad_out.data()[i];
+      g[i] = (1.0f - o[i] * o[i]) * g[i];
     }
   });
-  return g;
+  return grad_out;
 }
 
 Tensor RowSoftmax(const Tensor& logits, const ComputeContext* ctx) {

@@ -30,26 +30,37 @@
 
 namespace mariusgnn {
 
-// The three matmuls share one register-tiled kernel (src/tensor/ops.cc), row-chunked
+// The matmuls share one register-tiled kernel (src/tensor/ops.cc), row-chunked
 // over the m output rows. With L and R the left and right factors of the product as
 // written (A^T, B^T included), every output has the bits of the scalar dot product
 // s = +0.0f; s += L(i, kk) * R(kk, j) for kk ascending, at any vector width and pool
 // size. Zero L values are not skipped, so 0 * inf and 0 * NaN give NaN
-// (docs/DETERMINISM.md, "Lane kernels").
+// (docs/DETERMINISM.md, "Lane kernels"). The add forms (MatmulAdd,
+// MatmulTransBAdd) fold each output the same way and then add it to C once, so
+// they have the bits of AddInPlace(C, Matmul(...)) for any k, without the product
+// matrix. A span operand is a contiguous row range read or written in place.
 
 // C = A @ B. A: m x k, B: k x n -> C: m x n.
-Tensor Matmul(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
+Tensor Matmul(ConstRowSpan a, const Tensor& b, const ComputeContext* ctx = nullptr);
+
+// C += A @ B. A: m x k, B: k x n, C: m x n.
+void MatmulAdd(RowSpan c, ConstRowSpan a, const Tensor& b,
+               const ComputeContext* ctx = nullptr);
 
 // C = A^T @ B. A: k x m, B: k x n -> C: m x n. (Weight-gradient shape.) A is read
 // in place with strides, not transposed.
-Tensor MatmulTransA(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
+Tensor MatmulTransA(ConstRowSpan a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
 // C = A @ B^T. A: m x k, B: n x k -> C: m x n. (Input-gradient shape.) B is
 // transposed once per call.
 Tensor MatmulTransB(const Tensor& a, const Tensor& b, const ComputeContext* ctx = nullptr);
 
+// C += A @ B^T. A: m x k, B: n x k, C: m x n.
+void MatmulTransBAdd(RowSpan c, const Tensor& a, const Tensor& b,
+                     const ComputeContext* ctx = nullptr);
+
 // out += in (same shape).
-void AddInPlace(Tensor& out, const Tensor& in, const ComputeContext* ctx = nullptr);
+void AddInPlace(RowSpan out, ConstRowSpan in, const ComputeContext* ctx = nullptr);
 
 // Adds a 1 x n bias row to every row of t (n == t.cols()).
 void AddBiasRows(Tensor& t, const Tensor& bias, const ComputeContext* ctx = nullptr);
@@ -110,16 +121,16 @@ Tensor SegmentSoftmaxBackward(const Tensor& probs, const Tensor& grad,
                               const std::vector<int64_t>& offsets,
                               const ComputeContext* ctx = nullptr);
 
-// Activations (forward returns value; backward takes forward *output*).
-Tensor Relu(const Tensor& t, const ComputeContext* ctx = nullptr);
-Tensor ReluBackward(const Tensor& out, const Tensor& grad_out,
-                    const ComputeContext* ctx = nullptr);
+// Activations (forward returns value; backward takes forward *output*). The
+// ReLU and tanh pairs take their last operand as a sink and compute in place in
+// it: a moved-in tensor is returned with no allocation, an lvalue is copied first.
+Tensor Relu(Tensor t, const ComputeContext* ctx = nullptr);
+Tensor ReluBackward(const Tensor& out, Tensor grad_out, const ComputeContext* ctx = nullptr);
 Tensor LeakyRelu(const Tensor& t, float slope, const ComputeContext* ctx = nullptr);
 Tensor LeakyReluBackward(const Tensor& out, const Tensor& grad_out, float slope,
                          const ComputeContext* ctx = nullptr);
-Tensor Tanh(const Tensor& t, const ComputeContext* ctx = nullptr);
-Tensor TanhBackward(const Tensor& out, const Tensor& grad_out,
-                    const ComputeContext* ctx = nullptr);
+Tensor Tanh(Tensor t, const ComputeContext* ctx = nullptr);
+Tensor TanhBackward(const Tensor& out, Tensor grad_out, const ComputeContext* ctx = nullptr);
 
 // Row-wise softmax.
 Tensor RowSoftmax(const Tensor& logits, const ComputeContext* ctx = nullptr);

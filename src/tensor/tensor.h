@@ -77,6 +77,53 @@ class Tensor {
   std::vector<float> data_;
 };
 
+// Rows [begin, begin + count) of a row-major Tensor, read (ConstRowSpan) or
+// written (RowSpan) in place. A whole Tensor converts implicitly, so a kernel
+// that takes a span takes a Tensor too; the GNN layers pass their contiguous
+// self-row range of h (and of d h) this way, without a copy. A span does not
+// own its rows: the Tensor must outlive it and keep its size.
+class ConstRowSpan {
+ public:
+  ConstRowSpan(const Tensor& t)  // NOLINT(runtime/explicit): a Tensor is all its rows
+      : ConstRowSpan(t, 0, t.rows()) {}
+  ConstRowSpan(const Tensor& t, int64_t begin, int64_t count)
+      : data_(t.data() + begin * t.cols()), rows_(count), cols_(t.cols()) {
+    MG_CHECK(begin >= 0 && count >= 0 && begin + count <= t.rows());
+  }
+
+  int64_t rows() const { return rows_; }
+  int64_t cols() const { return cols_; }
+  int64_t size() const { return rows_ * cols_; }
+  const float* data() const { return data_; }
+  const float* RowPtr(int64_t r) const { return data_ + r * cols_; }
+
+ private:
+  const float* data_;
+  int64_t rows_;
+  int64_t cols_;
+};
+
+class RowSpan {
+ public:
+  RowSpan(Tensor& t)  // NOLINT(runtime/explicit): a Tensor is all its rows
+      : RowSpan(t, 0, t.rows()) {}
+  RowSpan(Tensor& t, int64_t begin, int64_t count)
+      : data_(t.data() + begin * t.cols()), rows_(count), cols_(t.cols()) {
+    MG_CHECK(begin >= 0 && count >= 0 && begin + count <= t.rows());
+  }
+
+  int64_t rows() const { return rows_; }
+  int64_t cols() const { return cols_; }
+  int64_t size() const { return rows_ * cols_; }
+  float* data() const { return data_; }
+  float* RowPtr(int64_t r) const { return data_ + r * cols_; }
+
+ private:
+  float* data_;
+  int64_t rows_;
+  int64_t cols_;
+};
+
 }  // namespace mariusgnn
 
 #endif  // SRC_TENSOR_TENSOR_H_

@@ -64,9 +64,16 @@ std::unique_ptr<File> File::TryOpenReadOnly(const std::string& path,
   return std::unique_ptr<File>(new File(path, fd));
 }
 
+std::unique_ptr<File> File::OpenReadOnly(const std::string& path) {
+  std::string error;
+  std::unique_ptr<File> f = TryOpenReadOnly(path, &error);
+  MG_CHECK_MSG(f != nullptr, ("cannot open " + path + " for reading: " + error).c_str());
+  return f;
+}
+
 void File::ReadAt(void* dst, size_t bytes, uint64_t offset) const {
   std::string error;
-  MG_CHECK_MSG(TryReadAt(dst, bytes, offset, &error), error.c_str());
+  MG_CHECK_MSG(TryReadAt(dst, bytes, offset, &error), (path_ + ": " + error).c_str());
 }
 
 bool File::TryReadAt(void* dst, size_t bytes, uint64_t offset,
@@ -194,17 +201,17 @@ void WriteVector(const std::string& path, const std::vector<T>& v) {
 template <typename T>
 std::vector<T> ReadVector(const std::string& path) {
   static_assert(std::is_trivially_copyable_v<T>);
-  File f(path);
+  const std::unique_ptr<File> f = File::OpenReadOnly(path);
   uint64_t count = 0;
-  f.ReadAt(&count, sizeof(count), 0);
+  f->ReadAt(&count, sizeof(count), 0);
   // The on-disk count is untrusted: a truncated or corrupt file must fail here
   // with a clear message, not inside a multi-GB vector allocation.
-  const uint64_t size = f.Size();
+  const uint64_t size = f->Size();
   MG_CHECK_MSG(count <= (size - sizeof(count)) / sizeof(T),
                "corrupt vector file: element count exceeds file size");
   std::vector<T> v(count);
   if (count > 0) {
-    f.ReadAt(v.data(), count * sizeof(T), sizeof(count));
+    f->ReadAt(v.data(), count * sizeof(T), sizeof(count));
   }
   return v;
 }

@@ -33,8 +33,14 @@ class File {
   static std::unique_ptr<File> TryOpenReadOnly(const std::string& path,
                                                std::string* error);
 
-  // Reads exactly `bytes` at `offset`; retries EINTR, aborts on IO error or on
-  // end-of-file before `bytes` were read (reported as a short read, not errno).
+  // Opens an existing file read-only, for trusted inputs (dataset and vector
+  // files): aborts with a message naming `path` when it cannot be opened, and
+  // never creates a file.
+  static std::unique_ptr<File> OpenReadOnly(const std::string& path);
+
+  // Reads exactly `bytes` at `offset`; retries EINTR, aborts naming the file on
+  // IO error or on end-of-file before `bytes` were read (reported as a short
+  // read, not errno).
   void ReadAt(void* dst, size_t bytes, uint64_t offset) const;
 
   // Non-aborting ReadAt for untrusted inputs (checkpoint loads, snapshot opens):

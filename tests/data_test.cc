@@ -1,5 +1,6 @@
 // Tests for the synthetic dataset generators.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <unordered_set>
@@ -218,6 +219,19 @@ TEST(SerializeDeathTest, OutOfRangeSourceOrRelationAborts) {
   SaveGraph(h, prefix);
   EXPECT_DEATH(LoadGraph(prefix), "edge 1 .src 3, dst 2, rel 2. is outside");
   RemoveGraphFiles(prefix);
+}
+
+// A wrong prefix is a clean diagnostic: LoadGraph opens its inputs read-only,
+// so it aborts naming the missing file and leaves nothing behind.
+TEST(SerializeDeathTest, MissingPrefixAbortsNamingThePathAndCreatesNoFile) {
+  const std::string prefix = TempPath("ser_missing");
+  EXPECT_DEATH(LoadGraph(prefix), "cannot open " + prefix + ".meta for reading");
+  EXPECT_DEATH(ReadVector<int64_t>(prefix + ".labels"),
+               "cannot open " + prefix + ".labels for reading");
+  for (const char* ext : {".meta", ".edges", ".feat", ".labels", ".splits"}) {
+    struct stat st;
+    EXPECT_NE(::stat((prefix + ext).c_str(), &st), 0) << prefix + ext << " was created";
+  }
 }
 
 }  // namespace

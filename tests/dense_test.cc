@@ -396,7 +396,7 @@ TEST(DenseReference, PlanFromDenseMatchesEncoderViews) {
           ASSERT_EQ(got.layers.size(), fanouts.size());
           ASSERT_EQ(want.size(), fanouts.size());
           for (size_t j = 0; j < want.size(); ++j) {
-            ASSERT_EQ(got.layers[j].self_rows, want[j].self_rows) << "layer " << j;
+            ASSERT_EQ(got.layers[j].self_begin, want[j].self_begin) << "layer " << j;
             ASSERT_EQ(got.layers[j].nbr_rows, want[j].nbr_rows) << "layer " << j;
             ASSERT_EQ(got.layers[j].seg_offsets, want[j].seg_offsets) << "layer " << j;
             EXPECT_EQ(got.layers[j].h, nullptr);

@@ -195,7 +195,10 @@ TEST(LayerwiseReference, PlanFromBlocksMatchesSerialSort) {
           ASSERT_EQ(got.layers.size(), sample.blocks.size());
           for (size_t j = 0; j < sample.blocks.size(); ++j) {
             const LayerView want = RefSortBlockByDst(sample.blocks[j]);
-            ASSERT_EQ(got.layers[j].self_rows, want.self_rows) << "block " << j;
+            ASSERT_EQ(got.layers[j].self_begin, want.self_begin) << "block " << j;
+            ASSERT_EQ(got.layers[j].num_outputs(),
+                      static_cast<int64_t>(sample.blocks[j].dst_nodes.size()))
+                << "block " << j;
             ASSERT_EQ(got.layers[j].nbr_rows, want.nbr_rows) << "block " << j;
             ASSERT_EQ(got.layers[j].seg_offsets, want.seg_offsets) << "block " << j;
             EXPECT_EQ(got.layers[j].h, nullptr);

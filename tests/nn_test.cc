@@ -8,6 +8,8 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "src/data/datasets.h"
 #include "src/nn/decoder.h"
@@ -20,16 +22,17 @@
 #include "src/storage/embedding_store.h"
 #include "src/tensor/ops.h"
 #include "src/util/threadpool.h"
+#include "tests/aggregation_reference.h"
 #include "tests/ranking_loss_reference.h"
 
 namespace mariusgnn {
 namespace {
 
-// Small fixed view: 5 input rows, 2 output nodes.
+// Small fixed view: 5 input rows, 2 output nodes (self rows 3 and 4).
 LayerView MakeView(const Tensor* h) {
   LayerView view;
   view.h = h;
-  view.self_rows = {3, 4};
+  view.self_begin = 3;
   view.nbr_rows = {0, 1, 2, 1};
   view.seg_offsets = {0, 3, 4};
   return view;
@@ -46,7 +49,7 @@ double LayerLoss(GnnLayer& layer, const Tensor& h, const Tensor& w_out,
     loss += static_cast<double>(out.data()[i]) * w_out.data()[i];
   }
   if (dh != nullptr) {
-    *dh = layer.Backward(*ctx, w_out, /*input_grad=*/true);
+    *dh = layer.Backward(*ctx, out, w_out, /*input_grad=*/true);
   }
   return loss;
 }
@@ -88,7 +91,7 @@ void CheckWeightGradients(GnnLayer& layer, uint64_t seed) {
   std::unique_ptr<LayerContext> ctx;
   LayerView view = MakeView(&h);
   Tensor out = layer.Forward(view, &ctx);
-  layer.Backward(*ctx, w_out, /*input_grad=*/true);
+  layer.Backward(*ctx, out, w_out, /*input_grad=*/true);
 
   const float eps = 1e-3f;
   for (Parameter* p : layer.Parameters()) {
@@ -489,17 +492,14 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
 }
 
 // A view large enough that every chunk grain is exceeded: 250 output segments
-// (several row chunks) over ~900 neighbor entries (several edge chunks).
-LayerView MakeBigView(const Tensor* h, Rng& rng) {
+// (several row chunks) over ~900 neighbor entries (several edge chunks), with
+// the outputs' own rows the contiguous run from `self_begin`.
+LayerView MakeBigView(const Tensor* h, int64_t self_begin, Rng& rng) {
   LayerView view;
   view.h = h;
+  view.self_begin = self_begin;
   const int64_t num_out = 250;
   const int64_t num_in = h->rows();
-  view.self_rows.resize(static_cast<size_t>(num_out));
-  for (int64_t s = 0; s < num_out; ++s) {
-    view.self_rows[static_cast<size_t>(s)] = static_cast<int64_t>(rng.UniformInt(
-        static_cast<uint64_t>(num_in)));
-  }
   view.seg_offsets = {0};
   for (int64_t s = 0; s < num_out; ++s) {
     view.seg_offsets.push_back(view.seg_offsets.back() +
@@ -512,49 +512,74 @@ LayerView MakeBigView(const Tensor* h, Rng& rng) {
   return view;
 }
 
-// Builds a fresh layer (same seed => same weights), runs forward + backward under
-// `ctx`, and returns (out, dh, each parameter grad) for bitwise comparison.
-std::vector<Tensor> RunLayerOnce(GnnLayerType type, const ComputeContext* ctx) {
+// Self-row starts the big layer tests run at: the first row (a layer-wise
+// block's outputs) and past it (a DENSE layer's outputs follow its neighbours).
+constexpr int64_t kSelfBegins[] = {0, 150};
+
+// A fresh layer (same seed => same weights) over a 400-row input and the big
+// view, and the output gradient to run it with.
+struct BigLayerCase {
+  std::unique_ptr<GnnLayer> layer;
+  Tensor h;
+  LayerView view;  // h unset
+  Tensor grad_out;
+};
+
+BigLayerCase MakeBigLayerCase(GnnLayerType type, int64_t self_begin) {
   Rng rng(7777);
   const int64_t in_dim = 24, out_dim = 16;
-  std::unique_ptr<GnnLayer> layer;
+  BigLayerCase lc;
   switch (type) {
     case GnnLayerType::kGraphSage:
-      layer = std::make_unique<GraphSageLayer>(in_dim, out_dim, Activation::kRelu, rng);
+      lc.layer = std::make_unique<GraphSageLayer>(in_dim, out_dim, Activation::kRelu, rng);
       break;
     case GnnLayerType::kGcn:
-      layer = std::make_unique<GcnLayer>(in_dim, out_dim, Activation::kRelu, rng);
+      lc.layer = std::make_unique<GcnLayer>(in_dim, out_dim, Activation::kRelu, rng);
       break;
     case GnnLayerType::kGat:
-      layer = std::make_unique<GatLayer>(in_dim, out_dim, Activation::kRelu, rng);
+      lc.layer = std::make_unique<GatLayer>(in_dim, out_dim, Activation::kRelu, rng);
       break;
   }
-  Tensor h = Tensor::Normal(400, in_dim, 0.8f, rng);
-  LayerView view = MakeBigView(&h, rng);
+  lc.h = Tensor::Normal(400, in_dim, 0.8f, rng);
+  lc.view = MakeBigView(&lc.h, self_begin, rng);
+  lc.view.h = nullptr;
+  lc.grad_out = Tensor::Normal(lc.view.num_outputs(), out_dim, 0.5f, rng);
+  return lc;
+}
+
+// Runs forward + backward under `ctx` and returns (out, dh, each parameter grad)
+// for bitwise comparison.
+std::vector<Tensor> RunLayerOnce(GnnLayerType type, int64_t self_begin,
+                                 const ComputeContext* ctx) {
+  BigLayerCase lc = MakeBigLayerCase(type, self_begin);
+  LayerView view = lc.view;
+  view.h = &lc.h;
   view.compute = ctx;
   std::unique_ptr<LayerContext> saved;
-  Tensor out = layer->Forward(view, &saved);
-  Tensor grad_out = Tensor::Normal(out.rows(), out.cols(), 0.5f, rng);
-  Tensor dh = layer->Backward(*saved, grad_out, /*input_grad=*/true);
+  Tensor out = lc.layer->Forward(std::move(view), &saved);
+  Tensor dh = lc.layer->Backward(*saved, out, lc.grad_out, /*input_grad=*/true);
 
   std::vector<Tensor> results = {std::move(out), std::move(dh)};
-  for (Parameter* p : layer->Parameters()) {
+  for (Parameter* p : lc.layer->Parameters()) {
     results.push_back(p->grad);
   }
   return results;
 }
 
 void CheckLayerDeterministicAcrossPools(GnnLayerType type) {
-  const std::vector<Tensor> serial = RunLayerOnce(type, nullptr);
-  for (size_t workers : {1u, 2u, 8u}) {
-    ThreadPool pool(workers);
-    ComputeContext ctx;
-    ctx.pool = &pool;
-    const std::vector<Tensor> parallel = RunLayerOnce(type, &ctx);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(BitwiseEqual(parallel[i], serial[i]))
-          << "tensor " << i << " diverged with " << workers << " workers";
+  for (int64_t self_begin : kSelfBegins) {
+    const std::vector<Tensor> serial = RunLayerOnce(type, self_begin, nullptr);
+    for (size_t workers : {1u, 2u, 8u}) {
+      ThreadPool pool(workers);
+      ComputeContext ctx;
+      ctx.pool = &pool;
+      const std::vector<Tensor> parallel = RunLayerOnce(type, self_begin, &ctx);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(BitwiseEqual(parallel[i], serial[i]))
+            << "tensor " << i << " diverged with " << workers << " workers, self rows from "
+            << self_begin;
+      }
     }
   }
 }
@@ -570,6 +595,65 @@ TEST(ParallelDeterminism, GcnForwardBackward) {
 TEST(ParallelDeterminism, GatForwardBackward) {
   CheckLayerDeterministicAcrossPools(GnnLayerType::kGat);
 }
+
+std::string LayerTypeName(GnnLayerType type) {
+  switch (type) {
+    case GnnLayerType::kGraphSage:
+      return "GraphSage";
+    case GnnLayerType::kGcn:
+      return "Gcn";
+    case GnnLayerType::kGat:
+      return "Gat";
+  }
+  return "Unknown";
+}
+
+// ---------------------------------------------------------------------------
+// The layers read their self rows of h in place, add the second product into
+// the first (MatmulAdd), and add the self gradient into d h's row range
+// (MatmulTransBAdd). Their output, d h and parameter gradients must be bitwise
+// those of the composition they replaced (IndexSelect, Matmul + AddInPlace,
+// ScatterAddRows; tests/aggregation_reference.h).
+// ---------------------------------------------------------------------------
+
+class LayerMatchesOldCompositionTest : public ::testing::TestWithParam<GnnLayerType> {};
+
+TEST_P(LayerMatchesOldCompositionTest, Bitwise) {
+  const GnnLayerType type = GetParam();
+  for (int64_t self_begin : kSelfBegins) {
+    BigLayerCase lc = MakeBigLayerCase(type, self_begin);
+    RefLayerInputs in;
+    in.h = &lc.h;
+    in.self_rows.resize(static_cast<size_t>(lc.view.num_outputs()));
+    std::iota(in.self_rows.begin(), in.self_rows.end(), self_begin);
+    in.nbr_rows = lc.view.nbr_rows;
+    in.seg_offsets = lc.view.seg_offsets;
+    for (Parameter* p : lc.layer->Parameters()) {
+      in.params.push_back(&p->value);
+    }
+    in.act = Activation::kRelu;
+    in.grad_out = &lc.grad_out;
+    const RefLayerRun want = type == GnnLayerType::kGraphSage ? RefGraphSageRun(in)
+                             : type == GnnLayerType::kGcn     ? RefGcnRun(in)
+                                                              : RefGatRun(in);
+
+    const std::vector<Tensor> got = RunLayerOnce(type, self_begin, nullptr);
+    ASSERT_EQ(got.size(), 2 + want.grads.size());
+    EXPECT_TRUE(BitwiseEqual(got[0], want.out)) << "output, self rows from " << self_begin;
+    EXPECT_TRUE(BitwiseEqual(got[1], want.dh)) << "d h, self rows from " << self_begin;
+    for (size_t i = 0; i < want.grads.size(); ++i) {
+      EXPECT_TRUE(BitwiseEqual(got[2 + i], want.grads[i]))
+          << "parameter " << i << " gradient, self rows from " << self_begin;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayers, LayerMatchesOldCompositionTest,
+                         ::testing::Values(GnnLayerType::kGraphSage, GnnLayerType::kGcn,
+                                           GnnLayerType::kGat),
+                         [](const ::testing::TestParamInfo<GnnLayerType>& info) {
+                           return LayerTypeName(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Fixed inputs: an encoder built with trains_inputs = false skips layer 0's
@@ -640,15 +724,72 @@ INSTANTIATE_TEST_SUITE_P(AllLayers, FixedInputBackwardTest,
                          ::testing::Values(GnnLayerType::kGraphSage, GnnLayerType::kGcn,
                                            GnnLayerType::kGat),
                          [](const ::testing::TestParamInfo<GnnLayerType>& info) {
-                           switch (info.param) {
-                             case GnnLayerType::kGraphSage:
-                               return "GraphSage";
-                             case GnnLayerType::kGcn:
-                               return "Gcn";
-                             case GnnLayerType::kGat:
-                               return "Gat";
-                           }
-                           return "Unknown";
+                           return LayerTypeName(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// The encoder owns each batch's activations: a caller that reassigns its h0
+// to the encoder's output before Backward (`h = encoder.Forward(plan, h)`, as
+// the link-prediction trainer and the benchmark's replay do) must get bitwise
+// the gradients of a caller that keeps h0 alive.
+// ---------------------------------------------------------------------------
+
+class EncoderOwnsActivationsTest : public ::testing::TestWithParam<GnnLayerType> {};
+
+TEST_P(EncoderOwnsActivationsTest, ReassignedInputGivesKeptInputGradients) {
+  Graph g = Fb15k237Like(0.05);
+  NeighborIndex index(g);
+  DenseSampler sampler(&index, {4, 3}, EdgeDirection::kBoth, 25);
+  DenseBatch proto = sampler.Sample({0, 1, 2, 3, 4});
+  proto.FinalizeForDevice();
+  Rng rng(94);
+  const Tensor h0 = Tensor::Normal(proto.num_nodes(), 6, 0.5f, rng);
+  const Tensor grad = Tensor::Normal(5, 4, 1.0f, rng);
+
+  enum class Caller { kKeeps, kReassignsCopy, kReassignsMoved };
+  // One forward + backward; returns the output, d h0 and the parameter gradients.
+  auto run = [&](Caller caller) {
+    Rng layer_rng(96);
+    GnnEncoder encoder(GetParam(), {6, 5, 4}, Activation::kRelu, layer_rng);
+    GnnPlan plan = PlanFromDense(proto);
+    Tensor h = h0;
+    Tensor out;
+    switch (caller) {
+      case Caller::kKeeps:
+        out = encoder.Forward(plan, h);
+        break;
+      case Caller::kReassignsCopy:
+        h = encoder.Forward(plan, h);
+        out = h;
+        break;
+      case Caller::kReassignsMoved:
+        h = encoder.Forward(plan, std::move(h));
+        out = h;
+        break;
+    }
+    std::vector<Tensor> results = {out, encoder.Backward(grad)};
+    for (Parameter* p : encoder.Parameters()) {
+      results.push_back(p->grad);
+    }
+    return results;
+  };
+  const std::vector<Tensor> kept = run(Caller::kKeeps);
+  for (Caller caller : {Caller::kReassignsCopy, Caller::kReassignsMoved}) {
+    const std::vector<Tensor> reassigned = run(caller);
+    ASSERT_EQ(reassigned.size(), kept.size());
+    for (size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_TRUE(BitwiseEqual(reassigned[i], kept[i]))
+          << "tensor " << i << " diverged when the caller reassigned h0"
+          << (caller == Caller::kReassignsMoved ? " (moved in)" : "");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayers, EncoderOwnsActivationsTest,
+                         ::testing::Values(GnnLayerType::kGraphSage, GnnLayerType::kGcn,
+                                           GnnLayerType::kGat),
+                         [](const ::testing::TestParamInfo<GnnLayerType>& info) {
+                           return LayerTypeName(info.param);
                          });
 
 TEST(ParallelDeterminism, DecoderLossAndGrad) {

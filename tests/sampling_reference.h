@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -245,9 +244,7 @@ inline std::vector<LayerView> RefDenseLayerViews(DenseBatch batch) {
   std::vector<LayerView> views;
   for (int64_t j = 0; j < num_layers; ++j) {
     LayerView view;
-    const int64_t out_begin = batch.node_id_offsets[1];
-    view.self_rows.resize(static_cast<size_t>(batch.num_nodes() - out_begin));
-    std::iota(view.self_rows.begin(), view.self_rows.end(), out_begin);
+    view.self_begin = batch.node_id_offsets[1];
     view.nbr_rows = batch.repr_map;
     view.seg_offsets = batch.SegmentOffsets();
     views.push_back(std::move(view));
@@ -263,8 +260,7 @@ inline std::vector<LayerView> RefDenseLayerViews(DenseBatch batch) {
 inline LayerView RefSortBlockByDst(const LayerBlock& block) {
   LayerView view;
   const int64_t num_dst = static_cast<int64_t>(block.dst_nodes.size());
-  view.self_rows.resize(static_cast<size_t>(num_dst));
-  std::iota(view.self_rows.begin(), view.self_rows.end(), 0);
+  view.self_begin = 0;
   const int64_t num_edges = static_cast<int64_t>(block.edge_dst.size());
   std::vector<int64_t> counts(static_cast<size_t>(num_dst) + 1, 0);
   view.nbr_rows.resize(static_cast<size_t>(num_edges));

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -780,6 +781,55 @@ void ForEachPullContext(const std::function<void(const ComputeContext*, const st
     ComputeContext ctx;
     ctx.pool = &pool;
     check(&ctx, std::to_string(workers) + " workers");
+  }
+}
+
+// The add forms of the matmul fold each output from +0.0f over kk ascending and
+// add it to C once, so they must have the bits of AddInPlace(C, product): for k
+// of one step, of a whole 64-step panel and past one panel (300); for n with
+// whole register tiles, single vectors and scalar columns at 4-, 8- and 16-float
+// vectors; for an odd last row; over a nonzero C; and with +-0, +-inf and the
+// hardware NaN planted in A, B and C as in PullValues. The operands are row
+// ranges of larger tensors, read and written in place, and the rows of C
+// outside the range must keep their bits.
+TEST(OpsLanes, MatmulAddFormsMatchProductPlusAddInPlaceBitwise) {
+  ThreadPool pool(2);
+  ComputeContext pool_ctx;
+  pool_ctx.pool = &pool;
+  Rng rng(47);
+  for (int64_t m : {1, 3, 130}) {
+    for (int64_t k : {1, 64, 300}) {
+      for (int64_t n : {3, 9, 33, 45, 64}) {
+        const int64_t a_begin = 2, c_begin = 5;
+        const Tensor a_all = PullValues(a_begin + m + 1, k, rng);
+        const Tensor b = PullValues(k, n, rng);
+        const Tensor bt = PullValues(n, k, rng);
+        const Tensor c0 = PullValues(c_begin + m + 3, n, rng);
+        std::vector<int64_t> a_rows(static_cast<size_t>(m));
+        std::iota(a_rows.begin(), a_rows.end(), a_begin);
+        const Tensor a = IndexSelect(a_all, a_rows);
+        // The references: the product, then AddInPlace into C's row range.
+        auto with_added = [&](const Tensor& product) {
+          Tensor want = c0;
+          AddInPlace(RowSpan(want, c_begin, m), product);
+          return want;
+        };
+        const Tensor want_ab = with_added(Matmul(a, b));
+        const Tensor want_abt = with_added(MatmulTransB(a, bt));
+        for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                          static_cast<const ComputeContext*>(&pool_ctx)}) {
+          const std::string shape = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) +
+                                    (ctx != nullptr ? " pooled" : "");
+          Tensor got = c0;
+          MatmulAdd(RowSpan(got, c_begin, m), ConstRowSpan(a_all, a_begin, m), b, ctx);
+          EXPECT_TRUE(SameBits(got, want_ab)) << "MatmulAdd " << shape;
+          got = c0;
+          MatmulTransBAdd(RowSpan(got, c_begin, m), a, bt, ctx);
+          EXPECT_TRUE(SameBits(got, want_abt)) << "MatmulTransBAdd " << shape;
+        }
+      }
+    }
   }
 }
 
