@@ -131,13 +131,14 @@ void BM_DenseSample(benchmark::State& state) {
   Graph g = LiveJournalMini(0.25);
   NeighborIndex index(g);
   std::vector<int64_t> fanouts(static_cast<size_t>(depth), 10);
-  DenseSampler sampler(&index, fanouts, EdgeDirection::kBoth, 4);
+  const DenseSampler sampler(fanouts, EdgeDirection::kBoth);
   std::vector<int64_t> targets;
   for (int64_t v = 0; v < 128; ++v) {
     targets.push_back(v * 50);
   }
+  uint64_t batch = 0;
   for (auto _ : state) {
-    DenseBatch b = sampler.Sample(targets);
+    DenseBatch b = sampler.SampleSeeded(targets, MixSeed(4, batch++), &index);
     benchmark::DoNotOptimize(b.node_ids.data());
   }
 }

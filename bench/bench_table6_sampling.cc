@@ -30,7 +30,7 @@ struct Measurement {
 Measurement MeasureDense(const Graph& /*graph*/, const NeighborIndex& index, int depth,
                          const std::vector<int64_t>& targets) {
   std::vector<int64_t> fanouts(static_cast<size_t>(depth), 10);
-  DenseSampler sampler(&index, fanouts, EdgeDirection::kBoth, 3);
+  const DenseSampler sampler(fanouts, EdgeDirection::kBoth);
   Rng rng(7);
   std::vector<int64_t> dims(static_cast<size_t>(depth) + 1, kDim);
   GnnEncoder encoder(GnnLayerType::kGraphSage, dims, Activation::kRelu, rng);
@@ -38,7 +38,7 @@ Measurement MeasureDense(const Graph& /*graph*/, const NeighborIndex& index, int
   Measurement m;
   for (int r = 0; r < kRounds; ++r) {
     WallTimer t;
-    DenseBatch batch = sampler.Sample(targets);
+    DenseBatch batch = sampler.SampleSeeded(targets, MixSeed(3, r), &index);
     batch.FinalizeForDevice();
     m.sample_ms += t.Millis();
     m.nodes = batch.num_nodes();
@@ -60,7 +60,7 @@ Measurement MeasureDense(const Graph& /*graph*/, const NeighborIndex& index, int
 Measurement MeasureLayerwise(const Graph& /*graph*/, const NeighborIndex& index, int depth,
                              const std::vector<int64_t>& targets) {
   std::vector<int64_t> fanouts(static_cast<size_t>(depth), 10);
-  LayerwiseSampler sampler(&index, fanouts, EdgeDirection::kBoth, 3);
+  const LayerwiseSampler sampler(fanouts, EdgeDirection::kBoth);
   Rng rng(7);
   std::vector<int64_t> dims(static_cast<size_t>(depth) + 1, kDim);
   GnnEncoder encoder(GnnLayerType::kGraphSage, dims, Activation::kRelu, rng);
@@ -68,7 +68,7 @@ Measurement MeasureLayerwise(const Graph& /*graph*/, const NeighborIndex& index,
   Measurement m;
   for (int r = 0; r < kRounds; ++r) {
     WallTimer t;
-    LayerwiseSample sample = sampler.Sample(targets);
+    LayerwiseSample sample = sampler.SampleSeeded(targets, MixSeed(3, r), &index);
     m.sample_ms += t.Millis();
     m.nodes = sample.NumInputNodes();
     m.edges = sample.TotalSampledEdges();

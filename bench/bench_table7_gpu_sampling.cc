@@ -25,9 +25,9 @@ int main() {
   for (int depth = 1; depth <= 5; ++depth) {
     std::vector<int64_t> fanouts(static_cast<size_t>(depth), 20);
 
-    DenseSampler dense(&index, fanouts, EdgeDirection::kOutgoing, 3);
+    const DenseSampler dense(fanouts, EdgeDirection::kOutgoing);
     WallTimer t1;
-    DenseBatch batch = dense.Sample(targets);
+    DenseBatch batch = dense.SampleSeeded(targets, MixSeed(3, depth), &index);
     batch.FinalizeForDevice();
     const double dense_ms = t1.Millis();
 
@@ -43,9 +43,9 @@ int main() {
                   static_cast<long long>(batch.num_nodes()), "OOM");
       continue;
     }
-    TreeSampler tree(&index, fanouts, EdgeDirection::kOutgoing, 3);
+    const TreeSampler tree(fanouts, EdgeDirection::kOutgoing);
     WallTimer t2;
-    const TreeSampleStats stats = tree.Sample(targets);
+    const TreeSampleStats stats = tree.SampleSeeded(targets, MixSeed(3, depth), &index);
     const double tree_ms = t2.Millis();
     std::printf("%-6d %16.2f %16.2f %18lld %18lld\n", depth, dense_ms, tree_ms,
                 static_cast<long long>(batch.num_nodes()),

@@ -9,7 +9,6 @@
 #include "src/policy/comet.h"
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 #include "src/util/node_row_map.h"
 
 namespace mariusgnn {
@@ -106,7 +105,8 @@ std::vector<int64_t> LinkPredictionTrainer::SetExamples(const EpochPlan& plan, i
 
 // Batch construction (pipeline stage 1). Runs on worker threads: everything is
 // derived from `batch_seed` and read-only state, so the batch is identical for any
-// worker count (RunEpoch points the samplers at the set's index beforehand).
+// worker count (the samplers read the set's resident index, which RunEpoch builds
+// beforehand).
 std::shared_ptr<void> LinkPredictionTrainer::PrepareBatch(
     const std::vector<int64_t>& edge_ids, uint64_t batch_seed) const {
   auto prepared = std::make_shared<PreparedBatch>();
@@ -266,9 +266,9 @@ void LinkPredictionTrainer::RestoreCheckpointSections(CheckpointReader& reader) 
   }
 }
 
-// Evaluation-time neighborhood samples are seeded from the run seed (not the
-// samplers' internal RNG streams), so metrics are a pure function of model
-// state: repeated evaluations of the same model agree bit-for-bit, and a
+// Evaluation-time neighborhood samples are seeded from the run seed (not a
+// training batch's seed), so metrics are a pure function of model state:
+// repeated evaluations of the same model agree bit-for-bit, and a
 // checkpoint-resumed trainer evaluates identically to the one that saved it.
 // A decoder-only model's representations are its base rows, so it never builds
 // the full-graph index.

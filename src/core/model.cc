@@ -24,8 +24,7 @@ void ModelState::ValidateConfig(TaskKind kind, const Graph& graph,
 
 // RNG draw order is part of the checkpoint/trajectory contract: encoder layers
 // first, then the task head, exactly as the trainers have always initialised.
-// The samplers use their own seed-derived streams (seed + 1) and draw nothing
-// from `rng`.
+// The samplers are stateless and draw nothing from `rng`.
 ModelState ModelState::Build(TaskKind kind, const Graph& graph,
                              const ModelConfig& config, Rng& rng) {
   ValidateConfig(kind, graph, config);
@@ -39,11 +38,10 @@ ModelState ModelState::Build(TaskKind kind, const Graph& graph,
     m.encoder = std::make_unique<GnnEncoder>(config.layer_type, config.dims,
                                              Activation::kRelu, rng, trains_inputs);
     if (config.sampler == SamplerKind::kDense) {
-      m.dense_sampler = std::make_unique<DenseSampler>(nullptr, config.fanouts,
-                                                       config.direction, config.seed + 1);
+      m.dense_sampler = std::make_unique<DenseSampler>(config.fanouts, config.direction);
     } else {
-      m.layerwise_sampler = std::make_unique<LayerwiseSampler>(
-          nullptr, config.fanouts, config.direction, config.seed + 1);
+      m.layerwise_sampler =
+          std::make_unique<LayerwiseSampler>(config.fanouts, config.direction);
     }
   }
   if (kind == TaskKind::kLinkPrediction) {

@@ -91,8 +91,8 @@ struct ModelState {
   int64_t out_dim() const { return config.dims.back(); }
 
   // Samples the k-hop neighborhood of `nodes` over `index`, entirely derived
-  // from `seed` (never the samplers' internal RNG or index pointer), and lowers
-  // it to the encoder's plan (PlanFromDense / PlanFromBlocks). Const and pure:
+  // from `seed` (the samplers hold no RNG and no index), and lowers it to the
+  // encoder's plan (PlanFromDense / PlanFromBlocks). Const and pure:
   // the trainers call it from pipeline stage 1 and InferReprs from evaluation
   // and serving threads. Requires has_gnn().
   GnnPlan SamplePlan(const std::vector<int64_t>& nodes, uint64_t seed,

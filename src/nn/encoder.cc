@@ -1,5 +1,6 @@
 #include "src/nn/encoder.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/nn/gat.h"
@@ -31,24 +32,44 @@ std::vector<std::unique_ptr<GnnLayer>> BuildGnnLayers(GnnLayerType type,
   return layers;
 }
 
+// Algorithm 2 as index slicing. Layer j has dropped the groups Δ0..Δj-1 (rows
+// [0, offsets[j]) of node_ids) and the neighbor segments of Δ1..Δj (the first
+// offsets[j+1] - offsets[1] segments), so its view is the rest of nbr_offsets and
+// repr_map, rebased to the first kept edge and the first kept row. Layer 0 drops
+// nothing, so once the deeper layers have read them, its view takes both arrays
+// as they are.
 GnnPlan PlanFromDense(DenseBatch batch) {
   MG_CHECK(batch.num_deltas() >= 2);
   MG_CHECK(batch.repr_map.size() == batch.nbrs.size());
+  const std::vector<int64_t>& offsets = batch.node_id_offsets;
+  const std::vector<int64_t>& nbr_offsets = batch.nbr_offsets;
+  const std::vector<int64_t>& repr_map = batch.repr_map;
+  const int64_t num_segs = static_cast<int64_t>(nbr_offsets.size());
+  const int64_t num_edges = batch.num_sampled_edges();
+  MG_CHECK(num_segs == batch.num_output_nodes());
   GnnPlan plan;
-  plan.input_nodes = batch.node_ids;
   plan.layers.resize(static_cast<size_t>(batch.num_deltas() - 1));
-  for (size_t j = 0; j < plan.layers.size(); ++j) {
+  for (size_t j = 1; j < plan.layers.size(); ++j) {
+    const int64_t row_base = offsets[j];
+    const int64_t seg_skip = offsets[j + 1] - offsets[1];
+    const int64_t edge_skip =
+        seg_skip < num_segs ? nbr_offsets[static_cast<size_t>(seg_skip)] : num_edges;
     LayerView& view = plan.layers[j];
-    view.self_begin = batch.node_id_offsets[1];
-    view.seg_offsets = batch.SegmentOffsets();
-    if (j + 1 == plan.layers.size()) {
-      view.nbr_rows = std::move(batch.repr_map);
-    } else {
-      // AdvanceLayer rewrites the batch's repr_map, so earlier layers keep a copy.
-      view.nbr_rows = batch.repr_map;
-      batch.AdvanceLayer();
-    }
+    view.self_begin = offsets[j + 1] - row_base;
+    view.seg_offsets.resize(static_cast<size_t>(num_segs - seg_skip) + 1);
+    std::transform(nbr_offsets.begin() + seg_skip, nbr_offsets.end(),
+                   view.seg_offsets.begin(), [=](int64_t o) { return o - edge_skip; });
+    view.seg_offsets.back() = num_edges - edge_skip;
+    view.nbr_rows.resize(static_cast<size_t>(num_edges - edge_skip));
+    std::transform(repr_map.begin() + edge_skip, repr_map.end(), view.nbr_rows.begin(),
+                   [=](int64_t r) { return r - row_base; });
   }
+  LayerView& first = plan.layers[0];
+  first.self_begin = offsets[1];
+  first.seg_offsets = std::move(batch.nbr_offsets);
+  first.seg_offsets.push_back(num_edges);
+  first.nbr_rows = std::move(batch.repr_map);
+  plan.input_nodes = std::move(batch.node_ids);
   return plan;
 }
 

@@ -5,10 +5,10 @@
 // over the previous layer's output, and the contexts saved per layer drive the
 // manual backward pass down to d(H0). The encoder never looks at a sample; all
 // index work happens earlier, in pipeline stage 1, through one of two lowerings:
-//  - PlanFromDense: the paper's DENSE execution (Section 4.2). Each layer's view is
-//    the current DENSE state (repr_map + contiguous neighbor segments, outputs
-//    node_ids[offsets[1]:]); AdvanceLayer() then slices the structure (Algorithm 2)
-//    for the next layer.
+//  - PlanFromDense: the paper's DENSE execution (Section 4.2). Algorithm 2 is
+//    index slicing of the one finalized batch: layer j's view is repr_map and the
+//    contiguous neighbor segments past the groups earlier layers dropped, rebased
+//    by offsets (outputs node_ids[offsets[j+1]:]). The batch is never rewritten.
 //  - PlanFromBlocks: the baseline per-block path over a LayerwiseSample. Each block
 //    is counting-sorted by destination into segment form, the CSR conversion
 //    baseline systems perform, so the same layers apply and the end-to-end

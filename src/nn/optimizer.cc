@@ -4,15 +4,6 @@
 
 namespace mariusgnn {
 
-void Sgd::StepFromReduced(Parameter& p, const Tensor& grad) {
-  ForEachChunk(compute_, p.value.size(), kComputeGrainElems,
-               [&](int64_t, int64_t begin, int64_t end) {
-                 for (int64_t i = begin; i < end; ++i) {
-                   p.value.data()[i] -= lr_ * grad.data()[i];
-                 }
-               });
-}
-
 void Adagrad::StepFromReduced(Parameter& p, const Tensor& grad) {
   if (p.state.size() != p.value.size()) {
     p.state = Tensor(p.value.rows(), p.value.cols());

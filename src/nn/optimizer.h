@@ -1,9 +1,8 @@
-// Dense-parameter optimizers. Sparse per-row embedding updates live in
-// src/storage/embedding_store.h; these handle GNN weights and decoder parameters.
+// The dense-parameter optimizer. Sparse per-row embedding updates live in
+// src/storage/embedding_store.h; Adagrad handles GNN weights and decoder parameters.
 #ifndef SRC_NN_OPTIMIZER_H_
 #define SRC_NN_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/nn/parameter.h"
@@ -11,9 +10,9 @@
 
 namespace mariusgnn {
 
-class Optimizer {
+class Adagrad {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adagrad(float lr, float eps = 1e-10f) : lr_(lr), eps_(eps) {}
 
   // Stage-3 parallel-compute handle. Steps are elementwise over disjoint chunks,
   // so any pool size produces identical parameter bits (null = serial).
@@ -24,7 +23,7 @@ class Optimizer {
   // apply path: the exchange hands back either the parameter's own gradient
   // (single replica) or the cross-replica ordered-fold sum, and the optimizer
   // applies whichever it is given.
-  virtual void StepFromReduced(Parameter& p, const Tensor& grad) = 0;
+  void StepFromReduced(Parameter& p, const Tensor& grad);
 
   // Applies one update from p.grad to p.value. Does not zero the gradient.
   void Step(Parameter& p) { StepFromReduced(p, p.grad); }
@@ -51,27 +50,10 @@ class Optimizer {
     }
   }
 
- protected:
-  const ComputeContext* compute_ = nullptr;
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr) : lr_(lr) {}
-  void StepFromReduced(Parameter& p, const Tensor& grad) override;
-
- private:
-  float lr_;
-};
-
-class Adagrad : public Optimizer {
- public:
-  explicit Adagrad(float lr, float eps = 1e-10f) : lr_(lr), eps_(eps) {}
-  void StepFromReduced(Parameter& p, const Tensor& grad) override;
-
  private:
   float lr_;
   float eps_;
+  const ComputeContext* compute_ = nullptr;
 };
 
 }  // namespace mariusgnn

@@ -1,20 +1,13 @@
 #include "src/sampler/dense.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/node_row_map.h"
+#include "src/util/rng.h"
 
 namespace mariusgnn {
-
-std::vector<int64_t> DenseBatch::SegmentOffsets() const {
-  MG_CHECK(static_cast<int64_t>(nbr_offsets.size()) == num_output_nodes());
-  std::vector<int64_t> closed;
-  closed.reserve(nbr_offsets.size() + 1);
-  closed.insert(closed.end(), nbr_offsets.begin(), nbr_offsets.end());
-  closed.push_back(static_cast<int64_t>(nbrs.size()));
-  return closed;
-}
 
 void DenseBatch::FinalizeForDevice() {
   NodeRowMap row_of(num_nodes());
@@ -29,42 +22,9 @@ void DenseBatch::FinalizeForDevice() {
   }
 }
 
-void DenseBatch::AdvanceLayer() {
-  MG_CHECK(num_deltas() >= 2);
-  MG_CHECK(repr_map.size() == nbrs.size());
-  const int64_t delta_prev_len = node_id_offsets[1];                  // |Δi−1|
-  const int64_t delta_i_len = DeltaEnd(1) - DeltaBegin(1);            // |Δi|
-  // Δi's neighbor block is the first delta_i_len segments of nbrs.
-  const int64_t drop_nbrs =
-      delta_i_len < static_cast<int64_t>(nbr_offsets.size())
-          ? nbr_offsets[static_cast<size_t>(delta_i_len)]
-          : static_cast<int64_t>(nbrs.size());
-
-  nbrs.erase(nbrs.begin(), nbrs.begin() + drop_nbrs);
-  repr_map.erase(repr_map.begin(), repr_map.begin() + drop_nbrs);
-  for (auto& r : repr_map) {
-    r -= delta_prev_len;
-    MG_DCHECK(r >= 0);
-  }
-  nbr_offsets.erase(nbr_offsets.begin(), nbr_offsets.begin() + delta_i_len);
-  for (auto& o : nbr_offsets) {
-    o -= drop_nbrs;
-  }
-  node_ids.erase(node_ids.begin(), node_ids.begin() + delta_prev_len);
-  node_id_offsets.erase(node_id_offsets.begin());
-  for (auto& o : node_id_offsets) {
-    o -= delta_prev_len;
-  }
-}
-
-DenseSampler::DenseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-                           EdgeDirection dir, uint64_t seed)
-    : index_(index), fanouts_(std::move(fanouts)), dir_(dir), rng_(seed) {
+DenseSampler::DenseSampler(std::vector<int64_t> fanouts, EdgeDirection dir)
+    : fanouts_(std::move(fanouts)), dir_(dir) {
   MG_CHECK(!fanouts_.empty());
-}
-
-DenseBatch DenseSampler::Sample(const std::vector<int64_t>& target_nodes) {
-  return SampleSeeded(target_nodes, rng_.Next());
 }
 
 DenseBatch DenseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,

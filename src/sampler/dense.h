@@ -16,9 +16,11 @@
 // use a NodeRowMap (src/util/node_row_map.h) built on the stack of the call and sized
 // to the sample: O(sample) memory, never O(|V|), and no state kept across calls.
 //
-// DenseSampler::Sample implements Algorithm 1 (one-hop samples are taken once per node
-// and reused across layers); DenseBatch::AdvanceLayer implements Algorithm 2 (the
-// on-device slicing that discards the deepest delta after each GNN layer).
+// DenseSampler::SampleSeeded implements Algorithm 1 (one-hop samples are taken once
+// per node and reused across layers). Algorithm 2 (the on-device slicing that discards
+// the deepest delta after each GNN layer) is index arithmetic on the finalized batch:
+// PlanFromDense (src/nn/encoder.h) computes every layer's view from these arrays
+// without rewriting them.
 #ifndef SRC_SAMPLER_DENSE_H_
 #define SRC_SAMPLER_DENSE_H_
 
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "src/graph/neighbor_index.h"
-#include "src/util/rng.h"
 
 namespace mariusgnn {
 
@@ -51,57 +52,38 @@ struct DenseBatch {
   // Target nodes are the last delta group (Δk).
   int64_t num_targets() const { return DeltaEnd(num_deltas() - 1) - DeltaBegin(num_deltas() - 1); }
 
-  // Nodes that own neighbor segments in the current state: node_ids[offsets[1]:].
-  // Equals the output rows of the next GNN layer.
+  // Nodes that own neighbor segments: node_ids[offsets[1]:], the output rows of the
+  // first GNN layer.
   int64_t num_output_nodes() const { return num_nodes() - node_id_offsets[1]; }
-
-  // Closed-form segment offsets (size num_output_nodes()+1, last == nbrs.size()) for
-  // the tensor segment kernels.
-  std::vector<int64_t> SegmentOffsets() const;
 
   // Builds repr_map: the node_ids row of every nbrs entry, through one NodeRowMap
   // over node_ids. Call once after sampling, before the first layer ("transfer to
   // device"). Aborts if an nbrs entry is not in node_ids.
   void FinalizeForDevice();
-
-  // Algorithm 2: drops Δ0 (the deepest group) and its neighbor segments after a layer
-  // has been computed. Requires num_deltas() >= 2 and repr_map to be finalized.
-  void AdvanceLayer();
 };
 
-// Multi-hop sampler implementing Algorithm 1.
+// Multi-hop sampler implementing Algorithm 1. Stateless: it holds only the fanouts and
+// the direction, so one const sampler serves every pipeline worker, evaluation and
+// serving thread.
 class DenseSampler {
  public:
   // fanouts[h] is the max neighbors per node at hop h+1 away from the targets (the
   // paper's "30, 20, 10 ordered away from the target nodes" convention). When dir is
   // kBoth, up to fanouts[h] neighbors are drawn from each direction.
-  DenseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-               EdgeDirection dir, uint64_t seed = 17);
+  DenseSampler(std::vector<int64_t> fanouts, EdgeDirection dir);
 
-  // Samples the k-hop neighborhood of unique `target_nodes` and returns the DENSE
-  // arrays (repr_map not yet finalized). Advances the sampler's own RNG.
-  DenseBatch Sample(const std::vector<int64_t>& target_nodes);
-
-  // Deterministic, thread-safe variant: the whole sample is derived from
-  // `batch_seed` alone, so pipeline workers can share one sampler and produce
-  // identical batches for any worker count (see training_pipeline.h).
-  DenseBatch SampleSeeded(const std::vector<int64_t>& target_nodes,
-                          uint64_t batch_seed) const {
-    return SampleSeeded(target_nodes, batch_seed, index_);
-  }
-
-  // Explicit-index variant for callers that must not mutate shared sampler state
-  // (the serving path: one const sampler, many concurrent readers).
-  DenseBatch SampleSeeded(const std::vector<int64_t>& target_nodes,
-                          uint64_t batch_seed, const NeighborIndex* index) const;
+  // Samples the k-hop neighborhood of unique `target_nodes` over `index` and returns
+  // the DENSE arrays (repr_map not yet finalized). The whole sample is derived from
+  // `batch_seed` alone, so pipeline workers produce identical batches for any worker
+  // count (see training_pipeline.h).
+  DenseBatch SampleSeeded(const std::vector<int64_t>& target_nodes, uint64_t batch_seed,
+                          const NeighborIndex* index) const;
 
   int64_t num_layers() const { return static_cast<int64_t>(fanouts_.size()); }
 
  private:
-  const NeighborIndex* index_;
   std::vector<int64_t> fanouts_;
   EdgeDirection dir_;
-  Rng rng_;
 };
 
 }  // namespace mariusgnn

@@ -1,9 +1,11 @@
 #include "src/sampler/layerwise.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/node_row_map.h"
+#include "src/util/rng.h"
 
 namespace mariusgnn {
 
@@ -15,14 +17,9 @@ int64_t LayerwiseSample::TotalSampledEdges() const {
   return total;
 }
 
-LayerwiseSampler::LayerwiseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-                                   EdgeDirection dir, uint64_t seed)
-    : index_(index), fanouts_(std::move(fanouts)), dir_(dir), rng_(seed) {
+LayerwiseSampler::LayerwiseSampler(std::vector<int64_t> fanouts, EdgeDirection dir)
+    : fanouts_(std::move(fanouts)), dir_(dir) {
   MG_CHECK(!fanouts_.empty());
-}
-
-LayerwiseSample LayerwiseSampler::Sample(const std::vector<int64_t>& target_nodes) {
-  return SampleSeeded(target_nodes, rng_.Next());
 }
 
 LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
@@ -72,23 +69,24 @@ LayerwiseSample LayerwiseSampler::SampleSeeded(const std::vector<int64_t>& targe
   return sample;
 }
 
-TreeSampler::TreeSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-                         EdgeDirection dir, uint64_t seed)
-    : index_(index), fanouts_(std::move(fanouts)), dir_(dir), rng_(seed) {
+TreeSampler::TreeSampler(std::vector<int64_t> fanouts, EdgeDirection dir)
+    : fanouts_(std::move(fanouts)), dir_(dir) {
   MG_CHECK(!fanouts_.empty());
 }
 
-TreeSampleStats TreeSampler::Sample(const std::vector<int64_t>& target_nodes) {
-  MG_CHECK(index_ != nullptr);
+TreeSampleStats TreeSampler::SampleSeeded(const std::vector<int64_t>& target_nodes,
+                                          uint64_t seed, const NeighborIndex* index) const {
+  MG_CHECK(index != nullptr);
   TreeSampleStats stats;
   std::vector<int64_t> level = target_nodes;
   stats.total_instances = static_cast<int64_t>(level.size());
+  Rng rng(seed);
   PickScratch picks;
   for (int64_t fanout : fanouts_) {
     std::vector<int64_t> next;
     next.reserve(level.size() * static_cast<size_t>(fanout));
     for (int64_t v : level) {
-      index_->SampleOneHop(v, fanout, dir_, rng_, picks, next);
+      index->SampleOneHop(v, fanout, dir_, rng, picks, next);
     }
     stats.total_instances += static_cast<int64_t>(next.size());
     stats.total_edges += static_cast<int64_t>(next.size());

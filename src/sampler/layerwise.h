@@ -9,6 +9,9 @@
 // TreeSampler reproduces NextDoor-style per-instance sampling (Table 7's comparison):
 // every node *instance* in the frontier is expanded independently with no reuse and no
 // dedup, so the sample grows as the product of the fanouts.
+//
+// Like DenseSampler, both hold only their fanouts and direction: each sample is a pure
+// function of (targets, seed, index).
 #ifndef SRC_SAMPLER_LAYERWISE_H_
 #define SRC_SAMPLER_LAYERWISE_H_
 
@@ -16,7 +19,6 @@
 #include <vector>
 
 #include "src/graph/neighbor_index.h"
-#include "src/util/rng.h"
 
 namespace mariusgnn {
 
@@ -46,32 +48,18 @@ struct LayerwiseSample {
 
 class LayerwiseSampler {
  public:
-  LayerwiseSampler(const NeighborIndex* index, std::vector<int64_t> fanouts,
-                   EdgeDirection dir, uint64_t seed = 29);
+  LayerwiseSampler(std::vector<int64_t> fanouts, EdgeDirection dir);
 
-  LayerwiseSample Sample(const std::vector<int64_t>& target_nodes);
-
-  // Deterministic, thread-safe variant: the whole sample is derived from
-  // `batch_seed` alone (per-node RNG streams), so pipeline workers can share one
-  // sampler and produce identical batches for any worker count.
+  // The whole sample is derived from `batch_seed` alone (per-node RNG streams), so
+  // pipeline workers produce identical batches for any worker count.
   LayerwiseSample SampleSeeded(const std::vector<int64_t>& target_nodes,
-                               uint64_t batch_seed) const {
-    return SampleSeeded(target_nodes, batch_seed, index_);
-  }
-
-  // Explicit-index variant for callers that must not mutate shared sampler state
-  // (the serving path: one const sampler, many concurrent readers).
-  LayerwiseSample SampleSeeded(const std::vector<int64_t>& target_nodes,
-                               uint64_t batch_seed,
-                               const NeighborIndex* index) const;
+                               uint64_t batch_seed, const NeighborIndex* index) const;
 
   int64_t num_layers() const { return static_cast<int64_t>(fanouts_.size()); }
 
  private:
-  const NeighborIndex* index_;
   std::vector<int64_t> fanouts_;
   EdgeDirection dir_;
-  Rng rng_;
 };
 
 // NextDoor-style per-instance expansion; returns only size statistics since its cost is
@@ -83,16 +71,16 @@ struct TreeSampleStats {
 
 class TreeSampler {
  public:
-  TreeSampler(const NeighborIndex* index, std::vector<int64_t> fanouts, EdgeDirection dir,
-              uint64_t seed = 31);
+  TreeSampler(std::vector<int64_t> fanouts, EdgeDirection dir);
 
-  TreeSampleStats Sample(const std::vector<int64_t>& target_nodes);
+  // One RNG stream seeded by `seed` draws every instance's neighbors in
+  // level order.
+  TreeSampleStats SampleSeeded(const std::vector<int64_t>& target_nodes, uint64_t seed,
+                               const NeighborIndex* index) const;
 
  private:
-  const NeighborIndex* index_;
   std::vector<int64_t> fanouts_;
   EdgeDirection dir_;
-  Rng rng_;
 };
 
 }  // namespace mariusgnn

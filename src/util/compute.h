@@ -60,11 +60,6 @@ struct ComputeStats {
   double capacity_seconds = 0.0;
 
   void Reset() { *this = ComputeStats(); }
-
-  // busy / capacity: 1.0 means every region fully used the threads it enlisted.
-  double ParallelEfficiency() const {
-    return capacity_seconds > 0.0 ? busy_seconds / capacity_seconds : 1.0;
-  }
 };
 
 // Handle the trainers thread through encoder/decoder/optimizer/storage alongside

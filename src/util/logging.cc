@@ -1,64 +1,17 @@
 #include "src/util/logging.h"
 
+#include <cstdarg>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 
 namespace mariusgnn {
-namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    default:
-      return "?";
-  }
-}
-
-void VLogMessage(LogLevel level, const char* fmt, va_list args) {
-  if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) {
-    return;
-  }
+void LogError(const char* fmt, ...) {
   char body[2048];
-  std::vsnprintf(body, sizeof(body), fmt, args);
-  std::fprintf(stderr, "[%s] %s\n", LevelName(level), body);
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-
-void LogMessage(LogLevel level, const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
-  VLogMessage(level, fmt, args);
+  std::vsnprintf(body, sizeof(body), fmt, args);
   va_end(args);
+  std::fprintf(stderr, "[ERROR] %s\n", body);
 }
-
-#define MG_DEFINE_LOG_FN(Name, Level)       \
-  void Name(const char* fmt, ...) {         \
-    va_list args;                           \
-    va_start(args, fmt);                    \
-    VLogMessage(LogLevel::Level, fmt, args); \
-    va_end(args);                           \
-  }
-
-MG_DEFINE_LOG_FN(LogDebug, kDebug)
-MG_DEFINE_LOG_FN(LogInfo, kInfo)
-MG_DEFINE_LOG_FN(LogWarn, kWarn)
-MG_DEFINE_LOG_FN(LogError, kError)
-
-#undef MG_DEFINE_LOG_FN
 
 }  // namespace mariusgnn

@@ -1,28 +1,10 @@
-// Minimal leveled logger. Thread-safe (each message is a single fprintf call).
-//
-// Usage:
-//   LogInfo("epoch %d done in %.2fs", epoch, secs);
-// The global level defaults to kInfo and can be raised/lowered at runtime.
+// The error log line RV's default violation sink writes. Thread-safe (each
+// message is a single fprintf call): "[ERROR] <message>\n" on stderr.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
-#include <atomic>
-#include <cstdarg>
-
 namespace mariusgnn {
 
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-// Sets the minimum level that will be emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Core formatted emit; prefer the level-specific helpers below.
-void LogMessage(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-void LogDebug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void LogInfo(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void LogWarn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void LogError(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace mariusgnn

@@ -1,7 +1,8 @@
 // Tests for the DENSE data structure (Algorithm 1), the per-layer update
-// (Algorithm 2), and their invariants, including a hand-checked example mirroring the
-// paper's Figure 3, and field-for-field agreement of the sampler and its one-hop draws
-// with their hash-based references (tests/sampling_reference.h).
+// (Algorithm 2: PlanFromDense's slices, against the batch-rewriting reference
+// RefAdvanceLayer), and their invariants, including a hand-checked example mirroring
+// the paper's Figure 3, and field-for-field agreement of the sampler and its one-hop
+// draws with their hash-based references (tests/sampling_reference.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,8 +34,8 @@ Graph FigureGraph() {
 TEST(Dense, Figure3TwoHopExample) {
   Graph g = FigureGraph();
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {10, 10}, EdgeDirection::kIncoming, 1);
-  DenseBatch b = sampler.Sample({0, 1});  // targets {A, B}
+  const DenseSampler sampler({10, 10}, EdgeDirection::kIncoming);
+  DenseBatch b = sampler.SampleSeeded({0, 1}, MixSeed(1, 0), &index);  // targets {A, B}
 
   // Deltas: Δ0 = {E}, Δ1 = {C, D}, Δ2 = {A, B}.
   ASSERT_EQ(b.node_id_offsets, (std::vector<int64_t>{0, 1, 3}));
@@ -48,17 +49,28 @@ TEST(Dense, Figure3TwoHopExample) {
 
   EXPECT_EQ(b.num_targets(), 2);
   EXPECT_EQ(b.num_output_nodes(), 4);
-  EXPECT_EQ(b.SegmentOffsets(), (std::vector<int64_t>{0, 1, 2, 4, 5}));
+  EXPECT_EQ(RefSegmentOffsets(b), (std::vector<int64_t>{0, 1, 2, 4, 5}));
 
-  // Algorithm 2 after layer 1: drop Δ0 = {E} and the Δ1 neighbor block.
-  b.AdvanceLayer();
+  // PlanFromDense slices both layers' views out of the one finalized batch.
+  const GnnPlan plan = PlanFromDense(b);
+  EXPECT_EQ(plan.input_nodes, b.node_ids);
+  ASSERT_EQ(plan.layers.size(), 2u);
+  EXPECT_EQ(plan.layers[0].self_begin, 1);
+  EXPECT_EQ(plan.layers[0].seg_offsets, (std::vector<int64_t>{0, 1, 2, 4, 5}));
+  EXPECT_EQ(plan.layers[0].nbr_rows, (std::vector<int64_t>{0, 1, 1, 2, 1}));
+  EXPECT_EQ(plan.layers[1].self_begin, 2);
+  EXPECT_EQ(plan.layers[1].seg_offsets, (std::vector<int64_t>{0, 2, 3}));
+  EXPECT_EQ(plan.layers[1].nbr_rows, (std::vector<int64_t>{0, 1, 0}));
+
+  // Algorithm 2 as a rewrite after layer 1: drop Δ0 = {E} and the Δ1 neighbor block.
+  RefAdvanceLayer(b);
   EXPECT_EQ(b.node_ids, (std::vector<int64_t>{2, 3, 0, 1}));
   EXPECT_EQ(b.node_id_offsets, (std::vector<int64_t>{0, 2}));
   EXPECT_EQ(b.nbrs, (std::vector<int64_t>{2, 3, 2}));
   EXPECT_EQ(b.nbr_offsets, (std::vector<int64_t>{0, 2}));
   EXPECT_EQ(b.repr_map, (std::vector<int64_t>{0, 1, 0}));
   EXPECT_EQ(b.num_output_nodes(), 2);
-  EXPECT_EQ(b.SegmentOffsets(), (std::vector<int64_t>{0, 2, 3}));
+  EXPECT_EQ(RefSegmentOffsets(b), (std::vector<int64_t>{0, 2, 3}));
 }
 
 TEST(Dense, OneHopReuseAcrossLayers) {
@@ -66,9 +78,9 @@ TEST(Dense, OneHopReuseAcrossLayers) {
   // neighborhood sampled exactly once — one contiguous segment per unique node.
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {5, 5, 5}, EdgeDirection::kBoth, 3);
+  const DenseSampler sampler({5, 5, 5}, EdgeDirection::kBoth);
   std::vector<int64_t> targets = {0, 1, 2, 3, 4, 5, 6, 7};
-  DenseBatch b = sampler.Sample(targets);
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(3, 0), &index);
 
   // node_ids are unique.
   std::unordered_set<int64_t> uniq(b.node_ids.begin(), b.node_ids.end());
@@ -86,9 +98,9 @@ TEST(Dense, OneHopReuseAcrossLayers) {
 TEST(Dense, TargetsAreLastDelta) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {3, 3}, EdgeDirection::kOutgoing, 7);
+  const DenseSampler sampler({3, 3}, EdgeDirection::kOutgoing);
   std::vector<int64_t> targets = {10, 20, 30};
-  DenseBatch b = sampler.Sample(targets);
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(7, 0), &index);
   ASSERT_EQ(b.num_targets(), 3);
   const int64_t begin = b.DeltaBegin(b.num_deltas() - 1);
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -100,13 +112,13 @@ TEST(Dense, FanoutCapRespected) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
   const int64_t fanout = 4;
-  DenseSampler sampler(&index, {fanout}, EdgeDirection::kOutgoing, 5);
+  const DenseSampler sampler({fanout}, EdgeDirection::kOutgoing);
   std::vector<int64_t> targets;
   for (int64_t v = 0; v < 50; ++v) {
     targets.push_back(v);
   }
-  DenseBatch b = sampler.Sample(targets);
-  auto seg = b.SegmentOffsets();
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(5, 0), &index);
+  auto seg = RefSegmentOffsets(b);
   for (size_t s = 0; s + 1 < seg.size(); ++s) {
     EXPECT_LE(seg[s + 1] - seg[s], fanout);
   }
@@ -116,10 +128,10 @@ TEST(Dense, BothDirectionsDoublesCap) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
   const int64_t fanout = 3;
-  DenseSampler sampler(&index, {fanout}, EdgeDirection::kBoth, 5);
+  const DenseSampler sampler({fanout}, EdgeDirection::kBoth);
   std::vector<int64_t> targets = {0, 1, 2, 3, 4};
-  DenseBatch b = sampler.Sample(targets);
-  auto seg = b.SegmentOffsets();
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(5, 0), &index);
+  auto seg = RefSegmentOffsets(b);
   for (size_t s = 0; s + 1 < seg.size(); ++s) {
     EXPECT_LE(seg[s + 1] - seg[s], 2 * fanout);
   }
@@ -128,10 +140,10 @@ TEST(Dense, BothDirectionsDoublesCap) {
 TEST(Dense, DeterministicGivenSeed) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  DenseSampler s1(&index, {5, 5}, EdgeDirection::kBoth, 42);
-  DenseSampler s2(&index, {5, 5}, EdgeDirection::kBoth, 42);
-  DenseBatch a = s1.Sample({1, 2, 3});
-  DenseBatch b = s2.Sample({1, 2, 3});
+  const DenseSampler s1({5, 5}, EdgeDirection::kBoth);
+  const DenseSampler s2({5, 5}, EdgeDirection::kBoth);
+  DenseBatch a = s1.SampleSeeded({1, 2, 3}, MixSeed(42, 0), &index);
+  DenseBatch b = s2.SampleSeeded({1, 2, 3}, MixSeed(42, 0), &index);
   EXPECT_EQ(a.node_ids, b.node_ids);
   EXPECT_EQ(a.nbrs, b.nbrs);
   EXPECT_EQ(a.nbr_offsets, b.nbr_offsets);
@@ -140,12 +152,12 @@ TEST(Dense, DeterministicGivenSeed) {
 TEST(Dense, AdvanceLayerPreservesClosure) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {4, 4, 4}, EdgeDirection::kBoth, 11);
+  const DenseSampler sampler({4, 4, 4}, EdgeDirection::kBoth);
   std::vector<int64_t> targets = {0, 5, 9, 13};
-  DenseBatch b = sampler.Sample(targets);
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(11, 0), &index);
   b.FinalizeForDevice();
   for (int layer = 0; layer < 2; ++layer) {
-    b.AdvanceLayer();
+    RefAdvanceLayer(b);
     // repr_map stays in range and consistent with node_ids.
     ASSERT_EQ(b.repr_map.size(), b.nbrs.size());
     for (size_t i = 0; i < b.nbrs.size(); ++i) {
@@ -163,8 +175,8 @@ TEST(Dense, EmptyNeighborhoodsHandled) {
   std::vector<Edge> edges = {{0, 1, 0}};
   Graph g(4, std::move(edges));
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {3, 3}, EdgeDirection::kBoth, 2);
-  DenseBatch b = sampler.Sample({2, 3});  // both isolated
+  const DenseSampler sampler({3, 3}, EdgeDirection::kBoth);
+  DenseBatch b = sampler.SampleSeeded({2, 3}, MixSeed(2, 0), &index);  // both isolated
   b.FinalizeForDevice();
   EXPECT_EQ(b.num_targets(), 2);
   EXPECT_EQ(b.num_sampled_edges(), 0);
@@ -178,14 +190,14 @@ TEST(Dense, DecreasingFanoutsGiveAtLeastRequested) {
   // provides at least as many neighbors as requested at deeper hops.
   Graph g = Fb15k237Like(0.1);
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {10, 5}, EdgeDirection::kOutgoing, 13);
+  const DenseSampler sampler({10, 5}, EdgeDirection::kOutgoing);
   std::vector<int64_t> targets = {0, 1, 2, 3};
-  DenseBatch b = sampler.Sample(targets);
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(13, 0), &index);
   b.FinalizeForDevice();
 
   // Targets' segments were sampled with fanout 10; if a target also appears in the
   // deeper layer, its (single, reused) segment has up to 10 — >= the 5 requested.
-  auto seg = b.SegmentOffsets();
+  auto seg = RefSegmentOffsets(b);
   // Verify total sampled edges is bounded by sum of per-delta fanout caps.
   int64_t total_cap = 0;
   for (int64_t g2 = 1; g2 < b.num_deltas(); ++g2) {
@@ -205,9 +217,9 @@ TEST_P(DenseDepthTest, StructuralInvariants) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
   std::vector<int64_t> fanouts(static_cast<size_t>(depth), 4);
-  DenseSampler sampler(&index, fanouts, EdgeDirection::kBoth, 100 + depth);
+  const DenseSampler sampler(fanouts, EdgeDirection::kBoth);
   std::vector<int64_t> targets = {0, 7, 14, 21, 28};
-  DenseBatch b = sampler.Sample(targets);
+  DenseBatch b = sampler.SampleSeeded(targets, MixSeed(100 + depth, 0), &index);
 
   EXPECT_EQ(b.num_deltas(), depth + 1);
   // Offsets are sorted and in range.
@@ -224,7 +236,7 @@ TEST_P(DenseDepthTest, StructuralInvariants) {
   // Finalize + walk all layers.
   b.FinalizeForDevice();
   for (int l = 0; l + 1 < depth; ++l) {
-    b.AdvanceLayer();
+    RefAdvanceLayer(b);
   }
   EXPECT_EQ(b.num_output_nodes(), static_cast<int64_t>(targets.size()));
 }
@@ -233,17 +245,17 @@ INSTANTIATE_TEST_SUITE_P(Depths, DenseDepthTest, ::testing::Values(1, 2, 3, 4, 5
 
 TEST(Dense, SelfLoopNeighborReferencesOwnRow) {
   // A self-loop makes a target its own neighbor; repr_map must point at the target's
-  // own node_ids row and AdvanceLayer must keep it consistent.
+  // own node_ids row and RefAdvanceLayer must keep it consistent.
   std::vector<Edge> edges = {{0, 0, 0}, {1, 0, 0}};
   Graph g(2, std::move(edges));
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {4, 4}, EdgeDirection::kIncoming, 3);
-  DenseBatch b = sampler.Sample({0});
+  const DenseSampler sampler({4, 4}, EdgeDirection::kIncoming);
+  DenseBatch b = sampler.SampleSeeded({0}, MixSeed(3, 0), &index);
   b.FinalizeForDevice();
   for (size_t i = 0; i < b.nbrs.size(); ++i) {
     EXPECT_EQ(b.node_ids[static_cast<size_t>(b.repr_map[i])], b.nbrs[i]);
   }
-  b.AdvanceLayer();
+  RefAdvanceLayer(b);
   for (size_t i = 0; i < b.nbrs.size(); ++i) {
     EXPECT_EQ(b.node_ids[static_cast<size_t>(b.repr_map[i])], b.nbrs[i]);
   }
@@ -256,13 +268,13 @@ TEST_P(DenseFanoutTest, CapAndDeterminism) {
   const int64_t fanout = GetParam();
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  DenseSampler s1(&index, {fanout, fanout}, EdgeDirection::kBoth, 900);
-  DenseSampler s2(&index, {fanout, fanout}, EdgeDirection::kBoth, 900);
+  const DenseSampler s1({fanout, fanout}, EdgeDirection::kBoth);
+  const DenseSampler s2({fanout, fanout}, EdgeDirection::kBoth);
   std::vector<int64_t> targets = {0, 3, 6, 9};
-  DenseBatch a = s1.Sample(targets);
-  DenseBatch b = s2.Sample(targets);
+  DenseBatch a = s1.SampleSeeded(targets, MixSeed(900, 0), &index);
+  DenseBatch b = s2.SampleSeeded(targets, MixSeed(900, 0), &index);
   EXPECT_EQ(a.nbrs, b.nbrs);
-  auto seg = a.SegmentOffsets();
+  auto seg = RefSegmentOffsets(a);
   for (size_t s = 0; s + 1 < seg.size(); ++s) {
     EXPECT_LE(seg[s + 1] - seg[s], 2 * fanout);
   }
@@ -354,12 +366,12 @@ TEST(DenseReference, SampleAndFinalizeMatchHashReference) {
     NeighborIndex index(g);
     for (EdgeDirection dir : kAllDirections) {
       for (const auto& fanouts : fanout_sets) {
-        DenseSampler sampler(&index, fanouts, dir);
+        const DenseSampler sampler(fanouts, dir);
         for (uint64_t batch = 0; batch < 4; ++batch) {
           const std::vector<int64_t> targets =
               MixedTargets(g, graph_seed * 100 + batch, 5 + 20 * static_cast<int64_t>(batch));
           const uint64_t batch_seed = MixSeed(graph_seed, batch);
-          DenseBatch got = sampler.SampleSeeded(targets, batch_seed);
+          DenseBatch got = sampler.SampleSeeded(targets, batch_seed, &index);
           DenseBatch want = RefDenseSampleSeeded(index, fanouts, dir, targets, batch_seed);
           got.FinalizeForDevice();
           RefFinalizeForDevice(want);
@@ -374,22 +386,33 @@ TEST(DenseReference, SampleAndFinalizeMatchHashReference) {
   }
 }
 
-// PlanFromDense gives the DENSE encoder's former per-layer views vector for
-// vector, at depths 1-4 in every direction, and keeps node_ids as the input rows.
+// PlanFromDense's slices equal the views of Algorithm 2 run as a batch rewrite
+// (RefDenseLayerViews) vector for vector, at depths 1-4 in every direction, and
+// keep node_ids as the input rows. The last batch of each sweep is all isolated
+// targets: every segment is empty and each layer's first kept edge is
+// nbrs.size().
 TEST(DenseReference, PlanFromDenseMatchesEncoderViews) {
   const std::vector<std::vector<int64_t>> fanout_sets = {
       {30}, {10, 3}, {3, 5, 2}, {4, 2, 3, 2}};
   for (uint64_t graph_seed : {1u, 2u, 3u}) {
     Graph g = SamplingTestGraph(graph_seed);
     NeighborIndex index(g);
+    const int64_t n = g.num_nodes();
+    const std::vector<int64_t> isolated = {n - 1, n - 5, n - 2};
     for (EdgeDirection dir : kAllDirections) {
       for (const auto& fanouts : fanout_sets) {
-        DenseSampler sampler(&index, fanouts, dir);
-        for (uint64_t batch = 0; batch < 3; ++batch) {
+        const DenseSampler sampler(fanouts, dir);
+        for (uint64_t batch = 0; batch < 4; ++batch) {
           const std::vector<int64_t> targets =
-              MixedTargets(g, graph_seed * 100 + batch, 5 + 20 * static_cast<int64_t>(batch));
-          DenseBatch sample = sampler.SampleSeeded(targets, MixSeed(graph_seed, batch));
+              batch < 3 ? MixedTargets(g, graph_seed * 100 + batch,
+                                       5 + 20 * static_cast<int64_t>(batch))
+                        : isolated;
+          DenseBatch sample = sampler.SampleSeeded(targets, MixSeed(graph_seed, batch), &index);
           sample.FinalizeForDevice();
+          if (batch == 3) {
+            ASSERT_EQ(sample.num_sampled_edges(), 0);
+            ASSERT_EQ(sample.nbr_offsets, std::vector<int64_t>(isolated.size(), 0));
+          }
           const std::vector<LayerView> want = RefDenseLayerViews(sample);
           const GnnPlan got = PlanFromDense(sample);
           ASSERT_EQ(got.input_nodes, sample.node_ids);
@@ -411,8 +434,8 @@ TEST(DenseReference, PlanFromDenseMatchesEncoderViews) {
 TEST(DenseDeathTest, DuplicateTargetsAbort) {
   Graph g = SamplingTestGraph(1);
   NeighborIndex index(g);
-  DenseSampler sampler(&index, {3}, EdgeDirection::kBoth);
-  EXPECT_DEATH(sampler.SampleSeeded({5, 6, 5}, 1), "target_nodes must be unique");
+  const DenseSampler sampler({3}, EdgeDirection::kBoth);
+  EXPECT_DEATH(sampler.SampleSeeded({5, 6, 5}, 1, &index), "target_nodes must be unique");
 }
 
 TEST(DenseDeathTest, FinalizeRejectsNeighborOutsideSample) {

@@ -24,20 +24,20 @@ TEST(Integration, DenseSamplingFasterThanLayerwiseAtDepth) {
     targets.push_back(v * 3);
   }
   const std::vector<int64_t> fanouts = {10, 10, 10};
-  DenseSampler dense(&index, fanouts, EdgeDirection::kBoth, 1);
-  LayerwiseSampler layerwise(&index, fanouts, EdgeDirection::kBoth, 1);
+  const DenseSampler dense(fanouts, EdgeDirection::kBoth);
+  const LayerwiseSampler layerwise(fanouts, EdgeDirection::kBoth);
 
   // Warm up, then time several rounds.
-  dense.Sample(targets);
-  layerwise.Sample(targets);
+  dense.SampleSeeded(targets, MixSeed(1, 0), &index);
+  layerwise.SampleSeeded(targets, MixSeed(1, 0), &index);
   WallTimer t1;
   for (int i = 0; i < 5; ++i) {
-    dense.Sample(targets);
+    dense.SampleSeeded(targets, MixSeed(1, i + 1), &index);
   }
   const double dense_ms = t1.Millis();
   WallTimer t2;
   for (int i = 0; i < 5; ++i) {
-    layerwise.Sample(targets);
+    layerwise.SampleSeeded(targets, MixSeed(1, i + 1), &index);
   }
   const double layer_ms = t2.Millis();
   EXPECT_LT(dense_ms, layer_ms);

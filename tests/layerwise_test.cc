@@ -17,9 +17,9 @@ namespace {
 TEST(Layerwise, BlockChainIsConsistent) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  LayerwiseSampler sampler(&index, {4, 4, 4}, EdgeDirection::kBoth, 1);
+  const LayerwiseSampler sampler({4, 4, 4}, EdgeDirection::kBoth);
   std::vector<int64_t> targets = {0, 1, 2, 3};
-  LayerwiseSample s = sampler.Sample(targets);
+  LayerwiseSample s = sampler.SampleSeeded(targets, MixSeed(1, 0), &index);
   ASSERT_EQ(s.blocks.size(), 3u);
   // Outermost block's dst == targets.
   EXPECT_EQ(s.blocks.back().dst_nodes, targets);
@@ -40,8 +40,8 @@ TEST(Layerwise, BlockChainIsConsistent) {
 TEST(Layerwise, EdgesIndexInRange) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  LayerwiseSampler sampler(&index, {5, 5}, EdgeDirection::kBoth, 2);
-  LayerwiseSample s = sampler.Sample({10, 20, 30});
+  const LayerwiseSampler sampler({5, 5}, EdgeDirection::kBoth);
+  LayerwiseSample s = sampler.SampleSeeded({10, 20, 30}, MixSeed(2, 0), &index);
   for (const auto& block : s.blocks) {
     ASSERT_EQ(block.edge_dst.size(), block.edge_src.size());
     for (size_t e = 0; e < block.edge_dst.size(); ++e) {
@@ -56,8 +56,8 @@ TEST(Layerwise, EdgesIndexInRange) {
 TEST(Layerwise, SrcNodesUnique) {
   Graph g = Fb15k237Like(0.05);
   NeighborIndex index(g);
-  LayerwiseSampler sampler(&index, {6, 6}, EdgeDirection::kBoth, 3);
-  LayerwiseSample s = sampler.Sample({1, 2, 3, 4, 5});
+  const LayerwiseSampler sampler({6, 6}, EdgeDirection::kBoth);
+  LayerwiseSample s = sampler.SampleSeeded({1, 2, 3, 4, 5}, MixSeed(3, 0), &index);
   for (const auto& block : s.blocks) {
     std::unordered_set<int64_t> uniq(block.src_nodes.begin(), block.src_nodes.end());
     EXPECT_EQ(uniq.size(), block.src_nodes.size());
@@ -77,10 +77,10 @@ TEST(Layerwise, DenseSamplesFewerNodesAndEdges) {
   }
   for (int depth : {2, 3}) {
     std::vector<int64_t> fanouts(static_cast<size_t>(depth), 5);
-    DenseSampler dense(&index, fanouts, EdgeDirection::kBoth, 4);
-    LayerwiseSampler layerwise(&index, fanouts, EdgeDirection::kBoth, 4);
-    DenseBatch db = dense.Sample(targets);
-    LayerwiseSample ls = layerwise.Sample(targets);
+    const DenseSampler dense(fanouts, EdgeDirection::kBoth);
+    const LayerwiseSampler layerwise(fanouts, EdgeDirection::kBoth);
+    DenseBatch db = dense.SampleSeeded(targets, MixSeed(4, 0), &index);
+    LayerwiseSample ls = layerwise.SampleSeeded(targets, MixSeed(4, 0), &index);
     EXPECT_LE(db.num_nodes(), ls.NumInputNodes())
         << "depth " << depth << ": DENSE should gather fewer base representations";
     EXPECT_LE(db.num_sampled_edges(), ls.TotalSampledEdges())
@@ -91,11 +91,11 @@ TEST(Layerwise, DenseSamplesFewerNodesAndEdges) {
 TEST(TreeSampler, GrowsMultiplicatively) {
   Graph g = LiveJournalMini(0.02);
   NeighborIndex index(g);
-  TreeSampler t2(&index, {10, 10}, EdgeDirection::kOutgoing, 5);
-  TreeSampler t3(&index, {10, 10, 10}, EdgeDirection::kOutgoing, 5);
+  const TreeSampler t2({10, 10}, EdgeDirection::kOutgoing);
+  const TreeSampler t3({10, 10, 10}, EdgeDirection::kOutgoing);
   std::vector<int64_t> targets = {0, 1, 2, 3};
-  const auto s2 = t2.Sample(targets);
-  const auto s3 = t3.Sample(targets);
+  const auto s2 = t2.SampleSeeded(targets, MixSeed(5, 0), &index);
+  const auto s3 = t3.SampleSeeded(targets, MixSeed(5, 0), &index);
   EXPECT_GT(s3.total_instances, s2.total_instances);
   EXPECT_GT(s3.total_edges, 2 * s2.total_edges / 3);
 }
@@ -103,8 +103,8 @@ TEST(TreeSampler, GrowsMultiplicatively) {
 TEST(TreeSampler, CountsConsistent) {
   Graph g = LiveJournalMini(0.02);
   NeighborIndex index(g);
-  TreeSampler t(&index, {5}, EdgeDirection::kOutgoing, 6);
-  const auto s = t.Sample({0, 1});
+  const TreeSampler t({5}, EdgeDirection::kOutgoing);
+  const auto s = t.SampleSeeded({0, 1}, MixSeed(6, 0), &index);
   EXPECT_EQ(s.total_instances, 2 + s.total_edges);
 }
 
@@ -144,7 +144,7 @@ TEST(LayerwiseReference, SampleMatchesHashReference) {
     Rng target_rng(graph_seed);
     for (EdgeDirection dir : dirs) {
       for (const auto& fanouts : fanout_sets) {
-        LayerwiseSampler sampler(&index, fanouts, dir);
+        const LayerwiseSampler sampler(fanouts, dir);
         for (uint64_t batch = 0; batch < 3; ++batch) {
           std::vector<int64_t> targets = {0, g.num_nodes() - 1, 1};
           for (int i = 0; i < 8; ++i) {
@@ -152,7 +152,7 @@ TEST(LayerwiseReference, SampleMatchesHashReference) {
           }
           targets.push_back(targets[3]);
           const uint64_t batch_seed = MixSeed(graph_seed, batch);
-          const LayerwiseSample got = sampler.SampleSeeded(targets, batch_seed);
+          const LayerwiseSample got = sampler.SampleSeeded(targets, batch_seed, &index);
           const LayerwiseSample want =
               RefLayerwiseSampleSeeded(index, fanouts, dir, targets, batch_seed);
           ASSERT_EQ(got.blocks.size(), want.blocks.size());
@@ -182,14 +182,14 @@ TEST(LayerwiseReference, PlanFromBlocksMatchesSerialSort) {
     Rng target_rng(graph_seed);
     for (EdgeDirection dir : dirs) {
       for (const auto& fanouts : fanout_sets) {
-        LayerwiseSampler sampler(&index, fanouts, dir);
+        const LayerwiseSampler sampler(fanouts, dir);
         for (uint64_t batch = 0; batch < 3; ++batch) {
           std::vector<int64_t> targets = {0, g.num_nodes() - 1, 1};
           for (int i = 0; i < 8; ++i) {
             targets.push_back(target_rng.UniformInt(0, g.num_nodes()));
           }
           const LayerwiseSample sample =
-              sampler.SampleSeeded(targets, MixSeed(graph_seed, batch));
+              sampler.SampleSeeded(targets, MixSeed(graph_seed, batch), &index);
           const GnnPlan got = PlanFromBlocks(sample);
           ASSERT_EQ(got.input_nodes, sample.input_nodes());
           ASSERT_EQ(got.layers.size(), sample.blocks.size());

@@ -10,8 +10,10 @@
 //
 // Also the per-layer index derivations the two encoders ran inside Forward
 // before both samplers lowered to one plan in stage 1: the DENSE encoder's
-// per-layer views and the baseline's serial block-to-segment counting sort.
-// PlanFromDense and PlanFromBlocks must give the same vectors.
+// per-layer views, from Algorithm 2 as a batch rewrite (RefAdvanceLayer and
+// RefSegmentOffsets), and the baseline's serial block-to-segment counting sort.
+// PlanFromDense, which slices the batch instead, and PlanFromBlocks must give
+// the same vectors.
 #ifndef TESTS_SAMPLING_REFERENCE_H_
 #define TESTS_SAMPLING_REFERENCE_H_
 
@@ -236,9 +238,47 @@ inline RefLinkPlan RefPlanLinkQuery(int64_t src, const std::vector<int64_t>& can
   return plan;
 }
 
+// The current state's closed segment offsets (size num_output_nodes()+1, last
+// == nbrs.size()) for the segment kernels.
+inline std::vector<int64_t> RefSegmentOffsets(const DenseBatch& b) {
+  MG_CHECK(static_cast<int64_t>(b.nbr_offsets.size()) == b.num_output_nodes());
+  std::vector<int64_t> closed = b.nbr_offsets;
+  closed.push_back(static_cast<int64_t>(b.nbrs.size()));
+  return closed;
+}
+
+// Algorithm 2 as a rewrite: drops Δ0 (the deepest group) and the neighbor
+// segments of Δ1 after a layer has been computed, and rebases every offset and
+// repr_map row. Requires num_deltas() >= 2 and a finalized repr_map.
+inline void RefAdvanceLayer(DenseBatch& b) {
+  MG_CHECK(b.num_deltas() >= 2);
+  MG_CHECK(b.repr_map.size() == b.nbrs.size());
+  const int64_t delta_prev_len = b.node_id_offsets[1];          // |Δi−1|
+  const int64_t delta_i_len = b.DeltaEnd(1) - b.DeltaBegin(1);  // |Δi|
+  // Δi's neighbor block is the first delta_i_len segments of nbrs.
+  const int64_t drop_nbrs = delta_i_len < static_cast<int64_t>(b.nbr_offsets.size())
+                                ? b.nbr_offsets[static_cast<size_t>(delta_i_len)]
+                                : static_cast<int64_t>(b.nbrs.size());
+  b.nbrs.erase(b.nbrs.begin(), b.nbrs.begin() + drop_nbrs);
+  b.repr_map.erase(b.repr_map.begin(), b.repr_map.begin() + drop_nbrs);
+  for (auto& r : b.repr_map) {
+    r -= delta_prev_len;
+    MG_CHECK(r >= 0);
+  }
+  b.nbr_offsets.erase(b.nbr_offsets.begin(), b.nbr_offsets.begin() + delta_i_len);
+  for (auto& o : b.nbr_offsets) {
+    o -= drop_nbrs;
+  }
+  b.node_ids.erase(b.node_ids.begin(), b.node_ids.begin() + delta_prev_len);
+  b.node_id_offsets.erase(b.node_id_offsets.begin());
+  for (auto& o : b.node_id_offsets) {
+    o -= delta_prev_len;
+  }
+}
+
 // The DENSE encoder's per-layer views: the outputs node_ids[offsets[1]:] read
-// their own rows, a copy of repr_map and SegmentOffsets(), then AdvanceLayer()
-// before the next layer. `batch` must be finalized.
+// their own rows, a copy of repr_map and RefSegmentOffsets, then
+// RefAdvanceLayer before the next layer. `batch` must be finalized.
 inline std::vector<LayerView> RefDenseLayerViews(DenseBatch batch) {
   const int64_t num_layers = batch.num_deltas() - 1;
   std::vector<LayerView> views;
@@ -246,10 +286,10 @@ inline std::vector<LayerView> RefDenseLayerViews(DenseBatch batch) {
     LayerView view;
     view.self_begin = batch.node_id_offsets[1];
     view.nbr_rows = batch.repr_map;
-    view.seg_offsets = batch.SegmentOffsets();
+    view.seg_offsets = RefSegmentOffsets(batch);
     views.push_back(std::move(view));
     if (j + 1 < num_layers) {
-      batch.AdvanceLayer();
+      RefAdvanceLayer(batch);
     }
   }
   return views;
