@@ -257,9 +257,13 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
   // Ranking loss and gradients of one decoder: `edges` positives against `negatives`
   // shared negatives over 3000 rows. The result packs d_reprs, the relation
   // gradient and the loss, so the bitwise check covers all three; the reference is
-  // the row-at-a-time scalar loop the lane kernel must equal bit for bit.
+  // the row-at-a-time scalar loop the lane kernel must equal bit for bit. With
+  // `twice`, the decoder first runs the loss on another batch, the first 3/8 of the
+  // edges reversed, so the checked call runs on the chunk scratch that call left
+  // (the relation gradient accumulates both calls).
   auto add_ranking_loss = [&kernels](const std::string& name, const std::string& decoder,
-                                     int64_t edges, int64_t negatives, int64_t ldim) {
+                                     int64_t edges, int64_t negatives, int64_t ldim,
+                                     bool twice) {
     Rng drng(13);
     auto b = std::make_shared<RankingBatch>();
     b->reprs = Tensor::Normal(3000, ldim, 0.5f, drng);
@@ -270,6 +274,15 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
     for (auto& v : b->src) v = static_cast<int64_t>(drng.UniformInt(3000));
     for (auto& v : b->dst) v = static_cast<int64_t>(drng.UniformInt(3000));
     for (auto& v : b->negs) v = static_cast<int64_t>(drng.UniformInt(3000));
+    auto first = std::make_shared<RankingBatch>();
+    if (twice) {
+      const size_t prefix = static_cast<size_t>(edges * 3 / 8);
+      first->reprs = b->reprs;
+      first->src.assign(b->dst.begin(), b->dst.begin() + prefix);
+      first->dst.assign(b->src.begin(), b->src.begin() + prefix);
+      first->rels.assign(prefix, 0);
+      first->negs = b->negs;
+    }
     auto pack = [b, ldim](const Tensor& d_reprs, const Tensor& rel_grad, float loss) {
       Tensor out(b->reprs.rows() + 2, ldim);
       std::copy(d_reprs.data(), d_reprs.data() + d_reprs.size(), out.data());
@@ -279,33 +292,46 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
     };
     kernels.push_back(
         {name,
-         [b, decoder, ldim, pack](const ComputeContext* ctx) {
+         [b, first, twice, decoder, ldim, pack](const ComputeContext* ctx) {
            Rng wrng(17);
            std::unique_ptr<Decoder> dec = MakeDecoder(decoder, 1, ldim, wrng);
            dec->set_compute(ctx);
+           if (twice) {
+             Tensor d_first(first->reprs.rows(), first->reprs.cols());
+             dec->LossAndGrad(first->reprs, first->src, first->dst, first->rels, first->negs,
+                              &d_first);
+           }
            Tensor d_reprs(b->reprs.rows(), b->reprs.cols());
            const float loss = dec->LossAndGrad(b->reprs, b->src, b->dst, b->rels, b->negs,
                                                &d_reprs);
            return pack(d_reprs, dec->Parameters()[0]->grad, loss);
          },
-         [b, decoder, ldim, pack] {
+         [b, first, twice, decoder, ldim, pack] {
            Rng wrng(17);
            std::unique_ptr<Decoder> dec = MakeDecoder(decoder, 1, ldim, wrng);
-           Tensor d_reprs(b->reprs.rows(), b->reprs.cols());
+           const Tensor& rel_values = dec->Parameters()[0]->value;
            Tensor rel_grad(1, ldim);
            int64_t skipped = 0;
-           const float loss = RefLossAndGrad(RefDecoderNamed(decoder), *b,
-                                             dec->Parameters()[0]->value, &d_reprs,
-                                             &rel_grad, &skipped);
+           if (twice) {
+             Tensor d_first(first->reprs.rows(), first->reprs.cols());
+             RefLossAndGrad(RefDecoderNamed(decoder), *first, rel_values, &d_first, &rel_grad,
+                            &skipped);
+           }
+           Tensor d_reprs(b->reprs.rows(), b->reprs.cols());
+           const float loss = RefLossAndGrad(RefDecoderNamed(decoder), *b, rel_values,
+                                             &d_reprs, &rel_grad, &skipped);
            return pack(d_reprs, rel_grad, loss);
          }});
   };
-  add_ranking_loss("ranking_loss+grad", "distmult", 2048, 128, dim);
+  add_ranking_loss("ranking_loss+grad", "distmult", 2048, 128, dim, false);
   // The benchmark's shapes: dim 128 with 16 negatives (kge_disk) and dim 32 with 50
-  // (lp_mem), for every decoder.
+  // (lp_mem), for every decoder, once on a fresh decoder and once after a call.
   for (const char* decoder : {"distmult", "transe", "complex"}) {
-    add_ranking_loss(std::string("loss_") + decoder + "_d128_m16", decoder, 1024, 16, 128);
-    add_ranking_loss(std::string("loss_") + decoder + "_d32_m50", decoder, 1024, 50, 32);
+    for (const bool twice : {false, true}) {
+      const std::string prefix = std::string(twice ? "loss_twice_" : "loss_") + decoder;
+      add_ranking_loss(prefix + "_d128_m16", decoder, 1024, 16, 128, twice);
+      add_ranking_loss(prefix + "_d32_m50", decoder, 1024, 50, 32, twice);
+    }
   }
 
   // The ReLU backward over a ReLU output (about half of it zero, in a random

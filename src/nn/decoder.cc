@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/slot_remap.h"
@@ -28,17 +29,56 @@ struct RankingLossSide {
 
 namespace {
 
-// Gradient row for `row`: direct, or through the chunk's compact-slot remap.
-inline float* GradRow(Tensor* t, const int32_t* slot_of, int64_t row) {
-  return t->RowPtr(slot_of == nullptr ? row : slot_of[static_cast<size_t>(row)]);
-}
+// The other row of one backward term: the positive's partner (o on the destination
+// side, s on the source side) or a negative, with its gradient row and coefficient.
+struct Partner {
+  const float* n;
+  float* dn;
+  float coeff;
+};
 
-// Per-thread repr-row and relation remaps for the chunked loss kernel (see
-// slot_remap.h): bumping a generation replaces the O(num_rows) sentinel fill a
-// fresh remap would pay in every 128-edge chunk. The kernel only dereferences
-// rows the claim pass touched, so stale entries are never read.
-thread_local SlotRemap decoder_row_remap;
-thread_local SlotRemap decoder_rel_remap;
+// Where a chunk's gradients go: the real accumulator's rows (slot_of == nullptr),
+// or a compact partial whose slot for global row `row` is slot_of[row].
+struct GradTarget {
+  float* data = nullptr;
+  int64_t cols = 0;
+  const int32_t* slot_of = nullptr;
+
+  float* Row(int64_t row) const {
+    return data + (slot_of == nullptr ? row : slot_of[static_cast<size_t>(row)]) * cols;
+  }
+};
+
+}  // namespace
+
+// One chunk's working storage, reused across chunks and calls through the
+// decoder's free list. Every float of d_partial and rel_partial is +0.0f whenever
+// the entry is on the free list: the combine that folds a partial zeroes it.
+struct RankingLossScratch {
+  // Compact partials: slot i of d_partial holds repr row rows[i], and slot i of
+  // rel_partial relation rels[i], in first-occurrence order over the chunk
+  // (negatives first), so the layout is a function of the chunk's edges only.
+  // The remaps run from row (relation) to slot.
+  SlotRemap row_remap;
+  SlotRemap rel_remap;
+  std::vector<int64_t> rows;
+  std::vector<int64_t> rels;
+  std::vector<float> d_partial;
+  std::vector<float> rel_partial;
+  double loss = 0.0;
+  // Where the kernel accumulates: these partials, or the real accumulators when a
+  // side is a single chunk.
+  GradTarget d_out;
+  GradTarget rel_grad;
+  // Per-edge working vectors: logits[1, m_pad] are the negatives' lanes, and
+  // partners holds the positive plus every negative with a nonzero coefficient.
+  std::vector<float> logits;
+  std::vector<float> probs;
+  std::vector<Partner> negatives;
+  std::vector<Partner> partners;
+};
+
+namespace {
 
 // Negatives the forward pass scores side by side, one logit per lane: kLanes / kW
 // accumulator vectors per lane group, held in registers across all steps.
@@ -164,14 +204,6 @@ void ScoreNegatives(const float* fixed, const float* r, const float* block, int6
   }
 }
 
-// The other row of one backward term: the positive's partner (o on the destination
-// side, s on the source side) or a negative, with its gradient row and coefficient.
-struct Partner {
-  const float* n;
-  float* dn;
-  float coeff;
-};
-
 // One term's update of steps [k0, k0 + kNV * kW). `held`/`rel` are the register
 // blocks of the fixed row's and the relation's gradient; `f`, `r`, `n` and `dn`
 // are whole rows of part stride `steps`. The updates land in the order a
@@ -222,7 +254,7 @@ inline void PartnerBlock(float coeff, const float* f, const float* r, const floa
 // order, and they are stored back once.
 template <class Form, bool kCorruptSrc, int kNV>
 void BackwardBlock(const float* f, const float* r, float* df, float* dr,
-                   const std::vector<Partner>& partners, int64_t k0, int64_t steps) {
+                   const Partner* partners, int64_t count, int64_t k0, int64_t steps) {
   constexpr int P = Form::kParts;
   Vec held[P][kNV], rel[P][kNV];
   for (int p = 0; p < P; ++p) {
@@ -231,13 +263,13 @@ void BackwardBlock(const float* f, const float* r, float* df, float* dr,
       rel[p][v] = LoadVec(dr + p * steps + k0 + v * kW);
     }
   }
-  for (const Partner& t : partners) {
-    if (t.dn == df) {
-      PartnerBlock<Form, kCorruptSrc, true, kNV>(t.coeff, f, r, t.n, held, rel, nullptr, k0,
-                                                 steps);
+  for (const Partner* t = partners; t != partners + count; ++t) {
+    if (t->dn == df) {
+      PartnerBlock<Form, kCorruptSrc, true, kNV>(t->coeff, f, r, t->n, held, rel, nullptr,
+                                                 k0, steps);
     } else {
-      PartnerBlock<Form, kCorruptSrc, false, kNV>(t.coeff, f, r, t.n, held, rel, t.dn, k0,
-                                                  steps);
+      PartnerBlock<Form, kCorruptSrc, false, kNV>(t->coeff, f, r, t->n, held, rel, t->dn,
+                                                  k0, steps);
     }
   }
   for (int p = 0; p < P; ++p) {
@@ -256,29 +288,30 @@ void BackwardBlock(const float* f, const float* r, float* df, float* dr,
 // meets it in the same sequence by aliasing.
 template <class Form, bool kCorruptSrc>
 void BackwardEdge(const float* f, const float* r, float* df, float* dr,
-                  const std::vector<Partner>& partners, int64_t steps) {
+                  const Partner* partners, int64_t count, int64_t steps) {
   constexpr int P = Form::kParts;
   int64_t k0 = 0;
   for (; k0 + kBlockVecs / P * kW <= steps; k0 += kBlockVecs / P * kW) {
-    BackwardBlock<Form, kCorruptSrc, kBlockVecs / P>(f, r, df, dr, partners, k0, steps);
+    BackwardBlock<Form, kCorruptSrc, kBlockVecs / P>(f, r, df, dr, partners, count, k0,
+                                                     steps);
   }
   for (; k0 + kW <= steps; k0 += kW) {
-    BackwardBlock<Form, kCorruptSrc, 1>(f, r, df, dr, partners, k0, steps);
+    BackwardBlock<Form, kCorruptSrc, 1>(f, r, df, dr, partners, count, k0, steps);
   }
-  for (const Partner& t : partners) {
+  for (const Partner* t = partners; t != partners + count; ++t) {
     for (int64_t k = k0; k < steps; ++k) {
       float fp[P], rp[P], np[P], gf[P], gr[P], gn[P];
       LoadStep<P>(f, k, steps, fp);
       LoadStep<P>(r, k, steps, rp);
-      LoadStep<P>(t.n, k, steps, np);
+      LoadStep<P>(t->n, k, steps, np);
       if constexpr (kCorruptSrc) {
-        Form::Grad(t.coeff, np, rp, fp, gn, gr, gf);
+        Form::Grad(t->coeff, np, rp, fp, gn, gr, gf);
       } else {
-        Form::Grad(t.coeff, fp, rp, np, gf, gr, gn);
+        Form::Grad(t->coeff, fp, rp, np, gf, gr, gn);
       }
       for (int p = 0; p < P; ++p) {
         float& hf = df[k + p * steps];
-        float& pn = t.dn[k + p * steps];
+        float& pn = t->dn[k + p * steps];
         if constexpr (kCorruptSrc) {
           pn += gn[p];
           dr[k + p * steps] += gr[p];
@@ -294,29 +327,32 @@ void BackwardEdge(const float* f, const float* r, float* df, float* dr,
 }
 
 // One chunk of positive edges: scores each edge against the shared negatives and
-// accumulates d loss / d reprs into `d_out` and relation gradients into `rel_grad`.
-// `d_out`/`rel_grad` are either the real accumulators (single chunk, slot_of ==
-// rel_slot_of == nullptr) or per-chunk compact partials indexed through the slot
-// remaps (parallel), so the per-edge arithmetic is identical either way.
+// accumulates d loss / d reprs and relation gradients into the scratch's targets,
+// the real accumulators (a single-chunk side) or the chunk's compact partials, so
+// the per-edge arithmetic is identical either way. The working vectors are the
+// scratch's, sized here without reallocating once warm.
 template <class Form, bool kCorruptSrc>
-double LossChunk(const RankingLossSide& side, int64_t begin, int64_t end, Tensor* d_out,
-                 Tensor* rel_grad, const int32_t* slot_of, const int32_t* rel_slot_of) {
+double LossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
+                 RankingLossScratch* scratch) {
   const Tensor& reprs = *side.reprs;
   const std::vector<int64_t>& neg_rows = *side.neg_rows;
   const int64_t m = static_cast<int64_t>(neg_rows.size());
   const int64_t steps = side.dim / Form::kParts;
   const float inv_b = side.inv_b;
-  std::vector<float> logits(static_cast<size_t>(m) + 1);
-  std::vector<float> probs(static_cast<size_t>(m) + 1);
-  std::vector<float> lanes(static_cast<size_t>(side.m_pad));
-  std::vector<Partner> negatives(static_cast<size_t>(m));
+  const GradTarget& d_out = scratch->d_out;
+  const GradTarget& rel_grad = scratch->rel_grad;
+  scratch->logits.resize(static_cast<size_t>(side.m_pad) + 1);
+  scratch->probs.resize(static_cast<size_t>(m) + 1);
+  scratch->negatives.resize(static_cast<size_t>(m));
+  scratch->partners.resize(static_cast<size_t>(m) + 1);
+  float* logits = scratch->logits.data();
+  float* probs = scratch->probs.data();
+  Partner* negatives = scratch->negatives.data();
+  Partner* partners = scratch->partners.data();
   for (int64_t j = 0; j < m; ++j) {
     const int64_t nrow = neg_rows[static_cast<size_t>(j)];
-    negatives[static_cast<size_t>(j)] = {reprs.RowPtr(nrow), GradRow(d_out, slot_of, nrow),
-                                         0.0f};
+    negatives[j] = {reprs.RowPtr(nrow), d_out.Row(nrow), 0.0f};
   }
-  std::vector<Partner> partners;
-  partners.reserve(static_cast<size_t>(m) + 1);
   double loss = 0.0;
   for (int64_t i = begin; i < end; ++i) {
     const int64_t src_row = (*side.src_rows)[static_cast<size_t>(i)];
@@ -328,65 +364,96 @@ double LossChunk(const RankingLossSide& side, int64_t begin, int64_t end, Tensor
 
     logits[0] = ScoreRows<Form>(s, r, o, steps);
     ScoreNegatives<Form, kCorruptSrc>(kCorruptSrc ? o : s, r, side.neg_block, side.m_pad,
-                                      steps, lanes.data());
-    std::copy(lanes.begin(), lanes.begin() + m, logits.begin() + 1);
+                                      steps, logits + 1);
 
-    // Softmax CE with the positive in class 0.
-    float maxv = logits[0];
-    for (float v : logits) {
-      maxv = std::max(maxv, v);
-    }
+    // Softmax CE with the positive in class 0, over logits[0, m].
+    const float maxv = LaneMax(logits, m + 1);
     double denom = 0.0;
-    for (size_t j = 0; j < logits.size(); ++j) {
+    for (int64_t j = 0; j <= m; ++j) {
       probs[j] = std::exp(logits[j] - maxv);
       denom += probs[j];
     }
     const float inv_denom = static_cast<float>(1.0 / denom);
-    for (auto& p : probs) {
-      p *= inv_denom;
+    for (int64_t j = 0; j <= m; ++j) {
+      probs[j] *= inv_denom;
     }
     loss -= std::log(std::max(probs[0], 1e-12f));
 
-    // dlogit_0 = (p0 - 1)/B, dlogit_j = p_j/B; negatives with a zero coefficient
-    // contribute nothing and are skipped.
-    float* ds = GradRow(d_out, slot_of, src_row);
-    float* do_ = GradRow(d_out, slot_of, dst_row);
-    float* dr = GradRow(rel_grad, rel_slot_of, rel);
+    // dlogit_0 = (p0 - 1)/B, dlogit_j = p_j/B. Every negative is written to the
+    // next free slot, which is kept only when its coefficient is nonzero: a zero
+    // term (either sign) contributes nothing and is dropped, a NaN one is kept.
+    float* ds = d_out.Row(src_row);
+    float* do_ = d_out.Row(dst_row);
+    float* dr = rel_grad.Row(rel);
     const float c0 = (probs[0] - 1.0f) * inv_b;
-    partners.clear();
-    partners.push_back(kCorruptSrc ? Partner{s, ds, c0} : Partner{o, do_, c0});
+    partners[0] = kCorruptSrc ? Partner{s, ds, c0} : Partner{o, do_, c0};
+    int64_t count = 1;
     for (int64_t j = 0; j < m; ++j) {
-      const float coeff = probs[static_cast<size_t>(j) + 1] * inv_b;
-      if (coeff == 0.0f) {
-        continue;
-      }
-      const Partner& n = negatives[static_cast<size_t>(j)];
-      partners.push_back({n.n, n.dn, coeff});
+      const float coeff = probs[j + 1] * inv_b;
+      partners[count] = {negatives[j].n, negatives[j].dn, coeff};
+      count += coeff != 0.0f;
     }
     BackwardEdge<Form, kCorruptSrc>(kCorruptSrc ? o : s, r, kCorruptSrc ? do_ : ds, dr,
-                                    partners, steps);
+                                    partners, count, steps);
   }
   return loss;
 }
 
 template <class Form>
 double RankingLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
-                        Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
-                        const int32_t* rel_slot_of) {
-  return side.corrupt_src
-             ? LossChunk<Form, true>(side, begin, end, d_out, rel_grad, slot_of, rel_slot_of)
-             : LossChunk<Form, false>(side, begin, end, d_out, rel_grad, slot_of,
-                                      rel_slot_of);
+                        RankingLossScratch* scratch) {
+  return side.corrupt_src ? LossChunk<Form, true>(side, begin, end, scratch)
+                          : LossChunk<Form, false>(side, begin, end, scratch);
+}
+
+// Adds slot s of `partial` into row rows[s] of `acc`, in slot order, then zeroes
+// the partial's slots.
+void FoldAndZero(Tensor* acc, std::vector<float>* partial, const std::vector<int64_t>& rows) {
+  const int64_t cols = acc->cols();
+  float* src = partial->data();
+  for (size_t s = 0; s < rows.size(); ++s) {
+    float* dst = acc->RowPtr(rows[s]);
+    const float* row = src + static_cast<int64_t>(s) * cols;
+    for (int64_t c = 0; c < cols; ++c) {
+      dst[c] += row[c];
+    }
+  }
+  std::fill(src, src + static_cast<int64_t>(rows.size()) * cols, 0.0f);
 }
 
 }  // namespace
+
+Decoder::Decoder(int32_t num_relations, int64_t dim, float init_scale, Rng& rng)
+    : dim_(dim), rel_(Tensor::Uniform(num_relations, dim, init_scale, rng)) {}
+
+Decoder::~Decoder() = default;
+
+std::unique_ptr<RankingLossScratch> Decoder::PopScratch() {
+  {
+    std::lock_guard<std::mutex> lock(scratch_mu_);
+    if (!scratch_free_.empty()) {
+      std::unique_ptr<RankingLossScratch> scratch = std::move(scratch_free_.back());
+      scratch_free_.pop_back();
+      return scratch;
+    }
+  }
+  return std::make_unique<RankingLossScratch>();
+}
+
+void Decoder::PushScratch(std::unique_ptr<RankingLossScratch> scratch) {
+  std::lock_guard<std::mutex> lock(scratch_mu_);
+  scratch_free_.push_back(std::move(scratch));
+}
 
 float Decoder::SideLossAndGrad(const RankingLossSide& side, Tensor* d_reprs) {
   const int64_t batch = static_cast<int64_t>(side.src_rows->size());
   const int64_t chunks = ComputeChunkCount(batch, kComputeGrainEdges);
   if (chunks <= 1) {
-    const double loss = SideLossChunk(side, 0, batch, d_reprs, &rel_.grad,
-                                      /*slot_of=*/nullptr, /*rel_slot_of=*/nullptr);
+    std::unique_ptr<RankingLossScratch> scratch = PopScratch();
+    scratch->d_out = {d_reprs->data(), d_reprs->cols(), nullptr};
+    scratch->rel_grad = {rel_.grad.data(), rel_.grad.cols(), nullptr};
+    const double loss = SideLossChunk(side, 0, batch, scratch.get());
+    PushScratch(std::move(scratch));
     return static_cast<float>(loss * side.inv_b);
   }
 
@@ -396,61 +463,51 @@ float Decoder::SideLossAndGrad(const RankingLossSide& side, Tensor* d_reprs) {
   // partials are compact: a chunk only touches the shared negatives plus its own
   // src/dst rows, so its buffer holds just those rows (slot order: negatives first,
   // then first occurrence — a fixed function of the chunk layout, never the pool).
+  // A body reads none of what a combine writes (d_reprs, rel_.grad, loss), so the
+  // serial path may fold each chunk as soon as it ends.
   const std::vector<int64_t>& src_rows = *side.src_rows;
   const std::vector<int64_t>& dst_rows = *side.dst_rows;
   const std::vector<int32_t>& rels = *side.rels;
-  std::vector<Tensor> d_partials(static_cast<size_t>(chunks));
-  std::vector<std::vector<int64_t>> touched_rows(static_cast<size_t>(chunks));
-  std::vector<Tensor> rel_partials(static_cast<size_t>(chunks));
-  std::vector<std::vector<int64_t>> touched_rels(static_cast<size_t>(chunks));
-  std::vector<double> loss_partials(static_cast<size_t>(chunks), 0.0);
+  scratch_live_.resize(static_cast<size_t>(chunks));
   double loss = 0.0;
   ForEachChunkOrdered(
       compute_, batch, kComputeGrainEdges,
       [&](int64_t chunk, int64_t begin, int64_t end) {
-        SlotRemap& row_remap = decoder_row_remap;
-        row_remap.NextGeneration(d_reprs->rows());
-        std::vector<int64_t> touched;
+        std::unique_ptr<RankingLossScratch> scratch = PopScratch();
+        RankingLossScratch& sc = *scratch;
+        sc.row_remap.NextGeneration(d_reprs->rows());
+        sc.rows.clear();
         for (int64_t row : *side.neg_rows) {
-          row_remap.Claim(row, &touched);
+          sc.row_remap.Claim(row, &sc.rows);
         }
-        SlotRemap& rel_remap = decoder_rel_remap;
-        rel_remap.NextGeneration(rel_.grad.rows());
-        std::vector<int64_t> rels_touched;
+        sc.rel_remap.NextGeneration(rel_.grad.rows());
+        sc.rels.clear();
         for (int64_t i = begin; i < end; ++i) {
-          row_remap.Claim(src_rows[static_cast<size_t>(i)], &touched);
-          row_remap.Claim(dst_rows[static_cast<size_t>(i)], &touched);
-          rel_remap.Claim(rels[static_cast<size_t>(i)], &rels_touched);
+          sc.row_remap.Claim(src_rows[static_cast<size_t>(i)], &sc.rows);
+          sc.row_remap.Claim(dst_rows[static_cast<size_t>(i)], &sc.rows);
+          sc.rel_remap.Claim(rels[static_cast<size_t>(i)], &sc.rels);
         }
-        Tensor d_partial(static_cast<int64_t>(touched.size()), d_reprs->cols());
-        Tensor rel_partial(static_cast<int64_t>(rels_touched.size()), rel_.grad.cols());
-        loss_partials[static_cast<size_t>(chunk)] =
-            SideLossChunk(side, begin, end, &d_partial, &rel_partial,
-                          row_remap.slot_of.data(), rel_remap.slot_of.data());
-        d_partials[static_cast<size_t>(chunk)] = std::move(d_partial);
-        touched_rows[static_cast<size_t>(chunk)] = std::move(touched);
-        rel_partials[static_cast<size_t>(chunk)] = std::move(rel_partial);
-        touched_rels[static_cast<size_t>(chunk)] = std::move(rels_touched);
+        // Growing keeps the +0.0f fill, and the slots past this chunk's stay zero.
+        const size_t d_size = sc.rows.size() * static_cast<size_t>(d_reprs->cols());
+        if (sc.d_partial.size() < d_size) {
+          sc.d_partial.resize(d_size);
+        }
+        const size_t rel_size = sc.rels.size() * static_cast<size_t>(rel_.grad.cols());
+        if (sc.rel_partial.size() < rel_size) {
+          sc.rel_partial.resize(rel_size);
+        }
+        sc.d_out = {sc.d_partial.data(), d_reprs->cols(), sc.row_remap.slot_of.data()};
+        sc.rel_grad = {sc.rel_partial.data(), rel_.grad.cols(), sc.rel_remap.slot_of.data()};
+        sc.loss = SideLossChunk(side, begin, end, &sc);
+        scratch_live_[static_cast<size_t>(chunk)] = std::move(scratch);
       },
       [&](int64_t chunk) {
-        auto fold = [](Tensor& acc, const Tensor& partial,
-                       const std::vector<int64_t>& rows) {
-          for (size_t s = 0; s < rows.size(); ++s) {
-            float* dst = acc.RowPtr(rows[s]);
-            const float* src = partial.RowPtr(static_cast<int64_t>(s));
-            for (int64_t c = 0; c < acc.cols(); ++c) {
-              dst[c] += src[c];
-            }
-          }
-        };
-        fold(*d_reprs, d_partials[static_cast<size_t>(chunk)],
-             touched_rows[static_cast<size_t>(chunk)]);
-        fold(rel_.grad, rel_partials[static_cast<size_t>(chunk)],
-             touched_rels[static_cast<size_t>(chunk)]);
-        loss += loss_partials[static_cast<size_t>(chunk)];
-        // Free the folded partials eagerly.
-        d_partials[static_cast<size_t>(chunk)] = Tensor();
-        rel_partials[static_cast<size_t>(chunk)] = Tensor();
+        std::unique_ptr<RankingLossScratch> scratch =
+            std::move(scratch_live_[static_cast<size_t>(chunk)]);
+        FoldAndZero(d_reprs, &scratch->d_partial, scratch->rows);
+        FoldAndZero(&rel_.grad, &scratch->rel_partial, scratch->rels);
+        loss += scratch->loss;
+        PushScratch(std::move(scratch));
       });
   return static_cast<float>(loss * side.inv_b);
 }
@@ -469,18 +526,18 @@ float Decoder::LossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_
   // Both sides score against the same negatives: transpose them once, padded to
   // whole lane groups, and share the block read-only across every chunk.
   const int64_t m_pad = (m + kLanes - 1) / kLanes * kLanes;
-  std::vector<float> neg_block(static_cast<size_t>(dim_ * m_pad), 0.0f);
+  neg_block_.assign(static_cast<size_t>(dim_ * m_pad), 0.0f);
   for (int64_t j = 0; j < m; ++j) {
     const float* n = reprs.RowPtr(neg_rows[static_cast<size_t>(j)]);
     for (int64_t c = 0; c < dim_; ++c) {
-      neg_block[static_cast<size_t>(c * m_pad + j)] = n[c];
+      neg_block_[static_cast<size_t>(c * m_pad + j)] = n[c];
     }
   }
 
   // Each side's loss and gradients are scaled by 1/2 so the two sides average
   // without rescaling accumulated gradients.
   RankingLossSide side{&reprs,     &rel_.value, &src_rows, &dst_rows,
-                       &rels,      &neg_rows,   neg_block.data(), m_pad,
+                       &rels,      &neg_rows,   neg_block_.data(), m_pad,
                        dim_,       /*corrupt_src=*/false,
                        0.5f / static_cast<float>(batch)};
   const float dst_loss = SideLossAndGrad(side, d_reprs);
@@ -510,11 +567,8 @@ float DistMultDecoder::Score(const float* s, const float* r, const float* o) con
 }
 
 double DistMultDecoder::SideLossChunk(const RankingLossSide& side, int64_t begin,
-                                      int64_t end, Tensor* d_out, Tensor* rel_grad,
-                                      const int32_t* slot_of,
-                                      const int32_t* rel_slot_of) const {
-  return RankingLossChunk<DistMultForm>(side, begin, end, d_out, rel_grad, slot_of,
-                                        rel_slot_of);
+                                      int64_t end, RankingLossScratch* scratch) const {
+  return RankingLossChunk<DistMultForm>(side, begin, end, scratch);
 }
 
 float TransEDecoder::Score(const float* s, const float* r, const float* o) const {
@@ -522,11 +576,8 @@ float TransEDecoder::Score(const float* s, const float* r, const float* o) const
 }
 
 double TransEDecoder::SideLossChunk(const RankingLossSide& side, int64_t begin,
-                                    int64_t end, Tensor* d_out, Tensor* rel_grad,
-                                    const int32_t* slot_of,
-                                    const int32_t* rel_slot_of) const {
-  return RankingLossChunk<TransEForm>(side, begin, end, d_out, rel_grad, slot_of,
-                                      rel_slot_of);
+                                    int64_t end, RankingLossScratch* scratch) const {
+  return RankingLossChunk<TransEForm>(side, begin, end, scratch);
 }
 
 float ComplExDecoder::Score(const float* s, const float* r, const float* o) const {
@@ -534,11 +585,8 @@ float ComplExDecoder::Score(const float* s, const float* r, const float* o) cons
 }
 
 double ComplExDecoder::SideLossChunk(const RankingLossSide& side, int64_t begin,
-                                     int64_t end, Tensor* d_out, Tensor* rel_grad,
-                                     const int32_t* slot_of,
-                                     const int32_t* rel_slot_of) const {
-  return RankingLossChunk<ComplExForm>(side, begin, end, d_out, rel_grad, slot_of,
-                                       rel_slot_of);
+                                     int64_t end, RankingLossScratch* scratch) const {
+  return RankingLossChunk<ComplExForm>(side, begin, end, scratch);
 }
 
 std::unique_ptr<Decoder> MakeDecoder(const std::string& name, int32_t num_relations,

@@ -11,6 +11,7 @@
 #define SRC_NN_DECODER_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,14 @@
 
 namespace mariusgnn {
 
-// One side's read-only inputs to the ranking-loss kernel (defined in decoder.cc).
+// One side's read-only inputs to the ranking-loss kernel, and one chunk's reused
+// working storage (both defined in decoder.cc).
 struct RankingLossSide;
+struct RankingLossScratch;
 
 class Decoder {
  public:
-  virtual ~Decoder() = default;
+  virtual ~Decoder();
 
   // Stage-3 parallel-compute handle. LossAndGrad splits the positive edges into
   // fixed chunks; each chunk scores and back-propagates into private gradient
@@ -52,20 +55,17 @@ class Decoder {
   virtual std::string name() const = 0;
 
  protected:
-  Decoder(int32_t num_relations, int64_t dim, float init_scale, Rng& rng)
-      : dim_(dim), rel_(Tensor::Uniform(num_relations, dim, init_scale, rng)) {}
+  Decoder(int32_t num_relations, int64_t dim, float init_scale, Rng& rng);
 
   // score(s, r, o) for dim_-wide vectors.
   virtual float Score(const float* s, const float* r, const float* o) const = 0;
 
   // The ranking-loss kernel over edges [begin, end) of one side: accumulates
-  // gradients into d_out/rel_grad (the real accumulators with null remaps, or
-  // per-chunk compact partials indexed via slot_of[global row] /
-  // rel_slot_of[relation]) and returns the unscaled loss sum. Every decoder
+  // gradients into the targets `scratch` names (the real accumulators, or the
+  // chunk's compact partials) and returns the unscaled loss sum. Every decoder
   // instantiates the same kernel template with its own elementwise forms.
   virtual double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
-                               Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
-                               const int32_t* rel_slot_of) const = 0;
+                               RankingLossScratch* scratch) const = 0;
 
   int64_t dim_;
   Parameter rel_;  // num_relations x dim
@@ -75,6 +75,19 @@ class Decoder {
   // One corruption side of the loss over fixed edge chunks; gradients and the
   // returned loss carry the side's scale (inv_b = scale / batch).
   float SideLossAndGrad(const RankingLossSide& side, Tensor* d_reprs);
+
+  // The free list of chunk scratch, kept across calls. A chunk's body pops an
+  // entry and its combine pushes it back with the partials zeroed, so a serial
+  // loss reuses one entry, and a parallel loss keeps one per chunk live at once.
+  std::unique_ptr<RankingLossScratch> PopScratch();
+  void PushScratch(std::unique_ptr<RankingLossScratch> scratch);
+
+  std::mutex scratch_mu_;
+  std::vector<std::unique_ptr<RankingLossScratch>> scratch_free_;  // guarded by scratch_mu_
+  // Each chunk's entry between its body and its combine, for the current side.
+  std::vector<std::unique_ptr<RankingLossScratch>> scratch_live_;
+  // The negatives transposed for the current call (see RankingLossSide).
+  std::vector<float> neg_block_;
 };
 
 // score(s, r, o) = sum_d s_d * r_d * o_d.
@@ -89,8 +102,7 @@ class DistMultDecoder : public Decoder {
  protected:
   float Score(const float* s, const float* r, const float* o) const override;
   double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
-                       Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
-                       const int32_t* rel_slot_of) const override;
+                       RankingLossScratch* scratch) const override;
 };
 
 // score(s, r, o) = -||s + r - o||^2.
@@ -105,8 +117,7 @@ class TransEDecoder : public Decoder {
  protected:
   float Score(const float* s, const float* r, const float* o) const override;
   double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
-                       Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
-                       const int32_t* rel_slot_of) const override;
+                       RankingLossScratch* scratch) const override;
 };
 
 // score(s, r, o) = Re(<s, r, conj(o)>); dim must be even (first half real, second
@@ -124,8 +135,7 @@ class ComplExDecoder : public Decoder {
  protected:
   float Score(const float* s, const float* r, const float* o) const override;
   double SideLossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
-                       Tensor* d_out, Tensor* rel_grad, const int32_t* slot_of,
-                       const int32_t* rel_slot_of) const override;
+                       RankingLossScratch* scratch) const override;
 };
 
 std::unique_ptr<Decoder> MakeDecoder(const std::string& name, int32_t num_relations,

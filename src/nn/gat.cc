@@ -147,7 +147,8 @@ Tensor GatLayer::Backward(LayerContext& ctx, const Tensor& out, Tensor grad_out,
   // Chunked over segments: self row s of dz and the edges of segment s are owned by
   // one chunk. The shared attn_l/attn_r gradients are cross-chunk accumulators, so
   // each chunk writes a private partial and the partials are folded in ascending
-  // chunk order (no atomics on floats, identical bits for any pool size).
+  // chunk order (no atomics on floats, identical bits for any pool size). A body
+  // never reads attn_l_.grad/attn_r_.grad, which the combine writes.
   const int64_t seg_chunks = ComputeChunkCount(num_segs, kComputeGrainRows);
   std::vector<Tensor> attn_l_partials(static_cast<size_t>(seg_chunks));
   std::vector<Tensor> attn_r_partials(static_cast<size_t>(seg_chunks));

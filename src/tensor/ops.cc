@@ -215,7 +215,8 @@ Tensor SumRows(const Tensor& t, const ComputeContext* ctx) {
     }
     return out;
   }
-  // Cross-chunk accumulator: per-chunk partial rows folded in ascending order.
+  // Cross-chunk accumulator: per-chunk partial rows folded in ascending order. A
+  // body never reads `out`, which the combine writes.
   std::vector<Tensor> partials(static_cast<size_t>(chunks));
   ForEachChunkOrdered(
       ctx, t.rows(), kComputeGrainRows,

@@ -67,10 +67,10 @@ void DrainChunks(RegionState& state) {
   }
 }
 
-}  // namespace
-
-void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
-                  const std::function<void(int64_t, int64_t, int64_t)>& body) {
+// ForEachChunk, and with a non-null `combine`, ForEachChunkOrdered.
+void RunRegion(const ComputeContext* ctx, int64_t n, int64_t grain,
+               const std::function<void(int64_t, int64_t, int64_t)>& body,
+               const std::function<void(int64_t)>* combine) {
   const int64_t chunks = ComputeChunkCount(n, grain);
   if (chunks == 0) {
     return;
@@ -88,12 +88,18 @@ void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
   const int64_t idle =
       lockfree_serial ? 0 : static_cast<int64_t>(pool->IdleThreads());
   // Serial path: same chunks, ascending order, so bits match the parallel path.
+  // Each combine runs as soon as its chunk's body ends, so a kernel can hand the
+  // chunk's partial storage on to the next body; the combine sequence is the
+  // parallel path's, and no body reads what a combine writes.
   // OnWorkerThread guards nested use from a pool task (a leaf region there).
   // The clock is read only when a stats sink is set.
   if (lockfree_serial || idle == 0) {
     const auto run_serial = [&] {
       for (int64_t c = 0; c < chunks; ++c) {
         body(c, c * grain, std::min((c + 1) * grain, n));
+        if (combine != nullptr) {
+          (*combine)(c);
+        }
       }
     };
     if (stats == nullptr) {
@@ -140,23 +146,26 @@ void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
     const int64_t executors = std::max<int64_t>(1, state->participants.load());
     stats->capacity_seconds += wall_s * static_cast<double>(executors);
   }
+  // Ascending-order fold on the calling thread, after every body: the accumulator
+  // sees partials in the same sequence for every pool size.
+  if (combine != nullptr) {
+    for (int64_t c = 0; c < chunks; ++c) {
+      (*combine)(c);
+    }
+  }
+}
+
+}  // namespace
+
+void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
+                  const std::function<void(int64_t, int64_t, int64_t)>& body) {
+  RunRegion(ctx, n, grain, body, nullptr);
 }
 
 void ForEachChunkOrdered(const ComputeContext* ctx, int64_t n, int64_t grain,
                          const std::function<void(int64_t, int64_t, int64_t)>& body,
                          const std::function<void(int64_t)>& combine) {
-  const int64_t chunks = ComputeChunkCount(n, grain);
-  if (chunks == 0) {
-    return;
-  }
-  ForEachChunk(ctx, n, grain, body);
-  // Ascending-order fold on the calling thread: the accumulator sees partials in
-  // the same sequence for every pool size. combine(c) touches only partial c and
-  // the shared accumulator, so interleaving with other chunks' bodies (which the
-  // serial path above effectively does not do — bodies all finished) is moot.
-  for (int64_t c = 0; c < chunks; ++c) {
-    combine(c);
-  }
+  RunRegion(ctx, n, grain, body, &combine);
 }
 
 }  // namespace mariusgnn

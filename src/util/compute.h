@@ -12,7 +12,8 @@
 //     count and a compile-time grain constant — never on the number of workers.
 //  2. Any cross-chunk accumulation (loss sums, shared-parameter gradients) is
 //     reduced strictly in ascending chunk order on the calling thread
-//     (ForEachChunkOrdered). No atomics on floats, no scheduling-dependent sums.
+//     (ForEachChunkOrdered), and no chunk body reads an accumulator. No atomics
+//     on floats, no scheduling-dependent sums.
 // A kernel built on these helpers computes the same bits whether chunks run on 0,
 // 1, or 16 extra threads, because the per-chunk arithmetic and the combine order
 // are both fixed functions of the input shape.
@@ -78,9 +79,16 @@ int64_t ComputeChunkCount(int64_t n, int64_t grain);
 void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
                   const std::function<void(int64_t, int64_t, int64_t)>& body);
 
-// Runs body over all chunks (possibly in parallel), then combine(chunk) strictly in
-// ascending chunk order on the calling thread. Use for kernels with cross-chunk
-// accumulators: body writes a per-chunk partial, combine folds it in fixed order.
+// Runs body over all chunks and combine(chunk) strictly in ascending chunk order on
+// the calling thread. Use for kernels with cross-chunk accumulators: body writes a
+// per-chunk partial, combine folds it in fixed order.
+//
+// When the region runs serially (null or 1-thread pool, one chunk, no idle worker,
+// or a call from a pool worker) the two interleave: body(0), combine(0), body(1),
+// combine(1), ... so a combine may recycle its chunk's partial storage for the
+// next body. In parallel, every combine runs after every body has finished. Both
+// orders give the same bits only under one rule, which every caller keeps: a body
+// must not read what a combine writes (the accumulators the partials fold into).
 void ForEachChunkOrdered(const ComputeContext* ctx, int64_t n, int64_t grain,
                          const std::function<void(int64_t, int64_t, int64_t)>& body,
                          const std::function<void(int64_t)>& combine);

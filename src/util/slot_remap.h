@@ -6,11 +6,11 @@
 // chunk would rival the useful scatter work. An entry is valid only when its stamp equals the current
 // generation, so NextGeneration invalidates everything by bumping a counter.
 //
-// Intended use is one thread_local instance per call site: pool workers drain
-// chunks sequentially, the remap never outlives one chunk body, and slot
-// assignment (first-occurrence order within the chunk) is a pure function of the
-// chunk contents — never of which thread ran, or what ran on it before — so
-// reuse across chunks and calls cannot leak state into results.
+// The decoder keeps one in each entry of its reused chunk scratch: an entry serves
+// one chunk body at a time, and slot assignment (first-occurrence order within
+// the chunk) is a pure function of the chunk contents — never of which thread ran,
+// or what the entry served before — so reuse across chunks and calls cannot leak
+// state into results.
 #ifndef SRC_UTIL_SLOT_REMAP_H_
 #define SRC_UTIL_SLOT_REMAP_H_
 

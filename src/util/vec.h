@@ -34,6 +34,43 @@ inline Vec LoadVec(const float* p) {
 
 inline void StoreVec(float* p, const Vec& v) { std::memcpy(p, &v, sizeof(v)); }
 
+// The value of the sequential fold `acc = x[0]; acc = std::max(acc, x[i])` for i
+// ascending over [1, n), n >= 1, with lanes over the elements. The fold keeps the
+// first element that attains the maximum and ignores a NaN after x[0], so a NaN
+// x[0] is the result, and otherwise the result is the first x[i] equal to the
+// largest non-NaN value. Each lane folds its elements with the fold's own select
+// and the lanes then fold the same way: a max never rounds, so this is that value
+// for any grouping. Only +0.0f and -0.0f compare equal with different bits; a
+// zero maximum is therefore taken from the first zero element.
+inline float LaneMax(const float* x, int64_t n) {
+  const float first = x[0];
+  if (first != first) {
+    return first;
+  }
+  Vec acc;
+  for (int64_t l = 0; l < kW; ++l) {
+    acc[l] = first;
+  }
+  int64_t i = 1;
+  for (; i + kW <= n; i += kW) {
+    const Vec v = LoadVec(x + i);
+    acc = (acc < v) ? v : acc;
+  }
+  float m = first;
+  for (int64_t l = 0; l < kW; ++l) {
+    m = (m < acc[l]) ? acc[l] : m;
+  }
+  for (; i < n; ++i) {
+    m = (m < x[i]) ? x[i] : m;
+  }
+  if (m == 0.0f) {
+    for (i = 0; x[i] != 0.0f; ++i) {
+    }
+    return x[i];
+  }
+  return m;
+}
+
 }  // namespace mariusgnn
 
 #endif  // SRC_UTIL_VEC_H_

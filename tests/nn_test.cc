@@ -824,8 +824,8 @@ TEST(ParallelDeterminism, DecoderLossAndGrad) {
 // Random edges with every aliasing case planted: self-loops, negatives equal to
 // some edge's source or destination row, and duplicate negatives. `sd` large
 // enough drives some softmax coefficients to exactly zero.
-RankingBatch MakeRankingBatch(int64_t batch, int64_t m, int64_t dim, float sd, Rng& rng) {
-  const int64_t num_rows = 160;
+RankingBatch MakeRankingBatch(int64_t batch, int64_t m, int64_t dim, float sd, Rng& rng,
+                              int64_t num_rows = 160) {
   RankingBatch b;
   b.reprs = Tensor::Normal(num_rows, dim, sd, rng);
   b.src.resize(static_cast<size_t>(batch));
@@ -917,6 +917,57 @@ TEST(RankingLossKernel, MatchesRowAtATimeReferenceBitwise) {
     }
   }
   EXPECT_GT(skipped, 0);
+}
+
+// A decoder keeps its chunk scratch (compact partials, row remaps, per-edge
+// vectors) across calls. One decoder per kind runs a sequence of calls that
+// changes every size the scratch depends on: 1, 2 and 8 chunks per side, 1, 16
+// and 50 negatives, a reprs row count that shrinks and then grows, and null, 1-,
+// 2- and 8-thread contexts in turn. Every call must give a fresh decoder's bits,
+// so a stale remap entry or a partial row left unzeroed shows.
+TEST(RankingLossKernel, ReusedScratchMatchesFreshDecoderBitwise) {
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  std::vector<ComputeContext> contexts(4);
+  contexts[1].pool = &pool1;
+  contexts[2].pool = &pool2;
+  contexts[3].pool = &pool8;
+  const int64_t dim = 34;
+  const int64_t kBatches[] = {100, 256, 1000};  // 1, 2 and 8 chunks
+  const int64_t kNegatives[] = {1, 16, 50};
+  const int64_t kRows[] = {500, 400, 300, 200, 120, 60, 60, 120, 200, 300, 400, 900};
+  for (const std::string name : {"distmult", "transe", "complex"}) {
+    Rng reused_rng(99);
+    auto reused = MakeDecoder(name, 4, dim, reused_rng);
+    for (int64_t step = 0; step < 12; ++step) {
+      const int64_t batch = kBatches[step % 3];
+      const int64_t m = kNegatives[(step / 3) % 3];
+      const ComputeContext* ctx = step % 4 == 0 ? nullptr : &contexts[step % 4];
+      Rng rng(static_cast<uint64_t>(step * 131 + m));
+      const RankingBatch b =
+          MakeRankingBatch(batch, m, dim, step % 2 == 0 ? 0.5f : 4.0f, rng, kRows[step]);
+      Rng init_rng(7 + static_cast<uint64_t>(step));
+      const Tensor d_init = Tensor::Normal(b.reprs.rows(), dim, 0.1f, init_rng);
+      const Tensor rel_init = Tensor::Normal(4, dim, 0.1f, init_rng);
+
+      auto run = [&](Decoder* decoder) {
+        decoder->set_compute(ctx);
+        Parameter* rel = decoder->Parameters()[0];
+        rel->grad = rel_init;
+        Tensor d = d_init;
+        const float loss = decoder->LossAndGrad(b.reprs, b.src, b.dst, b.rels, b.negs, &d);
+        return std::vector<Tensor>{std::move(d), rel->grad, Tensor(1, 1, {loss})};
+      };
+      const std::vector<Tensor> got = run(reused.get());
+      Rng fresh_rng(99);
+      const std::vector<Tensor> want = run(MakeDecoder(name, 4, dim, fresh_rng).get());
+      const std::string where = name + " step=" + std::to_string(step) +
+                                " batch=" + std::to_string(batch) + " m=" + std::to_string(m) +
+                                " rows=" + std::to_string(kRows[step]);
+      EXPECT_TRUE(BitwiseEqual(got[0], want[0])) << "d_reprs " << where;
+      EXPECT_TRUE(BitwiseEqual(got[1], want[1])) << "relation grad " << where;
+      EXPECT_TRUE(BitwiseEqual(got[2], want[2])) << "loss " << where;
+    }
+  }
 }
 
 TEST(ParallelDeterminism, ShardedSparseAdagrad) {

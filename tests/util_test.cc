@@ -2,7 +2,9 @@
 // and the build's instruction-set level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -15,6 +17,7 @@
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "src/util/timer.h"
+#include "src/util/vec.h"
 
 #if defined(__x86_64__)
 #include "cmake/host_x86_64_v3.h"
@@ -285,6 +288,65 @@ TEST(ComputeContext, ForEachChunkOrderedFoldsInAscendingOrder) {
       EXPECT_EQ(combine_order[static_cast<size_t>(c)], c);
     }
     EXPECT_EQ(std::accumulate(sums.begin(), sums.end(), int64_t{0}), 999 * 1000 / 2);
+  }
+}
+
+// The serial path folds each chunk as soon as its body ends: body(0), combine(0),
+// body(1), ... for a null context and a 1-thread pool alike.
+TEST(ComputeContext, SerialOrderedRunsEachCombineAfterItsBody) {
+  ThreadPool pool(1);
+  ComputeContext one_thread;
+  one_thread.pool = &pool;
+  for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                    static_cast<const ComputeContext*>(&one_thread)}) {
+    const int64_t n = 1000, grain = 64;
+    const int64_t chunks = ComputeChunkCount(n, grain);
+    std::vector<std::string> events;
+    ForEachChunkOrdered(
+        ctx, n, grain,
+        [&](int64_t chunk, int64_t, int64_t) {
+          events.push_back("body " + std::to_string(chunk));
+        },
+        [&](int64_t chunk) { events.push_back("combine " + std::to_string(chunk)); });
+    std::vector<std::string> want;
+    for (int64_t c = 0; c < chunks; ++c) {
+      want.push_back("body " + std::to_string(c));
+      want.push_back("combine " + std::to_string(c));
+    }
+    EXPECT_EQ(events, want) << (ctx == nullptr ? "null context" : "1-thread pool");
+  }
+}
+
+// LaneMax against the sequential std::max fold it replaces, bit for bit, over
+// arrays drawn from NaN, +-inf, +-0 and ordinary values at every length from 1 to
+// 3 vectors + 1. The draws favour ties between +0.0f and -0.0f, where only the
+// position of the first maximum decides the bits.
+TEST(LaneMax, MatchesSequentialMaxFoldBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> pools = {
+      {nan, inf, -inf, 0.0f, -0.0f, 1.5f, -2.0f, 3.25f},
+      {0.0f, -0.0f, -1.0f, nan, -inf},
+      {-0.0f, 0.0f},
+      {nan, -inf, -3.0f},
+  };
+  Rng rng(2024);
+  for (int64_t n = 1; n <= 3 * kW + 1; ++n) {
+    for (const std::vector<float>& pool : pools) {
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<float> x(static_cast<size_t>(n));
+        for (float& v : x) {
+          v = pool[rng.UniformInt(pool.size())];
+        }
+        float want = x[0];
+        for (float v : x) {
+          want = std::max(want, v);
+        }
+        const float got = LaneMax(x.data(), n);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+            << "n=" << n << " trial=" << trial << " got " << got << " want " << want;
+      }
+    }
   }
 }
 
