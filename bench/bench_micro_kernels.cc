@@ -254,6 +254,36 @@ std::vector<Stage3Kernel> MakeStage3Kernels() {
                        return dh;
                      }});
 
+  // The same backward at the lp_mem benchmark's measured shape: 1100 segments of
+  // 14 or 15 positions (16,430 in all) into a 1446 x 32 input gradient. The rows
+  // above allocate and zero a 45,056 x 64 destination inside every timed call;
+  // this one is small enough that the call times the fold, not page faults.
+  {
+    Rng lrng(43);
+    const int64_t lp_in = 1446, lp_dim = 32, lp_segs = 1100, lp_positions = 16430;
+    auto lp_rows = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(lp_positions));
+    for (auto& v : *lp_rows) v = static_cast<int64_t>(lrng.UniformInt(static_cast<int>(lp_in)));
+    auto lp_offsets = std::make_shared<std::vector<int64_t>>(1, 0);
+    for (int64_t s = 0; s < lp_segs; ++s) {
+      lp_offsets->push_back(lp_offsets->back() + lp_positions / lp_segs +
+                            (s < lp_positions % lp_segs ? 1 : 0));
+    }
+    MG_CHECK(lp_offsets->back() == lp_positions);
+    auto lp_grad = std::make_shared<Tensor>(Tensor::Normal(lp_segs, lp_dim, 1.0f, lrng));
+    kernels.push_back({"neighbor_agg_bwd (lp_mem shape)",
+                       [lp_grad, lp_rows, lp_offsets, lp_in, lp_dim](const ComputeContext* ctx) {
+                         Tensor dh(lp_in, lp_dim);
+                         GatherSegmentMeanBackward(dh, *lp_rows, *lp_offsets, *lp_grad, ctx);
+                         return dh;
+                       },
+                       [lp_grad, lp_rows, lp_offsets, lp_in, lp_dim] {
+                         Tensor dh(lp_in, lp_dim);
+                         RefGatherSegmentReduceBackward(dh, *lp_rows, *lp_offsets, *lp_grad,
+                                                        true);
+                         return dh;
+                       }});
+  }
+
   // Ranking loss and gradients of one decoder: `edges` positives against `negatives`
   // shared negatives over 3000 rows. The result packs d_reprs, the relation
   // gradient and the loss, so the bitwise check covers all three; the reference is

@@ -22,6 +22,8 @@ struct RankingLossSide {
   // the lanes j >= neg_rows->size() are zero padding.
   const float* neg_block;
   int64_t m_pad;
+  // Score of positive edge i at pos_scores[i], shared by both sides.
+  const float* pos_scores;
   int64_t dim;
   bool corrupt_src;
   float inv_b;  // scale / batch: the gradient coefficient of one edge
@@ -83,10 +85,12 @@ namespace {
 // Negatives the forward pass scores side by side, one logit per lane: kLanes / kW
 // accumulator vectors per lane group, held in registers across all steps.
 constexpr int64_t kLanes = 16;
-// Vectors per backward block, over all parts of a step: the edge's held gradient
-// row and its relation gradient row stay in kBlockVecs / kParts vector locals per
-// part across all of its partners.
-constexpr int kBlockVecs = 4;
+// Vectors per backward block, over all parts of a step: the fixed row's and the
+// relation's values and the edge's held gradient row and relation gradient row
+// stay in kBlockVecs / kParts vector locals per part across all of its partners.
+// Four such arrays of two vectors fill half of a 16-register file; blocks of four
+// vectors spill.
+constexpr int kBlockVecs = 2;
 
 // Elementwise forms of the decoders. A score is the left-to-right fold of Term over
 // the steps k in [0, dim / kParts); step k reads components k, k + dim / kParts, ...
@@ -204,22 +208,26 @@ void ScoreNegatives(const float* fixed, const float* r, const float* block, int6
   }
 }
 
-// One term's update of steps [k0, k0 + kNV * kW). `held`/`rel` are the register
-// blocks of the fixed row's and the relation's gradient; `f`, `r`, `n` and `dn`
-// are whole rows of part stride `steps`. The updates land in the order a
-// row-at-a-time backward gives them: held, rel, partner on the destination side,
-// partner, rel, held on the source side. When the partner's gradient row is the
-// held row (kHeld), its update goes to the held block in that same sequence.
+// One term's update of steps [k0, k0 + kNV * kW). `f`/`r` are the register
+// blocks of the fixed row's and the relation's values, `held`/`rel` those of
+// their gradients; `n` and `dn` are whole rows of part stride `steps`. The
+// updates land in the order a row-at-a-time backward gives them: held, rel,
+// partner on the destination side, partner, rel, held on the source side. When
+// the partner's gradient row is the held row (kHeld), its update goes to the
+// held block in that same sequence.
 template <class Form, bool kCorruptSrc, bool kHeld, int kNV>
-inline void PartnerBlock(float coeff, const float* f, const float* r, const float* n,
+inline void PartnerBlock(float coeff, const Vec (&f)[Form::kParts][kNV],
+                         const Vec (&r)[Form::kParts][kNV], const float* n,
                          Vec (&held)[Form::kParts][kNV], Vec (&rel)[Form::kParts][kNV],
                          float* dn, int64_t k0, int64_t steps) {
   constexpr int P = Form::kParts;
   for (int v = 0; v < kNV; ++v) {
     const int64_t k = k0 + v * kW;
     Vec fp[P], rp[P], np[P], gf[P], gr[P], gn[P];
-    LoadStepVec<P>(f, k, steps, fp);
-    LoadStepVec<P>(r, k, steps, rp);
+    for (int p = 0; p < P; ++p) {
+      fp[p] = f[p][v];
+      rp[p] = r[p][v];
+    }
     LoadStepVec<P>(n, k, steps, np);
     if constexpr (kCorruptSrc) {
       Form::Grad(coeff, np, rp, fp, gn, gr, gf);
@@ -249,26 +257,30 @@ inline void PartnerBlock(float coeff, const float* f, const float* r, const floa
   }
 }
 
-// Steps [k0, k0 + kNV * kW) of one edge's backward: the held gradient row and the
-// relation gradient are loaded into registers once, every partner updates them in
-// order, and they are stored back once.
+// Steps [k0, k0 + kNV * kW) of one edge's backward: the fixed row, the relation
+// and their gradient rows are loaded into registers once, every partner reads and
+// updates them in order, and the gradients are stored back once. Value rows never
+// alias gradient rows, so a partner's stores cannot change the held values.
 template <class Form, bool kCorruptSrc, int kNV>
 void BackwardBlock(const float* f, const float* r, float* df, float* dr,
                    const Partner* partners, int64_t count, int64_t k0, int64_t steps) {
   constexpr int P = Form::kParts;
-  Vec held[P][kNV], rel[P][kNV];
+  Vec fv[P][kNV], rv[P][kNV], held[P][kNV], rel[P][kNV];
   for (int p = 0; p < P; ++p) {
     for (int v = 0; v < kNV; ++v) {
-      held[p][v] = LoadVec(df + p * steps + k0 + v * kW);
-      rel[p][v] = LoadVec(dr + p * steps + k0 + v * kW);
+      const int64_t at = p * steps + k0 + v * kW;
+      fv[p][v] = LoadVec(f + at);
+      rv[p][v] = LoadVec(r + at);
+      held[p][v] = LoadVec(df + at);
+      rel[p][v] = LoadVec(dr + at);
     }
   }
   for (const Partner* t = partners; t != partners + count; ++t) {
     if (t->dn == df) {
-      PartnerBlock<Form, kCorruptSrc, true, kNV>(t->coeff, f, r, t->n, held, rel, nullptr,
+      PartnerBlock<Form, kCorruptSrc, true, kNV>(t->coeff, fv, rv, t->n, held, rel, nullptr,
                                                  k0, steps);
     } else {
-      PartnerBlock<Form, kCorruptSrc, false, kNV>(t->coeff, f, r, t->n, held, rel, t->dn,
+      PartnerBlock<Form, kCorruptSrc, false, kNV>(t->coeff, fv, rv, t->n, held, rel, t->dn,
                                                   k0, steps);
     }
   }
@@ -282,10 +294,10 @@ void BackwardBlock(const float* f, const float* r, float* df, float* dr,
 
 // Backward pass of one edge: `f` is the fixed representation (s on the destination
 // side, o on the source side) and `df` its gradient row. Steps go in register
-// blocks of kBlockVecs / kParts vectors per part, then single vectors (a row
-// shorter than a block, such as dim 32 at 16 lanes, stays in vectors), then one
-// scalar step at a time in memory, where a partner whose gradient row is df
-// meets it in the same sequence by aliasing.
+// blocks of kBlockVecs / kParts vectors per part, then at most one single vector
+// (DistMult and TransE, whose blocks are two vectors), then one scalar step at a
+// time in memory, where a partner whose gradient row is df meets it in the same
+// sequence by aliasing.
 template <class Form, bool kCorruptSrc>
 void BackwardEdge(const float* f, const float* r, float* df, float* dr,
                   const Partner* partners, int64_t count, int64_t steps) {
@@ -362,7 +374,7 @@ double LossChunk(const RankingLossSide& side, int64_t begin, int64_t end,
     const int32_t rel = (*side.rels)[static_cast<size_t>(i)];
     const float* r = side.rel_values->RowPtr(rel);
 
-    logits[0] = ScoreRows<Form>(s, r, o, steps);
+    logits[0] = side.pos_scores[i];
     ScoreNegatives<Form, kCorruptSrc>(kCorruptSrc ? o : s, r, side.neg_block, side.m_pad,
                                       steps, logits + 1);
 
@@ -534,11 +546,30 @@ float Decoder::LossAndGrad(const Tensor& reprs, const std::vector<int64_t>& src_
     }
   }
 
+  // Both sides' class 0 is the positive's score: score each positive once, in
+  // its own chunks, so either side's chunks read it without waiting on the other's.
+  pos_scores_.resize(static_cast<size_t>(batch));
+  ForEachChunk(compute_, batch, kComputeGrainEdges, [&](int64_t, int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const size_t e = static_cast<size_t>(i);
+      pos_scores_[e] = Score(reprs.RowPtr(src_rows[e]), rel_.value.RowPtr(rels[e]),
+                             reprs.RowPtr(dst_rows[e]));
+    }
+  });
+
   // Each side's loss and gradients are scaled by 1/2 so the two sides average
   // without rescaling accumulated gradients.
-  RankingLossSide side{&reprs,     &rel_.value, &src_rows, &dst_rows,
-                       &rels,      &neg_rows,   neg_block_.data(), m_pad,
-                       dim_,       /*corrupt_src=*/false,
+  RankingLossSide side{&reprs,
+                       &rel_.value,
+                       &src_rows,
+                       &dst_rows,
+                       &rels,
+                       &neg_rows,
+                       neg_block_.data(),
+                       m_pad,
+                       pos_scores_.data(),
+                       dim_,
+                       /*corrupt_src=*/false,
                        0.5f / static_cast<float>(batch)};
   const float dst_loss = SideLossAndGrad(side, d_reprs);
   side.corrupt_src = true;

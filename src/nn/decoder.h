@@ -86,8 +86,10 @@ class Decoder {
   std::vector<std::unique_ptr<RankingLossScratch>> scratch_free_;  // guarded by scratch_mu_
   // Each chunk's entry between its body and its combine, for the current side.
   std::vector<std::unique_ptr<RankingLossScratch>> scratch_live_;
-  // The negatives transposed for the current call (see RankingLossSide).
+  // The negatives transposed, and every positive's score, for the current call
+  // (see RankingLossSide).
   std::vector<float> neg_block_;
+  std::vector<float> pos_scores_;
 };
 
 // score(s, r, o) = sum_d s_d * r_d * o_d.

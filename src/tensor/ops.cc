@@ -261,22 +261,90 @@ void CheckOffsets(int64_t rows, const std::vector<int64_t>& offsets) {
   MG_CHECK(offsets.back() == rows);
 }
 
+// One position's value in a scatter-reduce: the floats at `row`, each times
+// `scale` (rounded) when `scaled`.
+struct ScatterValue {
+  const float* row;
+  float scale;
+  bool scaled;
+};
+
+// Adds value(sources[k]) for k in [0, count), columns [c0, c0 + kNV * kW), into
+// drow through a +0.0f partial held in kNV vector registers, then adds the
+// partial to drow once: per column, the adds of a partial row in memory.
+template <int kNV, typename ValueFn>
+inline void FoldGroupBlock(float* drow, const int64_t* sources, int64_t count,
+                           const ValueFn& value, int64_t c0) {
+  Vec acc[kNV] = {};
+  for (int64_t k = 0; k < count; ++k) {
+    const ScatterValue x = value(sources[k]);
+    const float* row = x.row + c0;
+    if (x.scaled) {
+      for (int v = 0; v < kNV; ++v) {
+        acc[v] += LoadVec(row + v * kW) * x.scale;
+      }
+    } else {
+      for (int v = 0; v < kNV; ++v) {
+        acc[v] += LoadVec(row + v * kW);
+      }
+    }
+  }
+  for (int v = 0; v < kNV; ++v) {
+    float* d = drow + c0 + v * kW;
+    StoreVec(d, LoadVec(d) + acc[v]);
+  }
+}
+
+// One group's fold over all `cols` columns: register blocks of 8 vectors, then
+// of 4, 2 and 1 for what is left, then the columns short of a vector one at a
+// time, each through its own +0.0f partial.
+template <typename ValueFn>
+void FoldGroup(float* drow, int64_t cols, const int64_t* sources, int64_t count,
+               const ValueFn& value) {
+  int64_t c0 = 0;
+  for (; c0 + 8 * kW <= cols; c0 += 8 * kW) {
+    FoldGroupBlock<8>(drow, sources, count, value, c0);
+  }
+  if (c0 + 4 * kW <= cols) {
+    FoldGroupBlock<4>(drow, sources, count, value, c0);
+    c0 += 4 * kW;
+  }
+  if (c0 + 2 * kW <= cols) {
+    FoldGroupBlock<2>(drow, sources, count, value, c0);
+    c0 += 2 * kW;
+  }
+  if (c0 + kW <= cols) {
+    FoldGroupBlock<1>(drow, sources, count, value, c0);
+    c0 += kW;
+  }
+  for (; c0 < cols; ++c0) {
+    float acc = 0.0f;
+    for (int64_t k = 0; k < count; ++k) {
+      const ScatterValue x = value(sources[k]);
+      acc += x.scaled ? x.row[c0] * x.scale : x.row[c0];
+    }
+    drow[c0] += acc;
+  }
+}
+
 // The one scatter-reduce: dst[indices[e]] += value(e) for every position e, where
-// add(acc, e) adds value(e) into the cols() floats at acc. Its bits are those of
-// positions cut into chunks of kComputeGrainScatterRows, each chunk summing its
-// values per destination row into a partial that starts at +0.0f, and the
-// partials added to dst in ascending chunk order. Strictly increasing indices (at
-// most one value per row) and a call of one chunk add each value straight into
-// its row in position order: the first chunked by position, since no two
-// positions share a row, the second serially. Otherwise it pulls rather than
-// scatters: a counting sort lists each destination row's positions in ascending
-// order, and each row folds its own positions. Rows are chunked at the row grain
+// value(e) is the ScatterValue of position e over dst.cols() floats. Its bits
+// are those of positions cut into chunks of kComputeGrainScatterRows, each chunk
+// summing its values per destination row into a partial that starts at +0.0f,
+// and the partials added to dst in ascending chunk order. Strictly increasing
+// indices (at most one value per row) and a call of one chunk add each value
+// straight into its row in position order: the first chunked by position, since
+// no two positions share a row, the second serially. Otherwise it pulls rather
+// than scatters: a counting sort lists each destination row's positions in
+// ascending order, and each row folds its own positions, one group per chunk,
+// through a partial in registers (FoldGroup). Rows are chunked at the row grain
 // and every row is written by one chunk only, so any pool size gives the same
 // bits.
-template <typename AddFn>
+template <typename ValueFn>
 void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
-                    const ComputeContext* ctx, const AddFn& add) {
+                    const ComputeContext* ctx, const ValueFn& value) {
   const int64_t n = static_cast<int64_t>(indices.size());
+  const int64_t cols = dst.cols();
   bool strictly_increasing = true;
   for (int64_t e = 1; e < n && strictly_increasing; ++e) {
     strictly_increasing = indices[static_cast<size_t>(e)] > indices[static_cast<size_t>(e) - 1];
@@ -285,7 +353,17 @@ void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
     for (int64_t e = begin; e < end; ++e) {
       const int64_t row = indices[static_cast<size_t>(e)];
       MG_DCHECK(row >= 0 && row < dst.rows());
-      add(dst.RowPtr(row), e);
+      float* drow = dst.RowPtr(row);
+      const ScatterValue x = value(e);
+      if (x.scaled) {
+        for (int64_t c = 0; c < cols; ++c) {
+          drow[c] += x.row[c] * x.scale;
+        }
+      } else {
+        for (int64_t c = 0; c < cols; ++c) {
+          drow[c] += x.row[c];
+        }
+      }
     }
   };
   if (strictly_increasing) {
@@ -315,23 +393,19 @@ void PullScatterAdd(Tensor& dst, const std::vector<int64_t>& indices,
           e;
     }
   }
-  const int64_t cols = dst.cols();
   ForEachRowChunk(ctx, dst.rows(), [&](int64_t row_begin, int64_t row_end) {
-    std::vector<float> partial(static_cast<size_t>(cols));
     for (int64_t r = row_begin; r < row_end; ++r) {
-      float* drow = dst.RowPtr(r);
       int64_t k = first[static_cast<size_t>(r)];
       const int64_t k_end = first[static_cast<size_t>(r) + 1];
       while (k < k_end) {
         const int64_t chunk = sources[static_cast<size_t>(k)] / kComputeGrainScatterRows;
-        std::fill(partial.begin(), partial.end(), 0.0f);
-        for (; k < k_end && sources[static_cast<size_t>(k)] / kComputeGrainScatterRows == chunk;
-             ++k) {
-          add(partial.data(), sources[static_cast<size_t>(k)]);
+        int64_t group_end = k + 1;
+        while (group_end < k_end &&
+               sources[static_cast<size_t>(group_end)] / kComputeGrainScatterRows == chunk) {
+          ++group_end;
         }
-        for (int64_t c = 0; c < cols; ++c) {
-          drow[c] += partial[static_cast<size_t>(c)];
-        }
+        FoldGroup(dst.RowPtr(r), cols, sources.data() + k, group_end - k, value);
+        k = group_end;
       }
     }
   });
@@ -381,21 +455,12 @@ void GatherSegmentReduceBackward(Tensor& dh, const std::vector<int64_t>& rows,
     std::fill(owner.begin() + offsets[s], owner.begin() + offsets[s + 1],
               static_cast<int64_t>(s));
   }
-  const int64_t cols = grad.cols();
-  PullScatterAdd(dh, rows, ctx, [&](float* acc, int64_t e) {
+  PullScatterAdd(dh, rows, ctx, [&](int64_t e) {
     const int64_t s = owner[static_cast<size_t>(e)];
     const int64_t count = offsets[static_cast<size_t>(s) + 1] - offsets[static_cast<size_t>(s)];
-    const float* grow = grad.RowPtr(s);
-    if (mean && count > 1) {
-      const float inv = 1.0f / static_cast<float>(count);
-      for (int64_t c = 0; c < cols; ++c) {
-        acc[c] += grow[c] * inv;
-      }
-    } else {
-      for (int64_t c = 0; c < cols; ++c) {
-        acc[c] += grow[c];
-      }
-    }
+    const bool scaled = mean && count > 1;
+    return ScatterValue{grad.RowPtr(s), scaled ? 1.0f / static_cast<float>(count) : 1.0f,
+                        scaled};
   });
 }
 
@@ -405,13 +470,8 @@ void ScatterAddRows(Tensor& dst, const std::vector<int64_t>& indices, const Tens
                     const ComputeContext* ctx) {
   MG_CHECK(static_cast<int64_t>(indices.size()) == src.rows());
   MG_CHECK(dst.cols() == src.cols());
-  const int64_t cols = src.cols();
-  PullScatterAdd(dst, indices, ctx, [&](float* acc, int64_t e) {
-    const float* srow = src.RowPtr(e);
-    for (int64_t c = 0; c < cols; ++c) {
-      acc[c] += srow[c];
-    }
-  });
+  PullScatterAdd(dst, indices, ctx,
+                 [&](int64_t e) { return ScatterValue{src.RowPtr(e), 1.0f, false}; });
 }
 
 Tensor GatherSegmentSum(const Tensor& h, const std::vector<int64_t>& rows,

@@ -17,8 +17,10 @@
 //    They pull instead of scattering. A counting sort lists each destination
 //    row's positions in ascending order, and each row folds its own positions
 //    in fixed position chunks, one +0.0f partial per chunk added in ascending
-//    chunk order (kComputeGrainScatterRows). Rows are chunked, and each row is
-//    written by one chunk only (docs/DETERMINISM.md, "Scatter-reduce").
+//    chunk order (kComputeGrainScatterRows). A partial is held in vector
+//    registers, column block by column block, and added to its row once. Rows
+//    are chunked, and each row is written by one chunk only
+//    (docs/DETERMINISM.md, "Scatter-reduce").
 #ifndef SRC_TENSOR_OPS_H_
 #define SRC_TENSOR_OPS_H_
 

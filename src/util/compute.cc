@@ -25,7 +25,7 @@ struct RegionState {
   int64_t n = 0;
   int64_t grain = 0;
   int64_t chunks = 0;
-  const std::function<void(int64_t, int64_t, int64_t)>* body = nullptr;
+  const ChunkBody* body = nullptr;
   std::atomic<int64_t> next{0};
   std::atomic<int64_t> busy_nanos{0};
   std::atomic<int64_t> participants{0};  // threads that executed >= 1 chunk
@@ -68,9 +68,8 @@ void DrainChunks(RegionState& state) {
 }
 
 // ForEachChunk, and with a non-null `combine`, ForEachChunkOrdered.
-void RunRegion(const ComputeContext* ctx, int64_t n, int64_t grain,
-               const std::function<void(int64_t, int64_t, int64_t)>& body,
-               const std::function<void(int64_t)>* combine) {
+void RunRegion(const ComputeContext* ctx, int64_t n, int64_t grain, const ChunkBody& body,
+               const ChunkCombine* combine) {
   const int64_t chunks = ComputeChunkCount(n, grain);
   if (chunks == 0) {
     return;
@@ -157,14 +156,12 @@ void RunRegion(const ComputeContext* ctx, int64_t n, int64_t grain,
 
 }  // namespace
 
-void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
-                  const std::function<void(int64_t, int64_t, int64_t)>& body) {
+void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain, ChunkBody body) {
   RunRegion(ctx, n, grain, body, nullptr);
 }
 
 void ForEachChunkOrdered(const ComputeContext* ctx, int64_t n, int64_t grain,
-                         const std::function<void(int64_t, int64_t, int64_t)>& body,
-                         const std::function<void(int64_t)>& combine) {
+                         ChunkBody body, ChunkCombine combine) {
   RunRegion(ctx, n, grain, body, &combine);
 }
 

@@ -27,7 +27,9 @@
 #define SRC_UTIL_COMPUTE_H_
 
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "src/util/threadpool.h"
 
@@ -71,13 +73,40 @@ struct ComputeContext {
   ComputeStats* stats = nullptr; // optional timing sink (single consumer thread)
 };
 
+// A non-owning reference to a callable: an object pointer and a call thunk, so
+// passing a lambda of any capture size copies two pointers and allocates nothing.
+// The callable must outlive every call made through the reference; a region's
+// body and combine live on the caller's stack until the region returns.
+template <class Sig>
+class FunctionRef;
+
+template <class R, class... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <class F, class = std::enable_if_t<!std::is_same_v<std::decay_t<F>, FunctionRef>>>
+  FunctionRef(F&& f)  // NOLINT(runtime/explicit): binds a callable like a const ref
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
+
+// A region's chunk body, body(chunk, begin, end), and its ordered combine(chunk).
+using ChunkBody = FunctionRef<void(int64_t, int64_t, int64_t)>;
+using ChunkCombine = FunctionRef<void(int64_t)>;
+
 // Number of fixed chunks for n elements at the given grain (0 when n <= 0).
 int64_t ComputeChunkCount(int64_t n, int64_t grain);
 
 // Runs body(chunk, begin, end) for every fixed chunk of [0, n). Chunks may execute
 // concurrently; bodies must write disjoint memory. `ctx` may be null (serial).
-void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
-                  const std::function<void(int64_t, int64_t, int64_t)>& body);
+void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain, ChunkBody body);
 
 // Runs body over all chunks and combine(chunk) strictly in ascending chunk order on
 // the calling thread. Use for kernels with cross-chunk accumulators: body writes a
@@ -90,8 +119,7 @@ void ForEachChunk(const ComputeContext* ctx, int64_t n, int64_t grain,
 // orders give the same bits only under one rule, which every caller keeps: a body
 // must not read what a combine writes (the accumulators the partials fold into).
 void ForEachChunkOrdered(const ComputeContext* ctx, int64_t n, int64_t grain,
-                         const std::function<void(int64_t, int64_t, int64_t)>& body,
-                         const std::function<void(int64_t)>& combine);
+                         ChunkBody body, ChunkCombine combine);
 
 }  // namespace mariusgnn
 

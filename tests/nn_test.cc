@@ -23,6 +23,7 @@
 #include "src/tensor/ops.h"
 #include "src/util/threadpool.h"
 #include "tests/aggregation_reference.h"
+#include "tests/alloc_counter.h"
 #include "tests/ranking_loss_reference.h"
 
 namespace mariusgnn {
@@ -859,12 +860,17 @@ RankingBatch MakeRankingBatch(int64_t batch, int64_t m, int64_t dim, float sd, R
 
 // The grid covers every path of the kernel at every native vector width W of 4, 8
 // or 16 floats, for every decoder. Its backward runs dim / parts steps in register
-// blocks of 4 / parts vectors, then single vectors, then scalar steps:
-// - whole blocks: dim 128 and 130 at every W (ComplEx: 64 and 65 steps);
-// - a scalar remainder: dim 34 and 130 (ComplEx: 17 and 65 steps);
+// blocks of 2 / parts vectors (DistMult and TransE: two vectors of one part;
+// ComplEx: one vector of each of its two parts), then, for DistMult and TransE,
+// at most one single vector, then scalar steps:
+// - whole blocks: dim 34, 128 and 130 at every W (ComplEx: 17, 64 and 65 steps),
+//   and 16, 20 and 24 at W <= 8;
+// - a single trailing vector (DistMult, TransE): dim 4 and 20 at W = 4, 24 at
+//   W = 8, and 16, 20 and 24 at W = 16;
+// - scalar steps: dim 2, 34 and 130 at every W (ComplEx: 1, 17 and 65 steps),
+//   20 at W >= 8 and 24 at W = 16;
 // - fewer steps than one vector: dim 2 at every W and 4 at W >= 8 (ComplEx: 1
-//   and 2 steps at every W, and 8 at W = 16);
-// - single vectors: dim 4 at W = 4, 16 at W = 8 and 16, 34 at W = 16.
+//   and 2 steps at every W, and 8 at W = 16).
 // The forward's 16-negative lane groups are partial at m = 1, 17, 33 and 50.
 TEST(RankingLossKernel, MatchesRowAtATimeReferenceBitwise) {
   ThreadPool pool1(1), pool2(2), pool8(8);
@@ -876,7 +882,7 @@ TEST(RankingLossKernel, MatchesRowAtATimeReferenceBitwise) {
   for (const std::string name : {"distmult", "transe", "complex"}) {
     const RefDecoder kind = RefDecoderNamed(name);
     for (int64_t m : {1, 16, 17, 33, 50}) {
-      for (int64_t dim : {2, 4, 16, 34, 128, 130}) {
+      for (int64_t dim : {2, 4, 16, 20, 24, 34, 128, 130}) {
         for (int64_t batch : {100, 400}) {
           for (float sd : {0.5f, 4.0f}) {
             Rng rng(static_cast<uint64_t>(m * 1000 + dim * 10 + batch));
@@ -966,6 +972,31 @@ TEST(RankingLossKernel, ReusedScratchMatchesFreshDecoderBitwise) {
       EXPECT_TRUE(BitwiseEqual(got[0], want[0])) << "d_reprs " << where;
       EXPECT_TRUE(BitwiseEqual(got[1], want[1])) << "relation grad " << where;
       EXPECT_TRUE(BitwiseEqual(got[2], want[2])) << "loss " << where;
+    }
+  }
+}
+
+// A warm serial loss allocates nothing: the chunk scratch, the transposed
+// negatives and the positive scores are the decoder's, kept across calls, and a
+// region takes its callables by reference. 8 chunks per side, for every decoder,
+// with a null context and a 1-thread pool.
+TEST(RankingLossKernel, WarmSerialCallAllocatesNothing) {
+  ThreadPool pool1(1);
+  ComputeContext one_thread;
+  one_thread.pool = &pool1;
+  Rng rng(5);
+  const RankingBatch b = MakeRankingBatch(1000, 50, 34, 0.5f, rng);
+  Tensor d(b.reprs.rows(), b.reprs.cols());
+  for (const std::string name : {"distmult", "transe", "complex"}) {
+    for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                      static_cast<const ComputeContext*>(&one_thread)}) {
+      Rng init_rng(99);
+      auto decoder = MakeDecoder(name, 4, 34, init_rng);
+      decoder->set_compute(ctx);
+      const auto call = [&] { decoder->LossAndGrad(b.reprs, b.src, b.dst, b.rels, b.negs, &d); };
+      call();  // warm
+      EXPECT_EQ(AllocationsDuring(call), 0)
+          << name << (ctx == nullptr ? ", null context" : ", 1-thread pool");
     }
   }
 }

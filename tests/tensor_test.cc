@@ -833,61 +833,74 @@ TEST(OpsLanes, MatmulAddFormsMatchProductPlusAddInPlaceBitwise) {
   }
 }
 
+// Column counts for the pull tests: one column, scalar columns only (9 at 16
+// lanes), one vector, 4 and 8 vectors (a whole 8-vector register block), 8
+// vectors and 3 scalar columns, and 9 vectors (a block of 8, then a single).
+std::vector<int64_t> PullColumns() { return {1, 9, kW, 4 * kW, 8 * kW, 8 * kW + 3, 9 * kW}; }
+
 TEST(OpsPull, ScatterAddRowsMatchesChunkFoldReferenceBitwise) {
-  for (const PullCase& pc : PullCases()) {
-    Rng rng(43);
-    const int64_t n = static_cast<int64_t>(pc.indices.size());
-    const Tensor src = PullValues(n, 9, rng);
-    const Tensor base = PullValues(pc.rows, 9, rng);
-    Tensor want = base;
-    RefScatterAddRows(want, pc.indices, src);
-    ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
-      Tensor dst = base;
-      ScatterAddRows(dst, pc.indices, src, ctx);
-      EXPECT_TRUE(SameBits(dst, want)) << pc.name << ", " << how;
-    });
+  for (const int64_t cols : PullColumns()) {
+    for (const PullCase& pc : PullCases()) {
+      Rng rng(43);
+      const int64_t n = static_cast<int64_t>(pc.indices.size());
+      const Tensor src = PullValues(n, cols, rng);
+      const Tensor base = PullValues(pc.rows, cols, rng);
+      Tensor want = base;
+      RefScatterAddRows(want, pc.indices, src);
+      ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
+        Tensor dst = base;
+        ScatterAddRows(dst, pc.indices, src, ctx);
+        EXPECT_TRUE(SameBits(dst, want)) << pc.name << ", " << cols << " cols, " << how;
+      });
+    }
   }
 }
 
 TEST(OpsPull, GatherSegmentMatchesGatherThenReduceBitwise) {
-  for (const PullCase& pc : PullCases()) {
-    Rng rng(45);
-    const int64_t n = static_cast<int64_t>(pc.indices.size());
-    const Tensor h = PullValues(pc.rows, 9, rng);
-    for (const std::vector<int64_t>& offsets : PullOffsets(n, rng)) {
-      for (const bool mean : {false, true}) {
-        const Tensor want = RefGatherSegmentReduce(h, pc.indices, offsets, mean);
-        ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
-          const Tensor got = mean ? GatherSegmentMean(h, pc.indices, offsets, ctx)
-                                  : GatherSegmentSum(h, pc.indices, offsets, ctx);
-          EXPECT_TRUE(SameBits(got, want)) << pc.name << ", " << offsets.size() - 1
-                                           << " segments, mean " << mean << ", " << how;
-        });
+  for (const int64_t cols : PullColumns()) {
+    for (const PullCase& pc : PullCases()) {
+      Rng rng(45);
+      const int64_t n = static_cast<int64_t>(pc.indices.size());
+      const Tensor h = PullValues(pc.rows, cols, rng);
+      for (const std::vector<int64_t>& offsets : PullOffsets(n, rng)) {
+        for (const bool mean : {false, true}) {
+          const Tensor want = RefGatherSegmentReduce(h, pc.indices, offsets, mean);
+          ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
+            const Tensor got = mean ? GatherSegmentMean(h, pc.indices, offsets, ctx)
+                                    : GatherSegmentSum(h, pc.indices, offsets, ctx);
+            EXPECT_TRUE(SameBits(got, want))
+                << pc.name << ", " << cols << " cols, " << offsets.size() - 1
+                << " segments, mean " << mean << ", " << how;
+          });
+        }
       }
     }
   }
 }
 
 TEST(OpsPull, GatherSegmentBackwardMatchesBroadcastThenFoldBitwise) {
-  for (const PullCase& pc : PullCases()) {
-    Rng rng(47);
-    const int64_t n = static_cast<int64_t>(pc.indices.size());
-    const Tensor base = PullValues(pc.rows, 9, rng);
-    for (const std::vector<int64_t>& offsets : PullOffsets(n, rng)) {
-      const Tensor grad = PullValues(static_cast<int64_t>(offsets.size()) - 1, 9, rng);
-      for (const bool mean : {false, true}) {
-        Tensor want = base;
-        RefGatherSegmentReduceBackward(want, pc.indices, offsets, grad, mean);
-        ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
-          Tensor dh = base;
-          if (mean) {
-            GatherSegmentMeanBackward(dh, pc.indices, offsets, grad, ctx);
-          } else {
-            GatherSegmentSumBackward(dh, pc.indices, offsets, grad, ctx);
-          }
-          EXPECT_TRUE(SameBits(dh, want)) << pc.name << ", " << offsets.size() - 1
-                                          << " segments, mean " << mean << ", " << how;
-        });
+  for (const int64_t cols : PullColumns()) {
+    for (const PullCase& pc : PullCases()) {
+      Rng rng(47);
+      const int64_t n = static_cast<int64_t>(pc.indices.size());
+      const Tensor base = PullValues(pc.rows, cols, rng);
+      for (const std::vector<int64_t>& offsets : PullOffsets(n, rng)) {
+        const Tensor grad = PullValues(static_cast<int64_t>(offsets.size()) - 1, cols, rng);
+        for (const bool mean : {false, true}) {
+          Tensor want = base;
+          RefGatherSegmentReduceBackward(want, pc.indices, offsets, grad, mean);
+          ForEachPullContext([&](const ComputeContext* ctx, const std::string& how) {
+            Tensor dh = base;
+            if (mean) {
+              GatherSegmentMeanBackward(dh, pc.indices, offsets, grad, ctx);
+            } else {
+              GatherSegmentSumBackward(dh, pc.indices, offsets, grad, ctx);
+            }
+            EXPECT_TRUE(SameBits(dh, want))
+                << pc.name << ", " << cols << " cols, " << offsets.size() - 1
+                << " segments, mean " << mean << ", " << how;
+          });
+        }
       }
     }
   }

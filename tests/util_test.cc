@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <limits>
@@ -22,6 +23,7 @@
 #if defined(__x86_64__)
 #include "cmake/host_x86_64_v3.h"
 #endif
+#include "tests/alloc_counter.h"
 #include "tests/sampling_reference.h"
 
 namespace mariusgnn {
@@ -314,6 +316,38 @@ TEST(ComputeContext, SerialOrderedRunsEachCombineAfterItsBody) {
       want.push_back("combine " + std::to_string(c));
     }
     EXPECT_EQ(events, want) << (ctx == nullptr ? "null context" : "1-thread pool");
+  }
+}
+
+// A region passes its body and combine by reference, so a serial region whose
+// callables capture far more than a std::function keeps in place (here 64
+// bytes each) allocates nothing, for a null context and a 1-thread pool alike.
+TEST(ComputeContext, SerialOrderedRegionAllocatesNothing) {
+  ThreadPool pool(1);
+  ComputeContext one_thread;
+  one_thread.pool = &pool;
+  int64_t sums[8] = {};
+  int64_t folded[8] = {};
+  const int64_t n = 1000, grain = 64;
+  for (const ComputeContext* ctx : {static_cast<const ComputeContext*>(nullptr),
+                                    static_cast<const ComputeContext*>(&one_thread)}) {
+    int64_t total = 0;
+    const auto region = [&, sums_by_value = std::array<int64_t, 8>{}] {
+      ForEachChunkOrdered(
+          ctx, n, grain,
+          [&, sums_by_value](int64_t chunk, int64_t begin, int64_t end) {
+            sums[chunk % 8] = end - begin + sums_by_value[0];
+          },
+          [&, folded_by_value = sums_by_value](int64_t chunk) {
+            total += sums[chunk % 8] + folded_by_value[0];
+            folded[chunk % 8] = total;
+          });
+    };
+    region();  // warm
+    total = 0;
+    EXPECT_EQ(AllocationsDuring(region), 0)
+        << (ctx == nullptr ? "null context" : "1-thread pool");
+    EXPECT_EQ(total, n);
   }
 }
 
